@@ -117,11 +117,13 @@ let chunk_bounds a c =
 let iarr_chunk_bytes a c =
   if c < 0 || c >= iarr_chunks a then invalid_arg "Incr.iarr_chunk_bytes: chunk out of range";
   let lo, len = chunk_bounds a c in
-  let buf = Buffer.create (len * 8) in
-  for i = lo to lo + len - 1 do
-    Wire.w_i64 buf (Int64.of_int a.data.(i))
+  let b = Bytes.create (len * 8) in
+  for i = 0 to len - 1 do
+    Bytes.set_int64_be b (i * 8) (Int64.of_int a.data.(lo + i))
   done;
-  Buffer.contents buf
+  (* [b] was created above and has not escaped, so no one else can
+     mutate it: handing it over as a string without the copy is safe. *)
+  Bytes.unsafe_to_string b
 
 let iarr_meta_bytes a =
   let buf = Buffer.create 8 in
@@ -133,6 +135,31 @@ let iarr_to_chunks a =
   Array.init
     (1 + iarr_chunks a)
     (fun slot -> if slot = 0 then iarr_meta_bytes a else iarr_chunk_bytes a (slot - 1))
+
+(* Negative iff [v] does not fit OCaml's 63-bit [int] (its top two bits
+   differ): such a value would wrap on decode, and the table would
+   re-encode to other bytes. *)
+let[@inline] spill v = Int64.logxor v (Int64.shift_left v 1)
+
+(* Decode chunk payload [p] ([len] big-endian i64s) into [data] at [lo].
+   Returns -1 when every value fits an [int], else the first slot that
+   does not. The range check is or-ed into one accumulator, so the
+   loop has no branch; only a bad chunk pays for the second scan. *)
+let decode_chunk data ~lo ~len p =
+  let acc = ref 0L in
+  for i = 0 to len - 1 do
+    let v = String.get_int64_be p (i * 8) in
+    acc := Int64.logor !acc (spill v);
+    data.(lo + i) <- Int64.to_int v
+  done;
+  if Int64.compare !acc 0L >= 0 then -1
+  else begin
+    let i = ref 0 in
+    while Int64.compare (spill (String.get_int64_be p (!i * 8))) 0L >= 0 do
+      incr i
+    done;
+    !i
+  end
 
 let iarr_of_chunks chunks =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -154,24 +181,23 @@ let iarr_of_chunks chunks =
         fail "iarr: %d data chunks, expected %d" (Array.length chunks - 1) expected
       else begin
         let data = Array.make n 0 in
-        let bad = ref None in
-        Array.iteri
-          (fun c payload ->
-            if !bad = None then begin
-              let lo = c * chunk in
-              let len = min chunk (n - lo) in
-              if String.length payload <> len * 8 then
-                bad :=
-                  Some
-                    (Printf.sprintf "iarr: chunk %d carries %d bytes, expected %d" c
-                       (String.length payload) (len * 8))
-              else
-                for i = 0 to len - 1 do
-                  data.(lo + i) <- Int64.to_int (String.get_int64_be payload (i * 8))
-                done
-            end)
-          (Array.sub chunks 1 (Array.length chunks - 1));
-        match !bad with Some m -> Error m | None -> Ok (iarr ~chunk data)
+        let rec decode c =
+          if c = expected then Ok (iarr ~chunk data)
+          else begin
+            let p = chunks.(c + 1) in
+            let lo = c * chunk in
+            let len = min chunk (n - lo) in
+            if String.length p <> len * 8 then
+              fail "iarr: chunk %d carries %d bytes, expected %d" c (String.length p) (len * 8)
+            else
+              let slot = decode_chunk data ~lo ~len p in
+              if slot >= 0 then
+                fail "iarr: chunk %d slot %d holds %Ld, outside the 63-bit int range" c slot
+                  (String.get_int64_be p (slot * 8))
+              else decode (c + 1)
+          end
+        in
+        decode 0
       end
 
 let iarr_tracker a =

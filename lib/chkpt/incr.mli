@@ -83,5 +83,7 @@ val iarr_to_chunks : iarr -> string array
 
 val iarr_of_chunks : string array -> (iarr, string) result
 (** Strict structural decode of a full wire image: validates the meta
-    chunk, the chunk count and every chunk's exact byte length before
-    building a fresh (untracked, unsynced) [iarr]. *)
+    chunk, the chunk count, every chunk's exact byte length and that
+    every value fits OCaml's 63-bit [int] (an error names the chunk and
+    the slot within it) before building a fresh (untracked, unsynced)
+    [iarr]. Whatever it accepts re-encodes to the same bytes. *)

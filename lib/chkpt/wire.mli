@@ -16,10 +16,16 @@ exception Truncated of string
     {!with_section} (or ["wire"] outside any). *)
 
 val fnv64 : string -> int64
-(** 64-bit FNV-1a over the whole string — the content hash that names
-    pool chunks {e and} the per-chunk checksum (one function, two
-    roles: a chunk whose bytes hash to [h] lives at [chunks/<h>.chunk],
-    and a loaded chunk is valid iff its bytes still hash to the name). *)
+(** Standard 64-bit FNV-1a over the whole string — the content hash
+    that names pool chunks {e and} the per-chunk checksum (one function,
+    two roles: a chunk whose bytes hash to [h] lives at
+    [chunks/<h>.chunk], and a loaded chunk is valid iff its bytes still
+    hash to the name).
+
+    Allocation-free: it allocates only its boxed result, nothing per
+    byte. Each byte is one dependent 64-bit multiply, so its speed is
+    bound by multiply latency, ~1.7 ns/byte (~14 ms per 8 MiB on a
+    2-vCPU Xeon VM). *)
 
 val hex_of_hash : int64 -> string
 (** 16 lowercase hex digits, zero-padded — the pool filename stem. *)

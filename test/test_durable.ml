@@ -46,11 +46,20 @@ let manifest_name gen = Printf.sprintf "ckpt-%08d.bsck" gen
 (* iarr wire round-trip                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Values span the whole 63-bit [int] range, corners included: the
+   wire carries i64s, so every int must survive the trip exactly. *)
+let iarr_value =
+  QCheck.(
+    oneof
+      [
+        int_range (-1000) 1000;
+        int;
+        oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1 ];
+      ])
+
 let prop_iarr_roundtrip =
   QCheck.Test.make ~name:"iarr wire image round-trips" ~count:120
-    QCheck.(
-      triple (int_range 0 70) (int_range 1 9)
-        (small_list (pair small_nat (int_range (-1000) 1000))))
+    QCheck.(triple (int_range 0 70) (int_range 1 9) (small_list (pair small_nat iarr_value)))
     (fun (n, chunk, writes) ->
       let a = Incr.iarr ~chunk (Array.make n 0) in
       List.iter (fun (i, v) -> if n > 0 then Incr.iarr_set a (i mod n) v) writes;
@@ -80,7 +89,70 @@ let test_iarr_decode_rejects () =
   reject "extra data chunk" (Array.append img [| "" |]);
   reject "short chunk" (Array.mapi (fun i c -> if i = 1 then "abc" else c) img);
   reject "meta trailing bytes" (Array.mapi (fun i c -> if i = 0 then c ^ "x" else c) img);
-  reject "truncated meta" (Array.mapi (fun i c -> if i = 0 then String.sub c 0 3 else c) img)
+  reject "truncated meta" (Array.mapi (fun i c -> if i = 0 then String.sub c 0 3 else c) img);
+  (* A well-formed i64 outside OCaml's 63-bit int would wrap on decode
+     and re-encode to different bytes: strict decoding refuses it,
+     naming the chunk and the slot within it. *)
+  List.iter
+    (fun v ->
+      let bad = Array.map Bytes.of_string img in
+      Bytes.set_int64_be bad.(2) 16 v;
+      match Incr.iarr_of_chunks (Array.map Bytes.to_string bad) with
+      | Ok _ -> Alcotest.failf "%Ld: out-of-range value accepted" v
+      | Error m ->
+        Alcotest.(check string)
+          (Printf.sprintf "%Ld rejected" v)
+          (Printf.sprintf "iarr: chunk 1 slot 2 holds %Ld, outside the 63-bit int range" v)
+          m)
+    [ 0x4000000000000000L; Int64.max_int; -0x4000000000000001L; Int64.min_int ]
+
+(* ------------------------------------------------------------------ *)
+(* Content hash and chunk encoding                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The textbook byte-at-a-time FNV-1a 64 loop: the oracle the
+   word-at-a-time kernel must match bit for bit. *)
+let ref_fnv64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
+
+(* Lengths 0-300 cover every residue mod 8, so both the word loop and
+   every tail length run against the oracle. *)
+let prop_fnv64_reference =
+  QCheck.Test.make ~name:"fnv64 matches the byte-at-a-time reference" ~count:600
+    QCheck.(string_of_size Gen.(int_range 0 300))
+    (fun s -> Int64.equal (Wire.fnv64 s) (ref_fnv64 s))
+
+let test_fnv64_vectors () =
+  (* Published FNV-1a 64 test vectors. *)
+  List.iter
+    (fun (s, hex) ->
+      Alcotest.(check string) (Printf.sprintf "%S" s) hex (Wire.hex_of_hash (Wire.fnv64 s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
+(* Minor-heap words one call of [f] allocates, after a warm-up call. *)
+let minor_words_of f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  int_of_float (Gc.minor_words () -. before)
+
+let test_kernels_allocation_free () =
+  (* Deterministic allocation proxies: the hash and the chunk codec
+     allocate a small constant per call, nothing per byte or entry (a
+     boxed-int64 kernel allocates three words per byte hashed). *)
+  let s = String.init (128 * 1024) (fun i -> Char.chr (i * 131 land 0xff)) in
+  let w = minor_words_of (fun () -> Wire.fnv64 s) in
+  if w > 16 then Alcotest.failf "fnv64 over 128 KiB allocated %d minor words" w;
+  let a = Incr.iarr ~chunk:16384 (Array.init 16384 (fun i -> (i * 7919) - 5000)) in
+  let w = minor_words_of (fun () -> Incr.iarr_chunk_bytes a 0) in
+  if w > 16 then Alcotest.failf "iarr_chunk_bytes of 16384 entries allocated %d minor words" w;
+  let img = Incr.iarr_to_chunks a in
+  let w = minor_words_of (fun () -> Incr.iarr_of_chunks img) in
+  if w > 64 then Alcotest.failf "iarr_of_chunks of 16384 entries allocated %d minor words" w
 
 (* ------------------------------------------------------------------ *)
 (* Trie wire round-trip                                                *)
@@ -379,6 +451,10 @@ let () =
       ( "codec",
         [
           qt prop_iarr_roundtrip;
+          qt ~rand:(Random.State.make [| 0xf1a |]) prop_fnv64_reference;
+          Alcotest.test_case "fnv64 published vectors" `Quick test_fnv64_vectors;
+          Alcotest.test_case "hash and chunk codec allocate per call, not per byte" `Quick
+            test_kernels_allocation_free;
           qt prop_trie_roundtrip;
           qt prop_trie_clean_chunks_stable;
           Alcotest.test_case "iarr decode rejects malformed images" `Quick
