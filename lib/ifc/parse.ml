@@ -6,323 +6,364 @@ exception Parse_error of error
 
 let fail line fmt = Printf.ksprintf (fun message -> raise (Parse_error { eline = line; message })) fmt
 
-(* --- tiny string utilities ------------------------------------------ *)
+(* --- slices ------------------------------------------------------------ *)
 
-let strip s =
-  let n = String.length s in
-  let is_ws c = c = ' ' || c = '\t' || c = '\r' in
-  let a = ref 0 and b = ref (n - 1) in
-  while !a < n && is_ws s.[!a] do incr a done;
-  while !b >= !a && is_ws s.[!b] do decr b done;
-  String.sub s !a (!b - !a + 1)
+(* The parser never copies a line. It works on slices [a, b) of the
+   source string, kept trimmed of ' ', '\t' and '\r' at both ends, and
+   every helper below is a top-level function of (s, a, b), so scanning
+   allocates nothing. Only identifiers, integer literals and error text
+   are copied out with [sub]. *)
 
-let strip_comment s =
-  match String.index_opt s '#' with None -> s | Some i -> String.sub s 0 i
+let is_ws c = c = ' ' || c = '\t' || c = '\r'
 
-let drop_prefix ~prefix s =
-  if String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-  then Some (strip (String.sub s (String.length prefix) (String.length s - String.length prefix)))
-  else None
+(* The first non-blank index of [i, b), or [b]. *)
+let rec ltrim s i b = if i < b && is_ws s.[i] then ltrim s (i + 1) b else i
 
-let drop_suffix ~suffix s =
-  let ls = String.length s and lx = String.length suffix in
-  if ls >= lx && String.sub s (ls - lx) lx = suffix then Some (strip (String.sub s 0 (ls - lx)))
-  else None
+(* The end of [a, b) with trailing blanks cut, or [a]. *)
+let rec rtrim s a b = if b > a && is_ws s.[b - 1] then rtrim s a (b - 1) else b
 
-let split_once sep s =
-  let ls = String.length sep in
-  let rec scan i =
-    if i + ls > String.length s then None
-    else if String.sub s i ls = sep then
-      Some (strip (String.sub s 0 i), strip (String.sub s (i + ls) (String.length s - i - ls)))
-    else scan (i + 1)
-  in
-  scan 0
+(* [pat.[j..]] occurs at [i + j]; the caller checks that it fits. *)
+let rec matches_at s i pat j =
+  j = String.length pat || (s.[i + j] = pat.[j] && matches_at s i pat (j + 1))
 
-let is_ident s =
-  s <> ""
-  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false)
-       s
+let has_prefix s a b pat = b - a >= String.length pat && matches_at s a pat 0
+let has_suffix s a b pat = b - a >= String.length pat && matches_at s (b - String.length pat) pat 0
+let is s a b pat = b - a = String.length pat && matches_at s a pat 0
 
-let ident line what s = if is_ident s then s else fail line "expected %s, got `%s'" what s
+(* The start of the first [pat] in [i, b), or -1. *)
+let rec find s i b pat =
+  if i + String.length pat > b then -1 else if matches_at s i pat 0 then i else find s (i + 1) b pat
+
+(* The first index of [c] in [i, b), or [b]. *)
+let rec find_char s i b c = if i < b && s.[i] <> c then find_char s (i + 1) b c else i
+
+let sub s a b = String.sub s a (b - a)
+
+let rec ident_tail s i b =
+  i = b
+  || (match s.[i] with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false)
+     && ident_tail s (i + 1) b
+
+let is_ident s a b =
+  a < b
+  && (match s.[a] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
+  && ident_tail s (a + 1) b
+
+let ident line what s a b =
+  if is_ident s a b then sub s a b else fail line "expected %s, got `%s'" what (sub s a b)
 
 (* --- labels ---------------------------------------------------------- *)
 
-let label_of_string s =
-  let s = strip s in
-  if s = "public" then Ok Label.public
-  else if String.length s >= 2 && s.[0] = '{' && s.[String.length s - 1] = '}' then begin
-    let inner = String.sub s 1 (String.length s - 2) in
-    let parts =
-      String.split_on_char ',' inner |> List.map strip |> List.filter (fun x -> x <> "")
-    in
-    if List.for_all is_ident parts then Ok (Label.of_list parts)
-    else Error (Printf.sprintf "bad label categories in `%s'" s)
-  end
-  else Error (Printf.sprintf "expected a label (public or {a,b}), got `%s'" s)
+exception Bad_category
 
-let label = label_of_string
+(* The non-blank comma-separated categories of [i, b), in source order. *)
+let rec categories s i b =
+  let j = find_char s i b ',' in
+  let cb = rtrim s i j in
+  let ca = ltrim s i cb in
+  if ca < cb && not (is_ident s ca cb) then raise Bad_category;
+  let rest = if j < b then categories s (j + 1) b else [] in
+  if ca = cb then rest else sub s ca cb :: rest
 
-let parse_label line s =
-  match label_of_string s with Ok l -> l | Error m -> fail line "%s" m
+let parse_label line s a b =
+  if is s a b "public" then Label.public
+  else if b - a >= 2 && s.[a] = '{' && s.[b - 1] = '}' then
+    match categories s (a + 1) (b - 1) with
+    | cats -> Label.of_list cats
+    | exception Bad_category -> fail line "bad label categories in `%s'" (sub s a b)
+  else fail line "expected a label (public or {a,b}), got `%s'" (sub s a b)
+
+let label s =
+  let b = rtrim s 0 (String.length s) in
+  match parse_label 0 s (ltrim s 0 b) b with
+  | l -> Ok l
+  | exception Parse_error e -> Error e.message
 
 (* --- statements ------------------------------------------------------ *)
 
+(* Where a statement has two operands to check, the right-hand one is
+   checked first: a line with two errors reports the right-hand one. *)
+
 (* Call arguments: `move x` or `&x`. *)
-let parse_arg line s =
-  match drop_prefix ~prefix:"move " s with
-  | Some v -> (ident line "argument" v, Ast.By_move)
-  | None -> (
-    match drop_prefix ~prefix:"&" s with
-    | Some v -> (ident line "argument" v, Ast.By_borrow)
-    | None -> fail line "call arguments must be `move x' or `&x', got `%s'" s)
+let parse_arg line s a b =
+  if has_prefix s a b "move " then (ident line "argument" s (ltrim s (a + 5) b) b, Ast.By_move)
+  else if has_prefix s a b "&" then (ident line "argument" s (ltrim s (a + 1) b) b, Ast.By_borrow)
+  else fail line "call arguments must be `move x' or `&x', got `%s'" (sub s a b)
 
-let parse_args line s =
-  if strip s = "" then []
-  else String.split_on_char ',' s |> List.map strip |> List.map (parse_arg line)
+(* The comma-separated items of [i, b), each trimmed and parsed by [item]
+   left to right. *)
+let rec parse_list item line s i b =
+  let j = find_char s i b ',' in
+  let xb = rtrim s i j in
+  let x = item line s (ltrim s i xb) xb in
+  x :: (if j < b then parse_list item line s (j + 1) b else [])
 
-(* A simple (non-block) statement. *)
-let parse_simple line s : Ast.op =
-  let s = strip s in
-  (* let X = ... *)
-  match drop_prefix ~prefix:"let " s with
-  | Some rest -> (
-    match split_once "=" rest with
-    | None -> fail line "expected `let x = ...'"
-    | Some (x, rhs) -> (
-      let x = ident line "variable" x in
-      match drop_prefix ~prefix:"vec![]" rhs with
-      | Some colon -> (
-        match drop_prefix ~prefix:":" colon with
-        | Some l -> Alloc { var = x; label = parse_label line l }
-        | None -> fail line "expected `vec![] : LABEL'")
-      | None -> (
-        match drop_prefix ~prefix:"move " rhs with
-        | Some y -> Move { dst = x; src = ident line "variable" y }
-        | None -> (
-          match drop_prefix ~prefix:"&" rhs with
-          | Some y -> Alias { dst = x; src = ident line "variable" y }
-          | None -> (
-            match drop_suffix ~suffix:".clone()" rhs with
-            | Some y -> Copy { dst = x; src = ident line "variable" y }
-            | None -> fail line "unrecognised right-hand side `%s'" rhs)))))
-  | None -> (
+let parse_param line s a b = ident line "parameter" s a b
+
+(* A simple (non-block) statement on the trimmed slice [a, b). *)
+let parse_simple line s a b : Ast.op =
+  if has_prefix s a b "let " then begin
+    (* let X = ... *)
+    let a = ltrim s (a + 4) b in
+    let eq = find s a b "=" in
+    if eq < 0 then fail line "expected `let x = ...'";
+    let x = ident line "variable" s a (rtrim s a eq) in
+    let r = ltrim s (eq + 1) b in
+    if has_prefix s r b "vec![]" then begin
+      let r = ltrim s (r + 6) b in
+      if not (has_prefix s r b ":") then fail line "expected `vec![] : LABEL'";
+      Alloc { var = x; label = parse_label line s (ltrim s (r + 1) b) b }
+    end
+    else if has_prefix s r b "move " then
+      Move { dst = x; src = ident line "variable" s (ltrim s (r + 5) b) b }
+    else if has_prefix s r b "&" then
+      Alias { dst = x; src = ident line "variable" s (ltrim s (r + 1) b) b }
+    else if has_suffix s r b ".clone()" then
+      Copy { dst = x; src = ident line "variable" s r (rtrim s r (b - 8)) }
+    else fail line "unrecognised right-hand side `%s'" (sub s r b)
+  end
+  else if has_prefix s a b "declassify " then begin
     (* declassify X to LABEL *)
-    match drop_prefix ~prefix:"declassify " s with
-    | Some rest -> (
-      match split_once " to " rest with
-      | Some (x, l) -> Declassify { var = ident line "variable" x; label = parse_label line l }
-      | None -> fail line "expected `declassify x to LABEL'")
-    | None -> (
-      (* output X -> CHAN *)
-      match drop_prefix ~prefix:"output " s with
-      | Some rest -> (
-        match split_once "->" rest with
-        | Some (x, ch) ->
-          Output { channel = ident line "channel" ch; src = ident line "variable" x }
-        | None -> fail line "expected `output x -> channel'")
-      | None -> (
-        (* assert label(X) <= LABEL *)
-        match drop_prefix ~prefix:"assert label(" s with
-        | Some rest -> (
-          match split_once ")" rest with
-          | Some (x, rest) -> (
-            match drop_prefix ~prefix:"<=" rest with
-            | Some l ->
-              Assert_leq { var = ident line "variable" x; label = parse_label line l }
-            | None -> fail line "expected `assert label(x) <= LABEL'")
-          | None -> fail line "expected `assert label(x) <= LABEL'")
-        | None -> (
-          (* X.push(...) / X.append(copy Y) / F(args) *)
-          match split_once "(" s with
-          | Some (head, rest) -> (
-            let body =
-              match drop_suffix ~suffix:")" rest with
-              | Some b -> b
-              | None -> fail line "missing `)'"
-            in
-            match split_once ".push" head with
-            | Some (x, "") -> (
-              match split_once ":" body with
-              | Some (v, l) -> (
-                match int_of_string_opt (strip v) with
-                | Some value ->
-                  Const_write { dst = ident line "variable" x; value; label = parse_label line l }
-                | None -> fail line "push expects an integer, got `%s'" v)
-              | None -> fail line "expected `x.push(INT : LABEL)'")
-            | Some _ | None -> (
-              match split_once ".append" head with
-              | Some (x, "") -> (
-                match drop_prefix ~prefix:"copy " body with
-                | Some y ->
-                  Append { dst = ident line "variable" x; src = ident line "variable" y }
-                | None -> fail line "expected `x.append(copy y)'")
-              | Some _ | None ->
-                Call { func = ident line "function" head; args = parse_args line body }))
-          | None -> fail line "unrecognised statement `%s'" s))))
+    let a = ltrim s (a + 11) b in
+    let i = find s a b " to " in
+    if i < 0 then fail line "expected `declassify x to LABEL'";
+    let label = parse_label line s (ltrim s (i + 4) b) b in
+    Declassify { var = ident line "variable" s a (rtrim s a i); label }
+  end
+  else if has_prefix s a b "output " then begin
+    (* output X -> CHAN *)
+    let a = ltrim s (a + 7) b in
+    let i = find s a b "->" in
+    if i < 0 then fail line "expected `output x -> channel'";
+    let src = ident line "variable" s a (rtrim s a i) in
+    Output { channel = ident line "channel" s (ltrim s (i + 2) b) b; src }
+  end
+  else if has_prefix s a b "assert label(" then begin
+    (* assert label(X) <= LABEL *)
+    let a = ltrim s (a + 13) b in
+    let i = find s a b ")" in
+    let r = if i < 0 then b else ltrim s (i + 1) b in
+    if not (has_prefix s r b "<=") then fail line "expected `assert label(x) <= LABEL'";
+    let label = parse_label line s (ltrim s (r + 2) b) b in
+    Assert_leq { var = ident line "variable" s a (rtrim s a i); label }
+  end
+  else begin
+    (* X.push(...) / X.append(copy Y) / F(args) *)
+    let i = find s a b "(" in
+    if i < 0 then fail line "unrecognised statement `%s'" (sub s a b);
+    let hb = rtrim s a i in
+    let r = ltrim s (i + 1) b in
+    if not (has_suffix s r b ")") then fail line "missing `)'";
+    let rb = rtrim s r (b - 1) in
+    let push = find s a hb ".push" in
+    if push >= 0 && push + 5 = hb then begin
+      let colon = find s r rb ":" in
+      if colon < 0 then fail line "expected `x.push(INT : LABEL)'";
+      let vb = rtrim s r colon in
+      let value =
+        match int_of_string_opt (sub s r vb) with
+        | Some v -> v
+        | None -> fail line "push expects an integer, got `%s'" (sub s r vb)
+      in
+      let label = parse_label line s (ltrim s (colon + 1) rb) rb in
+      Const_write { dst = ident line "variable" s a (rtrim s a push); value; label }
+    end
+    else
+      let append = find s a hb ".append" in
+      if append >= 0 && append + 7 = hb then begin
+        if not (has_prefix s r rb "copy ") then fail line "expected `x.append(copy y)'";
+        let src = ident line "variable" s (ltrim s (r + 5) rb) rb in
+        Append { dst = ident line "variable" s a (rtrim s a append); src }
+      end
+      else
+        let args = if r = rb then [] else parse_list parse_arg line s r rb in
+        Call { func = ident line "function" s a hb; args }
+  end
 
 (* --- block structure -------------------------------------------------- *)
 
-type raw_line = { num : int; text : string }
+(* A cursor over the source: [a, b) is the current line, comment cut and
+   trimmed. Blank lines are skipped, so the current line is empty only
+   once the source is exhausted. *)
+type cursor = {
+  src : string;
+  mutable next : int;  (** Start of the first unread line. *)
+  mutable num : int;  (** The current line's number, from 1. *)
+  mutable a : int;
+  mutable b : int;
+}
 
-(* Parse statements until a terminator ('}' or '} else {') at this
-   nesting level; returns the block, the terminator, and the remaining
-   lines. *)
-let rec parse_block lines =
-  match lines with
-  | [] -> ([], `Eof, [])
-  | { num; text } :: rest -> (
-    match text with
-    | "}" -> ([], `Close, rest)
-    | "} else {" -> ([], `Else, rest)
-    | _ ->
-      let stmt, rest = parse_stmt num text rest in
-      let stmts, terminator, rest = parse_block rest in
-      (stmt :: stmts, terminator, rest))
+(* The first '\n' or '#' in [i, n), or [n]. *)
+let rec text_end s i n = if i < n && s.[i] <> '\n' && s.[i] <> '#' then text_end s (i + 1) n else i
 
-and parse_stmt num text rest =
-  match drop_prefix ~prefix:"if " text with
-  | Some head -> (
-    let cond =
-      match drop_suffix ~suffix:"{" head with
-      | Some c -> ident num "condition" c
-      | None -> fail num "expected `if x {'"
+let rec advance c =
+  let s = c.src in
+  let n = String.length s in
+  if c.next > n then begin
+    c.a <- 0;
+    c.b <- 0
+  end
+  else begin
+    let e = text_end s c.next n in
+    let b = rtrim s c.next e in
+    let a = ltrim s c.next b in
+    c.next <- (if e < n && s.[e] = '#' then find_char s e n '\n' else e) + 1;
+    c.num <- c.num + 1;
+    c.a <- a;
+    c.b <- b;
+    if a = b then advance c
+  end
+
+let at_end c = c.a = c.b
+let line_is c pat = is c.src c.a c.b pat
+
+(* The condition of `if X {` / `while X {`, after the keyword. *)
+let parse_cond line kw s a b =
+  if has_suffix s a b "{" then ident line "condition" s a (rtrim s a (b - 1))
+  else fail line "expected `%s x {'" kw
+
+(* Steps past a block's closing `}`, failing with [msg] at [line] if the
+   block ended any other way. *)
+let close c line msg =
+  if not (line_is c "}") then fail line "%s" msg;
+  advance c
+
+(* Statements up to, not including, a terminator (`}` or `} else {`) at
+   this nesting level or the end of the source. *)
+let rec parse_block c =
+  if at_end c || line_is c "}" || line_is c "} else {" then []
+  else
+    let stmt = parse_stmt c in
+    stmt :: parse_block c
+
+and parse_stmt c =
+  let s = c.src and a = c.a and b = c.b and line = c.num in
+  if has_prefix s a b "if " then begin
+    let cond = parse_cond line "if" s (ltrim s (a + 3) b) b in
+    advance c;
+    let then_ = parse_block c in
+    if at_end c then fail line "unterminated if block";
+    let else_ =
+      if line_is c "}" then []
+      else begin
+        advance c;
+        parse_block c
+      end
     in
-    let then_, terminator, rest = parse_block rest in
-    match terminator with
-    | `Close -> (Ast.stmt num (Ast.If { cond; then_; else_ = [] }), rest)
-    | `Else -> (
-      let else_, terminator, rest = parse_block rest in
-      match terminator with
-      | `Close -> (Ast.stmt num (Ast.If { cond; then_; else_ }), rest)
-      | `Else | `Eof -> fail num "unterminated else block")
-    | `Eof -> fail num "unterminated if block")
-  | None -> (
-    match drop_prefix ~prefix:"while " text with
-    | Some head -> (
-      let cond =
-        match drop_suffix ~suffix:"{" head with
-        | Some c -> ident num "condition" c
-        | None -> fail num "expected `while x {'"
-      in
-      let body, terminator, rest = parse_block rest in
-      match terminator with
-      | `Close -> (Ast.stmt num (Ast.While { cond; body }), rest)
-      | `Else | `Eof -> fail num "unterminated while block")
-    | None -> (Ast.stmt num (parse_simple num text), rest))
+    close c line "unterminated else block";
+    Ast.stmt line (If { cond; then_; else_ })
+  end
+  else if has_prefix s a b "while " then begin
+    let cond = parse_cond line "while" s (ltrim s (a + 6) b) b in
+    advance c;
+    let body = parse_block c in
+    close c line "unterminated while block";
+    Ast.stmt line (While { cond; body })
+  end
+  else begin
+    let op = parse_simple line s a b in
+    advance c;
+    Ast.stmt line op
+  end
 
 (* --- top level -------------------------------------------------------- *)
 
-let parse_fn_header line text =
-  match drop_prefix ~prefix:"fn " text with
-  | None -> None
-  | Some rest -> (
-    match split_once "(" rest with
-    | None -> fail line "expected `fn name(params) {'"
-    | Some (name, rest) -> (
-      match split_once ")" rest with
-      | Some (params, "{") ->
-        let params =
-          if strip params = "" then []
-          else
-            String.split_on_char ',' params |> List.map strip
-            |> List.map (ident line "parameter")
-        in
-        Some (ident line "function name" name, params)
-      | Some _ | None -> fail line "expected `fn name(params) {'"))
+let parse_func c =
+  let s = c.src and b = c.b and line = c.num in
+  let a = ltrim s (c.a + 3) b in
+  let i = find s a b "(" in
+  let j = if i < 0 then -1 else find s (i + 1) b ")" in
+  if j < 0 || not (is s (ltrim s (j + 1) b) b "{") then fail line "expected `fn name(params) {'";
+  let pb = rtrim s (i + 1) j in
+  let pa = ltrim s (i + 1) pb in
+  let params = if pa = pb then [] else parse_list parse_param line s pa pb in
+  let fname = ident line "function name" s a (rtrim s a i) in
+  advance c;
+  let body = parse_block c in
+  close c line "unterminated function body";
+  { Ast.fname; params; body }
+
+let rec parse_top c dialect channels funcs main =
+  if at_end c then
+    { Ast.dialect; channels = List.rev channels; funcs = List.rev funcs; main = List.rev main }
+  else
+    let s = c.src and a = c.a and b = c.b and line = c.num in
+    if has_prefix s a b "channel " then begin
+      let a = ltrim s (a + 8) b in
+      let i = find s a b " bound " in
+      if i < 0 then fail line "expected `channel name bound LABEL'";
+      let bound = parse_label line s (ltrim s (i + 7) b) b in
+      let ch = { Ast.cname = ident line "channel name" s a (rtrim s a i); bound } in
+      advance c;
+      parse_top c dialect (ch :: channels) funcs main
+    end
+    else if has_prefix s a b "fn " then
+      let f = parse_func c in
+      parse_top c dialect channels (f :: funcs) main
+    else
+      let stmt = parse_stmt c in
+      parse_top c dialect channels funcs (stmt :: main)
 
 let program source =
-  let raw =
-    String.split_on_char '\n' source
-    |> List.mapi (fun i text -> { num = i + 1; text = strip (strip_comment text) })
-    |> List.filter (fun l -> l.text <> "")
-  in
-  try
-    let dialect, raw =
-      match raw with
-      | { text = "dialect safe"; _ } :: rest -> (Ast.Safe, rest)
-      | { text = "dialect aliased"; _ } :: rest -> (Ast.Aliased, rest)
-      | _ -> (Ast.Safe, raw)
-    in
-    let rec top raw channels funcs main =
-      match raw with
-      | [] -> (List.rev channels, List.rev funcs, List.rev main)
-      | { num; text } :: rest -> (
-        match drop_prefix ~prefix:"channel " text with
-        | Some decl -> (
-          match split_once " bound " decl with
-          | Some (name, l) ->
-            let c = { Ast.cname = ident num "channel name" name; bound = parse_label num l } in
-            top rest (c :: channels) funcs main
-          | None -> fail num "expected `channel name bound LABEL'")
-        | None -> (
-          match parse_fn_header num text with
-          | Some (fname, params) -> (
-            let body, terminator, rest = parse_block rest in
-            match terminator with
-            | `Close -> top rest channels ({ Ast.fname; params; body } :: funcs) main
-            | `Else | `Eof -> fail num "unterminated function body")
-          | None ->
-            let stmt, rest = parse_stmt num text rest in
-            top rest channels funcs (stmt :: main)))
-    in
-    let channels, funcs, main = top raw [] [] [] in
-    Ok { Ast.dialect; channels; funcs; main }
-  with Parse_error e -> Error e
+  let c = { src = source; next = 0; num = 0; a = 0; b = 0 } in
+  advance c;
+  let dialect : Ast.dialect = if line_is c "dialect aliased" then Aliased else Safe in
+  if line_is c "dialect safe" || line_is c "dialect aliased" then advance c;
+  match parse_top c dialect [] [] [] with
+  | p -> Ok p
+  | exception Parse_error e -> Error e
 
 (* --- printing in the concrete syntax ---------------------------------- *)
 
-let label_src l = Label.to_string l
+(* One line of output: [indent] spaces, then [parts]. *)
+let add_line buf indent parts =
+  for _ = 1 to indent do
+    Buffer.add_char buf ' '
+  done;
+  List.iter (Buffer.add_string buf) parts;
+  Buffer.add_char buf '\n'
 
 let arg_src (v, mode) =
   match (mode : Ast.arg_mode) with By_move -> "move " ^ v | By_borrow -> "&" ^ v
 
-let rec stmt_src indent (s : Ast.stmt) =
-  let pad = String.make indent ' ' in
-  match s.op with
-  | Alloc { var; label } -> [ Printf.sprintf "%slet %s = vec![] : %s" pad var (label_src label) ]
-  | Const_write { dst; value; label } ->
-    [ Printf.sprintf "%s%s.push(%d : %s)" pad dst value (label_src label) ]
-  | Append { dst; src } -> [ Printf.sprintf "%s%s.append(copy %s)" pad dst src ]
-  | Move { dst; src } -> [ Printf.sprintf "%slet %s = move %s" pad dst src ]
-  | Alias { dst; src } -> [ Printf.sprintf "%slet %s = &%s" pad dst src ]
-  | Copy { dst; src } -> [ Printf.sprintf "%slet %s = %s.clone()" pad dst src ]
-  | Declassify { var; label } ->
-    [ Printf.sprintf "%sdeclassify %s to %s" pad var (label_src label) ]
+let rec add_stmt buf indent (st : Ast.stmt) =
+  let line = add_line buf indent and label = Label.to_string in
+  match st.op with
+  | Alloc { var; label = l } -> line [ "let "; var; " = vec![] : "; label l ]
+  | Const_write { dst; value; label = l } ->
+    line [ dst; ".push("; string_of_int value; " : "; label l; ")" ]
+  | Append { dst; src } -> line [ dst; ".append(copy "; src; ")" ]
+  | Move { dst; src } -> line [ "let "; dst; " = move "; src ]
+  | Alias { dst; src } -> line [ "let "; dst; " = &"; src ]
+  | Copy { dst; src } -> line [ "let "; dst; " = "; src; ".clone()" ]
+  | Declassify { var; label = l } -> line [ "declassify "; var; " to "; label l ]
   | If { cond; then_; else_ } ->
-    [ Printf.sprintf "%sif %s {" pad cond ]
-    @ List.concat_map (stmt_src (indent + 2)) then_
-    @ (if else_ = [] then []
-       else (pad ^ "} else {") :: List.concat_map (stmt_src (indent + 2)) else_)
-    @ [ pad ^ "}" ]
+    line [ "if "; cond; " {" ];
+    List.iter (add_stmt buf (indent + 2)) then_;
+    if else_ <> [] then begin
+      line [ "} else {" ];
+      List.iter (add_stmt buf (indent + 2)) else_
+    end;
+    line [ "}" ]
   | While { cond; body } ->
-    (Printf.sprintf "%swhile %s {" pad cond)
-    :: List.concat_map (stmt_src (indent + 2)) body
-    @ [ pad ^ "}" ]
-  | Output { channel; src } -> [ Printf.sprintf "%soutput %s -> %s" pad src channel ]
-  | Call { func; args } ->
-    [ Printf.sprintf "%s%s(%s)" pad func (String.concat ", " (List.map arg_src args)) ]
-  | Assert_leq { var; label } ->
-    [ Printf.sprintf "%sassert label(%s) <= %s" pad var (label_src label) ]
+    line [ "while "; cond; " {" ];
+    List.iter (add_stmt buf (indent + 2)) body;
+    line [ "}" ]
+  | Output { channel; src } -> line [ "output "; src; " -> "; channel ]
+  | Call { func; args } -> line [ func; "("; String.concat ", " (List.map arg_src args); ")" ]
+  | Assert_leq { var; label = l } -> line [ "assert label("; var; ") <= "; label l ]
 
 let to_source (p : Ast.program) =
-  let header =
-    match p.dialect with Ast.Safe -> [ "dialect safe" ] | Ast.Aliased -> [ "dialect aliased" ]
-  in
-  let channels =
-    List.map
-      (fun (c : Ast.channel) -> Printf.sprintf "channel %s bound %s" c.cname (label_src c.bound))
-      p.channels
-  in
-  let funcs =
-    List.concat_map
-      (fun (f : Ast.func) ->
-        (Printf.sprintf "fn %s(%s) {" f.fname (String.concat ", " f.params))
-        :: List.concat_map (stmt_src 2) f.body
-        @ [ "}" ])
-      p.funcs
-  in
-  let main = List.concat_map (stmt_src 0) p.main in
-  String.concat "\n" (header @ channels @ funcs @ main) ^ "\n"
+  let buf = Buffer.create 4096 in
+  add_line buf 0 [ (match p.dialect with Ast.Safe -> "dialect safe" | Ast.Aliased -> "dialect aliased") ];
+  List.iter
+    (fun (c : Ast.channel) -> add_line buf 0 [ "channel "; c.cname; " bound "; Label.to_string c.bound ])
+    p.channels;
+  List.iter
+    (fun (f : Ast.func) ->
+      add_line buf 0 [ "fn "; f.fname; "("; String.concat ", " f.params; ") {" ];
+      List.iter (add_stmt buf 2) f.body;
+      add_line buf 0 [ "}" ])
+    p.funcs;
+  List.iter (add_stmt buf 0) p.main;
+  Buffer.contents buf

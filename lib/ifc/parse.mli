@@ -35,13 +35,21 @@ type error = { eline : int; message : string }
 
 val program : string -> (Ast.program, error) result
 (** Parse a whole compilation unit. The result still needs
-    {!Ast.validate} (the parser checks syntax only). *)
+    {!Ast.validate} (the parser checks syntax only).
+
+    One pass over the source, linear in its length: a cursor walks it
+    line by line and matches each statement in place, so no line is
+    ever copied; only identifiers, integer literals and error text are.
+    The ASTs and the [{eline; message}] of every malformed input are
+    exactly those of the earlier line-list parser, which the test suite
+    keeps as a differential oracle. *)
 
 val label : string -> (Label.t, string) result
 (** Parse just a label (["public"], ["{secret}"], ["{a,b}"]). *)
 
 val to_source : Ast.program -> string
-(** Render a program in the concrete syntax; [program (to_source p)]
-    reparses to an equal program up to statement line numbers. *)
+(** Render a program in the concrete syntax, into one buffer;
+    [program (to_source p)] reparses to an equal program up to
+    statement line numbers. *)
 
 val error_to_string : error -> string

@@ -7,27 +7,32 @@ let parse_ok src =
   | Ok p -> p
   | Error e -> Alcotest.failf "unexpected parse error: %s" (Parse.error_to_string e)
 
-(* Structural equality modulo statement line numbers. *)
-let rec strip_lines_stmt (s : Ast.stmt) =
-  let op : Ast.op =
-    match s.op with
-    | If { cond; then_; else_ } ->
-      If { cond; then_ = List.map strip_lines_stmt then_; else_ = List.map strip_lines_stmt else_ }
-    | While { cond; body } -> While { cond; body = List.map strip_lines_stmt body }
-    | ( Alloc _ | Const_write _ | Append _ | Move _ | Alias _ | Copy _ | Declassify _
-      | Output _ | Call _ | Assert_leq _ ) as op ->
-      op
-  in
-  { Ast.line = 0; op }
+(* Equality modulo statement line numbers, comparing labels as sets:
+   [Label.t] is a balanced tree, so equal labels built in a different
+   order need not be equal under [=]. *)
+let rec op_equal (x : Ast.op) (y : Ast.op) =
+  match (x, y) with
+  | Alloc a, Alloc b -> a.var = b.var && Label.equal a.label b.label
+  | Const_write a, Const_write b -> a.dst = b.dst && a.value = b.value && Label.equal a.label b.label
+  | Declassify a, Declassify b -> a.var = b.var && Label.equal a.label b.label
+  | Assert_leq a, Assert_leq b -> a.var = b.var && Label.equal a.label b.label
+  | If a, If b -> a.cond = b.cond && stmts_equal a.then_ b.then_ && stmts_equal a.else_ b.else_
+  | While a, While b -> a.cond = b.cond && stmts_equal a.body b.body
+  | (Append _ | Move _ | Alias _ | Copy _ | Output _ | Call _), _ -> x = y
+  | (Alloc _ | Const_write _ | Declassify _ | Assert_leq _ | If _ | While _), _ -> false
 
-let strip_lines (p : Ast.program) =
-  {
-    p with
-    main = List.map strip_lines_stmt p.main;
-    funcs = List.map (fun (f : Ast.func) -> { f with body = List.map strip_lines_stmt f.body }) p.funcs;
-  }
+and stmts_equal a b = List.equal (fun (s : Ast.stmt) (t : Ast.stmt) -> op_equal s.op t.op) a b
 
-let program_equal a b = strip_lines a = strip_lines b
+let program_equal (p : Ast.program) (q : Ast.program) =
+  p.dialect = q.dialect
+  && List.equal
+       (fun (c : Ast.channel) (d : Ast.channel) -> c.cname = d.cname && Label.equal c.bound d.bound)
+       p.channels q.channels
+  && List.equal
+       (fun (f : Ast.func) (g : Ast.func) ->
+         f.fname = g.fname && f.params = g.params && stmts_equal f.body g.body)
+       p.funcs q.funcs
+  && stmts_equal p.main q.main
 
 (* The paper's buffer exploit, as source text. *)
 let buffer_src =
@@ -122,20 +127,27 @@ let y = &x
 let test_parse_errors () =
   let cases =
     [
-      ("let x = ", "bad rhs");
-      ("x.push(notanint : public)", "bad int");
-      ("let x = vec![] : {bad label", "bad label");
-      ("if x {", "unterminated");
-      ("frobnicate x y", "unknown stmt");
-      ("output x", "missing arrow");
-      ("serve(plain_arg)", "bad call arg");
+      ("let x = ", "parse error, line 1: unrecognised right-hand side `'");
+      ("x.push(notanint : public)", "parse error, line 1: push expects an integer, got `notanint'");
+      ( "let x = vec![] : {bad label",
+        "parse error, line 1: expected a label (public or {a,b}), got `{bad label'" );
+      ("if x {", "parse error, line 1: unterminated if block");
+      ("frobnicate x y", "parse error, line 1: unrecognised statement `frobnicate x y'");
+      ("output x", "parse error, line 1: expected `output x -> channel'");
+      ("serve(plain_arg)", "parse error, line 1: call arguments must be `move x' or `&x', got `plain_arg'");
+      ("declassify 1x to {a b}", "parse error, line 1: bad label categories in `{a b}'");
+      ("fn f(a,, b) {\n}", "parse error, line 1: expected parameter, got `'");
+      ("while c {\n  } else {\n}", "parse error, line 1: unterminated while block");
+      (* Comment-only and blank lines still count: the error is on line 6. *)
+      ( "# a header comment\nlet x = vec![] : public\n\n   # indented comment\nx.push(1 : {s}) # trailing\n  output x terminal\r\n",
+        "parse error, line 6: expected `output x -> channel'" );
     ]
   in
   List.iter
-    (fun (src, what) ->
+    (fun (src, expected) ->
       match Parse.program src with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "%s should not parse" what)
+      | Error e -> Alcotest.(check string) src expected (Parse.error_to_string e)
+      | Ok _ -> Alcotest.failf "%S should not parse" src)
     cases
 
 let test_parse_label_values () =
@@ -233,6 +245,99 @@ let test_sample_programs () =
     Alcotest.(check int) "but invisible dynamically" 0 (List.length o.Interp.leaks)
   | Error _ -> Alcotest.fail "parse")
 
+(* --- the parser against its line-list oracle --------------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A Mir source with the offset of each line and the numbers of the
+   lines that open a top-level item (neither indented, blank nor `}`). *)
+let mir_source path =
+  let text = read_file path in
+  let starts = ref [ 0 ] in
+  String.iteri (fun i c -> if c = '\n' then starts := (i + 1) :: !starts) text;
+  let starts = Array.of_list (List.rev !starts) in
+  let opens_item l = starts.(l) < String.length text && not (String.contains " }\n" text.[starts.(l)]) in
+  (text, starts, Array.of_list (List.filter opens_item (List.init (Array.length starts) Fun.id)))
+
+(* Every committed Mir source. *)
+let mir_sources =
+  lazy
+    (List.concat_map
+       (fun dir ->
+         Sys.readdir dir |> Array.to_list |> List.sort compare
+         |> List.filter (fun f -> Filename.check_suffix f ".mir")
+         |> List.map (fun f -> mir_source (Filename.concat dir f)))
+       [ "corpus-ifc"; "../examples/programs" ]
+    |> Array.of_list)
+
+let same_result src =
+  match (Parse.program src, Parse_oracle.program src) with
+  | Ok p, Ok q -> p = q
+  | Error e, Error e' -> e = e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let test_corpus_matches_oracle () =
+  let edge_cases =
+    [ ""; "\n"; "#"; "dialect aliased"; "dialect safe\r\n\r\n"; "}"; "} else {"; "fn f() {";
+      "fn f() {\n}\n}"; "if c {\n} else {\n"; "x.push(0x1F : {b,a,,c})"; "let x = vec![]:{ a , b }";
+      "\t let y = x .clone() # c" ]
+  in
+  List.iter
+    (fun text -> Alcotest.(check bool) (Printf.sprintf "%S" text) true (same_result text))
+    (edge_cases @ List.map (fun (text, _, _) -> text) (Array.to_list (Lazy.force mir_sources)))
+
+(* Mir-flavoured bytes and keywords the mutations splice in. *)
+let mir_tokens =
+  [| "{"; "}"; "("; ")"; ","; ":"; "="; "&"; "<"; ">"; "-"; "."; "#"; " "; "\r"; "\t"; "\n"; "0";
+     "7"; "-3"; "0x1f"; "let "; "fn "; "if "; "while "; "} else {"; "move "; "copy "; "vec![]";
+     "public"; "declassify "; " to "; "output "; "->"; "assert label("; "<="; "channel ";
+     " bound "; ".push"; ".append"; ".clone()"; "dialect safe"; "dialect aliased"; "_x'" |]
+
+let gen_mutant =
+  let open QCheck.Gen in
+  let mutate text =
+    let n = String.length text in
+    let* pos = int_bound n in
+    let* k = int_range 1 3 in
+    let k = min k (n - pos) in
+    let* tok = oneofa mir_tokens in
+    let before = String.sub text 0 pos in
+    frequency
+      [
+        (2, return (before ^ tok ^ String.sub text pos (n - pos)));
+        (1, return (before ^ String.sub text (pos + k) (n - pos - k)));
+        (2, return (before ^ tok ^ String.sub text (pos + k) (n - pos - k)));
+      ]
+  in
+  let rec edits k text = if k = 0 then return text else mutate text >>= edits (k - 1) in
+  let* text, starts, items = oneofa (Lazy.force mir_sources) in
+  (* A window of at most 150 lines from the start of a top-level item
+     keeps every case small and most of it well formed. *)
+  let* first = oneofa items in
+  let* len = int_range 1 150 in
+  let stop = if first + len >= Array.length starts then String.length text else starts.(first + len) in
+  let* k = int_range 1 3 in
+  edits k (String.sub text starts.(first) (stop - starts.(first)))
+
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"mutated sources parse exactly as the oracle does" ~count:10_000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutant)
+    same_result
+
+(* A deterministic stand-in for parse time: the minor words one parse
+   of the 500-function corpus allocates, per source line. The AST itself
+   accounts for most of them. *)
+let test_parse_allocation () =
+  let text = read_file "corpus-ifc/gen_500x10.mir" in
+  let lines = List.length (String.split_on_char '\n' text) - 1 in
+  ignore (Parse.program text);
+  let w0 = Gc.minor_words () in
+  let r = Parse.program text in
+  let words = Gc.minor_words () -. w0 in
+  (match r with Ok _ -> () | Error e -> Alcotest.fail (Parse.error_to_string e));
+  let per_line = words /. float_of_int lines in
+  if per_line > 30. then Alcotest.failf "%.1f minor words per line (at most 30)" per_line
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "parse"
@@ -248,5 +353,11 @@ let () =
           Alcotest.test_case "examples round-trip" `Quick test_roundtrip_examples;
           Alcotest.test_case "sample .mir programs" `Quick test_sample_programs;
           qt prop_roundtrip_random;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "committed sources and edge cases" `Quick test_corpus_matches_oracle;
+          qt ~rand:(Random.State.make [| 7919 |]) prop_matches_oracle;
+          Alcotest.test_case "allocation per line" `Quick test_parse_allocation;
         ] );
     ]
