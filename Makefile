@@ -120,13 +120,13 @@ flowcache-determinism:
 	diff test/golden/flowcache_stats.txt /tmp/flowcache-1.txt
 	@echo "flowcache determinism: OK (1/2/4 shards byte-identical, ledgers match, golden OK)"
 
-# E18: the kernel-fusion / off-heap-slab ablation (full run, with the
-# wall-clock 2x2 table appended).
+# E18: the kernel-fusion ablation (full run, with the wall-clock
+# fused/unfused race appended).
 fusion:
 	dune exec bin/repro.exe -- fusion
 
 # The deterministic sections (fused-vs-unfused cycle identity, crossing
-# counts, backing invisibility, sharded ledger) against the golden.
+# counts, sharded ledger) against the golden.
 fusion-golden:
 	dune exec bin/repro.exe -- fusion --stats-only > /tmp/fusion-now.txt
 	diff test/golden/fusion_stats.txt /tmp/fusion-now.txt

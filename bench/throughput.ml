@@ -43,8 +43,8 @@ let modes =
     ("throughput: maglev NF, tagged", fun _env -> Netstack.Pipeline.Tagged);
   ]
 
-let run_mode ~batches ?(fuse = true) ?backing (name, mode_of_env) =
-  let env = Experiments.Env.make ?backing () in
+let run_mode ~batches ?(fuse = true) (name, mode_of_env) =
+  let env = Experiments.Env.make () in
   let _mg, stages = Experiments.Env.maglev_nf env in
   let pipe =
     Netstack.Pipeline.create ~engine:env.Experiments.Env.engine ~mode:(mode_of_env env) ~fuse
@@ -111,30 +111,24 @@ let flowcache_rows ~batches =
     run_variant "throughput: megaflow NF, cached" ~cached:true;
   ]
 
-(* The E18 ablation rows: the default rows above already run the fused
-   pipeline over the off-heap slab pool, so these two isolate what each
-   half buys — same NF, fusion pass disabled / GC-scanned [Bytes]
-   payload buffers. *)
+(* The E18 ablation row: the default rows above already run the fused
+   pipeline, so this one isolates what fusion buys — same NF, fusion
+   pass disabled. *)
 let ablation_rows ~batches =
   [
     run_mode ~batches ~fuse:false
       ("throughput: maglev NF, direct unfused", fun _env -> Netstack.Pipeline.Direct);
-    run_mode ~batches ~backing:Netstack.Slab.Heap_bytes
-      ("throughput: maglev NF, direct heap-bytes", fun _env -> Netstack.Pipeline.Direct);
   ]
 
 (* The E20 ablation rows: the plain Maglev NF rewriting headers through
    the batch's column plane (deferred writeback, one RFC 1624 fold per
    packet at materialization) versus the write-through byte twins.
-   Same configuration as the E20 wall race — heap payload backing, one
-   recycled rx batch — so the "direct soa" row is the BENCH-tracked
-   trajectory of the `repro soa` gate's headline number. *)
+   Same configuration as the E20 wall race — one recycled rx batch —
+   so the "direct soa" row is the BENCH-tracked trajectory of the
+   `repro soa` gate's headline number. *)
 let soa_rows ~batches =
   let run_variant name ~soa =
-    let env =
-      Experiments.Env.make ~backing:Netstack.Slab.Heap_bytes
-        ~telemetry:(Telemetry.Registry.create ()) ()
-    in
+    let env = Experiments.Env.make ~telemetry:(Telemetry.Registry.create ()) () in
     let _mg, stages = Experiments.Env.maglev_plain_nf ~soa env in
     let pipe =
       Netstack.Pipeline.create ~engine:env.Experiments.Env.engine

@@ -116,7 +116,8 @@ let scale_cmd =
   let shards =
     let doc =
       "Shard (domain) counts to run, comma-separated. Defaults to 1,2,4,8 capped at the \
-       host's recommended domain count."
+       host's recommended domain count; with $(b,--stats-only), to 1 alone, so the output \
+       does not depend on the host."
     in
     Arg.(value & opt (some (list int)) None & info [ "shards"; "n" ] ~docv:"N,N,..." ~doc)
   in
@@ -155,7 +156,9 @@ let scale_cmd =
   in
   let run shards rounds batch queues mode stats_only =
     let shards_list =
-      match shards with Some l -> l | None -> Experiments.Scaling.default_shards_list ()
+      match shards with
+      | Some l -> l
+      | None -> if stats_only then [ 1 ] else Experiments.Scaling.default_shards_list ()
     in
     (* Surface bad sizes as clean CLI errors, not engine exceptions. *)
     (match
@@ -417,9 +420,9 @@ let flowcache_cmd =
 
 let fusion_cmd =
   let doc =
-    "Run the kernel-fusion / off-heap-slab ablation (E18): fused vs unfused pipelines over \
-     the Maglev NF in every mode (cycle identity in the calls modes, crossing reduction \
-     under Isolated, backing invisibility), then the wall-clock 2x2 ablation."
+    "Run the kernel-fusion ablation (E18): fused vs unfused pipelines over the Maglev NF in \
+     every mode (cycle identity in the calls modes, crossing reduction under Isolated), then \
+     the wall-clock fused/unfused race."
   in
   let rounds =
     let doc = "Batches per deterministic run." in

@@ -27,7 +27,7 @@ let build_pipeline env trigger =
   (* The injected fault lives in the firewall's domain: compose the
      verdict filter with the one-shot crash trigger. *)
   let faulty_firewall =
-    Netstack.Stage.make ~name:"edge-firewall" (fun engine batch ->
+    Netstack.Stage.opaque ~name:"edge-firewall" (fun engine batch ->
         let batch =
           Netstack.Stage.process (Netstack.Filters.triggered_fault ~trigger) engine batch
         in

@@ -20,7 +20,7 @@ let make_stages env triggers =
   in
   let base = [| Netstack.Filters.checksum_verify; Netstack.Filters.ttl_decrement; Netstack.Filters.maglev maglev |] in
   List.init stage_count (fun i ->
-      Netstack.Stage.make ~name:(Printf.sprintf "nf%d" i) (fun engine batch ->
+      Netstack.Stage.opaque ~name:(Printf.sprintf "nf%d" i) (fun engine batch ->
           if triggers.(i) then begin
             triggers.(i) <- false;
             Sfi.Panic.panicf "injected fault in nf%d" i

@@ -8,11 +8,11 @@ type t = {
 }
 
 let make ?(seed = 2017L) ?(pool_capacity = 4096) ?(flows = 1024) ?(payload_bytes = 18)
-    ?model ?backing ?(telemetry = Telemetry.Registry.global) () =
+    ?model ?(telemetry = Telemetry.Registry.global) () =
   let clock =
     match model with None -> Cycles.Clock.create () | Some m -> Cycles.Clock.create ~model:m ()
   in
-  let pool = Netstack.Mempool.create ~clock ~capacity:pool_capacity ?backing () in
+  let pool = Netstack.Mempool.create ~clock ~capacity:pool_capacity () in
   let engine = Netstack.Engine.create ~clock ~pool ~telemetry () in
   let rng = Cycles.Rng.create seed in
   let traffic = Netstack.Traffic.create ~rng ~payload_bytes (Netstack.Traffic.Uniform { flows }) in

@@ -21,15 +21,11 @@ val make :
   ?flows:int ->
   ?payload_bytes:int ->
   ?model:Cycles.Cost_model.t ->
-  ?backing:Netstack.Slab.backing ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   t
 (** Defaults: seed 2017, 4096-buffer pool, 1024 uniform flows,
     18-byte payloads (64-byte frames — the Figure-2 workload).
-    [backing] selects the pool's payload storage (default
-    {!Netstack.Slab.Off_heap}; {!Netstack.Slab.Heap_bytes} is the E18
-    ablation arm).
     [telemetry] (default {!Telemetry.Registry.global}) is handed to
     the engine and the SFI manager, so every environment records the
     [netstack.*] / [sfi.*] metrics; pass a fresh registry to keep an

@@ -1,19 +1,18 @@
-(* E18: the kernel-fusion / off-heap-slab ablation.
+(* E18: the kernel-fusion ablation, over the off-heap slab pool.
 
    Two sections, split the same way E17 is:
 
    - a deterministic section running the Figure-2 Maglev NF through
      fused and unfused pipelines and printing only virtual counters.
-     It pins the three claims the fusion pass makes: in the calls
-     modes (Direct/Tagged) fusion is *cycle-identical* — the fused
-     group executes stage-major, so the stateful cache simulator sees
-     the exact same line-touch sequence; under Isolated mode a fused
+     It pins the two claims the fusion pass makes: in the calls modes
+     (Direct/Tagged) fusion is *cycle-identical* — the fused group
+     executes stage-major, so the stateful cache simulator sees the
+     exact same line-touch sequence; and under Isolated mode a fused
      group costs one protection-domain crossing where the unfused
-     chain paid one per stage; and the payload backing (GC-scanned
-     Bytes vs off-heap slab) is invisible to the virtual-cycle model.
-   - a wall-clock section sweeping the 2x2 ablation
-     {unfused, fused} x {heap Bytes, off-heap slab} on the Direct-mode
-     NF, plus the Tagged fused arm for the isolation-tax ratio. *)
+     chain paid one per stage.
+   - a wall-clock section racing unfused against fused on the
+     Direct-mode NF, plus the Tagged fused arm for the isolation-tax
+     ratio. *)
 
 let default_rounds = 200
 let default_batch_size = 32
@@ -36,10 +35,9 @@ let det_mode_name = function
   | Isolated -> "isolated"
   | Tagged -> "tagged"
 
-let run_det ?(rounds = default_rounds) ?(batch_size = default_batch_size)
-    ?(backing = Netstack.Slab.Off_heap) ~mode ~fuse () =
+let run_det ?(rounds = default_rounds) ?(batch_size = default_batch_size) ~mode ~fuse () =
   let telemetry = Telemetry.Registry.create () in
-  let env = Env.make ~backing ~telemetry () in
+  let env = Env.make ~telemetry () in
   let _mg, stages = Env.maglev_nf env in
   let pmode =
     match mode with
@@ -80,8 +78,6 @@ type det_result = {
   d_calls : (det_mode * det_run * det_run) list;  (* mode, unfused, fused *)
   d_iso_unfused : det_run;
   d_iso_fused : det_run;
-  d_bytes : det_run;  (* direct fused, Heap_bytes backing *)
-  d_slab : det_run;   (* direct fused, Off_heap backing *)
 }
 
 let run_stats ?(rounds = default_rounds) ?(batch_size = default_batch_size) () =
@@ -95,8 +91,6 @@ let run_stats ?(rounds = default_rounds) ?(batch_size = default_batch_size) () =
         [ Direct; Tagged ];
     d_iso_unfused = det ~mode:Isolated ~fuse:false ();
     d_iso_fused = det ~mode:Isolated ~fuse:true ();
-    d_bytes = det ~backing:Netstack.Slab.Heap_bytes ~mode:Direct ~fuse:true ();
-    d_slab = det ~backing:Netstack.Slab.Off_heap ~mode:Direct ~fuse:true ();
   }
 
 let same_outputs a b = a.dr_crafted = b.dr_crafted && a.dr_tx = b.dr_tx
@@ -149,28 +143,7 @@ let print_stats d =
     [ iso_row "unfused" d.d_iso_unfused; iso_row "fused" d.d_iso_fused ];
   Printf.printf "  outputs identical (unfused vs fused)=%b  crossings saved=%d\n"
     (same_outputs d.d_iso_unfused d.d_iso_fused)
-    (crossings d.d_iso_unfused - crossings d.d_iso_fused);
-  print_newline ();
-  print_endline "payload backing: the virtual-cycle model cannot see the storage substrate";
-  Table.print
-    ~header:[ "backing"; "crafted"; "tx"; "virtual cycles" ]
-    [
-      [
-        "heap-bytes";
-        Table.fi d.d_bytes.dr_crafted;
-        Table.fi d.d_bytes.dr_tx;
-        Int64.to_string d.d_bytes.dr_cycles;
-      ];
-      [
-        "off-heap-slab";
-        Table.fi d.d_slab.dr_crafted;
-        Table.fi d.d_slab.dr_tx;
-        Int64.to_string d.d_slab.dr_cycles;
-      ];
-    ];
-  Printf.printf "  cycles identical=%b outputs identical=%b\n"
-    (Int64.equal d.d_bytes.dr_cycles d.d_slab.dr_cycles)
-    (same_outputs d.d_bytes d.d_slab)
+    (crossings d.d_iso_unfused - crossings d.d_iso_fused)
 
 (* --- Sharded determinism block ----------------------------------------- *)
 
@@ -216,10 +189,10 @@ type wall_row = {
 type wall_result = {
   w_batch_size : int;
   w_batches : int;
-  w_rows : wall_row list;  (* 2x2 direct ablation, baseline first *)
-  w_tagged : wall_row;     (* tagged, fused, off-heap slab *)
-  w_direct_mpps : float;   (* direct, fused, off-heap slab — the headline *)
-  w_tagged_ratio : float;  (* direct fused-slab cost / tagged cost, as slowdown *)
+  w_rows : wall_row list;  (* direct unfused (the baseline), direct fused *)
+  w_tagged : wall_row;     (* tagged, fused *)
+  w_direct_mpps : float;   (* direct, fused — the headline *)
+  w_tagged_ratio : float;  (* direct fused cost / tagged cost, as slowdown *)
 }
 
 let time f =
@@ -227,9 +200,8 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-let run_wall_variant ~reps ~label ~mode ~fuse ~backing ~batch_size ~warmup
-    ~batches =
-  let env = Env.make ~backing ~telemetry:(Telemetry.Registry.create ()) () in
+let run_wall_variant ~reps ~label ~mode ~fuse ~batch_size ~warmup ~batches =
+  let env = Env.make ~telemetry:(Telemetry.Registry.create ()) () in
   let _mg, stages = Env.maglev_nf env in
   let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode ~fuse stages in
   let serve n =
@@ -266,27 +238,13 @@ let run_wall_variant ~reps ~label ~mode ~fuse ~backing ~batch_size ~warmup
 let run_wall ?(batch_size = 32) ?(warmup = 256) ?(batches = 8192) ?(reps = 6) ()
     =
   let v = run_wall_variant ~reps ~batch_size ~warmup ~batches in
-  let rows =
-    [
-      v ~label:"unfused / heap-bytes" ~mode:Netstack.Pipeline.Direct ~fuse:false
-        ~backing:Netstack.Slab.Heap_bytes;
-      v ~label:"unfused / off-heap-slab" ~mode:Netstack.Pipeline.Direct ~fuse:false
-        ~backing:Netstack.Slab.Off_heap;
-      v ~label:"fused / heap-bytes" ~mode:Netstack.Pipeline.Direct ~fuse:true
-        ~backing:Netstack.Slab.Heap_bytes;
-      v ~label:"fused / off-heap-slab" ~mode:Netstack.Pipeline.Direct ~fuse:true
-        ~backing:Netstack.Slab.Off_heap;
-    ]
-  in
-  let tagged =
-    v ~label:"tagged fused / off-heap-slab" ~mode:Netstack.Pipeline.Tagged ~fuse:true
-      ~backing:Netstack.Slab.Off_heap
-  in
-  let direct = List.nth rows 3 in
+  let unfused = v ~label:"unfused" ~mode:Netstack.Pipeline.Direct ~fuse:false in
+  let direct = v ~label:"fused" ~mode:Netstack.Pipeline.Direct ~fuse:true in
+  let tagged = v ~label:"tagged fused" ~mode:Netstack.Pipeline.Tagged ~fuse:true in
   {
     w_batch_size = batch_size;
     w_batches = batches;
-    w_rows = rows;
+    w_rows = [ unfused; direct ];
     w_tagged = tagged;
     w_direct_mpps = direct.wr_mpps;
     w_tagged_ratio = direct.wr_mpps /. tagged.wr_mpps;

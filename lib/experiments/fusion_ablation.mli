@@ -1,21 +1,19 @@
-(** E18: the kernel-fusion / off-heap-slab ablation.
+(** E18: the kernel-fusion ablation, over the off-heap slab pool.
 
     The pipeline compiles adjacent {!Netstack.Stage.Rewrite} /
-    {!Netstack.Stage.Filter} kernels into fused groups; the mempool
-    stores payloads in an off-heap [Bigarray] slab the GC never scans.
-    This experiment isolates what each buys — and what fusion must
-    {e not} change:
+    {!Netstack.Stage.Filter} kernels into fused groups. This
+    experiment isolates what fusion buys — and what it must {e not}
+    change:
 
     - a deterministic section pinning the equivalence contract: in the
       calls modes (Direct/Tagged) a fused pipeline is cycle-identical,
       output-identical and telemetry-identical to the unfused chain;
       under Isolated mode a fused group costs one protection-domain
       crossing where the unfused chain paid one per stage (same
-      outputs); and the payload backing (heap [Bytes] vs off-heap
-      slab) is invisible to the virtual-cycle model.
-    - a wall-clock section sweeping {unfused, fused} x {heap Bytes,
-      off-heap slab} on the Direct-mode Maglev NF, plus the Tagged
-      fused arm for the isolation-tax ratio. *)
+      outputs).
+    - a wall-clock section racing unfused against fused on the
+      Direct-mode Maglev NF, plus the Tagged fused arm for the
+      isolation-tax ratio. *)
 
 val default_rounds : int
 val default_batch_size : int
@@ -37,14 +35,13 @@ type det_mode = Direct | Isolated | Tagged
 val run_det :
   ?rounds:int ->
   ?batch_size:int ->
-  ?backing:Netstack.Slab.backing ->
   mode:det_mode ->
   fuse:bool ->
   unit ->
   det_run
 (** One fresh environment (private telemetry registry) serving the
     Figure-2 Maglev NF for [rounds] batches. Defaults: 200 rounds of
-    32, off-heap backing. *)
+    32. *)
 
 type det_result = {
   d_rounds : int;
@@ -52,8 +49,6 @@ type det_result = {
   d_calls : (det_mode * det_run * det_run) list;  (** mode, unfused, fused. *)
   d_iso_unfused : det_run;
   d_iso_fused : det_run;
-  d_bytes : det_run;  (** Direct fused over [Heap_bytes]. *)
-  d_slab : det_run;   (** Direct fused over [Off_heap]. *)
 }
 
 val run_stats : ?rounds:int -> ?batch_size:int -> unit -> det_result
@@ -100,9 +95,9 @@ type wall_row = {
 type wall_result = {
   w_batch_size : int;
   w_batches : int;
-  w_rows : wall_row list;  (** The 2x2 direct-mode ablation, baseline first. *)
-  w_tagged : wall_row;     (** Tagged, fused, off-heap slab. *)
-  w_direct_mpps : float;   (** Direct, fused, off-heap slab — the headline. *)
+  w_rows : wall_row list;  (** Direct unfused (the baseline), then direct fused. *)
+  w_tagged : wall_row;     (** Tagged, fused. *)
+  w_direct_mpps : float;   (** Direct, fused — the headline. *)
   w_tagged_ratio : float;  (** Tagged slowdown vs that headline. *)
 }
 

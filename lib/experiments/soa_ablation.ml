@@ -214,13 +214,11 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-(* All four arms run over the [Heap_bytes] backing: E18 pinned the
-   backing as invisible to the virtual-cycle model, and the heap arm
-   blits the NIC's cached frame templates with a memcpy where the
-   off-heap view pays a byte loop — the race should measure the header
-   plane, not the copy primitive. The serve loop recycles one batch
-   ({!Netstack.Nic.rx_batch_into}) so allocator traffic does not smear
-   the comparison either. *)
+(* All four arms run over the same off-heap slab pool, so they pay the
+   same per-packet frame-template copy at rx — the race measures the
+   header plane, not the copy primitive. The serve loop recycles one
+   batch ({!Netstack.Nic.rx_batch_into}) so allocator traffic does not
+   smear the comparison either. *)
 (* One wall-race arm: its environment, pipeline, recycled batch, and
    running best window. *)
 type wall_arm = {
@@ -231,10 +229,7 @@ type wall_arm = {
 }
 
 let make_wall_arm ~label ~soa ~fuse ~batch_size =
-  let env =
-    Env.make ~backing:Netstack.Slab.Heap_bytes
-      ~telemetry:(Telemetry.Registry.create ()) ()
-  in
+  let env = Env.make ~telemetry:(Telemetry.Registry.create ()) () in
   let _mg, stages = Env.maglev_plain_nf ~soa env in
   let pipe =
     Netstack.Pipeline.create ~engine:env.Env.engine ~mode:Netstack.Pipeline.Direct
@@ -304,7 +299,7 @@ let run_wall ?(batch_size = wall_batch_size) ?(warmup = 512) ?(batches = 4096)
 let print_wall w =
   Printf.printf
     "E20: structure-of-arrays header plane ablation (wall clock)\n\
-    \  direct-mode plain Maglev NF, heap backing, batch=%d, %d timed batches per cell\n"
+    \  direct-mode plain Maglev NF, batch=%d, %d timed batches per cell\n"
     w.w_batch_size w.w_batches;
   let baseline = (List.hd w.w_rows).wr_mpps in
   Table.print

@@ -88,8 +88,7 @@ val soa_target_mpps : float
 
 val run_wall :
   ?batch_size:int -> ?warmup:int -> ?batches:int -> ?reps:int -> unit -> wall_result
-(** Best-of-[reps] timed windows per cell, heap backing, one recycled
-    batch per cell ({!Netstack.Nic.rx_batch_into}). The reps of all
+(** Best-of-[reps] timed windows per cell, one recycled batch per cell ({!Netstack.Nic.rx_batch_into}). The reps of all
     four cells are interleaved round-robin so time-correlated host
     noise cannot favour whichever cell ran during a quiet spell. *)
 

@@ -3,12 +3,6 @@
 let no_flow =
   Flow.make ~src_ip:0l ~dst_ip:0l ~src_port:0 ~dst_port:0 ~protocol:Flow.Udp
 
-(* Placeholder for empty packet slots; never observable through the API
-   (guarded by [len]). A plain array with a sentinel instead of an
-   option array: wrapping every pushed packet in [Some] would allocate
-   a box per packet per rx refill on the fast path. *)
-let no_packet = { Packet.buf = Slab.of_bytes Bytes.empty; len = 0; addr = 0; slot = -1 }
-
 type t = {
   mutable pkts : Packet.t array;
   mutable len : int;
@@ -50,7 +44,7 @@ let hp_dirty_mask = hp_valid - 1
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Batch.create: capacity must be positive";
   {
-    pkts = Array.make capacity no_packet;
+    pkts = Array.make capacity Packet.null;
     len = 0;
     keys = Array.make capacity Flow.Key.none;
     flows = Array.make capacity no_flow;
@@ -371,82 +365,34 @@ let fold f init t =
   iter (fun p -> acc := f !acc p) t;
   !acc
 
-(* The keep callback sees the packet at its *original* index — the
-   write cursor [w] only ever trails the read cursor, so slot [i] is
-   still intact when [keep i p] runs and sidecar operations against
-   index [i] (e.g. [invalidate_flow] after a header rewrite) land on
-   the right slot before it is compacted down to [w]. *)
-let filteri_in_place t keep =
-  let dropped = ref [] in
-  let w = ref 0 in
-  for i = 0 to t.len - 1 do
-    let p = get t i in
-    if keep i p then begin
-      if !w <> i then begin
-        t.pkts.(!w) <- t.pkts.(i);
-        t.keys.(!w) <- t.keys.(i);
-        t.flows.(!w) <- t.flows.(i);
-        hp_compact t i !w
-      end;
-      incr w
-    end
-    else dropped := p :: !dropped
-  done;
-  for i = !w to t.len - 1 do
-    t.pkts.(i) <- no_packet;
+(* Empty slots [from, len) and shrink the batch to [from]: the one
+   tail reset behind compaction, [clear] and [take_all]. *)
+let truncate t from =
+  for i = from to t.len - 1 do
+    t.pkts.(i) <- Packet.null;
     t.keys.(i) <- Flow.Key.none;
     t.hp_state.(i) <- 0
   done;
-  t.len <- !w;
-  List.rev !dropped
+  t.len <- from
 
-let filter_in_place t keep = filteri_in_place t (fun _ p -> keep p)
-
-(* [filteri_in_place] without the list: dropped packets land in the
-   caller's scratch array, in encounter order. The fused pipeline
-   passes one reusable scratch per pipeline, making filter passes
-   allocation-free. *)
-let sieve t keep ~dropped =
-  let w = ref 0 in
-  let d = ref 0 in
-  for i = 0 to t.len - 1 do
-    let p = get t i in
-    if keep i p then begin
-      (* Until the first drop [w = i] and the slot is already in place:
-         the pass stores (and allocates) nothing — the common case for
-         a filter that keeps the whole batch. Moves reuse the existing
-         slot's own reference rather than re-storing it. *)
-      if !w <> i then begin
-        t.pkts.(!w) <- t.pkts.(i);
-        t.keys.(!w) <- t.keys.(i);
-        t.flows.(!w) <- t.flows.(i);
-        hp_compact t i !w
-      end;
-      incr w
-    end
-    else begin
-      dropped.(!d) <- p;
-      incr d
-    end
-  done;
-  for i = !w to t.len - 1 do
-    t.pkts.(i) <- no_packet;
-    t.keys.(i) <- Flow.Key.none;
-    t.hp_state.(i) <- 0
-  done;
-  t.len <- !w;
-  !d
-
-(* [sieve] with the filter-kernel calling convention inlined: the
-   pipeline's filter pass would otherwise wrap the kernel in a
-   two-argument closure, paying a second unknown-function trampoline
-   per packet on top of the kernel's own. *)
+(* The one compaction loop. The keep callback sees the packet at its
+   *original* index — the write cursor [w] only ever trails the read
+   cursor, so slot [i] is still intact when [keep env t i p] runs and
+   sidecar operations against index [i] (e.g. [invalidate_flow] after
+   a header rewrite) land on the right slot before it is compacted
+   down to [w]. Dropped packets land in the caller's scratch array, in
+   encounter order, so the pipeline's filter passes allocate nothing;
+   taking the filter-kernel calling convention directly spares them a
+   wrapper-closure trampoline per packet. *)
 let sieve_kernel t keep env ~dropped =
   let w = ref 0 in
   let d = ref 0 in
   for i = 0 to t.len - 1 do
     let p = get t i in
     if keep env t i p then begin
+      (* Until the first drop [w = i] and the slot is already in place:
+         the pass stores (and allocates) nothing — the common case for
+         a filter that keeps the whole batch. *)
       if !w <> i then begin
         t.pkts.(!w) <- t.pkts.(i);
         t.keys.(!w) <- t.keys.(i);
@@ -460,36 +406,17 @@ let sieve_kernel t keep env ~dropped =
       incr d
     end
   done;
-  for i = !w to t.len - 1 do
-    t.pkts.(i) <- no_packet;
-    t.keys.(i) <- Flow.Key.none;
-    t.hp_state.(i) <- 0
-  done;
-  t.len <- !w;
+  truncate t !w;
   !d
 
-let clear t =
-  for i = 0 to t.len - 1 do
-    t.pkts.(i) <- no_packet;
-    t.keys.(i) <- Flow.Key.none;
-    t.hp_state.(i) <- 0
-  done;
-  t.hp_dirty_n <- 0;
-  t.len <- 0
+let filteri_in_place t keep =
+  let dropped = Array.make t.len Packet.null in
+  let d = sieve_kernel t (fun keep _ i p -> keep i p) keep ~dropped in
+  List.init d (Array.get dropped)
 
-let take_all t =
-  (* Ownership of the packets leaves the batch — flush any deferred
-     column writes so the bytes handed out are canonical. *)
-  materialize t;
-  let ps = ref [] in
-  for i = t.len - 1 downto 0 do
-    ps := get t i :: !ps;
-    t.pkts.(i) <- no_packet;
-    t.keys.(i) <- Flow.Key.none;
-    t.hp_state.(i) <- 0
-  done;
-  t.len <- 0;
-  !ps
+let clear t =
+  truncate t 0;
+  t.hp_dirty_n <- 0
 
 let packets t =
   let ps = ref [] in
@@ -497,3 +424,11 @@ let packets t =
     ps := get t i :: !ps
   done;
   !ps
+
+let take_all t =
+  (* Ownership of the packets leaves the batch — flush any deferred
+     column writes so the bytes handed out are canonical. *)
+  materialize t;
+  let ps = packets t in
+  truncate t 0;
+  ps

@@ -137,27 +137,20 @@ val poke_col_for_test :
 
 (**/**)
 
-val filter_in_place : t -> (Packet.t -> bool) -> Packet.t list
-(** Keep packets satisfying the predicate (preserving order); returns
-    the dropped ones so the caller can release their buffers. The
-    sidecar is compacted alongside the packets. *)
-
-val filteri_in_place : t -> (int -> Packet.t -> bool) -> Packet.t list
-(** [filter_in_place] with the packet's (pre-compaction) index, so the
-    predicate can consult and invalidate the flow sidecar. *)
-
-val sieve : t -> (int -> Packet.t -> bool) -> dropped:Packet.t array -> int
-(** [filteri_in_place] without the allocation: dropped packets are
-    written into [dropped] (which must hold at least {!length} [t]
-    entries) in encounter order; returns how many were dropped. The
-    fused pipeline's filter passes run through this with one reusable
-    scratch array per pipeline. *)
-
 val sieve_kernel :
   t -> ('e -> t -> int -> Packet.t -> bool) -> 'e -> dropped:Packet.t array -> int
-(** {!sieve} with the filter-kernel calling convention applied
-    directly ([keep env t i p]), so the pipeline's filter pass does
-    not pay a wrapper-closure trampoline per packet. *)
+(** [sieve_kernel t keep env ~dropped] keeps the packets for which
+    [keep env t i p] holds (preserving order), compacting the sidecar
+    and header plane alongside them; [i] is the packet's
+    pre-compaction index, so the predicate can consult and invalidate
+    the flow sidecar. Dropped packets are written into [dropped]
+    (which must hold at least {!length} [t] entries) in encounter
+    order; returns how many were dropped. The fused pipeline's filter
+    passes run through this with one reusable scratch array. *)
+
+val filteri_in_place : t -> (int -> Packet.t -> bool) -> Packet.t list
+(** {!sieve_kernel} returning the dropped packets as a list, so the
+    caller can release their buffers. *)
 
 val clear : t -> unit
 (** Empty the batch without returning the packets (the caller already

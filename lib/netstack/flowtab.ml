@@ -83,7 +83,7 @@ let recover ?snapshot_every ?(tag = "flowtab") ~durable ctx =
         Ok (t, r))
 
 let stage t =
-  Stage.make ~name:"flowtab" (fun engine batch ->
+  Stage.opaque ~name:"flowtab" (fun engine batch ->
       let clock = Engine.clock engine in
       Batch.iter
         (fun p ->

@@ -19,8 +19,7 @@ type t = {
    large batches exert on everything else. *)
 let default_buf_bytes = 2240
 
-let create ~clock ~capacity ?(buf_bytes = default_buf_bytes)
-    ?(backing = Slab.Off_heap) () =
+let create ~clock ~capacity ?(buf_bytes = default_buf_bytes) () =
   if capacity <= 0 then invalid_arg "Mempool.create: capacity must be positive";
   let base_addr = Cycles.Clock.alloc_addr clock ~bytes:(capacity * buf_bytes) in
   {
@@ -28,7 +27,7 @@ let create ~clock ~capacity ?(buf_bytes = default_buf_bytes)
     capacity;
     buf_bytes;
     base_addr;
-    buffers = Slab.make_slots backing ~slots:capacity ~bytes:buf_bytes;
+    buffers = Slab.make_slots ~slots:capacity ~bytes:buf_bytes;
     free_slots = Array.init capacity (fun i -> capacity - 1 - i);
     free_top = capacity;
     slot_free = Array.make capacity true;

@@ -12,15 +12,13 @@ val create :
   clock:Cycles.Clock.t ->
   capacity:int ->
   ?buf_bytes:int ->
-  ?backing:Slab.backing ->
   unit ->
   t
 (** [buf_bytes] defaults to 2240 — DPDK's 2 KiB data room plus headroom
     and metadata; the non-power-of-two stride matters for realistic
-    cache-set distribution (see the implementation note). [backing]
-    defaults to {!Slab.Off_heap}: one [Bigarray] slab the GC never
-    scans, sliced into slot views; [Slab.Heap_bytes] keeps the old
-    GC-scanned per-slot [Bytes.t] (the E18 ablation arm). *)
+    cache-set distribution (see the implementation note). Payloads
+    live in one off-heap {!Slab} the GC never scans, sliced into slot
+    views. *)
 
 val capacity : t -> int
 val buf_bytes : t -> int

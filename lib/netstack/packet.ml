@@ -26,8 +26,15 @@ let[@inline] set_u32_int b off v =
   Slab.set_u16_be b off (v lsr 16);
   Slab.set_u16_be b (off + 2) v
 
-let of_buf ?(addr = 0) ?(slot = -1) buf = { buf; len = 0; addr; slot }
-let of_bytes ?addr ?slot b = of_buf ?addr ?slot (Slab.of_bytes b)
+let of_bytes ?(addr = 0) ?(slot = -1) b = { buf = Slab.of_bytes b; len = 0; addr; slot }
+
+(* Placeholder for empty array slots (batches, pipeline scratch): a
+   plain array with a sentinel instead of an option array, because
+   wrapping every stored packet in [Some] would allocate a box per
+   packet on the fast path. Never observable: every holder guards it
+   by a length. *)
+let null = of_bytes Bytes.empty
+
 let to_string t = Slab.sub_string t.buf 0 t.len
 
 (* --- IPv4 header ---------------------------------------------------- *)

@@ -16,13 +16,14 @@ type t = {
   slot : int;         (** Index of the buffer in its pool. *)
 }
 
-val of_buf : ?addr:int -> ?slot:int -> Slab.buf -> t
-(** Wrap any {!Slab.buf} (a slot view or a free-standing buffer) as a
-    packet with [len = 0]. *)
-
 val of_bytes : ?addr:int -> ?slot:int -> Bytes.t -> t
-(** Wrap a free-standing [Bytes.t] as a packet with [len = 0] — for
-    tests and scratch buffers outside any pool. *)
+(** A free-standing packet with [len = 0] over a copy of the bytes
+    ({!Slab.of_bytes}) — for tests and scratch buffers outside any
+    pool. Fill the [Bytes.t] before wrapping it. *)
+
+val null : t
+(** The zero-length, pool-less placeholder for unused packet-array
+    slots (batches, pipeline scratch). Never dereferenced. *)
 
 val to_string : t -> string
 (** The packet's live bytes, [0 .. len), as a fresh string. *)

@@ -82,10 +82,6 @@ type t = {
   mutable last_error : int option;
 }
 
-(* Fills unused scratch slots; never dereferenced (guarded by the
-   snapshot length). *)
-let null_packet = { Packet.buf = Slab.of_bytes Bytes.empty; len = 0; addr = 0; slot = -1 }
-
 let fusible (s : Stage.t) =
   match s.Stage.kernel with
   | Stage.Rewrite _ | Stage.Filter _ -> true
@@ -325,7 +321,7 @@ let run_member t (stage : Stage.t) engine batch =
   | Stage.Filter f ->
     let n = Batch.length batch in
     if Array.length t.drop_scratch < n then
-      t.drop_scratch <- Array.make (max n (2 * Array.length t.drop_scratch)) null_packet;
+      t.drop_scratch <- Array.make (max n (2 * Array.length t.drop_scratch)) Packet.null;
     let dropped = t.drop_scratch in
     let d = Batch.sieve_kernel batch f engine ~dropped in
     let pool = Engine.pool engine in
@@ -374,7 +370,7 @@ let exec_calls t groups batch =
 let snapshot_in_flight t batch =
   let n = Batch.length batch in
   if Array.length t.scratch < n then
-    t.scratch <- Array.make (max n (2 * Array.length t.scratch)) null_packet;
+    t.scratch <- Array.make (max n (2 * Array.length t.scratch)) Packet.null;
   for i = 0 to n - 1 do
     t.scratch.(i) <- Batch.get batch i
   done;
@@ -492,7 +488,7 @@ let fc_ensure s n =
     s.fs_keys <- Array.make n 0;
     s.fs_in_lens <- Array.make n 0;
     s.fs_slots <- Array.make n 0;
-    s.fs_out_pkts <- Array.make n null_packet;
+    s.fs_out_pkts <- Array.make n Packet.null;
     s.fs_survived <- Array.make n false
   end;
   if Batch.capacity s.fs_slow < n then s.fs_slow <- Batch.create ~capacity:n;
@@ -580,7 +576,7 @@ let run_cached t s batch =
       if d = -1 then Batch.push out (Batch.get batch i)
       else if d >= 0 && s.fs_survived.(d) then begin
         Batch.push out s.fs_out_pkts.(d);
-        s.fs_out_pkts.(d) <- null_packet
+        s.fs_out_pkts.(d) <- Packet.null
       end
     done;
     Batch.clear batch;

@@ -1,177 +1,103 @@
-(* Packet payload storage.
-
-   The default backing is one off-heap [Bigarray] slab per pool: the
+(* Packet payload storage: one off-heap [Bigarray] slab per pool. The
    GC never scans payload memory, and a packet buffer is a fixed
    slot-sized view into the slab, created once at pool construction.
-   The [Bytes] backing survives for the E18 ablation (and for tests
-   that want a free-standing buffer); every accessor is a two-way
-   branch on the backing, so the two are behaviourally identical —
-   including the Invalid_argument on out-of-range access that the
-   panic-containment paths rely on. *)
+   The view is the buffer — no variant, no box — and every accessor
+   bounds-checks against the view's own length, raising the
+   Invalid_argument the panic-containment paths rely on. *)
 
-type big = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type backing = Heap_bytes | Off_heap
+let create n : buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
 
-type buf =
-  | Heap of Bytes.t
-  | Off of big
-
-let of_bytes b = Heap b
+(* A free-standing buffer is a one-slot slab holding a copy: callers
+   fill the [Bytes.t] first and only ever write through the buffer. *)
+let of_bytes b : buf =
+  let a = create (Bytes.length b) in
+  Bytes.iteri (fun i c -> a.{i} <- c) b;
+  a
 
 (* One contiguous allocation per pool, sliced into slot views. Slicing
    up front keeps the per-access bounds check local to the slot: a
    stage that runs off the end of its packet faults at the slot
-   boundary, exactly as it would with a free-standing [Bytes.t]. *)
-let make_slots backing ~slots ~bytes =
-  match backing with
-  | Heap_bytes -> Array.init slots (fun _ -> Heap (Bytes.create bytes))
-  | Off_heap ->
-    let slab = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (slots * bytes) in
-    Bigarray.Array1.fill slab '\000';
-    Array.init slots (fun i -> Off (Bigarray.Array1.sub slab (i * bytes) bytes))
+   boundary, not somewhere in its neighbour's payload. *)
+let make_slots ~slots ~bytes =
+  let slab = create (slots * bytes) in
+  Bigarray.Array1.fill slab '\000';
+  Array.init slots (fun i -> Bigarray.Array1.sub slab (i * bytes) bytes)
 
-let length = function
-  | Heap b -> Bytes.length b
-  | Off a -> Bigarray.Array1.dim a
+let[@inline] length (buf : buf) = Bigarray.Array1.dim buf
 
 let oob () = invalid_arg "Slab: index out of bounds"
 
 let[@inline] check buf off n =
   if off < 0 || n < 0 || off + n > length buf then oob ()
 
-let[@inline] unsafe_get buf i =
-  match buf with
-  | Heap b -> Bytes.unsafe_get b i
-  | Off a -> Bigarray.Array1.unsafe_get a i
+let[@inline] unsafe_get (buf : buf) i = Bigarray.Array1.unsafe_get buf i
+let[@inline] unsafe_set (buf : buf) i c = Bigarray.Array1.unsafe_set buf i c
 
-let[@inline] unsafe_set buf i c =
-  match buf with
-  | Heap b -> Bytes.unsafe_set b i c
-  | Off a -> Bigarray.Array1.unsafe_set a i c
-
-(* Single branch on the backing, bounds check against that backing's
-   own length: one compare pair per access on the hot path. *)
-let get buf i =
-  match buf with
-  | Heap b -> if i < 0 || i >= Bytes.length b then oob () else Bytes.unsafe_get b i
-  | Off a -> if i < 0 || i >= Bigarray.Array1.dim a then oob () else Bigarray.Array1.unsafe_get a i
-
-let set buf i c =
-  match buf with
-  | Heap b -> if i < 0 || i >= Bytes.length b then oob () else Bytes.unsafe_set b i c
-  | Off a ->
-    if i < 0 || i >= Bigarray.Array1.dim a then oob () else Bigarray.Array1.unsafe_set a i c
+let get buf i = if i < 0 || i >= length buf then oob () else unsafe_get buf i
+let set buf i c = if i < 0 || i >= length buf then oob () else unsafe_set buf i c
 
 let[@inline] get_u8 buf i = Char.code (get buf i)
 let[@inline] set_u8 buf i v = set buf i (Char.unsafe_chr (v land 0xff))
 
 let get_u16_be buf i =
-  match buf with
-  | Heap b ->
-    if i < 0 || i + 2 > Bytes.length b then oob ()
-    else (Char.code (Bytes.unsafe_get b i) lsl 8) lor Char.code (Bytes.unsafe_get b (i + 1))
-  | Off a ->
-    if i < 0 || i + 2 > Bigarray.Array1.dim a then oob ()
-    else
-      (Char.code (Bigarray.Array1.unsafe_get a i) lsl 8)
-      lor Char.code (Bigarray.Array1.unsafe_get a (i + 1))
+  if i < 0 || i + 2 > length buf then oob ()
+  else (Char.code (unsafe_get buf i) lsl 8) lor Char.code (unsafe_get buf (i + 1))
 
 let set_u16_be buf i v =
-  match buf with
-  | Heap b ->
-    if i < 0 || i + 2 > Bytes.length b then oob ()
-    else begin
-      Bytes.unsafe_set b i (Char.unsafe_chr ((v lsr 8) land 0xff));
-      Bytes.unsafe_set b (i + 1) (Char.unsafe_chr (v land 0xff))
-    end
-  | Off a ->
-    if i < 0 || i + 2 > Bigarray.Array1.dim a then oob ()
-    else begin
-      Bigarray.Array1.unsafe_set a i (Char.unsafe_chr ((v lsr 8) land 0xff));
-      Bigarray.Array1.unsafe_set a (i + 1) (Char.unsafe_chr (v land 0xff))
-    end
+  if i < 0 || i + 2 > length buf then oob ()
+  else begin
+    unsafe_set buf i (Char.unsafe_chr ((v lsr 8) land 0xff));
+    unsafe_set buf (i + 1) (Char.unsafe_chr (v land 0xff))
+  end
 
 (* RFC 1071 inner loop: the sum of [words] consecutive big-endian
    16-bit words starting at [off]. One bounds check covers the whole
-   window and the backing branch is hoisted out of the loop — checksum
-   folds run once per packet, so the per-word dispatch of
-   {!get_u16_be} is measurable. *)
+   window — checksum folds run once per packet, so the per-word check
+   of {!get_u16_be} is measurable. *)
 let sum_be_words buf off ~words =
   check buf off (words * 2);
-  match buf with
-  | Heap b ->
-    let s = ref 0 in
-    for k = 0 to words - 1 do
-      let i = off + (k * 2) in
-      s :=
-        !s
-        + ((Char.code (Bytes.unsafe_get b i) lsl 8)
-          lor Char.code (Bytes.unsafe_get b (i + 1)))
-    done;
-    !s
-  | Off a ->
-    let s = ref 0 in
-    for k = 0 to words - 1 do
-      let i = off + (k * 2) in
-      s :=
-        !s
-        + ((Char.code (Bigarray.Array1.unsafe_get a i) lsl 8)
-          lor Char.code (Bigarray.Array1.unsafe_get a (i + 1)))
-    done;
-    !s
+  let s = ref 0 in
+  for k = 0 to words - 1 do
+    let i = off + (k * 2) in
+    s := !s + ((Char.code (unsafe_get buf i) lsl 8) lor Char.code (unsafe_get buf (i + 1)))
+  done;
+  !s
 
-(* Overlap-safe: [Bytes.blit] has memmove semantics, and the [Off]
-   arm copies backward when the destination window sits above the
-   source window of the same view. Distinct [Off] views never alias —
-   [make_slots] slices the slab into disjoint slots — so aliasing can
-   only mean [src == dst] (header shifts inside one packet), which the
-   physical-equality test catches. The [Array1.sub]+[Array1.blit]
-   route is reserved for large copies: each [sub] allocates a custom
-   block and bumps the slab proxy, which costs more than the loop for
+(* Overlap-safe: copies backward when the destination window sits
+   above the source window of the same view. Distinct views never
+   alias — [make_slots] slices the slab into disjoint slots and
+   [of_bytes] copies — so aliasing can only mean [src == dst] (header
+   shifts inside one packet), which the physical-equality test
+   catches. The [Array1.sub]+[Array1.blit] route (a memmove) is
+   reserved for large copies: each [sub] allocates a custom block and
+   bumps the slab proxy, which costs more than the loop for
    packet-sized moves. *)
-let off_big_copy = 256
+let big_copy = 256
 
-let blit src soff dst doff n =
+let blit (src : buf) soff (dst : buf) doff n =
   check src soff n;
   check dst doff n;
-  match (src, dst) with
-  | Heap sb, Heap db -> Bytes.blit sb soff db doff n
-  | Off sa, Off da ->
-    if n >= off_big_copy then
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub sa soff n)
-        (Bigarray.Array1.sub da doff n)
-    else if sa == da && doff > soff then
-      for i = n - 1 downto 0 do
-        Bigarray.Array1.unsafe_set da (doff + i) (Bigarray.Array1.unsafe_get sa (soff + i))
-      done
-    else
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set da (doff + i) (Bigarray.Array1.unsafe_get sa (soff + i))
-      done
-  | Heap sb, Off da ->
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set da (doff + i) (Bytes.unsafe_get sb (soff + i))
+  if n >= big_copy then
+    Bigarray.Array1.blit (Bigarray.Array1.sub src soff n) (Bigarray.Array1.sub dst doff n)
+  else if src == dst && doff > soff then
+    for i = n - 1 downto 0 do
+      unsafe_set dst (doff + i) (unsafe_get src (soff + i))
     done
-  | Off sa, Heap db ->
+  else
     for i = 0 to n - 1 do
-      Bytes.unsafe_set db (doff + i) (Bigarray.Array1.unsafe_get sa (soff + i))
+      unsafe_set dst (doff + i) (unsafe_get src (soff + i))
     done
 
 let blit_string s soff dst doff n =
   if soff < 0 || n < 0 || soff + n > String.length s then
     invalid_arg "Slab.blit_string: source out of bounds";
   check dst doff n;
-  match dst with
-  | Heap db -> Bytes.blit_string s soff db doff n
-  | Off da ->
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set da (doff + i) (String.unsafe_get s (soff + i))
-    done
+  for i = 0 to n - 1 do
+    unsafe_set dst (doff + i) (String.unsafe_get s (soff + i))
+  done
 
 let sub_string buf off n =
   check buf off n;
-  match buf with
-  | Heap b -> Bytes.sub_string b off n
-  | Off a -> String.init n (fun i -> Bigarray.Array1.unsafe_get a (off + i))
+  String.init n (fun i -> unsafe_get buf (off + i))

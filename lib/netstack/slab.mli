@@ -1,25 +1,19 @@
-(** Packet buffer storage with a switchable backing.
-
-    The production backing is one off-heap {!Bigarray} slab per
+(** Packet buffer storage: one off-heap {!Bigarray} slab per
     {!Mempool}, sliced into fixed slot views — the GC never scans
-    payload memory. The [Bytes] backing remains for the fusion/slab
-    ablation (E18) and for free-standing buffers in tests; the two are
-    observationally identical, bounds behaviour included. *)
-
-type backing =
-  | Heap_bytes  (** GC-scanned [Bytes.t] per slot (the pre-slab world). *)
-  | Off_heap    (** One [Bigarray] slab per pool; slots are views. *)
+    payload memory. Every accessor bounds-checks against the buffer's
+    own length and raises [Invalid_argument] out of range. *)
 
 type buf
-(** One packet buffer: a slot view of the pool's slab, or a
-    free-standing [Bytes.t]. *)
+(** One packet buffer: a [Bigarray.Array1] view of its pool's slab
+    (or a free-standing one-slot slab), with no box around it. *)
 
 val of_bytes : Bytes.t -> buf
-(** Wrap a free-standing buffer (tests, scratch packets). *)
+(** A free-standing buffer holding a {e copy} of the argument (tests,
+    scratch packets): later writes to the [Bytes.t] are not seen. *)
 
-val make_slots : backing -> slots:int -> bytes:int -> buf array
-(** [make_slots backing ~slots ~bytes] allocates the pool's storage and
-    returns the per-slot views. Off-heap slots are zero-filled. *)
+val make_slots : slots:int -> bytes:int -> buf array
+(** [make_slots ~slots ~bytes] allocates one zero-filled slab for the
+    pool and returns its disjoint per-slot views. *)
 
 val length : buf -> int
 

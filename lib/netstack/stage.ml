@@ -33,11 +33,6 @@ let filter ~name ?(hooks = []) ?(access = Bytes) f =
 
 let opaque ~name ?(hooks = []) f = { name; kernel = Opaque f; hooks; access = Bytes }
 
-(* Compatibility constructor: a pre-descriptor batch closure is an
-   opaque kernel (the pipeline cannot see through it, so it fuses with
-   nothing — exactly the old per-stage behaviour). *)
-let make ~name process = opaque ~name process
-
 let name t = t.name
 let kernel t = t.kernel
 let hooks t = t.hooks

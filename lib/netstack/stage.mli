@@ -76,11 +76,6 @@ val filter :
 val opaque :
   name:string -> ?hooks:hook list -> (Engine.t -> Batch.t -> Batch.t) -> t
 
-val make : name:string -> (Engine.t -> Batch.t -> Batch.t) -> t
-(** Compatibility constructor: equivalent to {!opaque} with no hooks.
-    Out-of-tree stages built with [make] keep compiling and behave
-    exactly as before (opaque kernels are never fused). *)
-
 val name : t -> string
 val kernel : t -> kernel
 val hooks : t -> hook list

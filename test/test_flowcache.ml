@@ -595,7 +595,7 @@ let test_forgetful_stage_caught_by_audit () =
   (* The regression the audit exists for: rewrite a 5-tuple field and
      "forget" Batch.invalidate_flow. *)
   let forgetful =
-    Stage.make ~name:"bad-snat" (fun _engine b ->
+    Stage.opaque ~name:"bad-snat" (fun _engine b ->
         Batch.iteri
           (fun i p ->
             ignore (Batch.flow b i);

@@ -47,7 +47,7 @@ let build_stage ~clock = function
     Ruledb.add db (Ruledb.rule ~src_port:(45_000, 50_000) Ruledb.Drop);
     Ruledb.stage db
   | Nat_rw -> Nat.stage (Nat.create ~clock ~external_ip:0xC6336401 ())
-  | Noop_opaque -> Stage.make ~name:"opaque-noop" (fun _engine b -> b)
+  | Noop_opaque -> Stage.opaque ~name:"opaque-noop" (fun _engine b -> b)
   | Gre -> Filters.maglev_gre (Maglev.create ~clock ~backends ()) ~vip
 
 let arb_chain =

@@ -559,7 +559,7 @@ let test_pipeline_panic_reclaims_stage_allocations () =
   let engine = make_env () in
   let mgr = Sfi.Manager.create () in
   let greedy =
-    Stage.make ~name:"greedy" (fun eng _b ->
+    Stage.opaque ~name:"greedy" (fun eng _b ->
         for _ = 1 to 3 do
           ignore (Mempool.alloc_exn (Engine.pool eng))
         done;

@@ -10,12 +10,6 @@ open Netstack
 
 let fresh_packet ?(bytes = 2048) () = Packet.of_bytes ~addr:0x100000 (Bytes.create bytes)
 
-(* An off-heap twin of [fresh_packet]: one slot of a 1-slot Bigarray
-   slab, for the slab-vs-bytes accessor equivalence property. *)
-let fresh_packet_slab ?(bytes = 2048) () =
-  let slots = Slab.make_slots Slab.Off_heap ~slots:1 ~bytes in
-  Packet.of_buf ~addr:0x100000 slots.(0)
-
 let craft p (flow : Flow.t) ~payload_bytes ~ttl =
   match flow.Flow.protocol with
   | Flow.Udp -> Packet.craft_udp p ~flow ~payload_bytes ~ttl
@@ -115,49 +109,130 @@ let prop_word_accessors =
       && Packet.ip_total_length p = u16_ref p (ip_off + 2)
       && Packet.ethertype p = u16_ref p 12)
 
-let prop_slab_equivalence =
-  (* The Bytes and Bigarray backings must be observationally identical:
-     craft the same packet into both, push it through the same rewrite
-     sequence, and every accessor and the full wire image must agree. *)
-  QCheck.Test.make ~name:"off-heap slab backing == Bytes backing" ~count:300
-    QCheck.(pair arb_crafted (pair (int_range 0 0xFFFFFFFF) (int_range 0 65535)))
-    (fun ((f, (payload_bytes, ttl)), (new_dst, new_port)) ->
-      let ph = fresh_packet () in
-      let po = fresh_packet_slab () in
-      craft ph f ~payload_bytes ~ttl;
-      craft po f ~payload_bytes ~ttl;
-      (* [flow] guards the 5-tuple accessors: on a GRE outer header
-         (protocol 47) they raise — identically for both backings,
-         which the tunnelled step checks instead. *)
-      let agree ~flow () =
-        Packet.to_string ph = Packet.to_string po
-        && Packet.src_ip_int ph = Packet.src_ip_int po
-        && Packet.dst_ip_int ph = Packet.dst_ip_int po
-        && Packet.ttl ph = Packet.ttl po
-        && Packet.ipv4_checksum_ok ph = Packet.ipv4_checksum_ok po
-        && ((not flow)
-           || Packet.src_port ph = Packet.src_port po
-              && Packet.dst_port ph = Packet.dst_port po
-              && Packet.flow_key ph = Packet.flow_key po)
+(* --- Slab against a Bytes oracle ------------------------------------ *)
+
+(* Every {!Slab} accessor replayed against the stdlib's [Bytes] on a
+   mirror of the same contents. The buffer under test is the middle
+   slot of a three-slot slab, so a write that escapes its view shows up
+   in a neighbour; the second buffer is a free-standing {!Slab.of_bytes}
+   copy, so cross-buffer blits run between distinct views. *)
+type slab_op =
+  | Get of int
+  | Set of int * char
+  | Get_u16 of int
+  | Set_u16 of int * int
+  | Sum of int * int  (* off, words *)
+  | Blit_self of int * int * int  (* soff, doff, n *)
+  | Blit_in of int * int * int  (* other -> buf *)
+  | Blit_out of int * int * int  (* buf -> other *)
+  | Blit_string of string * int * int * int
+  | Sub of int * int
+
+let show_op = function
+  | Get i -> Printf.sprintf "get %d" i
+  | Set (i, c) -> Printf.sprintf "set %d %C" i c
+  | Get_u16 i -> Printf.sprintf "get_u16_be %d" i
+  | Set_u16 (i, v) -> Printf.sprintf "set_u16_be %d %#x" i v
+  | Sum (off, words) -> Printf.sprintf "sum_be_words %d ~words:%d" off words
+  | Blit_self (s, d, n) -> Printf.sprintf "blit buf %d buf %d %d" s d n
+  | Blit_in (s, d, n) -> Printf.sprintf "blit other %d buf %d %d" s d n
+  | Blit_out (s, d, n) -> Printf.sprintf "blit buf %d other %d %d" s d n
+  | Blit_string (str, s, d, n) ->
+    Printf.sprintf "blit_string <%d bytes> %d buf %d %d" (String.length str) s d n
+  | Sub (off, n) -> Printf.sprintf "sub_string %d %d" off n
+
+let gen_slab_case =
+  let open QCheck.Gen in
+  (* Sizes on both sides of the 256-byte [Array1.blit] threshold. *)
+  let size = frequency [ (1, int_range 0 16); (3, int_range 256 700) ] in
+  size >>= fun n ->
+  size >>= fun m ->
+  let idx len = int_range (-2) (len + 2) in
+  let count len = frequency [ (2, int_range (-1) 16); (2, int_range 240 320); (1, int_range 0 (len + 1)) ] in
+  let op =
+    frequency
+      [
+        (2, map (fun i -> Get i) (idx n));
+        (2, map2 (fun i c -> Set (i, c)) (idx n) char);
+        (2, map (fun i -> Get_u16 i) (idx n));
+        (2, map2 (fun i v -> Set_u16 (i, v)) (idx n) (int_range 0 0x1ffff));
+        (2, map2 (fun off w -> Sum (off, w)) (idx n) (int_range (-1) ((n / 2) + 1)));
+        (* Same-buffer moves a few bytes apart: overlapping windows,
+           destination above and below the source. *)
+        ( 4,
+          triple (idx n) (int_range (-40) 40) (count n) >|= fun (s, delta, k) ->
+          Blit_self (s, s + delta, k) );
+        (2, triple (idx m) (idx n) (count n) >|= fun (s, d, k) -> Blit_in (s, d, k));
+        (2, triple (idx n) (idx m) (count n) >|= fun (s, d, k) -> Blit_out (s, d, k));
+        ( 2,
+          string_size (int_range 0 320) >>= fun str ->
+          triple (idx (String.length str)) (idx n) (count n) >|= fun (s, d, k) ->
+          Blit_string (str, s, d, k) );
+        (2, pair (idx n) (count n) >|= fun (off, k) -> Sub (off, k));
+      ]
+  in
+  triple (string_size (return n)) (string_size (return m)) (list_size (int_range 1 40) op)
+
+let arb_slab_case =
+  QCheck.make gen_slab_case ~print:(fun (a, b, ops) ->
+      Printf.sprintf "buf=%d bytes other=%d bytes\n%s" (String.length a) (String.length b)
+        (String.concat "\n" (List.map show_op ops)))
+
+let prop_slab_bytes_oracle =
+  QCheck.Test.make ~name:"slab ops == Bytes stdlib oracle" ~count:300 arb_slab_case
+    (fun (a, b, ops) ->
+      let n = String.length a in
+      let slots = Slab.make_slots ~slots:3 ~bytes:n in
+      let buf = slots.(1) in
+      Slab.blit_string a 0 buf 0 n;
+      let src = Bytes.of_string b in
+      let other = Slab.of_bytes src in
+      (* [of_bytes] copies: the source is free to change afterwards. *)
+      Bytes.fill src 0 (Bytes.length src) 'x';
+      let mbuf = Bytes.of_string a and mother = Bytes.of_string b in
+      (* [Some result], or [None] for Invalid_argument; any other
+         exception escapes and fails the property. *)
+      let run f = match f () with r -> Some r | exception Invalid_argument _ -> None in
+      let sum_ref off words =
+        let w = Bytes.sub mbuf off (words * 2) in
+        let s = ref 0 in
+        for k = 0 to words - 1 do
+          s := !s + Bytes.get_uint16_be w (k * 2)
+        done;
+        !s
       in
-      let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true in
-      let agree = agree ~flow:true and agree_gre = agree ~flow:false in
-      let ok0 = agree () in
-      Packet.set_dst_ip_int ph new_dst;
-      Packet.set_dst_ip_int po new_dst;
-      Packet.set_src_port ph new_port;
-      Packet.set_src_port po new_port;
-      let ok1 = agree () in
-      Packet.encap_gre ph ~outer_src:0xC0A80001 ~outer_dst:0x0A010005;
-      Packet.encap_gre po ~outer_src:0xC0A80001 ~outer_dst:0x0A010005;
-      let ok2 =
-        agree_gre () && Packet.is_gre ph && Packet.is_gre po
-        && raises_invalid (fun () -> Packet.flow_key ph)
-        && raises_invalid (fun () -> Packet.flow_key po)
+      let step = function
+        | Get i -> run (fun () -> Slab.get buf i) = run (fun () -> Bytes.get mbuf i)
+        | Set (i, c) -> run (fun () -> Slab.set buf i c) = run (fun () -> Bytes.set mbuf i c)
+        | Get_u16 i ->
+          run (fun () -> Slab.get_u16_be buf i) = run (fun () -> Bytes.get_uint16_be mbuf i)
+        | Set_u16 (i, v) ->
+          run (fun () -> Slab.set_u16_be buf i v)
+          = run (fun () -> Bytes.set_uint16_be mbuf i (v land 0xffff))
+        | Sum (off, words) ->
+          run (fun () -> Slab.sum_be_words buf off ~words) = run (fun () -> sum_ref off words)
+        | Blit_self (s, d, k) ->
+          run (fun () -> Slab.blit buf s buf d k) = run (fun () -> Bytes.blit mbuf s mbuf d k)
+        | Blit_in (s, d, k) ->
+          run (fun () -> Slab.blit other s buf d k) = run (fun () -> Bytes.blit mother s mbuf d k)
+        | Blit_out (s, d, k) ->
+          run (fun () -> Slab.blit buf s other d k) = run (fun () -> Bytes.blit mbuf s mother d k)
+        | Blit_string (str, s, d, k) ->
+          run (fun () -> Slab.blit_string str s buf d k)
+          = run (fun () -> Bytes.blit_string str s mbuf d k)
+        | Sub (off, k) ->
+          run (fun () -> Slab.sub_string buf off k) = run (fun () -> Bytes.sub_string mbuf off k)
       in
-      Packet.decap_gre ph;
-      Packet.decap_gre po;
-      ok0 && ok1 && ok2 && agree ())
+      let image x = Slab.sub_string x 0 (Slab.length x) in
+      List.for_all
+        (fun op ->
+          step op
+          && image buf = Bytes.to_string mbuf
+          && image other = Bytes.to_string mother)
+        ops
+      && Slab.length buf = n
+      && image slots.(0) = String.make n '\000'
+      && image slots.(2) = String.make n '\000')
 
 let prop_checksum_unrolled =
   QCheck.Test.make ~name:"unrolled RFC1071 == loop reference, through rewrites" ~count:300
@@ -273,7 +348,7 @@ let suite =
       prop_fnv_matches_int64;
       prop_key_pack_matches_hash;
       prop_word_accessors;
-      prop_slab_equivalence;
+      prop_slab_bytes_oracle;
       prop_checksum_unrolled;
       prop_flow_key_off_the_wire;
       prop_payload_pattern;

@@ -128,7 +128,7 @@ let test_shard_preserves_flow_order () =
     let q = !next_queue in
     incr next_queue;
     [
-      Stage.make ~name:"recorder" (fun _engine b ->
+      Stage.opaque ~name:"recorder" (fun _engine b ->
           Batch.iter (fun p -> recorded.(q) <- Packet.flow_of p :: recorded.(q)) b;
           b);
     ]

@@ -46,7 +46,7 @@ let spec_name = function
    deferred column write survived to this point unmaterialized, the
    snapshot (and the cross-side comparison of [sink]) exposes it. *)
 let snapshot_stage sink =
-  Stage.make ~name:"snapshot" (fun _engine b ->
+  Stage.opaque ~name:"snapshot" (fun _engine b ->
       for i = 0 to Batch.length b - 1 do
         sink := Packet.to_string (Batch.get b i) :: !sink
       done;
@@ -232,7 +232,7 @@ let test_deferred_writes_canonical_at_barrier () =
   let mg = Maglev.create ~clock ~backends () in
   let seen = ref 0 in
   let audit =
-    Stage.make ~name:"audit" (fun _engine b ->
+    Stage.opaque ~name:"audit" (fun _engine b ->
         for i = 0 to Batch.length b - 1 do
           let p = Batch.get b i in
           incr seen;
