@@ -60,20 +60,23 @@ scale:
 
 # The tentpole invariant: the merged telemetry table must be
 # byte-identical however many domains the queues are spread over —
-# in direct mode and with per-queue SFI isolation armed.
+# in direct mode and with per-queue SFI isolation armed — and the
+# one-shard table must equal the committed golden (the cycle-model
+# guard: the hot path may get faster, virtual cycles must not move).
 scale-determinism:
 	dune exec bin/repro.exe -- scale --shards 1 --stats-only > /tmp/scale-1.txt
 	dune exec bin/repro.exe -- scale --shards 2 --stats-only > /tmp/scale-2.txt
 	dune exec bin/repro.exe -- scale --shards 4 --stats-only > /tmp/scale-4.txt
 	diff /tmp/scale-1.txt /tmp/scale-2.txt
 	diff /tmp/scale-1.txt /tmp/scale-4.txt
+	diff test/golden/scale_stats.txt /tmp/scale-1.txt
 	@for n in 1 2 4; do \
 	  dune exec bin/repro.exe -- scale --shards $$n --mode isolated --stats-only \
 	    > /tmp/scale-iso-$$n.txt || exit 1; \
 	done
 	diff /tmp/scale-iso-1.txt /tmp/scale-iso-2.txt
 	diff /tmp/scale-iso-1.txt /tmp/scale-iso-4.txt
-	@echo "scale determinism: OK (1/2/4 shards byte-identical, direct + isolated)"
+	@echo "scale determinism: OK (1/2/4 shards byte-identical, direct + isolated, golden OK)"
 
 storm:
 	dune exec bin/repro.exe -- storm

@@ -1,25 +1,17 @@
-(* Placeholder for empty/invalid sidecar slots; never observable
-   through the API (guarded by the key being [Flow.Key.none]). *)
+(* Placeholder for slots whose flow memo is unset; never observable
+   through the API (guarded by the [hp_memo] bit). *)
 let no_flow =
   Flow.make ~src_ip:0l ~dst_ip:0l ~src_port:0 ~dst_port:0 ~protocol:Flow.Udp
 
 type t = {
   mutable pkts : Packet.t array;
   mutable len : int;
-  (* Flow-key sidecar: slot [i] caches the parse of packet [i]'s
-     5-tuple — the packed immediate key in [keys] and the materialised
-     record in [flows] — so that the header is parsed once (at NIC rx)
-     instead of once per pipeline stage. [keys.(i) = Flow.Key.none]
-     marks a slot that was never parsed or was invalidated by a header
-     mutation; [flows.(i)] is then meaningless. *)
-  keys : int array;
-  flows : Flow.t array;
   (* Header plane: structure-of-arrays columns holding the one parse of
      each packet's L3/L4 header. [hp_state.(i)] is 0 when slot [i] has
      no plane (never seeded, or invalidated by a byte-level rewrite);
-     otherwise it carries [hp_valid] plus the per-column dirty bits of
-     {!Packet} ([dirty_ttl] ...). Column stages read and write these
-     unboxed ints; wire bytes are only touched again at
+     otherwise it carries [hp_valid], the per-column dirty bits of
+     {!Packet} ([dirty_ttl] ...) and [hp_memo]. Column stages read and
+     write these unboxed ints; wire bytes are only touched again at
      {!materialize}. *)
   hp_state : int array;
   hp_src_ip : int array;
@@ -30,6 +22,12 @@ type t = {
   hp_ttl : int array;
   hp_ip_len : int array;
   hp_csum : int array;
+  (* Flow memo: the packed key and the {!Flow.t} record of the slot's
+     tuple columns, meaningful only while [hp_memo] is set. Derived
+     from the columns, never a second source of truth: every tuple
+     column writer clears the bit, and dropping the plane drops it. *)
+  keys : int array;
+  flows : Flow.t array;
   (* Conservative count of slots whose plane carries dirty bits: bumped
      on every clean->dirty transition, reset only by a full
      {!materialize} or {!clear}. Never undercounts (compaction and
@@ -40,14 +38,13 @@ type t = {
 
 let hp_valid = 32
 let hp_dirty_mask = hp_valid - 1
+let hp_memo = 64
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Batch.create: capacity must be positive";
   {
     pkts = Array.make capacity Packet.null;
     len = 0;
-    keys = Array.make capacity Flow.Key.none;
-    flows = Array.make capacity no_flow;
     hp_state = Array.make capacity 0;
     hp_src_ip = Array.make capacity 0;
     hp_dst_ip = Array.make capacity 0;
@@ -57,6 +54,8 @@ let create ~capacity =
     hp_ttl = Array.make capacity 0;
     hp_ip_len = Array.make capacity 0;
     hp_csum = Array.make capacity 0;
+    keys = Array.make capacity 0;
+    flows = Array.make capacity no_flow;
     hp_dirty_n = 0;
   }
 
@@ -67,7 +66,6 @@ let is_empty t = t.len = 0
 let push t p =
   if t.len = Array.length t.pkts then invalid_arg "Batch.push: batch full";
   t.pkts.(t.len) <- p;
-  t.keys.(t.len) <- Flow.Key.none;
   t.hp_state.(t.len) <- 0;
   t.len <- t.len + 1
 
@@ -80,76 +78,15 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Batch.get: out of bounds";
   t.pkts.(i)
 
-(* --- Flow-key sidecar ------------------------------------------------ *)
-
 let check_slot op t i =
   if i < 0 || i >= t.len then invalid_arg ("Batch." ^ op ^ ": out of bounds")
 
-let seed_flow t i flow =
-  check_slot "seed_flow" t i;
-  t.keys.(i) <- Flow.Key.of_flow flow;
-  t.flows.(i) <- flow
+(* --- Header plane (SoA columns) -------------------------------------- *)
 
-(* [seed_flow] with the key already in hand (the NIC's frame-template
-   cache stores it next to the frame), skipping the per-packet hash. *)
-let seed_flow_keyed t i flow key =
-  check_slot "seed_flow_keyed" t i;
-  t.keys.(i) <- key;
-  t.flows.(i) <- flow
-
-let push_flow t p flow =
-  push t p;
-  t.keys.(t.len - 1) <- Flow.Key.of_flow flow;
-  t.flows.(t.len - 1) <- flow
-
-let invalidate_flow t i =
-  check_slot "invalidate_flow" t i;
-  t.keys.(i) <- Flow.Key.none
-
-let flow_cached t i =
-  check_slot "flow_cached" t i;
-  not (Flow.Key.is_none t.keys.(i))
-
-let flow t i =
-  check_slot "flow" t i;
-  if Flow.Key.is_none t.keys.(i) then begin
-    (* Re-parse preference: a valid header plane IS the current header
-       (bytes may be stale under deferred writeback), so the tuple is
-       rebuilt from columns; only a plane-less slot reads wire bytes. *)
-    let st = t.hp_state.(i) in
-    if st <> 0 && t.hp_src_port.(i) >= 0 then begin
-      let f =
-        Flow.make
-          ~src_ip:(Int32.of_int t.hp_src_ip.(i))
-          ~dst_ip:(Int32.of_int t.hp_dst_ip.(i))
-          ~src_port:t.hp_src_port.(i) ~dst_port:t.hp_dst_port.(i)
-          ~protocol:(match t.hp_proto.(i) with 6 -> Flow.Tcp | _ -> Flow.Udp)
-      in
-      t.keys.(i) <- Flow.Key.of_flow f;
-      t.flows.(i) <- f
-    end
-    else begin
-      let f = Packet.flow_of (get t i) in
-      t.keys.(i) <- Flow.Key.of_flow f;
-      t.flows.(i) <- f
-    end
-  end;
-  t.flows.(i)
-
-let flow_key t i =
-  check_slot "flow_key" t i;
-  if Flow.Key.is_none t.keys.(i) then ignore (flow t i);
-  t.keys.(i)
-
-let blit_flow src i dst j =
-  check_slot "blit_flow" src i;
-  check_slot "blit_flow" dst j;
-  if src.hp_state.(i) land hp_dirty_mask <> 0 then
-    (* The copied plane carries deferred writes: keep the destination's
-       dirty count an upper bound so its barriers still scan. *)
-    dst.hp_dirty_n <- dst.hp_dirty_n + 1;
-  dst.keys.(j) <- src.keys.(i);
-  dst.flows.(j) <- src.flows.(i);
+(* Copy slot [i]'s whole header state — plane, dirty bits and flow
+   memo — to [dst]'s slot [j]: the one slot copy behind compaction and
+   {!blit_slot}. *)
+let[@inline] copy_slot src i dst j =
   dst.hp_state.(j) <- src.hp_state.(i);
   dst.hp_src_ip.(j) <- src.hp_src_ip.(i);
   dst.hp_dst_ip.(j) <- src.hp_dst_ip.(i);
@@ -158,23 +95,20 @@ let blit_flow src i dst j =
   dst.hp_proto.(j) <- src.hp_proto.(i);
   dst.hp_ttl.(j) <- src.hp_ttl.(i);
   dst.hp_ip_len.(j) <- src.hp_ip_len.(i);
-  dst.hp_csum.(j) <- src.hp_csum.(i)
+  dst.hp_csum.(j) <- src.hp_csum.(i);
+  dst.keys.(j) <- src.keys.(i);
+  dst.flows.(j) <- src.flows.(i)
 
-(* --- Header plane (SoA columns) -------------------------------------- *)
+let blit_slot src i dst j =
+  check_slot "blit_slot" src i;
+  check_slot "blit_slot" dst j;
+  if src.hp_state.(i) land hp_dirty_mask <> 0 then
+    (* The copied plane carries deferred writes: keep the destination's
+       dirty count an upper bound so its barriers still scan. *)
+    dst.hp_dirty_n <- dst.hp_dirty_n + 1;
+  copy_slot src i dst j
 
-(* Copy slot [i]'s plane columns down to slot [w] during compaction. *)
-let[@inline] hp_compact t i w =
-  t.hp_state.(w) <- t.hp_state.(i);
-  t.hp_src_ip.(w) <- t.hp_src_ip.(i);
-  t.hp_dst_ip.(w) <- t.hp_dst_ip.(i);
-  t.hp_src_port.(w) <- t.hp_src_port.(i);
-  t.hp_dst_port.(w) <- t.hp_dst_port.(i);
-  t.hp_proto.(w) <- t.hp_proto.(i);
-  t.hp_ttl.(w) <- t.hp_ttl.(i);
-  t.hp_ip_len.(w) <- t.hp_ip_len.(i);
-  t.hp_csum.(w) <- t.hp_csum.(i)
-
-let seed_hdr t i ~flow ~ttl ~ip_len ~csum =
+let seed_hdr t i ~flow ~key ~ttl ~ip_len ~csum =
   check_slot "seed_hdr" t i;
   t.hp_src_ip.(i) <- Int32.to_int flow.Flow.src_ip land 0xFFFFFFFF;
   t.hp_dst_ip.(i) <- Int32.to_int flow.Flow.dst_ip land 0xFFFFFFFF;
@@ -184,7 +118,9 @@ let seed_hdr t i ~flow ~ttl ~ip_len ~csum =
   t.hp_ttl.(i) <- ttl;
   t.hp_ip_len.(i) <- ip_len;
   t.hp_csum.(i) <- csum;
-  t.hp_state.(i) <- hp_valid
+  t.keys.(i) <- key;
+  t.flows.(i) <- flow;
+  t.hp_state.(i) <- hp_valid lor hp_memo
 
 let invalidate_hdr t i =
   check_slot "invalidate_hdr" t i;
@@ -198,10 +134,11 @@ let hdr_dirty t i =
   check_slot "hdr_dirty" t i;
   t.hp_state.(i) land hp_dirty_mask <> 0
 
-(* Lazy load for a plane-less slot: one parse from wire bytes. Raises
-   like the {!Packet} accessors on non-IPv4 slots; ports are recorded
-   as [-1] for protocols that carry none (GRE outer headers), making
-   the port columns raise exactly where {!Packet.src_port} would. *)
+(* Lazy load for a plane-less slot: the one parse from wire bytes.
+   Raises like the {!Packet} accessors on non-IPv4 slots; ports are
+   recorded as [-1] for protocols that carry none (GRE outer headers),
+   making the port columns raise exactly where {!Packet.src_port}
+   would. *)
 let load_hdr t i =
   let p = get t i in
   let proto = Packet.protocol_number p in
@@ -226,12 +163,45 @@ let[@inline] ensure_hdr op t i =
   check_slot op t i;
   if t.hp_state.(i) = 0 then load_hdr t i
 
-(* Set dirty bit [bit] on slot [i], counting the clean->dirty
-   transition for {!materialize}'s skip test. *)
-let[@inline] mark_dirty t i bit =
+(* Set dirty bit [bit] on slot [i] and clear the state bits in [drop],
+   counting the clean->dirty transition for {!materialize}'s skip
+   test. *)
+let[@inline] mark_dirty t i ~drop bit =
   let st = t.hp_state.(i) in
   if st land hp_dirty_mask = 0 then t.hp_dirty_n <- t.hp_dirty_n + 1;
-  t.hp_state.(i) <- st lor bit
+  t.hp_state.(i) <- (st lor bit) land lnot drop
+
+let port_col op v =
+  if v < 0 then invalid_arg ("Batch." ^ op ^ ": protocol carries no ports") else v
+
+(* --- Flow memo ------------------------------------------------------- *)
+
+(* Derive slot [i]'s flow memo from its tuple columns unless it is
+   already set. A port-less slot has no 5-tuple and raises. *)
+let memo op t i =
+  ensure_hdr op t i;
+  let st = t.hp_state.(i) in
+  if st land hp_memo = 0 then begin
+    let src_ip = t.hp_src_ip.(i) and dst_ip = t.hp_dst_ip.(i) in
+    let src_port = port_col op t.hp_src_port.(i) and dst_port = t.hp_dst_port.(i) in
+    let proto = t.hp_proto.(i) in
+    t.keys.(i) <- Flow.Key.pack ~src_ip ~dst_ip ~src_port ~dst_port ~proto;
+    t.flows.(i) <-
+      Flow.make ~src_ip:(Int32.of_int src_ip) ~dst_ip:(Int32.of_int dst_ip) ~src_port
+        ~dst_port
+        ~protocol:(if proto = 6 then Flow.Tcp else Flow.Udp);
+    t.hp_state.(i) <- st lor hp_memo
+  end
+
+let flow t i =
+  memo "flow" t i;
+  t.flows.(i)
+
+let flow_key t i =
+  memo "flow_key" t i;
+  t.keys.(i)
+
+(* --- Column accessors ------------------------------------------------ *)
 
 let col_ttl t i =
   ensure_hdr "col_ttl" t i;
@@ -241,7 +211,8 @@ let set_col_ttl t i v =
   ensure_hdr "set_col_ttl" t i;
   if v < 0 || v > 255 then invalid_arg "Batch.set_col_ttl";
   t.hp_ttl.(i) <- v;
-  mark_dirty t i Packet.dirty_ttl
+  (* TTL is not part of the 5-tuple: the flow memo stays. *)
+  mark_dirty t i ~drop:0 Packet.dirty_ttl
 
 let col_src_ip t i =
   ensure_hdr "col_src_ip" t i;
@@ -250,7 +221,7 @@ let col_src_ip t i =
 let set_col_src_ip t i v =
   ensure_hdr "set_col_src_ip" t i;
   t.hp_src_ip.(i) <- v land 0xFFFFFFFF;
-  mark_dirty t i Packet.dirty_src_ip
+  mark_dirty t i ~drop:hp_memo Packet.dirty_src_ip
 
 let col_dst_ip t i =
   ensure_hdr "col_dst_ip" t i;
@@ -259,10 +230,7 @@ let col_dst_ip t i =
 let set_col_dst_ip t i v =
   ensure_hdr "set_col_dst_ip" t i;
   t.hp_dst_ip.(i) <- v land 0xFFFFFFFF;
-  mark_dirty t i Packet.dirty_dst_ip
-
-let port_col op v =
-  if v < 0 then invalid_arg ("Batch." ^ op ^ ": protocol carries no ports") else v
+  mark_dirty t i ~drop:hp_memo Packet.dirty_dst_ip
 
 let col_src_port t i =
   ensure_hdr "col_src_port" t i;
@@ -273,7 +241,7 @@ let set_col_src_port t i v =
   ignore (port_col "set_col_src_port" t.hp_src_port.(i));
   if v < 0 || v > 0xffff then invalid_arg "Batch.set_col_src_port";
   t.hp_src_port.(i) <- v;
-  mark_dirty t i Packet.dirty_src_port
+  mark_dirty t i ~drop:hp_memo Packet.dirty_src_port
 
 let col_dst_port t i =
   ensure_hdr "col_dst_port" t i;
@@ -284,7 +252,7 @@ let set_col_dst_port t i v =
   ignore (port_col "set_col_dst_port" t.hp_dst_port.(i));
   if v < 0 || v > 0xffff then invalid_arg "Batch.set_col_dst_port";
   t.hp_dst_port.(i) <- v;
-  mark_dirty t i Packet.dirty_dst_port
+  mark_dirty t i ~drop:hp_memo Packet.dirty_dst_port
 
 let col_proto t i =
   ensure_hdr "col_proto" t i;
@@ -303,7 +271,8 @@ let materialize_slot t i =
       Packet.apply_hdr p ~dirty:(st land hp_dirty_mask) ~ttl:t.hp_ttl.(i)
         ~src_ip:t.hp_src_ip.(i) ~dst_ip:t.hp_dst_ip.(i)
         ~src_port:t.hp_src_port.(i) ~dst_port:t.hp_dst_port.(i);
-    t.hp_state.(i) <- hp_valid
+    (* The bytes now match the columns the memo (if set) derives from. *)
+    t.hp_state.(i) <- st land lnot hp_dirty_mask
   end
 
 let materialize t =
@@ -334,6 +303,10 @@ let hdr_consistent t i =
     && Packet.stored_checksum p = t.hp_csum.(i)
     && (t.hp_src_port.(i) < 0
         || (Packet.src_port p = t.hp_src_port.(i) && Packet.dst_port p = t.hp_dst_port.(i)))
+    && (st land hp_memo = 0
+        ||
+        let f = Packet.flow_of p in
+        Flow.equal t.flows.(i) f && t.keys.(i) = Flow.hash f)
   end
 
 (* Forgetful-rewriter harness hook: write a column WITHOUT its dirty
@@ -370,7 +343,6 @@ let fold f init t =
 let truncate t from =
   for i = from to t.len - 1 do
     t.pkts.(i) <- Packet.null;
-    t.keys.(i) <- Flow.Key.none;
     t.hp_state.(i) <- 0
   done;
   t.len <- from
@@ -378,8 +350,8 @@ let truncate t from =
 (* The one compaction loop. The keep callback sees the packet at its
    *original* index — the write cursor [w] only ever trails the read
    cursor, so slot [i] is still intact when [keep env t i p] runs and
-   sidecar operations against index [i] (e.g. [invalidate_flow] after
-   a header rewrite) land on the right slot before it is compacted
+   header-plane operations against index [i] (e.g. [invalidate_hdr]
+   after a byte rewrite) land on the right slot before it is compacted
    down to [w]. Dropped packets land in the caller's scratch array, in
    encounter order, so the pipeline's filter passes allocate nothing;
    taking the filter-kernel calling convention directly spares them a
@@ -395,9 +367,7 @@ let sieve_kernel t keep env ~dropped =
          a filter that keeps the whole batch. *)
       if !w <> i then begin
         t.pkts.(!w) <- t.pkts.(i);
-        t.keys.(!w) <- t.keys.(i);
-        t.flows.(!w) <- t.flows.(i);
-        hp_compact t i !w
+        copy_slot t i t !w
       end;
       incr w
     end

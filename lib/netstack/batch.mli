@@ -18,52 +18,13 @@ val capacity : t -> int
 val is_empty : t -> bool
 
 val push : t -> Packet.t -> unit
-(** Raises [Invalid_argument] when full. The new slot's flow cache
-    starts invalid. *)
-
-val push_flow : t -> Packet.t -> Flow.t -> unit
-(** [push] plus seeding the flow-key sidecar: the NIC rx path knows the
-    5-tuple it crafted, so downstream stages never re-parse headers. *)
+(** Raises [Invalid_argument] when full. The new slot starts with no
+    header plane. *)
 
 val get : t -> int -> Packet.t
 val iter : (Packet.t -> unit) -> t -> unit
 val iteri : (int -> Packet.t -> unit) -> t -> unit
 val fold : ('a -> Packet.t -> 'a) -> 'a -> t -> 'a
-
-(** {2 Flow-key sidecar}
-
-    Slot [i] caches the parse of packet [i]'s 5-tuple — the packed
-    immediate {!Flow.Key.t} and the materialised {!Flow.t} — seeded at
-    NIC rx and reused by every stage (Maglev, RSS, NAT, heavy hitters,
-    firewalls). A stage that mutates any 5-tuple header field must call
-    {!invalidate_flow}; the next {!flow}/{!flow_key} then re-parses
-    lazily. All sidecar accessors bounds-check and raise
-    [Invalid_argument] like {!get}. *)
-
-val flow : t -> int -> Flow.t
-(** Cached 5-tuple of packet [i]; parses (and caches) on a cold or
-    invalidated slot. *)
-
-val flow_key : t -> int -> Flow.Key.t
-(** Packed key of packet [i]'s 5-tuple; same caching as {!flow}. *)
-
-val seed_flow : t -> int -> Flow.t -> unit
-(** Install a known 5-tuple for slot [i] (NIC rx, packet rewriters that
-    know the post-rewrite tuple). *)
-
-val seed_flow_keyed : t -> int -> Flow.t -> Flow.Key.t -> unit
-(** {!seed_flow} with the packed key already computed — the caller
-    vouches that [key = Flow.Key.of_flow flow]. *)
-
-val invalidate_flow : t -> int -> unit
-(** Mark slot [i]'s cache stale after a header mutation. *)
-
-val flow_cached : t -> int -> bool
-
-val blit_flow : t -> int -> t -> int -> unit
-(** [blit_flow src i dst j] copies slot [i]'s sidecar state — flow
-    cache and header plane, valid or not — to [dst]'s slot [j], for
-    deep-copying pipelines whose copies are byte-identical. *)
 
 (** {2 Header plane (SoA columns)}
 
@@ -74,21 +35,52 @@ val blit_flow : t -> int -> t -> int -> unit
     wire bytes by a single {!materialize} pass with one accumulated
     RFC 1624 checksum fold per packet ({!Packet.apply_hdr}).
 
+    The plane is the one source of truth for a slot's header. Its
+    flow memo — the materialised {!Flow.t} and the packed
+    {!Flow.Key.t} of the tuple columns — is derived from it: set by
+    {!seed_hdr} or on first {!flow}/{!flow_key}, cleared by every
+    tuple-column writer ([set_col_src_ip], [set_col_dst_ip],
+    [set_col_src_port], [set_col_dst_port]), kept by {!set_col_ttl}
+    and {!materialize}, and dropped with the whole plane by
+    {!invalidate_hdr}, {!push} and compaction's tail reset. Because
+    only the plane's own write path touches the memo, that write path
+    is a complete invalidation barrier: no stage has a second cache to
+    forget.
+
     Contract for column ([Stage.Cols]) stages: read and write header
-    fields only through these columns (and the flow sidecar); never
+    fields only through these columns and {!flow}/{!flow_key}; never
     touch wire bytes. The pipeline materializes the batch before any
     byte-reading stage, flowcache guard compare or exit — see
     DESIGN.md §15. A stage that mutates header bytes directly
     (GRE encap/decap, flowcache replay) must call {!invalidate_hdr};
-    the next column access re-parses. *)
+    the next access re-parses. All accessors bounds-check and raise
+    [Invalid_argument] like {!get}. *)
 
-val seed_hdr : t -> int -> flow:Flow.t -> ttl:int -> ip_len:int -> csum:int -> unit
-(** Install the known header columns for slot [i] without reading
-    bytes — the NIC rx path knows every field it crafted. [csum] is
-    the checksum word as stored in the header. *)
+val seed_hdr :
+  t -> int -> flow:Flow.t -> key:Flow.Key.t -> ttl:int -> ip_len:int -> csum:int -> unit
+(** Install the known header columns and flow memo for slot [i]
+    without reading bytes — the NIC rx path knows every field it
+    crafted. The caller vouches that [key = Flow.Key.of_flow flow];
+    [csum] is the checksum word as stored in the header. *)
 
 val invalidate_hdr : t -> int -> unit
-(** Drop slot [i]'s plane after a byte-level header mutation. *)
+(** Drop slot [i]'s plane and flow memo after a byte-level header
+    mutation. *)
+
+val flow : t -> int -> Flow.t
+(** 5-tuple of packet [i], from the memo or derived from the tuple
+    columns (loading the plane on a plane-less slot). Raises
+    [Invalid_argument] on a slot whose protocol carries no ports, like
+    {!col_src_port}. *)
+
+val flow_key : t -> int -> Flow.Key.t
+(** Packed key of packet [i]'s 5-tuple ([Flow.hash] of {!flow}); same
+    memo as {!flow}. *)
+
+val blit_slot : t -> int -> t -> int -> unit
+(** [blit_slot src i dst j] copies slot [i]'s header state — plane,
+    deferred writes and flow memo, valid or not — to [dst]'s slot [j],
+    for deep-copying pipelines whose copies are byte-identical. *)
 
 val hdr_valid : t -> int -> bool
 val hdr_dirty : t -> int -> bool
@@ -122,8 +114,9 @@ val materialize : t -> unit
 
 val hdr_consistent : t -> int -> bool
 (** Audit hook: a slot whose plane claims to be clean must agree with
-    a fresh parse of its wire bytes. Dirty or plane-less slots pass
-    vacuously. *)
+    a fresh parse of its wire bytes, and a set flow memo must equal
+    {!Packet.flow_of} of those bytes and its hash. Dirty or plane-less
+    slots pass vacuously. *)
 
 (**/**)
 
@@ -140,10 +133,10 @@ val poke_col_for_test :
 val sieve_kernel :
   t -> ('e -> t -> int -> Packet.t -> bool) -> 'e -> dropped:Packet.t array -> int
 (** [sieve_kernel t keep env ~dropped] keeps the packets for which
-    [keep env t i p] holds (preserving order), compacting the sidecar
-    and header plane alongside them; [i] is the packet's
-    pre-compaction index, so the predicate can consult and invalidate
-    the flow sidecar. Dropped packets are written into [dropped]
+    [keep env t i p] holds (preserving order), compacting the header
+    plane and flow memo alongside them; [i] is the packet's
+    pre-compaction index, so the predicate can read, write and
+    invalidate slot [i]'s header state. Dropped packets are written into [dropped]
     (which must hold at least {!length} [t] entries) in encounter
     order; returns how many were dropped. The fused pipeline's filter
     passes run through this with one reusable scratch array. *)

@@ -50,16 +50,15 @@ let maglev mg =
   Stage.rewrite ~name:"maglev" ~access:Stage.Cols
     ~hooks:[ Maglev.on_change mg ]
     (fun engine batch i p ->
-      (* The 5-tuple comes from the batch sidecar (parsed once at
-         NIC rx); the touch still models the header read the
-         hardware performs. *)
+      (* The 5-tuple comes from the batch's flow memo (seeded at NIC
+         rx); the touch still models the header read the hardware
+         performs. *)
       Engine.touch_packet engine p ~off:Packet.eth_header_bytes
         ~bytes:(Packet.ipv4_header_bytes + 4);
       let flow = Batch.flow batch i in
       let backend = Maglev.lookup_keyed mg flow ~key:(Batch.flow_key batch i) in
       (* Rewrite the destination to the chosen backend. *)
       Batch.set_col_dst_ip batch i (backend_ip_int backend);
-      Batch.invalidate_flow batch i;
       Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 16) ~bytes:4)
 
 let maglev_bytes mg =
@@ -72,7 +71,6 @@ let maglev_bytes mg =
       let backend = Maglev.lookup_keyed mg flow ~key:(Batch.flow_key batch i) in
       Packet.set_dst_ip_int p (backend_ip_int backend);
       Batch.invalidate_hdr batch i;
-      Batch.invalidate_flow batch i;
       Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 16) ~bytes:4)
 
 let maglev_gre mg ~vip =
@@ -86,7 +84,6 @@ let maglev_gre mg ~vip =
       match Packet.encap_gre p ~outer_src:vip ~outer_dst:(backend_ip_int backend) with
       | () ->
         (* The outer header is now the packet's 5-tuple source. *)
-        Batch.invalidate_flow batch i;
         Batch.invalidate_hdr batch i;
         (* The shift + new outer header touch the whole frame. *)
         Engine.touch_packet_write engine p ~off:0 ~bytes:p.Packet.len;
@@ -101,7 +98,6 @@ let gre_decap =
       if Packet.is_gre p then begin
         Packet.decap_gre p;
         (* The inner packet's tuple is live again. *)
-        Batch.invalidate_flow batch i;
         Batch.invalidate_hdr batch i;
         Engine.touch_packet_write engine p ~off:0 ~bytes:p.Packet.len;
         true

@@ -48,9 +48,9 @@ let[@inline] feed_u32 acc v =
   let acc = feed acc (v lsr 16) in
   feed acc (v lsr 24)
 
-(* The packed 5-tuple fed from already-unboxed fields: what the NIC rx
-   path uses so that seeding a batch's flow-key sidecar allocates
-   nothing. [src_ip]/[dst_ip] are the raw unsigned 32-bit values. *)
+(* The packed 5-tuple fed from already-unboxed fields: what a batch
+   uses to derive its flow memo from the header-plane columns.
+   [src_ip]/[dst_ip] are the raw unsigned 32-bit values. *)
 let fnv_raw basis ~src_ip ~dst_ip ~src_port ~dst_port ~proto =
   let acc = feed_u32 basis src_ip in
   let acc = feed_u32 acc dst_ip in
@@ -75,15 +75,13 @@ type flow = t
 module Key = struct
   type nonrec t = int
 
-  let none = -1
-  let is_none k = k < 0
   let equal (a : int) b = a = b
 
   (* A 97-bit 5-tuple cannot be packed injectively into one immediate
      int, and no hot-path consumer needs it to be: RSS buckets, the
      Maglev table index and the heavy-hitter/NAT hash probes all key on
-     [hash]. The packed key therefore *is* the 62-bit FNV of the tuple
-     — always non-negative, so [none] is unambiguous. *)
+     [hash]. The packed key therefore *is* the 62-bit FNV of the tuple,
+     always non-negative. *)
   let pack ~src_ip ~dst_ip ~src_port ~dst_port ~proto =
     fnv_raw basis1 ~src_ip ~dst_ip ~src_port ~dst_port ~proto
 

@@ -34,16 +34,13 @@ val hash2 : t -> int
 type flow = t
 (** Alias so {!Key.of_flow} can name the record type it consumes. *)
 
-(** Packed immediate flow keys — the value cached per packet in
-    {!Batch}'s flow-key sidecar so that pipeline stages stop re-parsing
+(** Packed immediate flow keys — the value memoised per packet slot
+    by {!Batch}'s header plane so that pipeline stages stop re-parsing
     headers (and re-hashing tuples) on every hop. *)
 module Key : sig
   type t = int
-  (** Always non-negative for a real key; [none] marks an invalid /
-      not-yet-parsed sidecar slot. *)
+  (** [hash] of the tuple; always non-negative. *)
 
-  val none : t
-  val is_none : t -> bool
   val equal : t -> t -> bool
 
   val pack :

@@ -85,12 +85,12 @@ let recover ?snapshot_every ?(tag = "flowtab") ~durable ctx =
 let stage t =
   Stage.opaque ~name:"flowtab" (fun engine batch ->
       let clock = Engine.clock engine in
-      Batch.iter
-        (fun p ->
+      Batch.iteri
+        (fun i p ->
           Engine.touch_packet engine p ~off:Packet.eth_header_bytes
             ~bytes:Packet.ipv4_header_bytes;
           Cycles.Clock.charge clock (Alu 6);
-          let bucket = Flow.hash (Packet.flow_of p) land t.mask in
+          let bucket = Batch.flow_key batch i land t.mask in
           Chkpt.Incr.iarr_set t.tab bucket (Chkpt.Incr.iarr_get t.tab bucket + 1))
         batch;
       t.batches <- t.batches + 1;

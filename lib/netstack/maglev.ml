@@ -1,6 +1,6 @@
 (* The connection table sits on the per-packet fast path, and the
-   steady-state lookup already holds the flow's 62-bit FNV (the batch
-   sidecar precomputes it), so a stock [Hashtbl] — which would re-hash
+   steady-state lookup already holds the flow's 62-bit FNV (the batch's
+   flow memo precomputes it), so a stock [Hashtbl] — which would re-hash
    the boxed-int32 record on every probe and chase bucket-list cells —
    costs two dependent cache misses more than it needs to. This is a
    linear-probing open-addressing map keyed by the precomputed hash:
@@ -207,7 +207,7 @@ let lookup_no_track t flow =
   t.table.(idx)
 
 (* [key] must be [Flow.Key.of_flow flow] (i.e. [Flow.hash flow]) — the
-   batch sidecar hands it in precomputed, so the steady-state lookup
+   batch's flow memo hands it in precomputed, so the steady-state lookup
    re-hashes nothing. The virtual-cycle charges model the hash work the
    hardware still does and are identical to [lookup]'s, keyed or not. *)
 let lookup_keyed t flow ~key =

@@ -33,7 +33,7 @@ val lookup : t -> Flow.t -> int
 
 val lookup_keyed : t -> Flow.t -> key:Flow.Key.t -> int
 (** [lookup] with the flow's packed key supplied by the caller (the
-    batch sidecar precomputes it at NIC rx), so the steady-state data
+    batch's flow memo is seeded with it at NIC rx), so the steady-state data
     path re-hashes nothing. The virtual-cycle charges are identical to
     [lookup]'s — the cost model still prices the hash the hardware
     performs. [key] must equal [Flow.Key.of_flow flow]. *)

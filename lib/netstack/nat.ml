@@ -103,8 +103,6 @@ let stage t =
       | Some (ip, port) ->
         Batch.set_col_src_ip batch i ip;
         Batch.set_col_src_port batch i port;
-        (* The source half of the tuple just changed. *)
-        Batch.invalidate_flow batch i;
         Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 12) ~bytes:8;
         true)
 
@@ -123,6 +121,5 @@ let stage_bytes t =
         Packet.set_src_ip_int p ip;
         Packet.set_src_port p port;
         Batch.invalidate_hdr batch i;
-        Batch.invalidate_flow batch i;
         Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 12) ~bytes:8;
         true)

@@ -63,14 +63,14 @@ let create ?(driver_seed = 0xD91DL) ~engine ~traffic () =
     tmpl_flows = Array.make tmpl_slots dummy_flow;
     tmpl_frames = Array.make tmpl_slots "";
     tmpl_csum = Array.make tmpl_slots 0;
-    tmpl_keys = Array.make tmpl_slots Flow.Key.none;
+    tmpl_keys = Array.make tmpl_slots 0;
   }
 
 (* Craft the frame for [flow] into [slot] of [batch] and seed the
-   batch's flow-key sidecar and header plane, so no stage ever
-   re-parses the headers. The template cache stores the packed flow
-   key and stored checksum next to the frame, so the hot path neither
-   hashes the 5-tuple nor reads header bytes back. *)
+   batch's header plane and flow memo, so no stage ever re-parses the
+   headers. The template cache stores the packed flow key and stored
+   checksum next to the frame, so the hot path neither hashes the
+   5-tuple nor reads header bytes back. *)
 let rx_seed_packet t batch slot (flow : Flow.t) =
   let p = Batch.get batch slot in
   let h =
@@ -104,8 +104,7 @@ let rx_seed_packet t batch slot (flow : Flow.t) =
     (t.driver_state_addr + (line * 64))
     ~bytes:8;
   Cycles.Clock.charge (Engine.clock t.engine) (Alu 8);
-  Batch.seed_flow_keyed batch slot flow (Array.unsafe_get t.tmpl_keys h);
-  Batch.seed_hdr batch slot ~flow ~ttl:64
+  Batch.seed_hdr batch slot ~flow ~key:(Array.unsafe_get t.tmpl_keys h) ~ttl:64
     ~ip_len:(p.Packet.len - Packet.eth_header_bytes)
     ~csum:(Array.unsafe_get t.tmpl_csum h)
 

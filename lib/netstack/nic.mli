@@ -17,9 +17,9 @@ val create : ?driver_seed:int64 -> engine:Engine.t -> traffic:Traffic.t -> unit 
 
 val rx_batch : t -> int -> Batch.t
 (** [rx_batch t n] produces up to [n] freshly-crafted packets (fewer
-    only if the pool runs dry). The flow-key sidecar of the returned
-    batch is seeded: the driver knows the 5-tuple it crafted for, so
-    the headers are never parsed again downstream. *)
+    only if the pool runs dry). The header plane and flow memo of
+    the returned batch are seeded: the driver knows the 5-tuple it
+    crafted for, so the headers are never parsed again downstream. *)
 
 val rx_batch_into : t -> Batch.t -> int -> unit
 (** [rx_batch_into t batch n] is {!rx_batch} into a caller-owned batch

@@ -193,21 +193,6 @@ let flow_of t =
     ~dst_port:(get_u16 t.buf (l4_off + 2))
     ~protocol
 
-(* The packed flow key straight off the wire: no [Flow.t] record, no
-   [int32], just immediate ints — the parse the batch sidecar caches. *)
-let flow_key t =
-  if ethertype t <> 0x0800 then invalid_arg "Packet: not IPv4 ethertype";
-  let proto = protocol_number t in
-  if proto <> 6 && proto <> 17 then
-    invalid_arg (Printf.sprintf "Packet: unsupported IP protocol %d" proto);
-  if t.len < l4_off + 4 then invalid_arg "Packet: truncated L4 header";
-  Flow.Key.pack
-    ~src_ip:(get_u32_int t.buf (ip_off + 12))
-    ~dst_ip:(get_u32_int t.buf (ip_off + 16))
-    ~src_port:(get_u16 t.buf l4_off)
-    ~dst_port:(get_u16 t.buf (l4_off + 2))
-    ~proto
-
 let ttl t =
   check_ipv4 t;
   get_u8 t.buf (ip_off + 8)

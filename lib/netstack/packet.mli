@@ -57,11 +57,6 @@ val ethertype : t -> int
 val flow_of : t -> Flow.t
 (** Extract the connection 5-tuple. *)
 
-val flow_key : t -> Flow.Key.t
-(** The packed immediate key of the 5-tuple, read straight off the
-    wire without materialising a {!Flow.t} (or any [int32]). Equals
-    [Flow.Key.of_flow (flow_of t)]; raises like {!flow_of}. *)
-
 val ttl : t -> int
 val set_ttl : t -> int -> unit
 (** Updates the checksum incrementally (RFC 1624). *)

@@ -266,7 +266,8 @@ let fused_groups t =
 
 (* Deep-copy every packet of the batch into fresh buffers (the next
    domain's private heap) and release the originals. The copies are
-   byte-identical, so the flow-key sidecar transfers verbatim. *)
+   byte-identical, so each slot's header plane and flow memo transfer
+   verbatim. *)
 let copy_batch engine batch =
   let clock = Engine.clock engine in
   let pool = Engine.pool engine in
@@ -286,7 +287,7 @@ let copy_batch engine batch =
       Engine.touch_packet_write engine dst ~off:0 ~bytes:src.Packet.len;
       Cycles.Clock.charge clock (Copy src.Packet.len);
       Mempool.free pool src;
-      Batch.blit_flow batch i fresh j
+      Batch.blit_slot batch i fresh j
     end
   done;
   Batch.clear batch;
@@ -534,7 +535,7 @@ let run_cached t s batch =
       s.fs_in_lens.(j) <- p.Packet.len;
       s.fs_slots.(j) <- p.Packet.slot;
       Batch.push slow p;
-      Batch.blit_flow batch i slow j;
+      Batch.blit_slot batch i slow j;
       incr slow_len
   done;
   let slow_len = !slow_len in

@@ -19,10 +19,8 @@ let queues t = t.queues
 let entries t = Array.length t.table
 
 let bucket_of_key t key = key land t.mask
-let queue_of_key t key = t.table.(bucket_of_key t key)
 let bucket t flow = bucket_of_key t (Flow.hash flow)
 let queue t flow = t.table.(bucket t flow)
-let queue_of_packet t p = queue_of_key t (Packet.flow_key p)
 
 let retarget t ~bucket ~queue =
   if bucket < 0 || bucket > t.mask then invalid_arg "Rss.retarget: bad bucket";

@@ -31,12 +31,9 @@ val queue : t -> Flow.t -> int
 (** Receive queue a flow is steered to. Stable for the lifetime of the
     table: every packet of a flow goes to the same queue. *)
 
-val queue_of_packet : t -> Packet.t -> int
-
 val bucket_of_key : t -> Flow.Key.t -> int
-val queue_of_key : t -> Flow.Key.t -> int
-(** Steering decisions from a packed flow key (batch sidecar or
-    {!Packet.flow_key}) without materialising a {!Flow.t}. *)
+(** {!bucket} from a packed flow key ({!Batch.flow_key}) without
+    materialising a {!Flow.t}. *)
 
 val retarget : t -> bucket:int -> queue:int -> unit
 (** Re-point one indirection bucket (how real NICs rebalance under

@@ -64,4 +64,4 @@ val classify : t -> Flow.t -> action
 
 val stage : t -> Stage.t
 (** Pipeline stage ["ruledb"]: classifies each packet via the batch's
-    flow sidecar and frees the ones the database drops. *)
+    flow memo and frees the ones the database drops. *)

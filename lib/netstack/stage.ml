@@ -12,7 +12,7 @@ type kernel =
 type hook = (unit -> unit) -> unit
 
 (* What a kernel body touches: [Cols] bodies go through the batch's
-   header-plane columns (and flow sidecar) only and never read wire
+   header-plane columns (and flow memo) only and never read wire
    bytes, so the pipeline can defer byte writeback across them; [Bytes]
    bodies may read or write raw bytes and force the plane to
    materialize first. [Opaque] kernels are always [Bytes]. *)

@@ -4,7 +4,7 @@
     its kernel shape, and the {!Pipeline} compiles with it:
 
     - {!Rewrite} — a pure per-packet header rewrite: touches only the
-      packet (and the batch's flow sidecar) at its own index, never
+      packet (and the batch's header plane) at its own index, never
       drops, never reorders. Fusible.
     - {!Filter} — a per-packet classify/drop decision with the same
       locality contract; [false] drops the packet (the pipeline
@@ -28,12 +28,13 @@
 type kernel =
   | Rewrite of (Engine.t -> Batch.t -> int -> Packet.t -> unit)
       (** [f engine batch i p]: rewrite packet [p] (= index [i]) in
-          place. Must call {!Batch.invalidate_flow} after mutating any
-          5-tuple field. *)
+          place. Column writers ([Batch.set_col_*]) drop the flow
+          memo themselves; a body that writes header bytes directly
+          must call {!Batch.invalidate_hdr}. *)
   | Filter of (Engine.t -> Batch.t -> int -> Packet.t -> bool)
       (** Like {!Rewrite}, but returning [false] drops the packet. The
-          index is the {e pre-compaction} index: sidecar operations
-          against [i] are valid inside the callback. *)
+          index is the {e pre-compaction} index: header-plane
+          operations against [i] are valid inside the callback. *)
   | Opaque of (Engine.t -> Batch.t -> Batch.t)
       (** The whole batch, in and out — the pre-descriptor contract. *)
 
@@ -44,9 +45,10 @@ type hook = (unit -> unit) -> unit
 type access =
   | Cols
       (** The body reads/writes header fields only through the batch's
-          header-plane columns ({!Batch.col_ttl} ...) and the flow
-          sidecar; it never touches wire bytes. The pipeline may defer
-          byte writeback across any run of [Cols] stages. *)
+          header-plane columns ({!Batch.col_ttl} ...) and its flow
+          memo ({!Batch.flow}); it never touches wire bytes. The
+          pipeline may defer byte writeback across any run of [Cols]
+          stages. *)
   | Bytes
       (** The body may read or write raw packet bytes; the pipeline
           materializes the header plane before running it. The safe

@@ -100,7 +100,7 @@ let test_ttl_expiry_deterministic () =
     let clock, engine, craft = access_env () in
     let fc = Flowcache.create ~clock ~capacity:4 ~ttl_cycles:10_000L () in
     let p = craft flow_a 64 in
-    let key = Packet.flow_key p in
+    let key = Flow.hash (Packet.flow_of p) in
     Flowcache.install_drop fc ~key ~guard:(Flowcache.guard_of fc p);
     let first = Flowcache.access fc ~engine ~key p in
     (* Pure virtual time: expiry is a function of charged cycles only. *)
@@ -122,7 +122,7 @@ let test_invalidate_is_epoch_barrier () =
   let clock, engine, craft = access_env () in
   let fc = Flowcache.create ~clock ~capacity:4 ~ttl_cycles:1_000_000L () in
   let p = craft flow_a 64 in
-  let key = Packet.flow_key p in
+  let key = Flow.hash (Packet.flow_of p) in
   Flowcache.install_drop fc ~key ~guard:(Flowcache.guard_of fc p);
   let e0 = Flowcache.epoch fc in
   Flowcache.invalidate fc;
@@ -137,7 +137,7 @@ let test_guard_mismatch_degrades_to_miss () =
   let clock2, fc = make_fc ~capacity:4 () in
   ignore clock2;
   let p64 = craft flow_a 64 and p63 = craft flow_a 63 in
-  let key = Packet.flow_key p64 in
+  let key = Flow.hash (Packet.flow_of p64) in
   Flowcache.install_drop fc ~key ~guard:(Flowcache.guard_of fc p64);
   Alcotest.(check bool) "same bytes hit" true (Flowcache.access fc ~engine ~key p64 = Flowcache.Hit_drop);
   (* Same 5-tuple, different TTL byte: key matches, guard must not. *)
@@ -539,18 +539,21 @@ let test_broken_nat_hook_caught () =
   | None, _ -> Alcotest.fail "severed NAT hook went undetected"
 
 (* ------------------------------------------------------------------ *)
-(* Flow-sidecar hygiene (Batch.invalidate_flow audit)                  *)
+(* Header-plane hygiene (Batch.hdr_consistent audit)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The cache keys on the sidecar's packed 5-tuple, so a mutating stage
-   that forgets Batch.invalidate_flow/seed_flow corrupts the fast
-   path's keying. Audit: after any stage runs, a cached sidecar slot
-   must agree with a fresh header parse. *)
-let sidecar_consistent b =
+(* The cache keys on the plane's flow memo, so a stage that rewrites
+   header bytes and forgets Batch.invalidate_hdr corrupts the fast
+   path's keying. Audit: after a full materialize every slot's plane
+   and memo must agree with a fresh parse of its wire bytes
+   ([hdr_consistent] passes vacuously on dirty or plane-less slots, so
+   materializing first makes the check sharp). *)
+let plane_consistent b =
+  Batch.materialize b;
   let ok = ref true in
-  Batch.iteri
-    (fun i p -> if Batch.flow_cached b i then ok := !ok && Flow.equal (Batch.flow b i) (Packet.flow_of p))
-    b;
+  for i = 0 to Batch.length b - 1 do
+    ok := !ok && Batch.hdr_consistent b i
+  done;
   !ok
 
 let audit_env () =
@@ -561,76 +564,24 @@ let audit_env () =
   let nic = Nic.create ~engine ~traffic:(Traffic.of_plan ~rng:(Cycles.Rng.create 5L) plan) () in
   (clock, pool, engine, nic)
 
-let test_mutating_stages_keep_sidecar_consistent () =
+let test_stages_keep_plane_consistent () =
   let clock, pool, engine, nic = audit_env () in
   let db = Ruledb.create ~clock () in
   Ruledb.add db (Ruledb.rule ~src_port:(2000, 20_000) Ruledb.Accept);
   let mg = Maglev.create ~clock ~backends () in
   let nat = Nat.create ~clock ~external_ip:0xC6336401 () in
-  (* Every header-mutating stage in the catalog that leaves the packet
-     parseable (GRE encap ends 5-tuple parsing by design, so maglev_gre
-     is exercised through the equivalence suite instead). *)
+  (* Every header-reading or -mutating stage in the catalog that leaves
+     the packet parseable (GRE encap ends 5-tuple parsing by design, so
+     maglev_gre is exercised through the equivalence suite instead),
+     column rewriters and their byte twins alike — the twins store
+     straight to wire bytes, so they must drop the plane (the
+     regression behind this audit: a stale rx-seeded plane shadowing
+     rewritten bytes). *)
   let catalog =
     [
       Ruledb.stage db;
       Filters.checksum_verify;
-      Filters.ttl_decrement;
-      Nat.stage nat;
-      Filters.maglev mg;
       Filters.firewall ~name:"fw" (fun f -> f.Flow.src_port land 1 = 0);
-    ]
-  in
-  List.iter
-    (fun (stage : Stage.t) ->
-      let b = Nic.rx_batch nic 16 in
-      let out = Stage.process stage engine b in
-      if not (sidecar_consistent out) then
-        Alcotest.failf "stage %s left a stale flow sidecar" stage.Stage.name;
-      ignore (Nic.tx_batch nic out))
-    catalog;
-  Mempool.assert_no_leaks pool
-
-let test_forgetful_stage_caught_by_audit () =
-  let _clock, pool, engine, nic = audit_env () in
-  (* The regression the audit exists for: rewrite a 5-tuple field and
-     "forget" Batch.invalidate_flow. *)
-  let forgetful =
-    Stage.opaque ~name:"bad-snat" (fun _engine b ->
-        Batch.iteri
-          (fun i p ->
-            ignore (Batch.flow b i);
-            Packet.set_src_port p (Packet.src_port p + 1))
-          b;
-        b)
-  in
-  let b = Nic.rx_batch nic 16 in
-  let out = Stage.process forgetful engine b in
-  Alcotest.(check bool) "audit catches the stale sidecar" false (sidecar_consistent out);
-  ignore (Nic.tx_batch nic out);
-  Mempool.assert_no_leaks pool
-
-(* The header-plane twin of [sidecar_consistent]: after a full
-   materialize every slot's plane must agree with a fresh parse of its
-   wire bytes ([hdr_consistent] passes vacuously on dirty or plane-less
-   slots, so materializing first makes the check sharp). *)
-let plane_consistent b =
-  Batch.materialize b;
-  let ok = ref true in
-  for i = 0 to Batch.length b - 1 do
-    ok := !ok && Batch.hdr_consistent b i
-  done;
-  !ok
-
-let test_col_stages_keep_plane_consistent () =
-  let clock, pool, engine, nic = audit_env () in
-  let mg = Maglev.create ~clock ~backends () in
-  let nat = Nat.create ~clock ~external_ip:0xC6336401 () in
-  (* Every column rewriter in the catalog, plus the byte twins — the
-     twins store straight to wire bytes, so they must drop the plane
-     (the regression behind this audit: a stale rx-seeded plane
-     shadowing rewritten bytes). *)
-  let catalog =
-    [
       Filters.ttl_decrement;
       Filters.maglev mg;
       Nat.stage nat;
@@ -643,12 +594,94 @@ let test_col_stages_keep_plane_consistent () =
     (fun (stage : Stage.t) ->
       let b = Nic.rx_batch nic 16 in
       let out = Stage.process stage engine b in
+      (* Force the memo on every slot so a stale one cannot hide behind
+         an unset bit. *)
+      Batch.iteri (fun i _ -> ignore (Batch.flow out i)) out;
       if not (plane_consistent out) then
-        Alcotest.failf "stage %s left a stale header plane" stage.Stage.name;
-      if not (sidecar_consistent out) then
-        Alcotest.failf "stage %s left a stale flow sidecar" stage.Stage.name;
+        Alcotest.failf "stage %s left a stale header plane or flow memo" stage.Stage.name;
       ignore (Nic.tx_batch nic out))
     catalog;
+  Mempool.assert_no_leaks pool
+
+(* The memo half of the audit through the public accessors alone: what
+   the cache keys on ([Batch.flow], [Batch.flow_key]) must match a
+   fresh parse of the materialized bytes. *)
+let sidecar_consistent b =
+  Batch.materialize b;
+  let ok = ref true in
+  Batch.iteri
+    (fun i p ->
+      let wire = Packet.flow_of p in
+      ok := !ok && Flow.equal (Batch.flow b i) wire && Batch.flow_key b i = Flow.hash wire)
+    b;
+  !ok
+
+let test_mutating_stages_keep_sidecar_consistent () =
+  let clock, pool, engine, nic = audit_env () in
+  let db = Ruledb.create ~clock () in
+  Ruledb.add db (Ruledb.rule ~src_port:(2000, 20_000) Ruledb.Accept);
+  let mg = Maglev.create ~clock ~backends () in
+  let nat = Nat.create ~clock ~external_ip:0xC6336401 () in
+  (* Every header-mutating stage in the catalog that leaves the packet
+     parseable (GRE encap ends 5-tuple parsing by design, so maglev_gre
+     is exercised through the equivalence suite instead). The rx path
+     seeds every slot's memo, so a rewriter that keeps it stale shows. *)
+  let catalog =
+    [
+      Ruledb.stage db;
+      Filters.checksum_verify;
+      Filters.ttl_decrement;
+      Nat.stage nat;
+      Filters.maglev mg;
+      Filters.firewall ~name:"fw" (fun f -> f.Flow.src_port land 1 = 0);
+      Nat.stage_bytes nat;
+      Filters.maglev_bytes mg;
+    ]
+  in
+  List.iter
+    (fun (stage : Stage.t) ->
+      let b = Nic.rx_batch nic 16 in
+      let out = Stage.process stage engine b in
+      if not (sidecar_consistent out) then
+        Alcotest.failf "stage %s left a stale flow memo" stage.Stage.name;
+      ignore (Nic.tx_batch nic out))
+    catalog;
+  Mempool.assert_no_leaks pool
+
+let test_forgetful_stage_caught_by_audit () =
+  let _clock, pool, engine, nic = audit_env () in
+  (* The regression the audit exists for: rewrite a 5-tuple byte and
+     "forget" Batch.invalidate_hdr. *)
+  let forgetful =
+    Stage.opaque ~name:"bad-snat" (fun _engine b ->
+        Batch.iteri
+          (fun i p ->
+            ignore (Batch.flow b i);
+            Packet.set_src_port p (Packet.src_port p + 1))
+          b;
+        b)
+  in
+  let b = Nic.rx_batch nic 16 in
+  let out = Stage.process forgetful engine b in
+  Alcotest.(check bool) "audit catches the stale plane" false (plane_consistent out);
+  ignore (Nic.tx_batch nic out);
+  Mempool.assert_no_leaks pool
+
+let test_mis_keyed_seed_caught () =
+  let _clock, pool, _engine, nic = audit_env () in
+  (* Negative control for the memo half of the audit: a seed whose
+     packed key is not the hash of its flow. *)
+  let b = Nic.rx_batch nic 8 in
+  if not (plane_consistent b) then Alcotest.fail "batch inconsistent at rx";
+  let p = Batch.get b 0 in
+  let flow = Packet.flow_of p in
+  Batch.seed_hdr b 0 ~flow ~key:(Flow.Key.of_flow flow lxor 1) ~ttl:(Packet.ttl p)
+    ~ip_len:(Packet.ip_total_length p) ~csum:(Packet.stored_checksum p);
+  Alcotest.(check bool) "mis-keyed seed caught" false (Batch.hdr_consistent b 0);
+  Batch.seed_hdr b 0 ~flow ~key:(Flow.Key.of_flow flow) ~ttl:(Packet.ttl p)
+    ~ip_len:(Packet.ip_total_length p) ~csum:(Packet.stored_checksum p);
+  Alcotest.(check bool) "well-keyed seed passes" true (Batch.hdr_consistent b 0);
+  ignore (Nic.tx_batch nic b);
   Mempool.assert_no_leaks pool
 
 let test_forgetful_column_rewriter_caught () =
@@ -722,8 +755,9 @@ let () =
           Alcotest.test_case "forgetful rewriter is caught" `Quick
             test_forgetful_stage_caught_by_audit;
           Alcotest.test_case "catalog stages keep the header plane consistent" `Quick
-            test_col_stages_keep_plane_consistent;
+            test_stages_keep_plane_consistent;
           Alcotest.test_case "forgetful column rewriter is caught, per column" `Quick
             test_forgetful_column_rewriter_caught;
+          Alcotest.test_case "mis-keyed seed is caught" `Quick test_mis_keyed_seed_caught;
         ] );
     ]

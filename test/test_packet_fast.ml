@@ -2,7 +2,7 @@
 
    Every fast-path rewrite (word-at-a-time accessors, the unrolled
    RFC 1071 checksum, native-int FNV-1a, the packed flow key, the
-   batch flow-key sidecar) is checked against a deliberately naive
+   batch's flow memo) is checked against a deliberately naive
    reference implementation: byte-at-a-time reads off the raw buffer,
    a loop checksum, and the historical Int64 hash chain. *)
 
@@ -93,8 +93,7 @@ let prop_key_pack_matches_hash =
           ~src_port:f.Flow.src_port ~dst_port:f.Flow.dst_port
           ~proto:(Flow.protocol_number f.Flow.protocol)
       in
-      packed = Flow.hash f && Flow.Key.of_flow f = packed && packed >= 0
-      && not (Flow.Key.is_none packed))
+      packed = Flow.hash f && Flow.Key.of_flow f = packed && packed >= 0)
 
 let prop_word_accessors =
   QCheck.Test.make ~name:"word accessors == byte-at-a-time reads" ~count:300 arb_crafted
@@ -250,14 +249,6 @@ let prop_checksum_unrolled =
       if ttl > 1 then Packet.set_ttl p (ttl - 1);
       ok0 && ok1 && stored () = checksum_ref p && Packet.ipv4_checksum_ok p)
 
-let prop_flow_key_off_the_wire =
-  QCheck.Test.make ~name:"Packet.flow_key == hash of Packet.flow_of" ~count:300 arb_crafted
-    (fun (f, (payload_bytes, ttl)) ->
-      let p = fresh_packet () in
-      craft p f ~payload_bytes ~ttl;
-      Packet.flow_key p = Flow.hash (Packet.flow_of p)
-      && Flow.equal (Packet.flow_of p) f)
-
 let prop_payload_pattern =
   QCheck.Test.make ~name:"payload fill == i mod 256 pattern" ~count:200 arb_crafted
     (fun (f, (payload_bytes, ttl)) ->
@@ -270,49 +261,198 @@ let prop_payload_pattern =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Flow-key sidecar                                                    *)
+(* Flow memo                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A batch slot's cache must always agree with a fresh header parse —
-   seeded, invalidated, or compacted. *)
-let sidecar_consistent b =
+(* Differential property for the batch's flow memo: whatever sequence
+   of column writes, byte rewrites, materializations, compactions and
+   slot copies a batch goes through, [Batch.flow] must equal a fresh
+   parse of the slot's materialized frame (or both must raise), and
+   [Batch.flow_key] must be its hash. *)
+
+type memo_op =
+  | Set_ttl of int * int
+  | Set_src_ip of int * int
+  | Set_dst_ip of int * int
+  | Set_src_port of int * int
+  | Set_dst_port of int * int
+  | Bytes_dst of int * int
+  | Bytes_src of int * int * int
+  | Encap of int
+  | Decap of int
+  | Materialize
+  | Compact of int
+  | Blit of int * int
+
+let pp_memo_op = function
+  | Set_ttl (i, v) -> Printf.sprintf "set_ttl %d %d" i v
+  | Set_src_ip (i, v) -> Printf.sprintf "set_src_ip %d %x" i v
+  | Set_dst_ip (i, v) -> Printf.sprintf "set_dst_ip %d %x" i v
+  | Set_src_port (i, v) -> Printf.sprintf "set_src_port %d %d" i v
+  | Set_dst_port (i, v) -> Printf.sprintf "set_dst_port %d %d" i v
+  | Bytes_dst (i, v) -> Printf.sprintf "bytes_dst %d %x" i v
+  | Bytes_src (i, v, port) -> Printf.sprintf "bytes_src %d %x %d" i v port
+  | Encap i -> Printf.sprintf "encap %d" i
+  | Decap i -> Printf.sprintf "decap %d" i
+  | Materialize -> "materialize"
+  | Compact salt -> Printf.sprintf "compact %d" salt
+  | Blit (i, j) -> Printf.sprintf "blit %d %d" i j
+
+let gen_memo_op =
+  QCheck.Gen.(
+    let slot = int_range 0 7 and ip = map (fun v -> Int32.to_int v land 0xFFFFFFFF) ui32 in
+    let port = int_range 0 65535 in
+    frequency
+      [
+        (2, map2 (fun i v -> Set_ttl (i, v)) slot (int_range 0 255));
+        (2, map2 (fun i v -> Set_src_ip (i, v)) slot ip);
+        (2, map2 (fun i v -> Set_dst_ip (i, v)) slot ip);
+        (2, map2 (fun i v -> Set_src_port (i, v)) slot port);
+        (2, map2 (fun i v -> Set_dst_port (i, v)) slot port);
+        (1, map2 (fun i v -> Bytes_dst (i, v)) slot ip);
+        (1, map3 (fun i v p -> Bytes_src (i, v, p)) slot ip port);
+        (1, map (fun i -> Encap i) slot);
+        (1, map (fun i -> Decap i) slot);
+        (1, return Materialize);
+        (1, map (fun s -> Compact s) (int_range 0 0xFFFF));
+        (2, map2 (fun i j -> Blit (i, j)) slot slot);
+      ])
+
+let arb_memo_trace =
+  QCheck.make
+    ~print:(fun (flows, ops) ->
+      Printf.sprintf "%d flows; %s" (List.length flows)
+        (String.concat "; " (List.map pp_memo_op ops)))
+    QCheck.Gen.(
+      pair (list_size (int_range 1 8) (pair gen_flow bool)) (list_size (int_range 1 30) gen_memo_op))
+
+(* Push a packet crafted for [f]; when [seeded] install its plane and
+   memo the way the NIC rx path does, else leave the slot plane-less. *)
+let push_crafted b (f, seeded) =
+  let p = fresh_packet () in
+  craft p f ~payload_bytes:16 ~ttl:64;
+  Batch.push b p;
+  if seeded then
+    Batch.seed_hdr b (Batch.length b - 1) ~flow:f ~key:(Flow.Key.of_flow f) ~ttl:64
+      ~ip_len:(p.Packet.len - Packet.eth_header_bytes)
+      ~csum:(Packet.stored_checksum p)
+
+(* The memo is read first (deriving it if unset), then compared with
+   the frame the slot materializes to. *)
+let memo_agrees b i =
+  let memo = match Batch.flow b i with f -> Some f | exception Invalid_argument _ -> None in
+  let key =
+    match Batch.flow_key b i with k -> Some k | exception Invalid_argument _ -> None
+  in
+  Batch.materialize_slot b i;
+  match (memo, Packet.flow_of (Batch.get b i)) with
+  | Some f, wire -> Flow.equal f wire && key = Some (Flow.hash f)
+  | None, _ -> false
+  | exception Invalid_argument _ -> memo = None && key = None
+
+let batch_agrees b =
   let ok = ref true in
   for i = 0 to Batch.length b - 1 do
-    let p = Batch.get b i in
-    if not (Flow.equal (Batch.flow b i) (Packet.flow_of p)) then ok := false;
-    if Batch.flow_key b i <> Flow.hash (Packet.flow_of p) then ok := false
+    ok := !ok && memo_agrees b i
   done;
   !ok
 
+let apply_memo_op b other op =
+  let n = Batch.length b in
+  let on i f = if n > 0 then f (i mod n) in
+  (* A byte rewrite runs behind a materialization barrier and drops the
+     plane, as the byte-twin stages do. *)
+  let bytes i f =
+    on i (fun i ->
+        Batch.materialize_slot b i;
+        f (Batch.get b i);
+        Batch.invalidate_hdr b i)
+  in
+  let col f = try f () with Invalid_argument _ -> () in
+  match op with
+  | Set_ttl (i, v) -> on i (fun i -> Batch.set_col_ttl b i v)
+  | Set_src_ip (i, v) -> on i (fun i -> Batch.set_col_src_ip b i v)
+  | Set_dst_ip (i, v) -> on i (fun i -> Batch.set_col_dst_ip b i v)
+  | Set_src_port (i, v) -> on i (fun i -> col (fun () -> Batch.set_col_src_port b i v))
+  | Set_dst_port (i, v) -> on i (fun i -> col (fun () -> Batch.set_col_dst_port b i v))
+  | Bytes_dst (i, v) -> bytes i (fun p -> Packet.set_dst_ip_int p v)
+  | Bytes_src (i, v, port) ->
+    bytes i (fun p ->
+        Packet.set_src_ip_int p v;
+        if not (Packet.is_gre p) then Packet.set_src_port p port)
+  | Encap i ->
+    bytes i (fun p ->
+        if not (Packet.is_gre p) then Packet.encap_gre p ~outer_src:0xC0A80001 ~outer_dst:0x0A010005)
+  | Decap i -> bytes i (fun p -> if Packet.is_gre p then Packet.decap_gre p)
+  | Materialize -> Batch.materialize b
+  | Compact salt -> ignore (Batch.filteri_in_place b (fun i _ -> (i + salt) mod 3 <> 0))
+  | Blit (i, j) ->
+    (* Copy the frame byte for byte first, as [Pipeline]'s copying mode
+       does: the slot state is only valid over identical bytes. *)
+    let m = Batch.length other in
+    if n > 0 && m > 0 then begin
+      let i = i mod n and j = j mod m in
+      let src = Batch.get b i and dst = Batch.get other j in
+      Slab.blit src.Packet.buf 0 dst.Packet.buf 0 src.Packet.len;
+      dst.Packet.len <- src.Packet.len;
+      Batch.blit_slot b i other j
+    end
+
+let prop_flow_memo_differential =
+  QCheck.Test.make ~name:"flow memo == parse of the materialized frame, any op sequence"
+    ~count:300 arb_memo_trace (fun (flows, ops) ->
+      let b = Batch.create ~capacity:8 and other = Batch.create ~capacity:8 in
+      List.iter (push_crafted b) flows;
+      List.iter (fun (f, seeded) -> push_crafted other (f, not seeded)) flows;
+      List.for_all
+        (fun op ->
+          apply_memo_op b other op;
+          batch_agrees b && batch_agrees other)
+        ops)
+
+(* The memo replaces the old flow-key sidecar; these two fixed
+   scenarios keep the sidecar's original guarantees under their
+   original names: a seeded memo survives no rewrite, column or byte,
+   and compaction carries it with its packet. *)
 let prop_sidecar_rewrites =
   QCheck.Test.make ~name:"sidecar stays consistent through NAT/maglev/GRE rewrites"
     ~count:200
     QCheck.(pair arb_crafted (pair int32 (int_range 0 65535)))
     (fun ((f, (payload_bytes, ttl)), (new_ip, new_port)) ->
+      let new_ip = Int32.to_int new_ip land 0xFFFFFFFF in
       let p = fresh_packet () in
       craft p f ~payload_bytes ~ttl;
       let b = Batch.create ~capacity:4 in
-      Batch.push_flow b p f;
-      let seeded = Batch.flow_cached b 0 && sidecar_consistent b in
-      (* Maglev-style dst rewrite. *)
-      Packet.set_dst_ip_int p (Int32.to_int new_ip land 0xFFFFFFFF);
-      Batch.invalidate_flow b 0;
-      let after_dst = (not (Batch.flow_cached b 0)) && sidecar_consistent b in
-      (* NAT-style src rewrite. *)
-      Packet.set_src_ip_int p (Int32.to_int new_ip land 0xFFFFFFFF);
-      Packet.set_src_port p new_port;
-      Batch.invalidate_flow b 0;
-      let after_nat = sidecar_consistent b in
+      Batch.push b p;
+      Batch.seed_hdr b 0 ~flow:f ~key:(Flow.Key.of_flow f) ~ttl
+        ~ip_len:(Packet.ip_total_length p) ~csum:(Packet.stored_checksum p);
+      let seeded = Batch.hdr_valid b 0 && batch_agrees b in
+      (* Maglev-style dst rewrite, column then byte twin. *)
+      Batch.set_col_dst_ip b 0 new_ip;
+      let col_dst =
+        Int32.to_int (Batch.flow b 0).Flow.dst_ip land 0xFFFFFFFF = new_ip && batch_agrees b
+      in
+      Packet.set_dst_ip_int p (new_ip lxor 1);
+      Batch.invalidate_hdr b 0;
+      let after_dst = (not (Batch.hdr_valid b 0)) && batch_agrees b in
+      (* NAT-style src rewrite, column then byte twin. *)
+      Batch.set_col_src_ip b 0 new_ip;
+      Batch.set_col_src_port b 0 new_port;
+      let col_nat = batch_agrees b && (Batch.flow b 0).Flow.src_port = new_port in
+      Packet.set_src_ip_int p (new_ip lxor 2);
+      Packet.set_src_port p (new_port lxor 1);
+      Batch.invalidate_hdr b 0;
+      let after_nat = batch_agrees b in
       (* GRE encap makes the 5-tuple unparsable (protocol 47), so the
-         stage must leave the slot invalid; decap restores the inner
-         tuple and the cache must re-parse to exactly it. *)
+         stage must leave the slot plane-less; decap restores the inner
+         tuple and the memo must re-derive exactly it. *)
       let inner = Packet.flow_of p in
       Packet.encap_gre p ~outer_src:0xC0A80001 ~outer_dst:0x0A010005;
-      Batch.invalidate_flow b 0;
-      let after_encap = (not (Batch.flow_cached b 0)) && Packet.is_gre p in
+      Batch.invalidate_hdr b 0;
+      let after_encap = (not (Batch.hdr_valid b 0)) && Packet.is_gre p in
       Packet.decap_gre p;
-      Batch.invalidate_flow b 0;
-      seeded && after_dst && after_nat && after_encap && sidecar_consistent b
+      Batch.invalidate_hdr b 0;
+      seeded && col_dst && after_dst && col_nat && after_nat && after_encap && batch_agrees b
       && Flow.equal (Batch.flow b 0) inner)
 
 let prop_sidecar_compaction =
@@ -321,26 +461,25 @@ let prop_sidecar_compaction =
     QCheck.(pair (make Gen.(list_size (int_range 1 24) gen_flow)) (int_range 0 0xFFFF))
     (fun (flows, salt) ->
       let b = Batch.create ~capacity:32 in
-      List.iter
-        (fun f ->
-          let p = fresh_packet () in
-          craft p f ~payload_bytes:16 ~ttl:8;
-          Batch.push_flow b p f)
-        flows;
-      (* Drop a pseudo-random subset, mutating some survivors so both
-         valid and invalidated slots get compacted. *)
+      List.iter (fun f -> push_crafted b (f, true)) flows;
+      (* Drop a pseudo-random subset, rewriting some survivors through a
+         column and others through their bytes, so seeded, dirty and
+         plane-less slots all get compacted. *)
       let dropped =
         Batch.filteri_in_place b (fun i p ->
             if (i + salt) mod 3 = 0 then false
             else begin
-              if (i + salt) mod 2 = 0 then begin
-                Packet.set_src_port p ((salt + i) land 0xFFFF);
-                Batch.invalidate_flow b i
-              end;
+              (match (i + salt) mod 4 with
+               | 1 -> Batch.set_col_src_port b i ((salt + i) land 0xFFFF)
+               | 2 ->
+                 Batch.materialize_slot b i;
+                 Packet.set_dst_port p ((salt lxor i) land 0xFFFF);
+                 Batch.invalidate_hdr b i
+               | _ -> ());
               true
             end)
       in
-      List.length dropped + Batch.length b = List.length flows && sidecar_consistent b)
+      List.length dropped + Batch.length b = List.length flows && batch_agrees b)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -350,7 +489,7 @@ let suite =
       prop_word_accessors;
       prop_slab_bytes_oracle;
       prop_checksum_unrolled;
-      prop_flow_key_off_the_wire;
+      prop_flow_memo_differential;
       prop_payload_pattern;
       prop_sidecar_rewrites;
       prop_sidecar_compaction;
