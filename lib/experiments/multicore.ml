@@ -4,6 +4,8 @@ type row = {
   isolated_batches_per_s : float;
   isolation_cost : float;
   scaling : float;
+  direct_cycles_per_batch : float;
+  isolated_cycles_per_batch : float;
 }
 
 (* One replica: its own environment and pipeline, shared-nothing. *)
@@ -14,7 +16,7 @@ let replica ~seed ~isolated ~batches ~batch_size () =
     if isolated then Netstack.Pipeline.Isolated env.Env.manager else Netstack.Pipeline.Direct
   in
   let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode stages in
-  fun () ->
+  env.Env.clock, fun () ->
     for _ = 1 to batches do
       let b = Netstack.Nic.rx_batch env.Env.nic batch_size in
       match Netstack.Pipeline.run pipe b with
@@ -27,19 +29,27 @@ let wall_time f =
   f ();
   Unix.gettimeofday () -. t0
 
+(* Wall-clock batches/s and virtual cycles per batch over all replicas. *)
 let throughput ~cores ~isolated ~batches ~batch_size =
   (* Build all replicas first so construction cost stays outside the
      timed region. *)
-  let bodies =
+  let replicas =
     List.init cores (fun i ->
         replica ~seed:(Int64.of_int (1000 + i)) ~isolated ~batches ~batch_size ())
   in
+  let start = List.map (fun (clock, _) -> Cycles.Clock.now clock) replicas in
   let elapsed =
     wall_time (fun () ->
-        let workers = List.map (fun body -> Domain.spawn body) bodies in
+        let workers = List.map (fun (_, body) -> Domain.spawn body) replicas in
         List.iter Domain.join workers)
   in
-  float_of_int (cores * batches) /. elapsed
+  let cycles =
+    List.fold_left2
+      (fun acc (clock, _) t0 -> Int64.add acc (Int64.sub (Cycles.Clock.now clock) t0))
+      0L replicas start
+  in
+  let n = float_of_int (cores * batches) in
+  (n /. elapsed, Int64.to_float cycles /. n)
 
 let default_cores_list () =
   (* Never oversubscribe the host: with fewer hardware threads than
@@ -53,8 +63,12 @@ let run ?cores_list ?(batches_per_core = 3000) ?(batch_size = 32) () =
   let base = ref None in
   List.map
     (fun cores ->
-      let direct = throughput ~cores ~isolated:false ~batches:batches_per_core ~batch_size in
-      let isolated = throughput ~cores ~isolated:true ~batches:batches_per_core ~batch_size in
+      let direct, direct_cycles =
+        throughput ~cores ~isolated:false ~batches:batches_per_core ~batch_size
+      in
+      let isolated, isolated_cycles =
+        throughput ~cores ~isolated:true ~batches:batches_per_core ~batch_size
+      in
       let scaling =
         match !base with
         | None ->
@@ -68,6 +82,8 @@ let run ?cores_list ?(batches_per_core = 3000) ?(batch_size = 32) () =
         isolated_batches_per_s = isolated;
         isolation_cost = 1. -. (isolated /. direct);
         scaling;
+        direct_cycles_per_batch = direct_cycles;
+        isolated_cycles_per_batch = isolated_cycles;
       })
     cores_list
 
@@ -77,7 +93,9 @@ let print rows =
     \  (host reports %d usable core(s); replica counts are capped there)\n"
     (Domain.recommended_domain_count ());
   Table.print
-    ~header:[ "cores"; "direct batches/s"; "isolated batches/s"; "isolation cost"; "scaling" ]
+    ~header:
+      [ "cores"; "direct batches/s"; "isolated batches/s"; "isolation cost"; "scaling";
+        "direct cyc/batch"; "isolated cyc/batch" ]
     (List.map
        (fun r ->
          [
@@ -86,6 +104,8 @@ let print rows =
            Table.ff ~decimals:0 r.isolated_batches_per_s;
            Table.fpct r.isolation_cost;
            Table.ff ~decimals:2 r.scaling ^ "x";
+           Table.ff ~decimals:0 r.direct_cycles_per_batch;
+           Table.ff ~decimals:0 r.isolated_cycles_per_batch;
          ])
        rows);
   print_endline

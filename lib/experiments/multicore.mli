@@ -14,7 +14,10 @@
     validation, unlike the conventional architectures).
 
     Unlike every other experiment this one is wall-clock based, so
-    absolute numbers vary with the host; the claims are the ratios. *)
+    absolute numbers vary with the host; the claims are the ratios.
+    Each replica also runs on its own virtual clock, so the rows carry
+    the isolation cost in virtual cycles per batch as well: the
+    deterministic form of the same claim. *)
 
 type row = {
   cores : int;
@@ -22,6 +25,10 @@ type row = {
   isolated_batches_per_s : float;
   isolation_cost : float;      (** 1 − isolated/direct. *)
   scaling : float;             (** isolated throughput ÷ 1-core isolated. *)
+  direct_cycles_per_batch : float;
+      (** Virtual cycles per batch (rx, pipeline, tx), averaged over the
+          replicas: deterministic, unlike the wall columns. *)
+  isolated_cycles_per_batch : float;
 }
 
 val run : ?cores_list:int list -> ?batches_per_core:int -> ?batch_size:int -> unit -> row list

@@ -11,6 +11,8 @@ let leq = S.subset
 let equal = S.equal
 let is_public = S.is_empty
 let categories = S.elements
+let cardinal = S.cardinal
+let fold = S.fold
 let mem = S.mem
 
 let to_string t =

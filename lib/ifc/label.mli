@@ -30,6 +30,11 @@ val is_public : t -> bool
 val categories : t -> string list
 (** Sorted. *)
 
+val cardinal : t -> int
+
+val fold : (string -> 'a -> 'a) -> t -> 'a -> 'a
+(** Over the categories in sorted order, without building the list. *)
+
 val mem : string -> t -> bool
 
 val to_string : t -> string

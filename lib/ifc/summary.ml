@@ -3,13 +3,17 @@ module Env = Map.Make (String)
 
 type sym = { const : Label.t; deps : Int_set.t }
 
+type site = { fn : string; rel : int }
+
 type t = {
   fname : string;
   param_out : sym array;
   param_moved : bool array;
-  outputs : (int * string * sym) list;
-  asserts : (int * string * sym * Label.t) list;
+  outputs : (site * string * sym) list;
+  asserts : (site * string * sym * Label.t) list;
 }
+
+let base (f : Ast.func) = match f.body with s :: _ -> s.line | [] -> 0
 
 let bot = { const = Label.public; deps = Int_set.empty }
 let of_label l = { const = l; deps = Int_set.empty }
@@ -35,9 +39,12 @@ type ctx = {
   program : Ast.program;
   summaries : (string, t) Hashtbl.t;
   mutable transfers : int;
-  (* Accumulated while summarising one function: *)
-  mutable outputs : (int * string * sym) list;
-  mutable asserts : (int * string * sym * Label.t) list;
+  (* Accumulated while summarising one function ([fn = ""], base 0
+     for main): *)
+  mutable fn : string;
+  mutable base : int;
+  mutable outputs : (site * string * sym) list;
+  mutable asserts : (site * string * sym * Label.t) list;
   mutable moved : (string, unit) Hashtbl.t;
 }
 
@@ -69,10 +76,12 @@ let rec step ctx pc env (s : Ast.stmt) =
     in
     fix env
   | Output { channel; src } ->
-    ctx.outputs <- (s.line, channel, sym_join (env_get env src) pc) :: ctx.outputs;
+    let site = { fn = ctx.fn; rel = s.line - ctx.base } in
+    ctx.outputs <- (site, channel, sym_join (env_get env src) pc) :: ctx.outputs;
     env
   | Assert_leq { var; label } ->
-    ctx.asserts <- (s.line, var, sym_join (env_get env var) pc, label) :: ctx.asserts;
+    let site = { fn = ctx.fn; rel = s.line - ctx.base } in
+    ctx.asserts <- (site, var, sym_join (env_get env var) pc, label) :: ctx.asserts;
     env
   | Call { func; args } -> (
     match Hashtbl.find_opt ctx.summaries func with
@@ -83,14 +92,14 @@ let rec step ctx pc env (s : Ast.stmt) =
     | Some sm ->
       let arg_syms = Array.of_list (List.map (fun (v, _) -> env_get env v) args) in
       (* Re-emit the callee's flows, composed with the argument syms
-         and the current pc. *)
+         and the current pc; each keeps the callee's own site. *)
       List.iter
-        (fun (line, ch, s') ->
-          ctx.outputs <- (line, ch, sym_join (subst s' arg_syms) pc) :: ctx.outputs)
+        (fun (site, ch, s') ->
+          ctx.outputs <- (site, ch, sym_join (subst s' arg_syms) pc) :: ctx.outputs)
         sm.outputs;
       List.iter
-        (fun (line, v, s', bound) ->
-          ctx.asserts <- (line, v, sym_join (subst s' arg_syms) pc, bound) :: ctx.asserts)
+        (fun (site, v, s', bound) ->
+          ctx.asserts <- (site, v, sym_join (subst s' arg_syms) pc, bound) :: ctx.asserts)
         sm.asserts;
       (* Write back post-call labels; consume moved arguments. *)
       List.fold_left
@@ -141,6 +150,8 @@ let dependency_order (program : Ast.program) =
   List.rev !order
 
 let summarize_func ctx (f : Ast.func) =
+  ctx.fn <- f.fname;
+  ctx.base <- base f;
   ctx.outputs <- [];
   ctx.asserts <- [];
   ctx.moved <- Hashtbl.create 4;
@@ -176,6 +187,8 @@ let make_ctx ?(summaries = Hashtbl.create 8) program =
     program;
     summaries;
     transfers = 0;
+    fn = "";
+    base = 0;
     outputs = [];
     asserts = [];
     moved = Hashtbl.create 4;
@@ -223,27 +236,38 @@ let check_main ~program ~summaries =
      scope every sym is ground (deps = ∅), so checks are decidable. *)
   let ctx = make_ctx ~summaries program in
   ignore (block ctx bot Env.empty program.main);
-    let ground s = eval s [||] in
-    let findings = ref [] in
-    List.iter
-      (fun (line, channel, s) ->
-        let bound =
-          match Ast.find_channel program channel with
-          | Some c -> c.Ast.bound
-          | None -> Label.public
-        in
-        let label = ground s in
-        if not (Label.leq label bound) then
-          findings :=
-            { Abstract.line; subject = channel; label; bound; what = Leaky_output channel }
-            :: !findings)
-      ctx.outputs;
-    List.iter
-      (fun (line, var, s, bound) ->
-        let label = ground s in
-        if not (Label.leq label bound) then
-          findings := { Abstract.line; subject = var; label; bound; what = Failed_assert } :: !findings)
-      ctx.asserts;
+  let ground s = eval s [||] in
+  (* Sites are function-relative; a failing check is reported at its
+     absolute line, rebased through the current program's bases. *)
+  let bases = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Ast.func) ->
+      if not (Hashtbl.mem bases f.fname) then Hashtbl.add bases f.fname (base f))
+    program.funcs;
+  let line { fn; rel } =
+    if fn = "" then rel else rel + Option.value ~default:0 (Hashtbl.find_opt bases fn)
+  in
+  let findings = ref [] in
+  List.iter
+    (fun (site, channel, s) ->
+      let bound =
+        match Ast.find_channel program channel with
+        | Some c -> c.Ast.bound
+        | None -> Label.public
+      in
+      let label = ground s in
+      if not (Label.leq label bound) then
+        findings :=
+          { Abstract.line = line site; subject = channel; label; bound; what = Leaky_output channel }
+          :: !findings)
+    ctx.outputs;
+  List.iter
+    (fun (site, var, s, bound) ->
+      let label = ground s in
+      if not (Label.leq label bound) then
+        findings :=
+          { Abstract.line = line site; subject = var; label; bound; what = Failed_assert } :: !findings)
+    ctx.asserts;
   let findings =
     List.sort (fun (a : Abstract.finding) b -> compare (a.line, a.subject) (b.line, b.subject)) !findings
   in

@@ -20,14 +20,30 @@ module Int_set : Set.S with type elt = int
 type sym = { const : Label.t; deps : Int_set.t }
 (** Denotes [const ⊔ ⊔ {label(param i) | i ∈ deps}]. *)
 
+type site = { fn : string; rel : int }
+(** Where a sink statement sits, independent of where its function
+    sits in the file: [fn] holds the statement and [rel] is its line
+    minus [base fn]. [main]'s own statements use [fn = ""] and keep
+    their absolute line in [rel]. *)
+
 type t = {
   fname : string;
   param_out : sym array;       (** Post-call label of each argument's cell. *)
   param_moved : bool array;    (** Whether the body consumes the parameter. *)
-  outputs : (int * string * sym) list;
-      (** (line, channel, data ⊔ pc) flows the body performs. *)
-  asserts : (int * string * sym * Label.t) list;
+  outputs : (site * string * sym) list;
+      (** (site, channel, data ⊔ pc) flows the body performs, its
+          callees' included: a re-emitted flow keeps the callee's
+          site. *)
+  asserts : (site * string * sym * Label.t) list;
 }
+(** No absolute line appears in a summary, so a function that only
+    moved in the file has the same summary — the property
+    {!Summary_cache} keys on. {!check_main} turns the sites of failing
+    checks back into absolute lines. *)
+
+val base : Ast.func -> int
+(** The line of the function's first body statement (0 for an empty
+    body): the origin of its {!site}s. *)
 
 val eval : sym -> Label.t array -> Label.t
 (** Instantiate a symbolic label with concrete argument labels. *)
@@ -49,8 +65,10 @@ val summarize_one :
 val check_main : program:Ast.program -> summaries:(string, t) Hashtbl.t -> Abstract.report
 (** The main-body pass alone: runs [main] symbolically against the
     given summary table and ground-checks every accumulated output
-    and assertion against the channel bounds. The report's
-    [transfers] covers only this pass. Channel bounds are read here
+    and assertion against the channel bounds. A failing check's site
+    is rebased to an absolute line against [program]'s functions, so
+    findings point into the current text. The report's [transfers]
+    covers only this pass. Channel bounds are read here
     and {e only} here — which is why {!Summary_cache} can leave them
     out of its fingerprints. *)
 

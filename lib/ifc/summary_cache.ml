@@ -9,7 +9,8 @@ type entry = {
   summary_fp : int;
   callees : string list;  (* call-site order, duplicates kept *)
   summary : Summary.t;
-  own : Ownership.violation list;  (* body's violations, discovery order *)
+  own : Ownership.violation list;
+      (* body's violations, discovery order, lines relative to the base *)
 }
 
 type t = {
@@ -56,12 +57,13 @@ let fnv_prime = 0x100000001b3
 
 (* The fields are streamed straight into the hash state — tagged and
    length-prefixed so distinct ASTs cannot collide as streams; only
-   the hash itself can. Line numbers are included deliberately —
-   summaries embed them (findings point at lines), so moving a
-   statement must invalidate. Channel bounds are excluded deliberately
-   — they are read only by the final main-pass ground check
-   (Summary.check_main), which reverify always reruns, so a policy
-   edit never needs to invalidate a summary. *)
+   the hash itself can. Line numbers enter relative to the function's
+   base ([Summary.base]), as they do in the summary itself: moving a
+   statement within its function must invalidate, moving the whole
+   function in the file must not. Channel bounds are excluded
+   deliberately — they are read only by the final main-pass ground
+   check (Summary.check_main), which reverify always reruns, so a
+   policy edit never needs to invalidate a summary. *)
 let h_int h n = (h lxor n) * fnv_prime
 
 let h_str h s =
@@ -69,48 +71,44 @@ let h_str h s =
   String.iter (fun c -> h := (!h lxor Char.code c) * fnv_prime) s;
   !h
 
-let h_label h l =
-  let cats = Label.categories l in
-  List.fold_left h_str (h_int h (List.length cats)) cats
+let h_label h l = Label.fold (fun c h -> h_str h c) l (h_int h (Label.cardinal l))
 
 let h_list h f xs = List.fold_left f (h_int h (List.length xs)) xs
 
 let mode_tag = function Ast.By_move -> 1 | Ast.By_borrow -> 2
 
-let rec h_stmt h (s : Ast.stmt) =
-  let h = h_int h s.line in
-  match s.op with
-  | Ast.Alloc { var; label } -> h_label (h_str (h_int h 1) var) label
-  | Ast.Const_write { dst; value; label } ->
-    h_label (h_int (h_str (h_int h 2) dst) value) label
-  | Ast.Append { dst; src } -> h_str (h_str (h_int h 3) dst) src
-  | Ast.Move { dst; src } -> h_str (h_str (h_int h 4) dst) src
-  | Ast.Alias { dst; src } -> h_str (h_str (h_int h 5) dst) src
-  | Ast.Copy { dst; src } -> h_str (h_str (h_int h 6) dst) src
-  | Ast.Declassify { var; label } -> h_label (h_str (h_int h 7) var) label
-  | Ast.If { cond; then_; else_ } ->
-    h_list (h_list (h_str (h_int h 8) cond) h_stmt then_) h_stmt else_
-  | Ast.While { cond; body } -> h_list (h_str (h_int h 9) cond) h_stmt body
-  | Ast.Output { channel; src } -> h_str (h_str (h_int h 10) channel) src
-  | Ast.Call { func; args } ->
-    h_list
-      (h_str (h_int h 11) func)
-      (fun h (v, m) -> h_str (h_int h (mode_tag m)) v)
-      args
-  | Ast.Assert_leq { var; label } -> h_label (h_str (h_int h 12) var) label
-
+(* One walk per body: the fingerprint and the call-site-ordered callee
+   list (duplicates kept) come out of the same traversal. *)
 let body_fingerprint (f : Ast.func) =
+  let base = Summary.base f in
+  let callees = ref [] in
+  let rec h_stmt h (s : Ast.stmt) =
+    let h = h_int h (s.line - base) in
+    match s.op with
+    | Ast.Alloc { var; label } -> h_label (h_str (h_int h 1) var) label
+    | Ast.Const_write { dst; value; label } ->
+      h_label (h_int (h_str (h_int h 2) dst) value) label
+    | Ast.Append { dst; src } -> h_str (h_str (h_int h 3) dst) src
+    | Ast.Move { dst; src } -> h_str (h_str (h_int h 4) dst) src
+    | Ast.Alias { dst; src } -> h_str (h_str (h_int h 5) dst) src
+    | Ast.Copy { dst; src } -> h_str (h_str (h_int h 6) dst) src
+    | Ast.Declassify { var; label } -> h_label (h_str (h_int h 7) var) label
+    | Ast.If { cond; then_; else_ } ->
+      h_list (h_list (h_str (h_int h 8) cond) h_stmt then_) h_stmt else_
+    | Ast.While { cond; body } -> h_list (h_str (h_int h 9) cond) h_stmt body
+    | Ast.Output { channel; src } -> h_str (h_str (h_int h 10) channel) src
+    | Ast.Call { func; args } ->
+      callees := func :: !callees;
+      h_list
+        (h_str (h_int h 11) func)
+        (fun h (v, m) -> h_str (h_int h (mode_tag m)) v)
+        args
+    | Ast.Assert_leq { var; label } -> h_label (h_str (h_int h 12) var) label
+  in
   let h = h_str fnv_offset f.fname in
   let h = h_list h h_str f.params in
-  h_list h h_stmt f.body
-
-let callees_of (f : Ast.func) =
-  let acc = ref [] in
-  Ast.iter_stmts
-    (fun s ->
-      match s.Ast.op with Ast.Call { func; _ } -> acc := func :: !acc | _ -> ())
-    f.Ast.body;
-  List.rev !acc
+  let h = h_list h h_stmt f.body in
+  (h, List.rev !callees)
 
 (* The summary fingerprint a caller folds in instead of the callee's
    content hash: when a recompute lands on a summary identical to the
@@ -127,13 +125,14 @@ let summary_fingerprint (sm : Summary.t) =
   let h = h_int h (Array.length sm.Summary.param_out) in
   let h = Array.fold_left h_sym h sm.Summary.param_out in
   let h = Array.fold_left (fun h b -> h_int h (Bool.to_int b)) h sm.Summary.param_moved in
+  let h_site h { Summary.fn; rel } = h_int (h_str h fn) rel in
   let h =
     h_list h
-      (fun h (line, ch, s) -> h_sym (h_str (h_int h line) ch) s)
+      (fun h (site, ch, s) -> h_sym (h_str (h_site h site) ch) s)
       sm.Summary.outputs
   in
   h_list h
-    (fun h (line, v, s, bound) -> h_label (h_sym (h_str (h_int h line) v) s) bound)
+    (fun h (site, v, s, bound) -> h_label (h_sym (h_str (h_site h site) v) s) bound)
     sm.Summary.asserts
 
 (* Everything incremental validation assumes about the rest of the
@@ -150,6 +149,18 @@ let decls_fingerprint (p : Ast.program) =
 (* ------------------------------------------------------------------ *)
 (* Reverification.                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Cached ownership violations are stored relative to the function's
+   base, like summary sites, and rebased when the report is put
+   together. *)
+let shift_violation d (v : Ownership.violation) =
+  let kind : Ownership.kind =
+    match v.kind with
+    | Use_after_move { moved_at } -> Use_after_move { moved_at = moved_at + d }
+    | Move_of_moved { moved_at } -> Move_of_moved { moved_at = moved_at + d }
+    | Unbound -> Unbound
+  in
+  { v with line = v.line + d; kind }
 
 let format_validation_errors es =
   let msgs =
@@ -204,8 +215,7 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
           match prior with
           | Some e when e.src == f -> (e.body_fp, e.callees, true)
           | _ ->
-            let bfp = body_fingerprint f in
-            let cs = callees_of f in
+            let bfp, cs = body_fingerprint f in
             let same = match prior with Some e -> e.body_fp = bfp | None -> false in
             (bfp, cs, same)
         in
@@ -250,7 +260,7 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
                to be rebuilt because a callee's changed. *)
             match prior with
             | Some e when body_same -> e.own
-            | _ -> Ownership.func_violations f
+            | _ -> List.map (shift_violation (- Summary.base f)) (Ownership.func_violations f)
           in
           Hashtbl.replace sfp f.fname summary_fp;
           Hashtbl.replace staged f.fname
@@ -294,7 +304,9 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
         Ownership.main_violations program.main
         @ List.concat_map
             (fun (f : Ast.func) ->
-              match Hashtbl.find_opt t.entries f.fname with Some e -> e.own | None -> [])
+              match Hashtbl.find_opt t.entries f.fname with
+              | Some e -> List.map (shift_violation (Summary.base f)) e.own
+              | None -> [])
             program.funcs
       in
       let ownership_errors =

@@ -25,12 +25,22 @@
     picked up at zero invalidation cost. DESIGN.md §16 develops the
     argument.
 
+    Nothing cached depends on where a function sits in the file: body
+    fingerprints hash lines relative to {!Summary.base}, summaries
+    record function-relative {!Summary.site}s, and cached ownership
+    violations are stored relative to the base. A function that only
+    moved — a line inserted above it, then a reparse — is a hit.
+    Absolute lines are rebuilt from the current program when the
+    report is assembled: by {!Summary.check_main} for failing checks,
+    and here for ownership violations.
+
     The warm path is engineered to be O(dirty cone) with small-O(n)
     constants: fingerprints are unboxed native-int FNV streamed over
-    the AST (no serialization buffer), a function record physically
-    equal to the one fingerprinted last time skips rehashing
-    entirely, validation runs incrementally ({!Ast.validate_incremental})
-    while a declaration fingerprint holds, and per-body ownership
+    the AST (no serialization buffer) in one walk that also collects
+    the callee list, a function record physically equal to the one
+    fingerprinted last time skips rehashing entirely, validation runs
+    incrementally ({!Ast.validate_incremental}) while a declaration
+    fingerprint holds, and per-body ownership
     violations are cached alongside each summary
     ({!Ownership.func_violations} is per-body independent).
 

@@ -218,18 +218,22 @@ let test_rollback_shape () =
   | _ -> Alcotest.fail "expected 2 rows"
 
 let test_multicore_shape () =
-  (* Wall-clock based; only structural claims are asserted (this host
-     may have a single core). *)
-  let rows = Multicore.run ~cores_list:[ 1 ] ~batches_per_core:300 () in
-  match rows with
-  | [ one ] ->
+  (* The wall columns depend on the host and its load, so only
+     structural claims are asserted on them; the isolation cost is
+     asserted in virtual cycles, which repeat exactly. *)
+  let run () = Multicore.run ~cores_list:[ 1 ] ~batches_per_core:300 () in
+  match (run (), run ()) with
+  | [ one ], [ again ] ->
     Alcotest.(check int) "one core row" 1 one.Multicore.cores;
     Alcotest.(check bool) "positive throughput" true (one.Multicore.direct_batches_per_s > 0.);
     Alcotest.(check (float 1e-9)) "self-scaling" 1.0 one.Multicore.scaling;
-    (* Wall-clock on a possibly loaded single-core host: only rule out
-       absurd values. *)
-    Alcotest.(check bool) "isolation cost sane" true
-      (one.Multicore.isolation_cost > -0.8 && one.Multicore.isolation_cost < 0.8)
+    let direct = one.Multicore.direct_cycles_per_batch in
+    let isolated = one.Multicore.isolated_cycles_per_batch in
+    Alcotest.(check (pair (float 0.) (float 0.))) "virtual cycles repeat exactly" (direct, isolated)
+      (again.Multicore.direct_cycles_per_batch, again.Multicore.isolated_cycles_per_batch);
+    Alcotest.(check bool) "isolation costs cycles" true (isolated > direct);
+    let cost = 1. -. (direct /. isolated) in
+    Alcotest.(check bool) "isolation cost sane" true (cost > -0.8 && cost < 0.8)
   | _ -> Alcotest.fail "expected 1 row"
 
 let test_ablations_shape () =

@@ -11,7 +11,11 @@
      verdict/ownership/findings to a from-scratch Compositional
      verify of the same program version, while recomputing no more
      summaries than the dirty cone (edited functions + transitive
-     callers) allows;
+     callers) allows — also when a step renders and reparses the
+     program, so that every function below a grown body moves;
+   - relocation: a function that only moved in the file stays a hit,
+     and the findings and ownership violations it carries are
+     reported at the lines a cold run reports;
    - the negative control: severing the callee-summary term from the
      fingerprint ([sever_callee_fps:true]) must make a caller go
      stale when only its callee's behaviour changed — demonstrating
@@ -38,6 +42,12 @@ let cold_report p =
   match Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional (fresh_instance p) with
   | Ok r -> Ok r
   | Error e -> Error e
+
+(* Render and parse: every statement gets the line it has in the text. *)
+let reparse p =
+  match Ifc.Parse.program (Ifc.Parse.to_source p) with
+  | Ok p -> p
+  | Error e -> failwith ("reparse: " ^ Ifc.Parse.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -170,6 +180,82 @@ let test_severed_callee_fp_goes_stale () =
   Alcotest.(check int) "severed warm run misses the leak" 0 (List.length r1'.Ifc.Abstract.findings)
 
 (* ------------------------------------------------------------------ *)
+(* Relocation: moved functions stay hits, reports follow the text     *)
+(* ------------------------------------------------------------------ *)
+
+(* f2 calls f1, which outputs a public value; f3 fails an assertion;
+   f4 uses a moved value. Lines come from the rendered text. *)
+let shift_program () =
+  let stmt = Ifc.Ast.stmt 0 in
+  let fn fname body = { Ifc.Ast.fname; params = []; body } in
+  let call func = stmt (Ifc.Ast.Call { func; args = [] }) in
+  let public = Ifc.Label.public in
+  reparse
+    (Ifc.Ast.program ~dialect:Ifc.Ast.Safe
+       ~channels:[ { Ifc.Ast.cname = "ch"; bound = public } ]
+       ~funcs:
+         [
+           fn "f1"
+             [ stmt (Ifc.Ast.Alloc { var = "a"; label = public });
+               stmt (Ifc.Ast.Output { channel = "ch"; src = "a" }) ];
+           fn "f2" [ call "f1" ];
+           fn "f3"
+             [ stmt (Ifc.Ast.Alloc { var = "s"; label = Ifc.Label.secret });
+               stmt (Ifc.Ast.Assert_leq { var = "s"; label = public }) ];
+           fn "f4"
+             [ stmt (Ifc.Ast.Alloc { var = "v"; label = public });
+               stmt (Ifc.Ast.Move { dst = "w"; src = "v" });
+               stmt (Ifc.Ast.Copy { dst = "x"; src = "v" }) ];
+         ]
+       [ call "f2"; call "f3"; call "f4" ])
+
+let test_shifted_functions_stay_hits () =
+  let p0 = shift_program () in
+  let cache = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+  ignore (ok "cold" (Ifc.Verifier.reverify cache p0));
+  let r0, _ = ok "warm" (Ifc.Verifier.reverify cache (reparse p0)) in
+  (* Prepend one statement to f1: f3 and f4 move down one line. *)
+  let grow (f : Ifc.Ast.func) =
+    if f.fname <> "f1" then f
+    else
+      { f with
+        body = Ifc.Ast.stmt 0 (Ifc.Ast.Alloc { var = "z"; label = Ifc.Label.public }) :: f.body }
+  in
+  let p1 = reparse { p0 with Ifc.Ast.funcs = List.map grow p0.Ifc.Ast.funcs } in
+  let r1, stats = ok "shifted" (Ifc.Verifier.reverify cache p1) in
+  let cone = Ifc.Gen.transitive_callers p1 [ "f1" ] in
+  Alcotest.(check (list string)) "f1's caller cone" [ "f1"; "f2" ] cone;
+  Alcotest.(check int) "every function outside the cone is a hit" (4 - List.length cone)
+    stats.Ifc.Summary_cache.hits;
+  Alcotest.(check int) "only the cone is recomputed" (List.length cone)
+    stats.Ifc.Summary_cache.recomputed;
+  let cold = ok "cold p1" (cold_report p1) in
+  let finding_lines (r : Ifc.Verifier.report) =
+    List.map (fun (f : Ifc.Abstract.finding) -> f.Ifc.Abstract.line) r.Ifc.Verifier.findings
+  in
+  let moved (r : Ifc.Verifier.report) =
+    List.map
+      (fun (v : Ifc.Ownership.violation) ->
+        match v.kind with
+        | Ifc.Ownership.Use_after_move { moved_at } -> (v.line, moved_at)
+        | Unbound | Move_of_moved _ -> Alcotest.fail "expected a use after move")
+      r.Ifc.Verifier.ownership_errors
+  in
+  Alcotest.(check int) "one failing assertion" 1 (List.length cold.Ifc.Verifier.findings);
+  Alcotest.(check (list int)) "finding moved down one line"
+    (List.map succ (finding_lines r0)) (finding_lines r1);
+  Alcotest.(check (list int)) "finding line = cold" (finding_lines cold) (finding_lines r1);
+  (* The inlining analysis never sees a summary site: an independent
+     witness that the rebased line is the assertion's line. *)
+  let exact = ok "exact p1" (Ifc.Verifier.verify ~strategy:Ifc.Verifier.Exact p1) in
+  Alcotest.(check (list int)) "finding line = exact" (finding_lines exact) (finding_lines r1);
+  Alcotest.(check int) "one ownership violation" 1 (List.length cold.Ifc.Verifier.ownership_errors);
+  Alcotest.(check (list (pair int int))) "violation line and moved_at = cold" (moved cold) (moved r1);
+  Alcotest.(check (list (pair int int))) "violation moved down one line"
+    (List.map (fun (l, m) -> (l + 1, m + 1)) (moved r0)) (moved r1);
+  Alcotest.(check string) "whole report = cold" (report_body cold) (report_body r1)
+
+(* ------------------------------------------------------------------ *)
 (* Equivalence over random programs x random edit scripts             *)
 (* ------------------------------------------------------------------ *)
 
@@ -184,20 +270,27 @@ let spec_print (s : Ifc.Gen.spec) =
   Printf.sprintf "{funcs=%d; depth=%d; body_len=%d; channels=%d; seed=%Ld}" s.Ifc.Gen.funcs
     s.Ifc.Gen.depth s.Ifc.Gen.body_len s.Ifc.Gen.channels s.Ifc.Gen.seed
 
-let script_gen = QCheck.Gen.(list_size (int_range 1 4) (pair (int_range 1 4) (int_range 1 10_000)))
+(* A step is (edits, seed, reparse): with [reparse] the edited program
+   is rendered and parsed before it is verified, so a grown body moves
+   every function below it. *)
+let script_gen =
+  QCheck.Gen.(list_size (int_range 1 4) (triple (int_range 1 4) (int_range 1 10_000) bool))
 
 let arb =
   QCheck.make
-    ~print:(fun (spec, script) ->
-      Printf.sprintf "%s script=%s" (spec_print spec)
+    ~print:(fun (spec, from_text, script) ->
+      Printf.sprintf "%s from_text=%b script=%s" (spec_print spec) from_text
         (String.concat ","
-           (List.map (fun (edits, seed) -> Printf.sprintf "(%d@%d)" edits seed) script)))
-    QCheck.Gen.(pair spec_gen script_gen)
+           (List.map
+              (fun (edits, seed, re) -> Printf.sprintf "(%d@%d%s)" edits seed (if re then "+reparse" else ""))
+              script)))
+    QCheck.Gen.(triple spec_gen bool script_gen)
 
 let test_warm_equals_cold =
   QCheck.Test.make ~name:"warm reverify = cold compositional, recompute bounded by dirty cone"
-    ~count:60 arb (fun (spec, script) ->
+    ~count:60 arb (fun (spec, from_text, script) ->
       let program = Ifc.Gen.generate spec in
+      let program = if from_text then reparse program else program in
       let cache = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
       let cold0, _ = ok "cold reverify" (Ifc.Verifier.reverify cache program) in
       (match cold_report program with
@@ -206,9 +299,24 @@ let test_warm_equals_cold =
           QCheck.Test.fail_reportf "cold cache run diverged from compositional"
       | Error e -> QCheck.Test.fail_reportf "cold compositional failed: %s" e);
       let p = ref program in
+      (* Functions whose lines the cache has seen only as the generator
+         or an AST edit set them; a reparse renumbers them, which to
+         the cache is an edit. *)
+      let unsettled =
+        ref (if from_text then [] else List.map (fun (f : Ifc.Ast.func) -> f.fname) program.funcs)
+      in
       List.iter
-        (fun (edits, seed) ->
+        (fun (edits, seed, re) ->
           let edited_p, edited = Ifc.Gen.edit ~seed:(Int64.of_int seed) ~edits spec !p in
+          unsettled := edited @ !unsettled;
+          let edited_p, edited =
+            if re then begin
+              let seeds = !unsettled in
+              unsettled := [];
+              (reparse edited_p, seeds)
+            end
+            else (edited_p, edited)
+          in
           p := edited_p;
           let warm, stats = ok "warm reverify" (Ifc.Verifier.reverify cache edited_p) in
           let cone = Ifc.Gen.transitive_callers edited_p edited in
@@ -246,5 +354,10 @@ let () =
           qt test_warm_equals_cold;
           Alcotest.test_case "severed callee fingerprint goes stale (negative control)" `Quick
             test_severed_callee_fp_goes_stale;
+        ] );
+      ( "relocation",
+        [
+          Alcotest.test_case "shifted functions stay hits, lines match a cold run" `Quick
+            test_shifted_functions_stay_hits;
         ] );
     ]
