@@ -4,7 +4,15 @@
    these benches measure the same operations in real nanoseconds on the
    host, as a sanity check that relative ordering survives outside the
    simulator (absolute values are host-dependent and not comparable
-   with the paper's Xeon numbers). One Test.make per paper artefact. *)
+   with the paper's Xeon numbers). One Test.make per paper artefact.
+
+   An advisory printout with no gate: the measured wall-clock
+   benchmark, with per-layer breakdowns and paired A/B, is
+   layerbench/ (DESIGN.md §10).
+
+   Usage:
+     dune exec bench/wallclock.exe             # best of 3 passes (make bench)
+     dune exec bench/wallclock.exe -- --quick  # one short pass (CI smoke) *)
 
 open Bechamel
 open Toolkit
@@ -157,12 +165,11 @@ let tests =
           Experiments.Reverify.bench_warm ());
     ]
 
-(* Sorted [(name, ns_per_run)] rows — the JSON emitter and the printed
-   table share one measurement pass. *)
-let measure_once () =
+(* Sorted [(name, ns_per_run)] rows of one Bechamel pass. *)
+let measure_once ~quota =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:true () in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = ref [] in
@@ -175,14 +182,11 @@ let measure_once () =
   List.sort compare !rows
 
 (* Best-of-N over whole Bechamel passes. One OLS estimate is already a
-   regression over many samples, but on a shared single-core host a
-   pass that lands on a noisy spell inflates every row it contains —
-   the 2-3x swings BENCH_history.jsonl shows on identical code. The
-   per-row minimum across [passes] keeps the same cost-floor semantics
-   the sustained-throughput windows use ({!Throughput.best_of}). *)
-let passes = 3
-
-let measure () =
+   regression over many samples, but on a shared host a pass that
+   lands on a noisy spell inflates every row it contains (2-3x swings
+   on identical code). The per-row minimum across passes is the cost
+   floor. *)
+let measure ~passes ~quota =
   let best = Hashtbl.create 32 in
   for _ = 1 to passes do
     List.iter
@@ -190,13 +194,13 @@ let measure () =
         match Hashtbl.find_opt best name with
         | Some prev when prev <= ns -> ()
         | _ -> Hashtbl.replace best name ns)
-      (measure_once ())
+      (measure_once ~quota)
   done;
   List.sort compare (Hashtbl.fold (fun name ns acc -> (name, ns) :: acc) best [])
 
-let print rows =
+let () =
+  let quick = Array.mem "--quick" Sys.argv in
+  let rows = if quick then measure ~passes:1 ~quota:0.1 else measure ~passes:3 ~quota:0.5 in
   print_endline "Wall-clock microbenchmarks (Bechamel, monotonic clock):";
-  print_endline "  (host-dependent; the cycle-model tables above are the paper comparison)";
+  print_endline "  (host-dependent; the cycle-model tables of `repro` are the paper comparison)";
   List.iter (fun (name, ns) -> Printf.printf "  %-45s %12.1f ns/run\n" name ns) rows
-
-let run () = print (measure ())

@@ -156,7 +156,7 @@ let run_variant ~iters ~full_ns ~mode_label ~mode ~dirty_pct =
     speedup = (if incr_ns > 0. then full_ns /. incr_ns else 0.);
   }
 
-(* Wall-clock bench hook (bechamel + BENCH_netstack.json): one call is
+(* Wall-clock bench hook (bench/wallclock.exe's bechamel rows): one call is
    one mutate-then-sync round against a private tracked database, with
    the same dirty set every round so the measured work is steady-state
    O(dirty). *)

@@ -206,7 +206,7 @@ let print_wall w =
   Printf.printf "  speedup: %.1fx (target: >= 10x) %s\n" w.w_speedup
     (if w.w_speedup >= 10. then "[ok]" else "[MISS]")
 
-(* --- Bench rows (BENCH_netstack.json) --------------------------------- *)
+(* --- Bench rows (bench/wallclock.exe) ----------------------------------- *)
 
 (* Steady-state per-run closures for the Bechamel rows: [cold] pays
    construction + fingerprinting from an empty cache every run; [hit]

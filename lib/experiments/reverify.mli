@@ -62,8 +62,8 @@ val run_wall :
 val print_wall : wall -> unit
 
 (** Per-run closures for the Bechamel rows ([ifc summary cold] /
-    [ifc summary hit] / [ifc summary warm-1pct] in
-    BENCH_netstack.json). Each returns the staged thunk after doing
+    [ifc summary hit] / [ifc summary warm-1pct] of
+    bench/wallclock.exe). Each returns the staged thunk after doing
     its one-time setup. *)
 
 val bench_cold : unit -> unit -> unit

@@ -31,6 +31,7 @@ type row = {
 val default_stages : Netstack.Shard.queue_ctx -> Netstack.Stage.t list
 (** Checksum-verify + TTL-decrement, fresh per queue. *)
 
+val default_queues : int
 val default_rounds : int
 val default_modes : Netstack.Shard.mode list
 

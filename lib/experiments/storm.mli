@@ -31,6 +31,7 @@ val default_policies : Faultinj.Restart.policy list
     against restart churn (each failed restart attempt charges ~4.2k
     cycles of recovery work, so three strikes span ~8.5k cycles). *)
 
+val default_queues : int
 val default_rounds : int
 val default_rate : float
 val flowtab_stage_index : int

@@ -359,6 +359,34 @@ let test_control_scripts =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation proxy for the packet path                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A deterministic stand-in for a wall-clock gate: minor-heap words
+   per packet of the warmed Figure-2 Maglev NF (Direct, fused) through
+   rx -> Pipeline.run -> tx. Allocation repeats exactly from run to
+   run, so the bound is the measured value (663 words per 32-packet
+   batch, 20.72 per packet). One boxed tuple per packet in a stage
+   kernel adds 3 words per packet and fails it. *)
+let test_maglev_nf_minor_words () =
+  let env = Experiments.Env.make () in
+  let _mg, stages = Experiments.Env.maglev_nf env in
+  let pipe = Pipeline.create ~engine:env.Experiments.Env.engine ~mode:Pipeline.Direct stages in
+  Alcotest.(check int) "one fused group" 1 (List.length (Pipeline.fused_groups pipe));
+  let nic = env.Experiments.Env.nic and batch = 32 and batches = 256 in
+  let step () =
+    match Pipeline.run pipe (Nic.rx_batch nic batch) with
+    | Ok out -> ignore (Nic.tx_batch nic out)
+    | Error _ -> Alcotest.fail "maglev NF batch failed"
+  in
+  for _ = 1 to batches do step () done;
+  let before = Gc.minor_words () in
+  for _ = 1 to batches do step () done;
+  let per_pkt = (Gc.minor_words () -. before) /. float_of_int (batch * batches) in
+  if per_pkt > 20.72 then
+    Alcotest.failf "maglev NF allocated %.4f minor words per packet (bound 20.72)" per_pkt
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "fusion"
@@ -372,5 +400,10 @@ let () =
           Alcotest.test_case "revoke/recover/skip inside a fused group" `Quick
             test_revoke_recover_skip_mid_trace;
           qt test_control_scripts;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "maglev NF rx->run->tx minor words per packet" `Quick
+            test_maglev_nf_minor_words;
         ] );
     ]
