@@ -1,4 +1,4 @@
-.PHONY: all build test test-verbose bench stats determinism corpus corpus-ifc examples clean loc
+.PHONY: all build test test-verbose qcheck-soak bench stats determinism corpus corpus-ifc examples clean loc
 
 all: build test
 
@@ -10,6 +10,22 @@ test:
 
 test-verbose:
 	dune runtest --force --no-buffer
+
+# Seed rotation: N (default 20) forced test runs, each under a fresh
+# QCHECK_SEED; stops at the first failure and prints its seed and the
+# command that replays it. CI keeps its pinned seed.
+N ?= 20
+qcheck-soak:
+	@mkdir -p _build; for i in $$(seq 1 $(N)); do \
+	  seed=$$(od -An -N4 -tu4 /dev/urandom | tr -d ' '); \
+	  echo "qcheck-soak $$i/$(N): QCHECK_SEED=$$seed"; \
+	  if ! QCHECK_SEED=$$seed dune runtest --force > _build/qcheck-soak.log 2>&1; then \
+	    grep -F -A 12 '[FAIL]' _build/qcheck-soak.log | head -n 40; \
+	    echo "qcheck-soak: FAILED at QCHECK_SEED=$$seed (replay: QCHECK_SEED=$$seed dune runtest --force)"; \
+	    exit 1; \
+	  fi; \
+	done; \
+	echo "qcheck-soak: $(N) seeds passed"
 
 # Advisory wall-clock printout: the Bechamel microbenchmarks
 # (host-dependent, no gate; layerbench/ is the measured benchmark).

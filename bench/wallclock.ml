@@ -100,6 +100,32 @@ let bench_rss_steer =
     (Staged.stage (fun () ->
          ignore (Netstack.Rss.queue rss (Netstack.Traffic.next_flow traffic))))
 
+(* E17's slow path: one classify on the 768-rule wall table by a flow
+   that matches no rule, so the scan examines every row; and, apart,
+   the 192 single-line touches of the rule table that scan charges to
+   the simulated cache. The second row is the simulator's share of the
+   first. *)
+let bench_ruledb_miss =
+  let clock = Cycles.Clock.create () in
+  let db =
+    Experiments.Megaflow.rule_db ~clock ~rule_pad:Experiments.Megaflow.wall_rule_pad ()
+  in
+  let flow =
+    Netstack.Flow.make ~src_ip:0x0A000102l ~dst_ip:0xC0A80001l ~src_port:1000 ~dst_port:80
+      ~protocol:Netstack.Flow.Tcp
+  in
+  Test.make ~name:"e17: ruledb classify (768 rules, no match)"
+    (Staged.stage (fun () -> ignore (Netstack.Ruledb.classify db flow)))
+
+let bench_ruledb_touches =
+  let clock = Cycles.Clock.create () in
+  let table = Cycles.Clock.alloc_addr clock ~bytes:(4096 * 16) in
+  Test.make ~name:"e17: 192 rule-table line touches (simulator)"
+    (Staged.stage (fun () ->
+         for j = 0 to 191 do
+           Cycles.Clock.touch clock (table + (j * 64)) ~bytes:16
+         done))
+
 (* E5/E6: verification passes. *)
 let bench_verify name strategy program =
   Test.make ~name
@@ -145,6 +171,8 @@ let tests =
           Netstack.Pipeline.Isolated env.Experiments.Env.manager);
       bench_maglev_lookup;
       bench_rss_steer;
+      bench_ruledb_miss;
+      bench_ruledb_touches;
       bench_verify "e5: verify buffer (exact)" Ifc.Verifier.Exact Ifc.Examples.buffer_leak_safe;
       bench_verify "e6: verify store-32 (exact/inline)" Ifc.Verifier.Exact
         (Ifc.Examples.secure_store ~clients:32 ());

@@ -23,22 +23,24 @@ let default_capacity = 131_072
 let default_rule_pad = 120
 let default_rule_drops = 8
 
-(* [pad] accept rules that cannot match the 10.0.0.0/16 client
-   population (so every packet scans past them), then [drops] rules
-   dropping src-port slices of it (so the cache memoises genuine drop
-   verdicts, not only serves). *)
-let build_rules db ~pad ~drops =
-  for i = 0 to pad - 1 do
+(* [rule_pad] accept rules that cannot match the 10.0.0.0/16 client
+   population (so every packet scans past them), then
+   [default_rule_drops] rules dropping src-port slices of it (so the
+   cache memoises genuine drop verdicts, not only serves). *)
+let rule_db ~clock ?(rule_pad = default_rule_pad) () =
+  let db = Netstack.Ruledb.create ~clock () in
+  for i = 0 to rule_pad - 1 do
     Netstack.Ruledb.add db
       (Netstack.Ruledb.rule
          ~src:(Int32.logor 0x0B000000l (Int32.of_int ((i land 0xff) lsl 8)), 24)
          Netstack.Ruledb.Accept)
   done;
-  for i = 0 to drops - 1 do
+  for i = 0 to default_rule_drops - 1 do
     let lo = 2_000 + (i * 6_000) in
     Netstack.Ruledb.add db
       (Netstack.Ruledb.rule ~src_port:(lo, lo + 1023) Netstack.Ruledb.Drop)
-  done
+  done;
+  db
 
 (* The wall-clock section scans a classifier four times the size of
    the deterministic one: megaflow caches are priced for big rule
@@ -52,8 +54,7 @@ let wall_rule_pad = 760
    staleness barrier DESIGN.md §12 argues is complete, wired by
    construction. *)
 let make_stages ~clock ?(rule_pad = default_rule_pad) () =
-  let db = Netstack.Ruledb.create ~clock () in
-  build_rules db ~pad:rule_pad ~drops:default_rule_drops;
+  let db = rule_db ~clock ~rule_pad () in
   let mg = Netstack.Maglev.create ~clock ~backends () in
   [
     Netstack.Ruledb.stage db;

@@ -14,9 +14,18 @@
     serve/drop ledgers must agree exactly) and a wall-clock one
     (sustained Mpps with the traffic-generator cost backed out). *)
 
+val wall_rule_pad : int
+(** 760: the wall-clock section's pad, for a 768-rule table. *)
+
+val rule_db : clock:Cycles.Clock.t -> ?rule_pad:int -> unit -> Netstack.Ruledb.t
+(** The E17 rule table: [rule_pad] (default 120) accept rules that no
+    client of 10.0.0.0/16 matches, so every packet scans past them,
+    then 8 rules dropping source-port slices of 1024 ports from 2000
+    every 6000. *)
+
 val make_stages :
   clock:Cycles.Clock.t -> ?rule_pad:int -> unit -> Netstack.Stage.t list
-(** Fresh per-queue stage state (rule DB + Maglev table). The stage
+(** Fresh per-queue stage state ({!rule_db} + Maglev table). The stage
     descriptors declare both state owners' mutation hooks, so a
     {!Netstack.Pipeline} built with a flowcache wires the cache's
     invalidation automatically. [rule_pad] sizes the never-matching

@@ -2,10 +2,14 @@
 
     Rules match optional source/destination IPv4 prefixes, port ranges
     and a protocol; the first matching rule (lowest index) decides, the
-    default action applies otherwise. The scan is deliberately O(rules)
-    per packet with per-rule virtual-cycle charges — this is the stage
-    whose cost the megaflow fast path ({!Flowcache}) amortises to one
-    cached lookup.
+    default action applies otherwise. The scan is {e modelled} as
+    O(rules) per packet with per-rule virtual-cycle charges — this is
+    the stage whose cost the megaflow fast path ({!Flowcache})
+    amortises to one cached lookup. It is {e implemented} as a
+    first-match search over the table compiled to packed int columns,
+    followed by one batched charge of the rules the modelled scan
+    examined: the same cycles, and the same cache lines touched in the
+    same order (DESIGN.md §10).
 
     Every structural edit ({!add}, {!remove}, {!set_default}) fires the
     {!on_mutate} subscribers. A pipeline that caches verdicts registers
@@ -59,9 +63,9 @@ val rule_count : t -> int
 val default_action : t -> action
 
 val classify : t -> Flow.t -> action
-(** First-match scan, charging the clock per rule examined plus the
-    rule-table memory traffic. *)
+(** First match, charging the clock per rule examined plus the
+    rule-table memory traffic. Allocates nothing. *)
 
 val stage : t -> Stage.t
-(** Pipeline stage ["ruledb"]: classifies each packet via the batch's
-    flow memo and frees the ones the database drops. *)
+(** Pipeline stage ["ruledb"]: classifies each packet from the batch's
+    tuple columns and frees the ones the database drops. *)

@@ -362,29 +362,80 @@ let test_control_scripts =
 (* Allocation proxy for the packet path                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A deterministic stand-in for a wall-clock gate: minor-heap words
-   per packet of the warmed Figure-2 Maglev NF (Direct, fused) through
-   rx -> Pipeline.run -> tx. Allocation repeats exactly from run to
-   run, so the bound is the measured value (663 words per 32-packet
-   batch, 20.72 per packet). One boxed tuple per packet in a stage
-   kernel adds 3 words per packet and fails it. *)
+(* Minor-heap words per packet of [pipe] warmed over [batches] batches
+   of [batch] through rx -> Pipeline.run -> tx, then measured over as
+   many again. Allocation repeats exactly from run to run, so this is a
+   deterministic stand-in for a wall-clock gate. *)
+let minor_words_per_pkt ~nic ~pipe ~batch ~batches =
+  let step () =
+    match Pipeline.run pipe (Nic.rx_batch nic batch) with
+    | Ok out -> ignore (Nic.tx_batch nic out)
+    | Error _ -> Alcotest.fail "batch failed"
+  in
+  for _ = 1 to batches do step () done;
+  let before = Gc.minor_words () in
+  for _ = 1 to batches do step () done;
+  (Gc.minor_words () -. before) /. float_of_int (batch * batches)
+
+let check_words what per_pkt bound =
+  if per_pkt > bound then
+    Alcotest.failf "%s allocated %.4f minor words per packet (bound %.2f)" what per_pkt bound
+
+(* The warmed Figure-2 Maglev NF (Direct, fused): 663 words per
+   32-packet batch, 20.72 per packet. One boxed tuple per packet in a
+   stage kernel adds 3 words per packet and fails it. *)
 let test_maglev_nf_minor_words () =
   let env = Experiments.Env.make () in
   let _mg, stages = Experiments.Env.maglev_nf env in
   let pipe = Pipeline.create ~engine:env.Experiments.Env.engine ~mode:Pipeline.Direct stages in
   Alcotest.(check int) "one fused group" 1 (List.length (Pipeline.fused_groups pipe));
-  let nic = env.Experiments.Env.nic and batch = 32 and batches = 256 in
-  let step () =
-    match Pipeline.run pipe (Nic.rx_batch nic batch) with
-    | Ok out -> ignore (Nic.tx_batch nic out)
-    | Error _ -> Alcotest.fail "maglev NF batch failed"
+  check_words "maglev NF"
+    (minor_words_per_pkt ~nic:env.Experiments.Env.nic ~pipe ~batch:32 ~batches:256)
+    20.72
+
+(* E17's cached megaflow chain (ruledb -> csum -> ttl -> maglev-gre
+   behind a 4096-entry flowcache, Direct) over a 20k-flow Zipf(1.2)
+   mix, so the measured window mixes hits, installs, evictions and
+   slow-path classifications. Measured 42.134 words per packet,
+   bounded at 42.14; the record-scan rule DB before the compiled
+   table read 42.71, its classify allocating 5 words per call. *)
+let test_megaflow_minor_words () =
+  let clock = Cycles.Clock.create () in
+  let pool = Mempool.create ~clock ~capacity:4096 () in
+  let engine = Engine.create ~clock ~pool () in
+  let plan = Traffic.plan (Traffic.Zipf { flows = 20_000; exponent = 1.2 }) in
+  let traffic = Traffic.of_plan ~rng:(Cycles.Rng.create 2017L) plan in
+  let nic = Nic.create ~engine ~traffic () in
+  let fc = Flowcache.create ~clock ~capacity:4096 ~ttl_cycles:(Int64.shift_left 1L 62) () in
+  let stages = Experiments.Megaflow.make_stages ~clock () in
+  let pipe = Pipeline.create ~engine ~mode:Pipeline.Direct ~flowcache:fc stages in
+  check_words "cached megaflow chain"
+    (minor_words_per_pkt ~nic ~pipe ~batch:32 ~batches:256)
+    42.14
+
+(* The flowtab chain (csum -> flowtab, Direct; 2^16 buckets in 64
+   chunks, an in-memory snapshot every 64 batches). Measured 19.068
+   words per packet, bounded at 19.07; the same before the compiled
+   rule table. *)
+let test_flowtab_minor_words () =
+  let env = Experiments.Env.make () in
+  let ctx =
+    {
+      Shard.qc_queue = 0;
+      qc_clock = env.Experiments.Env.clock;
+      qc_registry = Telemetry.Registry.create ();
+      qc_flowcache = None;
+    }
   in
-  for _ = 1 to batches do step () done;
-  let before = Gc.minor_words () in
-  for _ = 1 to batches do step () done;
-  let per_pkt = (Gc.minor_words () -. before) /. float_of_int (batch * batches) in
-  if per_pkt > 20.72 then
-    Alcotest.failf "maglev NF allocated %.4f minor words per packet (bound 20.72)" per_pkt
+  let buckets = 1 lsl 16 in
+  let ft = Flowtab.create ~buckets ~chunk:(buckets / 64) ~snapshot_every:64 ctx in
+  let pipe =
+    Pipeline.create ~engine:env.Experiments.Env.engine ~mode:Pipeline.Direct
+      [ Filters.checksum_verify; Flowtab.stage ft ]
+  in
+  check_words "flowtab chain"
+    (minor_words_per_pkt ~nic:env.Experiments.Env.nic ~pipe ~batch:32 ~batches:256)
+    19.07
 
 (* ------------------------------------------------------------------ *)
 
@@ -405,5 +456,9 @@ let () =
         [
           Alcotest.test_case "maglev NF rx->run->tx minor words per packet" `Quick
             test_maglev_nf_minor_words;
+          Alcotest.test_case "cached megaflow rx->run->tx minor words per packet" `Quick
+            test_megaflow_minor_words;
+          Alcotest.test_case "flowtab rx->run->tx minor words per packet" `Quick
+            test_flowtab_minor_words;
         ] );
     ]
