@@ -100,6 +100,22 @@ let bench_rss_steer =
     (Staged.stage (fun () ->
          ignore (Netstack.Rss.queue rss (Netstack.Traffic.next_flow traffic))))
 
+(* The rx layer alone: one 32-packet [Nic.rx_batch], dropped back to
+   the pool, at 1024 flows (every template slot hits once warm) and at
+   65536 flows (eight flows per template slot, so most arrivals are
+   crafted); and the generator draw rx makes twice per packet. *)
+let bench_rx flows =
+  let env = Experiments.Env.make ~flows () in
+  let nic = env.Experiments.Env.nic in
+  Test.make
+    ~name:(Printf.sprintf "rx: nic rx_batch 32 (%d flows)" flows)
+    (Staged.stage (fun () -> Netstack.Nic.drop_batch nic (Netstack.Nic.rx_batch nic 32)))
+
+let bench_rng_int =
+  let rng = Cycles.Rng.create 5L in
+  Test.make ~name:"rx: rng int (bound 4096)"
+    (Staged.stage (fun () -> ignore (Sys.opaque_identity (Cycles.Rng.int rng 4096))))
+
 (* E17's slow path: one classify on the 768-rule wall table by a flow
    that matches no rule, so the scan examines every row; and, apart,
    the 192 single-line touches of the rule table that scan charges to
@@ -171,6 +187,9 @@ let tests =
           Netstack.Pipeline.Isolated env.Experiments.Env.manager);
       bench_maglev_lookup;
       bench_rss_steer;
+      bench_rx 1024;
+      bench_rx 65536;
+      bench_rng_int;
       bench_ruledb_miss;
       bench_ruledb_touches;
       bench_verify "e5: verify buffer (exact)" Ifc.Verifier.Exact Ifc.Examples.buffer_leak_safe;

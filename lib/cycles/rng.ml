@@ -1,88 +1,38 @@
-(* SplitMix64 in unboxed 32-bit halves.
+(* SplitMix64 on native [int64] arithmetic.
 
    The generator sits on the per-packet fast path (traffic synthesis,
-   the NIC's driver-state touches), where a boxed [int64] state would
-   allocate on every draw. State and scratch are immediate ints in
-   [0, 2^32) and the 64-bit mixing arithmetic runs limb-wise, which is
-   bit-identical to the reference Int64 implementation (pinned by the
-   equivalence test in test_cycles): add/xor/shift/mul mod 2^64 all
-   decompose exactly over the halves. *)
+   the NIC's driver-state touches), where a boxed [int64] state field
+   would allocate on every draw. The state lives in an 8-byte [Bytes]
+   instead: [Bytes.get_int64_ne]/[set_int64_ne] move it as a raw
+   machine word, and [next] is inlined into each entry point, so
+   ocamlopt keeps the whole mix in unboxed registers and a draw
+   allocates nothing (pinned by test_cycles, which also checks every
+   entry point against a textbook Int64 implementation). *)
 
-type t = {
-  mutable hi : int;
-  mutable lo : int;
-  (* Per-generator scratch for the mix pipeline — a tuple return would
-     allocate per draw, a global would race across domains. *)
-  mutable shi : int;
-  mutable slo : int;
-}
-
-let mask32 = 0xFFFFFFFF
-
-(* golden gamma 0x9E3779B97F4A7C15 *)
-let gamma_hi = 0x9E3779B9
-let gamma_lo = 0x7F4A7C15
+type t = Bytes.t
 
 let create seed =
-  {
-    hi = Int64.to_int (Int64.shift_right_logical seed 32);
-    lo = Int64.to_int (Int64.logand seed 0xFFFFFFFFL);
-    shi = 0;
-    slo = 0;
-  }
-
-(* scratch <- (scratch * b) mod 2^64, via 16-bit limbs: every partial
-   product and column sum stays far below 2^62. *)
-let mul64 t bhi blo =
-  let a0 = t.slo land 0xFFFF and a1 = t.slo lsr 16 in
-  let a2 = t.shi land 0xFFFF and a3 = t.shi lsr 16 in
-  let b0 = blo land 0xFFFF and b1 = blo lsr 16 in
-  let b2 = bhi land 0xFFFF and b3 = bhi lsr 16 in
-  let c0 = a0 * b0 in
-  let c1 = (a1 * b0) + (a0 * b1) in
-  let c2 = (a2 * b0) + (a1 * b1) + (a0 * b2) in
-  let c3 = (a3 * b0) + (a2 * b1) + (a1 * b2) + (a0 * b3) in
-  let r0 = c0 land 0xFFFF in
-  let t1 = c1 + (c0 lsr 16) in
-  let r1 = t1 land 0xFFFF in
-  let t2 = c2 + (t1 lsr 16) in
-  let r2 = t2 land 0xFFFF in
-  let t3 = c3 + (t2 lsr 16) in
-  let r3 = t3 land 0xFFFF in
-  t.shi <- (r3 lsl 16) lor r2;
-  t.slo <- (r1 lsl 16) lor r0
-
-(* scratch <- scratch xor (scratch lsr k), 0 < k < 32. *)
-let[@inline] xorshift_r t k =
-  let hi = t.shi and lo = t.slo in
-  t.shi <- hi lxor (hi lsr k);
-  t.slo <- lo lxor (((hi lsl (32 - k)) land mask32) lor (lo lsr k))
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
 (* state += gamma; z = state; z ^= z>>30; z *= C1; z ^= z>>27; z *= C2;
-   z ^= z>>31 — scratch holds z. *)
-let next t =
-  let lo = t.lo + gamma_lo in
-  t.lo <- lo land mask32;
-  t.hi <- (t.hi + gamma_hi + (lo lsr 32)) land mask32;
-  t.shi <- t.hi;
-  t.slo <- t.lo;
-  xorshift_r t 30;
-  mul64 t 0xBF58476D 0x1CE4E5B9;
-  xorshift_r t 27;
-  mul64 t 0x94D049BB 0x133111EB;
-  xorshift_r t 31
+   z ^= z>>31. *)
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  next t;
-  Int64.logor (Int64.shift_left (Int64.of_int t.shi) 32) (Int64.of_int t.slo)
+let next_int64 t = next t
 
 let split t = create (next_int64 t)
 
 let int t bound =
   assert (bound > 0);
-  next t;
-  (* Mask to 62 bits so the value is always a nonnegative OCaml int. *)
-  let r = ((t.shi land 0x3FFFFFFF) lsl 32) lor t.slo in
+  (* The low 62 bits, so the value is always a nonnegative OCaml int. *)
+  let r = Int64.to_int (next t) land max_int in
   (* [r] is nonnegative, so for power-of-two bounds the mask computes
      exactly [r mod bound] without the hardware divide — both hot
      callers (driver-state lines, uniform flow populations) use
@@ -90,14 +40,11 @@ let int t bound =
   if bound land (bound - 1) = 0 then r land (bound - 1) else r mod bound
 
 let float t bound =
-  next t;
   (* Top 53 bits, scaled to [0, 1). *)
-  let top53 = (t.shi * 0x200000) + (t.slo lsr 11) in
+  let top53 = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int top53 /. 9007199254740992.0 *. bound
 
-let bool t =
-  next t;
-  t.slo land 1 = 1
+let bool t = Int64.to_int (next t) land 1 = 1
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

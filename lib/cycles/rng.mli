@@ -6,7 +6,9 @@
     generator rather than from the global [Random] state.
 
     The implementation is SplitMix64 (Steele et al., OOPSLA'14): tiny,
-    fast, and statistically solid for simulation purposes. *)
+    fast, and statistically solid for simulation purposes. It runs on
+    native [int64] arithmetic over an unboxed 8-byte state, so
+    {!int}, {!float} and {!bool} allocate nothing per draw. *)
 
 type t
 (** A mutable generator. Generators are cheap; create one per

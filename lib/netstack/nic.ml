@@ -15,19 +15,28 @@ type t = {
   (* Frame-template cache: a crafted frame is a pure function of
      (flow, payload_bytes, ttl=64), and [payload_bytes] is fixed per
      generator, so per flow the frame is crafted once and replayed as
-     a blit. Direct-mapped; the guard is *physical* equality on the
-     generator's interned flow records — [Flow.Key] is a lossy hash
-     and must not be trusted as an identity. Purely a host-side
-     speedup: the bytes are the ones craft itself produced, and the
-     virtual charges below are identical on both paths. *)
+     a word-wide copy. Direct-mapped; the guard is *physical* equality
+     on the generator's interned flow records — [Flow.Key] is a lossy
+     hash and must not be trusted as an identity. The frames live in
+     one [Bytes.t] allocated here, [tmpl_stride] (the generator's frame
+     length) bytes per slot, so a miss writes into the slab instead of
+     allocating a string. Purely a host-side speedup: the bytes are the
+     ones craft itself produced, and the virtual charges below are
+     identical on both paths. *)
+  tmpl_mask : int;
+  tmpl_stride : int;
   tmpl_flows : Flow.t array;
-  tmpl_frames : string array;
+  tmpl_frames : Bytes.t;
   tmpl_csum : int array;
   tmpl_keys : Flow.Key.t array;
 }
 
-let tmpl_slots = 8192
-let tmpl_mask = tmpl_slots - 1
+(* The population rounded up to a power of two, capped at 8192: the
+   experiments keep several NICs alive, so a fixed 8192-slot slab each
+   would inflate the live heap for generators of a few flows. *)
+let tmpl_slots population =
+  let rec up n = if n >= population || n >= 8192 then n else up (2 * n) in
+  up 1
 
 (* Per-packet driver bookkeeping (flow stats, mempool per-lcore cache,
    prefetch of the next descriptor) lands somewhere in a few hundred
@@ -51,6 +60,12 @@ let create ?(driver_seed = 0xD91DL) ~engine ~traffic () =
   let dummy_flow =
     Flow.make ~src_ip:0l ~dst_ip:0l ~src_port:0 ~dst_port:0 ~protocol:Flow.Udp
   in
+  let slots = tmpl_slots (Traffic.population traffic) in
+  (* A generator's flows share one protocol, so its frames one length. *)
+  let stride =
+    Packet.frame_bytes (Traffic.flow_of_index traffic 0).Flow.protocol
+      ~payload_bytes:(Traffic.payload_bytes traffic)
+  in
   {
     engine;
     traffic;
@@ -60,10 +75,12 @@ let create ?(driver_seed = 0xD91DL) ~engine ~traffic () =
     tele;
     rx_packets = 0;
     tx_packets = 0;
-    tmpl_flows = Array.make tmpl_slots dummy_flow;
-    tmpl_frames = Array.make tmpl_slots "";
-    tmpl_csum = Array.make tmpl_slots 0;
-    tmpl_keys = Array.make tmpl_slots 0;
+    tmpl_mask = slots - 1;
+    tmpl_stride = stride;
+    tmpl_flows = Array.make slots dummy_flow;
+    tmpl_frames = Bytes.make (slots * stride) '\000';
+    tmpl_csum = Array.make slots 0;
+    tmpl_keys = Array.make slots 0;
   }
 
 (* Craft the frame for [flow] into [slot] of [batch] and seed the
@@ -74,21 +91,17 @@ let create ?(driver_seed = 0xD91DL) ~engine ~traffic () =
 let rx_seed_packet t batch slot (flow : Flow.t) =
   let p = Batch.get batch slot in
   let h =
-    (Int32.to_int flow.Flow.src_ip lxor (flow.Flow.src_port lsl 16)) land tmpl_mask
+    (Int32.to_int flow.Flow.src_ip lxor (flow.Flow.src_port lsl 16)) land t.tmpl_mask
   in
+  let stride = t.tmpl_stride in
   (if Array.unsafe_get t.tmpl_flows h == flow then begin
-     let frame = Array.unsafe_get t.tmpl_frames h in
-     let len = String.length frame in
-     Slab.blit_string frame 0 p.Packet.buf 0 len;
-     p.Packet.len <- len
+     Slab.blit_bytes t.tmpl_frames (h * stride) p.Packet.buf 0 stride;
+     p.Packet.len <- stride
    end
    else begin
-     let payload_bytes = Traffic.payload_bytes t.traffic in
-     (match flow.Flow.protocol with
-     | Flow.Udp -> Packet.craft_udp p ~flow ~payload_bytes ~ttl:64
-     | Flow.Tcp -> Packet.craft_tcp p ~flow ~payload_bytes ~ttl:64);
+     Packet.craft p ~flow ~payload_bytes:(Traffic.payload_bytes t.traffic) ~ttl:64;
+     Slab.blit_to_bytes p.Packet.buf 0 t.tmpl_frames (h * stride) stride;
      Array.unsafe_set t.tmpl_flows h flow;
-     Array.unsafe_set t.tmpl_frames h (Packet.to_string p);
      Array.unsafe_set t.tmpl_csum h (Packet.stored_checksum p);
      Array.unsafe_set t.tmpl_keys h (Flow.Key.of_flow flow)
    end);

@@ -91,8 +91,15 @@ let[@inline] uset16 b i v =
   uset b i (v lsr 8);
   uset b (i + 1) v
 
-let craft ~l4_protocol ~l4_header_bytes ~write_l4 t ~flow ~payload_bytes ~ttl =
-  let total = eth_header_bytes + ipv4_header_bytes + l4_header_bytes + payload_bytes in
+let frame_bytes protocol ~payload_bytes =
+  eth_header_bytes + ipv4_header_bytes
+  + (match protocol with Flow.Udp -> udp_header_bytes | Flow.Tcp -> tcp_header_bytes)
+  + payload_bytes
+
+(* The L4 header is written by a match on the protocol: a closure
+   capturing [payload_bytes] would allocate on every template miss. *)
+let craft t ~(flow : Flow.t) ~payload_bytes ~ttl =
+  let total = frame_bytes flow.protocol ~payload_bytes in
   if total > Slab.length t.buf then invalid_arg "Packet.craft: buffer too small";
   if ttl < 0 || ttl > 255 then invalid_arg "Packet.craft: bad TTL";
   let b = t.buf in
@@ -108,8 +115,8 @@ let craft ~l4_protocol ~l4_header_bytes ~write_l4 t ~flow ~payload_bytes ~ttl =
   uset b 6 s0; uset b 7 s1; uset b 8 s2; uset b 9 s3; uset b 10 s0; uset b 11 s1;
   uset16 b 12 0x0800;
   (* IPv4. *)
-  let ip_len = ipv4_header_bytes + l4_header_bytes + payload_bytes in
-  let ttl_proto = (ttl lsl 8) lor (l4_protocol land 0xff) in
+  let ip_len = total - eth_header_bytes in
+  let ttl_proto = (ttl lsl 8) lor Flow.protocol_number flow.protocol in
   uset b ip_off 0x45;
   uset b (ip_off + 1) 0;
   uset16 b (ip_off + 2) ip_len;
@@ -133,36 +140,33 @@ let craft ~l4_protocol ~l4_header_bytes ~write_l4 t ~flow ~payload_bytes ~ttl =
   uset16 b (ip_off + 10) (lnot sum land 0xffff);
   (* L4. *)
   let l4 = ip_off + ipv4_header_bytes in
-  write_l4 b l4 flow;
-  fill_payload b (l4 + l4_header_bytes) payload_bytes;
+  uset16 b l4 flow.src_port;
+  uset16 b (l4 + 2) flow.dst_port;
+  (match flow.protocol with
+  | Flow.Udp ->
+    (* Length; the checksum is optional over IPv4. *)
+    uset16 b (l4 + 4) (udp_header_bytes + payload_bytes);
+    uset16 b (l4 + 6) 0
+  | Flow.Tcp ->
+    (* Seq and ack 0; data offset 5 with PSH|ACK; window 0xffff;
+       checksum elided; urgent pointer 0. *)
+    uset16 b (l4 + 4) 0; uset16 b (l4 + 6) 0; uset16 b (l4 + 8) 0; uset16 b (l4 + 10) 0;
+    uset16 b (l4 + 12) 0x5018; uset16 b (l4 + 14) 0xffff;
+    uset16 b (l4 + 16) 0; uset16 b (l4 + 18) 0);
+  fill_payload b (total - payload_bytes) payload_bytes;
   t.len <- total
 
 let craft_udp t ~flow ~payload_bytes ~ttl =
   (match flow.Flow.protocol with
   | Flow.Udp -> ()
   | Flow.Tcp -> invalid_arg "Packet.craft_udp: flow protocol is TCP");
-  craft t ~flow ~payload_bytes ~ttl ~l4_protocol:17 ~l4_header_bytes:udp_header_bytes
-    ~write_l4:(fun b l4 flow ->
-      uset16 b l4 flow.Flow.src_port;
-      uset16 b (l4 + 2) flow.Flow.dst_port;
-      uset16 b (l4 + 4) (udp_header_bytes + payload_bytes);
-      uset16 b (l4 + 6) 0 (* UDP checksum optional over IPv4 *))
+  craft t ~flow ~payload_bytes ~ttl
 
 let craft_tcp t ~flow ~payload_bytes ~ttl =
   (match flow.Flow.protocol with
   | Flow.Tcp -> ()
   | Flow.Udp -> invalid_arg "Packet.craft_tcp: flow protocol is UDP");
-  craft t ~flow ~payload_bytes ~ttl ~l4_protocol:6 ~l4_header_bytes:tcp_header_bytes
-    ~write_l4:(fun b l4 flow ->
-      set_u16 b l4 flow.Flow.src_port;
-      set_u16 b (l4 + 2) flow.Flow.dst_port;
-      set_u32_int b (l4 + 4) 0 (* seq *);
-      set_u32_int b (l4 + 8) 0 (* ack *);
-      set_u8 b (l4 + 12) (5 lsl 4) (* data offset *);
-      set_u8 b (l4 + 13) 0x18 (* PSH|ACK *);
-      set_u16 b (l4 + 14) 0xffff (* window *);
-      set_u16 b (l4 + 16) 0 (* checksum elided *);
-      set_u16 b (l4 + 18) 0)
+  craft t ~flow ~payload_bytes ~ttl
 
 (* --- Accessors ------------------------------------------------------ *)
 

@@ -40,6 +40,12 @@ val min_frame_bytes : int
 
 (** {2 Crafting} *)
 
+val frame_bytes : Flow.protocol -> payload_bytes:int -> int
+(** Ethernet + IPv4 + the protocol's L4 header + [payload_bytes]. *)
+
+val craft : t -> flow:Flow.t -> payload_bytes:int -> ttl:int -> unit
+(** {!craft_udp} or {!craft_tcp}, by the flow's protocol. *)
+
 val craft_udp : t -> flow:Flow.t -> payload_bytes:int -> ttl:int -> unit
 (** Write Ethernet+IPv4+UDP headers and a deterministic payload into
     the packet for [flow], set [len], and install a correct IPv4

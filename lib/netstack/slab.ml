@@ -9,13 +9,6 @@ type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1
 
 let create n : buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
 
-(* A free-standing buffer is a one-slot slab holding a copy: callers
-   fill the [Bytes.t] first and only ever write through the buffer. *)
-let of_bytes b : buf =
-  let a = create (Bytes.length b) in
-  Bytes.iteri (fun i c -> a.{i} <- c) b;
-  a
-
 (* One contiguous allocation per pool, sliced into slot views. Slicing
    up front keeps the per-access bounds check local to the slot: a
    stage that runs off the end of its packet faults at the slot
@@ -73,31 +66,56 @@ let sum_be_words buf off ~words =
    catches. The [Array1.sub]+[Array1.blit] route (a memmove) is
    reserved for large copies: each [sub] allocates a custom block and
    bumps the slab proxy, which costs more than the loop for
-   packet-sized moves. *)
+   packet-sized moves. Those move 8 bytes per (bounds-checked) access,
+   then a byte tail; a backward word copy is safe at any overlap, as
+   each word is loaded whole before it is stored. *)
 let big_copy = 256
+
+external get64 : buf -> int -> int64 = "%caml_bigstring_get64"
+external set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64"
 
 let blit (src : buf) soff (dst : buf) doff n =
   check src soff n;
   check dst doff n;
+  let w = n land lnot 7 in
   if n >= big_copy then
     Bigarray.Array1.blit (Bigarray.Array1.sub src soff n) (Bigarray.Array1.sub dst doff n)
-  else if src == dst && doff > soff then
-    for i = n - 1 downto 0 do
-      unsafe_set dst (doff + i) (unsafe_get src (soff + i))
-    done
-  else
-    for i = 0 to n - 1 do
-      unsafe_set dst (doff + i) (unsafe_get src (soff + i))
-    done
+  else if src == dst && doff > soff then begin
+    for k = n - 1 downto w do set dst (doff + k) (get src (soff + k)) done;
+    for j = (w / 8) - 1 downto 0 do set64 dst (doff + (j * 8)) (get64 src (soff + (j * 8))) done
+  end
+  else begin
+    for j = 0 to (w / 8) - 1 do set64 dst (doff + (j * 8)) (get64 src (soff + (j * 8))) done;
+    for k = w to n - 1 do set dst (doff + k) (get src (soff + k)) done
+  end
 
-let blit_string s soff dst doff n =
-  if soff < 0 || n < 0 || soff + n > String.length s then
-    invalid_arg "Slab.blit_string: source out of bounds";
+let blit_bytes b boff dst doff n =
+  if boff < 0 || n < 0 || boff + n > Bytes.length b then
+    invalid_arg "Slab.blit_bytes: source out of bounds";
   check dst doff n;
-  for i = 0 to n - 1 do
-    unsafe_set dst (doff + i) (String.unsafe_get s (soff + i))
-  done
+  let w = n land lnot 7 in
+  for j = 0 to (w / 8) - 1 do set64 dst (doff + (j * 8)) (Bytes.get_int64_ne b (boff + (j * 8))) done;
+  for k = w to n - 1 do set dst (doff + k) (Bytes.get b (boff + k)) done
+
+let blit_string s soff dst doff n = blit_bytes (Bytes.unsafe_of_string s) soff dst doff n
+
+let blit_to_bytes buf off b boff n =
+  check buf off n;
+  if boff < 0 || boff + n > Bytes.length b then
+    invalid_arg "Slab.blit_to_bytes: destination out of bounds";
+  let w = n land lnot 7 in
+  for j = 0 to (w / 8) - 1 do Bytes.set_int64_ne b (boff + (j * 8)) (get64 buf (off + (j * 8))) done;
+  for k = w to n - 1 do Bytes.set b (boff + k) (get buf (off + k)) done
 
 let sub_string buf off n =
   check buf off n;
-  String.init n (fun i -> unsafe_get buf (off + i))
+  let b = Bytes.create n in
+  blit_to_bytes buf off b 0 n;
+  Bytes.unsafe_to_string b
+
+(* A free-standing buffer is a one-slot slab holding a copy: callers
+   fill the [Bytes.t] first and only ever write through the buffer. *)
+let of_bytes b : buf =
+  let a = create (Bytes.length b) in
+  blit_bytes b 0 a 0 (Bytes.length b);
+  a

@@ -33,7 +33,12 @@ val sum_be_words : buf -> int -> words:int -> int
     1071 inner loop, bounds-checked once for the whole window. *)
 
 val blit : buf -> int -> buf -> int -> int -> unit
-(** Overlap-safe, memmove semantics (within one buffer too). *)
+(** Overlap-safe, memmove semantics (within one buffer too). Like
+    every copy here it moves 8 bytes per access and raises
+    [Invalid_argument] before writing when a window is out of range. *)
 
+val blit_bytes : Bytes.t -> int -> buf -> int -> int -> unit
 val blit_string : string -> int -> buf -> int -> int -> unit
+val blit_to_bytes : buf -> int -> Bytes.t -> int -> int -> unit
+
 val sub_string : buf -> int -> int -> string

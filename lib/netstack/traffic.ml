@@ -13,14 +13,18 @@ type plan = {
   pl_payload_bytes : int;
   pl_protocol : Flow.protocol;
   zipf_cdf : float array;  (* empty unless the pattern is Zipf *)
-  (* Lazily interned [synth_flow] results, one per population index:
-     the generator hands out a flow per packet, and [Flow.t] carries
-     boxed fields, so building a fresh record per arrival is the
-     dominant allocation of the rx path. Flows are immutable, so
-     sharing is sound; replicas sharing a plan share the cache (the
-     benign race re-installs an equal record). *)
-  interned : Flow.t option array;
+  (* Lazily interned [synth_flow] results, one per population index,
+     [no_flow] until first drawn: the generator hands out a flow per
+     packet, and [Flow.t] carries boxed fields, so building a fresh
+     record per arrival is the dominant allocation of the rx path.
+     Flows are immutable, so sharing is sound; replicas sharing a plan
+     share the cache (the benign race re-installs an equal record). *)
+  interned : Flow.t array;
 }
+
+(* Placeholder for flows not yet interned, compared physically: a plain
+   array with a sentinel saves the [Some] box and its dependent load. *)
+let no_flow = Flow.make ~src_ip:0l ~dst_ip:0l ~src_port:0 ~dst_port:0 ~protocol:Flow.Udp
 
 type t = {
   rng : Cycles.Rng.t;
@@ -68,7 +72,7 @@ let plan ?(payload_bytes = 18) ?(protocol = Flow.Udp) pattern =
     pl_payload_bytes = payload_bytes;
     pl_protocol = protocol;
     zipf_cdf;
-    interned = Array.make population None;
+    interned = Array.make population no_flow;
   }
 
 let of_plan ~rng plan = { rng; plan }
@@ -110,12 +114,13 @@ let expected_share p i =
     if i = 0 then p.zipf_cdf.(0) else p.zipf_cdf.(i) -. p.zipf_cdf.(i - 1)
 
 let interned_flow p i =
-  match Array.unsafe_get p.interned i with
-  | Some flow -> flow
-  | None ->
+  let flow = Array.unsafe_get p.interned i in
+  if flow != no_flow then flow
+  else begin
     let flow = synth_flow p.pl_protocol i in
-    p.interned.(i) <- Some flow;
+    p.interned.(i) <- flow;
     flow
+  end
 
 let next_flow t =
   let p = t.plan in

@@ -50,11 +50,12 @@ let test_rng_shuffle_permutes () =
   Alcotest.(check bool) "same multiset" true (sorted = original);
   Alcotest.(check bool) "actually shuffled" false (a = original)
 
-(* The limb-wise generator's pin: rng.ml runs SplitMix64 on unboxed
-   32-bit halves, and every entry point must stay bit-identical to the
-   textbook Int64 implementation below. The production code's Rng
-   seeds every traffic trace and fault-injection schedule, so any
-   drift here invalidates every golden file at once. *)
+(* The generator's pin: rng.ml runs SplitMix64 on an unboxed 8-byte
+   state, and every entry point must stay bit-identical to the
+   textbook Int64 implementation below, with its boxed state field.
+   The production code's Rng seeds every traffic trace and
+   fault-injection schedule, so any drift here invalidates every golden
+   file at once. *)
 module Ref_rng = struct
   type t = { mutable state : int64 }
 
@@ -87,9 +88,13 @@ let test_rng_matches_int64_reference () =
       for i = 1 to 2_000 do
         let x = Rng.next_int64 a and y = Ref_rng.next r in
         if not (Int64.equal x y) then
-          Alcotest.failf "seed %Ld draw %d: limb %Lx vs reference %Lx" seed i x y
+          Alcotest.failf "seed %Ld draw %d: rng %Lx vs reference %Lx" seed i x y
       done)
     ref_seeds
+
+(* [int] masks for power-of-two bounds (the per-packet callers) and
+   divides otherwise; [split] seeds a child from one draw. *)
+let int_bounds = [| 1_000_003; 1; 2; 4096; 1 lsl 20 |]
 
 let test_rng_entry_points_match_reference () =
   List.iter
@@ -98,25 +103,51 @@ let test_rng_entry_points_match_reference () =
       for i = 1 to 2_000 do
         (* Rotate through the derived entry points so state stays in
            lockstep across a mixed call pattern. *)
-        match i land 3 with
+        match i mod 5 with
         | 0 ->
           Alcotest.(check int64)
             (Printf.sprintf "next_int64 seed=%Ld" seed)
             (Ref_rng.next r) (Rng.next_int64 a)
         | 1 ->
+          let bound = int_bounds.(i / 5 mod Array.length int_bounds) in
           Alcotest.(check int)
-            (Printf.sprintf "int seed=%Ld" seed)
-            (Ref_rng.int r 1_000_003) (Rng.int a 1_000_003)
+            (Printf.sprintf "int %d seed=%Ld" bound seed)
+            (Ref_rng.int r bound) (Rng.int a bound)
         | 2 ->
           Alcotest.(check (float 0.0))
             (Printf.sprintf "float seed=%Ld" seed)
             (Ref_rng.float r 3.5) (Rng.float a 3.5)
-        | _ ->
+        | 3 ->
           Alcotest.(check bool)
             (Printf.sprintf "bool seed=%Ld" seed)
             (Ref_rng.bool r) (Rng.bool a)
+        | _ ->
+          (* The child's stream is the reference's from the parent's
+             next draw; the parent's stream goes on in lockstep. *)
+          let child = Rng.split a and rchild = Ref_rng.create (Ref_rng.next r) in
+          for j = 1 to 3 do
+            Alcotest.(check int64)
+              (Printf.sprintf "split seed=%Ld child draw %d" seed j)
+              (Ref_rng.next rchild) (Rng.next_int64 child)
+          done
       done)
     ref_seeds
+
+(* [int] and [bool] sit on the per-packet path: a boxed [int64] per
+   draw would show up in every allocation bound of test_fusion. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.create 3L in
+  let calls = 1000 in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    sink := !sink + Rng.int rng 4096 + Rng.int rng (1_000_003 + i);
+    if Rng.bool rng then incr sink
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  if words > 0. then
+    Alcotest.failf "Rng.int/bool allocated %.0f minor words over %d calls" words calls
 
 let test_rng_bool_balanced () =
   let rng = Rng.create 13L in
@@ -352,10 +383,12 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
           Alcotest.test_case "bool balanced" `Quick test_rng_bool_balanced;
-          Alcotest.test_case "limb arithmetic = Int64 reference" `Quick
+          Alcotest.test_case "raw stream = Int64 reference" `Quick
             test_rng_matches_int64_reference;
           Alcotest.test_case "derived entry points = Int64 reference" `Quick
             test_rng_entry_points_match_reference;
+          Alcotest.test_case "int and bool allocate 0 minor words" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "stats",
         [

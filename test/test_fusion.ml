@@ -383,7 +383,9 @@ let check_words what per_pkt bound =
 
 (* The warmed Figure-2 Maglev NF (Direct, fused): 663 words per
    32-packet batch, 20.72 per packet. One boxed tuple per packet in a
-   stage kernel adds 3 words per packet and fails it. *)
+   stage kernel adds 3 words per packet and fails it. The same before
+   the preallocated NIC template slab: 1024 flows fit the template
+   slots, so the warmed loop never misses one. *)
 let test_maglev_nf_minor_words () =
   let env = Experiments.Env.make () in
   let _mg, stages = Experiments.Env.maglev_nf env in
@@ -396,9 +398,11 @@ let test_maglev_nf_minor_words () =
 (* E17's cached megaflow chain (ruledb -> csum -> ttl -> maglev-gre
    behind a 4096-entry flowcache, Direct) over a 20k-flow Zipf(1.2)
    mix, so the measured window mixes hits, installs, evictions and
-   slow-path classifications. Measured 42.134 words per packet,
-   bounded at 42.14; the record-scan rule DB before the compiled
-   table read 42.71, its classify allocating 5 words per call. *)
+   slow-path classifications. Measured 38.614 words per packet,
+   bounded at 38.62. Before the preallocated NIC template slab it read
+   42.134 (bound 42.14), each template miss allocating a frame string;
+   the record-scan rule DB before the compiled table read 42.71, its
+   classify allocating 5 words per call. *)
 let test_megaflow_minor_words () =
   let clock = Cycles.Clock.create () in
   let pool = Mempool.create ~clock ~capacity:4096 () in
@@ -411,12 +415,12 @@ let test_megaflow_minor_words () =
   let pipe = Pipeline.create ~engine ~mode:Pipeline.Direct ~flowcache:fc stages in
   check_words "cached megaflow chain"
     (minor_words_per_pkt ~nic ~pipe ~batch:32 ~batches:256)
-    42.14
+    38.62
 
 (* The flowtab chain (csum -> flowtab, Direct; 2^16 buckets in 64
    chunks, an in-memory snapshot every 64 batches). Measured 19.068
    words per packet, bounded at 19.07; the same before the compiled
-   rule table. *)
+   rule table and before the template slab (1024 flows, no misses). *)
 let test_flowtab_minor_words () =
   let env = Experiments.Env.make () in
   let ctx =
@@ -436,6 +440,31 @@ let test_flowtab_minor_words () =
   check_words "flowtab chain"
     (minor_words_per_pkt ~nic:env.Experiments.Env.nic ~pipe ~batch:32 ~batches:256)
     19.07
+
+(* [Nic.rx_batch_into] alone over 65 536 uniform flows, eight times
+   the NIC's 8192 template slots, so most arrivals miss their slot and
+   are crafted and stored. The warm-up draws 2^19 arrivals, by which
+   point all but ~20 flows are interned by the generator. What is left
+   is the 5-word [Packet.t] handle {!Mempool.alloc_into} gives each
+   arrival, plus those few flow records: measured 5.0011 words per
+   packet. Before the preallocated template slab, a miss allocated a
+   fresh frame string, its [String.init] closure and a [write_l4]
+   closure: 21.58 words per packet. *)
+let test_rx_minor_words () =
+  let env = Experiments.Env.make ~flows:65_536 () in
+  let nic = env.Experiments.Env.nic in
+  let batch = Batch.create ~capacity:32 in
+  let step () =
+    Nic.rx_batch_into nic batch 32;
+    Nic.drop_batch nic batch
+  in
+  for _ = 1 to (1 lsl 19) / 32 do step () done;
+  let batches = (1 lsl 16) / 32 in
+  let before = Gc.minor_words () in
+  for _ = 1 to batches do step () done;
+  check_words "rx over 65536 flows"
+    ((Gc.minor_words () -. before) /. float_of_int (32 * batches))
+    5.01
 
 (* ------------------------------------------------------------------ *)
 
@@ -460,5 +489,7 @@ let () =
             test_megaflow_minor_words;
           Alcotest.test_case "flowtab rx->run->tx minor words per packet" `Quick
             test_flowtab_minor_words;
+          Alcotest.test_case "rx over 65536 flows minor words per packet" `Quick
+            test_rx_minor_words;
         ] );
     ]

@@ -125,6 +125,7 @@ type slab_op =
   | Blit_in of int * int * int  (* other -> buf *)
   | Blit_out of int * int * int  (* buf -> other *)
   | Blit_string of string * int * int * int
+  | To_bytes of int * int * int  (* buf -> a fresh [Bytes.t] the size of other *)
   | Sub of int * int
 
 let show_op = function
@@ -138,16 +139,38 @@ let show_op = function
   | Blit_out (s, d, n) -> Printf.sprintf "blit buf %d other %d %d" s d n
   | Blit_string (str, s, d, n) ->
     Printf.sprintf "blit_string <%d bytes> %d buf %d %d" (String.length str) s d n
+  | To_bytes (s, d, n) -> Printf.sprintf "blit_to_bytes buf %d bytes %d %d" s d n
   | Sub (off, n) -> Printf.sprintf "sub_string %d %d" off n
 
 let gen_slab_case =
   let open QCheck.Gen in
   (* Sizes on both sides of the 256-byte [Array1.blit] threshold. *)
-  let size = frequency [ (1, int_range 0 16); (3, int_range 256 700) ] in
+  let size = frequency [ (1, int_range 0 16); (2, int_range 17 80); (3, int_range 256 700) ] in
   size >>= fun n ->
   size >>= fun m ->
   let idx len = int_range (-2) (len + 2) in
-  let count len = frequency [ (2, int_range (-1) 16); (2, int_range 240 320); (1, int_range 0 (len + 1)) ] in
+  (* Lengths 0..64 put every residue mod 8 through the word copies. *)
+  let count len =
+    frequency [ (3, int_range (-1) 64); (2, int_range 240 320); (1, int_range 0 (len + 1)) ]
+  in
+  (* Same-buffer moves: overlaps closer than one word, and further. *)
+  let delta = frequency [ (2, int_range (-9) 9); (1, int_range (-40) 40) ] in
+  (* Windows that end exactly at the end of [buf]. *)
+  let at_end =
+    int_range 0 (min n 64) >>= fun k ->
+    let off = n - k in
+    oneof
+      [
+        return (Sub (off, k));
+        delta >|= (fun d -> Blit_self (off - d, off, k));
+        delta >|= (fun d -> Blit_self (off, off - d, k));
+        idx m >|= (fun s -> Blit_in (s, off, k));
+        idx m >|= (fun d -> Blit_out (off, d, k));
+        idx m >|= (fun d -> To_bytes (off, d, k));
+        ( string_size (int_range k (k + 16)) >|= fun str ->
+          Blit_string (str, String.length str - k, off, k) );
+      ]
+  in
   let op =
     frequency
       [
@@ -159,15 +182,16 @@ let gen_slab_case =
         (* Same-buffer moves a few bytes apart: overlapping windows,
            destination above and below the source. *)
         ( 4,
-          triple (idx n) (int_range (-40) 40) (count n) >|= fun (s, delta, k) ->
-          Blit_self (s, s + delta, k) );
+          triple (idx n) delta (count n) >|= fun (s, d, k) -> Blit_self (s, s + d, k) );
         (2, triple (idx m) (idx n) (count n) >|= fun (s, d, k) -> Blit_in (s, d, k));
         (2, triple (idx n) (idx m) (count n) >|= fun (s, d, k) -> Blit_out (s, d, k));
         ( 2,
           string_size (int_range 0 320) >>= fun str ->
           triple (idx (String.length str)) (idx n) (count n) >|= fun (s, d, k) ->
           Blit_string (str, s, d, k) );
+        (1, triple (idx n) (idx m) (count n) >|= fun (s, d, k) -> To_bytes (s, d, k));
         (2, pair (idx n) (count n) >|= fun (off, k) -> Sub (off, k));
+        (3, at_end);
       ]
   in
   triple (string_size (return n)) (string_size (return m)) (list_size (int_range 1 40) op)
@@ -219,6 +243,10 @@ let prop_slab_bytes_oracle =
         | Blit_string (str, s, d, k) ->
           run (fun () -> Slab.blit_string str s buf d k)
           = run (fun () -> Bytes.blit_string str s mbuf d k)
+        | To_bytes (s, d, k) ->
+          let got = Bytes.make (String.length b) 'z' and want = Bytes.make (String.length b) 'z' in
+          run (fun () -> Slab.blit_to_bytes buf s got d k) = run (fun () -> Bytes.blit mbuf s want d k)
+          && Bytes.equal got want
         | Sub (off, k) ->
           run (fun () -> Slab.sub_string buf off k) = run (fun () -> Bytes.sub_string mbuf off k)
       in
@@ -481,6 +509,77 @@ let prop_sidecar_compaction =
       in
       List.length dropped + Batch.length b = List.length flows && batch_agrees b)
 
+(* --- Rx against a twin generator -------------------------------------- *)
+
+(* Every frame {!Nic.rx_batch} hands out must be the bytes
+   [craft_udp]/[craft_tcp] produce for the flow a twin generator (same
+   seed) draws, whether the NIC crafted it or replayed its template
+   slot, and the header plane it seeded must agree with those bytes.
+   Populations: one flow, fewer flows than template slots, and more
+   (8192 slots), so distinct flows share a slot. *)
+type rx_pop = One of Flow.t | Uniform of int | Zipf of int
+
+let show_rx_pop = function
+  | One f -> Format.asprintf "single %a" Flow.pp f
+  | Uniform n -> Printf.sprintf "uniform %d" n
+  | Zipf n -> Printf.sprintf "zipf %d" n
+
+let arb_rx_case =
+  let open QCheck.Gen in
+  let pop =
+    oneof
+      [
+        map (fun f -> One f) gen_flow;
+        map (fun n -> Uniform n) (int_range 2 8192);
+        map (fun n -> Uniform n) (int_range 8193 40_000);
+        map (fun n -> Zipf n) (int_range 8193 40_000);
+      ]
+  in
+  let payload = frequency [ (3, int_range 0 64); (1, int_range 0 1500) ] in
+  QCheck.make
+    ~print:(fun (pop, tcp, payload, seed) ->
+      Printf.sprintf "%s tcp=%b payload=%d seed=%d" (show_rx_pop pop) tcp payload seed)
+    (quad pop bool payload (int_range 0 1_000_000))
+
+let prop_rx_matches_craft =
+  QCheck.Test.make ~name:"rx frames == craft of the twin generator's flows" ~count:60
+    arb_rx_case (fun (pop, tcp, payload_bytes, seed) ->
+      let protocol = if tcp then Flow.Tcp else Flow.Udp in
+      let pattern =
+        match pop with
+        | One f -> Traffic.Single_flow f
+        | Uniform flows -> Traffic.Uniform { flows }
+        | Zipf flows -> Traffic.Zipf { flows; exponent = 1.1 }
+      in
+      let traffic () =
+        Traffic.create ~rng:(Cycles.Rng.create (Int64.of_int seed)) ~payload_bytes ~protocol
+          pattern
+      in
+      let clock = Cycles.Clock.create () in
+      let pool = Mempool.create ~clock ~capacity:64 () in
+      let engine = Engine.create ~clock ~pool () in
+      let nic = Nic.create ~engine ~traffic:(traffic ()) () in
+      let twin = traffic () in
+      let want = fresh_packet () in
+      let ok = ref true in
+      for _ = 1 to 12 do
+        let b = Nic.rx_batch nic 32 in
+        for i = 0 to Batch.length b - 1 do
+          craft want (Traffic.next_flow twin) ~payload_bytes ~ttl:64;
+          ok :=
+            !ok
+            && Packet.to_string (Batch.get b i) = Packet.to_string want
+            && Batch.hdr_consistent b i
+        done;
+        Nic.drop_batch nic b
+      done;
+      !ok)
+
+(* Pinned unless QCHECK_SEED names another seed (make qcheck-soak). *)
+let rand () =
+  let env = Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt in
+  Random.State.make [| Option.value env ~default:20171017 |]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -494,5 +593,6 @@ let suite =
       prop_sidecar_rewrites;
       prop_sidecar_compaction;
     ]
+  @ [ QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_rx_matches_craft ]
 
 let () = Alcotest.run "packet_fast" [ ("equivalence", suite) ]
