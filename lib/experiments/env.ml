@@ -7,8 +7,10 @@ type t = {
   telemetry : Telemetry.Registry.t;
 }
 
-let make ?(seed = 2017L) ?(pool_capacity = 4096) ?(flows = 1024) ?(payload_bytes = 18)
-    ?model ?(telemetry = Telemetry.Registry.global) () =
+let pool_capacity = 4096
+let payload_bytes = 18
+
+let make ?(seed = 2017L) ?(flows = 1024) ?model ?(telemetry = Telemetry.Registry.global) () =
   let clock =
     match model with None -> Cycles.Clock.create () | Some m -> Cycles.Clock.create ~model:m ()
   in
@@ -51,19 +53,3 @@ let maglev_nf t =
       Netstack.Filters.ttl_decrement;
       Netstack.Filters.maglev_gre mg ~vip;
     ] )
-
-let maglev_plain_nf ?(soa = true) t =
-  let mg = Netstack.Maglev.create ~clock:t.clock ~backends:maglev_backends () in
-  ( mg,
-    if soa then
-      [
-        Netstack.Filters.checksum_verify;
-        Netstack.Filters.ttl_decrement;
-        Netstack.Filters.maglev mg;
-      ]
-    else
-      [
-        Netstack.Filters.checksum_verify;
-        Netstack.Filters.ttl_decrement_bytes;
-        Netstack.Filters.maglev_bytes mg;
-      ] )

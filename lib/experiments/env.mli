@@ -17,15 +17,14 @@ type t = {
 
 val make :
   ?seed:int64 ->
-  ?pool_capacity:int ->
   ?flows:int ->
-  ?payload_bytes:int ->
   ?model:Cycles.Cost_model.t ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   t
-(** Defaults: seed 2017, 4096-buffer pool, 1024 uniform flows,
-    18-byte payloads (64-byte frames — the Figure-2 workload).
+(** Defaults: seed 2017, 1024 uniform flows. The pool always holds
+    4096 buffers and every payload is 18 bytes (64-byte frames — the
+    Figure-2 workload).
     [telemetry] (default {!Telemetry.Registry.global}) is handed to
     the engine and the SFI manager, so every environment records the
     [netstack.*] / [sfi.*] metrics; pass a fresh registry to keep an
@@ -47,11 +46,3 @@ val maglev_nf : t -> Netstack.Maglev.t * Netstack.Stage.t list
 (** "The NetBricks implementation of the Maglev load balancer": header
     checksum verification, TTL decrement, then Maglev steering with
     GRE encapsulation to the chosen backend (the NSDI'16 data path). *)
-
-val maglev_plain_nf : ?soa:bool -> t -> Netstack.Maglev.t * Netstack.Stage.t list
-(** The header-only Maglev chain used by the E20 SoA ablation:
-    checksum verification, TTL decrement, Maglev steering as a plain
-    destination rewrite (no GRE shift, so every mutation fits the
-    header plane). [soa] (default true) selects the column stages;
-    [soa:false] selects the byte twins with identical stage names and
-    virtual charges. *)

@@ -63,11 +63,6 @@ let recover_stats ~shards =
   print_newline ();
   Recover.run_corpus ()
 
-let soa_stats ~shards =
-  Soa_ablation.print_stats (Soa_ablation.run_stats ());
-  print_newline ();
-  Soa_ablation.print_shard_stats (Soa_ablation.run_shard_stats ~shards ())
-
 let reverify_stats ~shards:_ = Reverify.print_stats (Reverify.run_stats ())
 
 let det ?golden ?(queues = 4) ?(shards = [ 1; 2; 4 ]) ?(replay = false) ?(require = [])
@@ -251,12 +246,6 @@ let all =
               (Recover.run_wall ~buckets:(1 lsl 16) ~total:4_000_000
                  ~persist_every:500_000 ())
           else Recover.print_wall (Recover.run_wall ()));
-    };
-    {
-      id = "soa";
-      description = "E20 (extension): structure-of-arrays header plane ablation";
-      det = det ~golden:(golden "soa") ~forbid:identities [ ("stats", soa_stats) ];
-      run = (fun ~quick -> Soa_ablation.print (Soa_ablation.run ~quick ()));
     };
     {
       id = "reverify";

@@ -1,9 +1,11 @@
 let null = Stage.rewrite ~name:"null" ~access:Stage.Cols (fun _engine _batch _i _p -> ())
 
-(* The column ([Stage.Cols]) variants below issue charge/touch
-   sequences identical to their byte twins: the virtual clock models
-   what the hardware does to the header either way, while the host
-   defers the actual byte stores to one {!Batch.materialize} pass. *)
+(* The column ([Stage.Cols]) stages below charge and touch exactly what
+   a write-through byte store would: the virtual clock models what the
+   hardware does to the header either way, while the host defers the
+   actual byte stores to one {!Batch.materialize} pass. Their
+   write-through byte versions live on as the test oracle
+   (test/hdr_oracle.ml), which test_soa diffs them against. *)
 
 let ttl_decrement =
   Stage.filter ~name:"ttl-dec" ~access:Stage.Cols (fun engine batch i p ->
@@ -14,21 +16,7 @@ let ttl_decrement =
       if ttl <= 1 then false
       else begin
         Batch.set_col_ttl batch i (ttl - 1);
-        (* Covers the TTL and checksum words, like the byte twin. *)
-        Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 8) ~bytes:4;
-        true
-      end)
-
-let ttl_decrement_bytes =
-  Stage.filter ~name:"ttl-dec" (fun engine batch i p ->
-      Engine.touch_packet engine p ~off:Packet.eth_header_bytes
-        ~bytes:Packet.ipv4_header_bytes;
-      Cycles.Clock.charge (Engine.clock engine) (Alu 4);
-      let ttl = Packet.ttl p in
-      if ttl <= 1 then false
-      else begin
-        Packet.set_ttl p (ttl - 1);
-        Batch.invalidate_hdr batch i;
+        (* Covers the TTL and checksum words. *)
         Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 8) ~bytes:4;
         true
       end)
@@ -59,18 +47,6 @@ let maglev mg =
       let backend = Maglev.lookup_keyed mg flow ~key:(Batch.flow_key batch i) in
       (* Rewrite the destination to the chosen backend. *)
       Batch.set_col_dst_ip batch i (backend_ip_int backend);
-      Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 16) ~bytes:4)
-
-let maglev_bytes mg =
-  Stage.rewrite ~name:"maglev"
-    ~hooks:[ Maglev.on_change mg ]
-    (fun engine batch i p ->
-      Engine.touch_packet engine p ~off:Packet.eth_header_bytes
-        ~bytes:(Packet.ipv4_header_bytes + 4);
-      let flow = Batch.flow batch i in
-      let backend = Maglev.lookup_keyed mg flow ~key:(Batch.flow_key batch i) in
-      Packet.set_dst_ip_int p (backend_ip_int backend);
-      Batch.invalidate_hdr batch i;
       Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 16) ~bytes:4)
 
 let maglev_gre mg ~vip =

@@ -17,10 +17,6 @@ val ttl_decrement : Stage.t
     batch's header plane and the checksum fix is folded into the next
     {!Batch.materialize}. *)
 
-val ttl_decrement_bytes : Stage.t
-(** Byte twin of {!ttl_decrement} (same name, same virtual charges,
-    in-place byte stores) — the SoA ablation baseline. *)
-
 val checksum_verify : Stage.t
 (** Per packet: validate the IPv4 header checksum; drops corrupt
     packets. Deliberately a [Stage.Bytes] stage — it folds over the
@@ -32,9 +28,6 @@ val maglev : Maglev.t -> Stage.t
     rewrite the destination IP to the chosen backend
     (10.1.0.[backend]). Declares [Maglev.on_change] as its
     invalidation hook. A column stage like {!ttl_decrement}. *)
-
-val maglev_bytes : Maglev.t -> Stage.t
-(** Byte twin of {!maglev} — the SoA ablation baseline. *)
 
 val maglev_gre : Maglev.t -> vip:int -> Stage.t
 (** The full NSDI'16 forwarding path: steer, then encapsulate the

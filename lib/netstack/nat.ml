@@ -105,21 +105,3 @@ let stage t =
         Batch.set_col_src_port batch i port;
         Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 12) ~bytes:8;
         true)
-
-let stage_bytes t =
-  Stage.filter ~name:"snat"
-    ~hooks:[ on_mutate t ]
-    (fun engine batch i p ->
-      Engine.touch_packet engine p ~off:Packet.eth_header_bytes
-        ~bytes:(Packet.ipv4_header_bytes + 4);
-      let flow = Batch.flow batch i in
-      match translate t flow with
-      | None ->
-        t.drops <- t.drops + 1;
-        false
-      | Some (ip, port) ->
-        Packet.set_src_ip_int p ip;
-        Packet.set_src_port p port;
-        Batch.invalidate_hdr batch i;
-        Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 12) ~bytes:8;
-        true)

@@ -23,10 +23,6 @@ val stage : t -> Stage.t
     column ([Stage.Cols]) stage: rewrites land in the batch's header
     plane and reach wire bytes at the next {!Batch.materialize}. *)
 
-val stage_bytes : t -> Stage.t
-(** Byte twin of {!stage} (same name, same virtual charges, in-place
-    byte stores) — the SoA ablation baseline. *)
-
 val translate : t -> Flow.t -> (int * int) option
 (** The external (ip, port) an internal flow is (or would newly be)
     mapped to; [None] when the pool is exhausted. *)

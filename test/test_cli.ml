@@ -61,7 +61,7 @@ let test_bad_requests () =
   expect_error [ "fig2"; "--stats-only" ] "repro fig2: no deterministic surface (--stats-only)"
 
 let test_table_well_formed () =
-  Alcotest.(check int) "experiments with a deterministic surface" 8 (List.length det_entries);
+  Alcotest.(check int) "experiments with a deterministic surface" 7 (List.length det_entries);
   List.iter
     (fun ((e : R.entry), (d : R.det)) ->
       let names = List.map fst d.cells in

@@ -573,8 +573,8 @@ let test_stages_keep_plane_consistent () =
   (* Every header-reading or -mutating stage in the catalog that leaves
      the packet parseable (GRE encap ends 5-tuple parsing by design, so
      maglev_gre is exercised through the equivalence suite instead),
-     column rewriters and their byte twins alike — the twins store
-     straight to wire bytes, so they must drop the plane (the
+     column rewriters and the oracle's byte stages alike — the oracle
+     stores straight to wire bytes, so it must drop the plane (the
      regression behind this audit: a stale rx-seeded plane shadowing
      rewritten bytes). *)
   let catalog =
@@ -585,9 +585,9 @@ let test_stages_keep_plane_consistent () =
       Filters.ttl_decrement;
       Filters.maglev mg;
       Nat.stage nat;
-      Filters.ttl_decrement_bytes;
-      Filters.maglev_bytes mg;
-      Nat.stage_bytes nat;
+      Hdr_oracle.ttl_decrement_bytes;
+      Hdr_oracle.maglev_bytes mg;
+      Hdr_oracle.stage_bytes nat;
     ]
   in
   List.iter
@@ -634,8 +634,9 @@ let test_mutating_stages_keep_sidecar_consistent () =
       Nat.stage nat;
       Filters.maglev mg;
       Filters.firewall ~name:"fw" (fun f -> f.Flow.src_port land 1 = 0);
-      Nat.stage_bytes nat;
-      Filters.maglev_bytes mg;
+      Hdr_oracle.ttl_decrement_bytes;
+      Hdr_oracle.stage_bytes nat;
+      Hdr_oracle.maglev_bytes mg;
     ]
   in
   List.iter

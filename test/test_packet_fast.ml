@@ -389,7 +389,7 @@ let apply_memo_op b other op =
   let n = Batch.length b in
   let on i f = if n > 0 then f (i mod n) in
   (* A byte rewrite runs behind a materialization barrier and drops the
-     plane, as the byte-twin stages do. *)
+     plane, as the write-through stages of Hdr_oracle do. *)
   let bytes i f =
     on i (fun i ->
         Batch.materialize_slot b i;

@@ -2,11 +2,12 @@
 
    The column plane is an optimisation, so its contract is
    "invisible": a chain built from column ([Stage.Cols]) kernels must
-   be byte-identical to the same chain built from their write-through
-   byte twins — transmitted frames, virtual cycles, telemetry tables,
+   be byte-identical to the same chain built from the write-through
+   byte stages of the oracle (Hdr_oracle) — transmitted frames, virtual cycles, telemetry tables,
    NIC/pipeline ledgers — for *any* chain, in any fusion plan, with
    byte-reading barriers (opaque stages, RFC 1071 verifiers, flowcache
-   guard capture) landing in arbitrary positions. Deferred writes must
+   guard capture) landing in arbitrary positions, over UDP or TCP
+   frames of any payload length. Deferred writes must
    be flushed at every such barrier: a reader of wire bytes can never
    observe a stale header. *)
 
@@ -19,13 +20,13 @@ let backends = Array.init 8 (fun i -> Printf.sprintf "backend-%d" i)
 (* Random twin chains                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Specs with a column variant and a byte twin build one or the other
-   per side; barrier specs (byte-reading stages) are identical on both
-   sides and force materialization mid-chain. *)
+(* Specs with a column stage and an oracle byte stage build one or the
+   other per side; barrier specs (byte-reading stages) are identical on
+   both sides and force materialization mid-chain. *)
 type spec =
-  | Ttl          (* twin: ttl_decrement vs ttl_decrement_bytes *)
-  | Maglev_rw    (* twin: maglev vs maglev_bytes *)
-  | Nat_rw       (* twin: Nat.stage vs Nat.stage_bytes *)
+  | Ttl          (* twin: ttl_decrement vs Hdr_oracle.ttl_decrement_bytes *)
+  | Maglev_rw    (* twin: maglev vs Hdr_oracle.maglev_bytes *)
+  | Nat_rw       (* twin: Nat.stage vs Hdr_oracle.stage_bytes *)
   | Firewall     (* Cols reader, same stage both sides *)
   | Rules        (* Cols reader, same stage both sides *)
   | Stats        (* Cols reader, same stage both sides *)
@@ -44,22 +45,26 @@ let spec_name = function
 
 (* The opaque barrier snapshots every packet's bytes into [sink]: if a
    deferred column write survived to this point unmaterialized, the
-   snapshot (and the cross-side comparison of [sink]) exposes it. *)
+   snapshot (and the cross-side comparison of [sink]) exposes it. A
+   slot whose clean plane disagrees with its bytes is marked too, so a
+   byte store that forgot [Batch.invalidate_hdr] shows even when no
+   later stage reads the stale column. *)
 let snapshot_stage sink =
   Stage.opaque ~name:"snapshot" (fun _engine b ->
       for i = 0 to Batch.length b - 1 do
-        sink := Packet.to_string (Batch.get b i) :: !sink
+        let frame = Packet.to_string (Batch.get b i) in
+        sink := (if Batch.hdr_consistent b i then frame else "stale plane " ^ frame) :: !sink
       done;
       b)
 
 let build_stage ~clock ~soa ~sink = function
-  | Ttl -> if soa then Filters.ttl_decrement else Filters.ttl_decrement_bytes
+  | Ttl -> if soa then Filters.ttl_decrement else Hdr_oracle.ttl_decrement_bytes
   | Maglev_rw ->
     let mg = Maglev.create ~clock ~backends () in
-    if soa then Filters.maglev mg else Filters.maglev_bytes mg
+    if soa then Filters.maglev mg else Hdr_oracle.maglev_bytes mg
   | Nat_rw ->
     let nat = Nat.create ~clock ~external_ip:0xC6336401 () in
-    if soa then Nat.stage nat else Nat.stage_bytes nat
+    if soa then Nat.stage nat else Hdr_oracle.stage_bytes nat
   | Firewall -> Filters.firewall ~name:"fw-even" (fun f -> f.Flow.src_port land 1 = 0)
   | Rules ->
     let db = Ruledb.create ~clock () in
@@ -70,13 +75,32 @@ let build_stage ~clock ~soa ~sink = function
   | Csum -> Filters.checksum_verify
   | Snapshot -> snapshot_stage sink
 
+(* A generated case: the chain plus the traffic it runs over. Payloads
+   are mostly minimum-size, with a tail up to a full 1500-byte MTU. *)
+type case = { specs : spec list; protocol : Flow.protocol; payload_bytes : int }
+
+let print_case c =
+  Printf.sprintf "%s [%s, payload=%d]"
+    (String.concat " -> " (List.map spec_name c.specs))
+    (match c.protocol with Flow.Udp -> "udp" | Flow.Tcp -> "tcp")
+    c.payload_bytes
+
+let arb_case specs =
+  let open QCheck.Gen in
+  let gen =
+    specs >>= fun specs ->
+    oneofl [ Flow.Udp; Flow.Tcp ] >>= fun protocol ->
+    frequency [ (3, int_range 0 64); (1, int_range 0 1500) ] >>= fun payload_bytes ->
+    return { specs; protocol; payload_bytes }
+  in
+  QCheck.make ~print:print_case gen
+
 let arb_chain =
   let open QCheck.Gen in
   let any =
     oneofl [ Ttl; Maglev_rw; Nat_rw; Firewall; Rules; Stats; Csum; Snapshot ]
   in
-  let gen = list_size (int_range 1 6) any in
-  QCheck.make ~print:(fun specs -> String.concat " -> " (List.map spec_name specs)) gen
+  arb_case (list_size (int_range 1 6) any)
 
 (* At least one rewriting twin and at least one mid-chain barrier, so
    every generated case actually exercises deferred writeback hitting a
@@ -86,15 +110,13 @@ let arb_barrier_chain =
   let rw = oneofl [ Ttl; Maglev_rw; Nat_rw ] in
   let barrier = oneofl [ Csum; Snapshot ] in
   let filler = oneofl [ Firewall; Rules; Stats; Ttl; Maglev_rw ] in
-  let gen =
-    rw >>= fun a ->
-    barrier >>= fun b ->
-    list_size (int_range 0 3) filler >>= fun tail -> return ((a :: b :: tail) @ [ Csum ])
-  in
-  QCheck.make ~print:(fun specs -> String.concat " -> " (List.map spec_name specs)) gen
+  arb_case
+    ( rw >>= fun a ->
+      barrier >>= fun b ->
+      list_size (int_range 0 3) filler >>= fun tail -> return ((a :: b :: tail) @ [ Csum ]) )
 
 (* ------------------------------------------------------------------ *)
-(* Paired sides: same seed and chain, column kernels vs byte twins     *)
+(* Paired sides: same seed and case, column kernels vs oracle stages   *)
 (* ------------------------------------------------------------------ *)
 
 type side = {
@@ -106,17 +128,20 @@ type side = {
   s_sink : string list ref;  (* opaque-barrier snapshots, newest first *)
 }
 
-let make_side ?flowcache_capacity ~soa ~fuse ~specs ~seed () =
+let make_side ?flowcache_capacity ~soa ~fuse ~case ~seed () =
   let clock = Cycles.Clock.create () in
   let telemetry = Telemetry.Registry.create () in
   let pool = Mempool.create ~clock ~capacity:256 () in
   let engine = Engine.create ~clock ~pool ~telemetry () in
-  let plan = Traffic.plan (Traffic.Zipf { flows = 32; exponent = 1.2 }) in
+  let plan =
+    Traffic.plan ~protocol:case.protocol ~payload_bytes:case.payload_bytes
+      (Traffic.Zipf { flows = 32; exponent = 1.2 })
+  in
   let nic =
     Nic.create ~engine ~traffic:(Traffic.of_plan ~rng:(Cycles.Rng.create seed) plan) ()
   in
   let sink = ref [] in
-  let stages = List.map (build_stage ~clock ~soa ~sink) specs in
+  let stages = List.map (build_stage ~clock ~soa ~sink) case.specs in
   let flowcache =
     Option.map
       (fun capacity ->
@@ -178,9 +203,9 @@ let check_pair ?(label = "") ((soa, bytes) as pair) ~rounds ~batch =
   Mempool.assert_no_leaks bytes.s_pool;
   true
 
-let make_pair ?flowcache_capacity ~fuse ~specs () =
-  ( make_side ?flowcache_capacity ~soa:true ~fuse ~specs ~seed:4021L (),
-    make_side ?flowcache_capacity ~soa:false ~fuse ~specs ~seed:4021L () )
+let make_pair ?flowcache_capacity ~fuse ~case () =
+  ( make_side ?flowcache_capacity ~soa:true ~fuse ~case ~seed:4021L (),
+    make_side ?flowcache_capacity ~soa:false ~fuse ~case ~seed:4021L () )
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence on random chains                                        *)
@@ -189,27 +214,27 @@ let make_pair ?flowcache_capacity ~fuse ~specs () =
 let test_equivalence_fused =
   QCheck.Test.make ~name:"fused: column chains byte/cycle-identical to byte twins"
     ~count:30 arb_chain
-    (fun specs -> check_pair (make_pair ~fuse:true ~specs ()) ~rounds:8 ~batch:8)
+    (fun case -> check_pair (make_pair ~fuse:true ~case ()) ~rounds:8 ~batch:8)
 
 let test_equivalence_unfused =
   QCheck.Test.make ~name:"unfused: column chains byte/cycle-identical to byte twins"
     ~count:20 arb_chain
-    (fun specs -> check_pair (make_pair ~fuse:false ~specs ()) ~rounds:8 ~batch:8)
+    (fun case -> check_pair (make_pair ~fuse:false ~case ()) ~rounds:8 ~batch:8)
 
 let test_barrier_chains =
   QCheck.Test.make
     ~name:"forced materialization: byte barriers mid-chain observe canonical bytes"
     ~count:30 arb_barrier_chain
-    (fun specs ->
-      check_pair ~label:"barrier: " (make_pair ~fuse:true ~specs ()) ~rounds:6 ~batch:8)
+    (fun case ->
+      check_pair ~label:"barrier: " (make_pair ~fuse:true ~case ()) ~rounds:6 ~batch:8)
 
 let test_flowcache_guard =
   QCheck.Test.make
     ~name:"flowcache: guard capture over column chains matches byte twins" ~count:15
     arb_barrier_chain
-    (fun specs ->
+    (fun case ->
       check_pair ~label:"flowcache: "
-        (make_pair ~flowcache_capacity:64 ~fuse:true ~specs ())
+        (make_pair ~flowcache_capacity:64 ~fuse:true ~case ())
         ~rounds:6 ~batch:8)
 
 (* ------------------------------------------------------------------ *)
