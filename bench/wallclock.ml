@@ -118,9 +118,9 @@ let bench_rng_int =
 
 (* E17's slow path: one classify on the 768-rule wall table by a flow
    that matches no rule, so the scan examines every row; and, apart,
-   the 192 single-line touches of the rule table that scan charges to
-   the simulated cache. The second row is the simulator's share of the
-   first. *)
+   the one [Clock.touch_lines] over the rule table's 192 lines that the
+   scan charges to the simulated cache. The second row is the
+   simulator's share of the first. *)
 let bench_ruledb_miss =
   let clock = Cycles.Clock.create () in
   let db =
@@ -137,10 +137,7 @@ let bench_ruledb_touches =
   let clock = Cycles.Clock.create () in
   let table = Cycles.Clock.alloc_addr clock ~bytes:(4096 * 16) in
   Test.make ~name:"e17: 192 rule-table line touches (simulator)"
-    (Staged.stage (fun () ->
-         for j = 0 to 191 do
-           Cycles.Clock.touch clock (table + (j * 64)) ~bytes:16
-         done))
+    (Staged.stage (fun () -> Cycles.Clock.touch_lines clock table ~n:192))
 
 (* E5/E6: verification passes. *)
 let bench_verify name strategy program =

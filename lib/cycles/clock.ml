@@ -56,32 +56,26 @@ let charge t op = add t (cost_of t op)
 
 let charge_many t op n = if n > 0 then add t (n * cost_of t op)
 
-let latency_of t (level : Cache.level) =
-  let m = t.model in
-  match level with
-  | Cache.L1 -> m.l1_latency
-  | Cache.L2 -> m.l2_latency
-  | Cache.L3 -> m.l3_latency
-  | Cache.Dram -> m.dram_latency
-
 (* The hot path of the whole simulator: every simulated load/store
-   funnels through here. Walk the overlapped lines directly — no
-   intermediate list, no closures, no boxed addresses. *)
+   funnels through here, and hands the whole run of overlapped lines
+   to the cache in one call that prices them too — no intermediate
+   list, no closures, no boxed addresses. *)
 let touch t addr ~bytes =
   if bytes > 0 then begin
     let first = Cache.line_of t.cache addr in
     let last = Cache.line_of t.cache (addr + bytes - 1) in
-    for line = first to last do
-      add t (latency_of t (Cache.access_line t.cache line))
-    done
+    add t (Cache.access_lines t.cache t.model first ~n:(last - first + 1))
   end
+
+let touch_lines t addr ~n =
+  add t (Cache.access_lines t.cache t.model (Cache.line_of t.cache addr) ~n)
 
 (* [times] accesses to the same (single-line) address: one real probe
    plus [times - 1] guaranteed L1 hits replayed in bulk. Cycle and
    cache-state effects equal [times] calls to [touch]. *)
 let touch_same_line t addr ~times =
   if times > 0 then begin
-    add t (latency_of t (Cache.access t.cache addr));
+    touch t addr ~bytes:1;
     if times > 1 then begin
       Cache.repeat_hit t.cache (times - 1);
       add t ((times - 1) * t.model.l1_latency)
@@ -90,7 +84,7 @@ let touch_same_line t addr ~times =
 
 let touch_level t addr =
   let level = Cache.access t.cache addr in
-  add t (latency_of t level);
+  add t (Cache.latency t.model level);
   level
 
 let alloc_addr t ~bytes =

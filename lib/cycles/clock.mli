@@ -47,6 +47,12 @@ val touch : t -> int -> bytes:int -> unit
     [\[addr, addr+bytes)]: each overlapped cache line is probed and the
     latency of the level that hits is charged. *)
 
+val touch_lines : t -> int -> n:int -> unit
+(** [touch_lines t addr ~n] accesses the [n] consecutive lines from
+    the one holding [addr] — the same charge and cache state as [n]
+    single-line {!touch} calls one line apart, in one call. [n <= 0]
+    touches nothing. *)
+
 val touch_same_line : t -> int -> times:int -> unit
 (** [touch_same_line t addr ~times] simulates [times] consecutive
     accesses to the single line at [addr]: the first probes the
@@ -55,9 +61,8 @@ val touch_same_line : t -> int -> times:int -> unit
     bulk. *)
 
 val touch_level : t -> int -> Cache.level
-(** Single-line access that also reports where it hit — used by tests
-    and by the Figure-2 harness to substantiate the paper's
-    "2–3 L3 accesses" characterisation. *)
+(** Single-line access, charged like {!touch}, that also reports
+    where it hit. Only tests use it. *)
 
 val alloc_addr : t -> bytes:int -> int
 (** Reserve [bytes] of synthetic address space (64-byte aligned) and

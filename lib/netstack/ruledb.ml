@@ -185,17 +185,16 @@ let first_match c n ~src_ip ~dst_ip ~src_port ~dst_port ~proto =
    touching a table line every [rules_per_line] rules and charging
    [Alu 3] per rule, plus a branch miss on the matching rule. The
    cycle counter is a sum and the cache state depends only on the
-   order of the touches, so charging after the search is equal to
-   charging per rule. *)
+   order of the touches, so charging after the search, with one bulk
+   touch of the consecutive table lines (a 64-byte rule line is one
+   line of the default cache geometry), is equal to charging per
+   rule. *)
 let classify_tuple t ~src_ip ~dst_ip ~src_port ~dst_port ~proto =
   let n = t.count in
   let k = first_match t.cols n ~src_ip ~dst_ip ~src_port ~dst_port ~proto in
   let examined = if k < n then k + 1 else n in
-  for j = 0 to ((examined + rules_per_line - 1) / rules_per_line) - 1 do
-    Cycles.Clock.touch t.clock
-      (t.table_addr + (j * rules_per_line * rule_bytes))
-      ~bytes:rule_bytes
-  done;
+  Cycles.Clock.touch_lines t.clock t.table_addr
+    ~n:((examined + rules_per_line - 1) / rules_per_line);
   Cycles.Clock.charge_many t.clock (Alu 3) examined;
   if k < n then begin
     Cycles.Clock.charge t.clock Branch_miss;

@@ -264,13 +264,34 @@ let test_cache_counters () =
   let k = Cache.counters c in
   Alcotest.(check int) "reset" 0 (k.l1_hits + k.l2_hits + k.l3_hits + k.dram_accesses)
 
-let test_cache_access_range_lines () =
+(* [repeat_hit] replays the previous access, so it has nothing to
+   replay on a fresh cache or right after a flush. *)
+let test_cache_repeat_hit_needs_access () =
   let c = Cache.create () in
-  (* 200 bytes starting mid-line spans 4 lines of 64B. *)
-  let levels = Cache.access_range c 0x1020 200 in
-  Alcotest.(check int) "line count" 4 (List.length levels);
-  (* Zero / negative byte counts touch nothing. *)
-  Alcotest.(check int) "empty range" 0 (List.length (Cache.access_range c 0x1000 0))
+  let raises what =
+    Alcotest.check_raises what (Invalid_argument "Cache.repeat_hit: no preceding access")
+      (fun () -> Cache.repeat_hit c 1)
+  in
+  raises "fresh cache";
+  ignore (Cache.access c 0x1000);
+  Cache.repeat_hit c 3;
+  Alcotest.(check int) "replayed hits" 3 (Cache.counters c).l1_hits;
+  Cache.flush c;
+  raises "after flush"
+
+(* A way mask is 16 bits wide, and a level needs a set and a way. *)
+let test_cache_create_rejects_geometry () =
+  List.iter
+    (fun (what, (config : Cache.config)) ->
+      match Cache.create ~config () with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("17-way L3", { Cache.default_config with l3_ways = 17 });
+      ("0-way L1", { Cache.default_config with l1_ways = 0 });
+      ("0-set L2", { Cache.default_config with l2_sets = 0 });
+    ];
+  ignore (Cache.create ~config:{ Cache.default_config with l2_ways = 16 } ())
 
 let test_cache_working_set_hit_rates () =
   (* A working set that fits L1 should yield pure L1 hits on the second
@@ -305,6 +326,105 @@ let prop_cache_deterministic =
         List.map (fun a -> Cache.access c a) addrs
       in
       run () = run ())
+
+(* Differential against test/cache_oracle.ml. Traces are drawn to land
+   on every shortcut the production simulator takes: same-line
+   repeats and [repeat_hit], strides that alias one set at each level,
+   lines 1024 apart (one memo slot), multi-line runs and [flush]. *)
+type op =
+  | Access of int  (** one access at this address *)
+  | Again of int  (** the previous access's line again, at this byte offset *)
+  | Lines of int * int  (** [access_lines] from this address's line, this many lines *)
+  | Repeat of int  (** [repeat_hit] *)
+  | Flush
+
+let show_op = function
+  | Access a -> Printf.sprintf "Access 0x%x" a
+  | Again o -> Printf.sprintf "Again %d" o
+  | Lines (a, n) -> Printf.sprintf "Lines (0x%x, %d)" a n
+  | Repeat n -> Printf.sprintf "Repeat %d" n
+  | Flush -> "Flush"
+
+let gen_trace (c : Cache.config) =
+  let open QCheck.Gen in
+  let lb = c.line_bytes in
+  let strides = [| lb; c.l1_sets * lb; c.l2_sets * lb; c.l3_sets * lb; 1024 * lb |] in
+  let addr =
+    let* base = oneofl [ 0x1000; 0x40000; 0x123440 ] in
+    let* stride = oneofa strides in
+    let* k = int_bound 23 in
+    let+ off = int_bound (lb - 1) in
+    base + (stride * k) + off
+  in
+  let op =
+    frequency
+      [
+        (30, map (fun a -> Access a) addr);
+        (15, map (fun o -> Again o) (int_bound (lb - 1)));
+        (10, map2 (fun a n -> Lines (a, n)) addr (int_bound 40));
+        (5, map (fun n -> Repeat n) (int_bound 5));
+        (1, return Flush);
+      ]
+  in
+  list_size (int_range 1 1500) op
+
+let small_config =
+  { Cache.line_bytes = 64; l1_sets = 4; l1_ways = 2; l2_sets = 8; l2_ways = 4; l3_sets = 16;
+    l3_ways = 4 }
+
+(* Neither the line size nor the set counts are powers of two. *)
+let odd_config =
+  { Cache.line_bytes = 48; l1_sets = 3; l1_ways = 2; l2_sets = 6; l2_ways = 3; l3_sets = 10;
+    l3_ways = 5 }
+
+let prop_cache_matches_oracle name (config : Cache.config) ~count =
+  let arb =
+    QCheck.make (gen_trace config)
+      ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+      ~shrink:QCheck.Shrink.list
+  in
+  QCheck.Test.make ~name:("cache = textbook oracle (" ^ name ^ ")") ~count arb (fun ops ->
+      let c = Cache.create ~config () and o = Cache_oracle.create config in
+      let m = Cost_model.default in
+      let lb = config.line_bytes in
+      let prev = ref 0 in
+      List.iteri
+        (fun i op ->
+          let fail fmt = QCheck.Test.fail_reportf ("op %d (%s): " ^^ fmt) i (show_op op) in
+          let level_of a =
+            prev := a;
+            let got = Cache.access c a and want = Cache_oracle.access o a in
+            if got <> want then
+              fail "hit %s, oracle %s" (Cache.level_to_string got) (Cache.level_to_string want)
+          in
+          (match op with
+          | Access a -> level_of a
+          | Again off -> level_of ((!prev / lb * lb) + off)
+          | Lines (a, n) ->
+            let line = a / lb in
+            let got = Cache.access_lines c m line ~n
+            and want = Cache_oracle.access_lines o m line ~n in
+            if n > 0 then prev := (line + n - 1) * lb;
+            if got <> want then fail "charged %d cycles, oracle %d" got want
+          | Repeat n ->
+            let outcome f = match f () with () -> "ok" | exception Invalid_argument _ -> "raised" in
+            let got = outcome (fun () -> Cache.repeat_hit c n)
+            and want = outcome (fun () -> Cache_oracle.repeat_hit o n) in
+            if got <> want then fail "repeat_hit %s, oracle %s" got want
+          | Flush ->
+            Cache.flush c;
+            Cache_oracle.flush o);
+          if Cache.counters c <> Cache_oracle.counters o then fail "counters differ")
+        ops;
+      List.iter
+        (fun (level, sets) ->
+          for s = 0 to sets - 1 do
+            if Cache.resident c level s <> Cache_oracle.resident o level s then
+              QCheck.Test.fail_reportf "%s set %d: ways, LRU order or stamps differ"
+                (Cache.level_to_string level) s
+          done)
+        [ (Cache.L1, config.l1_sets); (Cache.L2, config.l2_sets); (Cache.L3, config.l3_sets) ];
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
@@ -347,6 +467,72 @@ let test_clock_touch_latencies () =
     (Int64.of_int m.l1_latency)
     (Int64.sub (Clock.now clk) before)
 
+let accesses clk =
+  let k = Clock.cache_counters clk in
+  k.l1_hits + k.l2_hits + k.l3_hits + k.dram_accesses
+
+(* Multi-line touches: [touch] charges every line its byte range
+   overlaps, and [touch_lines] equals one single-line [touch] per
+   line, on a twin clock. *)
+let test_clock_bulk_touches () =
+  let clk = Clock.create () in
+  let m = Clock.model clk in
+  let dram n = Int64.of_int (n * m.dram_latency) in
+  let charged f =
+    let before = Clock.now clk and n = accesses clk in
+    f ();
+    (Int64.sub (Clock.now clk) before, accesses clk - n)
+  in
+  let base = Clock.alloc_addr clk ~bytes:(64 * 64) in
+  (* 200 bytes starting mid-line span 4 lines of 64 B. *)
+  Alcotest.(check (pair int64 int)) "200 B from mid-line" (dram 4, 4)
+    (charged (fun () -> Clock.touch clk (base + 0x20) ~bytes:200));
+  Alcotest.(check (pair int64 int)) "8 B across a line boundary" (dram 2, 2)
+    (charged (fun () -> Clock.touch clk (base + (8 * 64) - 4) ~bytes:8));
+  Alcotest.(check (pair int64 int)) "zero bytes" (0L, 0)
+    (charged (fun () -> Clock.touch clk base ~bytes:0));
+  Alcotest.(check (pair int64 int)) "touch_lines ~n:0" (0L, 0)
+    (charged (fun () -> Clock.touch_lines clk base ~n:0));
+  let twin = Clock.create () in
+  ignore (Clock.alloc_addr twin ~bytes:(64 * 64));
+  Clock.touch twin (base + 0x20) ~bytes:200;
+  Clock.touch twin (base + (8 * 64) - 4) ~bytes:8;
+  List.iter
+    (fun (off, n) ->
+      Clock.touch_lines clk (base + off) ~n;
+      for j = 0 to n - 1 do
+        Clock.touch twin (base + off + (j * 64)) ~bytes:16
+      done)
+    [ (0, 12); (0x1c0, 40); (0x10, 1); (0, 64) ];
+  Alcotest.(check int64) "touch_lines cycles = per-line touches" (Clock.now twin) (Clock.now clk);
+  Alcotest.(check bool) "touch_lines counters = per-line touches" true
+    (Clock.cache_counters twin = Clock.cache_counters clk)
+
+(* The simulator runs on every simulated load/store; a boxed value per
+   call would show in every minor-words bound of test_fusion. *)
+let test_clock_touches_allocate_nothing () =
+  let clk = Clock.create () in
+  let c = Cache.create () in
+  let base = Clock.alloc_addr clk ~bytes:(1 lsl 20) in
+  let calls = 1000 in
+  let round i =
+    let a = base + (i * 4160 land 0xFFFFF) in
+    Clock.touch clk a ~bytes:100;
+    Clock.touch_lines clk a ~n:5;
+    ignore (Sys.opaque_identity (Cache.access_line c (a lsr 6)))
+  in
+  for i = 1 to calls do
+    round i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    round i
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    Alcotest.failf "touch/touch_lines/access_line allocated %.0f minor words over %d rounds" words
+      calls
+
 let test_clock_alloc_addr_unique_aligned () =
   let clk = Clock.create () in
   let a = Clock.alloc_addr clk ~bytes:10 in
@@ -369,6 +555,11 @@ let test_clock_touch_level_reports () =
   (* alloc_addr does not touch; first access is DRAM. *)
   Alcotest.(check string) "cold" "DRAM" (Cache.level_to_string (Clock.touch_level clk addr));
   Alcotest.(check string) "hot" "L1" (Cache.level_to_string (Clock.touch_level clk addr))
+
+(* Pinned unless QCHECK_SEED names another seed (make qcheck-soak). *)
+let rand () =
+  let env = Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt in
+  Random.State.make [| Option.value env ~default:20171017 |]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -406,9 +597,15 @@ let () =
           Alcotest.test_case "L1 eviction falls to L2" `Quick test_cache_l1_eviction_falls_to_l2;
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "counters" `Quick test_cache_counters;
-          Alcotest.test_case "access_range lines" `Quick test_cache_access_range_lines;
+          Alcotest.test_case "repeat_hit needs a preceding access" `Quick
+            test_cache_repeat_hit_needs_access;
+          Alcotest.test_case "create rejects geometries it cannot index" `Quick
+            test_cache_create_rejects_geometry;
           Alcotest.test_case "working-set hit rates" `Quick test_cache_working_set_hit_rates;
           qt prop_cache_deterministic;
+          qt ~rand:(rand ()) (prop_cache_matches_oracle "default" Cache.default_config ~count:100);
+          qt ~rand:(rand ()) (prop_cache_matches_oracle "small" small_config ~count:300);
+          qt ~rand:(rand ()) (prop_cache_matches_oracle "odd sizes" odd_config ~count:300);
         ] );
       ( "clock",
         [
@@ -418,5 +615,8 @@ let () =
           Alcotest.test_case "alloc_addr unique+aligned" `Quick test_clock_alloc_addr_unique_aligned;
           Alcotest.test_case "measure" `Quick test_clock_measure;
           Alcotest.test_case "touch_level reports" `Quick test_clock_touch_level_reports;
+          Alcotest.test_case "bulk and line-straddling touches" `Quick test_clock_bulk_touches;
+          Alcotest.test_case "touch, touch_lines, access_line allocate 0 words" `Quick
+            test_clock_touches_allocate_nothing;
         ] );
     ]
