@@ -172,6 +172,20 @@ let bench_incr_sync name ~dirty_pct =
    exact strategy keeps its store-32 row above. *)
 let bench_reverify name setup = Test.make ~name (Staged.stage (setup ()))
 
+(* E21's front end: parsing the rendered 500-function corpus. [cold]
+   empties the parser's body memo before every run; [warm] alternates
+   between the corpus and a copy with one body edited, so every run
+   reparses one body and reuses the other 499. *)
+let bench_parse name ~warm =
+  let p = Ifc.Gen.generate Ifc.Gen.default in
+  let a = Ifc.Parse.to_source p in
+  let b = Ifc.Parse.to_source (fst (Ifc.Gen.edit ~seed:1L ~edits:1 Ifc.Gen.default p)) in
+  let flip = ref false in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         if warm then flip := not !flip else Ifc.Parse.forget ();
+         ignore (Ifc.Parse.program (if !flip then b else a))))
+
 let tests =
   Test.make_grouped ~name:"beyond-safety" ~fmt:"%s %s"
     [
@@ -207,6 +221,8 @@ let tests =
       bench_reverify "e21: ifc summary hit (gen-500)" Experiments.Reverify.bench_hit;
       bench_reverify "e21: ifc summary warm-1pct (gen-500)" (fun () ->
           Experiments.Reverify.bench_warm ());
+      bench_parse "e21: parse gen-500 (cold)" ~warm:false;
+      bench_parse "e21: reparse gen-500, one body edited (warm)" ~warm:true;
     ]
 
 (* Sorted [(name, ns_per_run)] rows of one Bechamel pass. *)

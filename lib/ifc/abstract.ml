@@ -42,7 +42,8 @@ let check_flow ctx ~line ~subject ~label ~bound ~what =
 
 (* Alpha-rename a function body for inlining: parameters become the
    caller's argument variables; every other variable gets a fresh
-   prefix so it cannot capture caller state. *)
+   prefix so it cannot capture caller state. Lines become absolute, so
+   findings in the inlined body point into the file. *)
 let rename_body ctx (f : Ast.func) args =
   ctx.inline_counter <- ctx.inline_counter + 1;
   let prefix = Printf.sprintf "%s#%d::" f.fname ctx.inline_counter in
@@ -68,7 +69,7 @@ let rename_body ctx (f : Ast.func) args =
       | Call { func; args } -> Call { func; args = List.map (fun (v, m) -> (rn v, m)) args }
       | Assert_leq { var; label } -> Assert_leq { var = rn var; label }
     in
-    { s with op }
+    { Ast.line = f.line + s.line; op }
   in
   List.map rn_stmt f.body
 
@@ -168,11 +169,14 @@ let pts_read p ns var =
 let pts_write p ns var label =
   Alias.Int_set.iter (fun loc -> loc_join p loc label) (Alias.points_to p.pts (ns var))
 
-let rec pts_step p ns pc (s : Ast.stmt) =
+(* [off] is the line the body's statement lines are relative to, as in
+   [Alias.analyze]: allocation sites are absolute lines. *)
+let rec pts_step p ns off pc (s : Ast.stmt) =
   p.base.transfers <- p.base.transfers + 1;
+  let line = off + s.line in
   match s.op with
-  | Alloc { label; _ } -> loc_join p s.line (Label.join label pc)
-  | Copy { src; _ } -> loc_join p s.line (Label.join (pts_read p ns src) pc)
+  | Alloc { label; _ } -> loc_join p line (Label.join label pc)
+  | Copy { src; _ } -> loc_join p line (Label.join (pts_read p ns src) pc)
   | Const_write { dst; label; _ } -> pts_write p ns dst (Label.join label pc)
   | Append { dst; src } -> pts_write p ns dst (Label.join (pts_read p ns src) pc)
   | Move _ | Alias _ ->
@@ -185,13 +189,13 @@ let rec pts_step p ns pc (s : Ast.stmt) =
     pts_write p ns var label
   | If { cond; then_; else_ } ->
     let pc' = Label.join pc (pts_read p ns cond) in
-    pts_block p ns pc' then_;
-    pts_block p ns pc' else_
+    pts_block p ns off pc' then_;
+    pts_block p ns off pc' else_
   | While { cond; body } ->
     let rec fix () =
       p.loc_changed <- false;
       let pc' = Label.join pc (pts_read p ns cond) in
-      pts_block p ns pc' body;
+      pts_block p ns off pc' body;
       if p.loc_changed then fix ()
     in
     fix ()
@@ -202,10 +206,10 @@ let rec pts_step p ns pc (s : Ast.stmt) =
       | Some c -> c.bound
       | None -> Label.public
     in
-    check_flow p.base ~line:s.line ~subject:src ~label ~bound ~what:(Leaky_output channel)
+    check_flow p.base ~line ~subject:src ~label ~bound ~what:(Leaky_output channel)
   | Assert_leq { var; label = bound } ->
     let label = Label.join (pts_read p ns var) pc in
-    check_flow p.base ~line:s.line ~subject:var ~label ~bound ~what:Failed_assert
+    check_flow p.base ~line ~subject:var ~label ~bound ~what:Failed_assert
   | Call { func; args = _ } -> (
     match Ast.find_func p.base.program func with
     | None -> ()
@@ -215,9 +219,9 @@ let rec pts_step p ns pc (s : Ast.stmt) =
          parameter to every argument's locations, so reads and writes
          through the parameter reach the right cells — binding itself
          is pointer flow, not a data write. *)
-      pts_block p (fun v -> Alias.namespaced ~fname:func v) pc f.body)
+      pts_block p (fun v -> Alias.namespaced ~fname:func v) f.line pc f.body)
 
-and pts_block p ns pc stmts = List.iter (pts_step p ns pc) stmts
+and pts_block p ns off pc stmts = List.iter (pts_step p ns off pc) stmts
 
 (* ------------------------------------------------------------------ *)
 
@@ -247,7 +251,7 @@ let analyze strategy (program : Ast.program) =
     let rec outer () =
       let before = Hashtbl.copy p.loc_labels in
       ctx.findings <- [];
-      pts_block p Fun.id Label.public program.main;
+      pts_block p Fun.id 0 Label.public program.main;
       let stable =
         Hashtbl.length before = Hashtbl.length p.loc_labels
         && Hashtbl.fold

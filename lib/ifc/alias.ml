@@ -14,20 +14,23 @@ type constr =
   | Subset of { dst : string; src : string }
   | Elem of { dst : string; loc : int }
 
-let rec collect_stmts ~ns program acc stmts =
+(* A location is its allocation site's absolute line: [off] is the line
+   the statements' lines are relative to (the function's header, or 0
+   in main). *)
+let rec collect_stmts ~ns ~off program acc stmts =
   List.fold_left
     (fun acc (s : Ast.stmt) ->
       let v x = ns x in
       match s.op with
-      | Alloc { var; _ } -> Elem { dst = v var; loc = s.line } :: acc
-      | Copy { dst; _ } -> Elem { dst = v dst; loc = s.line } :: acc
+      | Alloc { var; _ } -> Elem { dst = v var; loc = off + s.line } :: acc
+      | Copy { dst; _ } -> Elem { dst = v dst; loc = off + s.line } :: acc
       | Move { dst; src } | Alias { dst; src } ->
         Subset { dst = v dst; src = v src } :: acc
       | Const_write _ | Append _ | Declassify _ | Output _ | Assert_leq _ -> acc
       | If { then_; else_; _ } ->
-        let acc = collect_stmts ~ns program acc then_ in
-        collect_stmts ~ns program acc else_
-      | While { body; _ } -> collect_stmts ~ns program acc body
+        let acc = collect_stmts ~ns ~off program acc then_ in
+        collect_stmts ~ns ~off program acc else_
+      | While { body; _ } -> collect_stmts ~ns ~off program acc body
       | Call { func; args } -> (
         match Ast.find_func program func with
         | None -> acc
@@ -39,11 +42,11 @@ let rec collect_stmts ~ns program acc stmts =
     acc stmts
 
 let analyze (program : Ast.program) =
-  let constraints = collect_stmts ~ns:Fun.id program [] program.main in
+  let constraints = collect_stmts ~ns:Fun.id ~off:0 program [] program.main in
   let constraints =
     List.fold_left
       (fun acc (f : Ast.func) ->
-        collect_stmts ~ns:(fun x -> namespaced ~fname:f.fname x) program acc f.body)
+        collect_stmts ~ns:(fun x -> namespaced ~fname:f.fname x) ~off:f.line program acc f.body)
       constraints program.funcs
   in
   let locations =

@@ -2,7 +2,8 @@
     {e conventional} language needs before it can do IFC at all.
 
     Abstract locations are allocation sites ([Alloc]/[Copy] statement
-    lines). The analysis is inclusion-based and flow-insensitive:
+    lines, absolute: a function body's relative lines are rebased to
+    its header, so two functions' sites never merge). The analysis is inclusion-based and flow-insensitive:
     [Move], [Alias] and call bindings generate ⊇ constraints that are
     iterated to a fixpoint. Variables inside a function body are
     namespaced as ["fname::var"]; main's variables keep their names.

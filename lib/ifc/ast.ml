@@ -16,7 +16,7 @@ type op =
 
 and stmt = { line : int; op : op }
 
-type func = { fname : string; params : string list; body : stmt list }
+type func = { fname : string; params : string list; line : int; body : stmt list }
 type channel = { cname : string; bound : Label.t }
 type dialect = Safe | Aliased
 
@@ -112,18 +112,21 @@ let check_params err f =
       (fun d -> err 0 (Printf.sprintf "duplicate parameter `%s' of `%s'" d f.fname))
       ds
 
-let check_stmt p idx err s =
+(* [base] is the line a statement's [line] is relative to: its
+   function's header, or 0 in [main]. *)
+let check_stmt p idx err base (s : stmt) =
+  let line = base + s.line in
   match s.op with
   | Alias _ when p.dialect = Safe ->
-    err s.line "aliasing (`&') is not part of the safe dialect"
+    err line "aliasing (`&') is not part of the safe dialect"
   | Output { channel; _ } when not (Hashtbl.mem idx.chan_tbl channel) ->
-    err s.line (Printf.sprintf "output on undeclared channel `%s'" channel)
+    err line (Printf.sprintf "output on undeclared channel `%s'" channel)
   | Call { func; args } -> (
     match Hashtbl.find_opt idx.funcs_tbl func with
-    | None -> err s.line (Printf.sprintf "call to unknown function `%s'" func)
+    | None -> err line (Printf.sprintf "call to unknown function `%s'" func)
     | Some f ->
       if List.length args <> List.length f.params then
-        err s.line
+        err line
           (Printf.sprintf "`%s' expects %d arguments, got %d" func (List.length f.params)
              (List.length args)))
   | Alloc _ | Const_write _ | Append _ | Move _ | Alias _ | Copy _ | Declassify _
@@ -141,8 +144,8 @@ let validate p =
   | ds -> List.iter (fun d -> err 0 (Printf.sprintf "duplicate channel `%s'" d)) ds);
   List.iter (check_params err) p.funcs;
   let idx = index_of p in
-  iter_stmts (check_stmt p idx err) p.main;
-  List.iter (fun f -> iter_stmts (check_stmt p idx err) f.body) p.funcs;
+  iter_stmts (check_stmt p idx err 0) p.main;
+  List.iter (fun f -> iter_stmts (check_stmt p idx err f.line) f.body) p.funcs;
   check_recursion idx p.funcs err;
   match List.rev !errs with [] -> Ok () | es -> Error es
 
@@ -151,8 +154,8 @@ let validate_incremental p ~dirty =
   let err line reason = errs := { vline = line; reason } :: !errs in
   List.iter (check_params err) dirty;
   let idx = index_of p in
-  iter_stmts (check_stmt p idx err) p.main;
-  List.iter (fun f -> iter_stmts (check_stmt p idx err) f.body) dirty;
+  iter_stmts (check_stmt p idx err 0) p.main;
+  List.iter (fun f -> iter_stmts (check_stmt p idx err f.line) f.body) dirty;
   check_recursion idx dirty err;
   match List.rev !errs with [] -> Ok () | es -> Error es
 
@@ -164,31 +167,35 @@ let stmt_count p =
 
 let mode_str = function By_move -> "move " | By_borrow -> "&"
 
-let rec pp_stmt ppf s =
+(* [base] as in [check_stmt]: printed lines are absolute. *)
+let rec pp_stmt_at base ppf (s : stmt) =
   let f fmt = Format.fprintf ppf fmt in
+  let line = base + s.line in
   match s.op with
-  | Alloc { var; label } -> f "@[%3d: let %s = vec![] : %a@]" s.line var Label.pp label
+  | Alloc { var; label } -> f "@[%3d: let %s = vec![] : %a@]" line var Label.pp label
   | Const_write { dst; value; label } ->
-    f "@[%3d: %s.push(%d : %a)@]" s.line dst value Label.pp label
-  | Append { dst; src } -> f "@[%3d: %s.append(copy %s)@]" s.line dst src
-  | Move { dst; src } -> f "@[%3d: let %s = move %s@]" s.line dst src
-  | Alias { dst; src } -> f "@[%3d: let %s = &%s@]" s.line dst src
-  | Copy { dst; src } -> f "@[%3d: let %s = %s.clone()@]" s.line dst src
-  | Declassify { var; label } -> f "@[%3d: declassify %s to %a@]" s.line var Label.pp label
+    f "@[%3d: %s.push(%d : %a)@]" line dst value Label.pp label
+  | Append { dst; src } -> f "@[%3d: %s.append(copy %s)@]" line dst src
+  | Move { dst; src } -> f "@[%3d: let %s = move %s@]" line dst src
+  | Alias { dst; src } -> f "@[%3d: let %s = &%s@]" line dst src
+  | Copy { dst; src } -> f "@[%3d: let %s = %s.clone()@]" line dst src
+  | Declassify { var; label } -> f "@[%3d: declassify %s to %a@]" line var Label.pp label
   | If { cond; then_; else_ } ->
-    f "@[<v>%3d: if %s {@;<1 2>%a@,} else {@;<1 2>%a@,}@]" s.line cond pp_block then_
-      pp_block else_
+    f "@[<v>%3d: if %s {@;<1 2>%a@,} else {@;<1 2>%a@,}@]" line cond (pp_block base) then_
+      (pp_block base) else_
   | While { cond; body } ->
-    f "@[<v>%3d: while %s {@;<1 2>%a@,}@]" s.line cond pp_block body
-  | Output { channel; src } -> f "@[%3d: output %s -> %s@]" s.line src channel
+    f "@[<v>%3d: while %s {@;<1 2>%a@,}@]" line cond (pp_block base) body
+  | Output { channel; src } -> f "@[%3d: output %s -> %s@]" line src channel
   | Call { func; args } ->
-    f "@[%3d: %s(%s)@]" s.line func
+    f "@[%3d: %s(%s)@]" line func
       (String.concat ", " (List.map (fun (v, m) -> mode_str m ^ v) args))
   | Assert_leq { var; label } ->
-    f "@[%3d: assert label(%s) <= %a@]" s.line var Label.pp label
+    f "@[%3d: assert label(%s) <= %a@]" line var Label.pp label
 
-and pp_block ppf stmts =
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_stmt ppf stmts
+and pp_block base ppf stmts =
+  Format.pp_print_list ~pp_sep:Format.pp_print_cut (pp_stmt_at base) ppf stmts
+
+let pp_stmt = pp_stmt_at 0
 
 let pp_program ppf p =
   let dialect = match p.dialect with Safe -> "safe" | Aliased -> "aliased" in
@@ -199,6 +206,6 @@ let pp_program ppf p =
   List.iter
     (fun fn ->
       Format.fprintf ppf "@[<v>fn %s(%s) {@;<1 2>%a@,}@]@," fn.fname
-        (String.concat ", " fn.params) pp_block fn.body)
+        (String.concat ", " fn.params) (pp_block fn.line) fn.body)
     p.funcs;
-  Format.fprintf ppf "%a@]" pp_block p.main
+  Format.fprintf ppf "%a@]" (pp_block 0) p.main

@@ -18,7 +18,9 @@
 
     Values are vectors of labelled integers; a heap {e cell} holds one
     vector. Statements carry source line numbers so diagnostics can
-    reproduce the paper's "error in line 16" narrative. *)
+    reproduce the paper's "error in line 16" narrative. A function's
+    statements carry lines relative to the function ({!func}), so a
+    body means the same wherever the function sits in the file. *)
 
 type arg_mode =
   | By_move    (** The caller's variable is consumed. *)
@@ -61,10 +63,21 @@ type op =
           ... through the use of assertions"). *)
 
 and stmt = { line : int; op : op }
+(** [line] is absolute in [main] and relative to the enclosing
+    function's [line] in a function body. *)
 
 type func = {
   fname : string;
   params : string list;
+  line : int;
+      (** The line of the [fn] header in the source; 0 for functions
+          built in code, whose statement lines are then absolute. A
+          body statement sits at [line + stmt.line]. Diagnostics
+          (validation errors, ownership violations, findings,
+          {!pp_program}, {!Interp} and {!Sectype} errors) report that
+          absolute line; everything cached about a body
+          ({!Summary_cache}, the parser's memo) keeps the relative
+          one. *)
   body : stmt list;
 }
 
@@ -121,4 +134,7 @@ val stmt_count : program -> int
 (** Total statements including nested blocks and function bodies. *)
 
 val pp_stmt : Format.formatter -> stmt -> unit
+(** Prints the statement's own [line]. *)
+
 val pp_program : Format.formatter -> program -> unit
+(** Prints absolute lines throughout. *)

@@ -90,6 +90,7 @@ let serve_func j =
   {
     Ast.fname = serve_name j;
     params = [ "auth"; "buf" ];
+    line = 0;
     body =
       [
         s (l 1)

@@ -107,6 +107,7 @@ let gen_func spec rng i =
   {
     Ast.fname = func_name i;
     params = [ "a"; "b" ];
+    line = 0;
     body = prelude @ fill @ extra_call @ chain_call @ epilogue;
   }
 

@@ -54,84 +54,87 @@ let tick ctx line =
   ctx.steps <- ctx.steps + 1;
   if ctx.steps > ctx.fuel then error line "fuel exhausted (non-terminating loop?)"
 
-let rec exec ctx env (s : Ast.stmt) =
-  tick ctx s.line;
+(* [off] is the line [s.line] is relative to: the enclosing function's
+   header, or 0 in main. Events and errors report absolute lines. *)
+let rec exec ctx off env (s : Ast.stmt) =
+  let line = off + s.line in
+  tick ctx line;
   match s.op with
   | Alloc { var; _ } -> Env.add var (Bound { elems = [] }) env
   | Const_write { dst; value; label } ->
-    let c = lookup_cell env s.line dst in
+    let c = lookup_cell env line dst in
     c.elems <- c.elems @ [ { value; taint = label } ];
     env
   | Append { dst; src } ->
-    let d = lookup_cell env s.line dst in
-    let s' = lookup_cell env s.line src in
+    let d = lookup_cell env line dst in
+    let s' = lookup_cell env line src in
     d.elems <- d.elems @ s'.elems;
     env
   | Move { dst; src } ->
-    let c = lookup_cell env s.line src in
-    Env.add dst (Bound c) (Env.add src (Consumed s.line) env)
+    let c = lookup_cell env line src in
+    Env.add dst (Bound c) (Env.add src (Consumed line) env)
   | Alias { dst; src } ->
-    let c = lookup_cell env s.line src in
+    let c = lookup_cell env line src in
     Env.add dst (Bound c) env
   | Copy { dst; src } ->
-    let c = lookup_cell env s.line src in
+    let c = lookup_cell env line src in
     ctx.copies <- ctx.copies + 1;
     ctx.bytes_copied <- ctx.bytes_copied + List.length c.elems;
     Env.add dst (Bound { elems = c.elems }) env
   | Declassify { var; label } ->
-    let c = lookup_cell env s.line var in
+    let c = lookup_cell env line var in
     c.elems <- List.map (fun e -> { e with taint = label }) c.elems;
     env
   | If { cond; then_; else_ } ->
-    let c = lookup_cell env s.line cond in
+    let c = lookup_cell env line cond in
     let branch = if truthy c then then_ else else_ in
     (* Branch-local bindings do not escape; cell mutations do. *)
-    ignore (block ctx env branch);
+    ignore (block ctx off env branch);
     env
   | While { cond; body } ->
-    let c = lookup_cell env s.line cond in
+    let c = lookup_cell env line cond in
     if truthy c then begin
-      ignore (block ctx env body);
-      exec ctx env s
+      ignore (block ctx off env body);
+      exec ctx off env s
     end
     else env
   | Output { channel; src } ->
-    let c = lookup_cell env s.line src in
+    let c = lookup_cell env line src in
     let bound =
       match Ast.find_channel ctx.program channel with
       | Some ch -> ch.bound
-      | None -> error s.line "undeclared channel `%s'" channel
+      | None -> error line "undeclared channel `%s'" channel
     in
-    ctx.events <- { eline = s.line; channel; bound; data = c.elems } :: ctx.events;
+    ctx.events <- { eline = line; channel; bound; data = c.elems } :: ctx.events;
     env
   | Call { func; args } ->
     let f =
       match Ast.find_func ctx.program func with
       | Some f -> f
-      | None -> error s.line "unknown function `%s'" func
+      | None -> error line "unknown function `%s'" func
     in
-    let cells = List.map (fun (v, _mode) -> lookup_cell env s.line v) args in
+    let cells = List.map (fun (v, _mode) -> lookup_cell env line v) args in
     let fenv =
       List.fold_left2
         (fun acc param c -> Env.add param (Bound c) acc)
         Env.empty f.params cells
     in
-    ignore (block ctx fenv f.body);
+    ignore (block ctx f.line fenv f.body);
     (* Moved-in arguments are consumed in the caller. *)
     List.fold_left
       (fun env (v, mode) ->
         match (mode : Ast.arg_mode) with
         | By_borrow -> env
-        | By_move -> Env.add v (Consumed s.line) env)
+        | By_move -> Env.add v (Consumed line) env)
       env args
   | Assert_leq { var; label } ->
-    let c = lookup_cell env s.line var in
+    let c = lookup_cell env line var in
     let actual = cell_taint c in
     if not (Label.leq actual label) then
-      ctx.assertion_failures <- (s.line, var, actual, label) :: ctx.assertion_failures;
+      ctx.assertion_failures <- (line, var, actual, label) :: ctx.assertion_failures;
     env
 
-and block ctx env stmts = List.fold_left (exec ctx) env stmts
+and block ctx off env stmts = List.fold_left (exec ctx off) env stmts
 
 let event_taint e = List.fold_left (fun acc el -> Label.join acc el.taint) Label.public e.data
 
@@ -140,7 +143,7 @@ let run ?(fuel = 100_000) program =
     { program; events = []; assertion_failures = []; copies = 0; bytes_copied = 0;
       steps = 0; fuel }
   in
-  ignore (block ctx Env.empty program.Ast.main);
+  ignore (block ctx 0 Env.empty program.Ast.main);
   let events = List.rev ctx.events in
   let leaks = List.filter (fun e -> not (Label.leq (event_taint e) e.bound)) events in
   {

@@ -146,9 +146,21 @@ let func_violations (f : Ast.func) =
 
 let finalize vs = match dedup_sort vs with [] -> Ok () | vs -> Error vs
 
+let shift d v =
+  let kind =
+    match v.kind with
+    | Use_after_move { moved_at } -> Use_after_move { moved_at = moved_at + d }
+    | Move_of_moved { moved_at } -> Move_of_moved { moved_at = moved_at + d }
+    | Unbound -> Unbound
+  in
+  { v with line = v.line + d; kind }
+
 let check (program : Ast.program) =
   let disc =
-    main_violations program.main @ List.concat_map func_violations program.funcs
+    main_violations program.main
+    @ List.concat_map
+        (fun (f : Ast.func) -> List.map (shift f.line) (func_violations f))
+        program.funcs
   in
   (* [List.rev]: the one-ctx implementation this replaces accumulated
      by prepending, and [finalize]'s dedup/stable-sort sees the same

@@ -33,13 +33,19 @@ val check : Ast.program -> (unit, violation list) result
     function's violations keyed on its body fingerprint and reassembles
     the whole-program result. [check p] is exactly
     [finalize (List.rev (main_violations p.main @ concat-map
-    func_violations p.funcs))]. *)
+    (fun f -> map (shift f.line) (func_violations f)) p.funcs))]. *)
 
 val main_violations : Ast.stmt list -> violation list
 (** Violations of a main block, in discovery order (not deduplicated). *)
 
 val func_violations : Ast.func -> violation list
-(** Violations of one function body, parameters live, discovery order. *)
+(** Violations of one function body, parameters live, discovery order.
+    Lines (and [moved_at]) are the body's own, relative to the
+    function's header ({!Ast.func}). *)
+
+val shift : int -> violation -> violation
+(** [shift d v] moves [v]'s line and [moved_at] down by [d] lines:
+    [shift f.line] makes a {!func_violations} entry absolute. *)
 
 val finalize : violation list -> (unit, violation list) result
 (** De-duplicate and sort, as {!check} does before reporting. *)

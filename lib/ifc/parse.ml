@@ -191,6 +191,9 @@ type cursor = {
   mutable num : int;  (** The current line's number, from 1. *)
   mutable a : int;
   mutable b : int;
+  mutable base : int;
+      (** The line statement lines are relative to: the header of the
+          function being parsed, or 0 in main. *)
 }
 
 (* The first '\n' or '#' in [i, n), or [n]. *)
@@ -251,24 +254,72 @@ and parse_stmt c =
       end
     in
     close c line "unterminated else block";
-    Ast.stmt line (If { cond; then_; else_ })
+    Ast.stmt (line - c.base) (If { cond; then_; else_ })
   end
   else if has_prefix s a b "while " then begin
     let cond = parse_cond line "while" s (ltrim s (a + 6) b) b in
     advance c;
     let body = parse_block c in
     close c line "unterminated while block";
-    Ast.stmt line (While { cond; body })
+    Ast.stmt (line - c.base) (While { cond; body })
   end
   else begin
     let op = parse_simple line s a b in
     advance c;
-    Ast.stmt line op
+    Ast.stmt (line - c.base) op
   end
+
+(* --- the body memo ---------------------------------------------------- *)
+
+(* A function body as the memo keeps it: its statements, with lines
+   relative to the header, and its closing line's distance from the
+   header. *)
+type body = { stmts : Ast.stmt list; lines : int }
+
+(* The bodies of the last unit that parsed successfully, keyed by the
+   digest of each body's bytes: from the line after its header through
+   its closing line. A table is filled by one parse and published whole
+   when that parse succeeds; a published table is never written again,
+   so concurrent parses only ever read one. *)
+let memo : (Digest.t, body) Hashtbl.t Atomic.t = Atomic.make (Hashtbl.create 1)
+
+let forget () = Atomic.set memo (Hashtbl.create 1)
+
+(* Where the body that starts at [i] ends, from its lines alone: the
+   start of the line after its closing line, as [advance] would leave
+   [next] ([n + 1] if no line closes it). [depth] counts the blocks open: `if`/`while`
+   lines open one, a `}` line closes one, and at depth 1 any line that
+   starts with `}` closes the body. On every body the parser accepts,
+   that is the parser's closing line; on others it may not be, which
+   costs a miss, never a wrong hit (see [parse_func]). Only a line's
+   first character is read before skipping to its end. *)
+let rec segment s n i depth =
+  let a = ltrim s i n in
+  if a >= n then n + 1
+  else
+    let next = find_char s a n '\n' + 1 in
+    match s.[a] with
+    | '}' ->
+      if depth = 1 then next
+      else
+        let k = ltrim s (a + 1) n in
+        let closes = k = n || s.[k] = '\n' || s.[k] = '#' in
+        segment s n next (if closes then depth - 1 else depth)
+    | 'i' when has_prefix s a n "if " -> segment s n next (depth + 1)
+    | 'w' when has_prefix s a n "while " -> segment s n next (depth + 1)
+    | _ -> segment s n next depth
 
 (* --- top level -------------------------------------------------------- *)
 
-let parse_func c =
+(* A function: its header, then its body, which is either the body the
+   memo [prev] holds for the same bytes or parsed here. A digest hit is
+   exactly what parsing would give: the bytes equal those of a body that
+   parsed successfully, a body's parse reads no byte past its closing
+   line, and its lines are relative to the header, so neither what
+   precedes nor what follows it can change the result. The body goes
+   into [next] under its digest when the parse and the segmenter agree
+   on where it ends. *)
+let parse_func c prev next =
   let s = c.src and b = c.b and line = c.num in
   let a = ltrim s (c.a + 3) b in
   let i = find s a b "(" in
@@ -278,12 +329,29 @@ let parse_func c =
   let pa = ltrim s (i + 1) pb in
   let params = if pa = pb then [] else parse_list parse_param line s pa pb in
   let fname = ident line "function name" s a (rtrim s a i) in
+  let n = String.length s in
+  let start = min c.next n in
+  let stop = segment s n start 1 in
+  let key = Digest.substring s start (min stop n - start) in
+  let body =
+    match Hashtbl.find_opt prev key with
+    | Some body ->
+      c.num <- line + body.lines;
+      c.next <- stop;
+      body
+    | None ->
+      advance c;
+      c.base <- line;
+      let stmts = parse_block c in
+      c.base <- 0;
+      if not (line_is c "}") then fail line "unterminated function body";
+      { stmts; lines = c.num - line }
+  in
+  if c.next = stop then Hashtbl.replace next key body;
   advance c;
-  let body = parse_block c in
-  close c line "unterminated function body";
-  { Ast.fname; params; body }
+  { Ast.fname; params; line; body = body.stmts }
 
-let rec parse_top c dialect channels funcs main =
+let rec parse_top c prev next dialect channels funcs main =
   if at_end c then
     { Ast.dialect; channels = List.rev channels; funcs = List.rev funcs; main = List.rev main }
   else
@@ -295,22 +363,26 @@ let rec parse_top c dialect channels funcs main =
       let bound = parse_label line s (ltrim s (i + 7) b) b in
       let ch = { Ast.cname = ident line "channel name" s a (rtrim s a i); bound } in
       advance c;
-      parse_top c dialect (ch :: channels) funcs main
+      parse_top c prev next dialect (ch :: channels) funcs main
     end
     else if has_prefix s a b "fn " then
-      let f = parse_func c in
-      parse_top c dialect channels (f :: funcs) main
+      let f = parse_func c prev next in
+      parse_top c prev next dialect channels (f :: funcs) main
     else
       let stmt = parse_stmt c in
-      parse_top c dialect channels funcs (stmt :: main)
+      parse_top c prev next dialect channels funcs (stmt :: main)
 
 let program source =
-  let c = { src = source; next = 0; num = 0; a = 0; b = 0 } in
+  let c = { src = source; next = 0; num = 0; a = 0; b = 0; base = 0 } in
   advance c;
   let dialect : Ast.dialect = if line_is c "dialect aliased" then Aliased else Safe in
   if line_is c "dialect safe" || line_is c "dialect aliased" then advance c;
-  match parse_top c dialect [] [] [] with
-  | p -> Ok p
+  let prev = Atomic.get memo in
+  let next = Hashtbl.create (max 16 (Hashtbl.length prev)) in
+  match parse_top c prev next dialect [] [] [] with
+  | p ->
+    Atomic.set memo next;
+    Ok p
   | exception Parse_error e -> Error e
 
 (* --- printing in the concrete syntax ---------------------------------- *)

@@ -35,14 +35,47 @@ type error = { eline : int; message : string }
 
 val program : string -> (Ast.program, error) result
 (** Parse a whole compilation unit. The result still needs
-    {!Ast.validate} (the parser checks syntax only).
+    {!Ast.validate} (the parser checks syntax only). A function's
+    [line] is its header's source line and its statements' lines are
+    relative to it ({!Ast.func}); [main]'s are source lines, as are the
+    lines of errors.
 
     One pass over the source, linear in its length: a cursor walks it
     line by line and matches each statement in place, so no line is
     ever copied; only identifiers, integer literals and error text are.
     The ASTs and the [{eline; message}] of every malformed input are
     exactly those of the earlier line-list parser, which the test suite
-    keeps as a differential oracle. *)
+    keeps as a differential oracle.
+
+    {b Incremental.} The parser keeps a memo of the last unit it parsed
+    successfully: for each function body, the MD5 digest ({!Digest}) of
+    its bytes, from the line after its header through its closing
+    line, mapped to its AST and its length in lines. A body whose bytes
+    hit is not parsed again: the previous body is returned {e
+    physically}, wherever the function moved, and only the header is
+    parsed fresh. So a reparse after an edit costs one scan that
+    delimits and digests each body, plus the edited bodies, and a
+    {!Summary_cache} sees every untouched body as the one it already
+    fingerprinted.
+
+    A digest hit is exactly what a full parse would give. The memo only
+    holds bodies the full parser parsed successfully; that parse reads
+    no byte past the body's closing line, and lines relative to the
+    header make its AST independent of where the body sits. Equal
+    bytes (up to an MD5 collision) therefore parse to the equal AST and
+    end on the equal line.
+
+    The memo is bounded by the last successful unit: one entry per
+    function in it, holding a digest and the body it already shares
+    with that unit's AST, never source text. A failed parse leaves it
+    as it was. It is replaced whole, through an [Atomic.t], when a
+    parse succeeds, and a published memo is never written again, so
+    parses on several domains are safe: each reads one published memo,
+    and the last to succeed publishes its own. *)
+
+val forget : unit -> unit
+(** Empty the memo, so that the next {!program} parses cold. For tests
+    and measurements; the result of {!program} never depends on it. *)
 
 val label : string -> (Label.t, string) result
 (** Parse just a label (["public"], ["{secret}"], ["{a,b}"]). *)
@@ -50,6 +83,7 @@ val label : string -> (Label.t, string) result
 val to_source : Ast.program -> string
 (** Render a program in the concrete syntax, into one buffer;
     [program (to_source p)] reparses to an equal program up to
-    statement line numbers. *)
+    lines: the reparse carries the header and statement lines of the
+    rendered text, one statement per line. *)
 
 val error_to_string : error -> string

@@ -16,64 +16,66 @@ let declared env line ctx v =
     report ctx line "use of undeclared variable `%s'" v;
     Label.public
 
-let rec step ctx env (s : Ast.stmt) =
+(* [off] as in [Interp]: violations report absolute lines. *)
+let rec step ctx off env (s : Ast.stmt) =
+  let line = off + s.line in
   match s.op with
   | Ast.Alloc { var; label } -> Env.add var label env
   | Const_write { dst; label; _ } ->
-    let d = declared env s.line ctx dst in
+    let d = declared env line ctx dst in
     if not (Label.leq label d) then
-      report ctx s.line "write of %s data into `%s' declared %s" (Label.to_string label) dst
+      report ctx line "write of %s data into `%s' declared %s" (Label.to_string label) dst
         (Label.to_string d);
     env
   | Append { dst; src } ->
-    let d = declared env s.line ctx dst and sl = declared env s.line ctx src in
+    let d = declared env line ctx dst and sl = declared env line ctx src in
     if not (Label.leq sl d) then
-      report ctx s.line "append of `%s' (%s) into `%s' declared %s" src (Label.to_string sl)
+      report ctx line "append of `%s' (%s) into `%s' declared %s" src (Label.to_string sl)
         dst (Label.to_string d);
     env
   | Move { dst; src } | Alias { dst; src } -> (
-    let sl = declared env s.line ctx src in
+    let sl = declared env line ctx src in
     match Env.find_opt dst env with
     | None ->
       (* Fresh binding: inherits the source's declared type. *)
       Env.add dst sl env
     | Some d ->
       if not (Label.equal sl d) then
-        report ctx s.line
+        report ctx line
           "`%s' (declared %s) cannot take ownership of / alias `%s' (declared %s): labels \
            are fixed"
           dst (Label.to_string d) src (Label.to_string sl);
       env)
   | Copy { dst; src } -> (
-    let sl = declared env s.line ctx src in
+    let sl = declared env line ctx src in
     match Env.find_opt dst env with
     | None -> Env.add dst sl env
     | Some d ->
       if not (Label.leq sl d) then
-        report ctx s.line "copy of `%s' (%s) into `%s' declared %s flows downward" src
+        report ctx line "copy of `%s' (%s) into `%s' declared %s flows downward" src
           (Label.to_string sl) dst (Label.to_string d);
       env)
   | Declassify { var; _ } ->
-    report ctx s.line "declassification of `%s': labels cannot change in a security type system"
+    report ctx line "declassification of `%s': labels cannot change in a security type system"
       var;
     env
   | If { then_; else_; _ } ->
     (* No pc tracking: the classic Volpano-Smith systems do carry a pc;
        we deliberately keep the baseline minimal since the experiments
        only exercise explicit flows through it. *)
-    let a = block ctx env then_ in
-    let b = block ctx env else_ in
+    let a = block ctx off env then_ in
+    let b = block ctx off env else_ in
     Env.union (fun _ x _ -> Some x) a b
-  | While { body; _ } -> block ctx env body
+  | While { body; _ } -> block ctx off env body
   | Output { channel; src } ->
-    let sl = declared env s.line ctx src in
+    let sl = declared env line ctx src in
     let bound =
       match Ast.find_channel ctx.program channel with
       | Some c -> c.Ast.bound
       | None -> Label.public
     in
     if not (Label.leq sl bound) then
-      report ctx s.line "output of `%s' (declared %s) on channel bounded %s" src
+      report ctx line "output of `%s' (declared %s) on channel bounded %s" src
         (Label.to_string sl) (Label.to_string bound);
     env
   | Call { func; args } -> (
@@ -84,23 +86,23 @@ let rec step ctx env (s : Ast.stmt) =
          labels of the arguments. *)
       let fenv =
         List.fold_left2
-          (fun acc p (a, _) -> Env.add p (declared env s.line ctx a) acc)
+          (fun acc p (a, _) -> Env.add p (declared env line ctx a) acc)
           Env.empty f.params args
       in
-      ignore (block ctx fenv f.body);
+      ignore (block ctx f.Ast.line fenv f.body);
       env)
   | Assert_leq { var; label } ->
-    let sl = declared env s.line ctx var in
+    let sl = declared env line ctx var in
     if not (Label.leq sl label) then
-      report ctx s.line "`%s' declared %s, asserted <= %s" var (Label.to_string sl)
+      report ctx line "`%s' declared %s, asserted <= %s" var (Label.to_string sl)
         (Label.to_string label);
     env
 
-and block ctx env stmts = List.fold_left (step ctx) env stmts
+and block ctx off env stmts = List.fold_left (step ctx off) env stmts
 
 let check program =
   let ctx = { program; violations = [] } in
-  ignore (block ctx Env.empty program.Ast.main);
+  ignore (block ctx 0 Env.empty program.Ast.main);
   match List.rev ctx.violations with
   | [] -> Ok ()
   | vs -> Error (List.sort (fun a b -> compare a.line b.line) vs)

@@ -13,8 +13,6 @@ type t = {
   asserts : (site * string * sym * Label.t) list;
 }
 
-let base (f : Ast.func) = match f.body with s :: _ -> s.line | [] -> 0
-
 let bot = { const = Label.public; deps = Int_set.empty }
 let of_label l = { const = l; deps = Int_set.empty }
 let of_param i = { const = Label.public; deps = Int_set.singleton i }
@@ -39,10 +37,8 @@ type ctx = {
   program : Ast.program;
   summaries : (string, t) Hashtbl.t;
   mutable transfers : int;
-  (* Accumulated while summarising one function ([fn = ""], base 0
-     for main): *)
+  (* Accumulated while summarising one function ([fn = ""] for main): *)
   mutable fn : string;
-  mutable base : int;
   mutable outputs : (site * string * sym) list;
   mutable asserts : (site * string * sym * Label.t) list;
   mutable moved : (string, unit) Hashtbl.t;
@@ -76,11 +72,11 @@ let rec step ctx pc env (s : Ast.stmt) =
     in
     fix env
   | Output { channel; src } ->
-    let site = { fn = ctx.fn; rel = s.line - ctx.base } in
+    let site = { fn = ctx.fn; rel = s.line } in
     ctx.outputs <- (site, channel, sym_join (env_get env src) pc) :: ctx.outputs;
     env
   | Assert_leq { var; label } ->
-    let site = { fn = ctx.fn; rel = s.line - ctx.base } in
+    let site = { fn = ctx.fn; rel = s.line } in
     ctx.asserts <- (site, var, sym_join (env_get env var) pc, label) :: ctx.asserts;
     env
   | Call { func; args } -> (
@@ -151,7 +147,6 @@ let dependency_order (program : Ast.program) =
 
 let summarize_func ctx (f : Ast.func) =
   ctx.fn <- f.fname;
-  ctx.base <- base f;
   ctx.outputs <- [];
   ctx.asserts <- [];
   ctx.moved <- Hashtbl.create 4;
@@ -188,7 +183,6 @@ let make_ctx ?(summaries = Hashtbl.create 8) program =
     summaries;
     transfers = 0;
     fn = "";
-    base = 0;
     outputs = [];
     asserts = [];
     moved = Hashtbl.create 4;
@@ -238,11 +232,11 @@ let check_main ~program ~summaries =
   ignore (block ctx bot Env.empty program.main);
   let ground s = eval s [||] in
   (* Sites are function-relative; a failing check is reported at its
-     absolute line, rebased through the current program's bases. *)
+     absolute line, rebased through the current program's headers. *)
   let bases = Hashtbl.create 64 in
   List.iter
     (fun (f : Ast.func) ->
-      if not (Hashtbl.mem bases f.fname) then Hashtbl.add bases f.fname (base f))
+      if not (Hashtbl.mem bases f.fname) then Hashtbl.add bases f.fname f.line)
     program.funcs;
   let line { fn; rel } =
     if fn = "" then rel else rel + Option.value ~default:0 (Hashtbl.find_opt bases fn)

@@ -22,9 +22,10 @@ type sym = { const : Label.t; deps : Int_set.t }
 
 type site = { fn : string; rel : int }
 (** Where a sink statement sits, independent of where its function
-    sits in the file: [fn] holds the statement and [rel] is its line
-    minus [base fn]. [main]'s own statements use [fn = ""] and keep
-    their absolute line in [rel]. *)
+    sits in the file: [fn] holds the statement and [rel] is its line,
+    which the AST already keeps relative to [fn]'s header
+    ({!Ast.func}[.line], the site's base). [main]'s own statements use
+    [fn = ""] and keep their absolute line in [rel]. *)
 
 type t = {
   fname : string;
@@ -40,10 +41,6 @@ type t = {
     moved in the file has the same summary — the property
     {!Summary_cache} keys on. {!check_main} turns the sites of failing
     checks back into absolute lines. *)
-
-val base : Ast.func -> int
-(** The line of the function's first body statement (0 for an empty
-    body): the origin of its {!site}s. *)
 
 val eval : sym -> Label.t array -> Label.t
 (** Instantiate a symbolic label with concrete argument labels. *)

@@ -1,16 +1,19 @@
 type entry = {
   src : Ast.func;
-      (* The exact func value the fingerprint was computed from. ASTs
-         are immutable, so [e.src == f] proves the body is unchanged
-         without rehashing a single statement — and Gen.edit (like any
-         real incremental front-end) rebuilds only edited functions. *)
+      (* The func the fingerprint was computed from. ASTs are
+         immutable, so a body physically equal to [src.body], under an
+         equal name and parameter list, proves the fingerprint still
+         holds without rehashing a single statement: Gen.edit rebuilds
+         only edited functions, and Parse.program reuses the body of
+         every function whose text did not change, wherever it moved
+         (only the header record, with its line, is fresh). *)
   body_fp : int;
   full_fp : int;  (* body_fp folded with the callees' summary fps *)
   summary_fp : int;
   callees : string list;  (* call-site order, duplicates kept *)
   summary : Summary.t;
   own : Ownership.violation list;
-      (* body's violations, discovery order, lines relative to the base *)
+      (* body's violations, discovery order, lines relative to the header *)
 }
 
 type t = {
@@ -23,7 +26,7 @@ type t = {
   c_recomputed : Telemetry.Counter.t;
 }
 
-type stats = { hits : int; misses : int; recomputed : int; transfers : int }
+type stats = { hits : int; misses : int; recomputed : int; rehashed : int; transfers : int }
 
 let create ?(telemetry = Telemetry.Registry.global) () =
   let c leaf = Telemetry.Registry.counter telemetry ("ifc.summary." ^ leaf) in
@@ -57,10 +60,10 @@ let fnv_prime = 0x100000001b3
 
 (* The fields are streamed straight into the hash state — tagged and
    length-prefixed so distinct ASTs cannot collide as streams; only
-   the hash itself can. Line numbers enter relative to the function's
-   base ([Summary.base]), as they do in the summary itself: moving a
-   statement within its function must invalidate, moving the whole
-   function in the file must not. Channel bounds are excluded
+   the hash itself can. Line numbers enter as the AST keeps them,
+   relative to the function's header, as they do in the summary itself:
+   moving a statement within its function must invalidate, moving the
+   whole function in the file must not. Channel bounds are excluded
    deliberately — they are read only by the final main-pass ground
    check (Summary.check_main), which reverify always reruns, so a
    policy edit never needs to invalidate a summary. *)
@@ -80,10 +83,9 @@ let mode_tag = function Ast.By_move -> 1 | Ast.By_borrow -> 2
 (* One walk per body: the fingerprint and the call-site-ordered callee
    list (duplicates kept) come out of the same traversal. *)
 let body_fingerprint (f : Ast.func) =
-  let base = Summary.base f in
   let callees = ref [] in
   let rec h_stmt h (s : Ast.stmt) =
-    let h = h_int h (s.line - base) in
+    let h = h_int h s.line in
     match s.op with
     | Ast.Alloc { var; label } -> h_label (h_str (h_int h 1) var) label
     | Ast.Const_write { dst; value; label } ->
@@ -150,18 +152,6 @@ let decls_fingerprint (p : Ast.program) =
 (* Reverification.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Cached ownership violations are stored relative to the function's
-   base, like summary sites, and rebased when the report is put
-   together. *)
-let shift_violation d (v : Ownership.violation) =
-  let kind : Ownership.kind =
-    match v.kind with
-    | Use_after_move { moved_at } -> Use_after_move { moved_at = moved_at + d }
-    | Move_of_moved { moved_at } -> Move_of_moved { moved_at = moved_at + d }
-    | Unbound -> Unbound
-  in
-  { v with line = v.line + d; kind }
-
 let format_validation_errors es =
   let msgs =
     List.map
@@ -200,10 +190,10 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
     let staged = Hashtbl.create (max 16 n) in
     let body_dirty = ref [] in
     let visited = Hashtbl.create (max 16 n) in
-    let hits = ref 0 and misses = ref 0 and recomputed = ref 0 in
+    let hits = ref 0 and misses = ref 0 and recomputed = ref 0 and rehashed = ref 0 in
     let transfers = ref 0 in
     (* One DFS does it all — resolve the body fingerprint (the
-       physical-equality fast path skips both the rehash and the body
+       physical-identity witness skips both the rehash and the body
        walk, so on a warm cache only edited bodies are touched),
        recurse into callees, then decide hit/recompute at post-order
        time, which is exactly callees-first topological order. *)
@@ -211,10 +201,17 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
       if not (Hashtbl.mem visited f.fname) then begin
         Hashtbl.replace visited f.fname ();
         let prior = Hashtbl.find_opt t.entries f.fname in
+        let witnessed =
+          (* The name is the entry's key. *)
+          match prior with
+          | Some e -> e.src.body == f.body && List.equal String.equal e.src.params f.params
+          | None -> false
+        in
         let body_fp, callees, body_same =
           match prior with
-          | Some e when e.src == f -> (e.body_fp, e.callees, true)
+          | Some e when witnessed -> (e.body_fp, e.callees, true)
           | _ ->
+            incr rehashed;
             let bfp, cs = body_fingerprint f in
             let same = match prior with Some e -> e.body_fp = bfp | None -> false in
             (bfp, cs, same)
@@ -243,10 +240,9 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
         | Some e when body_same && e.full_fp = full_fp ->
           incr hits;
           Hashtbl.replace sfp f.fname e.summary_fp;
-          (* Refresh the physical witness only when it moved (a
-             rebuilt-but-identical record); the common warm hit
-             touches nothing. *)
-          if not (e.src == f) then Hashtbl.replace staged f.fname { e with src = f }
+          (* Refresh the witness only when it failed (a rebuilt but
+             identical body); the common warm hit touches nothing. *)
+          if not witnessed then Hashtbl.replace staged f.fname { e with src = f }
         | _ ->
           (match prior with None -> incr misses | Some _ -> ());
           incr recomputed;
@@ -260,7 +256,7 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
                to be rebuilt because a callee's changed. *)
             match prior with
             | Some e when body_same -> e.own
-            | _ -> List.map (shift_violation (- Summary.base f)) (Ownership.func_violations f)
+            | _ -> Ownership.func_violations f
           in
           Hashtbl.replace sfp f.fname summary_fp;
           Hashtbl.replace staged f.fname
@@ -305,7 +301,7 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
         @ List.concat_map
             (fun (f : Ast.func) ->
               match Hashtbl.find_opt t.entries f.fname with
-              | Some e -> List.map (shift_violation (Summary.base f)) e.own
+              | Some e -> List.map (Ownership.shift f.line) e.own
               | None -> [])
             program.funcs
       in
@@ -322,5 +318,6 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
             hits = !hits;
             misses = !misses;
             recomputed = !recomputed;
+            rehashed = !rehashed;
             transfers = total_transfers;
           } ))

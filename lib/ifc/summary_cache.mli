@@ -25,20 +25,24 @@
     picked up at zero invalidation cost. DESIGN.md §16 develops the
     argument.
 
-    Nothing cached depends on where a function sits in the file: body
-    fingerprints hash lines relative to {!Summary.base}, summaries
-    record function-relative {!Summary.site}s, and cached ownership
-    violations are stored relative to the base. A function that only
-    moved — a line inserted above it, then a reparse — is a hit.
-    Absolute lines are rebuilt from the current program when the
-    report is assembled: by {!Summary.check_main} for failing checks,
-    and here for ownership violations.
+    Nothing cached depends on where a function sits in the file: the
+    AST keeps a body's lines relative to its header ({!Ast.func}), so
+    body fingerprints, summary {!Summary.site}s and the cached
+    ownership violations ({!Ownership.func_violations}) are relative
+    as they come. A function that only moved — a line inserted above
+    it, then a reparse — is a hit. Absolute lines are rebuilt from the
+    current program when the report is assembled: by
+    {!Summary.check_main} for failing checks, and here, with
+    {!Ownership.shift} by the header line, for ownership violations.
 
     The warm path is engineered to be O(dirty cone) with small-O(n)
     constants: fingerprints are unboxed native-int FNV streamed over
     the AST (no serialization buffer) in one walk that also collects
-    the callee list, a function record physically equal to the one
-    fingerprinted last time skips rehashing entirely, validation runs
+    the callee list, a function whose body is physically the one
+    fingerprinted last time, under an equal name and parameter list,
+    skips rehashing entirely (the witness: bodies are immutable, and
+    {!Parse.program} hands back the previous body of every function
+    whose text did not change, wherever it moved), validation runs
     incrementally ({!Ast.validate_incremental}) while a declaration
     fingerprint holds, and per-body ownership
     violations are cached alongside each summary
@@ -57,6 +61,8 @@ type stats = {
   hits : int;        (** Summaries reused from the cache. *)
   misses : int;      (** Functions never seen before (cold). *)
   recomputed : int;  (** Summaries rebuilt: misses + stale fingerprints. *)
+  rehashed : int;    (** Bodies whose fingerprint was recomputed: those
+                         that failed the physical-identity witness. *)
   transfers : int;   (** Transfer applications spent: rebuilt summaries
                          + the main pass. *)
 }

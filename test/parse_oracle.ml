@@ -1,8 +1,10 @@
 (* The line-list Mir parser that Ifc.Parse.program replaced, kept
-   verbatim as the oracle for the differential fuzz in test_parse.ml:
-   every line is split, copied and trimmed up front, and statements are
-   matched with substring copies. Slow, but simple enough to read as
-   the specification of the grammar and of every error message. *)
+   as the oracle for the differential fuzz in test_parse.ml: every line
+   is split, copied and trimmed up front, and statements are matched
+   with substring copies. Slow, but simple enough to read as the
+   specification of the grammar and of every error message. A parsed
+   function keeps its header line, and its statement lines are made
+   relative to it after the fact ([relative]). *)
 
 open Ifc
 
@@ -237,6 +239,20 @@ let parse_fn_header line text =
         Some (ident line "function name" name, params)
       | Some _ | None -> fail line "expected `fn name(params) {'"))
 
+(* A function body's statements with lines counted from its header. *)
+let rec relative base stmts =
+  List.map
+    (fun (s : Ast.stmt) ->
+      let op : Ast.op =
+        match s.op with
+        | If { cond; then_; else_ } ->
+          If { cond; then_ = relative base then_; else_ = relative base else_ }
+        | While { cond; body } -> While { cond; body = relative base body }
+        | op -> op
+      in
+      Ast.stmt (s.line - base) op)
+    stmts
+
 let program source =
   let raw =
     String.split_on_char '\n' source
@@ -266,7 +282,9 @@ let program source =
           | Some (fname, params) -> (
             let body, terminator, rest = parse_block rest in
             match terminator with
-            | `Close -> top rest channels ({ Ast.fname; params; body } :: funcs) main
+            | `Close ->
+              let f = { Ast.fname; params; line = num; body = relative num body } in
+              top rest channels (f :: funcs) main
             | `Else | `Eof -> fail num "unterminated function body")
           | None ->
             let stmt, rest = parse_stmt num text rest in

@@ -53,7 +53,7 @@ let test_validate_rejects_unknowns () =
 
 let test_validate_rejects_recursion () =
   let f name callee =
-    { Ast.fname = name; params = []; body = [ Ast.stmt 1 (Ast.Call { func = callee; args = [] }) ] }
+    { Ast.fname = name; params = []; line = 0; body = [ Ast.stmt 1 (Ast.Call { func = callee; args = [] }) ] }
   in
   let p = Ast.program ~funcs:[ f "a" "b"; f "b" "a" ] [] in
   match Ast.validate p with
@@ -141,7 +141,7 @@ let test_ownership_move_in_loop () =
   | Ok () -> Alcotest.fail "loop must re-reach the move"
 
 let test_ownership_by_move_call_consumes () =
-  let f = { Ast.fname = "take"; params = [ "v" ]; body = [] } in
+  let f = { Ast.fname = "take"; params = [ "v" ]; line = 0; body = [] } in
   let p =
     Ast.program ~funcs:[ f ]
       [
@@ -157,7 +157,7 @@ let test_ownership_by_move_call_consumes () =
   | Ok () -> Alcotest.fail "by-move call must consume"
 
 let test_ownership_borrow_call_preserves () =
-  let f = { Ast.fname = "borrow"; params = [ "v" ]; body = [] } in
+  let f = { Ast.fname = "borrow"; params = [ "v" ]; line = 0; body = [] } in
   let p =
     Ast.program ~funcs:[ f ]
       [
@@ -557,7 +557,7 @@ let test_alias_basic_points_to () =
 
 let test_alias_through_calls () =
   let f =
-    { Ast.fname = "id"; params = [ "p" ]; body = [ Ast.stmt 10 (Ast.Const_write { dst = "p"; value = 1; label = Label.secret }) ] }
+    { Ast.fname = "id"; params = [ "p" ]; line = 0; body = [ Ast.stmt 10 (Ast.Const_write { dst = "p"; value = 1; label = Label.secret }) ] }
   in
   let p =
     Ast.program ~dialect:Ast.Aliased ~funcs:[ f ]

@@ -293,22 +293,25 @@ let mir_tokens =
      "public"; "declassify "; " to "; "output "; "->"; "assert label("; "<="; "channel ";
      " bound "; ".push"; ".append"; ".clone()"; "dialect safe"; "dialect aliased"; "_x'" |]
 
+(* One splice of [text]: a token inserted at a random byte, up to three
+   bytes deleted there, or both. *)
+let mutate text =
+  let open QCheck.Gen in
+  let n = String.length text in
+  let* pos = int_bound n in
+  let* k = int_range 1 3 in
+  let k = min k (n - pos) in
+  let* tok = oneofa mir_tokens in
+  let before = String.sub text 0 pos in
+  frequency
+    [
+      (2, return (before ^ tok ^ String.sub text pos (n - pos)));
+      (1, return (before ^ String.sub text (pos + k) (n - pos - k)));
+      (2, return (before ^ tok ^ String.sub text (pos + k) (n - pos - k)));
+    ]
+
 let gen_mutant =
   let open QCheck.Gen in
-  let mutate text =
-    let n = String.length text in
-    let* pos = int_bound n in
-    let* k = int_range 1 3 in
-    let k = min k (n - pos) in
-    let* tok = oneofa mir_tokens in
-    let before = String.sub text 0 pos in
-    frequency
-      [
-        (2, return (before ^ tok ^ String.sub text pos (n - pos)));
-        (1, return (before ^ String.sub text (pos + k) (n - pos - k)));
-        (2, return (before ^ tok ^ String.sub text (pos + k) (n - pos - k)));
-      ]
-  in
   let rec edits k text = if k = 0 then return text else mutate text >>= edits (k - 1) in
   let* text, starts, items = oneofa (Lazy.force mir_sources) in
   (* A window of at most 150 lines from the start of a top-level item
@@ -324,19 +327,199 @@ let prop_matches_oracle =
     (QCheck.make ~print:(Printf.sprintf "%S") gen_mutant)
     same_result
 
-(* A deterministic stand-in for parse time: the minor words one parse
-   of the 500-function corpus allocates, per source line. The AST itself
-   accounts for most of them. *)
+(* --- the incremental parser against a cold parse and the oracle ------- *)
+
+(* Pinned unless QCHECK_SEED names another seed (make qcheck-soak). *)
+let rand () =
+  let env = Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt in
+  Random.State.make [| Option.value env ~default:20171017 |]
+
+let show_result = function
+  | Ok p -> Format.asprintf "%a" Ast.pp_program p
+  | Error e -> Parse.error_to_string e
+
+(* Parses [texts] in order, each through the memo the earlier ones left,
+   and checks every result against a cold parse (memo emptied first)
+   and the oracle, for an AST and an error alike. The cold parses run
+   after the whole sequence, so they never disturb the memo it runs on.
+   Returns the sequence's results. *)
+let parse_chain texts =
+  Parse.forget ();
+  let warm = List.rev (List.fold_left (fun acc text -> Parse.program text :: acc) [] texts) in
+  List.iter2
+    (fun text warm ->
+      Parse.forget ();
+      let cold = Parse.program text in
+      if warm <> cold then
+        QCheck.Test.fail_reportf "warm parse differs from cold:\n%s\n--- vs ---\n%s" (show_result warm)
+          (show_result cold);
+      let oracle = Parse_oracle.program text in
+      if warm <> oracle then
+        QCheck.Test.fail_reportf "parse differs from the oracle:\n%s\n--- vs ---\n%s" (show_result warm)
+          (show_result oracle))
+    texts warm;
+  warm
+
+(* Every body of [p] that [reuse] selects is physically one of [prev]'s:
+   the memo handed it back instead of parsing it again. *)
+let check_shared ~what reuse (p : Ast.program) (prev : Ast.program) =
+  List.iter
+    (fun (f : Ast.func) ->
+      if reuse f && not (List.exists (fun (g : Ast.func) -> g.body == f.body) prev.funcs) then
+        QCheck.Test.fail_reportf "%s: the body of `%s' was parsed again" what f.fname)
+    p.funcs
+
+(* Rendered edit rounds: a small generated program, then rounds of
+   [Gen.edit] (value bumps, body growth that moves every later function,
+   label retags) rendered to text, sometimes under a few leading
+   comment lines that move every function. Each round must parse as a
+   cold parse and the oracle do, and every function the round did not
+   edit must keep its previous body physically. *)
+let gen_rounds =
+  let open QCheck.Gen in
+  let* funcs = int_range 2 24 and* depth = int_range 1 5 and* body_len = int_range 0 5 in
+  let* channels = int_range 1 3 and* seed = int_range 1 10_000 in
+  let* rounds = list_size (int_range 1 6) (triple (int_range 1 3) (int_range 1 10_000) (int_range 0 2)) in
+  return ({ Gen.funcs; depth; body_len; channels; seed = Int64.of_int seed }, rounds)
+
+let print_rounds ((spec : Gen.spec), rounds) =
+  Printf.sprintf "{funcs=%d; depth=%d; body_len=%d; channels=%d; seed=%Ld} rounds=%s" spec.funcs
+    spec.depth spec.body_len spec.channels spec.seed
+    (String.concat "," (List.map (fun (e, s, pad) -> Printf.sprintf "(%d@%d+%d)" e s pad) rounds))
+
+let prop_edit_rounds =
+  QCheck.Test.make ~name:"rendered edit rounds reparse as a cold parse and the oracle do" ~count:150
+    (QCheck.make ~print:print_rounds gen_rounds) (fun (spec, rounds) ->
+      let render pad p = String.concat "" (List.init pad (fun _ -> "# moved\n")) ^ Parse.to_source p in
+      let ast = Gen.generate spec in
+      let _, steps =
+        List.fold_left_map
+          (fun ast (edits, seed, pad) ->
+            let ast, edited = Gen.edit ~seed:(Int64.of_int seed) ~edits spec ast in
+            (ast, (render pad ast, edited)))
+          ast rounds
+      in
+      let results = parse_chain (render 0 ast :: List.map fst steps) in
+      let ok = function Ok p -> p | Error e -> QCheck.Test.fail_report (Parse.error_to_string e) in
+      ignore
+        (List.fold_left2
+           (fun prev (_, edited) p ->
+             let p = ok p in
+             check_shared ~what:"edit round" (fun f -> not (List.mem f.Ast.fname edited)) p prev;
+             p)
+           (ok (List.hd results)) steps (List.tl results));
+      true)
+
+(* One whole line of [text] changed: deleted, a token line put before
+   it, or a token appended to it. Half the time the line is one that
+   starts with `}`, where the body segmenter decides. *)
+let mutate_line text =
+  let open QCheck.Gen in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let closers =
+    List.filter
+      (fun i -> String.starts_with ~prefix:"}" (String.trim lines.(i)))
+      (List.init (Array.length lines) Fun.id)
+  in
+  let any = int_bound (Array.length lines - 1) in
+  let* i = if closers = [] then any else oneof [ any; oneofl closers ] in
+  let* tok = oneofa mir_tokens in
+  let* kind = int_bound 2 in
+  let line = lines.(i) in
+  lines.(i) <- (match kind with 0 -> "" | 1 -> tok ^ "\n" ^ line | _ -> line ^ tok);
+  return
+    (String.concat "\n"
+       (List.filteri (fun j _ -> j <> i || kind <> 0) (Array.to_list lines)))
+
+(* Chained mutant windows: a window of whole top-level items from a
+   committed source, then steps that mutate the previous text (so
+   damage accumulates), mutate the last text that parsed, or go back to
+   it. Malformed neighbours, stray `}`, `fn ` inside bodies and `#`
+   comments all reach the body segmenter, and a return to the last good
+   text must find every body in the memo, so a failed parse must not
+   have replaced it. Which text parsed is the oracle's verdict. *)
+let gen_chain =
+  let open QCheck.Gen in
+  let* text, starts, items = oneofa (Lazy.force mir_sources) in
+  let* i = int_bound (Array.length items - 1) in
+  let* span = int_range 1 12 in
+  let last = Array.length starts - 1 in
+  let stop_line = if i + span < Array.length items then items.(i + span) else last in
+  let stop_line = min stop_line (items.(i) + 150) in
+  let stop = if stop_line >= last then String.length text else starts.(stop_line) in
+  let window = String.sub text starts.(items.(i)) (stop - starts.(items.(i))) in
+  let parses text = Result.is_ok (Parse_oracle.program text) in
+  let rec mutate_some k text =
+    if k = 0 then return text
+    else frequency [ (1, mutate text); (1, mutate_line text) ] >>= mutate_some (k - 1)
+  in
+  let rec steps n text good acc =
+    if n = 0 then return (List.rev acc)
+    else
+      let* kind = int_bound 3 and* k = int_range 1 2 in
+      let* next =
+        match (kind, good) with
+        | 0, Some good -> return good
+        | 1, Some good -> mutate_some k good
+        | _ -> mutate_some k text
+      in
+      steps (n - 1) next (if parses next then Some next else good) (next :: acc)
+  in
+  let* n = int_range 2 6 in
+  steps n window (if parses window then Some window else None) [ window ]
+
+let prop_mutant_chains =
+  QCheck.Test.make ~name:"chained mutant windows reparse as a cold parse and the oracle do" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(list string) gen_chain)
+    (fun texts ->
+      ignore
+        (List.fold_left2
+           (fun last_ok text r ->
+             match (r, last_ok) with
+             | Ok p, Some (good, prev) when String.equal good text ->
+               check_shared ~what:"back to the last good text" (fun _ -> true) p prev;
+               Some (text, p)
+             | Ok p, _ -> Some (text, p)
+             | Error _, _ -> last_ok)
+           None texts (parse_chain texts));
+      true)
+
+(* A deterministic stand-in for parse time: the minor words one cold
+   parse of the 500-function corpus allocates, per source line. The AST
+   itself accounts for most of them. *)
 let test_parse_allocation () =
   let text = read_file "corpus-ifc/gen_500x10.mir" in
   let lines = List.length (String.split_on_char '\n' text) - 1 in
   ignore (Parse.program text);
+  Parse.forget ();
   let w0 = Gc.minor_words () in
   let r = Parse.program text in
   let words = Gc.minor_words () -. w0 in
   (match r with Ok _ -> () | Error e -> Alcotest.fail (Parse.error_to_string e));
   let per_line = words /. float_of_int lines in
   if per_line > 30. then Alcotest.failf "%.1f minor words per line (at most 30)" per_line
+
+(* The warm path: after the corpus has parsed once, a reparse with one
+   body edited parses that body and the headers and main, and reuses
+   the other 499 bodies. A cold parse allocates ~13 words per line; this
+   one ~0.6. *)
+let test_reparse_allocation () =
+  let text = read_file "corpus-ifc/gen_500x10.mir" in
+  let lines = List.length (String.split_on_char '\n' text) - 1 in
+  let at pat from =
+    let rec go i = if String.sub text i (String.length pat) = pat then i else go (i + 1) in
+    go from
+  in
+  let j = at ".push(" (at "fn f0250(" 0) + String.length ".push(" in
+  let edited = String.sub text 0 j ^ "1" ^ String.sub text j (String.length text - j) in
+  Parse.forget ();
+  ignore (Parse.program text);
+  let w0 = Gc.minor_words () in
+  let r = Parse.program edited in
+  let words = Gc.minor_words () -. w0 in
+  (match r with Ok _ -> () | Error e -> Alcotest.fail (Parse.error_to_string e));
+  let per_line = words /. float_of_int lines in
+  if per_line > 1. then Alcotest.failf "%.2f minor words per line (at most 1)" per_line
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -359,5 +542,11 @@ let () =
           Alcotest.test_case "committed sources and edge cases" `Quick test_corpus_matches_oracle;
           qt ~rand:(Random.State.make [| 7919 |]) prop_matches_oracle;
           Alcotest.test_case "allocation per line" `Quick test_parse_allocation;
+        ] );
+      ( "memo",
+        [
+          qt ~rand:(rand ()) prop_edit_rounds;
+          qt ~rand:(rand ()) prop_mutant_chains;
+          Alcotest.test_case "allocation per line, one body edited" `Quick test_reparse_allocation;
         ] );
     ]

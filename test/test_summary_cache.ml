@@ -93,6 +93,7 @@ let chain_program ~g_label =
     {
       Ifc.Ast.fname = "g";
       params = [];
+      line = 0;
       body =
         [
           stmt 10 (Ifc.Ast.Alloc { var = "d"; label = g_label });
@@ -101,7 +102,7 @@ let chain_program ~g_label =
     }
   in
   let f =
-    { Ifc.Ast.fname = "f"; params = []; body = [ stmt 20 (Ifc.Ast.Call { func = "g"; args = [] }) ] }
+    { Ifc.Ast.fname = "f"; params = []; line = 0; body = [ stmt 20 (Ifc.Ast.Call { func = "g"; args = [] }) ] }
   in
   Ifc.Ast.program ~dialect:Ifc.Ast.Safe
     ~channels:[ { Ifc.Ast.cname = "ch"; bound = Ifc.Label.singleton "c" } ]
@@ -187,7 +188,7 @@ let test_severed_callee_fp_goes_stale () =
    f4 uses a moved value. Lines come from the rendered text. *)
 let shift_program () =
   let stmt = Ifc.Ast.stmt 0 in
-  let fn fname body = { Ifc.Ast.fname; params = []; body } in
+  let fn fname body = { Ifc.Ast.fname; params = []; line = 0; body } in
   let call func = stmt (Ifc.Ast.Call { func; args = [] }) in
   let public = Ifc.Label.public in
   reparse
@@ -254,6 +255,34 @@ let test_shifted_functions_stay_hits () =
   Alcotest.(check (list (pair int int))) "violation moved down one line"
     (List.map (fun (l, m) -> (l + 1, m + 1)) (moved r0)) (moved r1);
   Alcotest.(check string) "whole report = cold" (report_body cold) (report_body r1)
+
+(* After a reparse, only bodies whose text changed are rehashed: the
+   parser hands back every other body physically, and that is the
+   cache's witness. Without the parser's memo every body would be. *)
+let test_reparse_rehashes_changed_bodies () =
+  let p0 = Ifc.Gen.generate small_spec in
+  let cache = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+  ignore (ok "cold" (Ifc.Verifier.reverify cache (reparse p0)));
+  (* Edit two bodies, then prepend a statement to the first function, so
+     every function below it moves down a line. *)
+  let p1, _ = Ifc.Gen.edit ~seed:7L ~edits:2 small_spec p0 in
+  let grow (f : Ifc.Ast.func) =
+    if f.fname <> Ifc.Gen.func_name 0 then f
+    else
+      { f with body = Ifc.Ast.stmt 0 (Ifc.Ast.Alloc { var = "z"; label = Ifc.Label.public }) :: f.body }
+  in
+  let p1 = { p1 with Ifc.Ast.funcs = List.map grow p1.Ifc.Ast.funcs } in
+  let text_of (f : Ifc.Ast.func) = Ifc.Parse.to_source (Ifc.Ast.program ~funcs:[ f ] []) in
+  let changed =
+    List.fold_left2
+      (fun n f g -> if text_of f = text_of g then n else n + 1)
+      0 p0.Ifc.Ast.funcs p1.Ifc.Ast.funcs
+  in
+  Alcotest.(check int) "three bodies changed" 3 changed;
+  let warm, stats = ok "edited" (Ifc.Verifier.reverify cache (reparse p1)) in
+  Alcotest.(check int) "rehashed = bodies whose text changed" changed stats.Ifc.Summary_cache.rehashed;
+  let cold = ok "cold p1" (cold_report p1) in
+  Alcotest.(check string) "report = cold" (report_body cold) (report_body warm)
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence over random programs x random edit scripts             *)
@@ -359,5 +388,7 @@ let () =
         [
           Alcotest.test_case "shifted functions stay hits, lines match a cold run" `Quick
             test_shifted_functions_stay_hits;
+          Alcotest.test_case "a reparse rehashes only the bodies whose text changed" `Quick
+            test_reparse_rehashes_changed_bodies;
         ] );
     ]
