@@ -172,19 +172,45 @@ let bench_incr_sync name ~dirty_pct =
    exact strategy keeps its store-32 row above. *)
 let bench_reverify name setup = Test.make ~name (Staged.stage (setup ()))
 
-(* E21's front end: parsing the rendered 500-function corpus. [cold]
-   empties the parser's body memo before every run; [warm] alternates
-   between the corpus and a copy with one body edited, so every run
-   reparses one body and reuses the other 499. *)
-let bench_parse name ~warm =
+(* E21's front end: parsing the rendered 500-function corpus. [`Cold]
+   empties the parser's body memo before every run; [`Unchanged]
+   reparses the same text, so every body hits and what is left is the
+   headers, [main] and the digests; [`Edited] alternates between the
+   corpus and a copy with one body edited, so every run reparses one
+   body and reuses the other 499. *)
+let bench_parse name memo =
   let p = Ifc.Gen.generate Ifc.Gen.default in
   let a = Ifc.Parse.to_source p in
   let b = Ifc.Parse.to_source (fst (Ifc.Gen.edit ~seed:1L ~edits:1 Ifc.Gen.default p)) in
   let flip = ref false in
   Test.make ~name
     (Staged.stage (fun () ->
-         if warm then flip := not !flip else Ifc.Parse.forget ();
+         (match memo with
+         | `Cold -> Ifc.Parse.forget ()
+         | `Unchanged -> ()
+         | `Edited -> flip := not !flip);
          ignore (Ifc.Parse.program (if !flip then b else a))))
+
+(* E21's back end with nothing to recompute: two parses of the unchanged
+   corpus text (bodies shared, headers fresh, as after a reparse),
+   reverified in turn against one cache. Every summary hits, so the run
+   prices what a round pays whatever it edits: the main pass, validation
+   of [main] and the walk over the functions. *)
+let bench_reverify_unchanged name =
+  let text = Ifc.Parse.to_source (Ifc.Gen.generate Ifc.Gen.default) in
+  let parse () =
+    match Ifc.Parse.program text with Ok p -> p | Error e -> failwith (Ifc.Parse.error_to_string e)
+  in
+  let a = parse () in
+  let b = parse () in
+  let cache = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+  let reverify p = ignore (Result.get_ok (Ifc.Summary_cache.reverify cache p)) in
+  reverify a;
+  let flip = ref false in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         flip := not !flip;
+         reverify (if !flip then b else a)))
 
 let tests =
   Test.make_grouped ~name:"beyond-safety" ~fmt:"%s %s"
@@ -221,8 +247,10 @@ let tests =
       bench_reverify "e21: ifc summary hit (gen-500)" Experiments.Reverify.bench_hit;
       bench_reverify "e21: ifc summary warm-1pct (gen-500)" (fun () ->
           Experiments.Reverify.bench_warm ());
-      bench_parse "e21: parse gen-500 (cold)" ~warm:false;
-      bench_parse "e21: reparse gen-500, one body edited (warm)" ~warm:true;
+      bench_reverify_unchanged "e21: reverify gen-500, nothing edited";
+      bench_parse "e21: parse gen-500 (cold)" `Cold;
+      bench_parse "e21: reparse gen-500, one body edited (warm)" `Edited;
+      bench_parse "e21: reparse gen-500, unchanged (warm)" `Unchanged;
     ]
 
 (* Sorted [(name, ns_per_run)] rows of one Bechamel pass. *)

@@ -246,8 +246,13 @@ let decode_manifest t bytes =
           let count = Wire.r_u32 r in
           if count > max_chunks then
             raise (Rejected (Structural (Printf.sprintf "chunk count %d too large" count)));
-          let hashes = Array.make count 0L in
-          let lengths = Array.make count 0 in
+          (* A record is a length word and its body, and a record is
+             stored only once all of it has been read, so no more than
+             the bytes left can hold are ever stored: the arrays are
+             sized by those, not by a count that may lie. *)
+          let room = min count (Wire.remaining r / (4 + record_body_len)) in
+          let hashes = Array.make room 0L in
+          let lengths = Array.make room 0 in
           for i = 0 to count - 1 do
             Wire.with_section r
               (Printf.sprintf "record %d" i)
@@ -262,8 +267,10 @@ let decode_manifest t bytes =
                   raise
                     (Rejected
                        (Structural (Printf.sprintf "record %d carries index %d" i index)));
-                lengths.(i) <- Wire.r_u32 r;
-                hashes.(i) <- Wire.r_i64 r)
+                let length = Wire.r_u32 r in
+                let hash = Wire.r_i64 r in
+                lengths.(i) <- length;
+                hashes.(i) <- hash)
           done;
           (tag, hashes, lengths, gen))
     in

@@ -272,53 +272,41 @@ and parse_stmt c =
 (* --- the body memo ---------------------------------------------------- *)
 
 (* A function body as the memo keeps it: its statements, with lines
-   relative to the header, and its closing line's distance from the
-   header. *)
-type body = { stmts : Ast.stmt list; lines : int }
+   relative to the header, its closing line's distance from the header,
+   and its bytes as a length and a digest: from the line after the
+   header through the closing line, with that line's '\n' if it has
+   one. *)
+type body = { stmts : Ast.stmt list; lines : int; len : int; digest : Digest.t }
 
-(* The bodies of the last unit that parsed successfully, keyed by the
-   digest of each body's bytes: from the line after its header through
-   its closing line. A table is filled by one parse and published whole
+(* The bodies of the last unit that parsed successfully, keyed by their
+   function's name. A table is filled by one parse and published whole
    when that parse succeeds; a published table is never written again,
    so concurrent parses only ever read one. *)
-let memo : (Digest.t, body) Hashtbl.t Atomic.t = Atomic.make (Hashtbl.create 1)
+let memo : (string, body) Hashtbl.t Atomic.t = Atomic.make (Hashtbl.create 1)
 
 let forget () = Atomic.set memo (Hashtbl.create 1)
 
-(* Where the body that starts at [i] ends, from its lines alone: the
-   start of the line after its closing line, as [advance] would leave
-   [next] ([n + 1] if no line closes it). [depth] counts the blocks open: `if`/`while`
-   lines open one, a `}` line closes one, and at depth 1 any line that
-   starts with `}` closes the body. On every body the parser accepts,
-   that is the parser's closing line; on others it may not be, which
-   costs a miss, never a wrong hit (see [parse_func]). Only a line's
-   first character is read before skipping to its end. *)
-let rec segment s n i depth =
-  let a = ltrim s i n in
-  if a >= n then n + 1
-  else
-    let next = find_char s a n '\n' + 1 in
-    match s.[a] with
-    | '}' ->
-      if depth = 1 then next
-      else
-        let k = ltrim s (a + 1) n in
-        let closes = k = n || s.[k] = '\n' || s.[k] = '#' in
-        segment s n next (if closes then depth - 1 else depth)
-    | 'i' when has_prefix s a n "if " -> segment s n next (depth + 1)
-    | 'w' when has_prefix s a n "while " -> segment s n next (depth + 1)
-    | _ -> segment s n next depth
-
 (* --- top level -------------------------------------------------------- *)
 
+(* Whether [body] is the text at [start]: its bytes fit there, they end
+   where its closing line ended (at a '\n', or at the end of both texts,
+   so a last `}` with no newline never matches a longer line), and their
+   digest is the one stored. *)
+let hit s start (body : body) =
+  let e = start + body.len in
+  let n = String.length s in
+  e <= n
+  && (e = n || s.[e - 1] = '\n')
+  && Digest.equal (Digest.substring s start body.len) body.digest
+
 (* A function: its header, then its body, which is either the body the
-   memo [prev] holds for the same bytes or parsed here. A digest hit is
-   exactly what parsing would give: the bytes equal those of a body that
-   parsed successfully, a body's parse reads no byte past its closing
-   line, and its lines are relative to the header, so neither what
-   precedes nor what follows it can change the result. The body goes
-   into [next] under its digest when the parse and the segmenter agree
-   on where it ends. *)
+   memo [prev] holds under the same name, if its bytes are the ones at
+   the same place after this header, or parsed here. A hit is exactly
+   what parsing would give: the bytes equal those of a body that parsed
+   successfully, a body's parse reads no byte past its closing line,
+   and its lines are relative to the header, so neither what precedes
+   nor what follows it can change the result. The body goes into
+   [next] under the name. *)
 let parse_func c prev next =
   let s = c.src and b = c.b and line = c.num in
   let a = ltrim s (c.a + 3) b in
@@ -329,25 +317,23 @@ let parse_func c prev next =
   let pa = ltrim s (i + 1) pb in
   let params = if pa = pb then [] else parse_list parse_param line s pa pb in
   let fname = ident line "function name" s a (rtrim s a i) in
-  let n = String.length s in
-  let start = min c.next n in
-  let stop = segment s n start 1 in
-  let key = Digest.substring s start (min stop n - start) in
+  let start = c.next in
   let body =
-    match Hashtbl.find_opt prev key with
-    | Some body ->
+    match Hashtbl.find_opt prev fname with
+    | Some body when hit s start body ->
       c.num <- line + body.lines;
-      c.next <- stop;
+      c.next <- start + body.len;
       body
-    | None ->
+    | Some _ | None ->
       advance c;
       c.base <- line;
       let stmts = parse_block c in
       c.base <- 0;
       if not (line_is c "}") then fail line "unterminated function body";
-      { stmts; lines = c.num - line }
+      let len = min c.next (String.length s) - start in
+      { stmts; lines = c.num - line; len; digest = Digest.substring s start len }
   in
-  if c.next = stop then Hashtbl.replace next key body;
+  Hashtbl.replace next fname body;
   advance c;
   { Ast.fname; params; line; body = body.stmts }
 

@@ -48,30 +48,36 @@ val program : string -> (Ast.program, error) result
     keeps as a differential oracle.
 
     {b Incremental.} The parser keeps a memo of the last unit it parsed
-    successfully: for each function body, the MD5 digest ({!Digest}) of
-    its bytes, from the line after its header through its closing
-    line, mapped to its AST and its length in lines. A body whose bytes
-    hit is not parsed again: the previous body is returned {e
-    physically}, wherever the function moved, and only the header is
-    parsed fresh. So a reparse after an edit costs one scan that
-    delimits and digests each body, plus the edited bodies, and a
+    successfully: for each function name, its body's AST, its length in
+    lines, and its bytes (from the line after the header through the
+    closing line) as a length and an MD5 digest ({!Digest}). After a
+    header, the body stored under the same name is a hit if that many
+    bytes fit in the text after the header, their digest is the stored
+    one, and they end where the stored body's closing line ended: at a
+    ['\n'], or at the end of both texts, so a last [}] without a newline
+    never matches a line that now goes on. A hit is not parsed again:
+    the previous body is returned {e physically}, wherever the function
+    moved, and only the header is parsed fresh. There is no scan to
+    delimit a body, so a reparse after an edit costs the headers,
+    [main], one digest per body and the edited bodies, and a
     {!Summary_cache} sees every untouched body as the one it already
-    fingerprinted.
+    fingerprinted. A function renamed, or a name declared twice, only
+    costs misses.
 
-    A digest hit is exactly what a full parse would give. The memo only
-    holds bodies the full parser parsed successfully; that parse reads
-    no byte past the body's closing line, and lines relative to the
-    header make its AST independent of where the body sits. Equal
-    bytes (up to an MD5 collision) therefore parse to the equal AST and
-    end on the equal line.
+    A hit is exactly what a full parse would give. The memo only holds
+    bodies the full parser parsed successfully; that parse reads no byte
+    past the body's closing line, and lines relative to the header make
+    its AST independent of where the body sits. Equal bytes (up to an
+    MD5 collision), ending the closing line the same way, therefore
+    parse to the equal AST and end on the equal line.
 
     The memo is bounded by the last successful unit: one entry per
-    function in it, holding a digest and the body it already shares
-    with that unit's AST, never source text. A failed parse leaves it
-    as it was. It is replaced whole, through an [Atomic.t], when a
-    parse succeeds, and a published memo is never written again, so
-    parses on several domains are safe: each reads one published memo,
-    and the last to succeed publishes its own. *)
+    function name in it, holding a length, a digest and the body it
+    already shares with that unit's AST, never source text. A failed
+    parse leaves it as it was. It is replaced whole, through an
+    [Atomic.t], when a parse succeeds, and a published memo is never
+    written again, so parses on several domains are safe: each reads
+    one published memo, and the last to succeed publishes its own. *)
 
 val forget : unit -> unit
 (** Empty the memo, so that the next {!program} parses cold. For tests

@@ -232,23 +232,22 @@ let check_main ~program ~summaries =
   ignore (block ctx bot Env.empty program.main);
   let ground s = eval s [||] in
   (* Sites are function-relative; a failing check is reported at its
-     absolute line, rebased through the current program's headers. *)
-  let bases = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Ast.func) ->
-      if not (Hashtbl.mem bases f.fname) then Hashtbl.add bases f.fname f.line)
-    program.funcs;
+     absolute line, rebased through the current program's headers.
+     The first declaration of a name wins, as in {!Ast.find_channel}. *)
+  let first_decl key value xs =
+    let t = Hashtbl.create 64 in
+    List.iter (fun x -> if not (Hashtbl.mem t (key x)) then Hashtbl.add t (key x) (value x)) xs;
+    t
+  in
+  let bases = first_decl (fun (f : Ast.func) -> f.fname) (fun f -> f.line) program.funcs in
   let line { fn; rel } =
     if fn = "" then rel else rel + Option.value ~default:0 (Hashtbl.find_opt bases fn)
   in
+  let bounds = first_decl (fun (c : Ast.channel) -> c.cname) (fun c -> c.bound) program.channels in
   let findings = ref [] in
   List.iter
     (fun (site, channel, s) ->
-      let bound =
-        match Ast.find_channel program channel with
-        | Some c -> c.Ast.bound
-        | None -> Label.public
-      in
+      let bound = Option.value ~default:Label.public (Hashtbl.find_opt bounds channel) in
       let label = ground s in
       if not (Label.leq label bound) then
         findings :=
@@ -262,10 +261,10 @@ let check_main ~program ~summaries =
         findings :=
           { Abstract.line = line site; subject = var; label; bound; what = Failed_assert } :: !findings)
     ctx.asserts;
-  let findings =
-    List.sort (fun (a : Abstract.finding) b -> compare (a.line, a.subject) (b.line, b.subject)) !findings
+  let by_line_subject (a : Abstract.finding) (b : Abstract.finding) =
+    match Int.compare a.line b.line with 0 -> String.compare a.subject b.subject | c -> c
   in
-  { Abstract.findings; transfers = ctx.transfers }
+  { Abstract.findings = List.sort by_line_subject !findings; transfers = ctx.transfers }
 
 let analyze_compositional (program : Ast.program) =
   match program.dialect with

@@ -5,8 +5,9 @@ type entry = {
          equal name and parameter list, proves the fingerprint still
          holds without rehashing a single statement: Gen.edit rebuilds
          only edited functions, and Parse.program reuses the body of
-         every function whose text did not change, wherever it moved
-         (only the header record, with its line, is fresh). *)
+         every function whose body text did not change under the same
+         name, wherever the function moved (only the header record,
+         with its line, is fresh). *)
   body_fp : int;
   full_fp : int;  (* body_fp folded with the callees' summary fps *)
   summary_fp : int;
@@ -18,6 +19,7 @@ type entry = {
 
 type t = {
   entries : (string, entry) Hashtbl.t;
+  mutable owning : int;  (* entries whose [own] is not empty *)
   mutable decls_fp : int option;
       (* Fingerprint of the declarations (dialect, channel names,
          function arities) the cached validation verdicts assume. *)
@@ -32,6 +34,7 @@ let create ?(telemetry = Telemetry.Registry.global) () =
   let c leaf = Telemetry.Registry.counter telemetry ("ifc.summary." ^ leaf) in
   {
     entries = Hashtbl.create 64;
+    owning = 0;
     decls_fp = None;
     c_hits = c "hits";
     c_misses = c "misses";
@@ -42,7 +45,20 @@ let size t = Hashtbl.length t.entries
 
 let clear t =
   Hashtbl.reset t.entries;
+  t.owning <- 0;
   t.decls_fp <- None
+
+(* [entries] changes only through these two, which keep [owning]. *)
+let owns e = if e.own = [] then 0 else 1
+
+let remove t name =
+  Option.iter (fun e -> t.owning <- t.owning - owns e) (Hashtbl.find_opt t.entries name);
+  Hashtbl.remove t.entries name
+
+let commit t name e =
+  remove t name;
+  t.owning <- t.owning + owns e;
+  Hashtbl.replace t.entries name e
 
 (* ------------------------------------------------------------------ *)
 (* FNV-64 fingerprints over a canonical AST serialization.             *)
@@ -140,13 +156,14 @@ let summary_fingerprint (sm : Summary.t) =
 (* Everything incremental validation assumes about the rest of the
    program: dialect, channel names, function arities. While this is
    stable, a clean function's statements are valid for exactly the
-   reasons they were when its entry was committed. *)
-let decls_fingerprint (p : Ast.program) =
+   reasons they were when its entry was committed. [reverify] folds the
+   functions in with [h_decl], after [decls_prefix] and their count, in
+   the pass that builds its slots. *)
+let decls_prefix (p : Ast.program) =
   let h = h_int fnv_offset (match p.dialect with Ast.Safe -> 0 | Ast.Aliased -> 1) in
-  let h = h_list h (fun h (c : Ast.channel) -> h_str h c.cname) p.channels in
-  h_list h
-    (fun h (f : Ast.func) -> h_int (h_str h f.fname) (List.length f.params))
-    p.funcs
+  h_list h (fun h (c : Ast.channel) -> h_str h c.cname) p.channels
+
+let h_decl h (f : Ast.func) = h_int (h_str h f.fname) (List.length f.params)
 
 (* ------------------------------------------------------------------ *)
 (* Reverification.                                                     *)
@@ -160,18 +177,30 @@ let format_validation_errors es =
   in
   "invalid program: " ^ String.concat "; " msgs
 
+(* One function of the program [reverify] is verifying: the first
+   declaration under its name, whether the walk has reached it, and the
+   summary fingerprint it settled on (0 until then, as for a name the
+   program does not declare). *)
+type slot = { f : Ast.func; mutable visited : bool; mutable sfp : int }
+
 let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
   match program.dialect with
   | Ast.Aliased -> Error "summary cache requires the safe dialect"
   | Ast.Safe ->
     let n = List.length program.funcs in
-    let by_name = Hashtbl.create (max 16 n) in
-    List.iter
-      (fun (f : Ast.func) ->
-        if not (Hashtbl.mem by_name f.fname) then Hashtbl.add by_name f.fname f)
-      program.funcs;
-    let sfp = Hashtbl.create (max 16 n) in
-    let summaries = Hashtbl.create (max 16 n) in
+    (* One pass over the declarations builds the slots and folds the
+       functions into the declaration fingerprint. *)
+    let slots = Hashtbl.create (max 16 n) in
+    let decls_fp =
+      List.fold_left
+        (fun h (f : Ast.func) ->
+          if not (Hashtbl.mem slots f.fname) then
+            Hashtbl.add slots f.fname { f; visited = false; sfp = 0 };
+          h_decl h f)
+        (h_int (decls_prefix program) n)
+        program.funcs
+    in
+    let summaries = Hashtbl.create 64 in
     (* [summaries] is filled lazily: summarize_one and check_main only
        look up the callees of what they are recomputing, so on a warm
        pass almost no hit summary needs to be surfaced at all. A
@@ -187,9 +216,8 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
     (* Changed entries are staged and committed only if validation
        passes, so a rejected program version can never poison the
        cache. Unchanged hits stay where they are. *)
-    let staged = Hashtbl.create (max 16 n) in
+    let staged = Hashtbl.create 16 in
     let body_dirty = ref [] in
-    let visited = Hashtbl.create (max 16 n) in
     let hits = ref 0 and misses = ref 0 and recomputed = ref 0 and rehashed = ref 0 in
     let transfers = ref 0 in
     (* One DFS does it all — resolve the body fingerprint (the
@@ -197,9 +225,10 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
        walk, so on a warm cache only edited bodies are touched),
        recurse into callees, then decide hit/recompute at post-order
        time, which is exactly callees-first topological order. *)
-    let rec visit (f : Ast.func) =
-      if not (Hashtbl.mem visited f.fname) then begin
-        Hashtbl.replace visited f.fname ();
+    let rec visit slot =
+      if not slot.visited then begin
+        slot.visited <- true;
+        let f = slot.f in
         let prior = Hashtbl.find_opt t.entries f.fname in
         let witnessed =
           (* The name is the entry's key. *)
@@ -217,10 +246,18 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
             (bfp, cs, same)
         in
         if not body_same then body_dirty := f :: !body_dirty;
-        List.iter
-          (fun c ->
-            match Hashtbl.find_opt by_name c with Some g -> visit g | None -> ())
-          callees;
+        (* Each callee is settled before its fingerprint is read. *)
+        let with_callee_fps =
+          List.fold_left
+            (fun h c ->
+              h_int h
+                (match Hashtbl.find_opt slots c with
+                | Some s ->
+                  visit s;
+                  s.sfp
+                | None -> 0))
+            body_fp callees
+        in
         let full_fp =
           (* The load-bearing term: folding in the callees' summary
              fingerprints propagates invalidation up the call graph —
@@ -229,17 +266,12 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
              stops propagating right there. [~sever_callee_fps:true]
              (tests only) drops the term and demonstrates the
              resulting staleness. *)
-          if sever_callee_fps then body_fp
-          else
-            List.fold_left
-              (fun h c ->
-                h_int h (match Hashtbl.find_opt sfp c with Some x -> x | None -> 0))
-              body_fp callees
+          if sever_callee_fps then body_fp else with_callee_fps
         in
         match prior with
         | Some e when body_same && e.full_fp = full_fp ->
           incr hits;
-          Hashtbl.replace sfp f.fname e.summary_fp;
+          slot.sfp <- e.summary_fp;
           (* Refresh the witness only when it failed (a rebuilt but
              identical body); the common warm hit touches nothing. *)
           if not witnessed then Hashtbl.replace staged f.fname { e with src = f }
@@ -258,13 +290,12 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
             | Some e when body_same -> e.own
             | _ -> Ownership.func_violations f
           in
-          Hashtbl.replace sfp f.fname summary_fp;
+          slot.sfp <- summary_fp;
           Hashtbl.replace staged f.fname
             { src = f; body_fp; full_fp; summary_fp; callees; summary = sm; own }
       end
     in
-    List.iter visit program.funcs;
-    let decls_fp = decls_fingerprint program in
+    List.iter (fun (f : Ast.func) -> visit (Hashtbl.find slots f.fname)) program.funcs;
     let decls_changed =
       match t.decls_fp with Some d -> d <> decls_fp | None -> true
     in
@@ -280,14 +311,14 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
          fingerprint), so the sweep that keeps [size] tracking the
          program — and prevents a later re-add from hitting a dead
          entry — runs only then. *)
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.entries k v) staged;
+      Hashtbl.iter (commit t) staged;
       if decls_changed then begin
         let dead =
           Hashtbl.fold
-            (fun name _ acc -> if Hashtbl.mem visited name then acc else name :: acc)
+            (fun name _ acc -> if Hashtbl.mem slots name then acc else name :: acc)
             t.entries []
         in
-        List.iter (Hashtbl.remove t.entries) dead
+        List.iter (remove t) dead
       end;
       t.decls_fp <- Some decls_fp;
       Ast.iter_stmts
@@ -297,8 +328,13 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
       let main_r = Summary.check_main ~program ~summaries in
       let total_transfers = !transfers + main_r.Abstract.transfers in
       let own_disc =
+        (* With no entry owning a violation there is nothing to
+           gather, and no need to look each function up. *)
         Ownership.main_violations program.main
-        @ List.concat_map
+        @
+        if t.owning = 0 then []
+        else
+          List.concat_map
             (fun (f : Ast.func) ->
               match Hashtbl.find_opt t.entries f.fname with
               | Some e -> List.map (Ownership.shift f.line) e.own

@@ -42,11 +42,16 @@
     fingerprinted last time, under an equal name and parameter list,
     skips rehashing entirely (the witness: bodies are immutable, and
     {!Parse.program} hands back the previous body of every function
-    whose text did not change, wherever it moved), validation runs
-    incrementally ({!Ast.validate_incremental}) while a declaration
-    fingerprint holds, and per-body ownership
-    violations are cached alongside each summary
-    ({!Ownership.func_violations} is per-body independent).
+    whose body text did not change under the same name, wherever it
+    moved), validation runs incrementally
+    ({!Ast.validate_incremental}) while a declaration fingerprint
+    holds, and per-body ownership violations are cached alongside each
+    summary ({!Ownership.func_violations} is per-body independent).
+    What a call still pays for every function is one pass over the
+    declarations (a per-call table of them, which is also where the
+    declaration fingerprint is folded) and one lookup of its cache
+    entry; a warm call gathers no cached ownership violations at all
+    while no entry holds one.
 
     Hit/miss/recompute counts are recorded on the registry's
     [ifc.summary.hits] / [ifc.summary.misses] /

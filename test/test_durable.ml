@@ -261,6 +261,24 @@ let test_manifest_truncations () =
       | Ok _ -> ()
       | Error r -> Alcotest.failf "restored load rejected: %s" (Durable.reject_to_string r))
 
+(* A count field may claim up to 2^24 records whatever the file holds;
+   the decoder must size its tables by the bytes present, not allocate
+   for the claim (two 2^24-entry arrays are 256 MB). *)
+let test_manifest_count_bounded () =
+  with_store (fun d dir ->
+      let gen = Durable.save d ~tag:"tab" ~chunks:[| "alpha"; "beta-longer" |] in
+      let path = manifest_path dir gen in
+      let b = Bytes.of_string (read_file path) in
+      (* The count sits after the 29-byte fixed header and the tag. *)
+      Bytes.set_int32_be b (29 + String.length "tab") (Int32.of_int (1 lsl 24));
+      write_file path (Bytes.to_string b);
+      let before = Gc.allocated_bytes () in
+      (match Durable.load d ~basename:(manifest_name gen) with
+      | Ok _ -> Alcotest.fail "a count past the end of the file accepted"
+      | Error _ -> ());
+      let kb = (Gc.allocated_bytes () -. before) /. 1024. in
+      if kb > 64. then Alcotest.failf "decoding allocated %.0f KB" kb)
+
 let test_pool_bitflips () =
   with_store (fun d dir ->
       let payload = "pool-chunk-payload" in
@@ -444,6 +462,159 @@ let test_flowtab_recover () =
   | Ok _ -> Alcotest.fail "tag mismatch accepted"
   | Error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Decoder fuzzing over the committed corpus                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Pinned unless QCHECK_SEED names another seed (make qcheck-soak). *)
+let rand () =
+  let env = Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt in
+  Random.State.make [| Option.value env ~default:20171017 |]
+
+let rec copy_tree src dst =
+  if Sys.is_directory src then begin
+    Sys.mkdir dst 0o755;
+    Array.iter
+      (fun e -> copy_tree (Filename.concat src e) (Filename.concat dst e))
+      (Sys.readdir src)
+  end
+  else write_file dst (read_file src)
+
+(* A scratch store holding the committed corpus (test/corpus/: one
+   manifest per rejection class) and, on top of it, a valid full save
+   and a delta of it, so mutations reach both broken and sound files.
+   Its files, by path relative to the store, and what each manifest
+   loads to before any mutation. *)
+type fuzz_store = {
+  fdir : string;
+  files : (string * string) array;  (** (relative path, bytes) *)
+  pristine : (string * (string * string array * int, Durable.reject) result) list;
+}
+
+let fuzz_store =
+  lazy
+    (let fdir = fresh_dir () in
+     at_exit (fun () -> if Sys.file_exists fdir then rm_rf fdir);
+     copy_tree "corpus" fdir;
+     let graph = Experiments.Recover.corpus_graph in
+     let d = Durable.open_store ~graph ~dir:fdir () in
+     ignore (Durable.save d ~tag:"flowtab" ~chunks:[| "fuzz-a"; "fuzz-bb"; "fuzz-ccc" |]);
+     ignore (Durable.save_delta d ~tag:"flowtab" ~dirty:[ (1, "fuzz-b2") ]);
+     let in_dir sub =
+       Sys.readdir (Filename.concat fdir sub) |> Array.to_list |> List.sort compare
+       |> List.map (fun name -> if sub = "" then name else Filename.concat sub name)
+     in
+     let manifests = List.filter (fun n -> Filename.check_suffix n ".bsck") (in_dir "") in
+     let files =
+       List.map (fun p -> (p, read_file (Filename.concat fdir p))) (manifests @ in_dir "chunks")
+     in
+     {
+       fdir;
+       files = Array.of_list files;
+       pristine = List.map (fun name -> (name, Durable.load d ~basename:name)) manifests;
+     })
+
+(* Where a manifest's chunk records start: after magic, schema, graph,
+   kind, generation, parent, the tag and the record count. *)
+let records_at bytes =
+  if String.length bytes < 29 then 0
+  else min (String.length bytes) (33 + (Int32.to_int (String.get_int32_be bytes 25) land 0xffff))
+
+(* One mutation of [s]: truncated, a range duplicated in place, or a
+   range replaced by a range of another file of the store. Positions
+   are record boundaries half the time, lengths whole records
+   (20 bytes) half the time. *)
+let mutate_bytes files s =
+  let open QCheck.Gen in
+  let n = String.length s in
+  let base = records_at s in
+  let pos n = oneof [ int_bound n; map (fun k -> min n (base + (20 * k))) (int_bound 3) ] in
+  let len = oneof [ return 20; int_range 1 24 ] in
+  let cut s a b = String.sub s (min a (String.length s)) (max 0 (min b (String.length s) - a)) in
+  frequency
+    [
+      (1, map (fun k -> (Printf.sprintf "truncate %d" k, cut s 0 k)) (int_bound n));
+      ( 2,
+        let* from = pos n and* l = len and* at = pos n in
+        return
+          ( Printf.sprintf "duplicate [%d,+%d) at %d" from l at,
+            cut s 0 at ^ cut s from (from + l) ^ cut s at n ) );
+      ( 2,
+        let* src, other = oneofa files in
+        let* at = pos n and* drop = len and* from = pos (String.length other) and* l = len in
+        return
+          ( Printf.sprintf "splice [%d,+%d) of %s over [%d,+%d)" from l src at drop,
+            cut s 0 at ^ cut other from (from + l) ^ cut s (at + drop) n ) );
+    ]
+
+(* A file of the store and one to three mutations of it: its new bytes
+   and what was done. *)
+let gen_fuzz rand =
+  let open QCheck.Gen in
+  let store = Lazy.force fuzz_store in
+  let rec go path k s steps =
+    if k = 0 then return (path, s, List.rev steps)
+    else
+      let* step, s = mutate_bytes store.files s in
+      go path (k - 1) s (step :: steps)
+  in
+  (let* path, bytes = oneofa store.files in
+   let* k = int_range 1 3 in
+   go path k bytes [])
+    rand
+
+exception Hang
+
+(* Runs [f], raising [Hang] if it takes more than [seconds]. *)
+let within seconds f =
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hang)) in
+  ignore (Unix.alarm seconds);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm old)
+    f
+
+(* A mutated manifest or pool chunk, written over the original in the
+   scratch store: loading every manifest and recovering the store must
+   each end, without an exception, in a typed reject or in exactly what
+   that manifest loaded to before the mutation (a sound file the
+   mutation left sound). *)
+let prop_decoder_fuzz =
+  QCheck.Test.make ~name:"mutated manifests and chunks: a typed reject or a valid recovery"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (path, _, steps) -> path ^ ": " ^ String.concat "; " steps)
+       gen_fuzz)
+    (fun (path, bytes, _) ->
+      let store = Lazy.force fuzz_store in
+      let file = Filename.concat store.fdir path in
+      let original = read_file file in
+      write_file file bytes;
+      Fun.protect
+        ~finally:(fun () -> write_file file original)
+        (fun () ->
+          within 10 (fun () ->
+              let graph = Experiments.Recover.corpus_graph in
+              let d = Durable.open_store ~graph ~dir:store.fdir () in
+              let valid name got =
+                match List.assoc name store.pristine with
+                | Ok expected when expected = got -> ()
+                | _ -> QCheck.Test.fail_reportf "%s decoded to a value it never held" name
+              in
+              List.iter
+                (fun (name, _) ->
+                  match Durable.load d ~basename:name with
+                  | Ok got -> valid name got
+                  | Error _ -> ())
+                store.pristine;
+              match Durable.recover d with
+              | Some rv, _ ->
+                valid (manifest_name rv.Durable.r_generation)
+                  (rv.Durable.r_tag, rv.Durable.r_chunks, rv.Durable.r_generation)
+              | None, _ -> ());
+          true))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "durable"
@@ -467,6 +638,9 @@ let () =
           Alcotest.test_case "every manifest truncation rejected deterministically" `Quick
             test_manifest_truncations;
           Alcotest.test_case "pool chunk corruption detected" `Quick test_pool_bitflips;
+          Alcotest.test_case "a record count past the end allocates nothing for it" `Quick
+            test_manifest_count_bounded;
+          qt ~rand:(rand ()) prop_decoder_fuzz;
         ] );
       ( "store",
         [

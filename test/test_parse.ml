@@ -412,7 +412,8 @@ let prop_edit_rounds =
 
 (* One whole line of [text] changed: deleted, a token line put before
    it, or a token appended to it. Half the time the line is one that
-   starts with `}`, where the body segmenter decides. *)
+   starts with `}`, where a body's closing line, and so a stored body
+   length, ends. *)
 let mutate_line text =
   let open QCheck.Gen in
   let lines = Array.of_list (String.split_on_char '\n' text) in
@@ -435,7 +436,7 @@ let mutate_line text =
    committed source, then steps that mutate the previous text (so
    damage accumulates), mutate the last text that parsed, or go back to
    it. Malformed neighbours, stray `}`, `fn ` inside bodies and `#`
-   comments all reach the body segmenter, and a return to the last good
+   comments all sit next to stored body ranges, and a return to the last good
    text must find every body in the memo, so a failed parse must not
    have replaced it. Which text parsed is the oracle's verdict. *)
 let gen_chain =
@@ -483,6 +484,86 @@ let prop_mutant_chains =
              | Error _, _ -> last_ok)
            None texts (parse_chain texts));
       true)
+
+(* --- deterministic memo cases -------------------------------------------- *)
+
+(* Three functions with different bodies: a plain one, one with a block,
+   one with a comment line. *)
+let unit_fgh =
+  [ ("f", "fn f(a) {\n  a.push(1 : public)\n}\n");
+    ("g", "fn g(a, b) {\n  if a {\n    b.append(copy a)\n  }\n}\n");
+    ("h", "fn h(c) {\n  let d = vec![] : {s}\n  # note\n  c.append(copy d)\n}\n") ]
+
+let main_src = "let x = vec![] : public\nf(&x)\n"
+
+let func_named (p : Ast.program) name = List.find (fun (f : Ast.func) -> f.fname = name) p.funcs
+
+let two = function [ a; b ] -> (a, b) | _ -> Alcotest.fail "two results expected"
+
+let oks = function
+  | Ok p, Ok q -> (p, q)
+  | _ -> Alcotest.fail "both texts must parse"
+
+(* The key is the name, not the position: every body of a permuted unit
+   is the one parsed before, physically. *)
+let test_memo_permuted () =
+  let text order = String.concat "" (List.map (fun k -> List.assoc k unit_fgh) order) ^ main_src in
+  let p, q = oks (two (parse_chain [ text [ "f"; "g"; "h" ]; text [ "h"; "f"; "g" ] ])) in
+  List.iter
+    (fun k ->
+      if (func_named q k).body != (func_named p k).body then
+        Alcotest.failf "the body of `%s' was parsed again" k)
+    [ "f"; "g"; "h" ]
+
+(* A body under a new name is parsed again, to what a cold parse gives. *)
+let test_memo_renamed () =
+  let f = List.assoc "f" unit_fgh in
+  let renamed = "fn k" ^ String.sub f 4 (String.length f - 4) in
+  let p, q = oks (two (parse_chain [ f ^ main_src; renamed ^ main_src ])) in
+  Alcotest.(check bool) "a miss" false ((func_named q "k").body == (func_named p "f").body)
+
+(* Two functions under one name (validation rejects the unit, the parser
+   does not): the memo keeps one body per name, and every reparse, with
+   either body edited, is what a cold parse gives. *)
+let test_memo_duplicate_name () =
+  let a = "fn f(a) {\n  a.push(1 : public)\n}\n" and b = "fn f(a) {\n  a.push(22 : {s})\n}\n" in
+  let edited = "fn f(a) {\n  a.push(3 : public)\n}\n" in
+  ignore (parse_chain [ a ^ b; a ^ b; b ^ a; edited ^ b; a ^ edited; a ^ b ])
+
+(* A unit whose last `}` has no newline: bytes appended to that line
+   make it another line, so its body must not hit, whether the result
+   still parses (a comment) or not. *)
+let test_memo_last_line () =
+  let f = "fn f(a) {\n  a.push(1 : public)\n}" in
+  List.iter
+    (fun tail ->
+      let p, q = two (parse_chain [ main_src ^ f; main_src ^ f ^ tail ]) in
+      match (p, q) with
+      | Ok p, Ok q ->
+        Alcotest.(check bool) (Printf.sprintf "%S: a miss" tail) false
+          ((func_named q "f").body == (func_named p "f").body)
+      | Ok _, Error _ -> ()
+      | Error e, _ -> Alcotest.fail (Parse.error_to_string e))
+    [ " # done"; "\n"; "x"; " else {\n}"; "\n}" ]
+
+(* Stored lengths that run past the end of the new text: a body cut
+   short, and a shorter body in place of a longer one. *)
+let test_memo_past_end () =
+  let f = "fn f(a) {\n  a.push(1 : public)\n  a.push(2 : public)\n}\n" in
+  List.iter
+    (fun cut -> ignore (parse_chain [ f; String.sub f 0 cut ]))
+    (List.init (String.length f) Fun.id);
+  ignore (parse_chain [ f; "fn f(a) {\n}\n" ])
+
+(* An edit that keeps the body's length: the digest tells it apart. *)
+let test_memo_same_length () =
+  let f v = Printf.sprintf "fn f(a) {\n  a.push(%d : public)\n}\n%s" v main_src in
+  let p, q = oks (two (parse_chain [ f 1; f 2 ])) in
+  Alcotest.(check bool) "a miss" false ((func_named q "f").body == (func_named p "f").body);
+  Alcotest.(check bool) "the new value" true
+    (match (func_named q "f").body with
+    | [ { op = Ast.Const_write { value = 2; _ }; _ } ] -> true
+    | _ -> false)
 
 (* A deterministic stand-in for parse time: the minor words one cold
    parse of the 500-function corpus allocates, per source line. The AST
@@ -547,6 +628,12 @@ let () =
         [
           qt ~rand:(rand ()) prop_edit_rounds;
           qt ~rand:(rand ()) prop_mutant_chains;
+          Alcotest.test_case "functions permuted" `Quick test_memo_permuted;
+          Alcotest.test_case "a body renamed" `Quick test_memo_renamed;
+          Alcotest.test_case "two functions with one name" `Quick test_memo_duplicate_name;
+          Alcotest.test_case "last line without a newline, then extended" `Quick test_memo_last_line;
+          Alcotest.test_case "stored length past the end" `Quick test_memo_past_end;
+          Alcotest.test_case "same length, other bytes" `Quick test_memo_same_length;
           Alcotest.test_case "allocation per line, one body edited" `Quick test_reparse_allocation;
         ] );
     ]

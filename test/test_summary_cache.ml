@@ -365,6 +365,45 @@ let test_warm_equals_cold =
         script;
       true)
 
+(* The cache gathers cached ownership violations only while some entry
+   holds one, so its count of such entries must follow every commit:
+   a violation edited in, kept across a reparse, edited out, edited in
+   again, deleted with its function, and brought back with it. Each
+   version's report must equal a cold run's. *)
+let test_violations_come_and_go () =
+  let cache = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+  let stmt = Ifc.Ast.stmt 0 in
+  let call func = stmt (Ifc.Ast.Call { func; args = [] }) in
+  let public = Ifc.Label.public in
+  (* f4 reads [v] after moving it when [bad], [w] otherwise. *)
+  let f4 bad =
+    { Ifc.Ast.fname = "f4"; params = []; line = 0;
+      body =
+        [ stmt (Ifc.Ast.Alloc { var = "v"; label = public });
+          stmt (Ifc.Ast.Move { dst = "w"; src = "v" });
+          stmt (Ifc.Ast.Copy { dst = "x"; src = (if bad then "v" else "w") }) ] }
+  in
+  let f1 =
+    { Ifc.Ast.fname = "f1"; params = []; line = 0;
+      body = [ stmt (Ifc.Ast.Alloc { var = "a"; label = public }) ] }
+  in
+  let version = function
+    | Some bad ->
+      reparse (Ifc.Ast.program ~dialect:Ifc.Ast.Safe ~channels:[] ~funcs:[ f1; f4 bad ] [ call "f1"; call "f4" ])
+    | None -> reparse (Ifc.Ast.program ~dialect:Ifc.Ast.Safe ~channels:[] ~funcs:[ f1 ] [ call "f1" ])
+  in
+  List.iteri
+    (fun i v ->
+      let p = version v in
+      let warm, _ = ok "warm" (Ifc.Verifier.reverify cache p) in
+      let cold = ok "cold" (cold_report p) in
+      Alcotest.(check string) (Printf.sprintf "version %d = cold" i) (report_body cold) (report_body warm);
+      Alcotest.(check int)
+        (Printf.sprintf "version %d violations" i)
+        (if v = Some true then 1 else 0)
+        (List.length warm.Ifc.Verifier.ownership_errors))
+    [ Some false; Some true; Some true; Some false; Some true; None; Some true ]
+
 let () =
   Alcotest.run "summary_cache"
     [
@@ -377,6 +416,8 @@ let () =
           Alcotest.test_case "invalid program rejected, cache untouched" `Quick
             test_invalid_program_leaves_cache_untouched;
           Alcotest.test_case "aliased dialect rejected" `Quick test_aliased_rejected;
+          Alcotest.test_case "cached ownership violations come and go" `Quick
+            test_violations_come_and_go;
         ] );
       ( "equivalence",
         [
