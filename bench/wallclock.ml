@@ -159,7 +159,7 @@ let bench_checkpoint name strategy =
 (* E16: steady-state incremental sync of the same 500-rule DB — the
    O(dirty) counterpart of the full-traversal fig3 rows. *)
 let bench_incr_sync name ~dirty_pct =
-  let step = Experiments.Ckpt_incr.bench_incr ~mode:Chkpt.Incr.Serial ~dirty_pct in
+  let step = Experiments.Ckpt_incr.bench_incr ~dirty_pct in
   Test.make ~name (Staged.stage step)
 
 (* E21: summary-cached reverification over the generated 500-function

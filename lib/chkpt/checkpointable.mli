@@ -117,7 +117,7 @@ type stats = {
 
 type shared_memo
 (** A cross-worker deduplication table for parallel checkpoints of
-    [Arc]-shared structures (see {!Parallel}). *)
+    [Arc]-shared structures (see {!Parallel.checkpoint_forest}). *)
 
 val shared_memo : unit -> shared_memo
 

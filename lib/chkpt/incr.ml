@@ -1,15 +1,13 @@
-type mode = Serial | Parallel of int
-
 type 'a tracker = {
   value : 'a;
-  sync : mode -> Checkpointable.stats;
+  sync : unit -> Checkpointable.stats;
   restore : unit -> Checkpointable.stats;
   pending : unit -> int;
   synced : unit -> bool;
 }
 
 let value t = t.value
-let sync ?(mode = Serial) t = t.sync mode
+let sync t = t.sync ()
 let restore t = t.restore ()
 let pending t = t.pending ()
 let synced t = t.synced ()
@@ -70,10 +68,7 @@ let blit_chunk a ~src ~dst c =
   let len = min a.chunk (n - lo) in
   if len > 0 then Array.blit src lo dst lo len
 
-let iarr_sync a (_mode : mode) =
-  (* Chunk copies are memcpy-cheap; fanning them across domains would
-     cost more in spawn than it saves, so Parallel degrades to serial
-     here (the trie tracker is where Parallel earns its keep). *)
+let iarr_sync a () =
   let chunks = iarr_chunks a in
   let dirty = ref 0 in
   for c = 0 to chunks - 1 do

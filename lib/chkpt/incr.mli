@@ -15,15 +15,9 @@
     with chunked dirty bits (the storm flowtab). {!Store.create_incr}
     wraps a tracker in the ordinary snapshot/rollback interface. *)
 
-type mode =
-  | Serial
-  | Parallel of int
-      (** Fan independent dirty subtrees across this many domains
-          (structures without subtree parallelism degrade to serial). *)
-
 type 'a tracker = {
   value : 'a;  (** The live structure; mutate it only through its own API. *)
-  sync : mode -> Checkpointable.stats;
+  sync : unit -> Checkpointable.stats;
       (** Bring the shadow snapshot up to date. O(dirty); stats report
           [dirty_nodes] rebuilt vs [reused_nodes] shared. *)
   restore : unit -> Checkpointable.stats;
@@ -35,7 +29,7 @@ type 'a tracker = {
 }
 
 val value : 'a tracker -> 'a
-val sync : ?mode:mode -> 'a tracker -> Checkpointable.stats
+val sync : 'a tracker -> Checkpointable.stats
 val restore : 'a tracker -> Checkpointable.stats
 val pending : 'a tracker -> int
 val synced : 'a tracker -> bool

@@ -20,34 +20,6 @@ let zero_stats : Checkpointable.stats =
     reused_nodes = 0;
   }
 
-(* Generic fork/join over a task array: contiguous slices, one domain
-   per slice, results in task order. The incremental snapshot engine
-   fans independent dirty subtrees through this. *)
-let map_tasks ?(workers = 4) (tasks : (unit -> 'a) array) : 'a array =
-  let n = Array.length tasks in
-  if n = 0 then [||]
-  else begin
-    let workers = max 1 (min workers n) in
-    if workers = 1 then Array.map (fun f -> f ()) tasks
-    else begin
-      let per = (n + workers - 1) / workers in
-      let slice w =
-        let lo = min n (w * per) in
-        (lo, min n (lo + per))
-      in
-      let work w () =
-        let lo, hi = slice w in
-        Array.init (hi - lo) (fun i -> tasks.(lo + i) ())
-      in
-      let handles = Array.init workers (fun w -> Domain.spawn (work w)) in
-      let results = Array.map Domain.join handles in
-      Array.init n (fun i ->
-          let w = i / per in
-          let lo, _ = slice w in
-          results.(w).(i - lo))
-    end
-  end
-
 let checkpoint_forest ?(workers = 4) desc roots =
   let n = Array.length roots in
   if n = 0 then ([||], zero_stats)

@@ -6,21 +6,10 @@
     shared cells is coordinated through one {!Checkpointable.shared_memo}:
     whichever worker reaches a cell first claims it with a CAS on the
     cell's atomic scratch word and publishes its copy; others adopt
-    that copy. The result preserves sharing {e across} slices.
-
-    {!map_tasks} is the underlying fork/join primitive, also used by the
-    incremental engine ({!Incr}) to fan independent dirty subtrees of
-    one structure across domains. *)
+    that copy. The result preserves sharing {e across} slices. *)
 
 val sum_stats : Checkpointable.stats -> Checkpointable.stats -> Checkpointable.stats
 val zero_stats : Checkpointable.stats
-
-val map_tasks : ?workers:int -> (unit -> 'a) array -> 'a array
-(** Run the tasks on up to [workers] domains (contiguous slices, one
-    domain per slice; [workers = 1] degenerates to a plain serial map).
-    Results come back in task order. Tasks must not share mutable
-    non-atomic state — the incremental engine keeps all [Rc] refcount
-    traffic out of them (see {!Trie.tracker}). *)
 
 val checkpoint_forest :
   ?workers:int ->

@@ -5,7 +5,7 @@ type 'a full = {
   mutable stack : 'a list;
 }
 
-type 'a backing = Full of 'a full | Incr of { tracker : 'a Incr.tracker; mode : Incr.mode }
+type 'a backing = Full of 'a full | Incr of 'a Incr.tracker
 
 type 'a t = {
   backing : 'a backing;
@@ -23,11 +23,11 @@ let create ?(strategy = Checkpointable.Rc_flag) ?telemetry desc live =
     rollbacks = 0;
   }
 
-let create_incr ?(mode = Incr.Serial) ?telemetry tracker =
+let create_incr ?telemetry tracker =
   let tele = Option.map Tele.v telemetry in
-  { backing = Incr { tracker; mode }; tele; snapshots_taken = 0; rollbacks = 0 }
+  { backing = Incr tracker; tele; snapshots_taken = 0; rollbacks = 0 }
 
-let get t = match t.backing with Full f -> f.live | Incr i -> i.tracker.Incr.value
+let get t = match t.backing with Full f -> f.live | Incr tr -> tr.Incr.value
 
 let set t v =
   match t.backing with
@@ -41,7 +41,7 @@ let snapshot t =
       let copy, stats = Checkpointable.checkpoint ~strategy:f.strategy f.desc f.live in
       f.stack <- copy :: f.stack;
       stats
-    | Incr i -> i.tracker.Incr.sync i.mode
+    | Incr tr -> tr.Incr.sync ()
   in
   t.snapshots_taken <- t.snapshots_taken + 1;
   Option.iter (fun tl -> Tele.record_snapshot tl stats) t.tele;
@@ -57,9 +57,9 @@ let rollback t =
         let copy, stats = Checkpointable.checkpoint ~strategy:f.strategy f.desc snap in
         f.live <- copy;
         stats)
-    | Incr i ->
-      if not (i.tracker.Incr.synced ()) then invalid_arg "Store.rollback: no snapshot";
-      i.tracker.Incr.restore ()
+    | Incr tr ->
+      if not (tr.Incr.synced ()) then invalid_arg "Store.rollback: no snapshot";
+      tr.Incr.restore ()
   in
   t.rollbacks <- t.rollbacks + 1;
   Option.iter (fun tl -> Tele.record_rollback tl stats) t.tele;
@@ -76,7 +76,7 @@ let commit t =
 let depth t =
   match t.backing with
   | Full f -> List.length f.stack
-  | Incr i -> if i.tracker.Incr.synced () then 1 else 0
+  | Incr tr -> if tr.Incr.synced () then 1 else 0
 
 let snapshots_taken t = t.snapshots_taken
 let rollbacks t = t.rollbacks

@@ -19,15 +19,13 @@ val create :
 (** [telemetry] records every snapshot/rollback into the [chkpt.*]
     counters (see {!Tele}). *)
 
-val create_incr :
-  ?mode:Incr.mode -> ?telemetry:Telemetry.Registry.t -> 'a Incr.tracker -> 'a t
+val create_incr : ?telemetry:Telemetry.Registry.t -> 'a Incr.tracker -> 'a t
 (** A store backed by an incremental tracker ({!Trie.tracker},
     {!Incr.iarr_tracker}) instead of full-traversal copies: {!snapshot}
     syncs the shadow in O(dirty) and {!rollback} restores from it in
     O(dirty), keeping exactly one (continuously reusable) snapshot.
     {!set} and {!commit} are unavailable ([Invalid_argument]) — the
-    tracker owns its value and its single shadow. [mode] selects
-    serial or parallel sync. *)
+    tracker owns its value and its single shadow. *)
 
 val get : 'a t -> 'a
 (** The live value. Mutate it freely through its own interface. *)

@@ -600,161 +600,15 @@ let clear_dirty_cells t =
   Hashtbl.iter (fun _ h -> Linear.Rc.drop h) t.dirty_rules;
   Hashtbl.reset t.dirty_rules
 
-let finish_sync t sh acc =
+let sync_incr t sh =
+  let acc = fresh_acc () in
+  sh.sh_root <- Some (sync_node t sh acc t.root sh.sh_root);
   content_sync t sh acc;
   gc_dirty_entries t sh;
   clear_dirty_cells t;
   t.synced_gen <- t.gen;
   t.gen <- t.gen + 1;
-  t.stamped <- 0
-
-let sync_serial t sh =
-  let acc = fresh_acc () in
-  sh.sh_root <- Some (sync_node t sh acc t.root sh.sh_root);
-  finish_sync t sh acc;
-  acc_stats acc
-
-(* Parallel sync. Workers rebuild disjoint dirty subtrees but may not
-   touch the (non-atomic) Rc refcounts or the shared cell maps: they
-   leave [s_rule] unset and hand back fixups (snode, live handle) plus
-   the stale shadow handles to drop. The coordinator applies both in
-   deterministic task order, so stats and structure match the serial
-   engine exactly. *)
-
-type wtask = {
-  w_live : node;
-  w_prev : snode option;
-  w_set : snode option -> unit;
-}
-
-type wresult = {
-  r_root : snode;
-  r_fixups : (snode * shared_rule) list;
-  r_drops : shared_rule list;
-  r_dirty : int;
-  r_reused : int;
-}
-
-let rec collect_srule_handles sn acc =
-  let acc = match sn.s_rule with Some h -> h :: acc | None -> acc in
-  sn.s_rule <- None;
-  let acc = match sn.s_zero with Some z -> collect_srule_handles z acc | None -> acc in
-  sn.s_zero <- None;
-  let acc = match sn.s_one with Some o -> collect_srule_handles o acc | None -> acc in
-  sn.s_one <- None;
-  acc
-
-let worker_sync synced_gen task () =
-  let fixups = ref [] in
-  let drops = ref [] in
-  let dirty = ref 0 in
-  let reused = ref 0 in
-  let rec go (live : node) prev =
-    match prev with
-    | Some sn when live.gen <= synced_gen ->
-      reused := !reused + sn.s_size;
-      sn
-    | _ ->
-      let sn = match prev with Some sn -> sn | None -> fresh_snode () in
-      incr dirty;
-      (match sn.s_rule with
-      | Some old ->
-        drops := old :: !drops;
-        sn.s_rule <- None
-      | None -> ());
-      (match live.rule with
-      | Some h -> fixups := (sn, h) :: !fixups
-      | None -> ());
-      (match live.zero with
-      | Some lz -> sn.s_zero <- Some (go lz sn.s_zero)
-      | None -> (
-        match sn.s_zero with
-        | Some old ->
-          drops := collect_srule_handles old !drops;
-          sn.s_zero <- None
-        | None -> ()));
-      (match live.one with
-      | Some lo -> sn.s_one <- Some (go lo sn.s_one)
-      | None -> (
-        match sn.s_one with
-        | Some old ->
-          drops := collect_srule_handles old !drops;
-          sn.s_one <- None
-        | None -> ()));
-      sn.s_size <- 1 + child_size sn.s_zero + child_size sn.s_one;
-      sn
-  in
-  let root = go task.w_live task.w_prev in
-  {
-    r_root = root;
-    r_fixups = List.rev !fixups;
-    r_drops = List.rev !drops;
-    r_dirty = !dirty;
-    r_reused = !reused;
-  }
-
-let frontier_depth = 5 (* <= 32 frontier slots: plenty for a handful of domains *)
-
-let sync_parallel ~workers t sh =
-  let acc = fresh_acc () in
-  let tasks = ref [] in
-  let spine = ref [] in
-  (* Phase A (coordinator): rebuild the dirty spine down to the
-     frontier, deferring dirty subtrees below it as worker tasks. *)
-  let rec walk (live : node) prev depth =
-    match prev with
-    | Some sn when live.gen <= t.synced_gen ->
-      acc.a_reused <- acc.a_reused + sn.s_size;
-      sn
-    | _ ->
-      let sn = match prev with Some sn -> sn | None -> fresh_snode () in
-      acc.a_dirty <- acc.a_dirty + 1;
-      spine := sn :: !spine;
-      set_srule sh acc sn live.rule;
-      let step (get_live : unit -> node option) get_prev set =
-        match get_live () with
-        | Some lc -> (
-          match get_prev () with
-          | Some pc when lc.gen <= t.synced_gen ->
-            acc.a_reused <- acc.a_reused + pc.s_size;
-            set (Some pc)
-          | pv ->
-            if depth + 1 >= frontier_depth then
-              tasks := { w_live = lc; w_prev = pv; w_set = set } :: !tasks
-            else set (Some (walk lc pv (depth + 1))))
-        | None -> (
-          match get_prev () with
-          | Some old ->
-            drop_snode old;
-            set None
-          | None -> ())
-      in
-      step (fun () -> live.zero) (fun () -> sn.s_zero) (fun c -> sn.s_zero <- c);
-      step (fun () -> live.one) (fun () -> sn.s_one) (fun c -> sn.s_one <- c);
-      sn
-  in
-  let root = walk t.root sh.sh_root 0 in
-  sh.sh_root <- Some root;
-  (* Phase B: fan the dirty subtrees out, then join and apply fixups in
-     deterministic (left-to-right) task order. *)
-  let task_arr = Array.of_list (List.rev !tasks) in
-  let results =
-    Parallel.map_tasks ~workers (Array.map (worker_sync t.synced_gen) task_arr)
-  in
-  Array.iteri
-    (fun i r ->
-      task_arr.(i).w_set (Some r.r_root);
-      List.iter Linear.Rc.drop r.r_drops;
-      List.iter (fun (sn, h) -> set_srule sh acc sn (Some h)) r.r_fixups;
-      acc.a_dirty <- acc.a_dirty + r.r_dirty;
-      acc.a_reused <- acc.a_reused + r.r_reused)
-    results;
-  (* Spine sizes depend on task results; fix them children-first
-     (reversed preorder). *)
-  List.iter
-    (fun sn -> sn.s_size <- 1 + child_size sn.s_zero + child_size sn.s_one)
-    !spine;
-  finish_sync t sh acc;
+  t.stamped <- 0;
   acc_stats acc
 
 (* --- Restore --------------------------------------------------------- *)
@@ -854,11 +708,7 @@ let tracker t =
   let sh = { sh_root = None; cells = Hashtbl.create 64; rev = Hashtbl.create 64 } in
   {
     Incr.value = t;
-    sync =
-      (fun mode ->
-        match mode with
-        | Incr.Serial -> sync_serial t sh
-        | Incr.Parallel workers -> sync_parallel ~workers:(max 1 workers) t sh);
+    sync = (fun () -> sync_incr t sh);
     restore = (fun () -> restore_incr t sh);
     pending = (fun () -> t.stamped + Hashtbl.length t.dirty_rules);
     synced = (fun () -> sh.sh_root <> None);

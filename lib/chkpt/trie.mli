@@ -70,9 +70,8 @@ val render : t -> string
 
     The wire image of a trie is: a cell-table chunk (the distinct rule
     cells in first-visit preorder order, so leaf aliasing survives as
-    stable indices), a spine chunk (the nodes above the same depth-5
-    frontier the parallel sync fans out at, with frontier children as
-    ordered references), and one chunk per frontier subtree. A subtree
+    stable indices), a spine chunk (the nodes above a fixed depth-5
+    frontier, with frontier children as ordered references), and one chunk per frontier subtree. A subtree
     the owner never dirtied encodes to the same bytes — and therefore
     the same content hash — as last time, which is what lets
     {!Durable} share it on disk exactly as the shadow shares it in
@@ -100,8 +99,7 @@ val tracker : t -> t Incr.tracker
 (** Attach dirty tracking and a shadow snapshot to the trie (write
     barriers switch on from here; at most one tracker per trie —
     attaching twice raises [Invalid_argument]). [sync] brings the
-    shadow up to date touching only dirty regions (serial, or fanning
-    dirty subtrees across domains with [Parallel n]); [restore] rolls
+    shadow up to date in one walk touching only dirty regions; [restore] rolls
     the live trie back to the last sync, also in O(dirty). Restored
     state is byte-identical under {!render}, including leaf aliasing. *)
 

@@ -3,14 +3,13 @@
    The fig3 firewall database (500 rules, alias factor 2, /24 prefixes)
    is put under a {!Chkpt.Trie.tracker}; each round replaces the rules
    of a fixed [dirty_pct] fraction of the leaves and syncs the shadow.
-   Swept over dirty ratio x {serial, parallel} sync. The deterministic
+   Swept over dirty ratio. The deterministic
    columns (dirty/reused node counts, reuse ratio, restore byte-identity,
    sharing) are golden-diffed in CI; wall-clock columns demonstrate the
    O(dirty) claim (>= 10x at <= 1% dirty). *)
 
 type row = {
   dirty_pct : int;
-  mode : string;
   leaves_touched : int;
   dirty_nodes : int;
   reused_nodes : int;
@@ -26,7 +25,6 @@ let rules_n = 500
 let alias_factor = 2
 let seed = 7L
 let default_dirty_pcts = [ 0; 1; 10; 50; 100 ]
-let parallel_workers = 4
 
 (* The fig3 database, with the insertion order recorded so mutation
    rounds can deterministically re-target existing leaves. *)
@@ -90,9 +88,7 @@ let full_baseline_ns ~iters =
   done;
   !total /. float_of_int (max 1 iters)
 
-let modes = [ ("serial", Chkpt.Incr.Serial); ("par4", Chkpt.Incr.Parallel parallel_workers) ]
-
-let run_variant ~iters ~full_ns ~mode_label ~mode ~dirty_pct =
+let run_variant ~iters ~full_ns ~dirty_pct =
   let t, prefs = build () in
   let tracker = Chkpt.Trie.tracker t in
   let registry = Telemetry.Registry.create () in
@@ -105,17 +101,17 @@ let run_variant ~iters ~full_ns ~mode_label ~mode ~dirty_pct =
           Chkpt.Trie.Allow)
   in
   (* Round 0: the initial full sync that builds the shadow. *)
-  ignore (Chkpt.Incr.sync ~mode tracker);
+  ignore (Chkpt.Incr.sync tracker);
   (* Warm round so every alternate cell has a shadow entry; from here
      on each round's stats are identical. *)
   mutate t prefs alts ~k ~round:1;
-  ignore (Chkpt.Incr.sync ~mode tracker);
+  ignore (Chkpt.Incr.sync tracker);
   (* Measured rounds: mutation outside the clock, sync inside. *)
   let sync_ns = ref 0. in
   let last = ref Chkpt.Parallel.zero_stats in
   for round = 2 to iters + 1 do
     mutate t prefs alts ~k ~round;
-    sync_ns := !sync_ns +. time_ns (fun () -> last := Chkpt.Incr.sync ~mode tracker);
+    sync_ns := !sync_ns +. time_ns (fun () -> last := Chkpt.Incr.sync tracker);
     Chkpt.Tele.record_incr tele !last
   done;
   let incr_ns = !sync_ns /. float_of_int (max 1 iters) in
@@ -139,7 +135,6 @@ let run_variant ~iters ~full_ns ~mode_label ~mode ~dirty_pct =
   let covered = stats.Chkpt.Checkpointable.nodes in
   {
     dirty_pct;
-    mode = mode_label;
     leaves_touched = k;
     dirty_nodes = stats.Chkpt.Checkpointable.dirty_nodes;
     reused_nodes = stats.Chkpt.Checkpointable.reused_nodes;
@@ -160,7 +155,7 @@ let run_variant ~iters ~full_ns ~mode_label ~mode ~dirty_pct =
    one mutate-then-sync round against a private tracked database, with
    the same dirty set every round so the measured work is steady-state
    O(dirty). *)
-let bench_incr ~mode ~dirty_pct =
+let bench_incr ~dirty_pct =
   let t, prefs = build () in
   let tracker = Chkpt.Trie.tracker t in
   let k = Array.length prefs * dirty_pct / 100 in
@@ -170,28 +165,24 @@ let bench_incr ~mode ~dirty_pct =
           ~description:(Printf.sprintf "alt-%d" i)
           Chkpt.Trie.Allow)
   in
-  ignore (Chkpt.Incr.sync ~mode tracker);
+  ignore (Chkpt.Incr.sync tracker);
   let round = ref 1 in
   fun () ->
     mutate t prefs alts ~k ~round:!round;
     incr round;
-    ignore (Chkpt.Incr.sync ~mode tracker)
+    ignore (Chkpt.Incr.sync tracker)
 
 let run ?(dirty_pcts = default_dirty_pcts) ?(iters = 30) ?(full_iters = 12) () =
   let full_ns = full_baseline_ns ~iters:full_iters in
   ( full_ns,
-    List.concat_map
-      (fun dirty_pct ->
-        List.map
-          (fun (mode_label, mode) ->
-            run_variant ~iters ~full_ns ~mode_label ~mode ~dirty_pct)
-          modes)
-      dirty_pcts )
+    List.map (fun dirty_pct -> run_variant ~iters ~full_ns ~dirty_pct) dirty_pcts )
 
+(* Sync is always serial; the mode column stays so the golden keeps
+   its shape. *)
 let stats_cells r =
   [
     Table.fi r.dirty_pct;
-    r.mode;
+    "serial";
     Table.fi r.leaves_touched;
     Table.fi r.dirty_nodes;
     Table.fi r.reused_nodes;
@@ -230,15 +221,8 @@ let print (full_ns, rows) =
     \  linearity makes the root-path write barrier a complete dirty record: the\n\
     \  shadow reuses every clean subtree, so steady-state snapshots cost O(dirty)\n"
     full_ns;
-  if Domain.recommended_domain_count () <= 1 then
-    print_endline
-      "  note: single-core host — parallel rows pay Domain.spawn with no fan-out win;\n\
-      \  the deterministic columns above prove parallel sync == serial sync regardless";
-  let at_1pct =
-    List.filter (fun r -> r.dirty_pct = 1 && String.equal r.mode "serial") rows
-  in
   List.iter
     (fun r ->
-      Printf.printf "  speedup at 1%% dirty (serial): %.1fx %s\n" r.speedup
+      Printf.printf "  speedup at 1%% dirty: %.1fx %s\n" r.speedup
         (if r.speedup >= 10. then "(target >=10x met)" else "(below 10x target!)"))
-    at_1pct
+    (List.filter (fun r -> r.dirty_pct = 1) rows)

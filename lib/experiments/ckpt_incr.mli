@@ -1,7 +1,7 @@
 (** E16 (extension): incremental dirty-tracking checkpoints.
 
-    Sweeps dirty ratio in {0, 1, 10, 50, 100}% x {serial, parallel}
-    sync over the fig3 firewall database under {!Chkpt.Trie.tracker}.
+    Sweeps dirty ratio in {0, 1, 10, 50, 100}% over the fig3 firewall
+    database under {!Chkpt.Trie.tracker}.
     Deterministic columns (dirty/reused node counts, the
     [chkpt.dirty_ratio_pct] gauge, restore byte-identity via
     {!Chkpt.Trie.render}, sharing preservation) are golden-diffed in
@@ -10,7 +10,6 @@
 
 type row = {
   dirty_pct : int;
-  mode : string;
   leaves_touched : int;
   dirty_nodes : int;
   reused_nodes : int;
@@ -33,7 +32,7 @@ val run :
 val print : float * row list -> unit
 (** Full table including wall-clock columns. *)
 
-val bench_incr : mode:Chkpt.Incr.mode -> dirty_pct:int -> unit -> unit
+val bench_incr : dirty_pct:int -> unit -> unit
 (** Wall-clock bench hook: builds a private tracked database once and
     returns a thunk performing one steady-state mutate-then-sync round
     (the dirty set is identical every round, so each call costs

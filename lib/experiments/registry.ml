@@ -150,15 +150,6 @@ let all =
           Ckpt_cost.print (Ckpt_cost.run ~sizes ()));
     };
     {
-      id = "availability";
-      description = "E11 (extension): availability under fault injection";
-      det = None;
-      run =
-        (fun ~quick ->
-          let batches = if quick then 400 else 2000 in
-          Availability.print (Availability.run ~batches ()));
-    };
-    {
       id = "rollback";
       description = "E13 (extension): middlebox rollback-recovery (ckpt + replay)";
       det = None;
@@ -166,15 +157,6 @@ let all =
         (fun ~quick ->
           let inputs = if quick then 517 else 2021 in
           Rollback.print (Rollback.run ~inputs ()));
-    };
-    {
-      id = "multicore";
-      description = "E12 (extension): multi-core scaling of isolated pipelines";
-      det = None;
-      run =
-        (fun ~quick ->
-          let batches_per_core = if quick then 800 else 3000 in
-          Multicore.print (Multicore.run ~batches_per_core ()));
     };
     {
       id = "scale";

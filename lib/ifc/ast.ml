@@ -64,22 +64,26 @@ let duplicates names =
 
 (* Index the declarations once so per-statement checks are O(1)
    hashtable lookups rather than list scans — on generated corpora
-   (Gen) validation used to be the single largest cost of a verify. *)
+   (Gen) validation used to be the single largest cost of a verify.
+   [find_func] is the first declaration under a name. *)
 type index = {
-  funcs_tbl : (string, func) Hashtbl.t;
+  find_func : string -> func option;
   chan_tbl : (string, unit) Hashtbl.t;
 }
 
-let index_of p =
-  let funcs_tbl = Hashtbl.create 64 in
+let chan_table p =
   let chan_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun f -> if not (Hashtbl.mem funcs_tbl f.fname) then Hashtbl.add funcs_tbl f.fname f)
-    p.funcs;
   List.iter
     (fun c -> if not (Hashtbl.mem chan_tbl c.cname) then Hashtbl.add chan_tbl c.cname ())
     p.channels;
-  { funcs_tbl; chan_tbl }
+  chan_tbl
+
+let index_of p =
+  let funcs_tbl = Hashtbl.create 64 in
+  List.iter
+    (fun f -> if not (Hashtbl.mem funcs_tbl f.fname) then Hashtbl.add funcs_tbl f.fname f)
+    p.funcs;
+  { find_func = Hashtbl.find_opt funcs_tbl; chan_tbl = chan_table p }
 
 (* Detect recursion: tri-colour DFS over the static call graph,
    memoized so the whole check is O(V + E). A grey node reached again
@@ -93,7 +97,7 @@ let check_recursion idx roots err =
       err 0 (Printf.sprintf "recursive call cycle through `%s'" fname)
     | Some `Black -> ()
     | None -> (
-      match Hashtbl.find_opt idx.funcs_tbl fname with
+      match idx.find_func fname with
       | None -> ()
       | Some f ->
         Hashtbl.replace color fname `Grey;
@@ -122,7 +126,7 @@ let check_stmt p idx err base (s : stmt) =
   | Output { channel; _ } when not (Hashtbl.mem idx.chan_tbl channel) ->
     err line (Printf.sprintf "output on undeclared channel `%s'" channel)
   | Call { func; args } -> (
-    match Hashtbl.find_opt idx.funcs_tbl func with
+    match idx.find_func func with
     | None -> err line (Printf.sprintf "call to unknown function `%s'" func)
     | Some f ->
       if List.length args <> List.length f.params then
@@ -149,11 +153,11 @@ let validate p =
   check_recursion idx p.funcs err;
   match List.rev !errs with [] -> Ok () | es -> Error es
 
-let validate_incremental p ~dirty =
+let validate_incremental p ~find_func ~dirty =
   let errs = ref [] in
   let err line reason = errs := { vline = line; reason } :: !errs in
   List.iter (check_params err) dirty;
-  let idx = index_of p in
+  let idx = { find_func; chan_tbl = chan_table p } in
   iter_stmts (check_stmt p idx err 0) p.main;
   List.iter (fun f -> iter_stmts (check_stmt p idx err f.line) f.body) dirty;
   check_recursion idx dirty err;

@@ -118,9 +118,16 @@ type validation_error = { vline : int; reason : string }
 
 val validate : program -> (unit, validation_error list) result
 
-val validate_incremental : program -> dirty:func list -> (unit, validation_error list) result
+val validate_incremental :
+  program ->
+  find_func:(string -> func option) ->
+  dirty:func list ->
+  (unit, validation_error list) result
 (** {!validate} restricted to [main], the [dirty] functions, and call
-    cycles reachable from them. Sound only when every function outside
+    cycles reachable from them. [find_func name] must return the first
+    function of the program declared under [name], as {!validate}
+    resolves calls; the caller supplies it so that a table it already
+    holds is not rebuilt. Sound only when every function outside
     [dirty] is byte-identical to one in a program that already passed
     {!validate} under the same declarations (dialect, channel names,
     function arities): per-statement validity depends on nothing else,

@@ -301,7 +301,11 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
     in
     let validation =
       if decls_changed then Ast.validate program
-      else Ast.validate_incremental program ~dirty:(List.rev !body_dirty)
+      else
+        Ast.validate_incremental program
+          ~find_func:(fun name ->
+            match Hashtbl.find_opt slots name with Some s -> Some s.f | None -> None)
+          ~dirty:(List.rev !body_dirty)
     in
     (match validation with
     | Error es -> Error (format_validation_errors es)

@@ -1,7 +1,7 @@
 (* Tests for the incremental checkpoint engine: generation-stamped
-   dirty tracking on the trie, shadow-snapshot sync (serial and
-   parallel), byte-identical restore, the chunk-tracked flat array, the
-   incremental Store backing, and the supervisor restore path. *)
+   dirty tracking on the trie, shadow-snapshot sync, byte-identical
+   restore, the chunk-tracked flat array, the incremental Store
+   backing, and the supervisor restore path. *)
 
 open Chkpt
 
@@ -54,39 +54,6 @@ let prop_incr_restore_byte_identical =
           ignore (Incr.restore tracker);
           String.equal reference (Trie.render t) && Trie.sharing_preserved t)
         [ epoch1; epoch2 ])
-
-(* ------------------------------------------------------------------ *)
-(* Parallel sync = serial sync                                         *)
-(* ------------------------------------------------------------------ *)
-
-let prop_parallel_equals_serial =
-  QCheck.Test.make ~name:"parallel sync = serial sync" ~count:25
-    QCheck.(pair trace_gen trace_gen)
-    (fun (setup, epoch) ->
-      let rules = make_rules () in
-      let build () =
-        let t = Trie.create () in
-        List.iter (apply t rules) setup;
-        (t, Trie.tracker t)
-      in
-      let ts, trs = build () in
-      let tp, trp = build () in
-      ignore (Incr.sync ~mode:Incr.Serial trs);
-      ignore (Incr.sync ~mode:(Incr.Parallel 3) trp);
-      List.iter (apply ts rules) epoch;
-      List.iter (apply tp rules) epoch;
-      let ss = Incr.sync ~mode:Incr.Serial trs in
-      let sp = Incr.sync ~mode:(Incr.Parallel 3) trp in
-      (* The coordinator owns all refcount and hashtable traffic and
-         applies worker results in deterministic task order, so the
-         whole stats record — not just the dirty/reused counts — must
-         match the serial engine. *)
-      let stats_equal = ss = sp in
-      List.iter (apply ts rules) epoch;
-      List.iter (apply tp rules) epoch;
-      let rs = Incr.restore trs in
-      let rp = Incr.restore trp in
-      stats_equal && rs = rp && String.equal (Trie.render ts) (Trie.render tp))
 
 (* ------------------------------------------------------------------ *)
 (* Dirty work is bounded by the nodes actually stamped                 *)
@@ -228,7 +195,6 @@ let () =
       ( "properties",
         [
           qt prop_incr_restore_byte_identical;
-          qt prop_parallel_equals_serial;
           qt prop_dirty_bounded_by_stamped;
           qt prop_iarr_matches_model;
         ] );

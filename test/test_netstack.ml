@@ -405,10 +405,12 @@ let prop_maglev_spread =
 (* Filters & pipeline                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let make_loaded_batch engine n =
+let make_nic engine =
   let rng = Cycles.Rng.create 7L in
-  let traffic = Traffic.create ~rng (Traffic.Uniform { flows = 16 }) in
-  let nic = Nic.create ~engine ~traffic () in
+  Nic.create ~engine ~traffic:(Traffic.create ~rng (Traffic.Uniform { flows = 16 })) ()
+
+let make_loaded_batch engine n =
+  let nic = make_nic engine in
   (nic, Nic.rx_batch nic n)
 
 let test_filter_ttl_drops_expired () =
@@ -550,7 +552,38 @@ let test_pipeline_isolation_contains_fault () =
        simply still buggy. *)
     ()
   | Ok _ -> Alcotest.fail "injector should still be buggy"
-  | Error e -> Alcotest.failf "wrong error: %s" (Sfi.Sfi_error.to_string e))
+  | Error e -> Alcotest.failf "wrong error: %s" (Sfi.Sfi_error.to_string e));
+  (* A fault campaign: one-shot faults on a fixed schedule (two of them
+     back to back), each followed by recovery. Each fault costs exactly
+     its in-flight batch, every fault is recovered, and nothing leaks. *)
+  let engine = make_env () in
+  let trigger = ref false in
+  let pipe =
+    Pipeline.create ~engine ~mode:(Pipeline.Isolated (Sfi.Manager.create ()))
+      [ Filters.ttl_decrement; Filters.triggered_fault ~trigger; Filters.null ]
+  in
+  let nic = make_nic engine in
+  let schedule = [ 2; 3; 7; 11 ] in
+  let served = ref 0 and faults = ref 0 and recoveries = ref 0 in
+  for round = 1 to 12 do
+    trigger := List.mem round schedule;
+    match Pipeline.run pipe (Nic.rx_batch nic 8) with
+    | Ok out ->
+      Alcotest.(check int) "a served batch loses nothing" 8 (Nic.tx_batch nic out);
+      incr served
+    | Error (Sfi.Sfi_error.Domain_failed _) ->
+      incr faults;
+      Alcotest.(check int) "the failed batch's buffers are back" 0
+        (Mempool.in_use (Engine.pool engine));
+      (match Pipeline.recover_stage pipe 1 with
+      | Ok () -> incr recoveries
+      | Error msg -> Alcotest.failf "recovery failed: %s" msg)
+    | Error e -> Alcotest.failf "wrong error: %s" (Sfi.Sfi_error.to_string e)
+  done;
+  Alcotest.(check int) "one fault per scheduled round" (List.length schedule) !faults;
+  Alcotest.(check int) "every fault recovered" !faults !recoveries;
+  Alcotest.(check int) "only the faulted batches lost" (12 - !faults) !served;
+  Mempool.assert_no_leaks (Engine.pool engine)
 
 let test_pipeline_panic_reclaims_stage_allocations () =
   (* A stage that allocates scratch buffers and then panics must not

@@ -99,6 +99,26 @@ let test_shard_modes_all_deterministic () =
         (render r1) (render r2))
     Shard.[ Isolated; Copying; Tagged ]
 
+(* The isolation cost is priced in virtual cycles, so it is a fixed
+   figure of the spec: the isolated run charges more per batch than the
+   direct one, and both repeat exactly. *)
+let test_shard_isolation_cost () =
+  let cycles_per_batch mode =
+    let r = Shard.run (Shard.create (small_spec ~mode ())) in
+    let cycles =
+      List.fold_left
+        (fun acc (q : Shard.queue_stats) -> Int64.add acc q.qs_cycles)
+        0L r.Shard.r_queue_stats
+    in
+    Int64.to_float cycles /. float_of_int r.Shard.r_batches
+  in
+  let direct = cycles_per_batch Shard.Direct in
+  let isolated = cycles_per_batch Shard.Isolated in
+  Alcotest.(check bool) "isolation costs cycles" true (isolated > direct);
+  Alcotest.(check (pair (float 0.) (float 0.)))
+    "virtual cycles repeat exactly" (direct, isolated)
+    (cycles_per_batch Shard.Direct, cycles_per_batch Shard.Isolated)
+
 let test_shard_validation () =
   let spec = small_spec () in
   Alcotest.check_raises "zero shards" (Invalid_argument "Shard.create: shards must be positive")
@@ -250,6 +270,7 @@ let () =
         [
           Alcotest.test_case "shard-count invariance" `Quick test_shard_count_invariance;
           Alcotest.test_case "all modes deterministic" `Quick test_shard_modes_all_deterministic;
+          Alcotest.test_case "isolation cost repeats" `Quick test_shard_isolation_cost;
           Alcotest.test_case "validation + single shot" `Quick test_shard_validation;
           Alcotest.test_case "per-flow order preserved" `Quick test_shard_preserves_flow_order;
         ] );
