@@ -174,26 +174,31 @@ let iarr_of_chunks chunks =
       let expected = max 1 ((n + chunk - 1) / chunk) in
       if Array.length chunks <> expected + 1 then
         fail "iarr: %d data chunks, expected %d" (Array.length chunks - 1) expected
-      else begin
-        let data = Array.make n 0 in
-        let rec decode c =
-          if c = expected then Ok (iarr ~chunk data)
-          else begin
-            let p = chunks.(c + 1) in
-            let lo = c * chunk in
-            let len = min chunk (n - lo) in
-            if String.length p <> len * 8 then
-              fail "iarr: chunk %d carries %d bytes, expected %d" c (String.length p) (len * 8)
+      else
+        let len c = min chunk (n - (c * chunk)) in
+        (* Every payload's length is checked before the table is sized
+           by [n], so a count the bytes do not back allocates nothing. *)
+        let rec short c =
+          if c = expected then None
+          else if String.length chunks.(c + 1) <> len c * 8 then Some c
+          else short (c + 1)
+        in
+        match short 0 with
+        | Some c ->
+          fail "iarr: chunk %d carries %d bytes, expected %d" c (String.length chunks.(c + 1)) (len c * 8)
+        | None ->
+          let data = Array.make n 0 in
+          let rec decode c =
+            if c = expected then Ok (iarr ~chunk data)
             else
-              let slot = decode_chunk data ~lo ~len p in
+              let p = chunks.(c + 1) in
+              let slot = decode_chunk data ~lo:(c * chunk) ~len:(len c) p in
               if slot >= 0 then
                 fail "iarr: chunk %d slot %d holds %Ld, outside the 63-bit int range" c slot
                   (String.get_int64_be p (slot * 8))
               else decode (c + 1)
-          end
-        in
-        decode 0
-      end
+          in
+          decode 0
 
 let iarr_tracker a =
   {

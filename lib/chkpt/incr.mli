@@ -80,4 +80,6 @@ val iarr_of_chunks : string array -> (iarr, string) result
     chunk, the chunk count, every chunk's exact byte length and that
     every value fits OCaml's 63-bit [int] (an error names the chunk and
     the slot within it) before building a fresh (untracked, unsynced)
-    [iarr]. Whatever it accepts re-encodes to the same bytes. *)
+    [iarr]. Whatever it accepts re-encodes to the same bytes. The
+    lengths are checked before anything is sized by the meta chunk's
+    count, so a count the bytes do not back allocates nothing. *)

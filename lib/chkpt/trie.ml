@@ -327,6 +327,11 @@ let of_chunks chunks =
     let cr = Wire.reader chunks.(0) in
     let cell_count = Wire.r_u32 cr in
     if cell_count > 1 lsl 24 then raise (Decode "trie: cell count too large");
+    (* A cell takes at least 17 bytes (id, action, description length,
+       hits), so a count the chunk cannot hold is rejected before the
+       table is sized by it. *)
+    if cell_count * 17 > Wire.remaining cr then
+      raise (Decode "trie: cell count past the end of the chunk");
     let cells =
       Array.init cell_count (fun i ->
           let rule_id = Wire.r_u32 cr in
@@ -349,10 +354,18 @@ let of_chunks chunks =
       raise (Decode msg)
     in
     if not (Wire.at_end cr) then fail_cells "trie: trailing bytes in cell chunk";
+    (* The encoder numbers cells in first-visit preorder, the order the
+       decoder meets references in, so only images whose first
+       reference to each cell names the next unseen one, and that
+       reference every cell, re-encode to their own bytes. *)
+    let unseen = ref 0 in
     let cell_of r who =
       let idx = Wire.r_u32 r in
       if idx >= cell_count then
         fail_cells (Printf.sprintf "trie: %s references cell %d of %d" who idx cell_count);
+      if idx > !unseen then
+        fail_cells (Printf.sprintf "trie: %s references cell %d before cell %d" who idx !unseen);
+      if idx = !unseen then incr unseen;
       Linear.Rc.clone cells.(idx)
     in
     (* Frontier subtrees: plain preorder. *)
@@ -378,8 +391,8 @@ let of_chunks chunks =
     (* Spine: references consume subtree chunks in encounter order. *)
     let sr = Wire.reader chunks.(1) in
     let frontier = Wire.r_u8 sr in
-    if frontier < 1 || frontier > max_depth then
-      fail_cells (Printf.sprintf "trie: frontier depth %d out of range" frontier);
+    if frontier <> wire_frontier_depth then
+      fail_cells (Printf.sprintf "trie: frontier depth %d, expected %d" frontier wire_frontier_depth);
     let next_subtree = ref 2 in
     let take_subtree () =
       if !next_subtree >= Array.length chunks then
@@ -389,15 +402,16 @@ let of_chunks chunks =
       decode_subtree i
     in
     let rec spine_node depth ~is_root =
-      if depth > max_depth then fail_cells "trie: spine deeper than 32";
       let flags = Wire.r_u8 sr in
       if flags land lnot (f_rule lor f_zero lor f_zero_ref lor f_one lor f_one_ref) <> 0
       then fail_cells (Printf.sprintf "trie: unknown spine flags 0x%02x" flags);
       if flags = 0 && not is_root then fail_cells "trie: empty interior node";
-      if flags land f_zero_ref <> 0 && flags land f_zero = 0 then
-        fail_cells "trie: zero-ref without zero-present";
-      if flags land f_one_ref <> 0 && flags land f_one = 0 then
-        fail_cells "trie: one-ref without one-present";
+      (* Exactly the children at the frontier are references, as the
+         encoder writes them (a reference bit sits one above its
+         child's); that also bounds the spine's depth. *)
+      let refs = if depth + 1 >= frontier then (flags land (f_zero lor f_one)) lsl 1 else 0 in
+      if flags land (f_zero_ref lor f_one_ref) <> refs then
+        fail_cells (Printf.sprintf "trie: spine flags 0x%02x at depth %d" flags depth);
       let rule = if flags land f_rule <> 0 then Some (cell_of sr "spine leaf") else None in
       let zero =
         if flags land f_zero = 0 then None
@@ -413,6 +427,8 @@ let of_chunks chunks =
     in
     let root = spine_node 0 ~is_root:true in
     if not (Wire.at_end sr) then fail_cells "trie: trailing bytes in spine chunk";
+    if !unseen <> cell_count then
+      fail_cells (Printf.sprintf "trie: %d of %d cells referenced" !unseen cell_count);
     if !next_subtree <> Array.length chunks then
       fail_cells
         (Printf.sprintf "trie: %d subtree chunks, %d referenced" (Array.length chunks - 2)

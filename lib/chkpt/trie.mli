@@ -84,7 +84,12 @@ val of_chunks : string array -> (t, string) result
 (** Strict structural decode: every flag byte, cell index, action code,
     depth bound, chunk length and subtree-reference count is validated
     before any state escapes; the rebuilt trie preserves leaf aliasing
-    and renders byte-identically to the encoded one. *)
+    and renders byte-identically to the encoded one. Only the image
+    {!to_chunks} writes is accepted (cells numbered in first-visit
+    preorder, all referenced, references exactly at the frontier), so
+    whatever it accepts re-encodes to the same bytes, and a cell count
+    the cell chunk cannot hold is rejected before anything is sized by
+    it. *)
 
 (** {2 Incremental tracking}
 

@@ -273,10 +273,10 @@ and parse_stmt c =
 
 (* A function body as the memo keeps it: its statements, with lines
    relative to the header, its closing line's distance from the header,
-   and its bytes as a length and a digest: from the line after the
+   and its bytes as a length and two hash lanes: from the line after the
    header through the closing line, with that line's '\n' if it has
    one. *)
-type body = { stmts : Ast.stmt list; lines : int; len : int; digest : Digest.t }
+type body = { stmts : Ast.stmt list; lines : int; len : int; lo : int; hi : int }
 
 (* The bodies of the last unit that parsed successfully, keyed by their
    function's name. A table is filled by one parse and published whole
@@ -286,18 +286,47 @@ let memo : (string, body) Hashtbl.t Atomic.t = Atomic.make (Hashtbl.create 1)
 
 let forget () = Atomic.set memo (Hashtbl.create 1)
 
+(* --- the body hash ---------------------------------------------------- *)
+
+(* Two native-int lanes over the bytes [i, e), read as 8-byte
+   little-endian words: [lo] takes each word's low 63 bits and [hi] its
+   high 63 bits, so every bit enters a lane; the last 0-7 bytes enter
+   both as one int. A step (xor the input in, multiply by an odd
+   constant, xor-shift) is a bijection of the lane, so ranges of one
+   length that differ within a single word or the tail always hash
+   apart; other differences collide only if both lanes do. The loop
+   allocates nothing; only its result pair is boxed. *)
+let mix h x k =
+  let h = (h lxor x) * k in
+  h lxor (h lsr 29)
+
+(* The bytes [i, e), fewer than 8, as one int. *)
+let rec tail s i e t = if i < e then tail s (i + 1) e ((t lsl 8) lor Char.code s.[i]) else t
+
+let rec lanes s i e lo hi =
+  if e - i >= 8 then
+    let w = String.get_int64_le s i in
+    lanes s (i + 8) e
+      (mix lo (Int64.to_int w) 0x100000001b3)
+      (mix hi (Int64.to_int (Int64.shift_right_logical w 1)) 0x2545f4914f6cdd1d)
+  else
+    let t = tail s i e 1 in
+    (mix lo t 0x100000001b3, mix hi t 0x2545f4914f6cdd1d)
+
 (* --- top level -------------------------------------------------------- *)
 
 (* Whether [body] is the text at [start]: its bytes fit there, they end
    where its closing line ended (at a '\n', or at the end of both texts,
-   so a last `}` with no newline never matches a longer line), and their
-   digest is the one stored. *)
+   so a last `}` with no newline never matches a longer line), and they
+   hash to the stored lanes. *)
 let hit s start (body : body) =
   let e = start + body.len in
   let n = String.length s in
   e <= n
   && (e = n || s.[e - 1] = '\n')
-  && Digest.equal (Digest.substring s start body.len) body.digest
+  &&
+  let lo, hi = lanes s start e 0 0 in
+  lo = body.lo && hi = body.hi
 
 (* A function: its header, then its body, which is either the body the
    memo [prev] holds under the same name, if its bytes are the ones at
@@ -331,7 +360,8 @@ let parse_func c prev next =
       c.base <- 0;
       if not (line_is c "}") then fail line "unterminated function body";
       let len = min c.next (String.length s) - start in
-      { stmts; lines = c.num - line; len; digest = Digest.substring s start len }
+      let lo, hi = lanes s start (start + len) 0 0 in
+      { stmts; lines = c.num - line; len; lo; hi }
   in
   Hashtbl.replace next fname body;
   advance c;

@@ -50,29 +50,36 @@ val program : string -> (Ast.program, error) result
     {b Incremental.} The parser keeps a memo of the last unit it parsed
     successfully: for each function name, its body's AST, its length in
     lines, and its bytes (from the line after the header through the
-    closing line) as a length and an MD5 digest ({!Digest}). After a
-    header, the body stored under the same name is a hit if that many
-    bytes fit in the text after the header, their digest is the stored
-    one, and they end where the stored body's closing line ended: at a
+    closing line) as a length and a hash in two 63-bit native-int lanes,
+    filled by one allocation-free pass over the bytes' 8-byte words.
+    After a header, the body stored under the same name is a hit if that
+    many bytes fit in the text after the header, they hash to the stored
+    lanes, and they end where the stored body's closing line ended: at a
     ['\n'], or at the end of both texts, so a last [}] without a newline
     never matches a line that now goes on. A hit is not parsed again:
     the previous body is returned {e physically}, wherever the function
     moved, and only the header is parsed fresh. There is no scan to
     delimit a body, so a reparse after an edit costs the headers,
-    [main], one digest per body and the edited bodies, and a
+    [main], one hash per body and the edited bodies, and a
     {!Summary_cache} sees every untouched body as the one it already
     fingerprinted. A function renamed, or a name declared twice, only
     costs misses.
 
-    A hit is exactly what a full parse would give. The memo only holds
-    bodies the full parser parsed successfully; that parse reads no byte
-    past the body's closing line, and lines relative to the header make
-    its AST independent of where the body sits. Equal bytes (up to an
-    MD5 collision), ending the closing line the same way, therefore
-    parse to the equal AST and end on the equal line.
+    A hit is what a full parse would give, up to a collision of the two
+    lanes. The memo only holds bodies the full parser parsed
+    successfully; that parse reads no byte past the body's closing
+    line, and lines relative to the header make its AST independent of
+    where the body sits. Equal bytes, ending the closing line the same
+    way, therefore parse to the equal AST and end on the equal line.
+    The hash is not cryptographic. Two bodies of one length that differ
+    only within one 8-byte word, or only in their last 0-7 bytes, never
+    collide; any other difference collides only if both lanes do. The
+    lanes do not defend against text crafted to collide with the
+    previous unit, so call {!forget} before parsing text you do not
+    trust.
 
     The memo is bounded by the last successful unit: one entry per
-    function name in it, holding a length, a digest and the body it
+    function name in it, holding a length, two ints and the body it
     already shares with that unit's AST, never source text. A failed
     parse leaves it as it was. It is replaced whole, through an
     [Atomic.t], when a parse succeeds, and a published memo is never
@@ -80,8 +87,9 @@ val program : string -> (Ast.program, error) result
     one published memo, and the last to succeed publishes its own. *)
 
 val forget : unit -> unit
-(** Empty the memo, so that the next {!program} parses cold. For tests
-    and measurements; the result of {!program} never depends on it. *)
+(** Empty the memo, so that the next {!program} parses cold. For tests,
+    measurements and untrusted text; up to a collision of the hash
+    lanes, the result of {!program} never depends on it. *)
 
 val label : string -> (Label.t, string) result
 (** Parse just a label (["public"], ["{secret}"], ["{a,b}"]). *)

@@ -33,6 +33,49 @@ let subst s (arg_syms : sym array) =
     (fun i acc -> sym_join acc (if i < Array.length arg_syms then arg_syms.(i) else bot))
     s.deps (of_label s.const)
 
+(* A failing check of main's, before its site is rebased to an
+   absolute line. *)
+type failure = {
+  site : site;
+  subject : string;
+  label : Label.t;
+  bound : Label.t;
+  what : Abstract.what;
+}
+
+(* What one call in main adds to the report: the failing checks among
+   the flows it re-emits, outputs and asserts each in emission order,
+   and what they were ground from, bar the channel bounds, on which the
+   whole memo is keyed. *)
+type call = {
+  callee : t;
+  args : sym array;
+  pc : sym;
+  out_fails : failure array;
+  assert_fails : failure array;
+}
+
+type main_memo = {
+  mutable ground_against : Ast.channel list;
+  mutable calls : (string, call list) Hashtbl.t;  (* by callee name *)
+}
+
+let main_memo () = { ground_against = []; calls = Hashtbl.create 1 }
+
+(* The main pass grounds each flow as it is emitted, against [bounds]
+   (each channel's bound and the [what] its failures share), and
+   collects the failures in chunks, newest first: a call's arrays, or
+   one failure of main's own. A call takes its failures from [prev],
+   the memo of the last pass under the same bounds, and records them in
+   [next], which replaces it. *)
+type main_pass = {
+  bounds : (string, Label.t * Abstract.what) Hashtbl.t;
+  prev : (string, call list) Hashtbl.t;
+  next : (string, call list) Hashtbl.t;
+  mutable out_chunks : failure array list;
+  mutable assert_chunks : failure array list;
+}
+
 type ctx = {
   program : Ast.program;
   summaries : (string, t) Hashtbl.t;
@@ -42,10 +85,82 @@ type ctx = {
   mutable outputs : (site * string * sym) list;
   mutable asserts : (site * string * sym * Label.t) list;
   mutable moved : (string, unit) Hashtbl.t;
+  main : main_pass option;  (* [Some] in main, where flows are ground *)
 }
 
 let env_get env v = Option.value ~default:bot (Env.find_opt v env)
 let env_join = Env.union (fun _ a b -> Some (sym_join a b))
+
+(* In main every sym is ground: no parameter is in scope. *)
+let output_failure m site channel s =
+  let bound, what =
+    match Hashtbl.find_opt m.bounds channel with
+    | Some bw -> bw
+    | None -> (Label.public, Abstract.Leaky_output channel)
+  in
+  let label = eval s [||] in
+  if Label.leq label bound then None else Some { site; subject = channel; label; bound; what }
+
+let assert_failure site var s bound =
+  let label = eval s [||] in
+  if Label.leq label bound then None else Some { site; subject = var; label; bound; what = Failed_assert }
+
+let emit_output ctx site channel s =
+  match ctx.main with
+  | None -> ctx.outputs <- (site, channel, s) :: ctx.outputs
+  | Some m ->
+    Option.iter (fun f -> m.out_chunks <- [| f |] :: m.out_chunks) (output_failure m site channel s)
+
+let emit_assert ctx site var s bound =
+  match ctx.main with
+  | None -> ctx.asserts <- (site, var, s, bound) :: ctx.asserts
+  | Some m ->
+    Option.iter (fun f -> m.assert_chunks <- [| f |] :: m.assert_chunks) (assert_failure site var s bound)
+
+let rec find_call sm args pc = function
+  | [] -> None
+  | c :: rest ->
+    if
+      c.callee == sm
+      && sym_equal c.pc pc
+      && Array.length c.args = Array.length args
+      && Array.for_all2 sym_equal c.args args
+    then Some c
+    else find_call sm args pc rest
+
+let calls_of table func = Option.value ~default:[] (Hashtbl.find_opt table func)
+
+(* A call's failing checks: the callee's flows, composed with the
+   argument syms and the pc, ground. *)
+let ground_call m sm args pc =
+  let flow s' = sym_join (subst s' args) pc in
+  let fails f flows = Array.of_list (List.filter_map f flows) in
+  {
+    callee = sm;
+    args;
+    pc;
+    out_fails = fails (fun (site, ch, s') -> output_failure m site ch (flow s')) sm.outputs;
+    assert_fails = fails (fun (site, v, s', bound) -> assert_failure site v (flow s') bound) sm.asserts;
+  }
+
+(* A call in main, ground unless the same callee summary (physically),
+   arguments and pc were ground before, in this pass or in the last one
+   under the same bounds. *)
+let main_call m func sm args pc =
+  let c =
+    match find_call sm args pc (calls_of m.next func) with
+    | Some c -> c
+    | None ->
+      let c =
+        match find_call sm args pc (calls_of m.prev func) with
+        | Some c -> c
+        | None -> ground_call m sm args pc
+      in
+      Hashtbl.replace m.next func (c :: calls_of m.next func);
+      c
+  in
+  if c.out_fails <> [||] then m.out_chunks <- c.out_fails :: m.out_chunks;
+  if c.assert_fails <> [||] then m.assert_chunks <- c.assert_fails :: m.assert_chunks
 
 let rec step ctx pc env (s : Ast.stmt) =
   ctx.transfers <- ctx.transfers + 1;
@@ -72,12 +187,10 @@ let rec step ctx pc env (s : Ast.stmt) =
     in
     fix env
   | Output { channel; src } ->
-    let site = { fn = ctx.fn; rel = s.line } in
-    ctx.outputs <- (site, channel, sym_join (env_get env src) pc) :: ctx.outputs;
+    emit_output ctx { fn = ctx.fn; rel = s.line } channel (sym_join (env_get env src) pc);
     env
   | Assert_leq { var; label } ->
-    let site = { fn = ctx.fn; rel = s.line } in
-    ctx.asserts <- (site, var, sym_join (env_get env var) pc, label) :: ctx.asserts;
+    emit_assert ctx { fn = ctx.fn; rel = s.line } var (sym_join (env_get env var) pc) label;
     env
   | Call { func; args } -> (
     match Hashtbl.find_opt ctx.summaries func with
@@ -89,14 +202,17 @@ let rec step ctx pc env (s : Ast.stmt) =
       let arg_syms = Array.of_list (List.map (fun (v, _) -> env_get env v) args) in
       (* Re-emit the callee's flows, composed with the argument syms
          and the current pc; each keeps the callee's own site. *)
-      List.iter
-        (fun (site, ch, s') ->
-          ctx.outputs <- (site, ch, sym_join (subst s' arg_syms) pc) :: ctx.outputs)
-        sm.outputs;
-      List.iter
-        (fun (site, v, s', bound) ->
-          ctx.asserts <- (site, v, sym_join (subst s' arg_syms) pc, bound) :: ctx.asserts)
-        sm.asserts;
+      (match ctx.main with
+      | Some m -> main_call m func sm arg_syms pc
+      | None ->
+        List.iter
+          (fun (site, ch, s') ->
+            ctx.outputs <- (site, ch, sym_join (subst s' arg_syms) pc) :: ctx.outputs)
+          sm.outputs;
+        List.iter
+          (fun (site, v, s', bound) ->
+            ctx.asserts <- (site, v, sym_join (subst s' arg_syms) pc, bound) :: ctx.asserts)
+          sm.asserts);
       (* Write back post-call labels; consume moved arguments. *)
       List.fold_left
         (fun env (i, (v, mode)) ->
@@ -177,7 +293,7 @@ let summarize_func ctx (f : Ast.func) =
 let summarize_into ctx =
   List.iter (fun f -> ignore (summarize_func ctx f)) (dependency_order ctx.program)
 
-let make_ctx ?(summaries = Hashtbl.create 8) program =
+let make_ctx ?(summaries = Hashtbl.create 8) ?main program =
   {
     program;
     summaries;
@@ -186,6 +302,7 @@ let make_ctx ?(summaries = Hashtbl.create 8) program =
     outputs = [];
     asserts = [];
     moved = Hashtbl.create 4;
+    main;
   }
 
 let summarize_one ~program ~summaries (f : Ast.func) =
@@ -201,16 +318,16 @@ let summarize_one ~program ~summaries (f : Ast.func) =
    cost) are identical. *)
 type built = { summaries : (string, t) Hashtbl.t; build_transfers : int }
 
-let memo : (Ast.program * built) option ref = ref None
+let built_memo : (Ast.program * built) option ref = ref None
 
 let built_for (program : Ast.program) =
-  match !memo with
+  match !built_memo with
   | Some (p, b) when p == program -> b
   | _ ->
     let ctx = make_ctx program in
     summarize_into ctx;
     let b = { summaries = ctx.summaries; build_transfers = ctx.transfers } in
-    memo := Some (program, b);
+    built_memo := Some (program, b);
     b
 
 let summarize (program : Ast.program) =
@@ -225,53 +342,62 @@ let summarize (program : Ast.program) =
 (* Verification of main using summaries at call sites.                 *)
 (* ------------------------------------------------------------------ *)
 
-let check_main ~program ~summaries =
-  (* Run main in the same symbolic engine: with no parameters in
-     scope every sym is ground (deps = ∅), so checks are decidable. *)
-  let ctx = make_ctx ~summaries program in
-  ignore (block ctx bot Env.empty program.main);
-  let ground s = eval s [||] in
-  (* Sites are function-relative; a failing check is reported at its
-     absolute line, rebased through the current program's headers.
-     The first declaration of a name wins, as in {!Ast.find_channel}. *)
+let check_main ~memo ~(program : Ast.program) ~summaries =
+  (* The first declaration of a name wins, as in {!Ast.find_channel}. *)
   let first_decl key value xs =
     let t = Hashtbl.create 64 in
     List.iter (fun x -> if not (Hashtbl.mem t (key x)) then Hashtbl.add t (key x) (value x)) xs;
     t
   in
-  let bases = first_decl (fun (f : Ast.func) -> f.fname) (fun f -> f.line) program.funcs in
-  let line { fn; rel } =
-    if fn = "" then rel else rel + Option.value ~default:0 (Hashtbl.find_opt bases fn)
+  let bounds =
+    first_decl
+      (fun (c : Ast.channel) -> c.cname)
+      (fun c -> (c.bound, Abstract.Leaky_output c.cname))
+      program.channels
   in
-  let bounds = first_decl (fun (c : Ast.channel) -> c.cname) (fun c -> c.bound) program.channels in
-  let findings = ref [] in
-  List.iter
-    (fun (site, channel, s) ->
-      let bound = Option.value ~default:Label.public (Hashtbl.find_opt bounds channel) in
-      let label = ground s in
-      if not (Label.leq label bound) then
-        findings :=
-          { Abstract.line = line site; subject = channel; label; bound; what = Leaky_output channel }
-          :: !findings)
-    ctx.outputs;
-  List.iter
-    (fun (site, var, s, bound) ->
-      let label = ground s in
-      if not (Label.leq label bound) then
-        findings :=
-          { Abstract.line = line site; subject = var; label; bound; what = Failed_assert } :: !findings)
-    ctx.asserts;
+  let same_bounds =
+    List.equal
+      (fun (c : Ast.channel) (d : Ast.channel) -> String.equal c.cname d.cname && Label.equal c.bound d.bound)
+      memo.ground_against program.channels
+  in
+  let m =
+    {
+      bounds;
+      prev = (if same_bounds then memo.calls else Hashtbl.create 1);
+      next = Hashtbl.create 16;
+      out_chunks = [];
+      assert_chunks = [];
+    }
+  in
+  (* Run main in the same symbolic engine: with no parameters in
+     scope every sym is ground (deps = ∅), so checks are decidable. *)
+  let ctx = make_ctx ~summaries ~main:m program in
+  ignore (block ctx bot Env.empty program.main);
+  memo.ground_against <- program.channels;
+  memo.calls <- m.next;
+  (* Sites are function-relative; a failing check is reported at its
+     absolute line, rebased through the current program's headers. *)
+  let bases = first_decl (fun (f : Ast.func) -> f.fname) (fun f -> f.line) program.funcs in
+  let finding { site = { fn; rel }; subject; label; bound; what } =
+    let line = if fn = "" then rel else rel + Option.value ~default:0 (Hashtbl.find_opt bases fn) in
+    { Abstract.line; subject; label; bound; what }
+  in
+  (* Assertion failures, then output failures, each in emission order. *)
+  let prepend acc chunks =
+    List.fold_left (fun acc c -> Array.fold_right (fun f acc -> finding f :: acc) c acc) acc chunks
+  in
+  let findings = prepend (prepend [] m.out_chunks) m.assert_chunks in
   let by_line_subject (a : Abstract.finding) (b : Abstract.finding) =
     match Int.compare a.line b.line with 0 -> String.compare a.subject b.subject | c -> c
   in
-  { Abstract.findings = List.sort by_line_subject !findings; transfers = ctx.transfers }
+  { Abstract.findings = List.sort by_line_subject findings; transfers = ctx.transfers }
 
 let analyze_compositional (program : Ast.program) =
   match program.dialect with
   | Aliased -> Error "compositional analysis requires the safe dialect"
   | Safe ->
     let b = built_for program in
-    let r = check_main ~program ~summaries:b.summaries in
+    let r = check_main ~memo:(main_memo ()) ~program ~summaries:b.summaries in
     (* [transfers] counts construction + the main pass, exactly as it
        did before the memo existed — a memo hit only skips redoing the
        construction work, not accounting for it. *)

@@ -59,15 +59,39 @@ val summarize_one :
     returns it together with the number of transfer applications
     spent. This is the unit of work {!Summary_cache} memoizes. *)
 
-val check_main : program:Ast.program -> summaries:(string, t) Hashtbl.t -> Abstract.report
+type main_memo
+(** What {!check_main} ground at each call in [main], for the next
+    pass to reuse. It holds only the calls of the last pass, so it is
+    bounded by the current [main]. *)
+
+val main_memo : unit -> main_memo
+(** An empty memo: the next {!check_main} through it grounds every
+    call. *)
+
+val check_main :
+  memo:main_memo -> program:Ast.program -> summaries:(string, t) Hashtbl.t -> Abstract.report
 (** The main-body pass alone: runs [main] symbolically against the
-    given summary table and ground-checks every accumulated output
-    and assertion against the channel bounds. A failing check's site
-    is rebased to an absolute line against [program]'s functions, so
-    findings point into the current text. The report's [transfers]
-    covers only this pass. Channel bounds are read here
-    and {e only} here — which is why {!Summary_cache} can leave them
-    out of its fingerprints. *)
+    given summary table and ground-checks every output and assertion
+    against the channel bounds as it is emitted, its callees' included.
+    A failing check's site is rebased to an absolute line against
+    [program]'s functions, so findings point into the current text.
+    The report's [transfers] covers only this pass. Channel bounds are
+    read here and {e only} here — which is why {!Summary_cache} can
+    leave them out of its fingerprints.
+
+    {b Incremental.} A call in [main] re-emits its callee's flows,
+    composed with its argument syms and the pc, and grounds them; the
+    failing checks that come out depend on nothing else but the
+    channel bounds. So [memo] keeps, per call, those failing checks
+    before the rebase (site, subject, label, bound, what), and a call
+    whose callee summary is {e physically} the one it was ground with
+    (summaries are immutable once built), with equal argument syms and
+    pc, takes them from there instead; every entry is dropped when the
+    channel declarations differ from the last pass's. The walk of
+    [main], the post-call writeback, [transfers], the rebase and the
+    sort stay whole, so the report is the one an empty memo gives. The
+    pass replaces [memo] with the calls it met, building the new table
+    while it reads the old one. *)
 
 val summarize : Ast.program -> (t list, string) result
 (** Summaries for every function, in dependency order. [Error] for
@@ -84,4 +108,5 @@ val analyze_compositional : Ast.program -> (Abstract.report, string) result
     Summary construction is memoized per program {e instance}
     (physical equality): repeated verification of the same program
     value pays for construction once and re-runs only the main pass,
-    while reporting the same transfer count either way. *)
+    while reporting the same transfer count either way. The main pass
+    runs through an empty {!main_memo}. *)

@@ -23,6 +23,9 @@ type t = {
   mutable decls_fp : int option;
       (* Fingerprint of the declarations (dialect, channel names,
          function arities) the cached validation verdicts assume. *)
+  mutable main_memo : Summary.main_memo;
+      (* What the last main pass ground per call; a call is reused while
+         its callee's summary is physically the cached entry's. *)
   c_hits : Telemetry.Counter.t;
   c_misses : Telemetry.Counter.t;
   c_recomputed : Telemetry.Counter.t;
@@ -36,6 +39,7 @@ let create ?(telemetry = Telemetry.Registry.global) () =
     entries = Hashtbl.create 64;
     owning = 0;
     decls_fp = None;
+    main_memo = Summary.main_memo ();
     c_hits = c "hits";
     c_misses = c "misses";
     c_recomputed = c "recomputed";
@@ -46,7 +50,8 @@ let size t = Hashtbl.length t.entries
 let clear t =
   Hashtbl.reset t.entries;
   t.owning <- 0;
-  t.decls_fp <- None
+  t.decls_fp <- None;
+  t.main_memo <- Summary.main_memo ()
 
 (* [entries] changes only through these two, which keep [owning]. *)
 let owns e = if e.own = [] then 0 else 1
@@ -329,7 +334,7 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
         (fun s ->
           match s.Ast.op with Ast.Call { func; _ } -> ensure_summary func | _ -> ())
         program.main;
-      let main_r = Summary.check_main ~program ~summaries in
+      let main_r = Summary.check_main ~memo:t.main_memo ~program ~summaries in
       let total_transfers = !transfers + main_r.Abstract.transfers in
       let own_disc =
         (* With no entry owning a violation there is nothing to

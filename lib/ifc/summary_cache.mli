@@ -10,7 +10,9 @@
     fingerprints of its callees' summaries} — so an edit invalidates
     exactly the dirty cone above it (the edited function and its
     transitive callers), and [reverify] recomputes only those
-    summaries plus the always-rerun main pass.
+    summaries plus the always-rerun main pass, which grounds again only
+    the calls in [main] whose callee summary, arguments or pc changed
+    ({!Summary.check_main}).
 
     Why the fingerprint is a complete invalidation record: in the
     safe dialect a summary is a pure function of (body AST, callee
@@ -21,9 +23,10 @@
     comes out identical stops invalidation right there, so its
     callers stay hits. Channel bounds are deliberately {e not}
     fingerprinted: they are consulted only by the main-pass ground
-    check, which every [reverify] reruns, so policy edits are always
-    picked up at zero invalidation cost. DESIGN.md §16 develops the
-    argument.
+    check, which every [reverify] reruns (its per-call memo, kept in
+    the handle, drops every entry when a bound changes), so policy
+    edits are always picked up at zero invalidation cost. DESIGN.md §16
+    develops the argument.
 
     Nothing cached depends on where a function sits in the file: the
     AST keeps a body's lines relative to its header ({!Ast.func}), so
@@ -51,7 +54,11 @@
     declarations (a per-call table of them, which is also where the
     declaration fingerprint is folded) and one lookup of its cache
     entry; a warm call gathers no cached ownership violations at all
-    while no entry holds one.
+    while no entry holds one. The main pass walks all of [main] and
+    rebases and sorts every finding, but takes the ground checks of each
+    call whose callee summary is physically the cached entry's, with
+    equal argument syms and pc, from the handle's memo of the last
+    pass.
 
     Hit/miss/recompute counts are recorded on the registry's
     [ifc.summary.hits] / [ifc.summary.misses] /
@@ -80,6 +87,8 @@ val size : t -> int
 (** Cached entries (= functions of the last committed program). *)
 
 val clear : t -> unit
+(** Forget every entry and the main pass's memo: the next {!reverify}
+    is cold. *)
 
 val reverify :
   ?sever_callee_fps:bool ->

@@ -279,6 +279,30 @@ let test_manifest_count_bounded () =
       let kb = (Gc.allocated_bytes () -. before) /. 1024. in
       if kb > 64. then Alcotest.failf "decoding allocated %.0f KB" kb)
 
+(* The same for the chunk decoders: an [iarr] meta chunk claiming 2^20
+   slots over one empty data chunk, and a trie cell chunk claiming 2^16
+   cells that holds one, are rejected before anything is sized by the
+   claim (8 MB and 512 KB). *)
+let test_chunk_counts_bounded () =
+  let allocated_kb f =
+    let before = Gc.allocated_bytes () in
+    (match f () with Ok _ -> Alcotest.fail "a count past the end accepted" | Error _ -> ());
+    (Gc.allocated_bytes () -. before) /. 1024.
+  in
+  let meta = Bytes.create 8 in
+  Bytes.set_int32_be meta 0 (Int32.of_int (1 lsl 20));
+  Bytes.set_int32_be meta 4 (Int32.of_int (1 lsl 20));
+  let kb = allocated_kb (fun () -> Incr.iarr_of_chunks [| Bytes.to_string meta; "" |]) in
+  if kb > 64. then Alcotest.failf "iarr decoding allocated %.0f KB" kb;
+  let t = Trie.create () in
+  Trie.insert t ~prefix:0l ~len:16 ~rule:(Trie.make_rule ~id:1 Trie.Allow);
+  let img = Trie.to_chunks t in
+  let cells = Bytes.of_string img.(0) in
+  Bytes.set_int32_be cells 0 (Int32.of_int (1 lsl 16));
+  img.(0) <- Bytes.to_string cells;
+  let kb = allocated_kb (fun () -> Trie.of_chunks img) in
+  if kb > 64. then Alcotest.failf "trie decoding allocated %.0f KB" kb
+
 let test_pool_bitflips () =
   with_store (fun d dir ->
       let payload = "pool-chunk-payload" in
@@ -615,6 +639,115 @@ let prop_decoder_fuzz =
               | None, _ -> ());
           true))
 
+(* ------------------------------------------------------------------ *)
+(* Chunk decoder fuzzing                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A trie or an [iarr] image (its chunk array) and a second image of the
+   same kind to splice from. *)
+type image = Trie_image | Iarr_image
+
+let trie_image trace =
+  let rules = make_rules () in
+  let t = Trie.create () in
+  List.iter (apply t rules) trace;
+  Trie.to_chunks t
+
+let iarr_image (n, chunk, writes) =
+  let a = Incr.iarr ~chunk (Array.make n 0) in
+  List.iter (fun (i, v) -> if n > 0 then Incr.iarr_set a (i mod n) v) writes;
+  Incr.iarr_to_chunks a
+
+let gen_image kind =
+  let open QCheck.Gen in
+  match kind with
+  | Trie_image -> map trie_image (QCheck.gen trace_gen)
+  | Iarr_image ->
+    map iarr_image
+      (triple (int_range 0 70) (int_range 1 9) (small_list (pair small_nat (QCheck.gen iarr_value))))
+
+(* One mutation of [img]: a bit flipped, a chunk truncated, dropped or
+   duplicated, a byte range of one chunk spliced over a range of
+   another, or the chunks from some index on replaced by [other]'s. *)
+let mutate_image other img =
+  let open QCheck.Gen in
+  let n = Array.length img in
+  let without i = Array.append (Array.sub img 0 i) (Array.sub img (i + 1) (n - i - 1)) in
+  let insert at c = Array.concat [ Array.sub img 0 at; [| c |]; Array.sub img at (n - at) ] in
+  let set i c = Array.mapi (fun k x -> if k = i then c else x) img in
+  let cut s a b = String.sub s (min a (String.length s)) (max 0 (min b (String.length s) - a)) in
+  let tail_from =
+    let* a = int_bound n and* b = int_bound (Array.length other) in
+    return
+      ( Printf.sprintf "chunks %d.. replaced by the other image's %d.." a b,
+        Array.append (Array.sub img 0 a) (Array.sub other b (Array.length other - b)) )
+  in
+  if n = 0 then tail_from
+  else
+    let* i = int_bound (n - 1) in
+    let c = img.(i) in
+    let len = String.length c in
+    frequency
+      [
+        ( 4,
+          if len = 0 then tail_from
+          else
+            let* j = int_bound (len - 1) and* b = int_bound 7 in
+            let flipped = Bytes.of_string c in
+            Bytes.set flipped j (Char.chr (Char.code c.[j] lxor (1 lsl b)));
+            return (Printf.sprintf "flip chunk %d byte %d bit %d" i j b, set i (Bytes.to_string flipped)) );
+        (1, map (fun k -> (Printf.sprintf "truncate chunk %d to %d" i k, set i (cut c 0 k))) (int_bound len));
+        (1, return (Printf.sprintf "drop chunk %d" i, without i));
+        (1, map (fun at -> (Printf.sprintf "duplicate chunk %d at %d" i at, insert at c)) (int_bound n));
+        ( 1,
+          let* k = int_bound (n - 1) in
+          let src = img.(k) in
+          let* at = int_bound len and* drop = int_bound 24 in
+          let* from = int_bound (String.length src) and* l = int_bound 24 in
+          return
+            ( Printf.sprintf "splice [%d,+%d) of chunk %d over [%d,+%d) of chunk %d" from l k at drop i,
+              set i (cut c 0 at ^ cut src from (from + l) ^ cut c (at + drop) len) ) );
+        (1, tail_from);
+      ]
+
+let gen_chunk_fuzz =
+  let open QCheck.Gen in
+  let* kind = oneofl [ Trie_image; Iarr_image ] in
+  let* img = gen_image kind and* other = gen_image kind in
+  let rec go k img steps =
+    if k = 0 then return (kind, img, List.rev steps)
+    else
+      let* step, img = mutate_image other img in
+      go (k - 1) img (step :: steps)
+  in
+  let* k = int_range 1 3 in
+  go k img []
+
+(* Every mutated image decodes, without an exception and within the
+   alarm, to a typed reject or to a value whose image is exactly the
+   bytes decoded: a decoder that accepts a non-canonical image would
+   checkpoint something other than what it loaded. *)
+let prop_chunk_decoder_fuzz =
+  QCheck.Test.make ~name:"mutated trie and iarr chunks: a typed reject or the same bytes" ~count:2000
+    (QCheck.make
+       ~print:(fun (kind, img, steps) ->
+         Printf.sprintf "%s %s: %s"
+           (match kind with Trie_image -> "trie" | Iarr_image -> "iarr")
+           (String.concat "|" (Array.to_list (Array.map (Printf.sprintf "%S") img)))
+           (String.concat "; " steps))
+       gen_chunk_fuzz)
+    (fun (kind, img, _) ->
+      let reencoded =
+        within 10 (fun () ->
+            match kind with
+            | Trie_image -> Result.map Trie.to_chunks (Trie.of_chunks img)
+            | Iarr_image -> Result.map Incr.iarr_to_chunks (Incr.iarr_of_chunks img))
+      in
+      match reencoded with
+      | Error _ -> true
+      | Ok img' when img' = img -> true
+      | Ok _ -> QCheck.Test.fail_report "accepted an image that re-encodes to other bytes")
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "durable"
@@ -640,7 +773,10 @@ let () =
           Alcotest.test_case "pool chunk corruption detected" `Quick test_pool_bitflips;
           Alcotest.test_case "a record count past the end allocates nothing for it" `Quick
             test_manifest_count_bounded;
+          Alcotest.test_case "trie and iarr counts past the end allocate nothing" `Quick
+            test_chunk_counts_bounded;
           qt ~rand:(rand ()) prop_decoder_fuzz;
+          qt ~rand:(rand ()) prop_chunk_decoder_fuzz;
         ] );
       ( "store",
         [

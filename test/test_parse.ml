@@ -565,6 +565,55 @@ let test_memo_same_length () =
     | [ { op = Ast.Const_write { value = 2; _ }; _ } ] -> true
     | _ -> false)
 
+(* The body hash, case by case. [f]'s body is a comment line of [c]
+   bytes then a statement; with the header it starts at a fixed offset,
+   so its bytes sit at known places in its 8-byte words. Each variant
+   is parsed through the memo of the original and must equal a cold
+   parse and the oracle (parse_chain), and, when it parses, must not
+   get the stored body back. *)
+let hashed_body c =
+  "# " ^ String.init c (fun i -> Char.chr (Char.code 'a' + (i mod 26))) ^ "\n  a.push(1 : public)\n}\n"
+let hashed_unit body = "fn f(a) {\n" ^ body ^ main_src
+
+let check_miss ~what original variant =
+  match two (parse_chain [ hashed_unit original; hashed_unit variant ]) with
+  | Ok p, Ok q ->
+    if (func_named q "f").body == (func_named p "f").body then Alcotest.failf "%s: a hit" what
+  | Ok _, Error _ -> ()
+  | Error e, _ -> Alcotest.fail (Parse.error_to_string e)
+
+(* Every bit of every byte of the body, at every offset mod 8 (bit 7 of
+   a word's eighth byte is the one a 63-bit lane drops), for bodies of
+   16 consecutive lengths: every tail of 0-7 bytes after the last whole
+   word, under two word counts. *)
+let test_memo_bit_flips () =
+  for c = 0 to 15 do
+    let body = hashed_body (16 + c) in
+    String.iteri
+      (fun j ch ->
+        for bit = 0 to 7 do
+          let flipped = Bytes.of_string body in
+          Bytes.set flipped j (Char.chr (Char.code ch lxor (1 lsl bit)));
+          check_miss ~what:(Printf.sprintf "length %d, byte %d, bit %d" (String.length body) j bit) body
+            (Bytes.to_string flipped)
+        done)
+      body
+  done
+
+(* Two different 8-byte words of the body swapped, aligned to the hash's
+   words and not: the same bytes in another order. *)
+let test_memo_swapped_words () =
+  let body = "# 345678AAAAAAAABBBBBBBBCCCCCCCC\n  a.push(1 : public)\n}\n" in
+  let swap a b =
+    let s = Bytes.of_string body in
+    Bytes.blit_string body a s b 8;
+    Bytes.blit_string body b s a 8;
+    Bytes.to_string s
+  in
+  List.iter
+    (fun (a, b) -> check_miss ~what:(Printf.sprintf "words at %d and %d swapped" a b) body (swap a b))
+    [ (8, 16); (16, 24); (8, 24); (9, 17); (12, 20) ]
+
 (* A deterministic stand-in for parse time: the minor words one cold
    parse of the 500-function corpus allocates, per source line. The AST
    itself accounts for most of them. *)
@@ -634,6 +683,8 @@ let () =
           Alcotest.test_case "last line without a newline, then extended" `Quick test_memo_last_line;
           Alcotest.test_case "stored length past the end" `Quick test_memo_past_end;
           Alcotest.test_case "same length, other bytes" `Quick test_memo_same_length;
+          Alcotest.test_case "every bit of a body flipped" `Quick test_memo_bit_flips;
+          Alcotest.test_case "two words of a body swapped" `Quick test_memo_swapped_words;
           Alcotest.test_case "allocation per line, one body edited" `Quick test_reparse_allocation;
         ] );
     ]

@@ -299,11 +299,71 @@ let spec_print (s : Ifc.Gen.spec) =
   Printf.sprintf "{funcs=%d; depth=%d; body_len=%d; channels=%d; seed=%Ld}" s.Ifc.Gen.funcs
     s.Ifc.Gen.depth s.Ifc.Gen.body_len s.Ifc.Gen.channels s.Ifc.Gen.seed
 
-(* A step is (edits, seed, reparse): with [reparse] the edited program
-   is rendered and parsed before it is verified, so a grown body moves
+(* Edits of [main] and of the channel bounds, which no summary sees: a
+   call added (to any function, with one group's two variables), a call
+   dropped, a variable's label changed (and with it the arguments of
+   the calls that borrow it), a call wrapped in [if] on its first
+   argument, or a channel's bound changed. The program stays valid. *)
+type main_edit = Add_call | Drop_call | Relabel | Wrap_if | Rebound
+
+let main_edit_name = function
+  | Add_call -> "add-call"
+  | Drop_call -> "drop-call"
+  | Relabel -> "relabel"
+  | Wrap_if -> "wrap-if"
+  | Rebound -> "rebound"
+
+let edit_main (spec : Ifc.Gen.spec) (p : Ifc.Ast.program) (kind, seed) =
+  let rng = Random.State.make [| seed |] in
+  let pick xs = List.nth xs (Random.State.int rng (List.length xs)) in
+  let label () =
+    let cat () = Printf.sprintf "c%d" (Random.State.int rng spec.Ifc.Gen.channels) in
+    match Random.State.int rng 3 with
+    | 0 -> Ifc.Label.public
+    | 1 -> Ifc.Label.singleton (cat ())
+    | _ -> Ifc.Label.of_list [ cat (); cat () ]
+  in
+  let at kind_of = List.filter_map Fun.id (List.mapi kind_of p.main) in
+  let calls =
+    at (fun i (st : Ifc.Ast.stmt) ->
+        match st.op with Ifc.Ast.Call { args; _ } -> Some (i, args) | _ -> None)
+  in
+  let allocs = at (fun i (st : Ifc.Ast.stmt) -> match st.op with Ifc.Ast.Alloc _ -> Some i | _ -> None) in
+  let replace i f =
+    { p with Ifc.Ast.main = List.concat (List.mapi (fun j st -> if j = i then f st else [ st ]) p.main) }
+  in
+  match kind with
+  | Add_call ->
+    let g = Random.State.int rng ((spec.funcs + spec.depth - 1) / spec.depth) in
+    let line = 1 + List.fold_left (fun m (st : Ifc.Ast.stmt) -> max m st.line) 0 p.main in
+    let v x = (Printf.sprintf "%s%d" x g, Ifc.Ast.By_borrow) in
+    let func = Ifc.Gen.func_name (Random.State.int rng spec.funcs) in
+    { p with main = p.main @ [ Ifc.Ast.stmt line (Ifc.Ast.Call { func; args = [ v "s"; v "p" ] }) ] }
+  | Drop_call when calls <> [] -> replace (fst (pick calls)) (fun _ -> [])
+  | Wrap_if when calls <> [] ->
+    let i, args = pick calls in
+    replace i (fun st ->
+        [ Ifc.Ast.stmt st.line (Ifc.Ast.If { cond = fst (List.hd args); then_ = [ st ]; else_ = [] }) ])
+  | Relabel when allocs <> [] ->
+    replace (pick allocs) (fun st ->
+        match st.op with
+        | Ifc.Ast.Alloc { var; _ } -> [ { st with op = Ifc.Ast.Alloc { var; label = label () } } ]
+        | _ -> [ st ])
+  | Rebound ->
+    let k = Random.State.int rng (List.length p.channels) in
+    let rebound j (c : Ifc.Ast.channel) = if j = k then { c with bound = label () } else c in
+    { p with channels = List.mapi rebound p.channels }
+  | Drop_call | Wrap_if | Relabel -> p
+
+(* A step is (edits, seed, reparse, main edit): the main edit, if any,
+   follows the function edits; with [reparse] the edited program is
+   rendered and parsed before it is verified, so a grown body moves
    every function below it. *)
 let script_gen =
-  QCheck.Gen.(list_size (int_range 1 4) (triple (int_range 1 4) (int_range 1 10_000) bool))
+  QCheck.Gen.(
+    list_size (int_range 1 4)
+      (quad (int_range 1 4) (int_range 1 10_000) bool
+         (opt (pair (oneofl [ Add_call; Drop_call; Relabel; Wrap_if; Rebound ]) (int_range 1 10_000)))))
 
 let arb =
   QCheck.make
@@ -311,9 +371,40 @@ let arb =
       Printf.sprintf "%s from_text=%b script=%s" (spec_print spec) from_text
         (String.concat ","
            (List.map
-              (fun (edits, seed, re) -> Printf.sprintf "(%d@%d%s)" edits seed (if re then "+reparse" else ""))
+              (fun (edits, seed, re, m) ->
+                Printf.sprintf "(%d@%d%s%s)" edits seed
+                  (match m with Some (k, s) -> Printf.sprintf "+%s@%d" (main_edit_name k) s | None -> "")
+                  (if re then "+reparse" else ""))
               script)))
     QCheck.Gen.(triple spec_gen bool script_gen)
+
+let finding_strings (r : Ifc.Abstract.report) = List.map Ifc.Abstract.finding_to_string r.findings
+
+(* The main pass through a memo that has seen every earlier version
+   against one through an empty memo: the same findings and transfers,
+   and the findings of [cold]. [stable] keeps, per function, a summary
+   that later versions reuse physically while it is unchanged, as the
+   cache's entries are, so the memo's calls can hit. *)
+let check_main_pass ~memo ~stable p (cold : Ifc.Verifier.report) =
+  let summaries = Hashtbl.create 64 in
+  (match Ifc.Summary.summarize (fresh_instance p) with
+  | Ok sums ->
+    List.iter
+      (fun (sm : Ifc.Summary.t) ->
+        let sm = match Hashtbl.find_opt stable sm.fname with Some old when old = sm -> old | _ -> sm in
+        Hashtbl.replace stable sm.fname sm;
+        Hashtbl.replace summaries sm.fname sm)
+      sums
+  | Error e -> QCheck.Test.fail_reportf "summarize failed: %s" e);
+  let warm = Ifc.Summary.check_main ~memo ~program:p ~summaries in
+  let fresh = Ifc.Summary.check_main ~memo:(Ifc.Summary.main_memo ()) ~program:p ~summaries in
+  if warm.transfers <> fresh.transfers then
+    QCheck.Test.fail_reportf "main pass: %d transfers through the memo, %d without" warm.transfers
+      fresh.transfers;
+  if finding_strings warm <> finding_strings fresh then
+    QCheck.Test.fail_report "main pass: memo findings differ";
+  if finding_strings warm <> List.map Ifc.Abstract.finding_to_string cold.findings then
+    QCheck.Test.fail_report "main pass: findings differ from the cold run"
 
 let test_warm_equals_cold =
   QCheck.Test.make ~name:"warm reverify = cold compositional, recompute bounded by dirty cone"
@@ -325,8 +416,11 @@ let test_warm_equals_cold =
       (match cold_report program with
       | Ok r ->
         if not (String.equal (report_body cold0) (report_body r)) then
-          QCheck.Test.fail_reportf "cold cache run diverged from compositional"
+          QCheck.Test.fail_reportf "cold cache run diverged from compositional";
+        if cold0.transfers <> r.transfers then
+          QCheck.Test.fail_reportf "cold cache run: %d transfers, compositional %d" cold0.transfers r.transfers
       | Error e -> QCheck.Test.fail_reportf "cold compositional failed: %s" e);
+      let memo = Ifc.Summary.main_memo () and stable = Hashtbl.create 64 in
       let p = ref program in
       (* Functions whose lines the cache has seen only as the generator
          or an AST edit set them; a reparse renumbers them, which to
@@ -335,8 +429,9 @@ let test_warm_equals_cold =
         ref (if from_text then [] else List.map (fun (f : Ifc.Ast.func) -> f.fname) program.funcs)
       in
       List.iter
-        (fun (edits, seed, re) ->
+        (fun (edits, seed, re, main_edit) ->
           let edited_p, edited = Ifc.Gen.edit ~seed:(Int64.of_int seed) ~edits spec !p in
+          let edited_p = Option.fold ~none:edited_p ~some:(edit_main spec edited_p) main_edit in
           unsettled := edited @ !unsettled;
           let edited_p, edited =
             if re then begin
@@ -360,7 +455,8 @@ let test_warm_equals_cold =
           | Ok cold ->
             if not (String.equal (report_body warm) (report_body cold)) then
               QCheck.Test.fail_reportf "warm report diverged from cold:\n%s\n--- vs ---\n%s"
-                (report_body warm) (report_body cold)
+                (report_body warm) (report_body cold);
+            check_main_pass ~memo ~stable edited_p cold
           | Error e -> QCheck.Test.fail_reportf "cold compositional failed: %s" e)
         script;
       true)
@@ -404,6 +500,102 @@ let test_violations_come_and_go () =
         (List.length warm.Ifc.Verifier.ownership_errors))
     [ Some false; Some true; Some true; Some false; Some true; None; Some true ]
 
+(* ------------------------------------------------------------------ *)
+(* The main pass's memo                                                *)
+(* ------------------------------------------------------------------ *)
+
+let parse_ok text =
+  match Ifc.Parse.program text with
+  | Ok p -> p
+  | Error e -> Alcotest.fail (Ifc.Parse.error_to_string e)
+
+(* Reverifies each version through one cache and checks it against a
+   cold run and its expected number of findings. *)
+let versions_agree cache versions =
+  List.iteri
+    (fun i (p, findings) ->
+      let warm, _ = ok "warm" (Ifc.Verifier.reverify cache p) in
+      let cold = ok "cold" (cold_report p) in
+      Alcotest.(check string) (Printf.sprintf "version %d = cold" i) (report_body cold) (report_body warm);
+      Alcotest.(check int) (Printf.sprintf "version %d findings" i) findings (List.length warm.findings))
+    versions
+
+(* No summary sees a channel bound, so a bound edit leaves every
+   summary a hit, physically: only the memo's check of the bounds makes
+   the main pass ground again. *)
+let test_bound_edit_flips_finding () =
+  let cache = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+  let c = Ifc.Label.singleton "c" in
+  let with_bound bound =
+    let p = chain_program ~g_label:c in
+    { p with Ifc.Ast.channels = [ { Ifc.Ast.cname = "ch"; bound } ] }
+  in
+  let public = with_bound Ifc.Label.public in
+  versions_agree cache [ (with_bound c, 0); (with_bound c, 0) ];
+  let _, stats = ok "public" (Ifc.Verifier.reverify cache public) in
+  Alcotest.(check int) "a bound edit recomputes no summary" 0 stats.Ifc.Summary_cache.recomputed;
+  versions_agree cache [ (public, 1); (with_bound c, 0); (public, 1) ]
+
+(* One summary, called with arguments of different labels and under
+   different pcs: each call is ground with its own, whichever comes
+   first and whatever the memo met before. *)
+let test_callee_called_twice () =
+  let cache = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+  let version ~y main =
+    parse_ok
+      (String.concat "\n"
+         ([ "channel ch bound public"; "fn f(a) {"; "  output a -> ch"; "}"; "let x = vec![] : public";
+            "let y = vec![] : " ^ y ]
+         @ main)
+      ^ "\n")
+  in
+  versions_agree cache
+    [
+      (version ~y:"{s}" [ "f(&x)"; "f(&y)" ], 1);
+      (version ~y:"{s}" [ "f(&x)"; "f(&y)" ], 1);
+      (version ~y:"{s}" [ "f(&y)"; "f(&x)" ], 1);
+      (version ~y:"{s}" [ "f(&y)"; "f(&y)"; "f(&x)" ], 2);
+      (version ~y:"public" [ "f(&y)"; "f(&x)" ], 0);
+      (version ~y:"{s}" [ "f(&x)"; "if y {"; "f(&x)"; "}" ], 1);
+      (version ~y:"{s}" [ "if x {"; "f(&x)"; "}"; "f(&x)" ], 0);
+      (version ~y:"{s}" [ "f(&x)"; "f(&y)" ], 1);
+    ]
+
+(* A cleared cache holds no more than a new one: no entry, and no call
+   of the last main pass. *)
+let test_clear_forgets_main_memo () =
+  let fresh = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+  let used = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+  let p = Ifc.Gen.generate small_spec in
+  let p, _ = Ifc.Gen.edit ~seed:3L ~edits:20 small_spec p in
+  let r, _ = ok "used" (Ifc.Verifier.reverify used p) in
+  Alcotest.(check bool) "the main pass found something to memoise" true (r.findings <> []);
+  Ifc.Summary_cache.clear used;
+  let words c = Obj.reachable_words (Obj.repr c) in
+  Alcotest.(check int) "cleared = new, in reachable words" (words fresh) (words used);
+  let again, _ = ok "after clear" (Ifc.Verifier.reverify used p) in
+  Alcotest.(check string) "after clear = cold" (report_body (ok "cold" (cold_report p))) (report_body again)
+
+(* The memo keeps the calls of the last main pass only: after a main
+   with many calls, a main with fewer leaves the cache holding what a
+   cache that only ever saw the smaller one holds. *)
+let test_main_memo_bounded () =
+  let small = Ifc.Gen.generate small_spec in
+  let small, _ = Ifc.Gen.edit ~seed:3L ~edits:20 small_spec small in
+  let call (f : Ifc.Ast.func) =
+    let args = [ ("s0", Ifc.Ast.By_borrow); ("p0", Ifc.Ast.By_borrow) ] in
+    Ifc.Ast.stmt 0 (Ifc.Ast.Call { func = f.fname; args })
+  in
+  let big = { small with Ifc.Ast.main = small.Ifc.Ast.main @ List.map call small.Ifc.Ast.funcs } in
+  let cache () = Ifc.Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+  let after versions =
+    let c = cache () in
+    List.iter (fun p -> ignore (ok "reverify" (Ifc.Verifier.reverify c p))) versions;
+    Obj.reachable_words (Obj.repr c)
+  in
+  Alcotest.(check bool) "the bigger main holds more" true (after [ big ] > after [ small ]);
+  Alcotest.(check int) "big then small = small" (after [ small ]) (after [ big; small ])
+
 let () =
   Alcotest.run "summary_cache"
     [
@@ -418,12 +610,17 @@ let () =
           Alcotest.test_case "aliased dialect rejected" `Quick test_aliased_rejected;
           Alcotest.test_case "cached ownership violations come and go" `Quick
             test_violations_come_and_go;
+          Alcotest.test_case "clear forgets the main pass's memo" `Quick test_clear_forgets_main_memo;
+          Alcotest.test_case "the main memo holds main's current calls only" `Quick test_main_memo_bounded;
         ] );
       ( "equivalence",
         [
           qt test_warm_equals_cold;
           Alcotest.test_case "severed callee fingerprint goes stale (negative control)" `Quick
             test_severed_callee_fp_goes_stale;
+          Alcotest.test_case "a bound edit flips a finding on, then off" `Quick
+            test_bound_edit_flips_finding;
+          Alcotest.test_case "one callee called with different labels" `Quick test_callee_called_twice;
         ] );
       ( "relocation",
         [
