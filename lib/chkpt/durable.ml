@@ -152,9 +152,9 @@ let read_file path =
 
 (* Write-if-absent: the pool is content-addressed, so a payload already
    present under its hash IS this chunk — that is the on-disk mirror of
-   the shadow snapshot adopting a clean subtree wholesale. *)
-let pool_put t payload =
-  let hash = Wire.fnv64 payload in
+   the shadow snapshot adopting a clean subtree wholesale. [hash] is
+   [payload]'s, computed with the rest of its save's in one batch. *)
+let pool_put t hash payload =
   if Sys.file_exists (pool_path t hash) then
     count t (fun c -> Telemetry.Counter.incr c.c_chunks_reused)
   else begin
@@ -162,8 +162,7 @@ let pool_put t payload =
     count t (fun c ->
         Telemetry.Counter.incr c.c_chunks_written;
         Telemetry.Counter.add c.c_bytes_written (String.length payload))
-  end;
-  hash
+  end
 
 (* --- Encode ----------------------------------------------------------- *)
 
@@ -194,7 +193,8 @@ let write_manifest t ~kind ~parent ~tag ~hashes ~lengths =
   gen
 
 let save t ~tag ~chunks =
-  let hashes = Array.map (pool_put t) chunks in
+  let hashes = Wire.fnv64_many chunks in
+  Array.iteri (fun i payload -> pool_put t hashes.(i) payload) chunks;
   let lengths = Array.map String.length chunks in
   let gen = write_manifest t ~kind:0 ~parent:0 ~tag ~hashes ~lengths in
   count t (fun c -> Telemetry.Counter.incr c.c_saves);
@@ -207,12 +207,18 @@ let save_delta t ~tag ~dirty =
     if not (String.equal last.m_tag tag) then
       invalid_arg "Durable.save_delta: tag differs from the parent checkpoint";
     let n = Array.length last.m_hashes in
+    (* Every index is checked before anything is hashed or written, so
+       a bad one leaves the pool and the counters as they were. *)
+    if List.exists (fun (i, _) -> i < 0 || i >= n) dirty then
+      invalid_arg "Durable.save_delta: slot index out of range";
+    let dirty = Array.of_list dirty in
+    let dirty_hashes = Wire.fnv64_many (Array.map snd dirty) in
     let hashes = Array.copy last.m_hashes in
     let lengths = Array.copy last.m_lengths in
-    List.iter
-      (fun (i, payload) ->
-        if i < 0 || i >= n then invalid_arg "Durable.save_delta: slot index out of range";
-        hashes.(i) <- pool_put t payload;
+    Array.iteri
+      (fun j (i, payload) ->
+        pool_put t dirty_hashes.(j) payload;
+        hashes.(i) <- dirty_hashes.(j);
         lengths.(i) <- String.length payload)
       dirty;
     let parent = t.next_gen - 1 in
@@ -286,21 +292,39 @@ let decode_manifest t bytes =
   | Rejected reject -> Error reject
   | Wire.Truncated section -> Error (Truncated section)
 
+(* Slots are read in order up to the first that is missing or has the
+   wrong length, and the slots read are hashed in one batch. The reject
+   is the one a slot-by-slot check would give, the first failing slot's:
+   a checksum mismatch before the unreadable slot, else its reject. *)
 let resolve_chunks t hashes lengths =
-  try
-    Ok
-      (Array.init (Array.length hashes) (fun i ->
-           let path = pool_path t hashes.(i) in
-           if not (Sys.file_exists path) then
-             raise (Rejected (Missing_chunk (Wire.hex_of_hash hashes.(i))));
-           let payload = read_file path in
-           if String.length payload <> lengths.(i) then
-             raise
-               (Rejected (Structural (Printf.sprintf "chunk %d length mismatch" i)));
-           if not (Int64.equal (Wire.fnv64 payload) hashes.(i)) then
-             raise (Rejected (Chunk_checksum_mismatch i));
-           payload))
-  with Rejected reject -> Error reject
+  let n = Array.length hashes in
+  let chunks = Array.make n "" in
+  let rec read i =
+    if i = n then (n, None)
+    else
+      let path = pool_path t hashes.(i) in
+      if not (Sys.file_exists path) then
+        (i, Some (Missing_chunk (Wire.hex_of_hash hashes.(i))))
+      else
+        let payload = read_file path in
+        if String.length payload <> lengths.(i) then
+          (i, Some (Structural (Printf.sprintf "chunk %d length mismatch" i)))
+        else begin
+          chunks.(i) <- payload;
+          read (i + 1)
+        end
+  in
+  let read_n, unreadable = read 0 in
+  let sums = Wire.fnv64_many (Array.sub chunks 0 read_n) in
+  let rec first_mismatch i =
+    if i = read_n then None
+    else if Int64.equal sums.(i) hashes.(i) then first_mismatch (i + 1)
+    else Some i
+  in
+  match (first_mismatch 0, unreadable) with
+  | Some i, _ -> Error (Chunk_checksum_mismatch i)
+  | None, Some reject -> Error reject
+  | None, None -> Ok chunks
 
 let load_raw t ~basename =
   let path = Filename.concat t.dir basename in

@@ -74,12 +74,17 @@ val save_delta : t -> tag:string -> dirty:(int * string) list -> int
     handle's previous manifest (so the file is complete but the disk
     I/O is O(dirty)). Raises [Invalid_argument] if the handle has no
     previous manifest (nothing saved or recovered yet), the tag
-    differs, or a slot index is out of range. *)
+    differs, or a slot index is out of range; every index is checked
+    before anything is written, so a raise leaves the pool and the
+    counters unchanged. *)
 
 val load : t -> basename:string -> (string * string array * int, reject) result
 (** Decode and fully validate one manifest file of the store directory
     (including resolving every chunk against the pool):
-    [Ok (tag, chunks, generation)] or the deterministic rejection. *)
+    [Ok (tag, chunks, generation)] or the deterministic rejection.
+    When several chunks are bad, the reject is the first bad slot's
+    in slot order: [Missing_chunk], a [Structural] length mismatch or
+    [Chunk_checksum_mismatch i]. *)
 
 type recovered = {
   r_generation : int;

@@ -62,11 +62,14 @@ let iarr_dirty_chunks a =
   Array.iter (fun g -> if g > a.synced_gen then incr d) a.gens;
   !d
 
-let blit_chunk a ~src ~dst c =
-  let n = Array.length a.data in
+(* A typed [int] loop, not [Array.blit]: the generic blit runs the
+   write barrier on every element once [dst] is in the major heap, and
+   an [int] store needs none. *)
+let blit_chunk a ~(src : int array) ~(dst : int array) c =
   let lo = c * a.chunk in
-  let len = min a.chunk (n - lo) in
-  if len > 0 then Array.blit src lo dst lo len
+  for i = lo to min (lo + a.chunk) (Array.length a.data) - 1 do
+    dst.(i) <- src.(i)
+  done
 
 let iarr_sync a () =
   let chunks = iarr_chunks a in

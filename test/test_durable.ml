@@ -126,6 +126,24 @@ let prop_fnv64_reference =
     QCheck.(string_of_size Gen.(int_range 0 300))
     (fun s -> Int64.equal (Wire.fnv64 s) (ref_fnv64 s))
 
+(* 0-9 payloads, so groups of four run full, short and padded; equal
+   lengths (every lane's tail alike), mixed lengths and empty strings
+   (a group whose common prefix is empty). *)
+let payloads_gen =
+  QCheck.Gen.(
+    int_range 0 9 >>= fun n ->
+    oneof
+      [
+        (int_range 0 300 >>= fun len -> array_repeat n (string_size (return len)));
+        array_repeat n (string_size (int_range 0 300));
+        array_repeat n (oneof [ return ""; string_size (int_range 0 20) ]);
+      ])
+
+let prop_fnv64_many_reference =
+  QCheck.Test.make ~name:"fnv64_many = Array.map fnv64" ~count:600
+    (QCheck.make ~print:QCheck.Print.(array string) payloads_gen)
+    (fun a -> Wire.fnv64_many a = Array.map Wire.fnv64 a)
+
 let test_fnv64_vectors () =
   (* Published FNV-1a 64 test vectors. *)
   List.iter
@@ -147,6 +165,9 @@ let test_kernels_allocation_free () =
   let s = String.init (128 * 1024) (fun i -> Char.chr (i * 131 land 0xff)) in
   let w = minor_words_of (fun () -> Wire.fnv64 s) in
   if w > 16 then Alcotest.failf "fnv64 over 128 KiB allocated %d minor words" w;
+  let four = Array.init 4 (fun k -> String.map (fun c -> Char.chr (Char.code c lxor k)) s) in
+  let w = minor_words_of (fun () -> Wire.fnv64_many four) in
+  if w > 128 then Alcotest.failf "fnv64_many over 4 x 128 KiB allocated %d minor words" w;
   let a = Incr.iarr ~chunk:16384 (Array.init 16384 (fun i -> (i * 7919) - 5000)) in
   let w = minor_words_of (fun () -> Incr.iarr_chunk_bytes a 0) in
   if w > 16 then Alcotest.failf "iarr_chunk_bytes of 16384 entries allocated %d minor words" w;
@@ -377,7 +398,61 @@ let test_save_delta_guards () =
       | _ -> Alcotest.fail "tag mismatch accepted");
       match Durable.save_delta d ~tag:"tab" ~dirty:[ (2, "zzz") ] with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "out-of-range slot accepted")
+      | _ -> Alcotest.fail "out-of-range slot accepted");
+  (* A bad index after a good one: nothing of the good one may reach
+     the pool or the counters before the raise. *)
+  let reg = Telemetry.Registry.create () in
+  let counter name =
+    match Telemetry.Registry.find reg ("chkpt.durable." ^ name) with
+    | Some (Telemetry.Registry.Counter c) -> Telemetry.Counter.value c
+    | _ -> -1
+  in
+  with_store (fun _ dir ->
+      let d = Durable.open_store ~telemetry:reg ~graph:3 ~dir () in
+      ignore (Durable.save d ~tag:"tab" ~chunks:[| "a"; "b" |]);
+      let pool = pool_files dir in
+      let written = counter "chunks_written" and bytes = counter "bytes_written" in
+      (match Durable.save_delta d ~tag:"tab" ~dirty:[ (1, "p-fresh"); (99, "q-fresh") ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "out-of-range slot after a good one accepted");
+      Alcotest.(check int) "pool unchanged" pool (pool_files dir);
+      Alcotest.(check int) "chunks_written unchanged" written (counter "chunks_written");
+      Alcotest.(check int) "bytes_written unchanged" bytes (counter "bytes_written"))
+
+(* Verification is batched, but the reject is still the first failing
+   slot's in slot order, whichever fault comes first. *)
+let test_reject_precedence () =
+  with_store (fun d dir ->
+      let chunks = Array.init 6 (fun i -> Printf.sprintf "chunk-%d-payload" i) in
+      let pool i =
+        Filename.concat (Filename.concat dir "chunks")
+          (Wire.hex_of_hash (Wire.fnv64 chunks.(i)) ^ ".chunk")
+      in
+      let name = manifest_name (Durable.save d ~tag:"tab" ~chunks) in
+      let corrupt i =
+        let b = Bytes.of_string (read_file (pool i)) in
+        Bytes.set b 2 (Char.chr (Char.code (Bytes.get b 2) lxor 0x40));
+        write_file (pool i) (Bytes.to_string b)
+      in
+      let restore () = Array.iteri (fun i c -> write_file (pool i) c) chunks in
+      corrupt 1;
+      Sys.remove (pool 3);
+      (match Durable.load d ~basename:name with
+      | Error (Durable.Chunk_checksum_mismatch 1) -> ()
+      | Error r -> Alcotest.failf "corrupt 1, missing 3: %s" (Durable.reject_to_string r)
+      | Ok _ -> Alcotest.fail "corrupt 1, missing 3: accepted");
+      restore ();
+      Sys.remove (pool 1);
+      corrupt 3;
+      (match Durable.load d ~basename:name with
+      | Error (Durable.Missing_chunk h) ->
+        Alcotest.(check string) "slot 1's hash" (Wire.hex_of_hash (Wire.fnv64 chunks.(1))) h
+      | Error r -> Alcotest.failf "missing 1, corrupt 3: %s" (Durable.reject_to_string r)
+      | Ok _ -> Alcotest.fail "missing 1, corrupt 3: accepted");
+      restore ();
+      match Durable.load d ~basename:name with
+      | Ok (_, got, _) -> Alcotest.(check (array string)) "restored" chunks got
+      | Error r -> Alcotest.failf "restored load rejected: %s" (Durable.reject_to_string r))
 
 let test_recover_newest_valid () =
   with_store (fun d dir ->
@@ -756,6 +831,7 @@ let () =
         [
           qt prop_iarr_roundtrip;
           qt ~rand:(Random.State.make [| 0xf1a |]) prop_fnv64_reference;
+          qt ~rand:(Random.State.make [| 0xf1b |]) prop_fnv64_many_reference;
           Alcotest.test_case "fnv64 published vectors" `Quick test_fnv64_vectors;
           Alcotest.test_case "hash and chunk codec allocate per call, not per byte" `Quick
             test_kernels_allocation_free;
@@ -771,6 +847,8 @@ let () =
           Alcotest.test_case "every manifest truncation rejected deterministically" `Quick
             test_manifest_truncations;
           Alcotest.test_case "pool chunk corruption detected" `Quick test_pool_bitflips;
+          Alcotest.test_case "the first failing slot is the one rejected" `Quick
+            test_reject_precedence;
           Alcotest.test_case "a record count past the end allocates nothing for it" `Quick
             test_manifest_count_bounded;
           Alcotest.test_case "trie and iarr counts past the end allocate nothing" `Quick
