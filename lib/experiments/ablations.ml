@@ -50,10 +50,10 @@ let pin_ablation ~trials =
   ]
 
 (* A2: re-run the Figure-2 batch-1 measurement with one micro-cost
-   zeroed at a time. *)
+   zeroed at a time, on E1's per-boundary chain. *)
 let overhead_with model =
   let env = Env.make ~model () in
-  let stages = List.init 5 (fun _ -> Netstack.Filters.null) in
+  let stages = Netstack.Filters.null_chain Fig2.pipeline_length in
   let direct =
     let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode:Netstack.Pipeline.Direct stages in
     Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch:1 ~warmup:20 ~trials:100)
@@ -67,7 +67,7 @@ let overhead_with model =
     in
     Cycles.Stats.mean (Env.measure_pipeline env2 pipe ~batch:1 ~warmup:20 ~trials:100)
   in
-  (isolated -. direct) /. 5.
+  (isolated -. direct) /. float_of_int Fig2.pipeline_length
 
 let attribution_ablation () =
   let base = Cycles.Cost_model.default in

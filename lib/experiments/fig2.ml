@@ -10,18 +10,16 @@ type row = {
 
 let pipeline_length = 5
 
-let null_stages = List.init pipeline_length (fun _ -> Netstack.Filters.null)
+(* Per-boundary cost is the quantity under test: one crossing per
+   stage, so the five null kernels must not fuse into one domain. *)
+let null_stages = Netstack.Filters.null_chain pipeline_length
 
 let measure_mode ?telemetry ~batch ~warmup ~trials mode_of_env =
   (* Fresh, identically-seeded environment per mode so the two runs see
      the same traffic and the same cold caches. *)
   let env = Env.make ?telemetry () in
-  (* Per-boundary cost is the quantity under test: keep one crossing
-     per stage rather than letting the fusion pass collapse the five
-     null kernels into a single domain. *)
   let pipe =
-    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:(mode_of_env env) ~fuse:false
-      null_stages
+    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:(mode_of_env env) null_stages
   in
   Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch ~warmup ~trials)
 

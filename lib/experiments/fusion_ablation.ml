@@ -1,18 +1,9 @@
-(* E18: the kernel-fusion ablation, over the off-heap slab pool.
-
-   Two sections, split the same way E17 is:
-
-   - a deterministic section running the Figure-2 Maglev NF through
-     fused and unfused pipelines and printing only virtual counters.
-     It pins the two claims the fusion pass makes: in the calls modes
-     (Direct/Tagged) fusion is *cycle-identical* — the fused group
-     executes stage-major, so the stateful cache simulator sees the
-     exact same line-touch sequence; and under Isolated mode a fused
-     group costs one protection-domain crossing where the unfused
-     chain paid one per stage.
-   - a wall-clock section racing unfused against fused on the
-     Direct-mode NF, plus the Tagged fused arm for the isolation-tax
-     ratio. *)
+(* E18: the kernel-fusion ablation. Fusion only exists under Isolated
+   mode (the calls modes run one flat loop over the stages), so the
+   deterministic section runs the Figure-2 Maglev NF in Isolated mode
+   twice: fused (the pipeline's plan) and unfused (every stage a
+   {!Netstack.Stage.barrier}, one domain per stage). The outputs must
+   agree; the crossings scale with the groups, not the stages. *)
 
 let default_rounds = 200
 let default_batch_size = 32
@@ -24,28 +15,17 @@ type det_run = {
   dr_tx : int;
   dr_cycles : int64;
   dr_groups : string list list;
-  dr_telemetry : string;  (* rendered table, used only for equality *)
-  dr_reports : Netstack.Pipeline.stage_report list;  (* [] outside Isolated *)
+  dr_reports : Netstack.Pipeline.stage_report list;
 }
 
-type det_mode = Direct | Isolated | Tagged
-
-let det_mode_name = function
-  | Direct -> "direct"
-  | Isolated -> "isolated"
-  | Tagged -> "tagged"
-
-let run_det ?(rounds = default_rounds) ?(batch_size = default_batch_size) ~mode ~fuse () =
-  let telemetry = Telemetry.Registry.create () in
-  let env = Env.make ~telemetry () in
+let run_det ~rounds ~batch_size ~barriers =
+  let env = Env.make () in
   let _mg, stages = Env.maglev_nf env in
-  let pmode =
-    match mode with
-    | Direct -> Netstack.Pipeline.Direct
-    | Isolated -> Netstack.Pipeline.Isolated env.Env.manager
-    | Tagged -> Netstack.Pipeline.Tagged
+  let stages = if barriers then List.map Netstack.Stage.barrier stages else stages in
+  let pipe =
+    Netstack.Pipeline.create ~engine:env.Env.engine
+      ~mode:(Netstack.Pipeline.Isolated env.Env.manager) stages
   in
-  let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode:pmode ~fuse stages in
   let crafted = ref 0 and tx = ref 0 in
   for _ = 1 to rounds do
     let b = Netstack.Nic.rx_batch env.Env.nic batch_size in
@@ -59,11 +39,7 @@ let run_det ?(rounds = default_rounds) ?(batch_size = default_batch_size) ~mode 
     dr_tx = !tx;
     dr_cycles = Cycles.Clock.now env.Env.clock;
     dr_groups = Netstack.Pipeline.fused_groups pipe;
-    dr_telemetry = Telemetry.Render.to_string telemetry;
-    dr_reports =
-      (match mode with
-      | Isolated -> Netstack.Pipeline.stage_reports pipe
-      | Direct | Tagged -> []);
+    dr_reports = Netstack.Pipeline.stage_reports pipe;
   }
 
 let groups_string groups =
@@ -75,57 +51,25 @@ let crossings r =
 type det_result = {
   d_rounds : int;
   d_batch_size : int;
-  d_calls : (det_mode * det_run * det_run) list;  (* mode, unfused, fused *)
-  d_iso_unfused : det_run;
-  d_iso_fused : det_run;
+  d_unfused : det_run;
+  d_fused : det_run;
 }
 
 let run_stats ?(rounds = default_rounds) ?(batch_size = default_batch_size) () =
-  let det = run_det ~rounds ~batch_size in
   {
     d_rounds = rounds;
     d_batch_size = batch_size;
-    d_calls =
-      List.map
-        (fun mode -> (mode, det ~mode ~fuse:false (), det ~mode ~fuse:true ()))
-        [ Direct; Tagged ];
-    d_iso_unfused = det ~mode:Isolated ~fuse:false ();
-    d_iso_fused = det ~mode:Isolated ~fuse:true ();
+    d_unfused = run_det ~rounds ~batch_size ~barriers:true;
+    d_fused = run_det ~rounds ~batch_size ~barriers:false;
   }
 
 let same_outputs a b = a.dr_crafted = b.dr_crafted && a.dr_tx = b.dr_tx
 
 let print_stats d =
   Printf.printf
-    "E18: kernel fusion / off-heap slab ablation (deterministic)\n\
+    "E18: kernel fusion ablation (deterministic)\n\
     \  NF = csum -> ttl-dec -> maglev-gre, 1024 uniform flows, batch=%d, rounds=%d\n\n"
     d.d_batch_size d.d_rounds;
-  print_endline "calls modes: a fused pipeline must be cycle-identical to the unfused chain";
-  Table.print
-    ~header:[ "mode"; "variant"; "groups"; "crafted"; "tx"; "virtual cycles" ]
-    (List.concat_map
-       (fun (mode, unfused, fused) ->
-         let row variant r =
-           [
-             det_mode_name mode;
-             variant;
-             groups_string r.dr_groups;
-             Table.fi r.dr_crafted;
-             Table.fi r.dr_tx;
-             Int64.to_string r.dr_cycles;
-           ]
-         in
-         [ row "unfused" unfused; row "fused" fused ])
-       d.d_calls);
-  List.iter
-    (fun (mode, unfused, fused) ->
-      Printf.printf "  %s: cycles identical=%b outputs identical=%b telemetry identical=%b\n"
-        (det_mode_name mode)
-        (Int64.equal unfused.dr_cycles fused.dr_cycles)
-        (same_outputs unfused fused)
-        (String.equal unfused.dr_telemetry fused.dr_telemetry))
-    d.d_calls;
-  print_newline ();
   print_endline "isolated mode: one protection-domain crossing per fused group";
   (* crossings/batch column: total crossings / batches served. *)
   let iso_row variant r =
@@ -140,18 +84,17 @@ let print_stats d =
   in
   Table.print
     ~header:[ "variant"; "groups"; "domains"; "crossings"; "crossings/batch"; "virtual cycles" ]
-    [ iso_row "unfused" d.d_iso_unfused; iso_row "fused" d.d_iso_fused ];
+    [ iso_row "unfused" d.d_unfused; iso_row "fused" d.d_fused ];
   Printf.printf "  outputs identical (unfused vs fused)=%b  crossings saved=%d\n"
-    (same_outputs d.d_iso_unfused d.d_iso_fused)
-    (crossings d.d_iso_unfused - crossings d.d_iso_fused)
+    (same_outputs d.d_unfused d.d_fused)
+    (crossings d.d_unfused - crossings d.d_fused)
 
 (* --- Sharded determinism block ----------------------------------------- *)
 
 (* The Maglev NF as a shard stage constructor: every queue gets its
-   own Maglev instance on its own clock, and the resulting pipelines
-   are fused (the default). The printed ledger and merged telemetry
-   must be byte-identical for any shard count — the fusion-determinism
-   CI job diffs 1/2/4 shards through this block. *)
+   own Maglev instance on its own clock. The printed ledger and merged
+   telemetry must be byte-identical for any shard count — [repro
+   check fusion] diffs 1/2/4 shards through this block. *)
 let shard_stages (ctx : Netstack.Shard.queue_ctx) =
   let clock = ctx.Netstack.Shard.qc_clock in
   let mg = Netstack.Maglev.create ~clock ~backends:Env.maglev_backends () in
@@ -176,128 +119,3 @@ let print_shard_stats (r : Netstack.Shard.result) =
     r.Netstack.Shard.r_crafted r.Netstack.Shard.r_served r.Netstack.Shard.r_degraded
     r.Netstack.Shard.r_dropped;
   Telemetry.Render.print ~title:"fused shard telemetry" r.Netstack.Shard.r_telemetry
-
-(* --- Wall-clock section ----------------------------------------------- *)
-
-type wall_row = {
-  wr_label : string;
-  wr_packets : int;
-  wr_wall_s : float;
-  wr_mpps : float;
-}
-
-type wall_result = {
-  w_batch_size : int;
-  w_batches : int;
-  w_rows : wall_row list;  (* direct unfused (the baseline), direct fused *)
-  w_tagged : wall_row;     (* tagged, fused *)
-  w_direct_mpps : float;   (* direct, fused — the headline *)
-  w_tagged_ratio : float;  (* direct fused cost / tagged cost, as slowdown *)
-}
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-let run_wall_variant ~reps ~label ~mode ~fuse ~batch_size ~warmup ~batches =
-  let env = Env.make ~telemetry:(Telemetry.Registry.create ()) () in
-  let _mg, stages = Env.maglev_nf env in
-  let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode ~fuse stages in
-  let serve n =
-    let received = ref 0 in
-    for _ = 1 to n do
-      let b = Netstack.Nic.rx_batch env.Env.nic batch_size in
-      received := !received + Netstack.Batch.length b;
-      match Netstack.Pipeline.run pipe b with
-      | Ok out -> ignore (Netstack.Nic.tx_batch env.Env.nic out)
-      | Error e -> failwith ("fusion_ablation: " ^ Sfi.Sfi_error.to_string e)
-    done;
-    !received
-  in
-  ignore (serve warmup);
-  (* Best-of-[reps]: this section carries explicit pass/fail targets, so
-     take the minimum wall time over several timed windows — a single
-     window on a shared single-core host folds scheduler preemptions
-     into the rate and fails targets the code actually meets. *)
-  let best = ref None in
-  for _ = 1 to max 1 reps do
-    let packets, wall = time (fun () -> serve batches) in
-    match !best with
-    | Some (_, w) when w <= wall -> ()
-    | _ -> best := Some (packets, wall)
-  done;
-  let packets, wall = Option.get !best in
-  {
-    wr_label = label;
-    wr_packets = packets;
-    wr_wall_s = wall;
-    wr_mpps = float_of_int packets /. wall /. 1e6;
-  }
-
-let run_wall ?(batch_size = 32) ?(warmup = 256) ?(batches = 8192) ?(reps = 6) ()
-    =
-  let v = run_wall_variant ~reps ~batch_size ~warmup ~batches in
-  let unfused = v ~label:"unfused" ~mode:Netstack.Pipeline.Direct ~fuse:false in
-  let direct = v ~label:"fused" ~mode:Netstack.Pipeline.Direct ~fuse:true in
-  let tagged = v ~label:"tagged fused" ~mode:Netstack.Pipeline.Tagged ~fuse:true in
-  {
-    w_batch_size = batch_size;
-    w_batches = batches;
-    w_rows = [ unfused; direct ];
-    w_tagged = tagged;
-    w_direct_mpps = direct.wr_mpps;
-    w_tagged_ratio = direct.wr_mpps /. tagged.wr_mpps;
-  }
-
-let print_wall w =
-  Printf.printf
-    "E18: kernel fusion / off-heap slab ablation (wall clock)\n\
-    \  direct-mode Maglev NF, batch=%d, %d timed batches per cell\n"
-    w.w_batch_size w.w_batches;
-  let baseline = (List.hd w.w_rows).wr_mpps in
-  Table.print
-    ~header:[ "variant"; "packets"; "Mpps"; "speedup" ]
-    (List.map
-       (fun r ->
-         [
-           r.wr_label;
-           Table.fi r.wr_packets;
-           Table.ff ~decimals:3 r.wr_mpps;
-           Table.ff ~decimals:2 (r.wr_mpps /. baseline) ^ "x";
-         ])
-       w.w_rows
-    @ [
-        [
-          w.w_tagged.wr_label;
-          Table.fi w.w_tagged.wr_packets;
-          Table.ff ~decimals:3 w.w_tagged.wr_mpps;
-          "-";
-        ];
-      ]);
-  Printf.printf
-    "  tagged/direct slowdown (fused, off-heap): %.2fx (target <= 1.5x — %s)\n\
-    \  direct fused off-heap: %.3f Mpps (target >= 0.578 — %s)\n"
-    w.w_tagged_ratio
-    (if w.w_tagged_ratio <= 1.5 then "met" else "MISSED")
-    w.w_direct_mpps
-    (if w.w_direct_mpps >= 0.578 then "met" else "MISSED")
-
-(* --- Combined entry point (repro registry) ----------------------------- *)
-
-type result = {
-  stats : det_result;
-  wall : wall_result;
-}
-
-let run ~quick () =
-  let stats = if quick then run_stats ~rounds:60 () else run_stats () in
-  let wall =
-    if quick then run_wall ~warmup:64 ~batches:512 ~reps:2 () else run_wall ()
-  in
-  { stats; wall }
-
-let print r =
-  print_stats r.stats;
-  print_newline ();
-  print_wall r.wall

@@ -7,11 +7,10 @@ type row = {
 
 let measure ~length ~batch ~warmup ~trials mode_of_env =
   let env = Env.make () in
-  let stages = List.init length (fun _ -> Netstack.Filters.null) in
-  (* Overhead-per-call scaling needs one crossing per stage: disable
-     the fusion pass. *)
+  (* Overhead-per-call scaling needs one crossing per stage. *)
   let pipe =
-    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:(mode_of_env env) ~fuse:false stages
+    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:(mode_of_env env)
+      (Netstack.Filters.null_chain length)
   in
   Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch ~warmup ~trials)
 

@@ -53,6 +53,12 @@ let ckpt_incr_stats ~shards:_ =
 
 let flowcache_stats ~shards = Megaflow.print_stats_pair (Megaflow.run_stats_pair ~shards ())
 
+(* The virtual-clock-only experiments, at their library defaults: the
+   golden is exactly the full run's output. *)
+let fig2_stats ~shards:_ = Fig2.print (Fig2.run ())
+let pipeline_length_stats ~shards:_ = Pipeline_length.print (Pipeline_length.run ())
+let ablations_stats ~shards:_ = Ablations.print (Ablations.run ())
+
 let fusion_stats ~shards =
   Fusion_ablation.print_stats (Fusion_ablation.run_stats ());
   print_newline ();
@@ -79,7 +85,7 @@ let all =
     {
       id = "fig2";
       description = "E1/E10: Figure 2 - isolation overhead vs Maglev, by batch size";
-      det = None;
+      det = det ~queues:1 ~shards:[ 1 ] ~golden:(golden "fig2") [ ("stats", fig2_stats) ];
       run =
         (fun ~quick ->
           let trials = if quick then 30 else 100 in
@@ -89,7 +95,9 @@ let all =
     {
       id = "pipeline-length";
       description = "E2: overhead independence of pipeline length";
-      det = None;
+      det =
+        det ~queues:1 ~shards:[ 1 ] ~golden:(golden "pipeline_length")
+          [ ("stats", pipeline_length_stats) ];
       run =
         (fun ~quick ->
           let trials = if quick then 30 else 100 in
@@ -206,9 +214,9 @@ let all =
     };
     {
       id = "fusion";
-      description = "E18 (extension): kernel fusion / off-heap slab ablation";
+      description = "E18 (extension): kernel fusion ablation (Isolated crossings)";
       det = det ~golden:(golden "fusion") ~forbid:identities [ ("stats", fusion_stats) ];
-      run = (fun ~quick -> Fusion_ablation.print (Fusion_ablation.run ~quick ()));
+      run = (fun ~quick:_ -> fusion_stats ~shards:1);
     };
     {
       id = "recover";
@@ -248,7 +256,7 @@ let all =
     {
       id = "ablations";
       description = "A1-A3: design-choice ablations";
-      det = None;
+      det = det ~queues:1 ~shards:[ 1 ] ~golden:(golden "ablations") [ ("stats", ablations_stats) ];
       run =
         (fun ~quick ->
           let trials = if quick then 100 else 1000 in

@@ -1,4 +1,5 @@
 let null = Stage.rewrite ~name:"null" ~access:Stage.Cols (fun _engine _batch _i _p -> ())
+let null_chain n = List.init n (fun _ -> Stage.barrier null)
 
 (* The column ([Stage.Cols]) stages below charge and touch exactly what
    a write-through byte store would: the virtual clock models what the

@@ -10,6 +10,11 @@
 val null : Stage.t
 (** Forwards the batch untouched. *)
 
+val null_chain : int -> Stage.t list
+(** [n] {!null} stages, each a {!Stage.barrier}: Figure 2's
+    per-boundary probe, one protection-domain crossing per stage under
+    [Isolated]. *)
+
 val ttl_decrement : Stage.t
 (** Per packet: read the IPv4 header, decrement TTL (incremental
     checksum fix), drop the packet when TTL hits zero (releasing its

@@ -4,10 +4,10 @@ type mode =
   | Copying
   | Tagged
 
-(* A fused group: a maximal run of adjacent fusible kernels
-   (Rewrite/Filter), or a single Opaque stage (opaque kernels are
-   fusion barriers). [g_base] is the pipeline index of the first
-   member, so member [k] is stage [g_base + k] for skip flags,
+(* A fused group of the Isolated plan: a maximal run of adjacent
+   fusible kernels (Rewrite/Filter), or a single Opaque stage (opaque
+   kernels are fusion barriers). [g_base] is the pipeline index of the
+   first member, so member [k] is stage [g_base + k] for skip flags,
    telemetry and supervisor attribution. *)
 type group = {
   g_base : int;
@@ -21,9 +21,22 @@ type isolated_cell = {
   mutable rref : Stage.t array Sfi.Rref.t;
 }
 
+(* Isolated mode's domain plan and crossing state: one cell (domain,
+   proxy) per fused group. [m_in]/[m_out] stage per-member batch
+   lengths during a crossing, sized to the largest group. *)
+type isolated = {
+  mgr : Sfi.Manager.t;
+  cells : isolated_cell array;
+  cell_of_stage : int array;  (* stage index -> index into [cells] *)
+  mutable scratch : Packet.t array;  (* in-flight snapshots, reused *)
+  m_in : int array;   (* per group member: batch length entering; -1 = not run *)
+  m_out : int array;  (* per group member: batch length leaving *)
+  mutable m_cur : int;  (* member executing inside the current crossing *)
+}
+
 type prepared =
-  | P_calls of group array            (* Direct / Copying / Tagged share this *)
-  | P_isolated of Sfi.Manager.t * isolated_cell array
+  | P_calls of Stage.t array  (* Direct / Copying / Tagged share this *)
+  | P_isolated of isolated
 
 (* Pre-resolved per-stage handles under [netstack.stage.<name>.*]. *)
 type stage_tele = {
@@ -65,42 +78,28 @@ type t = {
   stage_engine : Engine.t;  (* Tagged: a Tagged view of [engine]; else [engine] *)
   mode : mode;
   prepared : prepared;
-  groups : group array;
-  group_of_stage : int array;  (* stage index -> index into [groups] *)
   n_stages : int;
   skipped : bool array;  (* degraded stages the batch routes around *)
   tele : tele option;
   fcs : fc_state option;
-  mutable scratch : Packet.t array;  (* isolated-mode in-flight snapshots, reused *)
-  mutable drop_scratch : Packet.t array;  (* fused filter-pass drops, reused *)
-  mutable m_in : int array;   (* per group member: batch length entering; -1 = not run *)
-  mutable m_out : int array;  (* per group member: batch length leaving *)
-  mutable m_cur : int;        (* member executing inside the current crossing *)
+  mutable drop_scratch : Packet.t array;  (* filter-pass drops, reused *)
   mutable batches_ok : int;
   mutable batches_failed : int;
   mutable batches_degraded : int;
   mutable last_error : int option;
 }
 
-let fusible (s : Stage.t) =
-  match s.Stage.kernel with
-  | Stage.Rewrite _ | Stage.Filter _ -> true
-  | Stage.Opaque _ -> false
-
-(* The fusion pass: partition the stage list into maximal runs of
-   fusible kernels, with every Opaque stage a singleton. Copying mode
-   never fuses: its per-boundary deep copy is exactly what the mode
-   exists to measure, so collapsing boundaries would erase the
-   experiment. *)
-let compute_groups ~fuse stages =
-  let stages = Array.of_list stages in
+(* The fusion pass of the Isolated plan: partition the stage list into
+   maximal runs of fusible kernels, with every Opaque stage a
+   singleton. *)
+let compute_groups stages =
   let n = Array.length stages in
   let groups = ref [] in
   let i = ref 0 in
   while !i < n do
     let j = ref (!i + 1) in
-    if fuse && fusible stages.(!i) then
-      while !j < n && fusible stages.(!j) do
+    if Stage.fusible stages.(!i) then
+      while !j < n && Stage.fusible stages.(!j) do
         incr j
       done;
     let members = Array.sub stages !i (!j - !i) in
@@ -112,27 +111,45 @@ let compute_groups ~fuse stages =
   done;
   Array.of_list (List.rev !groups)
 
-let prepare_isolated mgr groups =
-  Array.map
-    (fun (grp : group) ->
-      let domain = Sfi.Manager.create_domain mgr ~name:grp.g_name () in
-      let rref =
-        match
-          Sfi.Pdomain.execute domain (fun () ->
-              Sfi.Rref.create domain ~label:grp.g_name grp.g_stages)
-        with
-        | Ok r -> r
-        | Error e ->
-          invalid_arg
-            (Printf.sprintf "Pipeline: cannot install stage %s: %s" grp.g_name
-               (Sfi.Sfi_error.to_string e))
-      in
-      let cell = { ic_group = grp; domain; rref } in
-      (* Recovery re-publishes the same stages behind a fresh proxy. *)
-      Sfi.Pdomain.set_recovery domain
-        (Some (fun d -> cell.rref <- Sfi.Rref.create d ~label:grp.g_name grp.g_stages));
-      cell)
-    groups
+let prepare_isolated mgr stages =
+  let groups = compute_groups stages in
+  let cells =
+    Array.map
+      (fun (grp : group) ->
+        let domain = Sfi.Manager.create_domain mgr ~name:grp.g_name () in
+        let rref =
+          match
+            Sfi.Pdomain.execute domain (fun () ->
+                Sfi.Rref.create domain ~label:grp.g_name grp.g_stages)
+          with
+          | Ok r -> r
+          | Error e ->
+            invalid_arg
+              (Printf.sprintf "Pipeline: cannot install stage %s: %s" grp.g_name
+                 (Sfi.Sfi_error.to_string e))
+        in
+        let cell = { ic_group = grp; domain; rref } in
+        (* Recovery re-publishes the same stages behind a fresh proxy. *)
+        Sfi.Pdomain.set_recovery domain
+          (Some (fun d -> cell.rref <- Sfi.Rref.create d ~label:grp.g_name grp.g_stages));
+        cell)
+      groups
+  in
+  let cell_of_stage = Array.make (Array.length stages) 0 in
+  Array.iteri
+    (fun c (grp : group) ->
+      Array.iteri (fun k _ -> cell_of_stage.(grp.g_base + k) <- c) grp.g_stages)
+    groups;
+  let max_group = Array.fold_left (fun m g -> max m (Array.length g.g_stages)) 1 groups in
+  {
+    mgr;
+    cells;
+    cell_of_stage;
+    scratch = [||];
+    m_in = Array.make max_group (-1);
+    m_out = Array.make max_group 0;
+    m_cur = -1;
+  }
 
 let make_tele engine stages =
   match Engine.telemetry engine with
@@ -160,7 +177,7 @@ let make_tele engine stages =
                stages);
       }
 
-let create ~engine ~mode ?(fuse = true) ?flowcache stages =
+let create ~engine ~mode ?flowcache stages =
   if stages = [] then invalid_arg "Pipeline.create: no stages";
   (match (mode, flowcache) with
   | Copying, Some _ ->
@@ -170,23 +187,12 @@ let create ~engine ~mode ?(fuse = true) ?flowcache stages =
        mode exists to measure) does not survive that. *)
     invalid_arg "Pipeline.create: flowcache is incompatible with Copying mode"
   | (Direct | Isolated _ | Tagged | Copying), _ -> ());
-  let fuse = fuse && match mode with Copying -> false | Direct | Isolated _ | Tagged -> true in
-  let groups = compute_groups ~fuse stages in
-  let n_stages = List.length stages in
-  let group_of_stage = Array.make n_stages 0 in
-  Array.iteri
-    (fun g (grp : group) ->
-      for k = 0 to Array.length grp.g_stages - 1 do
-        group_of_stage.(grp.g_base + k) <- g
-      done)
-    groups;
-  let max_group =
-    Array.fold_left (fun m g -> max m (Array.length g.g_stages)) 1 groups
-  in
+  let stage_array = Array.of_list stages in
+  let n_stages = Array.length stage_array in
   let prepared =
     match mode with
-    | Direct | Copying | Tagged -> P_calls groups
-    | Isolated mgr -> P_isolated (mgr, prepare_isolated mgr groups)
+    | Direct | Copying | Tagged -> P_calls stage_array
+    | Isolated mgr -> P_isolated (prepare_isolated mgr stage_array)
   in
   (* The mode is part of the pipeline's identity, fixed at creation:
      a Tagged pipeline owns a Tagged *view* of the engine rather than
@@ -232,17 +238,11 @@ let create ~engine ~mode ?(fuse = true) ?flowcache stages =
     stage_engine;
     mode;
     prepared;
-    groups;
-    group_of_stage;
     n_stages;
     skipped = Array.make n_stages false;
     tele = make_tele engine stages;
     fcs;
-    scratch = [||];
     drop_scratch = [||];
-    m_in = Array.make max_group (-1);
-    m_out = Array.make max_group 0;
-    m_cur = -1;
     batches_ok = 0;
     batches_failed = 0;
     batches_degraded = 0;
@@ -259,10 +259,14 @@ let mode_name t =
   | Tagged -> "tagged"
 
 let fused_groups t =
-  Array.to_list
-    (Array.map
-       (fun g -> Array.to_list (Array.map (fun (s : Stage.t) -> s.Stage.name) g.g_stages))
-       t.groups)
+  match t.prepared with
+  | P_calls stages -> Array.to_list (Array.map (fun (s : Stage.t) -> [ s.Stage.name ]) stages)
+  | P_isolated iso ->
+    Array.to_list
+      (Array.map
+         (fun c ->
+           Array.to_list (Array.map (fun (s : Stage.t) -> s.Stage.name) c.ic_group.g_stages))
+         iso.cells)
 
 (* Deep-copy every packet of the batch into fresh buffers (the next
    domain's private heap) and release the originals. The copies are
@@ -331,34 +335,30 @@ let run_member t (stage : Stage.t) engine batch =
     done;
     batch
 
-(* The per-batch inner loop over fused groups. In the calls modes a
-   group boundary costs nothing extra, so the charge sequence (one
-   [Call] per live member, then its pass) is identical to the unfused
-   per-stage loop — fusion here buys the kernel-level passes (no
-   closure dispatch, no per-pass drop list). *)
-let exec_calls t groups batch =
+(* The per-batch loop of the calls modes: per live stage, one [Call],
+   then its pass (in Copying mode after a deep copy into fresh
+   buffers). A boundary here costs only what each stage pays anyway,
+   so there is nothing for fusion to collapse. *)
+let exec_calls t stages batch =
   let clock = Engine.clock t.engine in
   let current = ref batch in
-  for g = 0 to Array.length groups - 1 do
-    let grp = groups.(g) in
-    for k = 0 to Array.length grp.g_stages - 1 do
-      let i = grp.g_base + k in
-      if not t.skipped.(i) then begin
-        (* Byte-reading stages see canonical bytes: flush deferred
-           column writes first. Wall-clock only — the column stages
-           already charged the writes they deferred. *)
-        if Stage.access grp.g_stages.(k) = Stage.Bytes then Batch.materialize !current;
-        (* Measured before [copy_batch]: a pool-pressure drop during
-           the copy is charged to the stage about to run. *)
-        let in_len = Batch.length !current in
-        (match t.mode with
-        | Copying -> current := copy_batch t.stage_engine !current
-        | Direct | Tagged | Isolated _ -> ());
-        Cycles.Clock.charge clock Call;
-        current := run_member t grp.g_stages.(k) t.stage_engine !current;
-        record_stage t i ~in_len ~out_len:(Batch.length !current)
-      end
-    done
+  for i = 0 to Array.length stages - 1 do
+    if not t.skipped.(i) then begin
+      let stage = stages.(i) in
+      (* Byte-reading stages see canonical bytes: flush deferred
+         column writes first. Wall-clock only — the column stages
+         already charged the writes they deferred. *)
+      if Stage.access stage = Stage.Bytes then Batch.materialize !current;
+      (* Measured before [copy_batch]: a pool-pressure drop during
+         the copy is charged to the stage about to run. *)
+      let in_len = Batch.length !current in
+      (match t.mode with
+      | Copying -> current := copy_batch t.stage_engine !current
+      | Direct | Tagged | Isolated _ -> ());
+      Cycles.Clock.charge clock Call;
+      current := run_member t stage t.stage_engine !current;
+      record_stage t i ~in_len ~out_len:(Batch.length !current)
+    end
   done;
   (* Ownership returns to the caller: the batch leaves with canonical
      bytes, whatever mix of column and byte stages ran. *)
@@ -368,12 +368,12 @@ let exec_calls t groups batch =
 (* Snapshot the batch's packets into the pipeline's reusable scratch
    array (grown to the high-water mark once, then allocation-free)
    instead of materialising a list per crossing. *)
-let snapshot_in_flight t batch =
+let snapshot_in_flight iso batch =
   let n = Batch.length batch in
-  if Array.length t.scratch < n then
-    t.scratch <- Array.make (max n (2 * Array.length t.scratch)) Packet.null;
+  if Array.length iso.scratch < n then
+    iso.scratch <- Array.make (max n (2 * Array.length iso.scratch)) Packet.null;
   for i = 0 to n - 1 do
-    t.scratch.(i) <- Batch.get batch i
+    iso.scratch.(i) <- Batch.get batch i
   done;
   n
 
@@ -399,25 +399,25 @@ let first_live_member t (grp : group) =
    recorded to telemetry after the invocation returns, so a mid-group
    panic cannot leave half-recorded counters; the member that was
    executing ([m_cur]) is the one charged with the failure. *)
-let exec_isolated t cells batch =
+let exec_isolated t iso batch =
   let pool = Engine.pool t.engine in
   let rec go c batch =
-    if c = Array.length cells then Ok batch
+    if c = Array.length iso.cells then Ok batch
     else begin
-      let cell = cells.(c) in
+      let cell = iso.cells.(c) in
       let grp = cell.ic_group in
       if group_all_skipped t grp then go (c + 1) batch
       else begin
         let n_members = Array.length grp.g_stages in
         for k = 0 to n_members - 1 do
-          t.m_in.(k) <- -1
+          iso.m_in.(k) <- -1
         done;
-        t.m_cur <- -1;
+        iso.m_cur <- -1;
         (* Snapshot buffers so they can be reclaimed if a member panics
            while the group owns the batch; the allocation watermark
            additionally catches buffers the group allocates itself
            before panicking. *)
-        let in_len = snapshot_in_flight t batch in
+        let in_len = snapshot_in_flight iso batch in
         let watermark = Mempool.mark pool in
         let owned = Linear.Own.create ~label:"batch" batch in
         match
@@ -426,10 +426,10 @@ let exec_isolated t cells batch =
               for k = 0 to Array.length stages - 1 do
                 if not t.skipped.(grp.g_base + k) then begin
                   if Stage.access stages.(k) = Stage.Bytes then Batch.materialize !cur;
-                  t.m_cur <- k;
-                  t.m_in.(k) <- Batch.length !cur;
+                  iso.m_cur <- k;
+                  iso.m_in.(k) <- Batch.length !cur;
                   cur := run_member t stages.(k) t.stage_engine !cur;
-                  t.m_out.(k) <- Batch.length !cur
+                  iso.m_out.(k) <- Batch.length !cur
                 end
               done;
               (* Materialize before ownership leaves the domain: the
@@ -439,8 +439,8 @@ let exec_isolated t cells batch =
         with
         | Ok batch' ->
           for k = 0 to n_members - 1 do
-            if t.m_in.(k) >= 0 then
-              record_stage t (grp.g_base + k) ~in_len:t.m_in.(k) ~out_len:t.m_out.(k)
+            if iso.m_in.(k) >= 0 then
+              record_stage t (grp.g_base + k) ~in_len:iso.m_in.(k) ~out_len:iso.m_out.(k)
           done;
           go (c + 1) batch'
         | Error e ->
@@ -450,11 +450,11 @@ let exec_isolated t cells batch =
              member) is charged with losing the whole in-flight
              batch. *)
           for k = 0 to n_members - 1 do
-            if t.m_in.(k) >= 0 && k <> t.m_cur then
-              record_stage t (grp.g_base + k) ~in_len:t.m_in.(k) ~out_len:t.m_out.(k)
+            if iso.m_in.(k) >= 0 && k <> iso.m_cur then
+              record_stage t (grp.g_base + k) ~in_len:iso.m_in.(k) ~out_len:iso.m_out.(k)
           done;
-          let fail_k = if t.m_cur >= 0 then t.m_cur else first_live_member t grp in
-          let fail_in = if t.m_cur >= 0 then t.m_in.(t.m_cur) else in_len in
+          let fail_k = if iso.m_cur >= 0 then iso.m_cur else first_live_member t grp in
+          let fail_in = if iso.m_cur >= 0 then iso.m_in.(iso.m_cur) else in_len in
           t.last_error <- Some (grp.g_base + fail_k);
           record_stage t (grp.g_base + fail_k) ~in_len:fail_in ~out_len:0;
           (* The failed domain's resources (here: the in-flight packet
@@ -464,7 +464,7 @@ let exec_isolated t cells batch =
              after entry (the watermark sweep), which would otherwise
              leak. *)
           for k = 0 to in_len - 1 do
-            let p = t.scratch.(k) in
+            let p = iso.scratch.(k) in
             if Mempool.is_allocated pool p then Mempool.free pool p
           done;
           ignore (Mempool.reclaim_since pool watermark);
@@ -476,8 +476,8 @@ let exec_isolated t cells batch =
 
 let exec t batch =
   match t.prepared with
-  | P_calls groups -> exec_calls t groups batch
-  | P_isolated (_, cells) -> exec_isolated t cells batch
+  | P_calls stages -> exec_calls t stages batch
+  | P_isolated iso -> exec_isolated t iso batch
 
 let flowcache t = Option.map (fun s -> s.fc) t.fcs
 let invalidate_cache t = match t.fcs with Some s -> Flowcache.invalidate s.fc | None -> ()
@@ -635,35 +635,32 @@ let run t batch =
     t.batches_failed <- t.batches_failed + 1);
   result
 
-let isolated_cells op t =
+let isolated op t =
   match t.prepared with
   | P_calls _ -> invalid_arg (Printf.sprintf "Pipeline.%s: pipeline is not isolated" op)
-  | P_isolated (_, cells) -> cells
+  | P_isolated iso -> iso
 
 let cell_of_stage op t i =
-  let cells = isolated_cells op t in
+  let iso = isolated op t in
   if i < 0 || i >= t.n_stages then invalid_arg (Printf.sprintf "Pipeline.%s: bad index" op);
-  cells.(t.group_of_stage.(i))
+  iso.cells.(iso.cell_of_stage.(i))
 
 let recover_stage t i =
-  match t.prepared with
-  | P_calls _ -> invalid_arg "Pipeline.recover_stage: pipeline is not isolated"
-  | P_isolated (mgr, _) ->
-    let cell = cell_of_stage "recover_stage" t i in
-    (* A restarted stage may come back with rebuilt state; memoised
-       verdicts from its previous incarnation must not survive it. *)
-    invalidate_cache t;
-    Sfi.Manager.recover mgr cell.domain
+  let cell = cell_of_stage "recover_stage" t i in
+  (* A restarted stage may come back with rebuilt state; memoised
+     verdicts from its previous incarnation must not survive it. *)
+  invalidate_cache t;
+  Sfi.Manager.recover (isolated "recover_stage" t).mgr cell.domain
 
 let failed_stage t =
   match t.prepared with
   | P_calls _ -> None
-  | P_isolated (_, cells) ->
+  | P_isolated iso ->
     let rec scan c =
-      if c = Array.length cells then None
+      if c = Array.length iso.cells then None
       else
-        match Sfi.Pdomain.state cells.(c).domain with
-        | Sfi.Pdomain.Failed _ -> Some cells.(c).ic_group.g_base
+        match Sfi.Pdomain.state iso.cells.(c).domain with
+        | Sfi.Pdomain.Failed _ -> Some iso.cells.(c).ic_group.g_base
         | Sfi.Pdomain.Running | Sfi.Pdomain.Destroyed -> scan (c + 1)
     in
     scan 0
@@ -703,17 +700,14 @@ type stage_report = {
 }
 
 let stage_reports t =
-  match t.prepared with
-  | P_calls _ -> invalid_arg "Pipeline.stage_reports: pipeline is not isolated"
-  | P_isolated (_, cells) ->
-    Array.to_list
-      (Array.map
-         (fun cell ->
-           {
-             sr_name = Sfi.Pdomain.name cell.domain;
-             sr_cycles = Sfi.Pdomain.cycles_consumed cell.domain;
-             sr_entries = Sfi.Pdomain.entry_count cell.domain;
-             sr_panics = Sfi.Pdomain.panic_count cell.domain;
-             sr_generation = Sfi.Pdomain.generation cell.domain;
-           })
-         cells)
+  Array.to_list
+    (Array.map
+       (fun cell ->
+         {
+           sr_name = Sfi.Pdomain.name cell.domain;
+           sr_cycles = Sfi.Pdomain.cycles_consumed cell.domain;
+           sr_entries = Sfi.Pdomain.entry_count cell.domain;
+           sr_panics = Sfi.Pdomain.panic_count cell.domain;
+           sr_generation = Sfi.Pdomain.generation cell.domain;
+         })
+       (isolated "stage_reports" t).cells)

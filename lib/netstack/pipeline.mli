@@ -29,23 +29,26 @@
 
     {2 Kernel fusion}
 
-    At creation the pipeline compiles maximal runs of adjacent fusible
-    kernels ({!Stage.Rewrite}/{!Stage.Filter}) into fused groups;
-    {!Stage.Opaque} stages are fusion barriers and form singleton
-    groups. Execution inside a group stays {e stage-major} (each member
-    kernel traverses the whole batch before the next starts) so the
-    stateful cache simulator observes the exact same line-touch order
-    as the unfused chain — in the calls modes the fused pipeline is
-    cycle-identical to the per-stage one. Under [Isolated] mode a fused
-    group costs {e one} protection-domain crossing (one snapshot, one
-    ownership transfer, one rref invocation) where the unfused chain
-    paid one per stage; the group's members then share a fault domain:
+    Under [Isolated] mode the pipeline compiles maximal runs of
+    adjacent fusible kernels ({!Stage.Rewrite}/{!Stage.Filter}) into
+    fused groups; {!Stage.Opaque} stages are fusion barriers and form
+    singleton groups. A fused group costs {e one} protection-domain
+    crossing (one snapshot, one ownership transfer, one rref
+    invocation) where one domain per stage would pay one per stage.
+    Execution inside a group stays {e stage-major} (each member kernel
+    traverses the whole batch before the next starts), so the stateful
+    cache simulator observes the same line-touch order as a per-stage
+    chain. The group's members share a fault domain:
     {!stage_domain}/{!revoke_stage}/{!recover_stage} on any member
     index resolve to the containing group's domain, and
     {!stage_reports} reports per domain (one entry per group). Per-stage
     skip flags ({!set_stage_skipped}) and per-stage telemetry are
-    preserved member-by-member. [Copying] mode never fuses: the
-    per-boundary deep copy is exactly what that mode measures. *)
+    preserved member-by-member. A stage wrapped with {!Stage.barrier}
+    keeps a domain, and a crossing, of its own.
+
+    The calls modes ([Direct], [Tagged], [Copying]) do not fuse: every
+    stage pays its own [Call] (and, in [Copying], its own deep copy),
+    in one flat loop over the stages. *)
 
 type mode =
   | Direct
@@ -56,15 +59,8 @@ type mode =
 type t
 
 val create :
-  engine:Engine.t -> mode:mode -> ?fuse:bool -> ?flowcache:Flowcache.t -> Stage.t list -> t
+  engine:Engine.t -> mode:mode -> ?flowcache:Flowcache.t -> Stage.t list -> t
 (** Raises [Invalid_argument] on an empty stage list.
-
-    [fuse] (default [true]) enables the kernel-fusion pass; pass
-    [~fuse:false] to force one group — and, under [Isolated], one
-    protection domain and one crossing — per stage. Per-boundary cost
-    experiments (E1/E2/E10) and the E18 ablation use this; Copying mode
-    never fuses regardless (the per-boundary copy is the quantity that
-    mode exists to measure).
 
     [flowcache] arms the megaflow fast path: {!run} first replays every
     packet with a valid cache entry (serving or dropping it without
@@ -90,9 +86,10 @@ val length : t -> int
 val mode_name : t -> string
 
 val fused_groups : t -> string list list
-(** The compiled fusion plan: stage names grouped as executed, in
-    pipeline order (singleton lists for opaque stages and in [Copying]
-    mode, which never fuses). *)
+(** The execution plan: stage names grouped as executed, in pipeline
+    order. Under [Isolated], one list per protection domain (the fused
+    groups); in the calls modes one singleton per stage, each of which
+    pays its own [Call]. *)
 
 val run : t -> Batch.t -> (Batch.t, Sfi.Sfi_error.t) result
 (** The single entry point: push one batch through all stages, with

@@ -1,8 +1,8 @@
 (* A stage is a kernel descriptor, not a batch closure: declaring the
    kernel's *shape* (per-packet rewrite, per-packet filter, or an
-   opaque batch transformer) is what lets the pipeline fuse adjacent
-   pure kernels into one traversal and collapse protection-domain
-   crossings per fused group instead of per stage. *)
+   opaque batch transformer) is what lets an Isolated pipeline run
+   adjacent pure kernels in one protection domain, one crossing per
+   fused group instead of per stage. *)
 
 type kernel =
   | Rewrite of (Engine.t -> Batch.t -> int -> Packet.t -> unit)
@@ -65,3 +65,5 @@ let process t engine batch =
   in
   Batch.materialize out;
   out
+
+let barrier t = opaque ~name:t.name ~hooks:t.hooks (process t)

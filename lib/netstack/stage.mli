@@ -13,9 +13,10 @@
       fault injectors, anything that needs the whole batch). Never
       fused; acts as a fusion barrier.
 
-    Runs of adjacent fusible kernels are compiled into a single fused
-    group: one traversal hand-off, and — under [Isolated] mode — one
-    protection-domain crossing per group instead of per stage.
+    Under [Isolated] mode, runs of adjacent fusible kernels are
+    compiled into a single fused group: one protection domain and one
+    crossing per group instead of per stage ({!barrier} opts a stage
+    out).
 
     [hooks] are the stage's invalidation points: each element is the
     subscription registrar of a piece of mutable state the stage's
@@ -95,3 +96,10 @@ val process : t -> Engine.t -> Batch.t -> Batch.t
 (** Run the stage standalone over one batch with exact pre-fusion
     semantics: [Rewrite]/[Filter] kernels traverse once, filter drops
     are released to the engine's pool in encounter order. *)
+
+val barrier : t -> t
+(** The same stage as an {!Opaque} kernel running {!process}, with the
+    same name and hooks: a fusion barrier. A chain of barriers keeps
+    one protection domain, and one crossing, per stage under
+    [Isolated] — what per-boundary cost measurements ask for. In the
+    calls modes it runs exactly as the original stage. *)

@@ -39,7 +39,7 @@ let test_unknown_ids () =
     (fun cmd -> expect_error [ cmd; "bogus-id" ] "unknown experiment(s): bogus-id")
     [ "run"; "stats"; "check" ];
   expect_error [ "stats"; "fig2"; "nope"; "bogus-id" ] "unknown experiment(s): nope, bogus-id";
-  expect_error [ "check"; "fig2" ] "repro check: fig2 has no deterministic surface"
+  expect_error [ "check"; "recovery" ] "repro check: recovery has no deterministic surface"
 
 let test_bad_shards () =
   List.iter
@@ -58,10 +58,11 @@ let test_bad_requests () =
     [ "scale"; "--stats-only"; "--cell"; "bogus" ]
     "repro scale: unknown cell bogus (cells: direct, isolated)";
   expect_error [ "scale"; "--shards"; "2" ] "repro scale: --shards and --cell need --stats-only";
-  expect_error [ "fig2"; "--stats-only" ] "repro fig2: no deterministic surface (--stats-only)"
+  expect_error [ "recovery"; "--stats-only" ]
+    "repro recovery: no deterministic surface (--stats-only)"
 
 let test_table_well_formed () =
-  Alcotest.(check int) "experiments with a deterministic surface" 7 (List.length det_entries);
+  Alcotest.(check int) "experiments with a deterministic surface" 10 (List.length det_entries);
   List.iter
     (fun ((e : R.entry), (d : R.det)) ->
       let names = List.map fst d.cells in

@@ -226,6 +226,32 @@ let test_ablations_shape () =
   let totals = List.map (fun u -> u.Ablations.recovery_total) r.Ablations.unwind in
   Alcotest.(check bool) "monotone in unwind" true (List.sort compare totals = totals)
 
+(* A2 re-runs E1's batch-1 measurement on the same per-boundary null
+   chain, so its full-model row is E1's overhead per call, and zeroing
+   one micro-cost removes exactly that cost from each of the five
+   crossings' share: TLS lookup 12, atomic upgrade 40, indirect call
+   18 cycles. *)
+let test_ablation_matches_fig2 () =
+  let e1 =
+    match Fig2.run ~batches:[ 1 ] () with
+    | [ r ] -> r.Fig2.overhead_per_call
+    | _ -> Alcotest.fail "expected one fig2 row"
+  in
+  let a2 = (Ablations.run ~trials:100 ()).Ablations.attribution in
+  let row name =
+    match List.find_opt (fun a -> a.Ablations.zeroed = name) a2 with
+    | Some a -> a
+    | None -> Alcotest.failf "no A2 row %s" name
+  in
+  let eq = Alcotest.float 1e-9 in
+  Alcotest.check eq "E1 batch-1 overhead/call" 84.0 e1;
+  Alcotest.check eq "A2 full model = E1 batch 1" e1
+    (row "(none: full model)").Ablations.overhead_per_call;
+  List.iter
+    (fun (name, share) ->
+      Alcotest.check eq ("A2 share of " ^ name) share (row name).Ablations.delta_vs_full)
+    [ ("tls_lookup", 12.0); ("atomic_rmw", 40.0); ("indirect_call", 18.0) ]
+
 let () =
   Alcotest.run "experiments"
     [
@@ -242,5 +268,6 @@ let () =
           Alcotest.test_case "ckpt cost (E9)" `Quick test_ckpt_cost_shape;
           Alcotest.test_case "rollback (E13)" `Quick test_rollback_shape;
           Alcotest.test_case "ablations (A1-A3)" `Slow test_ablations_shape;
+          Alcotest.test_case "A2 full model = E1 batch 1" `Quick test_ablation_matches_fig2;
         ] );
     ]

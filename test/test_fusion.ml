@@ -1,11 +1,13 @@
 (* The kernel-fusion equivalence suite.
 
-   The fusion pass is an optimisation, so its contract is "invisible
-   except for the crossing count": a fused pipeline must be
-   byte-identical to the unfused chain — transmitted packets, NIC
-   ledgers, telemetry tables, and (in the calls modes) the virtual
-   cycle count — for *any* chain of kernels, across Direct, Tagged
-   and Isolated, including mid-trace revocation, recovery and
+   Fusion (Isolated mode only) is an optimisation, so its contract is
+   "invisible except for the crossing count": a pipeline must be
+   byte-identical to the same chain with every stage wrapped in
+   [Stage.barrier] (one domain per stage) — transmitted packets, NIC
+   ledgers, telemetry tables, and (in the calls modes, where the
+   barrier runs the kernel through [Stage.process]) the virtual cycle
+   count — for *any* chain of kernels, across Direct, Tagged and
+   Isolated, including mid-trace revocation, recovery and
    graceful-degradation skips that land inside a fused group. Chains
    are generated randomly from the stage catalog so opaque barriers,
    dropping filters and 5-tuple rewriters appear in arbitrary
@@ -59,7 +61,7 @@ let arb_chain =
   in
   QCheck.make ~print:(fun specs -> String.concat " -> " (List.map spec_name specs)) gen
 
-(* The reference fusion plan: maximal runs of fusible kernels, opaque
+(* The reference Isolated plan: maximal runs of fusible kernels, opaque
    singletons — computed directly from the published [Stage.fusible]
    so the pipeline's compiled plan has an independent witness. *)
 let expected_groups stages =
@@ -74,7 +76,7 @@ let expected_groups stages =
   List.rev (flush acc run)
 
 (* ------------------------------------------------------------------ *)
-(* Paired engines: same seed, same specs, fused vs unfused             *)
+(* Paired engines: same seed, same specs, plain vs barrier-wrapped     *)
 (* ------------------------------------------------------------------ *)
 
 type mode_kind = Direct | Isolated | Tagged
@@ -89,7 +91,7 @@ type side = {
   s_telemetry : Telemetry.Registry.t;
 }
 
-let make_side ~mode_kind ~fuse ~specs ~seed () =
+let make_side ~mode_kind ~barriers ~specs ~seed () =
   let clock = Cycles.Clock.create () in
   let telemetry = Telemetry.Registry.create () in
   let pool = Mempool.create ~clock ~capacity:256 () in
@@ -99,6 +101,7 @@ let make_side ~mode_kind ~fuse ~specs ~seed () =
     Nic.create ~engine ~traffic:(Traffic.of_plan ~rng:(Cycles.Rng.create seed) plan) ()
   in
   let stages = List.map (build_stage ~clock) specs in
+  let stages = if barriers then List.map Stage.barrier stages else stages in
   let mode =
     match mode_kind with
     | Direct -> Pipeline.Direct
@@ -109,7 +112,7 @@ let make_side ~mode_kind ~fuse ~specs ~seed () =
     s_clock = clock;
     s_pool = pool;
     s_nic = nic;
-    s_pipe = Pipeline.create ~engine ~mode ~fuse stages;
+    s_pipe = Pipeline.create ~engine ~mode stages;
     s_telemetry = telemetry;
   }
 
@@ -124,9 +127,10 @@ let step side n =
     Ok outs
   | Error e -> Error (Sfi.Sfi_error.to_string e)
 
+(* The unfused reference side wraps every stage in [Stage.barrier]. *)
 let make_pair ~mode_kind ~specs () =
-  ( make_side ~mode_kind ~fuse:true ~specs ~seed:2017L (),
-    make_side ~mode_kind ~fuse:false ~specs ~seed:2017L () )
+  ( make_side ~mode_kind ~barriers:false ~specs ~seed:2017L (),
+    make_side ~mode_kind ~barriers:true ~specs ~seed:2017L () )
 
 (* Drive both sides [rounds] batches; first divergence or None. *)
 let drive (fused, unfused) ~rounds ~batch =
@@ -150,20 +154,22 @@ let check_ledgers (fused, unfused) =
 (* ------------------------------------------------------------------ *)
 
 let test_fusion_plan =
-  QCheck.Test.make ~name:"fused_groups = maximal fusible runs (and singletons unfused)"
-    ~count:100 arb_chain
+  QCheck.Test.make
+    ~name:"fused_groups = maximal fusible runs (Isolated), singletons otherwise" ~count:100
+    arb_chain
     (fun specs ->
       let clock = Cycles.Clock.create () in
       let pool = Mempool.create ~clock ~capacity:16 () in
       let engine = Engine.create ~clock ~pool ~telemetry:(Telemetry.Registry.create ()) () in
       let stages = List.map (build_stage ~clock) specs in
-      let fused = Pipeline.create ~engine ~mode:Pipeline.Direct stages in
-      let unfused = Pipeline.create ~engine ~mode:Pipeline.Direct ~fuse:false stages in
-      let copying = Pipeline.create ~engine ~mode:Pipeline.Copying stages in
+      let plan mode stages = Pipeline.fused_groups (Pipeline.create ~engine ~mode stages) in
+      let isolated () = Pipeline.Isolated (Sfi.Manager.create ~clock ()) in
       let singletons = List.map (fun (s : Stage.t) -> [ Stage.name s ]) stages in
-      Pipeline.fused_groups fused = expected_groups stages
-      && Pipeline.fused_groups unfused = singletons
-      && Pipeline.fused_groups copying = singletons)
+      plan (isolated ()) stages = expected_groups stages
+      && plan (isolated ()) (List.map Stage.barrier stages) = singletons
+      && List.for_all
+           (fun mode -> plan mode stages = singletons)
+           Pipeline.[ Direct; Tagged; Copying ])
 
 (* ------------------------------------------------------------------ *)
 (* Calls modes: byte-identical, cycle-identical, telemetry-identical   *)
@@ -381,7 +387,7 @@ let check_words what per_pkt bound =
   if per_pkt > bound then
     Alcotest.failf "%s allocated %.4f minor words per packet (bound %.2f)" what per_pkt bound
 
-(* The warmed Figure-2 Maglev NF (Direct, fused): 663 words per
+(* The warmed Figure-2 Maglev NF (Direct): 663 words per
    32-packet batch, 20.72 per packet. One boxed tuple per packet in a
    stage kernel adds 3 words per packet and fails it. The same before
    the preallocated NIC template slab: 1024 flows fit the template
@@ -390,7 +396,6 @@ let test_maglev_nf_minor_words () =
   let env = Experiments.Env.make () in
   let _mg, stages = Experiments.Env.maglev_nf env in
   let pipe = Pipeline.create ~engine:env.Experiments.Env.engine ~mode:Pipeline.Direct stages in
-  Alcotest.(check int) "one fused group" 1 (List.length (Pipeline.fused_groups pipe));
   check_words "maglev NF"
     (minor_words_per_pkt ~nic:env.Experiments.Env.nic ~pipe ~batch:32 ~batches:256)
     20.72

@@ -653,8 +653,7 @@ let test_pipeline_isolated_overhead_band () =
     let rng = Cycles.Rng.create 42L in
     let traffic = Traffic.create ~rng (Traffic.Uniform { flows = 16 }) in
     let nic = Nic.create ~engine ~traffic () in
-    let stages = List.init 5 (fun _ -> Filters.null) in
-    let pipe = Pipeline.create ~engine ~mode ~fuse:false stages in
+    let pipe = Pipeline.create ~engine ~mode (Filters.null_chain 5) in
     let clock = Engine.clock engine in
     let total = ref 0L in
     for _ = 1 to 30 do
@@ -678,8 +677,7 @@ let test_pipeline_isolated_overhead_band () =
     let traffic = Traffic.create ~rng (Traffic.Uniform { flows = 16 }) in
     let nic = Nic.create ~engine ~traffic () in
     let mgr = Sfi.Manager.create ~clock () in
-    let stages = List.init 5 (fun _ -> Filters.null) in
-    let pipe = Pipeline.create ~engine ~mode:(Pipeline.Isolated mgr) ~fuse:false stages in
+    let pipe = Pipeline.create ~engine ~mode:(Pipeline.Isolated mgr) (Filters.null_chain 5) in
     let total = ref 0L in
     for _ = 1 to 30 do
       let b = Nic.rx_batch nic 8 in
@@ -966,13 +964,14 @@ let test_full_nf_chain_isolated () =
   let vip = 0xC0A80001 in
   (* Per-stage accounting is under test: keep one domain per stage. *)
   let pipe =
-    Pipeline.create ~engine ~mode:(Pipeline.Isolated mgr) ~fuse:false
-      [
-        Filters.firewall ~name:"fw" (fun f -> f.Flow.dst_port = 80);
-        Nat.stage nat;
-        Heavy_hitters.stage hh;
-        Filters.maglev_gre mg ~vip;
-      ]
+    Pipeline.create ~engine ~mode:(Pipeline.Isolated mgr)
+      (List.map Stage.barrier
+         [
+           Filters.firewall ~name:"fw" (fun f -> f.Flow.dst_port = 80);
+           Nat.stage nat;
+           Heavy_hitters.stage hh;
+           Filters.maglev_gre mg ~vip;
+         ])
   in
   let forwarded = ref 0 in
   for _ = 1 to 50 do

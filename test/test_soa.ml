@@ -4,10 +4,9 @@
    "invisible": a chain built from column ([Stage.Cols]) kernels must
    be byte-identical to the same chain built from the write-through
    byte stages of the oracle (Hdr_oracle) — transmitted frames, virtual cycles, telemetry tables,
-   NIC/pipeline ledgers — for *any* chain, in any fusion plan, with
-   byte-reading barriers (opaque stages, RFC 1071 verifiers, flowcache
-   guard capture) landing in arbitrary positions, over UDP or TCP
-   frames of any payload length. Deferred writes must
+   NIC/pipeline ledgers — for *any* chain, with byte-reading barriers
+   (opaque stages, RFC 1071 verifiers, flowcache guard capture) landing
+   in arbitrary positions, over UDP or TCP frames of any payload length. Deferred writes must
    be flushed at every such barrier: a reader of wire bytes can never
    observe a stale header. *)
 
@@ -128,7 +127,7 @@ type side = {
   s_sink : string list ref;  (* opaque-barrier snapshots, newest first *)
 }
 
-let make_side ?flowcache_capacity ~soa ~fuse ~case ~seed () =
+let make_side ?flowcache_capacity ~soa ~case ~seed () =
   let clock = Cycles.Clock.create () in
   let telemetry = Telemetry.Registry.create () in
   let pool = Mempool.create ~clock ~capacity:256 () in
@@ -152,7 +151,7 @@ let make_side ?flowcache_capacity ~soa ~fuse ~case ~seed () =
     s_clock = clock;
     s_pool = pool;
     s_nic = nic;
-    s_pipe = Pipeline.create ~engine ~mode:Pipeline.Direct ~fuse ?flowcache stages;
+    s_pipe = Pipeline.create ~engine ~mode:Pipeline.Direct ?flowcache stages;
     s_telemetry = telemetry;
     s_sink = sink;
   }
@@ -203,9 +202,9 @@ let check_pair ?(label = "") ((soa, bytes) as pair) ~rounds ~batch =
   Mempool.assert_no_leaks bytes.s_pool;
   true
 
-let make_pair ?flowcache_capacity ~fuse ~case () =
-  ( make_side ?flowcache_capacity ~soa:true ~fuse ~case ~seed:4021L (),
-    make_side ?flowcache_capacity ~soa:false ~fuse ~case ~seed:4021L () )
+let make_pair ?flowcache_capacity ~case () =
+  ( make_side ?flowcache_capacity ~soa:true ~case ~seed:4021L (),
+    make_side ?flowcache_capacity ~soa:false ~case ~seed:4021L () )
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence on random chains                                        *)
@@ -214,19 +213,14 @@ let make_pair ?flowcache_capacity ~fuse ~case () =
 let test_equivalence_fused =
   QCheck.Test.make ~name:"fused: column chains byte/cycle-identical to byte twins"
     ~count:30 arb_chain
-    (fun case -> check_pair (make_pair ~fuse:true ~case ()) ~rounds:8 ~batch:8)
-
-let test_equivalence_unfused =
-  QCheck.Test.make ~name:"unfused: column chains byte/cycle-identical to byte twins"
-    ~count:20 arb_chain
-    (fun case -> check_pair (make_pair ~fuse:false ~case ()) ~rounds:8 ~batch:8)
+    (fun case -> check_pair (make_pair ~case ()) ~rounds:8 ~batch:8)
 
 let test_barrier_chains =
   QCheck.Test.make
     ~name:"forced materialization: byte barriers mid-chain observe canonical bytes"
     ~count:30 arb_barrier_chain
     (fun case ->
-      check_pair ~label:"barrier: " (make_pair ~fuse:true ~case ()) ~rounds:6 ~batch:8)
+      check_pair ~label:"barrier: " (make_pair ~case ()) ~rounds:6 ~batch:8)
 
 let test_flowcache_guard =
   QCheck.Test.make
@@ -234,7 +228,7 @@ let test_flowcache_guard =
     arb_barrier_chain
     (fun case ->
       check_pair ~label:"flowcache: "
-        (make_pair ~flowcache_capacity:64 ~fuse:true ~case ())
+        (make_pair ~flowcache_capacity:64 ~case ())
         ~rounds:6 ~batch:8)
 
 (* ------------------------------------------------------------------ *)
@@ -298,7 +292,7 @@ let test_materialize_only_at_tx () =
     Nic.create ~engine ~traffic:(Traffic.of_plan ~rng:(Cycles.Rng.create 7L) plan) ()
   in
   let pipe =
-    Pipeline.create ~engine ~mode:Pipeline.Direct ~fuse:false [ Filters.ttl_decrement ]
+    Pipeline.create ~engine ~mode:Pipeline.Direct [ Filters.ttl_decrement ]
   in
   let b = Nic.rx_batch nic 8 in
   match Pipeline.run pipe b with
@@ -321,7 +315,7 @@ let () =
   Alcotest.run "soa"
     [
       ( "equivalence",
-        [ qt test_equivalence_fused; qt test_equivalence_unfused ] );
+        [ qt test_equivalence_fused ] );
       ( "barriers",
         [
           qt test_barrier_chains;
