@@ -25,29 +25,28 @@ let stats ~nodes ~dirty ~reused : Checkpointable.stats =
 
 (* --- Tracked flat int array ------------------------------------------ *)
 
+(* Where the shadow's payloads came from: nothing yet, the verified
+   image {!iarr_of_chunks} decoded, or a sync on this handle. *)
+type origin = Unset | Adopted | Synced
+
 type iarr = {
   data : int array;
   chunk : int;
   gens : int array;  (* per-chunk generation stamp *)
-  shadow : int array;
+  shadow : string array; (* per-chunk wire payload as of the last sync *)
   mutable gen : int;        (* stamp given to writes since the last sync *)
   mutable synced_gen : int; (* chunks stamped <= this are clean *)
-  mutable has_shadow : bool;
+  mutable origin : origin;
 }
+
+let make ~chunk data shadow origin =
+  let gens = Array.make (Array.length shadow) 0 in
+  { data; chunk; gens; shadow; gen = 1; synced_gen = 0; origin }
 
 let iarr ?(chunk = 16) data =
   if chunk <= 0 then invalid_arg "Incr.iarr: chunk must be positive";
-  let n = Array.length data in
-  let chunks = max 1 ((n + chunk - 1) / chunk) in
-  {
-    data;
-    chunk;
-    gens = Array.make chunks 0;
-    shadow = Array.make n 0;
-    gen = 1;
-    synced_gen = 0;
-    has_shadow = false;
-  }
+  let chunks = max 1 ((Array.length data + chunk - 1) / chunk) in
+  make ~chunk data (Array.make chunks "") Unset
 
 let iarr_get a i = a.data.(i)
 
@@ -62,59 +61,11 @@ let iarr_dirty_chunks a =
   Array.iter (fun g -> if g > a.synced_gen then incr d) a.gens;
   !d
 
-(* A typed [int] loop, not [Array.blit]: the generic blit runs the
-   write barrier on every element once [dst] is in the major heap, and
-   an [int] store needs none. *)
-let blit_chunk a ~(src : int array) ~(dst : int array) c =
+(* The wire payload of chunk [c], 8 bytes big-endian per slot, written
+   straight into one fresh [Bytes]: nothing else is allocated. *)
+let encode_chunk a c =
   let lo = c * a.chunk in
-  for i = lo to min (lo + a.chunk) (Array.length a.data) - 1 do
-    dst.(i) <- src.(i)
-  done
-
-let iarr_sync a () =
-  let chunks = iarr_chunks a in
-  let dirty = ref 0 in
-  for c = 0 to chunks - 1 do
-    if a.gens.(c) > a.synced_gen || not a.has_shadow then begin
-      blit_chunk a ~src:a.data ~dst:a.shadow c;
-      incr dirty
-    end
-  done;
-  a.synced_gen <- a.gen;
-  a.gen <- a.gen + 1;
-  a.has_shadow <- true;
-  stats ~nodes:chunks ~dirty:!dirty ~reused:(chunks - !dirty)
-
-let iarr_restore a () =
-  if not a.has_shadow then invalid_arg "Incr.iarr: restore before first sync";
-  let chunks = iarr_chunks a in
-  let dirty = ref 0 in
-  for c = 0 to chunks - 1 do
-    if a.gens.(c) > a.synced_gen then begin
-      blit_chunk a ~src:a.shadow ~dst:a.data c;
-      a.gens.(c) <- a.synced_gen;
-      incr dirty
-    end
-  done;
-  stats ~nodes:chunks ~dirty:!dirty ~reused:(chunks - !dirty)
-
-let iarr_length a = Array.length a.data
-
-let iarr_dirty_list a =
-  let dirty = ref [] in
-  for c = Array.length a.gens - 1 downto 0 do
-    if a.gens.(c) > a.synced_gen then dirty := c :: !dirty
-  done;
-  !dirty
-
-let chunk_bounds a c =
-  let n = Array.length a.data in
-  let lo = c * a.chunk in
-  (lo, min a.chunk (n - lo))
-
-let iarr_chunk_bytes a c =
-  if c < 0 || c >= iarr_chunks a then invalid_arg "Incr.iarr_chunk_bytes: chunk out of range";
-  let lo, len = chunk_bounds a c in
+  let len = min a.chunk (Array.length a.data - lo) in
   let b = Bytes.create (len * 8) in
   for i = 0 to len - 1 do
     Bytes.set_int64_be b (i * 8) (Int64.of_int a.data.(lo + i))
@@ -122,17 +73,6 @@ let iarr_chunk_bytes a c =
   (* [b] was created above and has not escaped, so no one else can
      mutate it: handing it over as a string without the copy is safe. *)
   Bytes.unsafe_to_string b
-
-let iarr_meta_bytes a =
-  let buf = Buffer.create 8 in
-  Wire.w_u32 buf (Array.length a.data);
-  Wire.w_u32 buf a.chunk;
-  Buffer.contents buf
-
-let iarr_to_chunks a =
-  Array.init
-    (1 + iarr_chunks a)
-    (fun slot -> if slot = 0 then iarr_meta_bytes a else iarr_chunk_bytes a (slot - 1))
 
 (* Negative iff [v] does not fit OCaml's 63-bit [int] (its top two bits
    differ): such a value would wrap on decode, and the table would
@@ -158,6 +98,67 @@ let decode_chunk data ~lo ~len p =
     done;
     !i
   end
+
+let iarr_sync a () =
+  let chunks = iarr_chunks a in
+  let encoded = ref 0 in
+  for c = 0 to chunks - 1 do
+    if a.gens.(c) > a.synced_gen || a.origin = Unset then begin
+      a.shadow.(c) <- encode_chunk a c;
+      incr encoded
+    end
+  done;
+  (* An adopted shadow took every chunk at once, so the first sync
+     reports them all as captured, as a fresh array's first sync does. *)
+  let dirty = if a.origin = Synced then !encoded else chunks in
+  a.synced_gen <- a.gen;
+  a.gen <- a.gen + 1;
+  a.origin <- Synced;
+  stats ~nodes:chunks ~dirty ~reused:(chunks - dirty)
+
+let iarr_restore a () =
+  if a.origin = Unset then invalid_arg "Incr.iarr: restore before first sync";
+  let chunks = iarr_chunks a in
+  let dirty = ref 0 in
+  for c = 0 to chunks - 1 do
+    if a.gens.(c) > a.synced_gen then begin
+      let p = a.shadow.(c) in
+      (* Every shadow value came from an [int] or was checked to fit
+         one, so the range result is always -1. *)
+      ignore (decode_chunk a.data ~lo:(c * a.chunk) ~len:(String.length p / 8) p);
+      a.gens.(c) <- a.synced_gen;
+      incr dirty
+    end
+  done;
+  stats ~nodes:chunks ~dirty:!dirty ~reused:(chunks - !dirty)
+
+let iarr_length a = Array.length a.data
+
+let iarr_dirty_list a =
+  let dirty = ref [] in
+  for c = Array.length a.gens - 1 downto 0 do
+    if a.gens.(c) > a.synced_gen then dirty := c :: !dirty
+  done;
+  !dirty
+
+let iarr_chunk_bytes a c =
+  if c < 0 || c >= iarr_chunks a then invalid_arg "Incr.iarr_chunk_bytes: chunk out of range";
+  encode_chunk a c
+
+let iarr_meta_bytes a =
+  let buf = Buffer.create 8 in
+  Wire.w_u32 buf (Array.length a.data);
+  Wire.w_u32 buf a.chunk;
+  Buffer.contents buf
+
+let iarr_to_chunks a =
+  Array.init
+    (1 + iarr_chunks a)
+    (fun slot -> if slot = 0 then iarr_meta_bytes a else encode_chunk a (slot - 1))
+
+let iarr_synced_chunks a =
+  if a.origin = Unset then invalid_arg "Incr.iarr_synced_chunks: no snapshot";
+  Array.append [| iarr_meta_bytes a |] a.shadow
 
 let iarr_of_chunks chunks =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -192,7 +193,9 @@ let iarr_of_chunks chunks =
         | None ->
           let data = Array.make n 0 in
           let rec decode c =
-            if c = expected then Ok (iarr ~chunk data)
+            (* The payloads just verified are the snapshot: adopted as
+               the shadow, not encoded again. *)
+            if c = expected then Ok (make ~chunk data (Array.sub chunks 1 expected) Adopted)
             else
               let p = chunks.(c + 1) in
               let slot = decode_chunk data ~lo:(c * chunk) ~len:(len c) p in
@@ -209,5 +212,5 @@ let iarr_tracker a =
     sync = iarr_sync a;
     restore = iarr_restore a;
     pending = (fun () -> iarr_dirty_chunks a);
-    synced = (fun () -> a.has_shadow);
+    synced = (fun () -> a.origin <> Unset);
   }

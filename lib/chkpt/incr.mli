@@ -22,10 +22,13 @@ type 'a tracker = {
           [dirty_nodes] rebuilt vs [reused_nodes] shared. *)
   restore : unit -> Checkpointable.stats;
       (** Roll the live structure back to the last sync, touching only
-          regions mutated since. Raises [Invalid_argument] before the
-          first sync. *)
+          regions mutated since. Raises [Invalid_argument] while there
+          is no snapshot ([synced] is false). *)
   pending : unit -> int;  (** Dirty units accumulated since the last sync. *)
-  synced : unit -> bool;  (** At least one sync has happened. *)
+  synced : unit -> bool;
+      (** There is a snapshot to restore to: at least one sync has
+          happened, or ({!iarr_of_chunks}) the structure was decoded
+          from one. *)
 }
 
 val value : 'a tracker -> 'a
@@ -39,9 +42,12 @@ val stats : nodes:int -> dirty:int -> reused:int -> Checkpointable.stats
 
 (** {2 Tracked flat int array}
 
-    Per-chunk generation stamps: a write dirties its chunk, sync/restore
-    copy only dirty chunks to/from an internal shadow array. This is the
-    storm experiment's flow table. *)
+    Per-chunk generation stamps: a write dirties its chunk. The shadow
+    is the per-chunk wire payload (see the codec below) as of the last
+    sync: sync encodes only the dirty chunks into it, restore decodes
+    only those back. The one snapshot serves both rollback and the
+    durable store ({!iarr_synced_chunks}). This is the storm
+    experiment's flow table. *)
 
 type iarr
 
@@ -70,16 +76,30 @@ val iarr_dirty_list : iarr -> int list
     these ids [+ 1] (slot 0 is the meta chunk). *)
 
 val iarr_chunk_bytes : iarr -> int -> string
-(** The wire payload of data chunk [c], read from the live array. *)
+(** The wire payload of data chunk [c], encoded from the live array. *)
 
 val iarr_to_chunks : iarr -> string array
-(** Full wire image: [[| meta; chunk 0; ... |]]. *)
+(** Full wire image of the live array: [[| meta; chunk 0; ... |]]. *)
+
+val iarr_synced_chunks : iarr -> string array
+(** Full wire image of the snapshot: [[| meta; chunk 0; ... |]] with
+    every payload the shadow's own string, so persisting it after a
+    sync encodes nothing twice; for a delta, take slots [c + 1] of the
+    chunks {!iarr_dirty_list} named before the sync. Equals
+    {!iarr_to_chunks} right after a sync. Raises [Invalid_argument]
+    when there is no snapshot yet. *)
 
 val iarr_of_chunks : string array -> (iarr, string) result
 (** Strict structural decode of a full wire image: validates the meta
     chunk, the chunk count, every chunk's exact byte length and that
     every value fits OCaml's 63-bit [int] (an error names the chunk and
-    the slot within it) before building a fresh (untracked, unsynced)
-    [iarr]. Whatever it accepts re-encodes to the same bytes. The
-    lengths are checked before anything is sized by the meta chunk's
-    count, so a count the bytes do not back allocates nothing. *)
+    the slot within it) before building an [iarr]. Whatever it accepts
+    re-encodes to the same bytes. The lengths are checked before
+    anything is sized by the meta chunk's count, so a count the bytes
+    do not back allocates nothing.
+
+    The verified payloads become the shadow as they are: the result
+    has a snapshot (restore returns to the decoded image) and no dirty
+    chunk, and its first sync encodes only chunks written since yet
+    reports every chunk as captured, as a fresh [iarr]'s first sync
+    does. *)

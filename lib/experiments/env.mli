@@ -39,9 +39,6 @@ val measure_pipeline :
 val maglev_backends : string array
 (** The 8 synthetic backends every Maglev experiment uses. *)
 
-val vip : int
-(** The load balancer's virtual IP. *)
-
 val maglev_nf : t -> Netstack.Maglev.t * Netstack.Stage.t list
 (** "The NetBricks implementation of the Maglev load balancer": header
     checksum verification, TTL decrement, then Maglev steering with

@@ -88,34 +88,3 @@ let print_stats d =
   Printf.printf "  outputs identical (unfused vs fused)=%b  crossings saved=%d\n"
     (same_outputs d.d_unfused d.d_fused)
     (crossings d.d_unfused - crossings d.d_fused)
-
-(* --- Sharded determinism block ----------------------------------------- *)
-
-(* The Maglev NF as a shard stage constructor: every queue gets its
-   own Maglev instance on its own clock. The printed ledger and merged
-   telemetry must be byte-identical for any shard count — [repro
-   check fusion] diffs 1/2/4 shards through this block. *)
-let shard_stages (ctx : Netstack.Shard.queue_ctx) =
-  let clock = ctx.Netstack.Shard.qc_clock in
-  let mg = Netstack.Maglev.create ~clock ~backends:Env.maglev_backends () in
-  [
-    Netstack.Filters.checksum_verify;
-    Netstack.Filters.ttl_decrement;
-    Netstack.Filters.maglev_gre mg ~vip:Env.vip;
-  ]
-
-let run_shard_stats ?(queues = 4) ?(rounds = default_rounds)
-    ?(batch_size = default_batch_size) ?(flows = 1024) ?(seed = 2017L) ~shards () =
-  let spec =
-    Netstack.Shard.default_spec ~shards ~queues ~rounds ~batch_size ~seed ~flows
-      ~mode:Netstack.Shard.Direct ~stages:shard_stages ()
-  in
-  Netstack.Shard.run (Netstack.Shard.create spec)
-
-(* Deliberately no shard count and no wall clock anywhere: the block
-   must diff clean across shard counts. *)
-let print_shard_stats (r : Netstack.Shard.result) =
-  Printf.printf "fused shard ledger: crafted=%d served=%d degraded=%d dropped=%d\n"
-    r.Netstack.Shard.r_crafted r.Netstack.Shard.r_served r.Netstack.Shard.r_degraded
-    r.Netstack.Shard.r_dropped;
-  Telemetry.Render.print ~title:"fused shard telemetry" r.Netstack.Shard.r_telemetry

@@ -18,20 +18,3 @@ val run_stats : ?rounds:int -> ?batch_size:int -> unit -> det_result
 val print_stats : det_result -> unit
 (** Virtual counters only — byte-identical across runs and hosts; the
     golden [test/golden/fusion_stats.txt] pins it. *)
-
-(** {2 Sharded determinism block} *)
-
-val run_shard_stats :
-  ?queues:int ->
-  ?rounds:int ->
-  ?batch_size:int ->
-  ?flows:int ->
-  ?seed:int64 ->
-  shards:int ->
-  unit ->
-  Netstack.Shard.result
-(** One sharded Direct-mode run of the Maglev NF (fresh per-queue
-    Maglev state). The printed block ({!print_shard_stats}) is
-    byte-identical for any [shards]. *)
-
-val print_shard_stats : Netstack.Shard.result -> unit

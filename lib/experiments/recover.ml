@@ -260,14 +260,14 @@ let run_wall ?(buckets = 1 lsl 20) ?(total = 42_000_000) ?(persist_every = 4_000
     let persist () =
       let dirty = Chkpt.Incr.iarr_dirty_list tab in
       ignore (Chkpt.Incr.sync tracker);
+      let image = Chkpt.Incr.iarr_synced_chunks tab in
       (gen :=
          match !gen with
-         | None -> Some (Chkpt.Durable.save d ~tag:wall_tag ~chunks:(Chkpt.Incr.iarr_to_chunks tab))
+         | None -> Some (Chkpt.Durable.save d ~tag:wall_tag ~chunks:image)
          | Some _ ->
            Some
              (Chkpt.Durable.save_delta d ~tag:wall_tag
-                ~dirty:
-                  (List.map (fun c -> (c + 1, Chkpt.Incr.iarr_chunk_bytes tab c)) dirty)));
+                ~dirty:(List.map (fun c -> (c + 1, image.(c + 1))) dirty)));
       incr persists
     in
     persist ();

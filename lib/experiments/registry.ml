@@ -59,10 +59,7 @@ let fig2_stats ~shards:_ = Fig2.print (Fig2.run ())
 let pipeline_length_stats ~shards:_ = Pipeline_length.print (Pipeline_length.run ())
 let ablations_stats ~shards:_ = Ablations.print (Ablations.run ())
 
-let fusion_stats ~shards =
-  Fusion_ablation.print_stats (Fusion_ablation.run_stats ());
-  print_newline ();
-  Fusion_ablation.print_shard_stats (Fusion_ablation.run_shard_stats ~shards ())
+let fusion_stats ~shards:_ = Fusion_ablation.print_stats (Fusion_ablation.run_stats ())
 
 let recover_stats ~shards =
   Recover.print_stats (Recover.run_stats ~shards ());
@@ -215,7 +212,9 @@ let all =
     {
       id = "fusion";
       description = "E18 (extension): kernel fusion ablation (Isolated crossings)";
-      det = det ~golden:(golden "fusion") ~forbid:identities [ ("stats", fusion_stats) ];
+      det =
+        det ~queues:1 ~shards:[ 1 ] ~golden:(golden "fusion") ~forbid:identities
+          [ ("stats", fusion_stats) ];
       run = (fun ~quick:_ -> fusion_stats ~shards:1);
     };
     {

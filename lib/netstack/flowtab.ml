@@ -12,19 +12,19 @@ type t = {
 
 let persist t =
   (* Dirty chunks must be read before the snapshot syncs them away; the
-     chunk payloads come from the live array, which the sync does not
-     touch. *)
+     payloads persisted are the ones the sync just encoded. *)
   let dirty = Chkpt.Incr.iarr_dirty_list t.tab in
   ignore (Chkpt.Store.snapshot t.store);
   match t.durable with
   | None -> ()
   | Some d ->
+    let image = Chkpt.Incr.iarr_synced_chunks t.tab in
     let gen =
       match t.gen with
-      | None -> Chkpt.Durable.save d ~tag:t.tag ~chunks:(Chkpt.Incr.iarr_to_chunks t.tab)
+      | None -> Chkpt.Durable.save d ~tag:t.tag ~chunks:image
       | Some _ ->
         Chkpt.Durable.save_delta d ~tag:t.tag
-          ~dirty:(List.map (fun c -> (c + 1, Chkpt.Incr.iarr_chunk_bytes t.tab c)) dirty)
+          ~dirty:(List.map (fun c -> (c + 1, image.(c + 1))) dirty)
     in
     t.persists <- t.persists + 1;
     t.gen <- Some gen
@@ -72,9 +72,10 @@ let recover ?snapshot_every ?(tag = "flowtab") ~durable ctx =
       match Chkpt.Incr.iarr_of_chunks r.Chkpt.Durable.r_chunks with
       | Error m -> Error m
       | Ok tab ->
-        (* Snapshot in memory (so rollback works) but do not re-save:
-           the disk already holds this exact state at [r_generation];
-           later persists continue the lineage with deltas. *)
+        (* Snapshot in memory but do not re-save: the disk already
+           holds this exact state at [r_generation], and the table's
+           shadow is those verified payloads, so the snapshot encodes
+           nothing. Later persists continue the lineage with deltas. *)
         let t =
           build ?snapshot_every ~durable ~tag ~gen:(Some r.Chkpt.Durable.r_generation)
             ~snapshot_now:false ctx tab

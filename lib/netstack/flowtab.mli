@@ -15,8 +15,12 @@
     dirty tracking found — the on-disk write amplification equals the
     in-memory one. Because the durable save rides the same cadence as
     the shadow sync, the shadow and the newest on-disk generation are
-    always the same state: {!rollback} answers "what must recovery
-    reproduce" without touching disk. *)
+    always the same state — the same bytes, in fact: the shadow is the
+    per-chunk wire payloads the sync encoded, and those are what the
+    save writes ({!Chkpt.Incr.iarr_synced_chunks}), so nothing is
+    encoded twice. {!rollback} therefore answers "what must recovery
+    reproduce" without touching disk, and {!recover} adopts the
+    payloads it has just verified as the recovered table's shadow. *)
 
 type t
 
@@ -46,8 +50,10 @@ val recover :
     (geometry comes from the wire image, not from arguments). Rejects —
     deterministically, before any state escapes — a store with no valid
     checkpoint, a tag mismatch, or a structurally invalid wire image.
-    The recovered table is immediately snapshotted in memory, and later
-    persists continue the store's generation lineage with deltas. *)
+    The recovered table is immediately snapshotted in memory (its
+    shadow is the verified payloads, so that snapshot encodes nothing),
+    and later persists continue the store's generation lineage with
+    deltas. *)
 
 val stage : t -> Stage.t
 (** The opaque pipeline stage (name ["flowtab"]). Build once per

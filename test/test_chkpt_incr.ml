@@ -112,6 +112,68 @@ let prop_iarr_matches_model =
         ops;
       Array.for_all (fun i -> Incr.iarr_get ia i = live.(i)) (Array.init n Fun.id))
 
+(* The recovered-table twin: [iarr_of_chunks] adopts the verified
+   payloads as the shadow, so restore before any sync returns to the
+   recovered image, every sync leaves the shadow equal to the live
+   chunks' encoding, and the first sync reports every chunk captured,
+   as a fresh [iarr]'s first sync does. *)
+let prop_recovered_iarr_matches_model =
+  let value =
+    QCheck.Gen.(
+      oneof [ int_range (-1000) 1000; int; oneofl [ min_int; max_int; 0; -1 ] ])
+  in
+  (* (chunk size, initial slots), then ops as above: kind 0-3 writes
+     slot [i mod n], 4 syncs, 5 restores. *)
+  let table = QCheck.Gen.(pair (int_range 1 9) (list_size (int_range 1 70) value)) in
+  let op = QCheck.Gen.(triple (int_range 0 5) (int_range 0 1_000) value) in
+  QCheck.Test.make ~name:"recovered iarr tracks a reference array" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(pair (pair int (list int)) (list (triple int int int)))
+       QCheck.Gen.(pair table (list_size (int_range 1 60) op)))
+    (fun ((chunk, values), ops) ->
+      let initial = Array.of_list values in
+      let n = Array.length initial in
+      let image = Incr.iarr_to_chunks (Incr.iarr ~chunk (Array.copy initial)) in
+      let ia =
+        match Incr.iarr_of_chunks image with
+        | Ok ia -> ia
+        | Error m -> QCheck.Test.fail_report m
+      in
+      let tracker = Incr.iarr_tracker ia in
+      let live = Array.copy initial in
+      let snap = Array.copy initial in
+      let first = ref true in
+      let all k f = Array.for_all Fun.id (Array.init k f) in
+      let matches () = all n (fun i -> Incr.iarr_get ia i = live.(i)) in
+      let shadow_is_live () =
+        let synced = Incr.iarr_synced_chunks ia and chunks = Incr.iarr_chunks ia in
+        Array.length synced = chunks + 1
+        && all chunks (fun c -> synced.(c + 1) = Incr.iarr_chunk_bytes ia c)
+      in
+      List.for_all
+        (fun (kind, i, v) ->
+          if kind <= 3 then begin
+            Incr.iarr_set ia (i mod n) v;
+            live.(i mod n) <- v;
+            true
+          end
+          else if kind = 4 then begin
+            let stats = Incr.sync tracker in
+            let fresh = Incr.iarr_tracker (Incr.iarr ~chunk (Array.copy live)) in
+            let fresh = Incr.sync fresh in
+            let reported = (not !first) || stats = fresh in
+            first := false;
+            Array.blit live 0 snap 0 n;
+            reported && shadow_is_live () && matches ()
+          end
+          else begin
+            ignore (Incr.restore tracker);
+            Array.blit snap 0 live 0 n;
+            matches ()
+          end)
+        ops
+      && matches ())
+
 (* ------------------------------------------------------------------ *)
 (* Unit tests                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -197,6 +259,7 @@ let () =
           qt prop_incr_restore_byte_identical;
           qt prop_dirty_bounded_by_stamped;
           qt prop_iarr_matches_model;
+          qt prop_recovered_iarr_matches_model;
         ] );
       ( "unit",
         [

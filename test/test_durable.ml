@@ -561,6 +561,61 @@ let test_flowtab_recover () =
   | Ok _ -> Alcotest.fail "tag mismatch accepted"
   | Error _ -> ()
 
+(* What a flowtab persist writes: after every persist, the newest
+   manifest's chunks, read back from the pool, are the wire image of
+   the live table, rebuilt here from [Flowtab.get] alone. Then a
+   freshly recovered table, written to without a persist, rolls back
+   to the state it recovered. *)
+let test_flowtab_persist_image () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+  @@ fun () ->
+  let env = Experiments.Env.make () in
+  let ctx () = flowtab_ctx (Telemetry.Registry.create ()) env.Experiments.Env.clock in
+  let buckets = 256 and chunk = 16 in
+  let d = Durable.open_store ~graph:3 ~dir () in
+  let ft = Netstack.Flowtab.create ~buckets ~chunk ~snapshot_every:2 ~durable:d (ctx ()) in
+  let image ft =
+    Incr.iarr_to_chunks (Incr.iarr ~chunk (Array.init buckets (Netstack.Flowtab.get ft)))
+  in
+  let check_newest what =
+    let gen = Option.get (Netstack.Flowtab.generation ft) in
+    match Durable.load d ~basename:(manifest_name gen) with
+    | Error r -> Alcotest.failf "%s: %s" what (Durable.reject_to_string r)
+    | Ok (_, chunks, _) ->
+      if chunks <> image ft then Alcotest.failf "%s: the manifest is not the live table" what
+  in
+  let nic = env.Experiments.Env.nic in
+  let run ft batches =
+    let pipe =
+      Netstack.Pipeline.create ~engine:env.Experiments.Env.engine
+        ~mode:Netstack.Pipeline.Direct [ Netstack.Flowtab.stage ft ]
+    in
+    for b = 1 to batches do
+      let persists = Netstack.Flowtab.persists ft in
+      (match Netstack.Pipeline.run pipe (Netstack.Nic.rx_batch nic 32) with
+      | Ok out -> ignore (Netstack.Nic.tx_batch nic out)
+      | Error _ -> Alcotest.fail "batch failed");
+      if Netstack.Flowtab.persists ft > persists then
+        check_newest (Printf.sprintf "persist after batch %d" b)
+    done
+  in
+  check_newest "baseline save";
+  run ft 12;
+  Alcotest.(check int) "baseline + one persist per two batches" 7 (Netstack.Flowtab.persists ft);
+  let durable = Durable.open_store ~graph:3 ~dir () in
+  match Netstack.Flowtab.recover ~snapshot_every:1_000 ~durable (ctx ()) with
+  | Error m -> Alcotest.failf "recover failed: %s" m
+  | Ok (rt, _) ->
+    let recovered = Netstack.Flowtab.digest rt in
+    Alcotest.(check string) "recovered = last persist" (Netstack.Flowtab.digest ft) recovered;
+    run rt 3;
+    Alcotest.(check bool) "written since recovery" false
+      (String.equal recovered (Netstack.Flowtab.digest rt));
+    Netstack.Flowtab.rollback rt;
+    Alcotest.(check string) "rollback restores the recovered digest" recovered
+      (Netstack.Flowtab.digest rt)
+
 (* ------------------------------------------------------------------ *)
 (* Decoder fuzzing over the committed corpus                           *)
 (* ------------------------------------------------------------------ *)
@@ -869,5 +924,7 @@ let () =
         [
           Alcotest.test_case "supervisor cold start" `Quick test_cold_start;
           Alcotest.test_case "flowtab recovers from disk" `Quick test_flowtab_recover;
+          Alcotest.test_case "flowtab persists its live image" `Quick
+            test_flowtab_persist_image;
         ] );
     ]
