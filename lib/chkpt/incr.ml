@@ -39,6 +39,15 @@ type iarr = {
   mutable origin : origin;
 }
 
+(* Chunk [c] covers the [span ~n ~chunk c] slots from [c * chunk] of a
+   table of [n] slots. Its wire payload is a presence bitmap of
+   [bitmap_bytes len] bytes (bit [i land 7] of byte [i / 8] is set iff
+   slot [i] is nonzero), then the nonzero slots in slot order, 8 bytes
+   big-endian each. Each chunk state has exactly one payload, so equal
+   payloads mean equal chunks. *)
+let span ~n ~chunk c = min chunk (n - (c * chunk))
+let bitmap_bytes len = (len + 7) / 8
+
 let make ~chunk data shadow origin =
   let gens = Array.make (Array.length shadow) 0 in
   { data; chunk; gens; shadow; gen = 1; synced_gen = 0; origin }
@@ -61,43 +70,82 @@ let iarr_dirty_chunks a =
   Array.iter (fun g -> if g > a.synced_gen then incr d) a.gens;
   !d
 
-(* The wire payload of chunk [c], 8 bytes big-endian per slot, written
-   straight into one fresh [Bytes]: nothing else is allocated. *)
+let chunk_len a c = span ~n:(Array.length a.data) ~chunk:a.chunk c
+
+(* The set bits of byte [x]. *)
+let popcount8 x =
+  let x = x - ((x lsr 1) land 0x55) in
+  let x = (x land 0x33) + ((x lsr 2) land 0x33) in
+  (x + (x lsr 4)) land 0x0f
+
+(* The payload of chunk [c], in two passes over the chunk: one counts
+   its nonzero slots, the other fills one exact-size [Bytes]. It only
+   reads the table, so readers on any domain may encode the same table
+   at once. *)
 let encode_chunk a c =
-  let lo = c * a.chunk in
-  let len = min a.chunk (Array.length a.data - lo) in
-  let b = Bytes.create (len * 8) in
+  let data = a.data and lo = c * a.chunk and len = chunk_len a c in
+  let nnz = ref 0 in
+  for i = lo to lo + len - 1 do
+    nnz := !nnz + Bool.to_int (data.(i) <> 0)
+  done;
+  let nb = bitmap_bytes len in
+  let b = Bytes.create (nb + (8 * !nnz)) in
+  Bytes.fill b 0 nb '\000';
+  let pos = ref nb in
   for i = 0 to len - 1 do
-    Bytes.set_int64_be b (i * 8) (Int64.of_int a.data.(lo + i))
+    let v = data.(lo + i) in
+    if v <> 0 then begin
+      let k = i lsr 3 in
+      Bytes.set b k (Char.unsafe_chr (Char.code (Bytes.get b k) lor (1 lsl (i land 7))));
+      Bytes.set_int64_be b !pos (Int64.of_int v);
+      pos := !pos + 8
+    end
   done;
   (* [b] was created above and has not escaped, so no one else can
      mutate it: handing it over as a string without the copy is safe. *)
   Bytes.unsafe_to_string b
 
-(* Negative iff [v] does not fit OCaml's 63-bit [int] (its top two bits
-   differ): such a value would wrap on decode, and the table would
-   re-encode to other bytes. *)
-let[@inline] spill v = Int64.logxor v (Int64.shift_left v 1)
+(* Negative iff [v] is 0 or does not fit OCaml's 63-bit [int] (its top
+   two bits differ): a marked slot holding 0 would re-encode unmarked,
+   and an out-of-range value would wrap on decode, so either way the
+   table would re-encode to other bytes. *)
+let[@inline] flaw v =
+  Int64.logor
+    (Int64.logxor v (Int64.shift_left v 1))
+    (Int64.lognot (Int64.logor v (Int64.neg v)))
 
-(* Decode chunk payload [p] ([len] big-endian i64s) into [data] at [lo].
-   Returns -1 when every value fits an [int], else the first slot that
-   does not. The range check is or-ed into one accumulator, so the
-   loop has no branch; only a bad chunk pays for the second scan. *)
+(* Write the marked slots of payload [p] (a chunk of [len] slots whose
+   shape is already checked) into [data] at [lo]; unmarked slots are
+   left as they are. Returns false when some marked value is flawed
+   ({!first_flaw} names it). The checks are or-ed into one accumulator,
+   so the loop does not branch on them. *)
 let decode_chunk data ~lo ~len p =
-  let acc = ref 0L in
-  for i = 0 to len - 1 do
-    let v = String.get_int64_be p (i * 8) in
-    acc := Int64.logor !acc (spill v);
-    data.(lo + i) <- Int64.to_int v
-  done;
-  if Int64.compare !acc 0L >= 0 then -1
-  else begin
-    let i = ref 0 in
-    while Int64.compare (spill (String.get_int64_be p (!i * 8))) 0L >= 0 do
+  let pos = ref (bitmap_bytes len) and acc = ref 0L in
+  for k = 0 to bitmap_bytes len - 1 do
+    let bits = ref (Char.code p.[k]) and i = ref (lo + (8 * k)) in
+    while !bits <> 0 do
+      if !bits land 1 <> 0 then begin
+        let v = String.get_int64_be p !pos in
+        acc := Int64.logor !acc (flaw v);
+        data.(!i) <- Int64.to_int v;
+        pos := !pos + 8
+      end;
+      bits := !bits lsr 1;
       incr i
-    done;
-    !i
-  end
+    done
+  done;
+  Int64.compare !acc 0L >= 0
+
+(* The first marked slot of payload [p] whose value is flawed, and that
+   value; [p] must hold one. *)
+let first_flaw p ~len =
+  let rec go slot pos =
+    if (Char.code p.[slot / 8] lsr (slot land 7)) land 1 = 0 then go (slot + 1) pos
+    else
+      let v = String.get_int64_be p pos in
+      if Int64.compare (flaw v) 0L < 0 then (slot, v) else go (slot + 1) (pos + 8)
+  in
+  go 0 (bitmap_bytes len)
 
 let iarr_sync a () =
   let chunks = iarr_chunks a in
@@ -122,10 +170,11 @@ let iarr_restore a () =
   let dirty = ref 0 in
   for c = 0 to chunks - 1 do
     if a.gens.(c) > a.synced_gen then begin
-      let p = a.shadow.(c) in
-      (* Every shadow value came from an [int] or was checked to fit
-         one, so the range result is always -1. *)
-      ignore (decode_chunk a.data ~lo:(c * a.chunk) ~len:(String.length p / 8) p);
+      let lo = c * a.chunk and len = chunk_len a c in
+      Array.fill a.data lo len 0;
+      (* Every shadow value came from a nonzero [int] or was checked to
+         be one, so none is flawed. *)
+      ignore (decode_chunk a.data ~lo ~len a.shadow.(c));
       a.gens.(c) <- a.synced_gen;
       incr dirty
     end
@@ -179,18 +228,34 @@ let iarr_of_chunks chunks =
       if Array.length chunks <> expected + 1 then
         fail "iarr: %d data chunks, expected %d" (Array.length chunks - 1) expected
       else
-        let len c = min chunk (n - (c * chunk)) in
-        (* Every payload's length is checked before the table is sized
-           by [n], so a count the bytes do not back allocates nothing. *)
-        let rec short c =
-          if c = expected then None
-          else if String.length chunks.(c + 1) <> len c * 8 then Some c
-          else short (c + 1)
+        let len = span ~n ~chunk in
+        (* Every payload's shape is checked against its bitmap before
+           the table is sized by [n], so a count the bytes do not back
+           allocates nothing. *)
+        let rec shape c =
+          if c = expected then Ok ()
+          else
+            let p = chunks.(c + 1) and slots = len c in
+            let nb = bitmap_bytes slots and size = String.length p in
+            (* Slots the last bitmap byte covers, 0 when it covers 8. *)
+            let tail = slots land 7 in
+            if size < nb then
+              fail "iarr: chunk %d carries %d bytes, shorter than its %d-byte bitmap" c size nb
+            else if tail <> 0 && Char.code p.[nb - 1] lsr tail <> 0 then
+              fail "iarr: chunk %d marks a slot past its %d slots" c slots
+            else begin
+              let marked = ref 0 in
+              for k = 0 to nb - 1 do
+                marked := !marked + popcount8 (Char.code p.[k])
+              done;
+              if size <> nb + (8 * !marked) then
+                fail "iarr: chunk %d carries %d bytes, expected %d" c size (nb + (8 * !marked))
+              else shape (c + 1)
+            end
         in
-        match short 0 with
-        | Some c ->
-          fail "iarr: chunk %d carries %d bytes, expected %d" c (String.length chunks.(c + 1)) (len c * 8)
-        | None ->
+        match shape 0 with
+        | Error _ as e -> e
+        | Ok () ->
           let data = Array.make n 0 in
           let rec decode c =
             (* The payloads just verified are the snapshot: adopted as
@@ -198,11 +263,11 @@ let iarr_of_chunks chunks =
             if c = expected then Ok (make ~chunk data (Array.sub chunks 1 expected) Adopted)
             else
               let p = chunks.(c + 1) in
-              let slot = decode_chunk data ~lo:(c * chunk) ~len:(len c) p in
-              if slot >= 0 then
-                fail "iarr: chunk %d slot %d holds %Ld, outside the 63-bit int range" c slot
-                  (String.get_int64_be p (slot * 8))
-              else decode (c + 1)
+              if decode_chunk data ~lo:(c * chunk) ~len:(len c) p then decode (c + 1)
+              else
+                let slot, v = first_flaw p ~len:(len c) in
+                if Int64.equal v 0L then fail "iarr: chunk %d marks slot %d, which holds 0" c slot
+                else fail "iarr: chunk %d slot %d holds %Ld, outside the 63-bit int range" c slot v
           in
           decode 0
 

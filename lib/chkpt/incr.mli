@@ -64,11 +64,20 @@ val iarr_tracker : iarr -> iarr tracker
 (** {2 Durable chunk codec}
 
     The wire image of an [iarr] is one meta chunk (array length + chunk
-    size) followed by one payload chunk per tracked chunk (8 bytes
-    big-endian per slot) — so the durable chunk slots line up one-for-
-    one with the in-memory dirty-tracking chunks, and a disk delta of
-    the dirty chunks is exactly as complete as the in-memory shadow
-    sync is (DESIGN.md §14). *)
+    size) followed by one payload chunk per tracked chunk — so the
+    durable chunk slots line up one-for-one with the in-memory
+    dirty-tracking chunks, and a disk delta of the dirty chunks is
+    exactly as complete as the in-memory shadow sync is (DESIGN.md
+    §14).
+
+    A payload for a chunk of [len] slots is a presence bitmap of
+    [ceil (len / 8)] bytes (bit [i land 7] of byte [i / 8] is set iff
+    slot [i] is nonzero) followed by the nonzero slots in slot order,
+    8 bytes big-endian each: [ceil (len / 8) + 8 * nnz] bytes for [nnz]
+    nonzero slots. A sparse chunk costs about 8 bytes per nonzero slot;
+    a fully dense one of a multiple of 8 slots costs 1/64 more than 8
+    bytes per slot. There is one encoding per chunk, so equal payloads
+    mean equal chunks. *)
 
 val iarr_dirty_list : iarr -> int list
 (** Chunk ids dirty since the last sync, ascending. Capture {e before}
@@ -90,13 +99,19 @@ val iarr_synced_chunks : iarr -> string array
     when there is no snapshot yet. *)
 
 val iarr_of_chunks : string array -> (iarr, string) result
-(** Strict structural decode of a full wire image: validates the meta
-    chunk, the chunk count, every chunk's exact byte length and that
-    every value fits OCaml's 63-bit [int] (an error names the chunk and
-    the slot within it) before building an [iarr]. Whatever it accepts
-    re-encodes to the same bytes. The lengths are checked before
-    anything is sized by the meta chunk's count, so a count the bytes
-    do not back allocates nothing.
+(** Strict structural decode of a full wire image. It validates the
+    meta chunk and the chunk count; then every payload's exact byte
+    length ([ceil (len / 8)] bitmap bytes plus 8 per set bit) and that
+    no bit past the chunk's last slot is set; then that every marked
+    value is nonzero and fits OCaml's 63-bit [int] (an error names the
+    chunk and the slot within it). Whatever it accepts re-encodes to
+    the same bytes. The lengths and bitmaps are checked before the
+    table is allocated, so a slot count the bytes do not back (a short
+    bitmap, or set bits with no values behind them) allocates nothing;
+    an accepted image allocates the table and writes only its nonzero
+    slots. An image in the former fixed-width layout (8 bytes per slot,
+    no bitmap) has its first bytes read as a bitmap, and unless they
+    happen to count out its length it is rejected there.
 
     The verified payloads become the shadow as they are: the result
     has a snapshot (restore returns to the decoded image) and no dirty

@@ -77,6 +77,8 @@ let prop_iarr_roundtrip =
         && Incr.iarr_to_chunks b = img)
 
 let test_iarr_decode_rejects () =
+  (* Chunk 1 covers slots 4-7, all set: bitmap 0x0f, then four values.
+     Chunk 2 covers slots 8-9: bitmap 0x03, then two values. *)
   let a = Incr.iarr ~chunk:4 (Array.make 10 7) in
   let img = Incr.iarr_to_chunks a in
   let reject label img =
@@ -84,20 +86,52 @@ let test_iarr_decode_rejects () =
     | Ok _ -> Alcotest.failf "%s: decode unexpectedly succeeded" label
     | Error _ -> ()
   in
+  let reject_with label msg img =
+    match Incr.iarr_of_chunks img with
+    | Ok _ -> Alcotest.failf "%s: decode unexpectedly succeeded" label
+    | Error m -> Alcotest.(check string) label msg m
+  in
+  let with_chunk i c = Array.mapi (fun k x -> if k = i then c else x) img in
   reject "no chunks" [||];
   reject "missing data chunk" (Array.sub img 0 (Array.length img - 1));
   reject "extra data chunk" (Array.append img [| "" |]);
-  reject "short chunk" (Array.mapi (fun i c -> if i = 1 then "abc" else c) img);
-  reject "meta trailing bytes" (Array.mapi (fun i c -> if i = 0 then c ^ "x" else c) img);
-  reject "truncated meta" (Array.mapi (fun i c -> if i = 0 then String.sub c 0 3 else c) img);
+  reject "short chunk" (with_chunk 1 "abc");
+  reject "meta trailing bytes" (with_chunk 0 (img.(0) ^ "x"));
+  reject "truncated meta" (with_chunk 0 (String.sub img.(0) 0 3));
+  reject_with "payload one byte short" "iarr: chunk 1 carries 32 bytes, expected 33"
+    (with_chunk 2 (String.sub img.(2) 0 32));
+  reject_with "payload one byte long" "iarr: chunk 1 carries 34 bytes, expected 33"
+    (with_chunk 2 (img.(2) ^ "\000"));
+  reject_with "payload shorter than its bitmap"
+    "iarr: chunk 1 carries 0 bytes, shorter than its 1-byte bitmap" (with_chunk 2 "");
+  (* Slot 10 does not exist: its bit, set in the last bitmap byte with a
+     value behind it so the length still adds up, is refused. *)
+  reject_with "bit set past the last slot" "iarr: chunk 2 marks a slot past its 2 slots"
+    (with_chunk 3 ("\x07" ^ String.sub img.(3) 1 16 ^ String.sub img.(3) 1 8));
+  (* A marked slot holding 0 would re-encode unmarked, to other bytes. *)
+  let zeroed = Bytes.of_string img.(2) in
+  Bytes.set_int64_be zeroed (1 + 16) 0L;
+  reject_with "marked slot holding 0" "iarr: chunk 1 marks slot 2, which holds 0"
+    (with_chunk 2 (Bytes.to_string zeroed));
+  (* The former fixed-width layout (8 bytes per slot, no bitmap): its
+     first byte reads as an empty bitmap, so the length gives it away. *)
+  let fixed c =
+    let len = min 4 (10 - (c * 4)) in
+    let b = Bytes.create (8 * len) in
+    for i = 0 to len - 1 do Bytes.set_int64_be b (8 * i) 7L done;
+    Bytes.to_string b
+  in
+  reject_with "fixed-width image" "iarr: chunk 0 carries 32 bytes, expected 1"
+    (Array.init 4 (fun i -> if i = 0 then img.(0) else fixed (i - 1)));
   (* A well-formed i64 outside OCaml's 63-bit int would wrap on decode
      and re-encode to different bytes: strict decoding refuses it,
-     naming the chunk and the slot within it. *)
+     naming the chunk and the slot within it. Chunk 1's slot 2 value
+     sits past the 1-byte bitmap and two values. *)
   List.iter
     (fun v ->
-      let bad = Array.map Bytes.of_string img in
-      Bytes.set_int64_be bad.(2) 16 v;
-      match Incr.iarr_of_chunks (Array.map Bytes.to_string bad) with
+      let bad = Bytes.of_string img.(2) in
+      Bytes.set_int64_be bad (1 + 16) v;
+      match Incr.iarr_of_chunks (with_chunk 2 (Bytes.to_string bad)) with
       | Ok _ -> Alcotest.failf "%Ld: out-of-range value accepted" v
       | Error m ->
         Alcotest.(check string)
@@ -105,6 +139,36 @@ let test_iarr_decode_rejects () =
           (Printf.sprintf "iarr: chunk 1 slot 2 holds %Ld, outside the 63-bit int range" v)
           m)
     [ 0x4000000000000000L; Int64.max_int; -0x4000000000000001L; Int64.min_int ]
+
+(* The payload size contract, on random tables of 1-70 slots in chunks
+   of 1-9, all-zero and fully dense ones among them: a chunk of [len]
+   slots, [nnz] of them nonzero, carries [ceil (len / 8) + 8 * nnz]
+   bytes. A dense chunk of a multiple of 8 slots thus costs 1/64 more
+   than 8 bytes a slot; a sparse one costs 8 bytes per nonzero slot. *)
+let test_iarr_payload_sizes () =
+  let rand = Random.State.make [| 0x5123 |] in
+  for trial = 0 to 599 do
+    let n = 1 + Random.State.int rand 70 and chunk = 1 + Random.State.int rand 9 in
+    let value () =
+      match trial mod 3 with
+      | 0 -> 0
+      | 1 -> 1 + Random.State.int rand 1000
+      | _ -> if Random.State.bool rand then 0 else Random.State.int rand 1000 - 500
+    in
+    let a = Incr.iarr ~chunk (Array.init n (fun _ -> value ())) in
+    for c = 0 to Incr.iarr_chunks a - 1 do
+      let lo = c * chunk in
+      let len = min chunk (n - lo) in
+      let nnz = ref 0 in
+      for i = lo to lo + len - 1 do
+        if Incr.iarr_get a i <> 0 then incr nnz
+      done;
+      let got = String.length (Incr.iarr_chunk_bytes a c) in
+      if got <> ((len + 7) / 8) + (8 * !nnz) then
+        Alcotest.failf "n=%d chunk=%d: chunk %d (%d slots, %d nonzero) carries %d bytes" n chunk
+          c len !nnz got
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Content hash and chunk encoding                                     *)
@@ -301,9 +365,11 @@ let test_manifest_count_bounded () =
       if kb > 64. then Alcotest.failf "decoding allocated %.0f KB" kb)
 
 (* The same for the chunk decoders: an [iarr] meta chunk claiming 2^20
-   slots over one empty data chunk, and a trie cell chunk claiming 2^16
-   cells that holds one, are rejected before anything is sized by the
-   claim (8 MB and 512 KB). *)
+   slots over one data chunk its bitmap does not back (empty, a byte
+   short of its 128 KB bitmap, or a full bitmap marking every slot with
+   no value behind it), and a trie cell chunk claiming 2^16 cells that
+   holds one, are rejected before anything is sized by the claim (8 MB
+   and 512 KB). *)
 let test_chunk_counts_bounded () =
   let allocated_kb f =
     let before = Gc.allocated_bytes () in
@@ -313,8 +379,15 @@ let test_chunk_counts_bounded () =
   let meta = Bytes.create 8 in
   Bytes.set_int32_be meta 0 (Int32.of_int (1 lsl 20));
   Bytes.set_int32_be meta 4 (Int32.of_int (1 lsl 20));
-  let kb = allocated_kb (fun () -> Incr.iarr_of_chunks [| Bytes.to_string meta; "" |]) in
-  if kb > 64. then Alcotest.failf "iarr decoding allocated %.0f KB" kb;
+  List.iter
+    (fun (what, payload) ->
+      let kb = allocated_kb (fun () -> Incr.iarr_of_chunks [| Bytes.to_string meta; payload |]) in
+      if kb > 64. then Alcotest.failf "iarr decoding over %s allocated %.0f KB" what kb)
+    [
+      ("an empty payload", "");
+      ("a short bitmap", String.make ((1 lsl 17) - 1) '\000');
+      ("a full bitmap without values", String.make (1 lsl 17) '\255');
+    ];
   let t = Trie.create () in
   Trie.insert t ~prefix:0l ~len:16 ~rule:(Trie.make_rule ~id:1 Trie.Allow);
   let img = Trie.to_chunks t in
@@ -840,6 +913,79 @@ let mutate_image other img =
         (1, tail_from);
       ]
 
+(* Data chunk [i] of an [iarr] image split into its bitmap and its
+   values, by the geometry the image's meta chunk claims; [None] when
+   the meta chunk does not parse, does not cover [i], or the payload is
+   shorter than its bitmap. *)
+let iarr_payload img i =
+  if Array.length img = 0 || String.length img.(0) <> 8 || i < 1 || i >= Array.length img then
+    None
+  else
+    let u32 o = Int32.to_int (String.get_int32_be img.(0) o) land 0xffff_ffff in
+    let n = u32 0 and chunk = u32 4 in
+    let len = if chunk = 0 then -1 else min chunk (n - ((i - 1) * chunk)) in
+    let p = img.(i) in
+    let nb = (len + 7) / 8 in
+    if len < 0 || String.length p < nb then None
+    else Some (String.sub p 0 nb, String.sub p nb (String.length p - nb))
+
+(* Mutations that know an [iarr] payload's layout, so they get past the
+   length check: mark or unmark a slot (inserting a value, possibly 0 or
+   out of range, or removing the marked slot's value with it), zero a
+   value, or splice one payload's bitmap onto another's values. *)
+let mutate_iarr other img =
+  let open QCheck.Gen in
+  let n = Array.length img in
+  let* i = int_range 1 (max 1 (n - 1)) in
+  match iarr_payload img i with
+  | None -> mutate_image other img
+  | Some (bitmap, values) ->
+    let set p = Array.mapi (fun k x -> if k = i then p else x) img in
+    let cut s a b = String.sub s a (b - a) in
+    let flip =
+      let bits = 8 * String.length bitmap in
+      if bits = 0 then mutate_image other img
+      else
+        let* bit = int_bound (bits - 1) and* v = QCheck.gen iarr_value in
+        let byte = Char.code bitmap.[bit / 8] in
+        let marked k = (Char.code bitmap.[k / 8] lsr (k land 7)) land 1 in
+        let before = ref 0 in
+        for k = 0 to bit - 1 do before := !before + marked k done;
+        let at = min (String.length values) (8 * !before) in
+        let bitmap' = Bytes.of_string bitmap in
+        Bytes.set bitmap' (bit / 8) (Char.chr (byte lxor (1 lsl (bit land 7))));
+        let step, values' =
+          if marked bit = 1 then
+            ( Printf.sprintf "unmark slot %d of chunk %d, its value removed" bit i,
+              cut values 0 at ^ cut values (min (String.length values) (at + 8)) (String.length values) )
+          else
+            let b = Bytes.create 8 in
+            Bytes.set_int64_be b 0 (Int64.of_int v);
+            ( Printf.sprintf "mark slot %d of chunk %d, value %d inserted" bit i v,
+              cut values 0 at ^ Bytes.to_string b ^ cut values at (String.length values) )
+        in
+        return (step, set (Bytes.to_string bitmap' ^ values'))
+    in
+    let zero =
+      if String.length values < 8 then mutate_image other img
+      else
+        let* k = int_bound ((String.length values / 8) - 1) in
+        return
+          ( Printf.sprintf "zero value %d of chunk %d" k i,
+            set (bitmap ^ cut values 0 (8 * k) ^ String.make 8 '\000'
+                 ^ cut values ((8 * k) + 8) (String.length values)) )
+    in
+    let splice =
+      let* src = oneofl [ img; other ] in
+      let* j = int_range 1 (max 1 (Array.length src - 1)) in
+      match iarr_payload src j with
+      | None -> mutate_image other img
+      | Some (_, values') ->
+        return
+          (Printf.sprintf "chunk %d's bitmap over the values of chunk %d" i j, set (bitmap ^ values'))
+    in
+    frequency [ (2, flip); (1, zero); (1, splice) ]
+
 let gen_chunk_fuzz =
   let open QCheck.Gen in
   let* kind = oneofl [ Trie_image; Iarr_image ] in
@@ -847,7 +993,11 @@ let gen_chunk_fuzz =
   let rec go k img steps =
     if k = 0 then return (kind, img, List.rev steps)
     else
-      let* step, img = mutate_image other img in
+      let* step, img =
+        match kind with
+        | Trie_image -> mutate_image other img
+        | Iarr_image -> oneof [ mutate_image other img; mutate_iarr other img ]
+      in
       go (k - 1) img (step :: steps)
   in
   let* k = int_range 1 3 in
@@ -894,6 +1044,8 @@ let () =
           qt prop_trie_clean_chunks_stable;
           Alcotest.test_case "iarr decode rejects malformed images" `Quick
             test_iarr_decode_rejects;
+          Alcotest.test_case "iarr payload is its bitmap and its nonzero slots" `Quick
+            test_iarr_payload_sizes;
         ] );
       ( "integrity",
         [

@@ -368,24 +368,35 @@ let test_control_scripts =
 (* Allocation proxy for the packet path                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Minor-heap words per packet of [pipe] warmed over [batches] batches
-   of [batch] through rx -> Pipeline.run -> tx, then measured over as
-   many again. Allocation repeats exactly from run to run, so this is a
-   deterministic stand-in for a wall-clock gate. *)
-let minor_words_per_pkt ~nic ~pipe ~batch ~batches =
+(* Words per packet, as [words ()] counts them, of [pipe] warmed over
+   [batches] batches of [batch] through rx -> Pipeline.run -> tx, then
+   measured over as many again. Allocation repeats exactly from run to
+   run, so this is a deterministic stand-in for a wall-clock gate. *)
+let words_per_pkt ~words ~nic ~pipe ~batch ~batches =
   let step () =
     match Pipeline.run pipe (Nic.rx_batch nic batch) with
     | Ok out -> ignore (Nic.tx_batch nic out)
     | Error _ -> Alcotest.fail "batch failed"
   in
   for _ = 1 to batches do step () done;
-  let before = Gc.minor_words () in
+  let before = words () in
   for _ = 1 to batches do step () done;
-  (Gc.minor_words () -. before) /. float_of_int (batch * batches)
+  (words () -. before) /. float_of_int (batch * batches)
 
-let check_words what per_pkt bound =
+let minor_words_per_pkt = words_per_pkt ~words:Gc.minor_words
+
+(* Every word allocated, minor or major: a block too large for the
+   minor heap goes straight to the major heap, which [Gc.minor_words]
+   does not see. Not [Gc.allocated_bytes]: on OCaml 5 its minor part is
+   only brought up to date at a minor collection, so over a window
+   shorter than one it reads whole minor heaps or nothing. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let check_words ?(kind = "minor") what per_pkt bound =
   if per_pkt > bound then
-    Alcotest.failf "%s allocated %.4f minor words per packet (bound %.2f)" what per_pkt bound
+    Alcotest.failf "%s allocated %.4f %s words per packet (bound %.2f)" what per_pkt kind bound
 
 (* The warmed Figure-2 Maglev NF (Direct): 663 words per
    32-packet batch, 20.72 per packet. One boxed tuple per packet in a
@@ -423,10 +434,15 @@ let test_megaflow_minor_words () =
     38.62
 
 (* The flowtab chain (csum -> flowtab, Direct; 2^16 buckets in 64
-   chunks, an in-memory snapshot every 64 batches). Measured 19.068
-   words per packet, bounded at 19.07; the same before the compiled
-   rule table and before the template slab (1024 flows, no misses). *)
-let test_flowtab_minor_words () =
+   chunks, an in-memory snapshot every 64 batches), counting every word
+   allocated: each snapshot encodes its dirty chunk payloads, and how
+   many words those take depends on the payload size, not on which heap
+   they land in. With 8 bytes per slot, each 1024-slot payload (8 KiB)
+   went straight to the major heap: 19.068 minor words but 51.132 words
+   in all per packet. A presence bitmap and the nonzero slots (~256 B
+   per payload, minor) read 20.130 minor and 20.131 in all (the
+   difference is the counters' own tuple); bounded at 20.14. *)
+let test_flowtab_words () =
   let env = Experiments.Env.make () in
   let ctx =
     {
@@ -442,9 +458,10 @@ let test_flowtab_minor_words () =
     Pipeline.create ~engine:env.Experiments.Env.engine ~mode:Pipeline.Direct
       [ Filters.checksum_verify; Flowtab.stage ft ]
   in
-  check_words "flowtab chain"
-    (minor_words_per_pkt ~nic:env.Experiments.Env.nic ~pipe ~batch:32 ~batches:256)
-    19.07
+  check_words ~kind:"allocated" "flowtab chain"
+    (words_per_pkt ~words:allocated_words ~nic:env.Experiments.Env.nic ~pipe ~batch:32
+       ~batches:256)
+    20.14
 
 (* [Nic.rx_batch_into] alone over 65 536 uniform flows, eight times
    the NIC's 8192 template slots, so most arrivals miss their slot and
@@ -492,8 +509,8 @@ let () =
             test_maglev_nf_minor_words;
           Alcotest.test_case "cached megaflow rx->run->tx minor words per packet" `Quick
             test_megaflow_minor_words;
-          Alcotest.test_case "flowtab rx->run->tx minor words per packet" `Quick
-            test_flowtab_minor_words;
+          Alcotest.test_case "flowtab rx->run->tx words allocated per packet" `Quick
+            test_flowtab_words;
           Alcotest.test_case "rx over 65536 flows minor words per packet" `Quick
             test_rx_minor_words;
         ] );
