@@ -31,18 +31,6 @@ let bench_rref_invoke =
          | Ok () -> ()
          | Error _ -> assert false))
 
-(* The fast-path variant: first call validates in full and fingerprints
-   the table epoch / caller / generation / policy; later calls skip the
-   descriptor touch and policy evaluation but still run the weak
-   upgrade, so revocation semantics are unchanged. *)
-let bench_rref_invoke_cached =
-  let rref = make_counter_rref () in
-  Test.make ~name:"fig2: rref invoke (cached)"
-    (Staged.stage (fun () ->
-         match Sfi.Rref.invoke_cached rref (fun c -> incr c) with
-         | Ok () -> ()
-         | Error _ -> assert false))
-
 let bench_direct_call =
   let c = ref 0 in
   let f = Sys.opaque_identity (fun () -> incr c) in
@@ -217,7 +205,6 @@ let tests =
     [
       bench_direct_call;
       bench_rref_invoke;
-      bench_rref_invoke_cached;
       bench_recovery;
       bench_pipeline "e4: maglev NF batch, direct" (fun _ -> Netstack.Pipeline.Direct);
       bench_pipeline "e4: maglev NF batch, isolated" (fun env ->

@@ -42,7 +42,6 @@ type counters = {
 type t = {
   dir : string;
   chunks_dir : string;
-  schema : int;
   graph : int;
   tele : counters option;
   mutable next_gen : int;
@@ -113,7 +112,7 @@ let list_manifests t =
          match gen_of_name name with Some g -> Some (g, name) | None -> None)
   |> List.sort (fun (a, _) (b, _) -> compare b a)
 
-let open_store ?telemetry ?(schema = current_schema) ~graph ~dir () =
+let open_store ?telemetry ~graph ~dir () =
   mkdir_p dir;
   let chunks_dir = Filename.concat dir "chunks" in
   mkdir_p chunks_dir;
@@ -121,7 +120,6 @@ let open_store ?telemetry ?(schema = current_schema) ~graph ~dir () =
     {
       dir;
       chunks_dir;
-      schema;
       graph;
       tele = Option.map counters_of telemetry;
       next_gen = 1;
@@ -170,7 +168,7 @@ let write_manifest t ~kind ~parent ~tag ~hashes ~lengths =
   let gen = t.next_gen in
   let buf = Buffer.create 256 in
   Buffer.add_string buf magic;
-  Wire.w_u32 buf t.schema;
+  Wire.w_u32 buf current_schema;
   Wire.w_u32 buf t.graph;
   Wire.w_u8 buf kind;
   Wire.w_u32 buf gen;
@@ -238,8 +236,8 @@ let decode_manifest t bytes =
           let m = Wire.r_bytes r (String.length magic) in
           if not (String.equal m magic) then raise (Rejected Bad_magic);
           let schema = Wire.r_u32 r in
-          if schema <> t.schema then
-            raise (Rejected (Bad_schema { found = schema; expected = t.schema }));
+          if schema <> current_schema then
+            raise (Rejected (Bad_schema { found = schema; expected = current_schema }));
           let graph = Wire.r_u32 r in
           if graph <> t.graph then
             raise (Rejected (Bad_graph { found = graph; expected = t.graph }));

@@ -49,7 +49,6 @@ type t
 
 val open_store :
   ?telemetry:Telemetry.Registry.t ->
-  ?schema:int ->
   graph:int ->
   dir:string ->
   unit ->

@@ -233,216 +233,6 @@ let render t =
   go "" t.root;
   Buffer.contents buf
 
-(* --- Durable wire codec ---------------------------------------------- *)
-
-(* Flag bits of a node record. Spine nodes additionally mark whether a
-   child is inline (encoded right here, preorder) or a reference to the
-   next frontier-subtree chunk in encounter order. *)
-let f_rule = 0x01
-let f_zero = 0x02
-let f_zero_ref = 0x04
-let f_one = 0x08
-let f_one_ref = 0x10
-let wire_frontier_depth = 5
-let max_depth = 32
-
-let to_chunks t =
-  (* Cell table in first-visit preorder order — the same order [render]
-     numbers cells in, so indices are stable under re-encoding. *)
-  let cell_idx = Hashtbl.create 64 in
-  let cells = ref [] in
-  let rec collect node =
-    (match node.rule with
-    | Some h ->
-      let id = Linear.Rc.id h in
-      if not (Hashtbl.mem cell_idx id) then begin
-        Hashtbl.add cell_idx id (Hashtbl.length cell_idx);
-        cells := h :: !cells
-      end
-    | None -> ());
-    (match node.zero with Some z -> collect z | None -> ());
-    match node.one with Some o -> collect o | None -> ()
-  in
-  collect t.root;
-  let cells_buf = Buffer.create 256 in
-  Wire.w_u32 cells_buf (Hashtbl.length cell_idx);
-  List.iter
-    (fun h ->
-      let r = Linear.Rc.get h in
-      Wire.w_u32 cells_buf r.rule_id;
-      Wire.w_u8 cells_buf (match r.action with Allow -> 0 | Deny -> 1);
-      Wire.w_string cells_buf r.description;
-      Wire.w_i64 cells_buf (Int64.of_int r.hits))
-    (List.rev !cells);
-  let subtrees = ref [] in
-  let encode_rule buf node =
-    match node.rule with
-    | None -> ()
-    | Some h -> Wire.w_u32 buf (Hashtbl.find cell_idx (Linear.Rc.id h))
-  in
-  (* Subtree chunks: plain preorder, no references below the frontier. *)
-  let rec encode_subtree buf node =
-    let flags =
-      (match node.rule with Some _ -> f_rule | None -> 0)
-      lor (match node.zero with Some _ -> f_zero | None -> 0)
-      lor (match node.one with Some _ -> f_one | None -> 0)
-    in
-    Wire.w_u8 buf flags;
-    encode_rule buf node;
-    (match node.zero with Some z -> encode_subtree buf z | None -> ());
-    match node.one with Some o -> encode_subtree buf o | None -> ()
-  in
-  let subtree_chunk node =
-    let buf = Buffer.create 64 in
-    encode_subtree buf node;
-    Buffer.contents buf
-  in
-  let spine_buf = Buffer.create 256 in
-  Wire.w_u8 spine_buf wire_frontier_depth;
-  let rec encode_spine node depth =
-    let refs = depth + 1 >= wire_frontier_depth in
-    let flags =
-      (match node.rule with Some _ -> f_rule | None -> 0)
-      lor (match node.zero with Some _ -> f_zero lor (if refs then f_zero_ref else 0) | None -> 0)
-      lor (match node.one with Some _ -> f_one lor (if refs then f_one_ref else 0) | None -> 0)
-    in
-    Wire.w_u8 spine_buf flags;
-    encode_rule spine_buf node;
-    (match node.zero with
-    | Some z -> if refs then subtrees := subtree_chunk z :: !subtrees else encode_spine z (depth + 1)
-    | None -> ());
-    match node.one with
-    | Some o -> if refs then subtrees := subtree_chunk o :: !subtrees else encode_spine o (depth + 1)
-    | None -> ()
-  in
-  encode_spine t.root 0;
-  Array.of_list (Buffer.contents cells_buf :: Buffer.contents spine_buf :: List.rev !subtrees)
-
-exception Decode of string
-
-let of_chunks chunks =
-  try
-    if Array.length chunks < 2 then raise (Decode "trie: missing cells/spine chunks");
-    (* Cell table. *)
-    let cr = Wire.reader chunks.(0) in
-    let cell_count = Wire.r_u32 cr in
-    if cell_count > 1 lsl 24 then raise (Decode "trie: cell count too large");
-    (* A cell takes at least 17 bytes (id, action, description length,
-       hits), so a count the chunk cannot hold is rejected before the
-       table is sized by it. *)
-    if cell_count * 17 > Wire.remaining cr then
-      raise (Decode "trie: cell count past the end of the chunk");
-    let cells =
-      Array.init cell_count (fun i ->
-          let rule_id = Wire.r_u32 cr in
-          let action =
-            match Wire.r_u8 cr with
-            | 0 -> Allow
-            | 1 -> Deny
-            | b -> raise (Decode (Printf.sprintf "trie: cell %d action code %d" i b))
-          in
-          let description = Wire.r_string cr in
-          let hits = Wire.r_i64 cr in
-          if Int64.compare hits 0L < 0 || Int64.compare hits (Int64.of_int max_int) > 0
-          then raise (Decode (Printf.sprintf "trie: cell %d hits out of range" i));
-          let h = make_rule ~id:rule_id ~description action in
-          (Linear.Rc.get h).hits <- Int64.to_int hits;
-          h)
-    in
-    let fail_cells msg =
-      Array.iter Linear.Rc.drop cells;
-      raise (Decode msg)
-    in
-    if not (Wire.at_end cr) then fail_cells "trie: trailing bytes in cell chunk";
-    (* The encoder numbers cells in first-visit preorder, the order the
-       decoder meets references in, so only images whose first
-       reference to each cell names the next unseen one, and that
-       reference every cell, re-encode to their own bytes. *)
-    let unseen = ref 0 in
-    let cell_of r who =
-      let idx = Wire.r_u32 r in
-      if idx >= cell_count then
-        fail_cells (Printf.sprintf "trie: %s references cell %d of %d" who idx cell_count);
-      if idx > !unseen then
-        fail_cells (Printf.sprintf "trie: %s references cell %d before cell %d" who idx !unseen);
-      if idx = !unseen then incr unseen;
-      Linear.Rc.clone cells.(idx)
-    in
-    (* Frontier subtrees: plain preorder. *)
-    let decode_subtree chunk_i =
-      let r = Wire.reader chunks.(chunk_i) in
-      let rec node depth =
-        if depth > max_depth then fail_cells "trie: subtree deeper than 32";
-        let flags = Wire.r_u8 r in
-        if flags land lnot (f_rule lor f_zero lor f_one) <> 0 then
-          fail_cells (Printf.sprintf "trie: unknown subtree flags 0x%02x" flags);
-        if flags = 0 then fail_cells "trie: empty interior node";
-        let rule =
-          if flags land f_rule <> 0 then Some (cell_of r "subtree leaf") else None
-        in
-        let zero = if flags land f_zero <> 0 then Some (node (depth + 1)) else None in
-        let one = if flags land f_one <> 0 then Some (node (depth + 1)) else None in
-        { zero; one; rule; gen = 0 }
-      in
-      let root = node wire_frontier_depth in
-      if not (Wire.at_end r) then fail_cells "trie: trailing bytes in subtree chunk";
-      root
-    in
-    (* Spine: references consume subtree chunks in encounter order. *)
-    let sr = Wire.reader chunks.(1) in
-    let frontier = Wire.r_u8 sr in
-    if frontier <> wire_frontier_depth then
-      fail_cells (Printf.sprintf "trie: frontier depth %d, expected %d" frontier wire_frontier_depth);
-    let next_subtree = ref 2 in
-    let take_subtree () =
-      if !next_subtree >= Array.length chunks then
-        fail_cells "trie: more subtree references than chunks";
-      let i = !next_subtree in
-      incr next_subtree;
-      decode_subtree i
-    in
-    let rec spine_node depth ~is_root =
-      let flags = Wire.r_u8 sr in
-      if flags land lnot (f_rule lor f_zero lor f_zero_ref lor f_one lor f_one_ref) <> 0
-      then fail_cells (Printf.sprintf "trie: unknown spine flags 0x%02x" flags);
-      if flags = 0 && not is_root then fail_cells "trie: empty interior node";
-      (* Exactly the children at the frontier are references, as the
-         encoder writes them (a reference bit sits one above its
-         child's); that also bounds the spine's depth. *)
-      let refs = if depth + 1 >= frontier then (flags land (f_zero lor f_one)) lsl 1 else 0 in
-      if flags land (f_zero_ref lor f_one_ref) <> refs then
-        fail_cells (Printf.sprintf "trie: spine flags 0x%02x at depth %d" flags depth);
-      let rule = if flags land f_rule <> 0 then Some (cell_of sr "spine leaf") else None in
-      let zero =
-        if flags land f_zero = 0 then None
-        else if flags land f_zero_ref <> 0 then Some (take_subtree ())
-        else Some (spine_node (depth + 1) ~is_root:false)
-      in
-      let one =
-        if flags land f_one = 0 then None
-        else if flags land f_one_ref <> 0 then Some (take_subtree ())
-        else Some (spine_node (depth + 1) ~is_root:false)
-      in
-      { zero; one; rule; gen = 0 }
-    in
-    let root = spine_node 0 ~is_root:true in
-    if not (Wire.at_end sr) then fail_cells "trie: trailing bytes in spine chunk";
-    if !unseen <> cell_count then
-      fail_cells (Printf.sprintf "trie: %d of %d cells referenced" !unseen cell_count);
-    if !next_subtree <> Array.length chunks then
-      fail_cells
-        (Printf.sprintf "trie: %d subtree chunks, %d referenced" (Array.length chunks - 2)
-           (!next_subtree - 2));
-    let t = create () in
-    t.root.zero <- root.zero;
-    t.root.one <- root.one;
-    t.root.rule <- root.rule;
-    Array.iter Linear.Rc.drop cells;
-    Ok t
-  with
-  | Decode msg -> Error msg
-  | Wire.Truncated _ -> Error "trie: truncated chunk"
-
 (* --- Incremental shadow snapshot ------------------------------------ *)
 
 (* The shadow is a parallel tree holding the last-synced state. Clean

@@ -66,31 +66,6 @@ val render : t -> string
     identical. The byte-identity oracle for the incremental engine's
     tests. *)
 
-(** {2 Durable wire codec}
-
-    The wire image of a trie is: a cell-table chunk (the distinct rule
-    cells in first-visit preorder order, so leaf aliasing survives as
-    stable indices), a spine chunk (the nodes above a fixed depth-5
-    frontier, with frontier children as ordered references), and one chunk per frontier subtree. A subtree
-    the owner never dirtied encodes to the same bytes — and therefore
-    the same content hash — as last time, which is what lets
-    {!Durable} share it on disk exactly as the shadow shares it in
-    memory. *)
-
-val to_chunks : t -> string array
-(** Deterministic full wire image: [[| cells; spine; subtree... |]]. *)
-
-val of_chunks : string array -> (t, string) result
-(** Strict structural decode: every flag byte, cell index, action code,
-    depth bound, chunk length and subtree-reference count is validated
-    before any state escapes; the rebuilt trie preserves leaf aliasing
-    and renders byte-identically to the encoded one. Only the image
-    {!to_chunks} writes is accepted (cells numbered in first-visit
-    preorder, all referenced, references exactly at the frontier), so
-    whatever it accepts re-encodes to the same bytes, and a cell count
-    the cell chunk cannot hold is rejected before anything is sized by
-    it. *)
-
 (** {2 Incremental tracking}
 
     The trie is uniquely owned, so every structural mutation passes

@@ -23,12 +23,8 @@ type t = {
   mutable brk : int;  (* bump pointer of the synthetic address space *)
 }
 
-let create ?(model = Cost_model.default) ?cache_config () =
-  let cache =
-    match cache_config with
-    | None -> Cache.create ()
-    | Some config -> Cache.create ~config ()
-  in
+let create ?(model = Cost_model.default) () =
+  let cache = Cache.create () in
   (* Start the heap away from address 0 so that "null-ish" addresses in
      tests stand out. *)
   { model; cache; cycles = 0; brk = 0x1000 }

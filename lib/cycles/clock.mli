@@ -30,7 +30,7 @@ type op =
   | Copy of int
   | Fixed of int
 
-val create : ?model:Cost_model.t -> ?cache_config:Cache.config -> unit -> t
+val create : ?model:Cost_model.t -> unit -> t
 
 val model : t -> Cost_model.t
 

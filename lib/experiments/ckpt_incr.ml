@@ -24,7 +24,7 @@ type row = {
 let rules_n = 500
 let alias_factor = 2
 let seed = 7L
-let default_dirty_pcts = [ 0; 1; 10; 50; 100 ]
+let dirty_pcts = [ 0; 1; 10; 50; 100 ]
 
 (* The fig3 database, with the insertion order recorded so mutation
    rounds can deterministically re-target existing leaves. *)
@@ -172,7 +172,7 @@ let bench_incr ~dirty_pct =
     incr round;
     ignore (Chkpt.Incr.sync tracker)
 
-let run ?(dirty_pcts = default_dirty_pcts) ?(iters = 30) ?(full_iters = 12) () =
+let run ?(iters = 30) ?(full_iters = 12) () =
   let full_ns = full_baseline_ns ~iters:full_iters in
   ( full_ns,
     List.map (fun dirty_pct -> run_variant ~iters ~full_ns ~dirty_pct) dirty_pcts )

@@ -21,10 +21,7 @@ type row = {
   speedup : float;
 }
 
-val default_dirty_pcts : int list
-
-val run :
-  ?dirty_pcts:int list -> ?iters:int -> ?full_iters:int -> unit -> float * row list
+val run : ?iters:int -> ?full_iters:int -> unit -> float * row list
 (** Returns (full-traversal baseline ns, rows). The deterministic row
     fields do not depend on [iters]/[full_iters] (per-round stats are
     stable from the second mutation round on). *)

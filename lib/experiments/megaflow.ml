@@ -18,7 +18,7 @@ let vip = 0xC0A80001
 let backends = Array.init 8 (fun i -> Printf.sprintf "backend-%d" i)
 
 let default_flows = 1_000_000
-let default_exponent = 1.2
+let exponent = 1.2
 let default_capacity = 131_072
 let default_rule_pad = 120
 let default_rule_drops = 8
@@ -78,9 +78,8 @@ let default_stats_capacity = 256
 let default_stats_ttl = 150_000L
 
 let run_stats ?(queues = default_stats_queues) ?(rounds = default_stats_rounds)
-    ?(batch_size = 32) ?(flows = default_stats_flows) ?(exponent = default_exponent)
-    ?(capacity = default_stats_capacity) ?(ttl_cycles = default_stats_ttl) ?(seed = 2017L)
-    ~cached ~shards () =
+    ?(batch_size = 32) ?(flows = default_stats_flows) ?(capacity = default_stats_capacity)
+    ?(ttl_cycles = default_stats_ttl) ?(seed = 2017L) ~cached ~shards () =
   let plan = Netstack.Traffic.plan (Netstack.Traffic.Zipf { flows; exponent }) in
   let cache =
     if cached then
@@ -128,14 +127,14 @@ type stats_pair = {
   sp_uncached : Netstack.Shard.result;
 }
 
-let run_stats_pair ?queues ?rounds ?batch_size ?flows ?exponent ?capacity ?ttl_cycles ?seed
+let run_stats_pair ?queues ?rounds ?batch_size ?flows ?capacity ?ttl_cycles ?seed
     ~shards () =
   {
     sp_cached =
-      run_stats ?queues ?rounds ?batch_size ?flows ?exponent ?capacity ?ttl_cycles ?seed
+      run_stats ?queues ?rounds ?batch_size ?flows ?capacity ?ttl_cycles ?seed
         ~cached:true ~shards ();
     sp_uncached =
-      run_stats ?queues ?rounds ?batch_size ?flows ?exponent ?capacity ?ttl_cycles ?seed
+      run_stats ?queues ?rounds ?batch_size ?flows ?capacity ?ttl_cycles ?seed
         ~cached:false ~shards ();
   }
 
@@ -255,9 +254,8 @@ let run_wall_variant ~plan ~seed ~capacity ~batch_size ~warmup ~batches ~rule_pa
     wv_hit_rate = hit_rate;
   }
 
-let run_wall ?(flows = default_flows) ?(exponent = default_exponent)
-    ?(capacity = default_capacity) ?(batch_size = 64) ?(warmup = 1_000) ?(batches = 12_000)
-    ?(rule_pad = wall_rule_pad) ?(seed = 2017L) () =
+let run_wall ?(flows = default_flows) ?(capacity = default_capacity) ?(batch_size = 64)
+    ?(warmup = 1_000) ?(batches = 12_000) ?(rule_pad = wall_rule_pad) ?(seed = 2017L) () =
   let plan = Netstack.Traffic.plan (Netstack.Traffic.Zipf { flows; exponent }) in
   let gen_packets, gen_wall = run_generator ~plan ~seed ~batch_size ~warmup ~batches in
   let gen_mpps = float_of_int gen_packets /. gen_wall /. 1e6 in

@@ -37,7 +37,6 @@ val shard_stages : Netstack.Shard.queue_ctx -> Netstack.Stage.t list
 
 (** {2 Deterministic section} *)
 
-val default_exponent : float
 val default_stats_queues : int
 val default_stats_rounds : int
 val default_stats_flows : int
@@ -48,7 +47,6 @@ val run_stats :
   ?rounds:int ->
   ?batch_size:int ->
   ?flows:int ->
-  ?exponent:float ->
   ?capacity:int ->
   ?ttl_cycles:int64 ->
   ?seed:int64 ->
@@ -71,7 +69,6 @@ val run_stats_pair :
   ?rounds:int ->
   ?batch_size:int ->
   ?flows:int ->
-  ?exponent:float ->
   ?capacity:int ->
   ?ttl_cycles:int64 ->
   ?seed:int64 ->
@@ -112,7 +109,6 @@ type wall_result = {
 
 val run_wall :
   ?flows:int ->
-  ?exponent:float ->
   ?capacity:int ->
   ?batch_size:int ->
   ?warmup:int ->

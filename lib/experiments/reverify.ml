@@ -1,5 +1,5 @@
 let default_funcs = 500
-let default_depth = 10
+let depth = 10
 let default_edits = 5
 let default_iters = 3
 let default_seed = 17L
@@ -55,7 +55,7 @@ type stats = {
 
 let speedup cold warm = if warm > 0 then float_of_int cold /. float_of_int warm else infinity
 
-let run_stats ?(funcs = default_funcs) ?(depth = default_depth) ?(edits = default_edits)
+let run_stats ?(funcs = default_funcs) ?(edits = default_edits)
     ?(iters = default_iters) ?(seed = default_seed) () =
   let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth; seed } in
   let program = Ifc.Gen.generate spec in
@@ -159,7 +159,7 @@ type wall = {
   w_equal : bool;
 }
 
-let run_wall ?(funcs = default_funcs) ?(depth = default_depth) ?(edits = default_edits)
+let run_wall ?(funcs = default_funcs) ?(edits = default_edits)
     ?(iters = 5) ?(seed = default_seed) () =
   let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth; seed } in
   let program = Ifc.Gen.generate spec in

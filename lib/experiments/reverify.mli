@@ -13,7 +13,6 @@
     target. *)
 
 val default_funcs : int
-val default_depth : int
 val default_edits : int
 val default_iters : int
 val default_seed : int64
@@ -41,7 +40,7 @@ type stats = {
 }
 
 val run_stats :
-  ?funcs:int -> ?depth:int -> ?edits:int -> ?iters:int -> ?seed:int64 -> unit -> stats
+  ?funcs:int -> ?edits:int -> ?iters:int -> ?seed:int64 -> unit -> stats
 (** Deterministic in its arguments; the printed block golden-diffs
     byte-for-byte ([test/golden/reverify_stats.txt]). *)
 
@@ -57,7 +56,7 @@ type wall = {
 }
 
 val run_wall :
-  ?funcs:int -> ?depth:int -> ?edits:int -> ?iters:int -> ?seed:int64 -> unit -> wall
+  ?funcs:int -> ?edits:int -> ?iters:int -> ?seed:int64 -> unit -> wall
 
 val print_wall : wall -> unit
 

@@ -35,7 +35,7 @@ let run_one ?(queues = default_queues) ?(rounds = default_rounds)
   let result = Netstack.Shard.run engine in
   (Unix.gettimeofday () -. t0, result)
 
-let default_shards_list () =
+let shards_list () =
   (* As in E12: never oversubscribe the host, or the numbers measure
      the scheduler rather than the architecture. *)
   let rdc = Domain.recommended_domain_count () in
@@ -43,11 +43,9 @@ let default_shards_list () =
 
 let default_modes = Netstack.Shard.[ Direct; Isolated; Copying; Tagged ]
 
-let run ?shards_list ?(modes = default_modes) ?(queues = default_queues)
+let run ?(modes = default_modes) ?(queues = default_queues)
     ?(rounds = default_rounds) ?(batch_size = default_batch_size) ?(seed = default_seed) () =
-  let shards_list =
-    match shards_list with Some l -> l | None -> default_shards_list ()
-  in
+  let shards_list = shards_list () in
   List.concat_map
     (fun mode ->
       let base_wall = ref None in

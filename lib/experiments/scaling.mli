@@ -35,9 +35,6 @@ val default_queues : int
 val default_rounds : int
 val default_modes : Netstack.Shard.mode list
 
-val default_shards_list : unit -> int list
-(** 1, 2, 4, 8 capped at [Domain.recommended_domain_count]. *)
-
 val run_one :
   ?queues:int ->
   ?rounds:int ->
@@ -51,7 +48,6 @@ val run_one :
     8 queues, 1500 rounds of 32 arrivals, seed 2017. *)
 
 val run :
-  ?shards_list:int list ->
   ?modes:Netstack.Shard.mode list ->
   ?queues:int ->
   ?rounds:int ->
@@ -60,6 +56,6 @@ val run :
   unit ->
   row list
 (** Full sweep: each mode (default all four) at each shard count
-    (default 1,2,4,8 capped at [Domain.recommended_domain_count]). *)
+    (1, 2, 4, 8 capped at [Domain.recommended_domain_count]). *)
 
 val print : row list -> unit

@@ -102,7 +102,7 @@ let row_of ~policy (r : Netstack.Shard.result) ~restores =
     digest = digest_of r.Netstack.Shard.r_telemetry;
   }
 
-let run ?(policies = default_policies) ?queues ?rounds ?batch_size ?seed ?rate ?fault_seed
+let run ?queues ?rounds ?batch_size ?seed ?rate ?fault_seed
     ?restore ?shards () =
   List.map
     (fun policy ->
@@ -111,7 +111,7 @@ let run ?(policies = default_policies) ?queues ?rounds ?batch_size ?seed ?rate ?
           ()
       in
       row_of ~policy r ~restores)
-    policies
+    default_policies
 
 let print rows =
   print_endline

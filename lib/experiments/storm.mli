@@ -61,7 +61,6 @@ val run_one :
     restores. [restore:false] disables rollback-on-restart. *)
 
 val run :
-  ?policies:Faultinj.Restart.policy list ->
   ?queues:int ->
   ?rounds:int ->
   ?batch_size:int ->

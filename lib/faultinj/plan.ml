@@ -39,7 +39,10 @@ type queue_plan = {
 let queue_seed seed q =
   Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (q + 1)))
 
-let draw_fault rng ~stages ~kinds ~max_recovery_panics ~max_steal =
+let max_recovery_panics = 3
+let max_steal = 16
+
+let draw_fault rng ~stages ~kinds =
   let kind = List.nth kinds (Cycles.Rng.int rng (List.length kinds)) in
   match kind with
   | Panics -> Panic_in_stage { stage = Cycles.Rng.int rng stages }
@@ -50,8 +53,7 @@ let draw_fault rng ~stages ~kinds ~max_recovery_panics ~max_steal =
   | Channel_overflows -> Channel_full
   | Mempool_pressure -> Mempool_exhaust { buffers = 1 + Cycles.Rng.int rng max_steal }
 
-let for_queue ?(kinds = all_kinds) ?(max_recovery_panics = 3) ?(max_steal = 16) ~seed ~rate
-    ~rounds ~stages ~queue () =
+let for_queue ?(kinds = all_kinds) ~seed ~rate ~rounds ~stages ~queue () =
   if rate < 0.0 || rate > 1.0 then invalid_arg "Plan.for_queue: rate must be in [0, 1]";
   if rounds < 0 then invalid_arg "Plan.for_queue: rounds must be non-negative";
   if stages <= 0 then invalid_arg "Plan.for_queue: stages must be positive";
@@ -68,7 +70,7 @@ let for_queue ?(kinds = all_kinds) ?(max_recovery_panics = 3) ?(max_steal = 16) 
     in
     let round = ref (gap ()) in
     while !round <= rounds do
-      let f = draw_fault rng ~stages ~kinds ~max_recovery_panics ~max_steal in
+      let f = draw_fault rng ~stages ~kinds in
       let existing = Option.value (Hashtbl.find_opt by_round !round) ~default:[] in
       Hashtbl.replace by_round !round (existing @ [ f ]);
       incr total;
@@ -85,10 +87,10 @@ let queue_total qp = qp.q_total
 
 type t = queue_plan array
 
-let generate ?kinds ?max_recovery_panics ?max_steal ~seed ~rate ~rounds ~stages ~queues () =
+let generate ?kinds ~seed ~rate ~rounds ~stages ~queues () =
   if queues <= 0 then invalid_arg "Plan.generate: queues must be positive";
   Array.init queues (fun queue ->
-      for_queue ?kinds ?max_recovery_panics ?max_steal ~seed ~rate ~rounds ~stages ~queue ())
+      for_queue ?kinds ~seed ~rate ~rounds ~stages ~queue ())
 
 let queue t q =
   if q < 0 || q >= Array.length t then invalid_arg "Plan.queue: bad queue index";

@@ -54,8 +54,6 @@ type queue_plan
 
 val for_queue :
   ?kinds:kind list ->
-  ?max_recovery_panics:int ->
-  ?max_steal:int ->
   seed:int64 ->
   rate:float ->
   rounds:int ->
@@ -66,9 +64,8 @@ val for_queue :
 (** Derive queue [queue]'s schedule. Fault rounds are Poisson arrivals
     with mean inter-arrival [1/rate] rounds (exponential gaps, floored
     at one round); each arrival draws a [kind] uniformly, then its
-    parameters ([stage] uniform in [0, stages)), [times] in
-    [1, max_recovery_panics], [buffers] in [1, max_steal]).
-    Defaults: all kinds, [max_recovery_panics = 3], [max_steal = 16].
+    parameters ([stage] uniform in [0, stages)), [times] in [1, 3],
+    [buffers] in [1, 16]). [kinds] defaults to all kinds.
     [rate] must be in [0, 1]; 0 yields an empty schedule. *)
 
 val faults_at : queue_plan -> round:int -> fault list
@@ -82,8 +79,6 @@ type t
 
 val generate :
   ?kinds:kind list ->
-  ?max_recovery_panics:int ->
-  ?max_steal:int ->
   seed:int64 ->
   rate:float ->
   rounds:int ->

@@ -17,9 +17,10 @@ type t = {
    spreads consecutive buffers across all cache sets — a power-of-two
    stride would alias them into two sets and hide the cache pressure
    large batches exert on everything else. *)
-let default_buf_bytes = 2240
+let mbuf_bytes = 2240
 
-let create ~clock ~capacity ?(buf_bytes = default_buf_bytes) () =
+let create ~clock ~capacity () =
+  let buf_bytes = mbuf_bytes in
   if capacity <= 0 then invalid_arg "Mempool.create: capacity must be positive";
   let base_addr = Cycles.Clock.alloc_addr clock ~bytes:(capacity * buf_bytes) in
   {

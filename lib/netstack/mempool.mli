@@ -11,10 +11,9 @@ type t
 val create :
   clock:Cycles.Clock.t ->
   capacity:int ->
-  ?buf_bytes:int ->
   unit ->
   t
-(** [buf_bytes] defaults to 2240 — DPDK's 2 KiB data room plus headroom
+(** Every buffer is 2240 bytes — DPDK's 2 KiB data room plus headroom
     and metadata; the non-power-of-two stride matters for realistic
     cache-set distribution (see the implementation note). Payloads
     live in one off-heap {!Slab} the GC never scans, sliced into slot

@@ -23,13 +23,13 @@ type fault_spec = {
 }
 
 let default_faults ?(rate = 0.05) ?(seed = 4242L) ?(kinds = Faultinj.Plan.all_kinds)
-    ?(chan_capacity = 4) ?on_restart ~policy () =
+    ?on_restart ~policy () =
   {
     f_rate = rate;
     f_seed = seed;
     f_kinds = kinds;
     f_policy = policy;
-    f_chan_capacity = chan_capacity;
+    f_chan_capacity = 4;
     f_on_restart = on_restart;
   }
 

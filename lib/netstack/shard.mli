@@ -61,12 +61,12 @@ val default_faults :
   ?rate:float ->
   ?seed:int64 ->
   ?kinds:Faultinj.Plan.kind list ->
-  ?chan_capacity:int ->
   ?on_restart:(queue:int -> stage:int -> unit) ->
   policy:Faultinj.Restart.policy ->
   unit ->
   fault_spec
-(** Defaults: rate 0.05, seed 4242, all kinds, channel capacity 4. *)
+(** Defaults: rate 0.05, seed 4242, all kinds; the control channel
+    holds 4 messages. *)
 
 type cache_spec = {
   c_capacity : int;        (** Megaflow entries per queue. *)

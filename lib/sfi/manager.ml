@@ -27,16 +27,8 @@ type t = {
   mutable subscribers : (event -> unit) list;
 }
 
-let create ?clock ?model ?cache_config ?telemetry () =
-  let clock =
-    match (clock, model, cache_config) with
-    | Some clock, None, None -> clock
-    | Some _, _, _ -> invalid_arg "Manager.create: clock excludes model/cache_config"
-    | None, None, None -> Cycles.Clock.create ()
-    | None, Some m, None -> Cycles.Clock.create ~model:m ()
-    | None, None, Some c -> Cycles.Clock.create ~cache_config:c ()
-    | None, Some m, Some c -> Cycles.Clock.create ~model:m ~cache_config:c ()
-  in
+let create ?clock ?telemetry () =
+  let clock = match clock with Some c -> c | None -> Cycles.Clock.create () in
   let recovery_span =
     match telemetry with
     | None -> None

@@ -15,16 +15,13 @@ type t
 
 val create :
   ?clock:Cycles.Clock.t ->
-  ?model:Cycles.Cost_model.t ->
-  ?cache_config:Cycles.Cache.config ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   t
 (** [clock] lets the manager share an experiment-wide clock (so SFI
     costs and workload costs land in the same cache hierarchy — every
-    pipeline experiment needs this). When absent, a fresh clock is
-    created from [model] / [cache_config]; passing [clock] together
-    with either of those is rejected.
+    pipeline experiment needs this). When absent, a fresh clock with
+    the default cost model and cache geometry is created.
 
     [telemetry] turns on per-domain metrics: each {!create_domain}
     pre-resolves [sfi.<name>.{invocations,panics,upgrade_failures,

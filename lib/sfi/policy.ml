@@ -4,7 +4,6 @@ let name t = t.name
 let allows t = t.allows
 
 let allow_all = { name = "allow-all"; allows = (fun ~caller:_ ~slot:_ -> true) }
-let deny_all = { name = "deny-all"; allows = (fun ~caller:_ ~slot:_ -> false) }
 
 let allow_callers ids =
   {
@@ -12,15 +11,4 @@ let allow_callers ids =
     allows =
       (fun ~caller ~slot:_ ->
         Domain_id.is_kernel caller || List.exists (Domain_id.equal caller) ids);
-  }
-
-let deny_slots slots =
-  { name = "deny-slots"; allows = (fun ~caller:_ ~slot -> not (List.mem slot slots)) }
-
-let of_fun ~name allows = { name; allows }
-
-let conj a b =
-  {
-    name = Printf.sprintf "%s & %s" a.name b.name;
-    allows = (fun ~caller ~slot -> a.allows ~caller ~slot && b.allows ~caller ~slot);
   }

@@ -14,15 +14,6 @@ val name : t -> string
 val allows : t -> caller:Domain_id.t -> slot:int -> bool
 
 val allow_all : t
-val deny_all : t
 
 val allow_callers : Domain_id.t list -> t
 (** Only the listed callers may invoke; the kernel is always allowed. *)
-
-val deny_slots : int list -> t
-(** Everything allowed except the listed slots. *)
-
-val of_fun : name:string -> (caller:Domain_id.t -> slot:int -> bool) -> t
-
-val conj : t -> t -> t
-(** Both policies must allow. *)

@@ -8,9 +8,6 @@ type t = {
   slots : (slot_id, entry * int) Hashtbl.t;
   mutable next_slot : slot_id;
   mutable generation : int;
-  mutable epoch : int;
-      (* bumped by every revocation (single-slot or clear): any cached
-         validation of any slot of this table is stale once it moves *)
 }
 
 let create ~clock ~owner =
@@ -20,7 +17,6 @@ let create ~clock ~owner =
     slots = Hashtbl.create 16;
     next_slot = 0;
     generation = 0;
-    epoch = 0;
   }
 
 let owner t = t.owner
@@ -45,16 +41,13 @@ let revoke t slot =
     Cycles.Clock.charge t.clock Atomic_rmw;
     Linear.Rc.drop rc;
     Hashtbl.remove t.slots slot;
-    t.epoch <- t.epoch + 1;
     true
 
 let clear t =
   let ids = Hashtbl.fold (fun slot _ acc -> slot :: acc) t.slots [] in
   let n = List.fold_left (fun acc slot -> if revoke t slot then acc + 1 else acc) 0 ids in
   t.generation <- t.generation + 1;
-  t.epoch <- t.epoch + 1;
   n
 
 let size t = Hashtbl.length t.slots
 let generation t = t.generation
-let epoch t = t.epoch

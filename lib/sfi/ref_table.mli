@@ -38,10 +38,3 @@ val size : t -> int
 val generation : t -> int
 (** Incremented by every {!clear}; lets tests assert recovery really
     cycled the table. *)
-
-val epoch : t -> int
-(** Incremented by {e every} revocation — single-slot {!revoke} and
-    {!clear} alike. A cached slot validation tagged with an older epoch
-    must be re-established (see {!Rref}'s cached invoke fast path);
-    table-global on purpose, so the cache check is one integer compare
-    instead of a per-slot lookup. *)

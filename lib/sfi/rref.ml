@@ -1,29 +1,13 @@
-(* A successful full validation, cached on the rref. Every field that
-   the slow path consults is fingerprinted: the table epoch (any
-   revocation anywhere in the table), the caller identity (the policy
-   verdict is per-caller), the domain generation (recovery cycles it)
-   and the policy value itself (physical equality — [Pdomain.set_policy]
-   installs a new block). The one thing never cached is the strong
-   reference: the weak upgrade still runs on every call, so revocation
-   semantics are exactly those of {!invoke}. *)
-type fast = {
-  f_epoch : int;
-  f_caller : Domain_id.t;
-  f_gen : int;
-  f_policy : Policy.t;
-}
-
 type 'a t = {
   weak : 'a Linear.Rc.weak;
   slot : Ref_table.slot_id;
   slot_addr : int;
   target : Pdomain.t;
-  mutable fast : fast option;
 }
 
 let create target ?label obj =
   let slot, weak, slot_addr = Ref_table.register (Pdomain.table target) ?label obj in
-  { weak; slot; slot_addr; target; fast = None }
+  { weak; slot; slot_addr; target }
 
 let target t = t.target
 let slot t = t.slot
@@ -76,60 +60,6 @@ let dispatch t strong body =
 
 let invoke t m =
   match enter t with
-  | Error e -> Error e
-  | Ok strong -> dispatch t strong m
-
-(* Cached-validation variant of [enter]: when the fingerprint still
-   matches, skip the domain-descriptor touch and the policy evaluation
-   and go straight to the slot upgrade. *)
-let enter_cached t =
-  let clock = Pdomain.clock t.target in
-  Cycles.Clock.charge clock Tls_lookup;
-  let caller = Tls.current () in
-  let valid =
-    match t.fast with
-    | None -> false
-    | Some f ->
-      f.f_epoch = Ref_table.epoch (Pdomain.table t.target)
-      && Domain_id.equal f.f_caller caller
-      && f.f_gen = Pdomain.generation t.target
-      && f.f_policy == Pdomain.policy t.target
-      && (match Pdomain.state t.target with Running -> true | _ -> false)
-  in
-  if valid then begin
-    Cycles.Clock.charge clock Branch_hit;
-    (* The weak upgrade is the revocation gate and is never skipped:
-       caching the strong reference would be {!pin}, with its loss of
-       revocability. *)
-    Cycles.Clock.touch clock t.slot_addr ~bytes:16;
-    Cycles.Clock.charge clock Atomic_rmw;
-    match Linear.Rc.upgrade t.weak with
-    | None ->
-      t.fast <- None;
-      (match Pdomain.tele t.target with
-      | Some tl -> Telemetry.Counter.incr tl.Pdomain.tl_upgrade_failures
-      | None -> ());
-      Error Sfi_error.Revoked
-    | Some strong -> Ok strong
-  end
-  else begin
-    t.fast <- None;
-    match enter t with
-    | Error e -> Error e
-    | Ok strong ->
-      t.fast <-
-        Some
-          {
-            f_epoch = Ref_table.epoch (Pdomain.table t.target);
-            f_caller = caller;
-            f_gen = Pdomain.generation t.target;
-            f_policy = Pdomain.policy t.target;
-          };
-      Ok strong
-  end
-
-let invoke_cached t m =
-  match enter_cached t with
   | Error e -> Error e
   | Ok strong -> dispatch t strong m
 

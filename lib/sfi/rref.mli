@@ -39,18 +39,6 @@ val invoke : 'a t -> ('a -> 'b) -> ('b, Sfi_error.t) result
     with the call); tests enforce it by auditing with {!Linear}
     handles. *)
 
-val invoke_cached : 'a t -> ('a -> 'b) -> ('b, Sfi_error.t) result
-(** {!invoke} with a validation cache. The first successful call runs
-    the full sequence and fingerprints it on the rref (table epoch,
-    caller id, domain generation, physical policy identity); while the
-    fingerprint holds, later calls skip the domain-descriptor touch and
-    the policy evaluation. Any revocation in the table ({!revoke} or
-    recovery's clear), a policy swap, a domain restart or a different
-    calling thread invalidates the fingerprint and the next call
-    re-validates in full. The weak upgrade itself is {e never} cached —
-    unlike {!pin}, revocation still cuts this caller off on its very
-    next call, so the semantics are exactly {!invoke}'s. *)
-
 val invoke_move :
   'a t -> 'arg Linear.Own.t -> ('a -> 'arg -> 'b) -> ('b, Sfi_error.t) result
 (** Like {!invoke} but also moves an owned argument into the target

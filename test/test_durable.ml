@@ -1,5 +1,5 @@
-(* Tests for the durable checkpoint store: wire-codec round-trips for
-   the tracked structures (random op traces), exhaustive single-bit
+(* Tests for the durable checkpoint store: [iarr] wire-codec round-trips
+   and strict decoding (random tables, mutated images), exhaustive single-bit
    corruption and truncation rejection of the manifest format, pool
    chunk integrity, delta lineage + content-addressed reuse, newest-
    valid recovery ordering, and the supervisor cold-start path. *)
@@ -240,65 +240,6 @@ let test_kernels_allocation_free () =
   if w > 64 then Alcotest.failf "iarr_of_chunks of 16384 entries allocated %d minor words" w
 
 (* ------------------------------------------------------------------ *)
-(* Trie wire round-trip                                                *)
-(* ------------------------------------------------------------------ *)
-
-let op_gen = QCheck.(triple (int_range 0 4) (int_range 0 7) (int_range 0 0xFFFF))
-let trace_gen = QCheck.(list_of_size Gen.(int_range 0 40) op_gen)
-
-let make_rules () =
-  Array.init 8 (fun i ->
-      Trie.make_rule ~id:i (if i mod 2 = 0 then Trie.Allow else Trie.Deny))
-
-let apply t rules (tag, ri, p16) =
-  let prefix = Int32.shift_left (Int32.of_int p16) 16 in
-  match tag with
-  | 0 -> Trie.insert t ~prefix ~len:16 ~rule:rules.(ri)
-  | 1 -> ignore (Trie.remove t ~prefix ~len:16)
-  | _ -> ignore (Trie.lookup t prefix)
-
-let prop_trie_roundtrip =
-  QCheck.Test.make ~name:"trie wire image round-trips" ~count:80 trace_gen (fun trace ->
-      let rules = make_rules () in
-      let t = Trie.create () in
-      List.iter (apply t rules) trace;
-      let img = Trie.to_chunks t in
-      match Trie.of_chunks img with
-      | Error m -> QCheck.Test.fail_reportf "decode failed: %s" m
-      | Ok u ->
-        String.equal (Trie.render t) (Trie.render u)
-        && Trie.sharing_preserved u
-        && Trie.to_chunks u = img)
-
-let prop_trie_clean_chunks_stable =
-  (* A mutation confined to one frontier subtree must leave every other
-     subtree chunk byte-identical — that is what makes the content-
-     addressed pool share clean chunks on disk. Cell indices are global
-     first-visit preorder, so the probe inserts at the preorder-last
-     position (the all-ones path): existing cells keep their numbers
-     and only the touched subtree may re-encode differently. *)
-  QCheck.Test.make ~name:"clean trie subtrees re-encode to identical bytes" ~count:60
-    trace_gen
-    (fun trace ->
-      let rules = make_rules () in
-      let t = Trie.create () in
-      List.iter (apply t rules) trace;
-      let prefix = Int32.shift_left (Int32.of_int 0xFFFF) 16 in
-      ignore (Trie.remove t ~prefix ~len:16);
-      let before = Trie.to_chunks t in
-      Trie.insert t ~prefix ~len:16 ~rule:rules.(0);
-      let after = Trie.to_chunks t in
-      (* Cells chunk and spine may legitimately change; at most one
-         subtree chunk (the all-ones one) may be new or re-encoded. *)
-      let old_set = Hashtbl.create 16 in
-      Array.iteri (fun i c -> if i >= 2 then Hashtbl.replace old_set c ()) before;
-      let changed = ref 0 in
-      Array.iteri
-        (fun i c -> if i >= 2 && not (Hashtbl.mem old_set c) then incr changed)
-        after;
-      !changed <= 1)
-
-(* ------------------------------------------------------------------ *)
 (* Manifest integrity: every bit, every truncation                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -346,6 +287,18 @@ let test_manifest_truncations () =
       | Ok _ -> ()
       | Error r -> Alcotest.failf "restored load rejected: %s" (Durable.reject_to_string r))
 
+(* KB that rejecting [f ()] allocates, counted exactly: every minor-heap
+   word plus the major heap's direct allocations. [Gc.allocated_bytes]
+   would miss small blocks still in the minor heap. *)
+let rejected_kb f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  (match f () with Ok _ -> Alcotest.fail "a count past the end accepted" | Error _ -> ());
+  (words () -. before) *. float (Sys.word_size / 8) /. 1024.
+
 (* A count field may claim up to 2^24 records whatever the file holds;
    the decoder must size its tables by the bytes present, not allocate
    for the claim (two 2^24-entry arrays are 256 MB). *)
@@ -357,45 +310,27 @@ let test_manifest_count_bounded () =
       (* The count sits after the 29-byte fixed header and the tag. *)
       Bytes.set_int32_be b (29 + String.length "tab") (Int32.of_int (1 lsl 24));
       write_file path (Bytes.to_string b);
-      let before = Gc.allocated_bytes () in
-      (match Durable.load d ~basename:(manifest_name gen) with
-      | Ok _ -> Alcotest.fail "a count past the end of the file accepted"
-      | Error _ -> ());
-      let kb = (Gc.allocated_bytes () -. before) /. 1024. in
+      let kb = rejected_kb (fun () -> Durable.load d ~basename:(manifest_name gen)) in
       if kb > 64. then Alcotest.failf "decoding allocated %.0f KB" kb)
 
-(* The same for the chunk decoders: an [iarr] meta chunk claiming 2^20
+(* The same for the chunk decoder: an [iarr] meta chunk claiming 2^20
    slots over one data chunk its bitmap does not back (empty, a byte
    short of its 128 KB bitmap, or a full bitmap marking every slot with
-   no value behind it), and a trie cell chunk claiming 2^16 cells that
-   holds one, are rejected before anything is sized by the claim (8 MB
-   and 512 KB). *)
+   no value behind it) is rejected before anything is sized by the
+   claim (8 MB). *)
 let test_chunk_counts_bounded () =
-  let allocated_kb f =
-    let before = Gc.allocated_bytes () in
-    (match f () with Ok _ -> Alcotest.fail "a count past the end accepted" | Error _ -> ());
-    (Gc.allocated_bytes () -. before) /. 1024.
-  in
   let meta = Bytes.create 8 in
   Bytes.set_int32_be meta 0 (Int32.of_int (1 lsl 20));
   Bytes.set_int32_be meta 4 (Int32.of_int (1 lsl 20));
   List.iter
     (fun (what, payload) ->
-      let kb = allocated_kb (fun () -> Incr.iarr_of_chunks [| Bytes.to_string meta; payload |]) in
+      let kb = rejected_kb (fun () -> Incr.iarr_of_chunks [| Bytes.to_string meta; payload |]) in
       if kb > 64. then Alcotest.failf "iarr decoding over %s allocated %.0f KB" what kb)
     [
       ("an empty payload", "");
       ("a short bitmap", String.make ((1 lsl 17) - 1) '\000');
       ("a full bitmap without values", String.make (1 lsl 17) '\255');
-    ];
-  let t = Trie.create () in
-  Trie.insert t ~prefix:0l ~len:16 ~rule:(Trie.make_rule ~id:1 Trie.Allow);
-  let img = Trie.to_chunks t in
-  let cells = Bytes.of_string img.(0) in
-  Bytes.set_int32_be cells 0 (Int32.of_int (1 lsl 16));
-  img.(0) <- Bytes.to_string cells;
-  let kb = allocated_kb (fun () -> Trie.of_chunks img) in
-  if kb > 64. then Alcotest.failf "trie decoding allocated %.0f KB" kb
+    ]
 
 let test_pool_bitflips () =
   with_store (fun d dir ->
@@ -846,28 +781,15 @@ let prop_decoder_fuzz =
 (* Chunk decoder fuzzing                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A trie or an [iarr] image (its chunk array) and a second image of the
-   same kind to splice from. *)
-type image = Trie_image | Iarr_image
-
-let trie_image trace =
-  let rules = make_rules () in
-  let t = Trie.create () in
-  List.iter (apply t rules) trace;
-  Trie.to_chunks t
-
-let iarr_image (n, chunk, writes) =
-  let a = Incr.iarr ~chunk (Array.make n 0) in
-  List.iter (fun (i, v) -> if n > 0 then Incr.iarr_set a (i mod n) v) writes;
-  Incr.iarr_to_chunks a
-
-let gen_image kind =
-  let open QCheck.Gen in
-  match kind with
-  | Trie_image -> map trie_image (QCheck.gen trace_gen)
-  | Iarr_image ->
-    map iarr_image
-      (triple (int_range 0 70) (int_range 1 9) (small_list (pair small_nat (QCheck.gen iarr_value))))
+(* An [iarr] image (its chunk array) from a random table. *)
+let gen_image =
+  QCheck.Gen.(
+    map
+      (fun (n, chunk, writes) ->
+        let a = Incr.iarr ~chunk (Array.make n 0) in
+        List.iter (fun (i, v) -> if n > 0 then Incr.iarr_set a (i mod n) v) writes;
+        Incr.iarr_to_chunks a)
+      (triple (int_range 0 70) (int_range 1 9) (small_list (pair small_nat (QCheck.gen iarr_value)))))
 
 (* One mutation of [img]: a bit flipped, a chunk truncated, dropped or
    duplicated, a byte range of one chunk spliced over a range of
@@ -988,42 +910,30 @@ let mutate_iarr other img =
 
 let gen_chunk_fuzz =
   let open QCheck.Gen in
-  let* kind = oneofl [ Trie_image; Iarr_image ] in
-  let* img = gen_image kind and* other = gen_image kind in
+  let* img = gen_image and* other = gen_image in
   let rec go k img steps =
-    if k = 0 then return (kind, img, List.rev steps)
+    if k = 0 then return (img, List.rev steps)
     else
-      let* step, img =
-        match kind with
-        | Trie_image -> mutate_image other img
-        | Iarr_image -> oneof [ mutate_image other img; mutate_iarr other img ]
-      in
+      let* step, img = oneof [ mutate_image other img; mutate_iarr other img ] in
       go (k - 1) img (step :: steps)
   in
   let* k = int_range 1 3 in
   go k img []
 
 (* Every mutated image decodes, without an exception and within the
-   alarm, to a typed reject or to a value whose image is exactly the
+   alarm, to a typed reject or to a table whose image is exactly the
    bytes decoded: a decoder that accepts a non-canonical image would
    checkpoint something other than what it loaded. *)
 let prop_chunk_decoder_fuzz =
-  QCheck.Test.make ~name:"mutated trie and iarr chunks: a typed reject or the same bytes" ~count:2000
+  QCheck.Test.make ~name:"mutated iarr chunks: a typed reject or the same bytes" ~count:2000
     (QCheck.make
-       ~print:(fun (kind, img, steps) ->
-         Printf.sprintf "%s %s: %s"
-           (match kind with Trie_image -> "trie" | Iarr_image -> "iarr")
+       ~print:(fun (img, steps) ->
+         Printf.sprintf "%s: %s"
            (String.concat "|" (Array.to_list (Array.map (Printf.sprintf "%S") img)))
            (String.concat "; " steps))
        gen_chunk_fuzz)
-    (fun (kind, img, _) ->
-      let reencoded =
-        within 10 (fun () ->
-            match kind with
-            | Trie_image -> Result.map Trie.to_chunks (Trie.of_chunks img)
-            | Iarr_image -> Result.map Incr.iarr_to_chunks (Incr.iarr_of_chunks img))
-      in
-      match reencoded with
+    (fun (img, _) ->
+      match within 10 (fun () -> Result.map Incr.iarr_to_chunks (Incr.iarr_of_chunks img)) with
       | Error _ -> true
       | Ok img' when img' = img -> true
       | Ok _ -> QCheck.Test.fail_report "accepted an image that re-encodes to other bytes")
@@ -1040,8 +950,6 @@ let () =
           Alcotest.test_case "fnv64 published vectors" `Quick test_fnv64_vectors;
           Alcotest.test_case "hash and chunk codec allocate per call, not per byte" `Quick
             test_kernels_allocation_free;
-          qt prop_trie_roundtrip;
-          qt prop_trie_clean_chunks_stable;
           Alcotest.test_case "iarr decode rejects malformed images" `Quick
             test_iarr_decode_rejects;
           Alcotest.test_case "iarr payload is its bitmap and its nonzero slots" `Quick
@@ -1058,7 +966,7 @@ let () =
             test_reject_precedence;
           Alcotest.test_case "a record count past the end allocates nothing for it" `Quick
             test_manifest_count_bounded;
-          Alcotest.test_case "trie and iarr counts past the end allocate nothing" `Quick
+          Alcotest.test_case "iarr counts past the end allocate nothing" `Quick
             test_chunk_counts_bounded;
           qt ~rand:(rand ()) prop_decoder_fuzz;
           qt ~rand:(rand ()) prop_chunk_decoder_fuzz;
