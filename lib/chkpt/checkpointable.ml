@@ -10,19 +10,6 @@ type stats = {
   reused_nodes : int;
 }
 
-(* Cross-worker deduplication for Arc cells: the first visitor installs
-   [Pending], copies, then publishes [Done]; late visitors wait on the
-   condition variable. *)
-type shared_entry = Pending | Done of Obj.t
-
-type shared_memo = {
-  sm_mutex : Mutex.t;
-  sm_cond : Condition.t;
-  sm_tbl : (int, shared_entry) Hashtbl.t;
-  sm_epoch : int;  (* all workers of one logical checkpoint claim with
-                      this epoch; a memo must not be reused *)
-}
-
 (* The memos store copied Rc/Arc handles of heterogeneous element
    types; [Obj.t] is confined to these slots and the [rc]/[arc]
    combinators, which always store and fetch at the same (cell-indexed)
@@ -39,7 +26,6 @@ type ctx = {
   mutable memo_vec : Obj.t array;
   mutable memo_len : int;
   memo_tbl : (int, Obj.t) Hashtbl.t;
-  shared : shared_memo option;
 }
 
 type 'a t = { copy : ctx -> 'a -> 'a }
@@ -50,7 +36,6 @@ let scalar = { copy = (fun ctx v -> visit ctx; v) }
 let int = scalar
 let bool = scalar
 let string = { copy = (fun ctx (s : string) -> visit ctx; String.init (String.length s) (String.get s)) }
-let unit = scalar
 
 (* Traversal order is part of the contract (weak edges resolve against
    cells copied earlier), so every container copies its elements
@@ -124,10 +109,6 @@ let seq_mask = (1 lsl seq_bits) - 1
 let max_shared_nodes = seq_mask - 1
 
 let epoch_counter = Atomic.make 1
-
-let shared_memo () =
-  { sm_mutex = Mutex.create (); sm_cond = Condition.create (); sm_tbl = Hashtbl.create 64;
-    sm_epoch = Atomic.fetch_and_add epoch_counter 1 }
 
 let memo_push ctx (o : Obj.t) =
   if ctx.memo_len = Array.length ctx.memo_vec then begin
@@ -214,84 +195,36 @@ let weak (_elem : 'a t) : 'a Linear.Rc.weak t =
                 Linear.Rc.dangling ~label:"weak-external'" ()));
   }
 
-(* Arc edges. Single-worker checkpoints reuse the Rc machinery keyed by
-   cell id (the atomic scratch word is not packed here — Arc scratch is
-   reserved for the cross-worker claim fast path). *)
+(* Arc edges reuse the Rc machinery keyed by cell id: Arc has no
+   scratch word to pack. *)
 let arc elem =
   {
     copy =
       (fun ctx r ->
         visit ctx;
         ctx.rc_encounters <- ctx.rc_encounters + 1;
-        match ctx.shared with
-        | Some sm -> (
-          (* Fast path: a lock-free peek via the cell's atomic scratch
-             word — non-zero means some worker already claimed it this
-             epoch, so the table holds Pending or Done. *)
-          let id = Linear.Arc.id r in
-          let epoch = sm.sm_epoch in
-          let claimed =
-            Linear.Arc.try_claim_scratch r ~expected:0 ~desired:epoch
-            (* A stale stamp from an older checkpoint also needs
-               claiming; the CAS arbitrates racing workers. *)
-            || (Linear.Arc.scratch r <> epoch
-               && Linear.Arc.try_claim_scratch r ~expected:(Linear.Arc.scratch r)
-                    ~desired:epoch)
-          in
-          if claimed then begin
-            (* We are the first visitor of this cell in this epoch. *)
-            Mutex.lock sm.sm_mutex;
-            Hashtbl.replace sm.sm_tbl id Pending;
-            Mutex.unlock sm.sm_mutex;
+        let id = Linear.Arc.id r in
+        match ctx.strategy with
+        | Naive ->
+          ctx.rc_copies <- ctx.rc_copies + 1;
+          Linear.Arc.create (elem.copy ctx (Linear.Arc.get r))
+        | Addr_set | Rc_flag -> (
+          (* Both dedup strategies share the id-keyed table; only
+             Addr_set counts the lookups (Rc_flag's accounting models
+             what the Rust Arc field reference achieves). *)
+          if ctx.strategy = Addr_set then ctx.hash_lookups <- ctx.hash_lookups + 1;
+          match Hashtbl.find_opt ctx.memo_tbl id with
+          | Some o ->
+            ctx.rc_dedup_hits <- ctx.rc_dedup_hits + 1;
+            Linear.Arc.clone (Obj.obj o : _ Linear.Arc.t)
+          | None ->
             ctx.rc_copies <- ctx.rc_copies + 1;
             let fresh = Linear.Arc.create (elem.copy ctx (Linear.Arc.get r)) in
-            Mutex.lock sm.sm_mutex;
-            Hashtbl.replace sm.sm_tbl id (Done (Obj.repr fresh));
-            Condition.broadcast sm.sm_cond;
-            Mutex.unlock sm.sm_mutex;
-            fresh
-          end
-          else begin
-            ctx.hash_lookups <- ctx.hash_lookups + 1;
-            ctx.rc_dedup_hits <- ctx.rc_dedup_hits + 1;
-            Mutex.lock sm.sm_mutex;
-            let rec await () =
-              match Hashtbl.find_opt sm.sm_tbl id with
-              | Some (Done o) ->
-                Mutex.unlock sm.sm_mutex;
-                Linear.Arc.clone (Obj.obj o : _ Linear.Arc.t)
-              | Some Pending | None ->
-                Condition.wait sm.sm_cond sm.sm_mutex;
-                await ()
-            in
-            await ()
-          end)
-        | None -> (
-          let id = Linear.Arc.id r in
-          match ctx.strategy with
-          | Naive ->
-            ctx.rc_copies <- ctx.rc_copies + 1;
-            Linear.Arc.create (elem.copy ctx (Linear.Arc.get r))
-          | Addr_set | Rc_flag -> (
-            (* Without a scratch packing for Arc, both dedup strategies
-               share the id-keyed table; only Addr_set counts the
-               lookups (Rc_flag's accounting models what the Rust Arc
-               field reference achieves). *)
-            (match ctx.strategy with
-            | Addr_set -> ctx.hash_lookups <- ctx.hash_lookups + 1
-            | Naive | Rc_flag -> ());
-            match Hashtbl.find_opt ctx.memo_tbl id with
-            | Some o ->
-              ctx.rc_dedup_hits <- ctx.rc_dedup_hits + 1;
-              Linear.Arc.clone (Obj.obj o : _ Linear.Arc.t)
-            | None ->
-              ctx.rc_copies <- ctx.rc_copies + 1;
-              let fresh = Linear.Arc.create (elem.copy ctx (Linear.Arc.get r)) in
-              Hashtbl.add ctx.memo_tbl id (Obj.repr fresh);
-              fresh)));
+            Hashtbl.add ctx.memo_tbl id (Obj.repr fresh);
+            fresh));
   }
 
-let checkpoint ?(strategy = Rc_flag) ?shared desc v =
+let checkpoint ?(strategy = Rc_flag) desc v =
   let ctx =
     {
       strategy;
@@ -304,7 +237,6 @@ let checkpoint ?(strategy = Rc_flag) ?shared desc v =
       memo_vec = [||];
       memo_len = 0;
       memo_tbl = Hashtbl.create 64;
-      shared;
     }
   in
   let copy = desc.copy ctx v in

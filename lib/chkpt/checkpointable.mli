@@ -36,10 +36,8 @@ type 'a t
 val int : int t
 val bool : bool t
 val string : string t
-val unit : unit t
 
 val list : 'a t -> 'a list t
-val array : 'a t -> 'a array t
 val option : 'a t -> 'a option t
 val pair : 'a t -> 'b t -> ('a * 'b) t
 
@@ -60,36 +58,6 @@ val iso : inject:('a -> 'b) -> project:('b -> 'a) -> 'b t -> 'a t
 val rc : 'a t -> 'a Linear.Rc.t t
 (** The custom implementation for explicitly-aliased nodes. Copies of
     the same cell are shared in the output. *)
-
-val arc : 'a t -> 'a Linear.Arc.t t
-(** "[Arc] can be extended similarly" (§5). Behaves like {!rc} under
-    every strategy; additionally, when the checkpoint runs with a
-    {!shared_memo}, deduplication is coordinated {e across concurrent
-    workers}: the first visitor claims the cell (per-cell CAS on the
-    atomic scratch word as the fast path, a mutex-protected table as
-    the slow path) and late visitors block until its copy is
-    published — the "efficient and thread-safe" claim of §5. *)
-
-val weak : 'a t -> 'a Linear.Rc.weak t
-(** §5's "external pointers": "such pointers, which do not own the data
-    they point to, must be handled in a special way during pointer
-    traversal". The special way: a weak edge never causes a copy. If
-    its target cell was already copied earlier in this traversal, the
-    copy's weak points at the {e copied} cell (topology preserved); if
-    the target is dead, or lies outside the traversed graph, the copy
-    gets a dangling weak — snapshots never resurrect state they do not
-    own. Forward references only: a weak edge reached {e before} its
-    owning [rc] edge also comes out dangling (back-edges into cells
-    still under construction cannot be resolved by a one-pass
-    traversal). *)
-
-val mutex : 'a t -> 'a Linear.Mutex_cell.t t
-(** §2: dynamically-enforced single ownership ([Mutex<T>]) "is explicit
-    in the object's type signature, which enables us to handle such
-    objects in a special way as described in section 5". The special
-    handling: the checkpointer takes the lock, copies the content
-    consistently, and produces a fresh unlocked cell — so a concurrent
-    writer can never tear the snapshot. *)
 
 val delay : (unit -> 'a t) -> 'a t
 (** For recursive types: the thunk is forced on first use. *)
@@ -115,22 +83,49 @@ type stats = {
                              full traversal). *)
 }
 
-type shared_memo
-(** A cross-worker deduplication table for parallel checkpoints of
-    [Arc]-shared structures (see {!Parallel.checkpoint_forest}). *)
-
-val shared_memo : unit -> shared_memo
-
-val checkpoint : ?strategy:strategy -> ?shared:shared_memo -> 'a t -> 'a -> 'a * stats
+val checkpoint : ?strategy:strategy -> 'a t -> 'a -> 'a * stats
 (** [checkpoint desc v] returns an independent deep copy and the
     traversal statistics. Default strategy: [Rc_flag].
 
     Under [Naive], a cell reachable [k] times yields [k] copies
-    ([rc_copies] counts them all, [rc_dedup_hits] stays 0).
+    ([rc_copies] counts them all, [rc_dedup_hits] stays 0). *)
 
-    [shared] makes {!arc} edges deduplicate against the given
-    cross-worker table instead of the per-call state; pass the same
-    memo to every concurrent worker of one logical checkpoint. *)
+(** {1 For tests}
+
+    §5's combinators for the other explicitly-shared types, the array
+    container, and the predicate [test/test_chkpt.ml] checks copy
+    counts with. No experiment checkpoints these shapes; the tests pin
+    each combinator's copy semantics. *)
+
+val array : 'a t -> 'a array t
+
+val arc : 'a t -> 'a Linear.Arc.t t
+(** "[Arc] can be extended similarly" (§5). Behaves like {!rc} under
+    every strategy, deduplicating by cell id within one checkpoint
+    (Arc has no scratch word to stamp). One checkpoint runs on one
+    domain; the cell's counts are atomic, so other domains may clone
+    and drop handles meanwhile. *)
+
+val weak : 'a t -> 'a Linear.Rc.weak t
+(** §5's "external pointers": "such pointers, which do not own the data
+    they point to, must be handled in a special way during pointer
+    traversal". The special way: a weak edge never causes a copy. If
+    its target cell was already copied earlier in this traversal, the
+    copy's weak points at the {e copied} cell (topology preserved); if
+    the target is dead, or lies outside the traversed graph, the copy
+    gets a dangling weak — snapshots never resurrect state they do not
+    own. Forward references only: a weak edge reached {e before} its
+    owning [rc] edge also comes out dangling (back-edges into cells
+    still under construction cannot be resolved by a one-pass
+    traversal). *)
+
+val mutex : 'a t -> 'a Linear.Mutex_cell.t t
+(** §2: dynamically-enforced single ownership ([Mutex<T>]) "is explicit
+    in the object's type signature, which enables us to handle such
+    objects in a special way as described in section 5". The special
+    handling: the checkpointer takes the lock, copies the content
+    consistently, and produces a fresh unlocked cell — so a concurrent
+    writer can never tear the snapshot. *)
 
 val copies_expected : stats -> aliases:int -> distinct:int -> bool
 (** [true] iff the traversal met [aliases] rc edges and made exactly

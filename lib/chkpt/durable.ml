@@ -129,7 +129,6 @@ let open_store ?telemetry ~graph ~dir () =
   (match list_manifests t with (g, _) :: _ -> t.next_gen <- g + 1 | [] -> ());
   t
 
-let dir t = t.dir
 
 (* --- Pool ------------------------------------------------------------- *)
 

@@ -43,8 +43,6 @@ type reject =
 val reject_to_string : reject -> string
 (** Stable, deterministic rendering (golden-diffed by E19). *)
 
-val current_schema : int
-
 type t
 
 val open_store :
@@ -59,8 +57,6 @@ val open_store :
     rejected with [Bad_graph] — bump it when the encoded layout of the
     checkpointed structure changes meaning. Generation numbering
     resumes past the newest file already present. *)
-
-val dir : t -> string
 
 val save : t -> tag:string -> chunks:string array -> int
 (** Write a full checkpoint: every chunk into the pool (skipping, and
@@ -77,14 +73,6 @@ val save_delta : t -> tag:string -> dirty:(int * string) list -> int
     before anything is written, so a raise leaves the pool and the
     counters unchanged. *)
 
-val load : t -> basename:string -> (string * string array * int, reject) result
-(** Decode and fully validate one manifest file of the store directory
-    (including resolving every chunk against the pool):
-    [Ok (tag, chunks, generation)] or the deterministic rejection.
-    When several chunks are bad, the reject is the first bad slot's
-    in slot order: [Missing_chunk], a [Structural] length mismatch or
-    [Chunk_checksum_mismatch i]. *)
-
 type recovered = {
   r_generation : int;
   r_tag : string;
@@ -97,3 +85,16 @@ val recover : t -> recovered option * (string * reject) list
     {e newer} file, newest first ([None] with all rejections when no
     file validates). A successful recovery primes the handle like a
     {!save} would, so {!save_delta} can continue the lineage. *)
+
+(** {1 For tests}
+
+    The single-manifest decoder, which [test/test_durable.ml] fuzzes
+    and whose reject precedence it pins; {!recover} is the caller. *)
+
+val load : t -> basename:string -> (string * string array * int, reject) result
+(** Decode and fully validate one manifest file of the store directory
+    (including resolving every chunk against the pool):
+    [Ok (tag, chunks, generation)] or the deterministic rejection.
+    When several chunks are bad, the reject is the first bad slot's
+    in slot order: [Missing_chunk], a [Structural] length mismatch or
+    [Chunk_checksum_mismatch i]. *)

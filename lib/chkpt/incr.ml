@@ -2,14 +2,12 @@ type 'a tracker = {
   value : 'a;
   sync : unit -> Checkpointable.stats;
   restore : unit -> Checkpointable.stats;
-  pending : unit -> int;
   synced : unit -> bool;
 }
 
 let value t = t.value
 let sync t = t.sync ()
 let restore t = t.restore ()
-let pending t = t.pending ()
 let synced t = t.synced ()
 
 let stats ~nodes ~dirty ~reused : Checkpointable.stats =
@@ -64,11 +62,6 @@ let iarr_set a i v =
   a.gens.(i / a.chunk) <- a.gen
 
 let iarr_chunks a = Array.length a.gens
-
-let iarr_dirty_chunks a =
-  let d = ref 0 in
-  Array.iter (fun g -> if g > a.synced_gen then incr d) a.gens;
-  !d
 
 let chunk_len a c = span ~n:(Array.length a.data) ~chunk:a.chunk c
 
@@ -276,6 +269,5 @@ let iarr_tracker a =
     value = a;
     sync = iarr_sync a;
     restore = iarr_restore a;
-    pending = (fun () -> iarr_dirty_chunks a);
     synced = (fun () -> a.origin <> Unset);
   }

@@ -24,7 +24,6 @@ type 'a tracker = {
       (** Roll the live structure back to the last sync, touching only
           regions mutated since. Raises [Invalid_argument] while there
           is no snapshot ([synced] is false). *)
-  pending : unit -> int;  (** Dirty units accumulated since the last sync. *)
   synced : unit -> bool;
       (** There is a snapshot to restore to: at least one sync has
           happened, or ({!iarr_of_chunks}) the structure was decoded
@@ -34,11 +33,7 @@ type 'a tracker = {
 val value : 'a tracker -> 'a
 val sync : 'a tracker -> Checkpointable.stats
 val restore : 'a tracker -> Checkpointable.stats
-val pending : 'a tracker -> int
 val synced : 'a tracker -> bool
-
-val stats : nodes:int -> dirty:int -> reused:int -> Checkpointable.stats
-(** Stats record for incremental passes (rc/hash fields zero). *)
 
 (** {2 Tracked flat int array}
 
@@ -57,7 +52,6 @@ val iarr : ?chunk:int -> int array -> iarr
 
 val iarr_get : iarr -> int -> int
 val iarr_set : iarr -> int -> int -> unit
-val iarr_chunks : iarr -> int
 val iarr_length : iarr -> int
 val iarr_tracker : iarr -> iarr tracker
 
@@ -118,3 +112,10 @@ val iarr_of_chunks : string array -> (iarr, string) result
     chunk, and its first sync encodes only chunks written since yet
     reports every chunk as captured, as a fresh [iarr]'s first sync
     does. *)
+
+(** {1 For tests}
+
+    What [test/test_durable.ml] and [test/test_chkpt_incr.ml] check a
+    decoded or recovered table against. *)
+
+val iarr_chunks : iarr -> int

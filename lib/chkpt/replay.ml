@@ -7,7 +7,6 @@ type ('state, 'input) t = {
   mutable snapshot : 'state;
   mutable log : 'input list;      (* newest first *)
   mutable since_snapshot : int;
-  mutable inputs_seen : int;
   mutable checkpoints_taken : int;
 }
 
@@ -32,7 +31,6 @@ let create ~desc ~apply ~interval ?telemetry state =
       snapshot = state (* replaced immediately below *);
       log = [];
       since_snapshot = 0;
-      inputs_seen = 0;
       checkpoints_taken = 0;
     }
   in
@@ -45,7 +43,6 @@ let feed t input =
   t.apply t.live input;
   t.log <- input :: t.log;
   t.since_snapshot <- t.since_snapshot + 1;
-  t.inputs_seen <- t.inputs_seen + 1;
   if t.since_snapshot >= t.interval then Some (take_snapshot t) else None
 
 type recovery = { replayed : int; checkpoint_age : int }
@@ -67,6 +64,5 @@ let crash_and_recover t =
     t.tele;
   { replayed; checkpoint_age }
 
-let inputs_seen t = t.inputs_seen
 let checkpoints_taken t = t.checkpoints_taken
 let log_length t = List.length t.log

@@ -46,6 +46,10 @@ val crash_and_recover : ('state, 'input) t -> recovery
     checkpoint and replay the log. Afterwards {!state} is exactly what
     it was before the crash (determinism of [apply] assumed). *)
 
-val inputs_seen : (_, _) t -> int
 val checkpoints_taken : (_, _) t -> int
+
+(** {1 For tests}
+
+    The log bound that [test/test_chkpt.ml] checks truncation by. *)
+
 val log_length : (_, _) t -> int

@@ -14,11 +14,10 @@ type 'a t = {
   mutable rollbacks : int;
 }
 
-let create ?(strategy = Checkpointable.Rc_flag) ?telemetry desc live =
-  let tele = Option.map Tele.v telemetry in
+let create ?(strategy = Checkpointable.Rc_flag) desc live =
   {
     backing = Full { desc; strategy; live; stack = [] };
-    tele;
+    tele = None;
     snapshots_taken = 0;
     rollbacks = 0;
   }
@@ -28,11 +27,6 @@ let create_incr ?telemetry tracker =
   { backing = Incr tracker; tele; snapshots_taken = 0; rollbacks = 0 }
 
 let get t = match t.backing with Full f -> f.live | Incr tr -> tr.Incr.value
-
-let set t v =
-  match t.backing with
-  | Full f -> f.live <- v
-  | Incr _ -> invalid_arg "Store.set: incremental store owns its value"
 
 let snapshot t =
   let stats =

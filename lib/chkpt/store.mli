@@ -12,26 +12,21 @@ type 'a t
 
 val create :
   ?strategy:Checkpointable.strategy ->
-  ?telemetry:Telemetry.Registry.t ->
   'a Checkpointable.t ->
   'a ->
   'a t
-(** [telemetry] records every snapshot/rollback into the [chkpt.*]
-    counters (see {!Tele}). *)
 
 val create_incr : ?telemetry:Telemetry.Registry.t -> 'a Incr.tracker -> 'a t
 (** A store backed by an incremental tracker ({!Trie.tracker},
     {!Incr.iarr_tracker}) instead of full-traversal copies: {!snapshot}
     syncs the shadow in O(dirty) and {!rollback} restores from it in
     O(dirty), keeping exactly one (continuously reusable) snapshot.
-    {!set} and {!commit} are unavailable ([Invalid_argument]) — the
-    tracker owns its value and its single shadow. *)
+    {!commit} is unavailable ([Invalid_argument]) — the
+    tracker owns its value and its single shadow. [telemetry] records
+    every snapshot/rollback into the [chkpt.*] counters (see {!Tele}). *)
 
 val get : 'a t -> 'a
 (** The live value. Mutate it freely through its own interface. *)
-
-val set : 'a t -> 'a -> unit
-(** Full stores only. *)
 
 val snapshot : 'a t -> Checkpointable.stats
 (** Push a checkpoint of the live value. *)
@@ -41,6 +36,13 @@ val rollback : 'a t -> Checkpointable.stats
     remains on the stack). Raises [Invalid_argument] with no
     snapshot. *)
 
+val rollbacks : 'a t -> int
+
+(** {1 For tests}
+
+    The snapshot stack's discipline, pinned by [test/test_chkpt.ml] and
+    [test/test_chkpt_incr.ml]. *)
+
 val commit : 'a t -> unit
 (** Drop the newest snapshot. Raises [Invalid_argument] if none. *)
 
@@ -48,4 +50,3 @@ val depth : 'a t -> int
 (** Snapshots currently held. *)
 
 val snapshots_taken : 'a t -> int
-val rollbacks : 'a t -> int

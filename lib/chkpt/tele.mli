@@ -1,14 +1,12 @@
 (** Pre-resolved [chkpt.*] metric handles, shared by {!Store} and
     {!Replay}: snapshot/rollback counts, descriptor nodes traversed,
     Rc copies and dedup hits, an approximate copied-byte count
-    ({!bytes_per_node} per node), inputs replayed on recovery, and the
+    (8 bytes per node), inputs replayed on recovery, and the
     incremental-engine split — [chkpt.dirty_nodes] / [chkpt.reused_nodes]
     counters plus a [chkpt.dirty_ratio_pct] gauge holding the last
     pass's dirty percentage. *)
 
 type t
-
-val bytes_per_node : int
 
 val v : Telemetry.Registry.t -> t
 (** Resolve (or re-find) the handles in [reg]; all instances given the

@@ -516,7 +516,6 @@ let tracker t =
     Incr.value = t;
     sync = (fun () -> sync_incr t sh);
     restore = (fun () -> restore_incr t sh);
-    pending = (fun () -> t.stamped + Hashtbl.length t.dirty_rules);
     synced = (fun () -> sh.sh_root <> None);
   }
 

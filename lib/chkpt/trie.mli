@@ -32,15 +32,8 @@ val insert : t -> prefix:int32 -> len:int -> rule:shared_rule -> unit
     [len] must be in [\[0, 32\]]; a later insert on the same prefix
     replaces the rule. *)
 
-val remove : t -> prefix:int32 -> len:int -> bool
-(** Unmap the prefix (dropping the leaf's rule handle and pruning
-    now-empty branches); [false] if no rule was mapped there. *)
-
 val lookup : t -> int32 -> rule option
 (** Longest-prefix match; bumps the matched rule's [hits]. *)
-
-val lookup_quiet : t -> int32 -> rule option
-(** Same, without mutating [hits]. *)
 
 val node_count : t -> int
 val leaf_count : t -> int
@@ -83,11 +76,23 @@ val tracker : t -> t Incr.tracker
     the live trie back to the last sync, also in O(dirty). Restored
     state is byte-identical under {!render}, including leaf aliasing. *)
 
+val desc : t Checkpointable.t
+(** The derived descriptor (what the paper's compiler plugin would
+    emit for this type). *)
+
+(** {1 For tests}
+
+    A removal (an edit the property tests mix in), a lookup that
+    stamps nothing, and the stamp count the dirty-tracking tests read. *)
+
+val remove : t -> prefix:int32 -> len:int -> bool
+(** Unmap the prefix (dropping the leaf's rule handle and pruning
+    now-empty branches); [false] if no rule was mapped there. *)
+
+val lookup_quiet : t -> int32 -> rule option
+(** {!lookup} without mutating [hits]. *)
+
 val stamped_since_sync : t -> int
 (** Distinct nodes stamped dirty since the last sync — an upper bound
     (over-approximation) on the nodes any following incremental pass
     may rebuild; the qcheck suite checks [dirty_nodes <= stamped]. *)
-
-val desc : t Checkpointable.t
-(** The derived descriptor (what the paper's compiler plugin would
-    emit for this type). *)

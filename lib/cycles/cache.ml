@@ -6,7 +6,6 @@ let level_to_string = function
   | L3 -> "L3"
   | Dram -> "DRAM"
 
-let pp_level ppf l = Format.pp_print_string ppf (level_to_string l)
 
 type config = {
   line_bytes : int;
@@ -115,7 +114,7 @@ let make_level sets ways =
     index = Bytes.make (2 * sets * buckets) '\000';
   }
 
-let create ?(config = default_config) () =
+let create config =
   {
     config;
     line_shift =

@@ -22,9 +22,6 @@
 
 type level = L1 | L2 | L3 | Dram
 
-val pp_level : Format.formatter -> level -> unit
-val level_to_string : level -> string
-
 type config = {
   line_bytes : int;        (** Cache-line size, shared by all levels. *)
   l1_sets : int;
@@ -40,12 +37,9 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : config -> t
 (** Raises [Invalid_argument] if a level has no sets, no ways or more
     than 16 ways. *)
-
-val line_bytes : t -> int
-(** The configured cache-line size. *)
 
 val line_of : t -> int -> int
 (** The line number containing [addr] (i.e. [addr / line_bytes],
@@ -55,9 +49,6 @@ val access : t -> int -> level
 (** [access t addr] simulates one load/store of the line containing
     [addr]: returns the level that hit and installs the line in all
     levels above (inclusive fill, LRU update). *)
-
-val access_line : t -> int -> level
-(** Like {!access} but takes a line number ({!line_of}) directly. *)
 
 val latency : Cost_model.t -> level -> int
 (** The model's load latency for a hit at [level]. *)
@@ -76,6 +67,24 @@ val repeat_hit : t -> int -> unit
     {!access} on that line. Raises [Invalid_argument] if no access
     preceded it since {!create} or the last {!flush}. *)
 
+type counters = { l1_hits : int; l2_hits : int; l3_hits : int; dram_accesses : int }
+
+val counters : t -> counters
+
+(** {1 For tests}
+
+    What [test/test_cycles.ml] drives the simulator with, access by
+    access against the textbook oracle in [test/cache_oracle.ml], and
+    the state it compares set by set. *)
+
+val level_to_string : level -> string
+
+val line_bytes : t -> int
+(** The configured cache-line size. *)
+
+val access_line : t -> int -> level
+(** Like {!access} but takes a line number ({!line_of}) directly. *)
+
 val flush : t -> unit
 (** Invalidate every line at every level. *)
 
@@ -86,7 +95,4 @@ val resident : t -> level -> int -> (int * int * int) list
     last use. For the differential test against a reference
     simulator. Raises [Invalid_argument] for [Dram]. *)
 
-type counters = { l1_hits : int; l2_hits : int; l3_hits : int; dram_accesses : int }
-
-val counters : t -> counters
 val reset_counters : t -> unit

@@ -24,7 +24,7 @@ type t = {
 }
 
 let create ?(model = Cost_model.default) () =
-  let cache = Cache.create () in
+  let cache = Cache.create Cache.default_config in
   (* Start the heap away from address 0 so that "null-ish" addresses in
      tests stand out. *)
   { model; cache; cycles = 0; brk = 0x1000 }
@@ -90,8 +90,6 @@ let alloc_addr t ~bytes =
   base
 
 let cache_counters t = Cache.counters t.cache
-let reset_cache_counters t = Cache.reset_counters t.cache
-let flush_cache t = Cache.flush t.cache
 
 let measure t f =
   let start = t.cycles in

@@ -32,8 +32,6 @@ type op =
 
 val create : ?model:Cost_model.t -> unit -> t
 
-val model : t -> Cost_model.t
-
 val now : t -> int64
 (** Elapsed virtual cycles since creation. *)
 
@@ -60,18 +58,23 @@ val touch_same_line : t -> int -> times:int -> unit
     Equivalent to [times] calls to [touch t addr ~bytes:1], charged in
     bulk. *)
 
-val touch_level : t -> int -> Cache.level
-(** Single-line access, charged like {!touch}, that also reports
-    where it hit. Only tests use it. *)
-
 val alloc_addr : t -> bytes:int -> int
 (** Reserve [bytes] of synthetic address space (64-byte aligned) and
     return its base address. Never recycles addresses. *)
 
 val cache_counters : t -> Cache.counters
-val reset_cache_counters : t -> unit
-val flush_cache : t -> unit
 
 val measure : t -> (unit -> 'a) -> 'a * int64
 (** [measure t f] runs [f] and returns its result with the cycles it
     charged. *)
+
+(** {1 For tests}
+
+    The model and per-access level that [test/test_cycles.ml] checks
+    the clock's charges against. *)
+
+val model : t -> Cost_model.t
+
+val touch_level : t -> int -> Cache.level
+(** Single-line access, charged like {!touch}, that also reports
+    where it hit. Only tests use it. *)

@@ -32,11 +32,3 @@ let default =
     unwind = 3800;
     per_byte_copy = 0.25;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>L1=%d L2=%d L3=%d DRAM=%d cycles;@ alu=%d branch=%d/%d call=%d/%d \
-     atomic=%d tls=%d alloc=%d unwind=%d copy=%.2f c/B@]"
-    t.l1_latency t.l2_latency t.l3_latency t.dram_latency t.alu t.branch
-    t.branch_miss t.call t.indirect_call t.atomic_rmw t.tls_lookup
-    t.alloc_fixed t.unwind t.per_byte_copy

@@ -33,5 +33,3 @@ type t = {
 val default : t
 (** Haswell-class defaults; every experiment uses these unless it is
     explicitly an ablation over the cost model. *)
-
-val pp : Format.formatter -> t -> unit

@@ -19,6 +19,20 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator for [seed]. Equal seeds
     yield equal streams. *)
 
+val int : t -> int -> int
+(** [int t bound] is uniform in [\[0, bound)]. [bound] must be > 0. *)
+
+val float : t -> float -> float
+(** [float t bound] is uniform in [\[0, bound)]. *)
+
+val shuffle : t -> 'a array -> unit
+(** In-place Fisher–Yates shuffle. *)
+
+(** {1 For tests}
+
+    The raw stream, a derived generator and a coin, each diffed by
+    [test/test_cycles.ml] against a reference SplitMix64. *)
+
 val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t]
     by one draw. Use to give sub-components their own streams. *)
@@ -26,14 +40,5 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val int : t -> int -> int
-(** [int t bound] is uniform in [\[0, bound)]. [bound] must be > 0. *)
-
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
 val bool : t -> bool
 (** Fair coin. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

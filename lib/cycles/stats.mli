@@ -14,18 +14,24 @@ val create : unit -> t
 val add : t -> float -> unit
 (** Record one sample. *)
 
-val count : t -> int
 val mean : t -> float
+
+val percentile : t -> float -> float
+(** [percentile t p] for [p] in [\[0, 100\]], by nearest-rank on the
+    sorted samples. Raises [Invalid_argument] when empty. *)
+
+(** {1 For tests}
+
+    The accessors [test/test_cycles.ml] checks the accumulator with. *)
+
+val count : t -> int
 
 val stddev : t -> float
 (** Sample standard deviation (Bessel-corrected); [0.] for < 2 samples. *)
 
 val min : t -> float
-val max : t -> float
 
-val percentile : t -> float -> float
-(** [percentile t p] for [p] in [\[0, 100\]], by nearest-rank on the
-    sorted samples. Raises [Invalid_argument] when empty. *)
+val max : t -> float
 
 val median : t -> float
 

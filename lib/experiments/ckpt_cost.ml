@@ -37,13 +37,13 @@ let make_database ~rng ~rules ~alias_factor =
 
 let default_sizes = [ (100, 2); (100, 4); (500, 2); (500, 4); (2000, 2); (2000, 4) ]
 
-let run ?(sizes = default_sizes) ?(seed = 99L) () =
+let run ?(sizes = default_sizes) () =
   List.map
     (fun (rules, alias_factor) ->
       (* Fresh, identically-seeded database per strategy so the stats
          are directly comparable. *)
       let checkpoint strategy =
-        let db = make_database ~rng:(Cycles.Rng.create seed) ~rules ~alias_factor in
+        let db = make_database ~rng:(Cycles.Rng.create 99L) ~rules ~alias_factor in
         let _copy, stats = Chkpt.Checkpointable.checkpoint ~strategy Chkpt.Trie.desc db in
         (db, stats)
       in

@@ -21,7 +21,7 @@ type row = {
 
 val default_sizes : (int * int) list
 
-val run : ?sizes:(int * int) list -> ?seed:int64 -> unit -> row list
+val run : ?sizes:(int * int) list -> unit -> row list
 (** [sizes] = (rules, alias_factor) pairs; defaults sweep 100..2000
     rules at alias factors 2 and 4. *)
 

@@ -105,10 +105,9 @@ let run_variant ~iters ~full_ns ~dirty_pct =
   (* Warm round so every alternate cell has a shadow entry; from here
      on each round's stats are identical. *)
   mutate t prefs alts ~k ~round:1;
-  ignore (Chkpt.Incr.sync tracker);
+  let last = ref (Chkpt.Incr.sync tracker) in
   (* Measured rounds: mutation outside the clock, sync inside. *)
   let sync_ns = ref 0. in
-  let last = ref Chkpt.Parallel.zero_stats in
   for round = 2 to iters + 1 do
     mutate t prefs alts ~k ~round;
     sync_ns := !sync_ns +. time_ns (fun () -> last := Chkpt.Incr.sync tracker);

@@ -36,6 +36,6 @@ val run :
     [telemetry] (default the global registry, via {!Env.make}) receives
     the [sfi.*] / [netstack.*] metrics of every mode's run — the
     cross-check tests feed a fresh registry here and assert exact
-    counts. *)
+    counts. For tests: [?warmup] and [?telemetry]. *)
 
 val print : row list -> unit

@@ -55,7 +55,8 @@ type det_result = {
   d_fused : det_run;
 }
 
-let run_stats ?(rounds = default_rounds) ?(batch_size = default_batch_size) () =
+let run_stats ?(rounds = default_rounds) () =
+  let batch_size = default_batch_size in
   {
     d_rounds = rounds;
     d_batch_size = batch_size;

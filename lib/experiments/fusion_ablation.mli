@@ -11,7 +11,7 @@
 
 type det_result
 
-val run_stats : ?rounds:int -> ?batch_size:int -> unit -> det_result
+val run_stats : ?rounds:int -> unit -> det_result
 (** Defaults: 200 rounds of 32 packets, each arm in a fresh
     environment. *)
 

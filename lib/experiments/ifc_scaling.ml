@@ -13,7 +13,8 @@ let verify strategy program =
   | Ok r -> r
   | Error e -> failwith ("Ifc_scaling: " ^ e)
 
-let run ?(client_counts = [ 2; 4; 8; 16; 32 ]) ?(requests_per_client = 6) () =
+let run ?(client_counts = [ 2; 4; 8; 16; 32 ]) () =
+  let requests_per_client = 6 in
   List.map
     (fun clients ->
       let program = Ifc.Examples.secure_store ~clients ~requests_per_client () in

@@ -34,4 +34,6 @@ type copy_row = {
 type result = { store : store_row list; copies : copy_row list }
 
 val run : ?clients:int -> unit -> result
+(** For tests: [?clients], which the smoke test shrinks. *)
+
 val print : result -> unit

@@ -127,15 +127,10 @@ type stats_pair = {
   sp_uncached : Netstack.Shard.result;
 }
 
-let run_stats_pair ?queues ?rounds ?batch_size ?flows ?capacity ?ttl_cycles ?seed
-    ~shards () =
+let run_stats_pair ?queues ?rounds ~shards () =
   {
-    sp_cached =
-      run_stats ?queues ?rounds ?batch_size ?flows ?capacity ?ttl_cycles ?seed
-        ~cached:true ~shards ();
-    sp_uncached =
-      run_stats ?queues ?rounds ?batch_size ?flows ?capacity ?ttl_cycles ?seed
-        ~cached:false ~shards ();
+    sp_cached = run_stats ?queues ?rounds ~cached:true ~shards ();
+    sp_uncached = run_stats ?queues ?rounds ~cached:false ~shards ();
   }
 
 let ledger_match p =

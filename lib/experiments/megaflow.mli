@@ -23,41 +23,9 @@ val rule_db : clock:Cycles.Clock.t -> ?rule_pad:int -> unit -> Netstack.Ruledb.t
     then 8 rules dropping source-port slices of 1024 ports from 2000
     every 6000. *)
 
-val make_stages :
-  clock:Cycles.Clock.t -> ?rule_pad:int -> unit -> Netstack.Stage.t list
-(** Fresh per-queue stage state ({!rule_db} + Maglev table). The stage
-    descriptors declare both state owners' mutation hooks, so a
-    {!Netstack.Pipeline} built with a flowcache wires the cache's
-    invalidation automatically. [rule_pad] sizes the never-matching
-    prefix of the rule table (default 120; the wall-clock section
-    uses 760). *)
-
-val shard_stages : Netstack.Shard.queue_ctx -> Netstack.Stage.t list
-(** {!make_stages} adapted to the sharded engine's stage constructor. *)
-
 (** {2 Deterministic section} *)
 
 val default_stats_queues : int
-val default_stats_rounds : int
-val default_stats_flows : int
-val default_stats_capacity : int
-
-val run_stats :
-  ?queues:int ->
-  ?rounds:int ->
-  ?batch_size:int ->
-  ?flows:int ->
-  ?capacity:int ->
-  ?ttl_cycles:int64 ->
-  ?seed:int64 ->
-  cached:bool ->
-  shards:int ->
-  unit ->
-  Netstack.Shard.result
-(** One sharded run over the Zipf plan, with or without per-queue
-    flow caches. Defaults: 4 queues, 400 rounds, batch 32, 20k flows,
-    s = 1.2, 256-entry caches, 150k-cycle TTL (both small enough that
-    LRU and TTL evictions actually occur in the golden), seed 2017. *)
 
 type stats_pair = {
   sp_cached : Netstack.Shard.result;
@@ -67,20 +35,10 @@ type stats_pair = {
 val run_stats_pair :
   ?queues:int ->
   ?rounds:int ->
-  ?batch_size:int ->
-  ?flows:int ->
-  ?capacity:int ->
-  ?ttl_cycles:int64 ->
-  ?seed:int64 ->
   shards:int ->
   unit ->
   stats_pair
 
-val ledger_match : stats_pair -> bool
-(** The engine-scale equivalence check: crafted/served/degraded/dropped
-    identical between the cached and uncached runs. *)
-
-val print_stats : cached:bool -> Netstack.Shard.result -> unit
 val print_stats_pair : stats_pair -> unit
 
 (** {2 Wall-clock section} *)
@@ -107,22 +65,6 @@ type wall_result = {
   w_pipe_speedup : float; (** Pipeline-only Mpps ratio — the headline. *)
 }
 
-val run_wall :
-  ?flows:int ->
-  ?capacity:int ->
-  ?batch_size:int ->
-  ?warmup:int ->
-  ?batches:int ->
-  ?rule_pad:int ->
-  ?seed:int64 ->
-  unit ->
-  wall_result
-(** Defaults: 1M flows, s = 1.2, 131072-entry cache, batch 64, 1k
-    warmup + 12k timed batches. With those parameters the Zipf tail
-    puts ~97% of arrivals inside the cache's reach. *)
-
-val print_wall : wall_result -> unit
-
 (** {2 Combined entry point} *)
 
 type result = {
@@ -132,3 +74,35 @@ type result = {
 
 val run : quick:bool -> unit -> result
 val print : result -> unit
+
+(** {1 For tests}
+
+    A reduced deterministic run (the shard-invariance test in
+    [test/test_flowcache.ml]) and the per-queue chain whose allocation
+    [test/test_fusion.ml] bounds. *)
+
+val run_stats :
+  ?queues:int ->
+  ?rounds:int ->
+  ?batch_size:int ->
+  ?flows:int ->
+  ?capacity:int ->
+  ?ttl_cycles:int64 ->
+  ?seed:int64 ->
+  cached:bool ->
+  shards:int ->
+  unit ->
+  Netstack.Shard.result
+(** One sharded run over the Zipf plan, with or without per-queue
+    flow caches. Defaults: 4 queues, 400 rounds, batch 32, 20k flows,
+    s = 1.2, 256-entry caches, 150k-cycle TTL (both small enough that
+    LRU and TTL evictions actually occur in the golden), seed 2017. *)
+
+val make_stages :
+  clock:Cycles.Clock.t -> ?rule_pad:int -> unit -> Netstack.Stage.t list
+(** Fresh per-queue stage state ({!rule_db} + Maglev table). The stage
+    descriptors declare both state owners' mutation hooks, so a
+    {!Netstack.Pipeline} built with a flowcache wires the cache's
+    invalidation automatically. [rule_pad] sizes the never-matching
+    prefix of the rule table (default 120; the wall-clock section
+    uses 760). *)

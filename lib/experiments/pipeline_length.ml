@@ -14,7 +14,8 @@ let measure ~length ~batch ~warmup ~trials mode_of_env =
   in
   Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch ~warmup ~trials)
 
-let run ?(lengths = [ 1; 2; 4; 8; 16 ]) ?(batch = 32) ?(warmup = 20) ?(trials = 100) () =
+let run ?(lengths = [ 1; 2; 4; 8; 16 ]) ?(warmup = 20) ?(trials = 100) () =
+  let batch = 32 in
   List.map
     (fun length ->
       let direct_cycles = measure ~length ~batch ~warmup ~trials (fun _ -> Netstack.Pipeline.Direct) in

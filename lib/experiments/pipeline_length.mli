@@ -12,11 +12,16 @@ type row = {
   overhead_per_call : float;
 }
 
-val run : ?lengths:int list -> ?batch:int -> ?warmup:int -> ?trials:int -> unit -> row list
-(** Defaults: lengths 1,2,4,8,16; batch 32. *)
+val run : ?lengths:int list -> ?warmup:int -> ?trials:int -> unit -> row list
+(** Defaults: lengths 1,2,4,8,16; batch 32. For tests: [?lengths] and
+    [?warmup], which the smoke test shrinks. *)
+
+val print : row list -> unit
+
+(** {1 For tests}
+
+    The figure [test/test_experiments.ml] bounds. *)
 
 val max_deviation : row list -> float
 (** Largest relative deviation of any row's overhead from the mean —
     the "independence" claim quantified. *)
-
-val print : row list -> unit

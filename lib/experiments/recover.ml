@@ -55,9 +55,7 @@ type stats = {
 
 let queue_dir root q = Filename.concat root (Printf.sprintf "q%d" q)
 
-let run_stats ?(queues = default_queues) ?(rounds = default_rounds)
-    ?(batch_size = default_batch_size) ?(rate = default_rate)
-    ?(fault_seed = default_fault_seed) ?(shards = 1) () =
+let run_stats ?(queues = default_queues) ?(rounds = default_rounds) ?(shards = 1) () =
   let root = fresh_temp_root () in
   Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
   let tabs = Array.make queues None in
@@ -80,11 +78,11 @@ let run_stats ?(queues = default_queues) ?(rounds = default_rounds)
       match tabs.(queue) with Some ft -> Netstack.Flowtab.rollback ft | None -> ()
   in
   let faults =
-    Netstack.Shard.default_faults ~rate ~seed:fault_seed ~on_restart
+    Netstack.Shard.default_faults ~rate:default_rate ~seed:default_fault_seed ~on_restart
       ~policy:Faultinj.Restart.Immediate ()
   in
   let spec =
-    Netstack.Shard.default_spec ~shards ~queues ~rounds ~batch_size ~seed:default_seed
+    Netstack.Shard.default_spec ~shards ~queues ~rounds ~batch_size:default_batch_size ~seed:default_seed
       ~faults ~mode:Netstack.Shard.Isolated ~stages ()
   in
   let r = Netstack.Shard.run (Netstack.Shard.create spec) in
@@ -187,7 +185,8 @@ let print_stats s =
   print_newline ();
   Telemetry.Render.print ~title:"recover telemetry (recovery)" s.s_recovery_telemetry
 
-let run_corpus ?(dir = default_corpus) () =
+let run_corpus () =
+  let dir = default_corpus in
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Printf.printf "corpus: directory %s not found\n" dir
   else begin

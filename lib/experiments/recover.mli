@@ -24,17 +24,12 @@
       the newest checkpoint against a full rebuild by replay — the
       checkpoint path must be at least 10x faster. *)
 
-val graph_version : int
-(** The flowtab wire-layout version E19 stamps into its manifests. *)
-
 val corpus_graph : int
 (** The graph version the corpus generator writes (and the corpus
     block expects); the wrong-graph corpus file carries any other. *)
 
 val default_queues : int
 val default_rounds : int
-val default_rate : float
-val default_corpus : string
 
 type queue_recovery = {
   q_queue : int;
@@ -55,9 +50,6 @@ type stats = {
 val run_stats :
   ?queues:int ->
   ?rounds:int ->
-  ?batch_size:int ->
-  ?rate:float ->
-  ?fault_seed:int64 ->
   ?shards:int ->
   unit ->
   stats
@@ -67,7 +59,7 @@ val run_stats :
 
 val print_stats : stats -> unit
 
-val run_corpus : ?dir:string -> unit -> unit
+val run_corpus : unit -> unit
 (** Print the deterministic rejection of every corpus file (and the
     corpus reject-counter telemetry). *)
 

@@ -19,6 +19,7 @@ type result = {
 val run : ?trials:int -> ?batch:int -> ?telemetry:Telemetry.Registry.t -> unit -> result
 (** Default: 1000 trials, batch 32. [telemetry] (default global)
     receives one [sfi.recovery_cycles] histogram entry and one
-    [sfi.fault-injector.{panics,recoveries}] tick per trial. *)
+    [sfi.fault-injector.{panics,recoveries}] tick per trial. For tests:
+    [?batch] and [?telemetry], which the cross-check tests set. *)
 
 val print : result -> unit

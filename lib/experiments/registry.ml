@@ -264,4 +264,3 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all
-let ids = List.map (fun e -> e.id) all

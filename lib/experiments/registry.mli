@@ -34,4 +34,3 @@ type entry = {
 
 val all : entry list
 val find : string -> entry option
-val ids : string list

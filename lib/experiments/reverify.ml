@@ -56,7 +56,8 @@ type stats = {
 let speedup cold warm = if warm > 0 then float_of_int cold /. float_of_int warm else infinity
 
 let run_stats ?(funcs = default_funcs) ?(edits = default_edits)
-    ?(iters = default_iters) ?(seed = default_seed) () =
+    ?(iters = default_iters) () =
+  let seed = default_seed in
   let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth; seed } in
   let program = Ifc.Gen.generate spec in
   let reg = Telemetry.Registry.create () in
@@ -160,7 +161,8 @@ type wall = {
 }
 
 let run_wall ?(funcs = default_funcs) ?(edits = default_edits)
-    ?(iters = 5) ?(seed = default_seed) () =
+    ?(iters = 5) () =
+  let seed = default_seed in
   let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth; seed } in
   let program = Ifc.Gen.generate spec in
   let reg = Telemetry.Registry.create () in

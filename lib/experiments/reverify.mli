@@ -13,9 +13,7 @@
     target. *)
 
 val default_funcs : int
-val default_edits : int
 val default_iters : int
-val default_seed : int64
 
 type round = {
   r_round : int;
@@ -40,7 +38,7 @@ type stats = {
 }
 
 val run_stats :
-  ?funcs:int -> ?edits:int -> ?iters:int -> ?seed:int64 -> unit -> stats
+  ?funcs:int -> ?edits:int -> ?iters:int -> unit -> stats
 (** Deterministic in its arguments; the printed block golden-diffs
     byte-for-byte ([test/golden/reverify_stats.txt]). *)
 
@@ -56,7 +54,7 @@ type wall = {
 }
 
 val run_wall :
-  ?funcs:int -> ?edits:int -> ?iters:int -> ?seed:int64 -> unit -> wall
+  ?funcs:int -> ?edits:int -> ?iters:int -> unit -> wall
 
 val print_wall : wall -> unit
 

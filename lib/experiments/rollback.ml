@@ -7,8 +7,8 @@ type row = {
   recovered_exact : bool;
 }
 
-let run ?(intervals = [ 1; 8; 64; 256 ]) ?(inputs = 2021) ?(seed = 5L)
-    ?(telemetry = Telemetry.Registry.global) () =
+let run ?(intervals = [ 1; 8; 64; 256 ]) ?(inputs = 2021) () =
+  let seed = 5L and telemetry = Telemetry.Registry.global in
   List.map
     (fun interval ->
       let rng = Cycles.Rng.create seed in

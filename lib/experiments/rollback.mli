@@ -23,13 +23,12 @@ type row = {
 val run :
   ?intervals:int list ->
   ?inputs:int ->
-  ?seed:int64 ->
-  ?telemetry:Telemetry.Registry.t ->
   unit ->
   row list
 (** Defaults: intervals 1, 8, 64, 256; 2021 inputs (deliberately not a
     multiple of the intervals, so the crash lands mid-interval and the
-    log is non-trivial). [telemetry] (default global) accumulates the
-    [chkpt.*] counters across all intervals. *)
+    log is non-trivial). The global registry accumulates the [chkpt.*]
+    counters across all intervals. For tests: [?intervals], which the
+    smoke test shrinks. *)
 
 val print : row list -> unit

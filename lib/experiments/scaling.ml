@@ -24,10 +24,10 @@ let default_stages (_ : Netstack.Shard.queue_ctx) =
 let digest_of registry =
   String.sub (Digest.to_hex (Digest.string (Telemetry.Render.to_string registry))) 0 12
 
-let run_one ?(queues = default_queues) ?(rounds = default_rounds)
-    ?(batch_size = default_batch_size) ?(seed = default_seed) ~mode ~shards () =
+let run_one ?(queues = default_queues) ?(rounds = default_rounds) ~mode ~shards () =
   let spec =
-    Netstack.Shard.default_spec ~shards ~queues ~rounds ~batch_size ~seed ~mode
+    Netstack.Shard.default_spec ~shards ~queues ~rounds ~batch_size:default_batch_size
+      ~seed:default_seed ~mode
       ~stages:default_stages ()
   in
   let engine = Netstack.Shard.create spec in
@@ -44,7 +44,7 @@ let shards_list () =
 let default_modes = Netstack.Shard.[ Direct; Isolated; Copying; Tagged ]
 
 let run ?(modes = default_modes) ?(queues = default_queues)
-    ?(rounds = default_rounds) ?(batch_size = default_batch_size) ?(seed = default_seed) () =
+    ?(rounds = default_rounds) () =
   let shards_list = shards_list () in
   List.concat_map
     (fun mode ->
@@ -52,7 +52,7 @@ let run ?(modes = default_modes) ?(queues = default_queues)
       let base_digest = ref None in
       List.map
         (fun shards ->
-          let wall_s, r = run_one ~queues ~rounds ~batch_size ~seed ~mode ~shards () in
+          let wall_s, r = run_one ~queues ~rounds ~mode ~shards () in
           let digest = digest_of r.Netstack.Shard.r_telemetry in
           let speedup =
             match !base_wall with

@@ -28,9 +28,6 @@ type row = {
   deterministic : bool;  (** [digest] equals the 1-shard digest. *)
 }
 
-val default_stages : Netstack.Shard.queue_ctx -> Netstack.Stage.t list
-(** Checksum-verify + TTL-decrement, fresh per queue. *)
-
 val default_queues : int
 val default_rounds : int
 val default_modes : Netstack.Shard.mode list
@@ -38,8 +35,6 @@ val default_modes : Netstack.Shard.mode list
 val run_one :
   ?queues:int ->
   ?rounds:int ->
-  ?batch_size:int ->
-  ?seed:int64 ->
   mode:Netstack.Shard.mode ->
   shards:int ->
   unit ->
@@ -51,8 +46,6 @@ val run :
   ?modes:Netstack.Shard.mode list ->
   ?queues:int ->
   ?rounds:int ->
-  ?batch_size:int ->
-  ?seed:int64 ->
   unit ->
   row list
 (** Full sweep: each mode (default all four) at each shard count

@@ -21,7 +21,8 @@ let measure ~batch ~warmup ~trials mode_of_env =
   in
   Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch ~warmup ~trials)
 
-let run ?(batch = 32) ?(warmup = 20) ?(trials = 100) () =
+let run ?(warmup = 20) ?(trials = 100) () =
+  let batch = 32 in
   let raw =
     List.map (fun (name, mode) -> (name, measure ~batch ~warmup ~trials mode)) modes
   in

@@ -13,8 +13,8 @@ type row = {
   overhead_vs_direct : float;  (** (mode − direct) / direct. *)
 }
 
-val run : ?batch:int -> ?warmup:int -> ?trials:int -> unit -> row list
+val run : ?warmup:int -> ?trials:int -> unit -> row list
 (** Rows in order: direct, isolated (linear SFI), copying, tagged.
-    Default batch 32. *)
+    Batch 32. For tests: [?warmup], which the smoke test shrinks. *)
 
 val print : row list -> unit

@@ -54,11 +54,12 @@ let digest_of registry =
   String.sub (Digest.to_hex (Digest.string (Telemetry.Render.to_string registry))) 0 12
 
 let run_one ?(queues = default_queues) ?(rounds = default_rounds)
-    ?(batch_size = default_batch_size) ?(seed = default_seed) ?(rate = default_rate)
-    ?(fault_seed = default_fault_seed) ?(restore = true) ?(shards = 1) ~policy () =
+    ?(batch_size = default_batch_size) ?(rate = default_rate)
+    ?(fault_seed = default_fault_seed) ?(shards = 1) ~policy () =
+  let seed = default_seed in
   let stores = Array.make queues None in
   let on_restart ~queue ~stage =
-    if restore && stage = flowtab_stage_index then
+    if stage = flowtab_stage_index then
       match stores.(queue) with Some s -> Netstack.Flowtab.rollback s | None -> ()
   in
   let faults =
@@ -102,14 +103,10 @@ let row_of ~policy (r : Netstack.Shard.result) ~restores =
     digest = digest_of r.Netstack.Shard.r_telemetry;
   }
 
-let run ?queues ?rounds ?batch_size ?seed ?rate ?fault_seed
-    ?restore ?shards () =
+let run ?queues ?rounds ?shards () =
   List.map
     (fun policy ->
-      let r, restores =
-        run_one ?queues ?rounds ?batch_size ?seed ?rate ?fault_seed ?restore ?shards ~policy
-          ()
-      in
+      let r, restores = run_one ?queues ?rounds ?shards ~policy () in
       row_of ~policy r ~restores)
     default_policies
 

@@ -33,41 +33,24 @@ val default_policies : Faultinj.Restart.policy list
 
 val default_queues : int
 val default_rounds : int
-val default_rate : float
-val flowtab_stage_index : int
-
-val storm_stages :
-  stores:Netstack.Flowtab.t option array ->
-  Netstack.Shard.queue_ctx ->
-  Netstack.Stage.t list
-(** Checksum + TTL + a checkpointed per-queue flow table
-    ({!Netstack.Flowtab}: incremental chunk-tracked store, snapshot
-    every 8 batches — steady-state snapshots and restart rollbacks both
-    cost O(dirty chunks)); writes each queue's table into [stores]. *)
 
 val run_one :
   ?queues:int ->
   ?rounds:int ->
   ?batch_size:int ->
-  ?seed:int64 ->
   ?rate:float ->
   ?fault_seed:int64 ->
-  ?restore:bool ->
   ?shards:int ->
   policy:Faultinj.Restart.policy ->
   unit ->
   Netstack.Shard.result * int
 (** One storm under one policy; also returns the total checkpoint
-    restores. [restore:false] disables rollback-on-restart. *)
+    restores. For tests: [?batch_size], [?rate] and [?fault_seed], which
+    the conservation property draws and the restore test shrinks. *)
 
 val run :
   ?queues:int ->
   ?rounds:int ->
-  ?batch_size:int ->
-  ?seed:int64 ->
-  ?rate:float ->
-  ?fault_seed:int64 ->
-  ?restore:bool ->
   ?shards:int ->
   unit ->
   row list

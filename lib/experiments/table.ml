@@ -7,7 +7,7 @@ let looks_numeric s =
   s <> ""
   && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '.' || c = '-' || c = '%' || c = '+') s
 
-let print ?(out = stdout) ~header rows =
+let print ~header rows =
   let all = header :: rows in
   let cols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
   let width c =
@@ -24,10 +24,10 @@ let print ?(out = stdout) ~header rows =
           if looks_numeric s then Printf.sprintf "%*s" w s else Printf.sprintf "%-*s" w s)
         widths
     in
-    output_string out ("  " ^ String.concat "  " cells ^ "\n")
+    print_string ("  " ^ String.concat "  " cells ^ "\n")
   in
   render header;
   let rule = List.map (fun w -> String.make w '-') widths in
   render rule;
   List.iter render rows;
-  flush out
+  flush stdout

@@ -1,6 +1,6 @@
 (** Minimal aligned-column table printing for experiment reports. *)
 
-val print : ?out:out_channel -> header:string list -> string list list -> unit
+val print : header:string list -> string list list -> unit
 (** Right-aligns numeric-looking cells, left-aligns the rest, pads to
     the widest cell per column, separates header with a rule. *)
 

@@ -14,20 +14,6 @@ type kind =
 
 let all_kinds = [ Panics; Recovery_panics; Revocations; Channel_overflows; Mempool_pressure ]
 
-let kind_name = function
-  | Panics -> "panics"
-  | Recovery_panics -> "recovery-panics"
-  | Revocations -> "revocations"
-  | Channel_overflows -> "channel-overflows"
-  | Mempool_pressure -> "mempool-pressure"
-
-let fault_name = function
-  | Panic_in_stage { stage } -> Printf.sprintf "panic@%d" stage
-  | Recovery_panic { stage; times } -> Printf.sprintf "recovery-panic@%d(x%d)" stage times
-  | Rref_revoke { stage } -> Printf.sprintf "revoke@%d" stage
-  | Channel_full -> "channel-full"
-  | Mempool_exhaust { buffers } -> Printf.sprintf "mempool-exhaust(%d)" buffers
-
 type queue_plan = {
   q_rounds : int;
   by_round : (int, fault list) Hashtbl.t;  (* faults stored in draw order *)
@@ -42,8 +28,8 @@ let queue_seed seed q =
 let max_recovery_panics = 3
 let max_steal = 16
 
-let draw_fault rng ~stages ~kinds =
-  let kind = List.nth kinds (Cycles.Rng.int rng (List.length kinds)) in
+let draw_fault rng ~stages =
+  let kind = List.nth all_kinds (Cycles.Rng.int rng (List.length all_kinds)) in
   match kind with
   | Panics -> Panic_in_stage { stage = Cycles.Rng.int rng stages }
   | Recovery_panics ->
@@ -53,11 +39,10 @@ let draw_fault rng ~stages ~kinds =
   | Channel_overflows -> Channel_full
   | Mempool_pressure -> Mempool_exhaust { buffers = 1 + Cycles.Rng.int rng max_steal }
 
-let for_queue ?(kinds = all_kinds) ~seed ~rate ~rounds ~stages ~queue () =
+let for_queue ~seed ~rate ~rounds ~stages ~queue () =
   if rate < 0.0 || rate > 1.0 then invalid_arg "Plan.for_queue: rate must be in [0, 1]";
   if rounds < 0 then invalid_arg "Plan.for_queue: rounds must be non-negative";
   if stages <= 0 then invalid_arg "Plan.for_queue: stages must be positive";
-  if kinds = [] then invalid_arg "Plan.for_queue: no fault kinds";
   let by_round = Hashtbl.create 16 in
   let total = ref 0 in
   if rate > 0.0 then begin
@@ -70,7 +55,7 @@ let for_queue ?(kinds = all_kinds) ~seed ~rate ~rounds ~stages ~queue () =
     in
     let round = ref (gap ()) in
     while !round <= rounds do
-      let f = draw_fault rng ~stages ~kinds in
+      let f = draw_fault rng ~stages in
       let existing = Option.value (Hashtbl.find_opt by_round !round) ~default:[] in
       Hashtbl.replace by_round !round (existing @ [ f ]);
       incr total;
@@ -84,31 +69,3 @@ let faults_at qp ~round =
   Option.value (Hashtbl.find_opt qp.by_round round) ~default:[]
 
 let queue_total qp = qp.q_total
-
-type t = queue_plan array
-
-let generate ?kinds ~seed ~rate ~rounds ~stages ~queues () =
-  if queues <= 0 then invalid_arg "Plan.generate: queues must be positive";
-  Array.init queues (fun queue ->
-      for_queue ?kinds ~seed ~rate ~rounds ~stages ~queue ())
-
-let queue t q =
-  if q < 0 || q >= Array.length t then invalid_arg "Plan.queue: bad queue index";
-  t.(q)
-
-let total t = Array.fold_left (fun acc qp -> acc + qp.q_total) 0 t
-
-let events t =
-  let out = ref [] in
-  Array.iteri
-    (fun q qp ->
-      for round = qp.q_rounds downto 1 do
-        match Hashtbl.find_opt qp.by_round round with
-        | None -> ()
-        | Some fs -> List.iter (fun f -> out := (q, round, f) :: !out) (List.rev fs)
-      done)
-    t;
-  (* Rounds were walked descending and prepended (keeping each round's
-     draw order via the rev above), so each queue's slice is already
-     round-ascending; the stable sort only interleaves the queues. *)
-  List.stable_sort (fun (qa, _, _) (qb, _, _) -> compare qa qb) !out

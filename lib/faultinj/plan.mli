@@ -6,7 +6,7 @@
     properties make injected storms a continuously verifiable claim
     rather than a flaky stress test:
 
-    - {b Replayable}: equal [(seed, rate, rounds, stages, kinds)]
+    - {b Replayable}: equal [(seed, rate, rounds, stages)]
       yield byte-equal plans, so a storm can be re-run and diffed.
     - {b Shard-count invariant}: each queue's schedule is derived from
       [(seed, queue)] alone — never from the queue→shard assignment —
@@ -37,23 +37,10 @@ type fault =
       (** [buffers] buffers are held hostage for one round, starving
           the NIC's receive path. *)
 
-(** Fault families a plan may draw from. *)
-type kind =
-  | Panics
-  | Recovery_panics
-  | Revocations
-  | Channel_overflows
-  | Mempool_pressure
-
-val all_kinds : kind list
-val kind_name : kind -> string
-val fault_name : fault -> string
-
 type queue_plan
 (** One queue's schedule: round → faults. *)
 
 val for_queue :
-  ?kinds:kind list ->
   seed:int64 ->
   rate:float ->
   rounds:int ->
@@ -63,34 +50,13 @@ val for_queue :
   queue_plan
 (** Derive queue [queue]'s schedule. Fault rounds are Poisson arrivals
     with mean inter-arrival [1/rate] rounds (exponential gaps, floored
-    at one round); each arrival draws a [kind] uniformly, then its
-    parameters ([stage] uniform in [0, stages)), [times] in [1, 3],
-    [buffers] in [1, 16]). [kinds] defaults to all kinds.
-    [rate] must be in [0, 1]; 0 yields an empty schedule. *)
+    at one round); each arrival draws one of the five fault families
+    uniformly, then its parameters ([stage] uniform in [0, stages),
+    [times] in [1, 3], [buffers] in [1, 16]). [rate] must be in
+    [0, 1]; 0 yields an empty schedule. *)
 
 val faults_at : queue_plan -> round:int -> fault list
 (** Faults striking at scheduling round [round] (1-based), in draw
     order. Empty for off-plan rounds. *)
 
 val queue_total : queue_plan -> int
-
-type t
-(** A full storm: one {!queue_plan} per queue. *)
-
-val generate :
-  ?kinds:kind list ->
-  seed:int64 ->
-  rate:float ->
-  rounds:int ->
-  stages:int ->
-  queues:int ->
-  unit ->
-  t
-
-val queue : t -> int -> queue_plan
-val total : t -> int
-
-val events : t -> (int * int * fault) list
-(** Every [(queue, round, fault)] of the storm, sorted by queue then
-    round then draw order — the replay log a determinism check can
-    diff. *)

@@ -84,4 +84,3 @@ let on_service_ok t =
   t.bstate <- Closed
 
 let breaker_state t = t.bstate
-let consecutive_failures t = t.consecutive

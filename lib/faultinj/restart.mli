@@ -57,4 +57,3 @@ val on_service_ok : t -> unit
     streak, clear the breaker's failure window and close it. *)
 
 val breaker_state : t -> breaker_state
-val consecutive_failures : t -> int

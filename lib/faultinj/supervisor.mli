@@ -81,8 +81,6 @@ val cold_start : t -> restore:(int -> (string, string) result) -> (int * (string
     Returns the outcomes in unit order — callers print them verbatim,
     which is what makes recovery telemetry goldenable. *)
 
-val is_skipped : t -> int -> bool
-
 type stats = {
   restarts : int;           (** Successful domain restarts. *)
   restart_failures : int;   (** Restart attempts that themselves failed. *)
@@ -92,3 +90,9 @@ type stats = {
 }
 
 val stats : t -> stats
+
+(** {1 For tests}
+
+    The unit state the degrade and cold-start tests read back. *)
+
+val is_skipped : t -> int -> bool

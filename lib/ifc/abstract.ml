@@ -24,7 +24,6 @@ let finding_to_string f =
     Printf.sprintf "line %d: label of `%s' is %s, asserted <= %s" f.line f.subject
       (Label.to_string f.label) (Label.to_string f.bound)
 
-let pp_finding ppf f = Format.pp_print_string ppf (finding_to_string f)
 
 module Env = Map.Make (String)
 

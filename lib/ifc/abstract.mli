@@ -52,4 +52,3 @@ val analyze : strategy -> Ast.program -> report
     that class of errors). *)
 
 val finding_to_string : finding -> string
-val pp_finding : Format.formatter -> finding -> unit

@@ -24,11 +24,15 @@ val analyze : Ast.program -> result
 val points_to : result -> string -> Int_set.t
 (** Points-to set of a (namespaced) variable; empty if unknown. *)
 
-val may_alias : result -> string -> string -> bool
-
 val location_count : result -> int
 val constraint_iterations : result -> int
 (** Fixpoint rounds the solver needed (a cost signal for E7). *)
 
 val namespaced : fname:string -> string -> string
 (** The key under which a function-body variable is tracked. *)
+
+(** {1 For tests}
+
+    The pairwise query the points-to tests check the analysis by. *)
+
+val may_alias : result -> string -> string -> bool

@@ -199,7 +199,6 @@ let rec pp_stmt_at base ppf (s : stmt) =
 and pp_block base ppf stmts =
   Format.pp_print_list ~pp_sep:Format.pp_print_cut (pp_stmt_at base) ppf stmts
 
-let pp_stmt = pp_stmt_at 0
 
 let pp_program ppf p =
   let dialect = match p.dialect with Safe -> "safe" | Aliased -> "aliased" in

@@ -140,8 +140,5 @@ val validate_incremental :
 val stmt_count : program -> int
 (** Total statements including nested blocks and function bodies. *)
 
-val pp_stmt : Format.formatter -> stmt -> unit
-(** Prints the statement's own [line]. *)
-
 val pp_program : Format.formatter -> program -> unit
 (** Prints absolute lines throughout. *)

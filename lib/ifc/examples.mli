@@ -5,9 +5,6 @@
     the paper's "ERROR: leaks secret data" and a linearity error at
     line 17 is rustc's rejection of the aliasing exploit. *)
 
-val terminal : Ast.channel
-(** The untrusted terminal of [println!]: bound [public]. *)
-
 (** {2 The Buffer listing (paper lines 1–17)} *)
 
 val buffer_leak_safe : Ast.program
@@ -55,5 +52,12 @@ val secure_store : ?bug:bool -> ?requests_per_client:int -> clients:int -> unit 
 val bug_line : clients:int -> int
 (** The line the seeded bug occupies (for test assertions). *)
 
+(** {1 For tests}
+
+    The terminal channel and client categories the IFC tests build
+    their own programs and expectations from. *)
+
+val terminal : Ast.channel
+(** The untrusted terminal of [println!]: bound [public]. *)
+
 val client_category : int -> string
-val client_channel : int -> string

@@ -31,8 +31,6 @@ type spec = {
 val default : spec
 (** 500 functions, depth 10, 8 channels — the E21 workload. *)
 
-val func_name : int -> string
-
 val generate : spec -> Ast.program
 (** Deterministic in [spec]; passes {!Ast.validate} and
     {!Ownership.check}, and verifies clean under every Safe-dialect
@@ -52,3 +50,9 @@ val transitive_callers : Ast.program -> string list -> string list
 (** The dirty cone: the given functions plus every function that
     transitively calls one of them, sorted. [Summary_cache.reverify]
     must recompute at most this set. *)
+
+(** {1 For tests}
+
+    The generated names the edit properties pick functions by. *)
+
+val func_name : int -> string

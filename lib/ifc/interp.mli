@@ -43,7 +43,8 @@ exception Runtime_error of { line : int; message : string }
 
 val run : ?fuel:int -> Ast.program -> outcome
 (** Execute [main]. [fuel] (default 100_000) bounds executed
-    statements; exceeding it raises {!Runtime_error}. *)
+    statements; exceeding it raises {!Runtime_error}. For tests:
+    [?fuel], which the fuel-exhaustion cases lower. *)
 
 val event_taint : event -> Label.t
 (** Join of the element taints of an event. *)

@@ -19,4 +19,3 @@ let to_string t =
   if S.is_empty t then "public" else "{" ^ String.concat "," (S.elements t) ^ "}"
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-let compare = S.compare

@@ -27,20 +27,21 @@ val leq : t -> t -> bool
 val equal : t -> t -> bool
 val is_public : t -> bool
 
-val categories : t -> string list
-(** Sorted. *)
-
 val cardinal : t -> int
 
 val fold : (string -> 'a -> 'a) -> t -> 'a -> 'a
 (** Over the categories in sorted order, without building the list. *)
-
-val mem : string -> t -> bool
 
 val to_string : t -> string
 (** ["public"] or ["{a,b}"]. *)
 
 val pp : Format.formatter -> t -> unit
 
-val compare : t -> t -> int
-(** A total order (for use in maps/sets); unrelated to {!leq}. *)
+(** {1 For tests}
+
+    What the tests read a label's categories back with. *)
+
+val categories : t -> string list
+(** Sorted. *)
+
+val mem : string -> t -> bool

@@ -18,7 +18,6 @@ let violation_to_string v =
   | Move_of_moved { moved_at } ->
     Printf.sprintf "line %d: `%s' moved again (first moved at line %d)" v.line v.var moved_at
 
-let pp_violation ppf v = Format.pp_print_string ppf (violation_to_string v)
 
 type ctx = { mutable violations : violation list }
 

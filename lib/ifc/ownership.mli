@@ -51,4 +51,3 @@ val finalize : violation list -> (unit, violation list) result
 (** De-duplicate and sort, as {!check} does before reporting. *)
 
 val violation_to_string : violation -> string
-val pp_violation : Format.formatter -> violation -> unit

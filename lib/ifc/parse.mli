@@ -91,9 +91,6 @@ val forget : unit -> unit
     measurements and untrusted text; up to a collision of the hash
     lanes, the result of {!program} never depends on it. *)
 
-val label : string -> (Label.t, string) result
-(** Parse just a label (["public"], ["{secret}"], ["{a,b}"]). *)
-
 val to_source : Ast.program -> string
 (** Render a program in the concrete syntax, into one buffer;
     [program (to_source p)] reparses to an equal program up to
@@ -101,3 +98,10 @@ val to_source : Ast.program -> string
     rendered text, one statement per line. *)
 
 val error_to_string : error -> string
+
+(** {1 For tests}
+
+    The label grammar alone, which [test/test_parse.ml] pins. *)
+
+val label : string -> (Label.t, string) result
+(** Parse just a label (["public"], ["{secret}"], ["{a,b}"]). *)

@@ -1,7 +1,5 @@
 type violation = { line : int; reason : string }
 
-let violation_to_string v = Printf.sprintf "line %d: %s" v.line v.reason
-
 module Env = Map.Make (String)
 
 type ctx = { program : Ast.program; mutable violations : violation list }

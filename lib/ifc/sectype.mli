@@ -29,5 +29,3 @@ val repair : Ast.program -> Ast.program * int
 (** Replace every upward ill-typed [Move]/[Alias] with [Copy]; returns
     the transformed program and the number of rewrites. Downward flows
     (which no copy can fix) are left in place for {!check} to reject. *)
-
-val violation_to_string : violation -> string

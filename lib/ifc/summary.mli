@@ -42,15 +42,6 @@ type t = {
     {!Summary_cache} keys on. {!check_main} turns the sites of failing
     checks back into absolute lines. *)
 
-val eval : sym -> Label.t array -> Label.t
-(** Instantiate a symbolic label with concrete argument labels. *)
-
-val dependency_order : Ast.program -> Ast.func list
-(** Topological order of the (acyclic) call graph, callees first —
-    the order in which summaries must be built so that every call
-    site finds its callee's summary already computed. Covers every
-    declared function, reachable from [main] or not. *)
-
 val summarize_one :
   program:Ast.program -> summaries:(string, t) Hashtbl.t -> Ast.func -> t * int
 (** Summarize a single function against an explicit summary table

@@ -83,13 +83,6 @@ val create : ?telemetry:Telemetry.Registry.t -> unit -> t
 (** Counters are minted on [telemetry] (default
     {!Telemetry.Registry.global}). *)
 
-val size : t -> int
-(** Cached entries (= functions of the last committed program). *)
-
-val clear : t -> unit
-(** Forget every entry and the main pass's memo: the next {!reverify}
-    is cold. *)
-
 val reverify :
   ?sever_callee_fps:bool ->
   t ->
@@ -113,10 +106,22 @@ val reverify :
     arities) is stable, only [main] and edited bodies are revalidated
     — see {!Ast.validate_incremental} for the soundness argument.
 
-    [sever_callee_fps:true] (tests only) drops the callee-summary
+    For tests: [?sever_callee_fps]. [true] drops the callee-summary
     term from the fingerprint, leaving callers stale when only a
     callee's behaviour changed — the negative control showing the
     term is load-bearing. Use the same flag for every call on a given
     handle; mixing modes just forces recomputes.
 
     [Error] for Aliased-dialect programs. *)
+
+(** {1 For tests}
+
+    The entry count and reset that [test/test_summary_cache.ml] pins the
+    cache's pruning and the cold path with. *)
+
+val size : t -> int
+(** Cached entries (= functions of the last committed program). *)
+
+val clear : t -> unit
+(** Forget every entry and the main pass's memo: the next {!reverify}
+    is cold. *)

@@ -44,9 +44,6 @@ type report = {
 
 val strategy_name : strategy -> string
 
-val default_strategy : Ast.program -> strategy
-(** [Exact] for Safe programs, [Andersen] for Aliased ones. *)
-
 val verify : ?strategy:strategy -> Ast.program -> (report, string) result
 (** [Error] on validation failure or a dialect/strategy mismatch. *)
 
@@ -61,3 +58,11 @@ val reverify :
     shrinks on warm runs. *)
 
 val pp_report : Format.formatter -> report -> unit
+
+(** {1 For tests}
+
+    The strategy {!verify} picks when none is given, which
+    [test/test_ifc.ml] pins per dialect. *)
+
+val default_strategy : Ast.program -> strategy
+(** [Exact] for Safe programs, [Andersen] for Aliased ones. *)

@@ -3,7 +3,6 @@ type 'a cell = {
   cell_id : int;
   label : string;
   strong : int Atomic.t;
-  scratch : int Atomic.t;
 }
 
 type 'a t = { cell : 'a cell; valid : bool Atomic.t }
@@ -14,7 +13,7 @@ let next_id = Atomic.make 0
 let create ?label value =
   let cell_id = Atomic.fetch_and_add next_id 1 + 1 in
   let label = match label with Some l -> l | None -> Printf.sprintf "arc#%d" cell_id in
-  let cell = { value; cell_id; label; strong = Atomic.make 1; scratch = Atomic.make 0 } in
+  let cell = { value; cell_id; label; strong = Atomic.make 1 } in
   { cell; valid = Atomic.make true }
 
 let check t =
@@ -67,15 +66,3 @@ let ptr_eq a b =
 let id t =
   check t;
   t.cell.cell_id
-
-let scratch t =
-  check t;
-  Atomic.get t.cell.scratch
-
-let set_scratch t v =
-  check t;
-  Atomic.set t.cell.scratch v
-
-let try_claim_scratch t ~expected ~desired =
-  check t;
-  Atomic.compare_and_set t.cell.scratch expected desired

@@ -20,8 +20,6 @@ let violation_to_string = function
   | Use_after_drop label -> Printf.sprintf "use of dropped handle `%s'" label
   | Upgrade_failed label -> Printf.sprintf "weak handle `%s' is dangling" label
 
-let pp_violation ppf v = Format.pp_print_string ppf (violation_to_string v)
-
 let raise_violation v = raise (Ownership_violation v)
 
 let () =

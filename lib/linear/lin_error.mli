@@ -25,6 +25,5 @@ type violation =
 exception Ownership_violation of violation
 
 val violation_to_string : violation -> string
-val pp_violation : Format.formatter -> violation -> unit
 
 val raise_violation : violation -> 'a

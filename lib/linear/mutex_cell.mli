@@ -22,6 +22,12 @@ val with_lock : 'a t -> ('a -> 'a * 'b) -> 'b
     new content and a result. If [f] raises, the content is left
     unchanged and the lock is released. *)
 
+(** {1 For tests}
+
+    Lock-scoped access besides {!with_lock}, which
+    [test/test_linear.ml] and [test/test_chkpt.ml] drive concurrent
+    writers with. *)
+
 val update : 'a t -> ('a -> 'a) -> unit
 (** [with_lock] specialised to no result. *)
 

@@ -19,6 +19,20 @@ type 'a t
 val create : ?label:string -> 'a -> 'a t
 (** Wrap a fresh value. [label] names the handle in error messages. *)
 
+val consume : 'a t -> 'a
+(** Take the value out, killing the handle. Raises if dead/borrowed. *)
+
+val borrow : 'a t -> ('a -> 'b) -> 'b
+(** Scoped shared (read-only by convention) borrow. Re-entrant; may
+    nest with other shared borrows but not with a mutable borrow. *)
+
+(** {1 For tests}
+
+    The rest of the single-ownership discipline. The system only
+    creates, borrows and consumes owned values; [test/test_linear.ml]
+    pins moves, mutable borrows and their exclusion as the model of
+    Rust's rules (§2). *)
+
 val label : _ t -> string
 
 val is_live : _ t -> bool
@@ -27,13 +41,6 @@ val is_live : _ t -> bool
 val move : 'a t -> 'a t
 (** Transfer ownership to a new handle; the argument becomes dead.
     Raises if the argument is dead or borrowed. *)
-
-val consume : 'a t -> 'a
-(** Take the value out, killing the handle. Raises if dead/borrowed. *)
-
-val borrow : 'a t -> ('a -> 'b) -> 'b
-(** Scoped shared (read-only by convention) borrow. Re-entrant; may
-    nest with other shared borrows but not with a mutable borrow. *)
 
 val borrow_mut : 'a t -> ('a -> 'b) -> 'b
 (** Scoped exclusive borrow. Raises if any borrow is live. *)

@@ -94,4 +94,3 @@ let set_scratch t v =
   check t;
   t.cell.scratch <- v
 
-let is_live t = t.valid

@@ -34,7 +34,6 @@ val drop : 'a t -> unit
     (buggy) strong uses raise. Double-drop raises. *)
 
 val strong_count : 'a t -> int
-val weak_count : 'a t -> int
 
 val downgrade : 'a t -> 'a weak
 
@@ -46,9 +45,6 @@ val dangling : ?label:string -> unit -> 'a weak
     returns [None]. What a checkpoint emits for external pointers it
     must not resurrect. *)
 
-val upgrade_exn : 'a weak -> 'a t
-(** Like {!upgrade} but raises [Upgrade_failed]. *)
-
 val ptr_eq : 'a t -> 'a t -> bool
 (** Do two handles alias the same cell? ([Rc::ptr_eq].) *)
 
@@ -59,5 +55,11 @@ val scratch : 'a t -> int
 val set_scratch : 'a t -> int -> unit
 (** The per-cell scratch word (initially 0). See module doc. *)
 
-val is_live : 'a t -> bool
-(** [true] while this particular handle has not been dropped. *)
+(** {1 For tests}
+
+    The weak-count and failing upgrade the weak-edge tests read. *)
+
+val weak_count : 'a t -> int
+
+val upgrade_exn : 'a weak -> 'a t
+(** Like {!upgrade} but raises [Upgrade_failed]. *)

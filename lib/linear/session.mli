@@ -61,5 +61,9 @@ val close : stop t -> unit
 (** Terminate the session; consumes the endpoint. Both peers must
     close their own end. *)
 
+(** {1 For tests}
+
+    Endpoint liveness, which the protocol tests read after a close. *)
+
 val is_live : 'p t -> bool
 (** Diagnostics: has this endpoint value been consumed yet? *)

@@ -69,11 +69,6 @@ let push t p =
   t.hp_state.(t.len) <- 0;
   t.len <- t.len + 1
 
-let of_list ps =
-  let b = create ~capacity:(max 1 (List.length ps)) in
-  List.iter (push b) ps;
-  b
-
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Batch.get: out of bounds";
   t.pkts.(i)
@@ -129,10 +124,6 @@ let invalidate_hdr t i =
 let hdr_valid t i =
   check_slot "hdr_valid" t i;
   t.hp_state.(i) <> 0
-
-let hdr_dirty t i =
-  check_slot "hdr_dirty" t i;
-  t.hp_state.(i) land hp_dirty_mask <> 0
 
 (* Lazy load for a plane-less slot: the one parse from wire bytes.
    Raises like the {!Packet} accessors on non-IPv4 slots; ports are
@@ -257,10 +248,6 @@ let set_col_dst_port t i v =
 let col_proto t i =
   ensure_hdr "col_proto" t i;
   t.hp_proto.(i)
-
-let col_ip_len t i =
-  ensure_hdr "col_ip_len" t i;
-  t.hp_ip_len.(i)
 
 let materialize_slot t i =
   check_slot "materialize_slot" t i;

@@ -11,7 +11,6 @@
 type t
 
 val create : capacity:int -> t
-val of_list : Packet.t list -> t
 
 val length : t -> int
 val capacity : t -> int
@@ -24,7 +23,6 @@ val push : t -> Packet.t -> unit
 val get : t -> int -> Packet.t
 val iter : (Packet.t -> unit) -> t -> unit
 val iteri : (int -> Packet.t -> unit) -> t -> unit
-val fold : ('a -> Packet.t -> 'a) -> 'a -> t -> 'a
 
 (** {2 Header plane (SoA columns)}
 
@@ -82,53 +80,26 @@ val blit_slot : t -> int -> t -> int -> unit
     deferred writes and flow memo, valid or not — to [dst]'s slot [j],
     for deep-copying pipelines whose copies are byte-identical. *)
 
-val hdr_valid : t -> int -> bool
-val hdr_dirty : t -> int -> bool
-
 val col_ttl : t -> int -> int
 val col_src_ip : t -> int -> int
 val col_dst_ip : t -> int -> int
 val col_src_port : t -> int -> int
 val col_dst_port : t -> int -> int
 val col_proto : t -> int -> int
-val col_ip_len : t -> int -> int
-(** Column readers; lazily parse a plane-less slot. The port columns
-    raise [Invalid_argument] for protocols that carry no ports, like
-    {!Packet.src_port}. *)
 
 val set_col_ttl : t -> int -> int -> unit
 val set_col_src_ip : t -> int -> int -> unit
 val set_col_dst_ip : t -> int -> int -> unit
 val set_col_src_port : t -> int -> int -> unit
-val set_col_dst_port : t -> int -> int -> unit
 (** Column writers: record the new value and its dirty bit; wire bytes
     are untouched until {!materialize}. Setters validate ranges like
     the corresponding {!Packet} setters. *)
 
-val materialize_slot : t -> int -> unit
 val materialize : t -> unit
 (** Write every dirty column back to wire bytes — one pass, one
     RFC 1624 checksum fold per packet — and mark the plane clean.
     A no-op on clean slots; never charges the virtual clock (the
     column stages already charged the writes they deferred). *)
-
-val hdr_consistent : t -> int -> bool
-(** Audit hook: a slot whose plane claims to be clean must agree with
-    a fresh parse of its wire bytes, and a set flow memo must equal
-    {!Packet.flow_of} of those bytes and its hash. Dirty or plane-less
-    slots pass vacuously. *)
-
-(**/**)
-
-val poke_col_for_test :
-  t ->
-  int ->
-  [ `Ttl of int | `Src_ip of int | `Dst_ip of int | `Src_port of int | `Dst_port of int ] ->
-  unit
-(** Write a column {e without} its dirty bit — the forgetful-rewriter
-    fault the {!hdr_consistent} audit must catch. Tests only. *)
-
-(**/**)
 
 val sieve_kernel :
   t -> ('e -> t -> int -> Packet.t -> bool) -> 'e -> dropped:Packet.t array -> int
@@ -149,9 +120,41 @@ val clear : t -> unit
 (** Empty the batch without returning the packets (the caller already
     released or transferred the buffers). *)
 
+val packets : t -> Packet.t list
+(** Non-destructive snapshot, oldest first. *)
+
+(** {1 For tests}
+
+    Hooks of the column oracle tests ([test/test_packet_fast.ml],
+    [test/test_soa.ml], [test/test_flowcache.ml]): the plane's state
+    bits, the consistency audit and the fault it must catch, one slot's
+    writeback, a writer for a column no stage rewrites, and the
+    batch's packets read back. *)
+
+val fold : ('a -> Packet.t -> 'a) -> 'a -> t -> 'a
+
+val hdr_valid : t -> int -> bool
+
+val materialize_slot : t -> int -> unit
+
+val hdr_consistent : t -> int -> bool
+(** Audit hook: a slot whose plane claims to be clean must agree with
+    a fresh parse of its wire bytes, and a set flow memo must equal
+    {!Packet.flow_of} of those bytes and its hash. Dirty or plane-less
+    slots pass vacuously. *)
+
+val poke_col_for_test :
+  t ->
+  int ->
+  [ `Ttl of int | `Src_ip of int | `Dst_ip of int | `Src_port of int | `Dst_port of int ] ->
+  unit
+(** Write a column {e without} its dirty bit — the forgetful-rewriter
+    fault the {!hdr_consistent} audit must catch. *)
+
 val take_all : t -> Packet.t list
 (** Empty the batch, returning its packets. Materializes any deferred
     column writes first — the bytes handed out are canonical. *)
 
-val packets : t -> Packet.t list
-(** Non-destructive snapshot, oldest first. *)
+val set_col_dst_port : t -> int -> int -> unit
+(** The column writer for the destination port, which no stage
+    rewrites. *)

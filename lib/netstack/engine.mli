@@ -37,11 +37,6 @@ val clock : t -> Cycles.Clock.t
 val pool : t -> Mempool.t
 val telemetry : t -> Telemetry.Registry.t option
 
-val mode : t -> mode
-(** The access mode is fixed at {!create} time — engines are
-    mode-immutable so sharded pipelines can never race on a mode
-    flip. *)
-
 val with_mode : t -> mode -> t
 (** A view of the same engine under a different access mode: clock,
     pool, telemetry, tag table and the tag-check counter are shared;
@@ -55,6 +50,15 @@ val touch_packet : t -> Packet.t -> off:int -> bytes:int -> unit
 
 val touch_packet_write : t -> Packet.t -> off:int -> bytes:int -> unit
 (** Writes additionally update the tag line in [Tagged] mode. *)
+
+(** {1 For tests}
+
+    The access mode and tag-check count the tagged-heap tests read. *)
+
+val mode : t -> mode
+(** The access mode is fixed at {!create} time — engines are
+    mode-immutable so sharded pipelines can never race on a mode
+    flip. *)
 
 val tag_checks : t -> int
 (** Number of tag validations performed so far (Tagged mode only). *)

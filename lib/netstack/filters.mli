@@ -7,9 +7,6 @@
     DPI-style payload scans, and deterministic fault injection for the
     recovery experiment). *)
 
-val null : Stage.t
-(** Forwards the batch untouched. *)
-
 val null_chain : int -> Stage.t list
 (** [n] {!null} stages, each a {!Stage.barrier}: Figure 2's
     per-boundary probe, one protection-domain crossing per stage under
@@ -40,17 +37,9 @@ val maglev_gre : Maglev.t -> vip:int -> Stage.t
     chosen backend. Packets that cannot take the 24-byte overhead are
     dropped (and their buffers released). *)
 
-val gre_decap : Stage.t
-(** Backend-side: strip the GRE tunnel header (dropping non-GRE
-    packets). *)
-
 val firewall : name:string -> (Flow.t -> bool) -> Stage.t
 (** Per packet: extract the 5-tuple and apply the verdict function
     ([true] = pass); dropped packets are released. *)
-
-val payload_scan : Stage.t
-(** Per packet: touch and sum every payload byte (DPI-style work,
-    proportional to packet size). *)
 
 val fault_injector : panic_after:int -> Stage.t
 (** Forwards batches normally until batch number [panic_after]
@@ -62,3 +51,20 @@ val triggered_fault : trigger:bool ref -> Stage.t
 (** Panics exactly when [!trigger] is true (clearing the trigger first,
     so the next batch after recovery passes) — a one-shot injectable
     fault for the transparent-recovery demonstrations. *)
+
+(** {1 For tests}
+
+    Stages only the tests put in chains: a do-nothing stage, the GRE
+    decapsulation that undoes {!maglev_gre}, and a payload-touching
+    stage for byte-reading chains. *)
+
+val null : Stage.t
+(** Forwards the batch untouched. *)
+
+val gre_decap : Stage.t
+(** Backend-side: strip the GRE tunnel header (dropping non-GRE
+    packets). *)
+
+val payload_scan : Stage.t
+(** Per packet: touch and sum every payload byte (DPI-style work,
+    proportional to packet size). *)

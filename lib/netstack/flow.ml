@@ -75,8 +75,6 @@ type flow = t
 module Key = struct
   type nonrec t = int
 
-  let equal (a : int) b = a = b
-
   (* A 97-bit 5-tuple cannot be packed injectively into one immediate
      int, and no hot-path consumer needs it to be: RSS buckets, the
      Maglev table index and the heavy-hitter/NAT hash probes all key on

@@ -41,8 +41,6 @@ module Key : sig
   type t = int
   (** [hash] of the tuple; always non-negative. *)
 
-  val equal : t -> t -> bool
-
   val pack :
     src_ip:int -> dst_ip:int -> src_port:int -> dst_port:int -> proto:int -> t
   (** Pack a 5-tuple given as unboxed ints ([src_ip]/[dst_ip] are the
@@ -52,7 +50,13 @@ module Key : sig
   val of_flow : flow -> t
 end
 
-val pp : Format.formatter -> t -> unit
-val protocol_to_string : protocol -> string
 val protocol_number : protocol -> int
 (** 6 for TCP, 17 for UDP — the IP header protocol byte. *)
+
+(** {1 For tests}
+
+    The printers the property tests label their cases with. *)
+
+val pp : Format.formatter -> t -> unit
+
+val protocol_to_string : protocol -> string

@@ -115,8 +115,6 @@ let create ~clock ?telemetry ?(guard_bytes = default_guard_bytes) ~capacity ~ttl
   }
 
 let capacity t = t.capacity
-let ttl_cycles t = t.ttl
-let guard_bytes t = t.guard_bytes
 let epoch t = t.epoch
 let length t = Hashtbl.length t.table
 

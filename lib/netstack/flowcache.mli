@@ -37,11 +37,6 @@
 
 type t
 
-val default_guard_bytes : int
-(** 54 = Ethernet (14) + IPv4 (20) + TCP (20): the longest header stack
-    the synthetic workloads emit, so the guard always covers every
-    byte any header-rewriting stage inspects or mutates. *)
-
 val create :
   clock:Cycles.Clock.t ->
   ?telemetry:Telemetry.Registry.t ->
@@ -53,7 +48,8 @@ val create :
 (** Raises [Invalid_argument] if [capacity <= 0], [ttl_cycles <= 0] or
     [guard_bytes <= 0]. [telemetry] mirrors every counter under
     [netstack.flowcache.*] so sharded runs merge them like any other
-    netstack metric. *)
+    netstack metric. For tests:
+    [?guard_bytes]. *)
 
 type outcome =
   | Hit_serve  (** Replay already applied; the packet is ready to tx. *)
@@ -90,19 +86,6 @@ val invalidate : t -> unit
     misses from now on and is reclaimed lazily (counted as a stale
     eviction) when next probed or when LRU pressure reaches it. *)
 
-val epoch : t -> int
-val length : t -> int
-(** Entries resident, including not-yet-reclaimed stale ones; never
-    exceeds {!capacity}. *)
-
-val capacity : t -> int
-val ttl_cycles : t -> int64
-val guard_bytes : t -> int
-
-val lru_keys : t -> Flow.Key.t list
-(** Resident keys, most-recently-used first (tests: eviction-order
-    oracle against a reference model). *)
-
 type stats = {
   lookups : int;
   hits : int;
@@ -117,3 +100,20 @@ type stats = {
 }
 
 val stats : t -> stats
+
+(** {1 For tests}
+
+    The cache state the model-based tests check against their
+    reference model. *)
+
+val epoch : t -> int
+
+val length : t -> int
+(** Entries resident, including not-yet-reclaimed stale ones; never
+    exceeds {!capacity}. *)
+
+val capacity : t -> int
+
+val lru_keys : t -> Flow.Key.t list
+(** Resident keys, most-recently-used first (tests: eviction-order
+    oracle against a reference model). *)

@@ -69,14 +69,20 @@ val rollbacks : t -> int
 val persists : t -> int
 (** Durable saves taken (0 without a durable store). *)
 
-val generation : t -> int option
-(** Newest durable generation written or recovered. *)
-
 val digest : t -> string
 (** Deterministic hex digest of the live table's full wire image —
     the equality oracle between a recovered table and the state the
     crashed instance last persisted ({!rollback} first to rewind the
     crashed instance to that state). *)
 
+(** {1 For tests}
+
+    The table state [test/test_durable.ml] checks a recovered table
+    against. *)
+
+val generation : t -> int option
+(** Newest durable generation written or recovered. *)
+
 val get : t -> int -> int
+
 val buckets : t -> int

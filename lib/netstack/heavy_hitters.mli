@@ -17,6 +17,22 @@ val create : capacity:int -> t
 (** Raises [Invalid_argument] unless [capacity > 0]. *)
 
 val observe : ?count:int -> t -> Flow.t -> unit
+(** Count one observation of the flow ([count] of them). For tests:
+    [?count]. *)
+
+val desc : t Chkpt.Checkpointable.t
+(** Checkpoint descriptor (flows are immutable and shared; counters are
+    copied) — the sketch is the stateful NF used by the E13
+    rollback-recovery experiment. *)
+
+val equal : t -> t -> bool
+(** Same capacity, observation count and counter table — used to check
+    recovered state against the pre-crash original. *)
+
+(** {1 For tests}
+
+    The queries and the stage the Space-Saving tests check; E13 only
+    observes and checkpoints the sketch. *)
 
 val estimate : t -> Flow.t -> (int * int) option
 (** [(count, error)] if tracked; the true frequency lies in
@@ -34,12 +50,3 @@ val tracked : t -> int
 val stage : t -> Stage.t
 (** A pipeline stage that feeds every packet's 5-tuple through the
     sketch (accounting one header touch per packet). *)
-
-val desc : t Chkpt.Checkpointable.t
-(** Checkpoint descriptor (flows are immutable and shared; counters are
-    copied) — the sketch is the stateful NF used by the E13
-    rollback-recovery experiment. *)
-
-val equal : t -> t -> bool
-(** Same capacity, observation count and counter table — used to check
-    recovered state against the pre-crash original. *)

@@ -170,10 +170,6 @@ let fire t = List.iter (fun f -> f ()) t.subscribers
 let table_size t = t.table_size
 let backend_count t = Array.length t.backends
 
-let backend_name t i =
-  if i < 0 || i >= Array.length t.backends then invalid_arg "Maglev.backend_name";
-  t.backends.(i)
-
 let table_entry t i =
   if i < 0 || i >= t.table_size then invalid_arg "Maglev.table_entry";
   t.table.(i)

@@ -20,11 +20,10 @@ val create :
   clock:Cycles.Clock.t -> backends:string array -> ?table_size:int -> unit -> t
 (** [table_size] defaults to 65537 (prime, as the Maglev paper
     requires). Raises [Invalid_argument] on an empty backend list, a
-    non-positive table size, or more backends than table entries. *)
+    non-positive table size, or more backends than table entries.
+    For tests: [?table_size], which small-table tests shrink. *)
 
-val table_size : t -> int
 val backend_count : t -> int
-val backend_name : t -> int -> string
 
 val lookup : t -> Flow.t -> int
 (** Steer a flow: connection table first, then the consistent-hash
@@ -38,10 +37,23 @@ val lookup_keyed : t -> Flow.t -> key:Flow.Key.t -> int
     [lookup]'s — the cost model still prices the hash the hardware
     performs. [key] must equal [Flow.Key.of_flow flow]. *)
 
+val connection_count : t -> int
+
+val on_change : t -> (unit -> unit) -> unit
+(** Subscribe to steering-state changes ({!set_backends},
+    {!flush_connections}); subscribers run in registration order. A
+    verdict cache ({!Flowcache}) registers its invalidation here. *)
+
+(** {1 For tests}
+
+    Table inspection, and the backend-set edits that are the only code
+    firing {!on_change}, the hook the flowcache invalidation model
+    depends on. *)
+
+val table_size : t -> int
+
 val lookup_no_track : t -> Flow.t -> int
 (** Pure consistent-hash decision, no connection-table involvement. *)
-
-val connection_count : t -> int
 
 val table_entry : t -> int -> int
 (** Direct table inspection (tests). *)
@@ -58,11 +70,6 @@ val flush_connections : t -> int
     {!on_change} — unlike {!set_backends} alone, this {e does} change
     the verdict of already-steered flows, so cached fast paths must be
     invalidated. *)
-
-val on_change : t -> (unit -> unit) -> unit
-(** Subscribe to steering-state changes ({!set_backends},
-    {!flush_connections}); subscribers run in registration order. A
-    verdict cache ({!Flowcache}) registers its invalidation here. *)
 
 val imbalance : t -> float
 (** (max - min) / mean of per-backend table shares; the Maglev paper's

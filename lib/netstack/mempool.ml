@@ -79,14 +79,6 @@ let alloc_into t batch =
     true
   end
 
-let alloc_batch t batch n =
-  if n < 0 then invalid_arg "Mempool.alloc_batch: negative count";
-  let got = ref 0 in
-  while !got < n && alloc_into t batch do
-    incr got
-  done;
-  !got
-
 let is_allocated t (p : Packet.t) =
   p.slot >= 0
   && p.slot < t.capacity

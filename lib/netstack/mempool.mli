@@ -21,25 +21,17 @@ val create :
 
 val capacity : t -> int
 val buf_bytes : t -> int
-val available : t -> int
 val in_use : t -> int
 
 val alloc : t -> Packet.t option
 (** Pop a buffer; [None] when exhausted. Charges the allocator fast
     path and the free-list touch. The returned packet has [len = 0]. *)
 
-val alloc_exn : t -> Packet.t
-
 val alloc_into : t -> Batch.t -> bool
 (** Pop a buffer directly into the batch; [false] when the pool is
     exhausted (nothing pushed). Charge-identical to {!alloc} but
     allocation-free on the OCaml heap: no [option] box per packet.
     Raises [Invalid_argument] if the batch is full. *)
-
-val alloc_batch : t -> Batch.t -> int -> int
-(** [alloc_batch t b n] pushes up to [n] fresh buffers into [b],
-    returning how many were actually allocated (short on pool
-    exhaustion). Equivalent to [n] {!alloc_into} calls. *)
 
 val free : t -> Packet.t -> unit
 (** Return a buffer. Raises [Invalid_argument] if the packet does not
@@ -74,3 +66,11 @@ val assert_no_leaks : t -> unit
     engine's end-of-run leak check (after every batch is either
     transmitted or reclaimed along a panic path, occupancy must be
     zero). *)
+
+(** {1 For tests}
+
+    The pool state the leak tests read, and a raising allocation. *)
+
+val available : t -> int
+
+val alloc_exn : t -> Packet.t

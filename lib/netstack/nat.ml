@@ -30,7 +30,6 @@ let create ~clock ~external_ip ?(first_port = 10_000) ?(last_port = 60_000) () =
 let on_mutate t f = t.subscribers <- t.subscribers @ [ f ]
 let fire t = List.iter (fun f -> f ()) t.subscribers
 
-let external_ip t = t.external_ip
 let range_size t = t.last_port - t.first_port + 1
 let active_mappings t = Hashtbl.length t.forward
 let ports_available t = range_size t - active_mappings t

@@ -1,5 +1,5 @@
 (** Source NAT — the second realistic network function (alongside
-    {!Maglev}) used by the examples and the wider test surface.
+    {!Maglev}).
 
     Outbound packets have their (source IP, source port) rewritten to
     (external IP, allocated port); the mapping is flow-stable, ports
@@ -9,12 +9,17 @@
 
 type t
 
+(** {1 For tests}
+
+    No experiment builds a NAT. It stays as a test fixture: the only
+    stage that rewrites source columns in the column oracle
+    ([test/test_soa.ml], [test/hdr_oracle.ml]), and the third owner of
+    the flowcache invalidation hooks ([test/test_flowcache.ml]). *)
+
 val create :
   clock:Cycles.Clock.t -> external_ip:int -> ?first_port:int -> ?last_port:int -> unit -> t
 (** Port range defaults to \[10000, 60000\]. Raises [Invalid_argument]
     on an empty or out-of-range port range. *)
-
-val external_ip : t -> int
 
 val stage : t -> Stage.t
 (** The pipeline stage: a filter kernel rewriting every packet's

@@ -181,9 +181,6 @@ let rx_batch_filtered t n ~keep =
   | None -> ());
   batch
 
-let free_packets t ps =
-  List.iter (fun p -> Mempool.free (Engine.pool t.engine) p) ps
-
 let drop_batch t batch = Mempool.free_batch (Engine.pool t.engine) batch
 
 let tx_batch t batch =

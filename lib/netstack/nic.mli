@@ -3,8 +3,8 @@
     Receive synthesises packets from a {!Traffic} generator into pool
     buffers (charging the per-packet driver costs: mbuf allocation,
     descriptor read, header writes); transmit returns buffers to the
-    pool. Packets a pipeline drops must also be released here via
-    {!free_packets} — buffer leaks surface as pool exhaustion exactly
+    pool. Batches a pipeline does not serve must also be released here
+    via {!drop_batch} — buffer leaks surface as pool exhaustion exactly
     like forgotten mbuf frees do with real DPDK. *)
 
 type t
@@ -21,12 +21,6 @@ val rx_batch : t -> int -> Batch.t
     the returned batch are seeded: the driver knows the 5-tuple it
     crafted for, so the headers are never parsed again downstream. *)
 
-val rx_batch_into : t -> Batch.t -> int -> unit
-(** [rx_batch_into t batch n] is {!rx_batch} into a caller-owned batch
-    (cleared first — hand in an empty one or its packets leak): the
-    serve loop recycles one batch instead of allocating per call.
-    Raises [Invalid_argument] if [n] exceeds the batch's capacity. *)
-
 val rx_batch_filtered : t -> int -> keep:(Flow.t -> bool) -> Batch.t
 (** [rx_batch_filtered t n ~keep] draws exactly [n] arrivals from the
     generator but crafts (and charges) only those whose flow satisfies
@@ -41,11 +35,20 @@ val tx_batch : t -> Batch.t -> int
 (** Transmit (and release) every packet of the batch; returns the
     count. The batch is left empty. *)
 
-val free_packets : t -> Packet.t list -> unit
-
 val drop_batch : t -> Batch.t -> unit
 (** Release every buffer of an unserved batch and empty it — the
     list-free drop path (supervisor-rejected batches and the like). *)
 
 val rx_packets : t -> int
 val tx_packets : t -> int
+
+(** {1 For tests}
+
+    Rx into a caller-owned batch, whose allocation [test/test_fusion.ml]
+    bounds. *)
+
+val rx_batch_into : t -> Batch.t -> int -> unit
+(** [rx_batch_into t batch n] is {!rx_batch} into a caller-owned batch
+    (cleared first — hand in an empty one or its packets leak): the
+    serve loop recycles one batch instead of allocating per call.
+    Raises [Invalid_argument] if [n] exceeds the batch's capacity. *)

@@ -9,7 +9,6 @@ let eth_header_bytes = 14
 let ipv4_header_bytes = 20
 let udp_header_bytes = 8
 let tcp_header_bytes = 20
-let min_frame_bytes = 64
 
 (* Byte-order helpers: network order is big-endian. 16-bit words go
    through {!Slab}'s word accessors; 32-bit quantities are composed
@@ -26,7 +25,7 @@ let[@inline] set_u32_int b off v =
   Slab.set_u16_be b off (v lsr 16);
   Slab.set_u16_be b (off + 2) v
 
-let of_bytes ?(addr = 0) ?(slot = -1) b = { buf = Slab.of_bytes b; len = 0; addr; slot }
+let of_bytes ?(addr = 0) b = { buf = Slab.of_bytes b; len = 0; addr; slot = -1 }
 
 (* Placeholder for empty array slots (batches, pipeline scratch): a
    plain array with a sentinel instead of an option array, because
@@ -155,18 +154,6 @@ let craft t ~(flow : Flow.t) ~payload_bytes ~ttl =
     uset16 b (l4 + 16) 0; uset16 b (l4 + 18) 0);
   fill_payload b (total - payload_bytes) payload_bytes;
   t.len <- total
-
-let craft_udp t ~flow ~payload_bytes ~ttl =
-  (match flow.Flow.protocol with
-  | Flow.Udp -> ()
-  | Flow.Tcp -> invalid_arg "Packet.craft_udp: flow protocol is TCP");
-  craft t ~flow ~payload_bytes ~ttl
-
-let craft_tcp t ~flow ~payload_bytes ~ttl =
-  (match flow.Flow.protocol with
-  | Flow.Tcp -> ()
-  | Flow.Udp -> invalid_arg "Packet.craft_tcp: flow protocol is UDP");
-  craft t ~flow ~payload_bytes ~ttl
 
 (* --- Accessors ------------------------------------------------------ *)
 
@@ -399,8 +386,3 @@ let decap_gre t =
   let inner_bytes = t.len - ip_off - gre_overhead_bytes in
   Slab.blit t.buf (ip_off + gre_overhead_bytes) t.buf ip_off inner_bytes;
   t.len <- t.len - gre_overhead_bytes
-
-let pp ppf t =
-  match flow_of t with
-  | flow -> Format.fprintf ppf "@[%a len=%d ttl=%d@]" Flow.pp flow t.len (ttl t)
-  | exception Invalid_argument msg -> Format.fprintf ppf "<malformed: %s>" msg

@@ -16,11 +16,6 @@ type t = {
   slot : int;         (** Index of the buffer in its pool. *)
 }
 
-val of_bytes : ?addr:int -> ?slot:int -> Bytes.t -> t
-(** A free-standing packet with [len = 0] over a copy of the bytes
-    ({!Slab.of_bytes}) — for tests and scratch buffers outside any
-    pool. Fill the [Bytes.t] before wrapping it. *)
-
 val null : t
 (** The zero-length, pool-less placeholder for unused packet-array
     slots (batches, pipeline scratch). Never dereferenced. *)
@@ -32,11 +27,7 @@ val to_string : t -> string
 
 val eth_header_bytes : int
 val ipv4_header_bytes : int
-val udp_header_bytes : int
 val tcp_header_bytes : int
-
-val min_frame_bytes : int
-(** 64 — minimum Ethernet frame, the paper's Figure-2 workload. *)
 
 (** {2 Crafting} *)
 
@@ -44,14 +35,10 @@ val frame_bytes : Flow.protocol -> payload_bytes:int -> int
 (** Ethernet + IPv4 + the protocol's L4 header + [payload_bytes]. *)
 
 val craft : t -> flow:Flow.t -> payload_bytes:int -> ttl:int -> unit
-(** {!craft_udp} or {!craft_tcp}, by the flow's protocol. *)
-
-val craft_udp : t -> flow:Flow.t -> payload_bytes:int -> ttl:int -> unit
-(** Write Ethernet+IPv4+UDP headers and a deterministic payload into
-    the packet for [flow], set [len], and install a correct IPv4
-    checksum. Raises [Invalid_argument] if the buffer is too small. *)
-
-val craft_tcp : t -> flow:Flow.t -> payload_bytes:int -> ttl:int -> unit
+(** Write Ethernet+IPv4 headers, the UDP or TCP header the flow's
+    protocol names, and a deterministic payload into the packet for
+    [flow], set [len], and install a correct IPv4 checksum. Raises
+    [Invalid_argument] if the buffer is too small. *)
 
 (** {2 Parsing and field access}
 
@@ -59,13 +46,10 @@ val craft_tcp : t -> flow:Flow.t -> payload_bytes:int -> ttl:int -> unit
     packets — which inside a protection domain is a {e panic}, i.e. a
     bounds-check fault the SFI layer must contain (tested). *)
 
-val ethertype : t -> int
 val flow_of : t -> Flow.t
 (** Extract the connection 5-tuple. *)
 
 val ttl : t -> int
-val set_ttl : t -> int -> unit
-(** Updates the checksum incrementally (RFC 1624). *)
 
 (** {3 Unboxed address accessors}
 
@@ -75,15 +59,11 @@ val set_ttl : t -> int -> unit
     README migration notes.) Setters fix the checksum incrementally. *)
 
 val dst_ip_int : t -> int
-val set_dst_ip_int : t -> int -> unit
 val src_ip_int : t -> int
-val set_src_ip_int : t -> int -> unit
 
 val dst_port : t -> int
-val set_dst_port : t -> int -> unit
 
 val src_port : t -> int
-val set_src_port : t -> int -> unit
 
 val ipv4_checksum_ok : t -> bool
 
@@ -152,4 +132,26 @@ val decap_gre : t -> unit
 (** Strip the outer IPv4+GRE header, restoring the inner packet.
     Raises [Invalid_argument] if the packet is not GRE. *)
 
-val pp : Format.formatter -> t -> unit
+(** {1 For tests}
+
+    Free-standing packets and the byte-level field access that are the
+    bytes side of the header oracle ([test/hdr_oracle.ml]); the stages
+    write headers through {!Batch}'s columns and {!apply_hdr}. *)
+
+val of_bytes : ?addr:int -> Bytes.t -> t
+(** A free-standing packet with [len = 0] over a copy of the bytes
+    ({!Slab.of_bytes}) — for tests and scratch buffers outside any
+    pool. Fill the [Bytes.t] before wrapping it. *)
+
+val ethertype : t -> int
+
+val set_ttl : t -> int -> unit
+(** Updates the checksum incrementally (RFC 1624). *)
+
+val set_dst_ip_int : t -> int -> unit
+
+val set_src_ip_int : t -> int -> unit
+
+val set_dst_port : t -> int -> unit
+
+val set_src_port : t -> int -> unit

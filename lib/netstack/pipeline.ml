@@ -251,13 +251,6 @@ let create ~engine ~mode ?flowcache stages =
 
 let length t = t.n_stages
 
-let mode_name t =
-  match t.mode with
-  | Direct -> "direct"
-  | Isolated _ -> "isolated"
-  | Copying -> "copying"
-  | Tagged -> "tagged"
-
 let fused_groups t =
   match t.prepared with
   | P_calls stages -> Array.to_list (Array.map (fun (s : Stage.t) -> [ s.Stage.name ]) stages)
@@ -479,7 +472,6 @@ let exec t batch =
   | P_calls stages -> exec_calls t stages batch
   | P_isolated iso -> exec_isolated t iso batch
 
-let flowcache t = Option.map (fun s -> s.fc) t.fcs
 let invalidate_cache t = match t.fcs with Some s -> Flowcache.invalidate s.fc | None -> ()
 
 let fc_ensure s n =
@@ -681,10 +673,6 @@ let set_stage_skipped t i v =
      every memoised verdict was computed against. *)
   if t.skipped.(i) <> v then invalidate_cache t;
   t.skipped.(i) <- v
-
-let stage_skipped t i =
-  if i < 0 || i >= t.n_stages then invalid_arg "Pipeline.stage_skipped: bad index";
-  t.skipped.(i)
 
 let last_error_stage t = t.last_error
 let batches_ok t = t.batches_ok

@@ -80,11 +80,6 @@ val create :
     [Invalid_argument] in [Copying] mode, whose per-boundary buffer
     re-homing the slot-matched install path cannot support. *)
 
-val flowcache : t -> Flowcache.t option
-
-val length : t -> int
-val mode_name : t -> string
-
 val fused_groups : t -> string list list
 (** The execution plan: stage names grouped as executed, in pipeline
     order. Under [Isolated], one list per protection domain (the fused
@@ -135,15 +130,10 @@ val set_stage_skipped : t -> int -> bool -> unit
     bypassed at least one stage are counted separately
     ({!batches_degraded}, [netstack.pipeline.degraded_batches]). *)
 
-val stage_skipped : t -> int -> bool
-
 val batches_ok : t -> int
 (** Successful batches, including degraded ones. *)
 
 val batches_failed : t -> int
-
-val batches_degraded : t -> int
-(** Successful batches that bypassed at least one skipped stage. *)
 
 type stage_report = {
   sr_name : string;
@@ -159,3 +149,12 @@ val stage_reports : t -> stage_report list
     isolation, so it is also the unit of accounting); its name joins
     the member stage names with ["+"]. Raises [Invalid_argument] for
     other modes. *)
+
+(** {1 For tests}
+
+    Counts the fusion tests check the plan and degradation by. *)
+
+val length : t -> int
+
+val batches_degraded : t -> int
+(** Successful batches that bypassed at least one skipped stage. *)

@@ -13,29 +13,11 @@
 
 type t
 
-val default_entries : int
-(** 128, the common NIC indirection-table size. *)
-
-val create : ?entries:int -> queues:int -> unit -> t
-(** Round-robin indirection table over [queues] receive queues.
-    [entries] must be a power of two ≥ [queues]. Deterministic: the
-    same [(entries, queues)] always builds the same table. *)
-
-val queues : t -> int
-val entries : t -> int
-
-val bucket : t -> Flow.t -> int
-(** Indirection-table bucket of a flow: [Flow.hash flow mod entries]. *)
+val create : queues:int -> unit -> t
+(** Round-robin 128-entry indirection table over [queues] (at most
+    128) receive queues; a flow's bucket is [Flow.hash flow mod 128].
+    Deterministic: the same [queues] always builds the same table. *)
 
 val queue : t -> Flow.t -> int
 (** Receive queue a flow is steered to. Stable for the lifetime of the
     table: every packet of a flow goes to the same queue. *)
-
-val bucket_of_key : t -> Flow.Key.t -> int
-(** {!bucket} from a packed flow key ({!Batch.flow_key}) without
-    materialising a {!Flow.t}. *)
-
-val retarget : t -> bucket:int -> queue:int -> unit
-(** Re-point one indirection bucket (how real NICs rebalance under
-    skew). Not used by the deterministic scaling experiment — moving a
-    bucket mid-run would change per-queue streams. *)

@@ -36,12 +36,15 @@ val rule :
   ?proto:Flow.protocol ->
   action ->
   rule
-(** Omitted fields are wildcards; [rule Drop] matches everything. *)
+(** Omitted fields are wildcards; [rule Drop] matches everything.
+    For tests: [?dst], [?dst_port] and [?proto], which the E17 table
+    never sets and the oracle tests draw. *)
 
 type t
 
 val create : clock:Cycles.Clock.t -> ?default:action -> unit -> t
-(** [default] is [Accept] (drop-list semantics). *)
+(** [default] is [Accept] (drop-list semantics). For tests:
+    [?default]. *)
 
 val add : t -> rule -> unit
 (** Append at the lowest priority (end of scan order). Raises
@@ -52,15 +55,7 @@ val remove : t -> int -> unit
 (** Remove the rule at [index] (scan order). Raises
     [Invalid_argument] out of range. Fires {!on_mutate}. *)
 
-val set_default : t -> action -> unit
-(** Fires {!on_mutate}. *)
-
-val on_mutate : t -> (unit -> unit) -> unit
-(** Register a subscriber called after every structural edit.
-    Subscribers run in registration order. *)
-
 val rule_count : t -> int
-val default_action : t -> action
 
 val classify : t -> Flow.t -> action
 (** First match, charging the clock per rule examined plus the
@@ -69,3 +64,12 @@ val classify : t -> Flow.t -> action
 val stage : t -> Stage.t
 (** Pipeline stage ["ruledb"]: classifies each packet from the batch's
     tuple columns and frees the ones the database drops. *)
+
+(** {1 For tests}
+
+    The default verdict, which the oracle tests edit and read back. *)
+
+val set_default : t -> action -> unit
+(** Fires {!on_mutate}. *)
+
+val default_action : t -> action

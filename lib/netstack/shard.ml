@@ -16,18 +16,15 @@ type queue_ctx = {
 type fault_spec = {
   f_rate : float;
   f_seed : int64;
-  f_kinds : Faultinj.Plan.kind list;
   f_policy : Faultinj.Restart.policy;
   f_chan_capacity : int;
   f_on_restart : (queue:int -> stage:int -> unit) option;
 }
 
-let default_faults ?(rate = 0.05) ?(seed = 4242L) ?(kinds = Faultinj.Plan.all_kinds)
-    ?on_restart ~policy () =
+let default_faults ?(rate = 0.05) ?(seed = 4242L) ?on_restart ~policy () =
   {
     f_rate = rate;
     f_seed = seed;
-    f_kinds = kinds;
     f_policy = policy;
     f_chan_capacity = 4;
     f_on_restart = on_restart;
@@ -55,9 +52,9 @@ type spec = {
 }
 
 let default_spec ?(shards = 1) ?(queues = 8) ?(rounds = 300) ?(batch_size = 32)
-    ?(seed = 2017L) ?(flows = 1024) ?(payload_bytes = 18) ?(pool_capacity = 512) ?faults
+    ?(seed = 2017L) ?(flows = 1024) ?(pool_capacity = 512) ?faults
     ?traffic ?cache ~mode ~stages () =
-  { shards; queues; rounds; batch_size; seed; flows; payload_bytes; pool_capacity;
+  { shards; queues; rounds; batch_size; seed; flows; payload_bytes = 18; pool_capacity;
     mode; stages; faults; traffic; cache }
 
 (* One receive-queue replica. All *virtual* state — clock, pool,
@@ -166,7 +163,7 @@ let make_faulty spec ~registry ~clock ~mgr ~pipe ~stages ~triggers ~rec_arm ~cha
     ~chan_cell ~q_id fs =
   let n_stages = List.length stages in
   let plan =
-    Faultinj.Plan.for_queue ~kinds:fs.f_kinds ~seed:fs.f_seed ~rate:fs.f_rate
+    Faultinj.Plan.for_queue ~seed:fs.f_seed ~rate:fs.f_rate
       ~rounds:spec.rounds ~stages:n_stages ~queue:q_id ()
   in
   (* The control channel stage 0 overflows into: a per-queue sink

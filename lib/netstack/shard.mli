@@ -47,7 +47,6 @@ type queue_ctx = {
 type fault_spec = {
   f_rate : float;       (** Poisson fault rate per queue round, in [0, 1]. *)
   f_seed : int64;       (** Plan seed — independent of the traffic seed. *)
-  f_kinds : Faultinj.Plan.kind list;
   f_policy : Faultinj.Restart.policy;  (** Same policy for every stage. *)
   f_chan_capacity : int;
       (** Capacity of the per-queue control channel [Channel_full]
@@ -60,12 +59,11 @@ type fault_spec = {
 val default_faults :
   ?rate:float ->
   ?seed:int64 ->
-  ?kinds:Faultinj.Plan.kind list ->
   ?on_restart:(queue:int -> stage:int -> unit) ->
   policy:Faultinj.Restart.policy ->
   unit ->
   fault_spec
-(** Defaults: rate 0.05, seed 4242, all kinds; the control channel
+(** Defaults: rate 0.05, seed 4242; the control channel
     holds 4 messages. *)
 
 type cache_spec = {
@@ -116,7 +114,6 @@ val default_spec :
   ?batch_size:int ->
   ?seed:int64 ->
   ?flows:int ->
-  ?payload_bytes:int ->
   ?pool_capacity:int ->
   ?faults:fault_spec ->
   ?traffic:Traffic.plan ->

@@ -17,8 +17,6 @@ val make_slots : slots:int -> bytes:int -> buf array
 
 val length : buf -> int
 
-val get : buf -> int -> char
-val set : buf -> int -> char -> unit
 val unsafe_get : buf -> int -> char
 val unsafe_set : buf -> int -> char -> unit
 
@@ -42,3 +40,11 @@ val blit_string : string -> int -> buf -> int -> int -> unit
 val blit_to_bytes : buf -> int -> Bytes.t -> int -> int -> unit
 
 val sub_string : buf -> int -> int -> string
+
+(** {1 For tests}
+
+    Byte access the slab and rx oracle tests read and corrupt frames with. *)
+
+val get : buf -> int -> char
+
+val set : buf -> int -> char -> unit

@@ -86,10 +86,6 @@ val hooks : t -> hook list
 val access : t -> access
 (** {!Opaque} kernels are always [Bytes]. *)
 
-val with_hooks : hook list -> t -> t
-(** Replace the declared hooks (e.g. [with_hooks []] severs a stage
-    from cache invalidation — used by negative-control tests). *)
-
 val fusible : t -> bool
 
 val process : t -> Engine.t -> Batch.t -> Batch.t
@@ -103,3 +99,12 @@ val barrier : t -> t
     one protection domain, and one crossing, per stage under
     [Isolated] — what per-boundary cost measurements ask for. In the
     calls modes it runs exactly as the original stage. *)
+
+(** {1 For tests}
+
+    Replacing a stage's hooks: [with_hooks []] severs it from cache
+    invalidation, the negative control of the flowcache tests. *)
+
+val with_hooks : hook list -> t -> t
+(** Replace the declared hooks (e.g. [with_hooks []] severs a stage
+    from cache invalidation — used by negative-control tests). *)

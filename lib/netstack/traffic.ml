@@ -81,8 +81,6 @@ let create ~rng ?payload_bytes ?protocol pattern =
   of_plan ~rng (plan ?payload_bytes ?protocol pattern)
 
 let payload_bytes t = t.plan.pl_payload_bytes
-let plan_pattern p = p.pattern
-
 let plan_population p =
   match p.pattern with
   | Single_flow _ -> 1

@@ -29,7 +29,8 @@ val plan : ?payload_bytes:int -> ?protocol:Flow.protocol -> pattern -> plan
 (** [payload_bytes] defaults to 18, which yields 64-byte minimum-size
     Ethernet frames (14 eth + 20 ip + 8 udp + 18 + 4 FCS equivalent);
     [protocol] defaults to [Udp]. Raises [Invalid_argument] on a
-    non-positive flow count or Zipf exponent. *)
+    non-positive flow count or Zipf exponent. For tests:
+    [?protocol], which the TCP column tests set. *)
 
 val of_plan : rng:Cycles.Rng.t -> plan -> t
 
@@ -40,16 +41,6 @@ val create :
   pattern ->
   t
 (** [create ~rng ... pattern] is [of_plan ~rng (plan ... pattern)]. *)
-
-val plan_pattern : plan -> pattern
-val plan_population : plan -> int
-val plan_flow_of_index : plan -> int -> Flow.t
-
-val expected_share : plan -> int -> float
-(** The probability the generator assigns to flow [i] — uniform
-    [1/flows], the exact Zipf mass [i{^ -s}/H], or 1 for a single
-    flow. Shares sum to 1; the statistical tail tests compare empirical
-    frequencies against this. *)
 
 val next_flow : t -> Flow.t
 (** Draw the flow of the next packet. *)
@@ -62,3 +53,16 @@ val flow_of_index : t -> int -> Flow.t
 
 val population : t -> int
 (** Number of distinct flows the pattern can produce. *)
+
+(** {1 For tests}
+
+    The plan's flow of a draw index and its Zipf weights, which the
+    flowcache distribution tests check draws against. *)
+
+val plan_flow_of_index : plan -> int -> Flow.t
+
+val expected_share : plan -> int -> float
+(** The probability the generator assigns to flow [i] — uniform
+    [1/flows], the exact Zipf mass [i{^ -s}/H], or 1 for a single
+    flow. Shares sum to 1; the statistical tail tests compare empirical
+    frequencies against this. *)

@@ -110,7 +110,6 @@ let recv t =
 let close t = t.closed <- true
 let length t = Queue.length t.queue
 let capacity t = t.capacity
-let is_closed t = t.closed
 let sent t = t.sent
 let received t = t.received
 let dropped t = t.dropped

@@ -25,8 +25,6 @@ type error =
       (** The calling domain is not the endpoint this operation
           requires. *)
 
-val error_to_string : error -> string
-
 val create :
   clock:Cycles.Clock.t ->
   sender:Pdomain.t ->
@@ -53,6 +51,17 @@ val send_exn : 'a t -> 'a Linear.Own.t -> (unit, error) result
     counter and fires the manager's [Domain_failed] hook, instead of
     surfacing as a generic engine error. *)
 
+val length : 'a t -> int
+val capacity : 'a t -> int
+
+(** {1 For tests}
+
+    The receive side and the counters: the system only fills channels
+    (the storm's [Channel_full] fault); [test/test_sfi.ml] pins the
+    zero-copy transfer, close and drop semantics. *)
+
+val error_to_string : error -> string
+
 val send_or_fail : 'a t -> 'a Linear.Own.t -> (unit, error) result
 (** Deprecated alias of {!send_exn}. *)
 
@@ -64,10 +73,8 @@ val close : 'a t -> unit
 (** Idempotent; subsequent sends fail, pending messages remain
     receivable. *)
 
-val length : 'a t -> int
-val capacity : 'a t -> int
-val is_closed : 'a t -> bool
-
 val sent : 'a t -> int
+
 val received : 'a t -> int
+
 val dropped : 'a t -> int

@@ -6,8 +6,6 @@ let is_kernel t = t = 0
 let counter = Atomic.make 0
 let fresh () = Atomic.fetch_and_add counter 1 + 1
 
-let to_int t = t
 let equal = Int.equal
-let compare = Int.compare
 let to_string t = if t = 0 then "kernel" else Printf.sprintf "pd%d" t
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -11,8 +11,6 @@ val is_kernel : t -> bool
 val fresh : unit -> t
 (** Next unused id. Process-global, thread-safe. *)
 
-val to_int : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

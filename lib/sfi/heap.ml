@@ -35,13 +35,6 @@ let transfer t a ~to_ =
   Cycles.Clock.touch t.clock a.addr ~bytes:8;
   a.owner <- to_
 
-let copy_to t a ~to_ =
-  if a.freed then invalid_arg "Heap.copy_to: freed allocation";
-  let dst = alloc t ~owner:to_ ~bytes:a.bytes in
-  Cycles.Clock.touch t.clock a.addr ~bytes:a.bytes;
-  Cycles.Clock.charge t.clock (Copy a.bytes);
-  dst
-
 let fold_owned t id f init =
   Hashtbl.fold (fun _ a acc -> if Domain_id.equal a.owner id then f a acc else acc) t.live init
 

@@ -11,8 +11,8 @@
 
     Passing an allocation across a domain boundary is a {!transfer} —
     an O(1) owner-field update, the zero-copy move the paper
-    advertises. The copying-SFI baseline calls {!copy_to} instead,
-    paying allocation + per-byte costs. *)
+    advertises; a copy would pay allocation plus per-byte costs
+    instead. *)
 
 type t
 (** The heap. One per experiment / manager. *)
@@ -29,6 +29,16 @@ val create : clock:Cycles.Clock.t -> t
 val alloc : t -> owner:Domain_id.t -> bytes:int -> allocation
 (** Charges the allocator fast path and first-touch cache traffic. *)
 
+val free_all_owned_by : t -> Domain_id.t -> int
+(** Free every live allocation of a domain; returns the count. This is
+    the "deallocate all memory and resources owned by the domain" step
+    of recovery. *)
+
+(** {1 For tests}
+
+    Explicit frees, ownership transfer and the per-owner accounting the
+    isolation tests check recovery and transfer cost against. *)
+
 val free : t -> allocation -> unit
 (** Raises [Invalid_argument] on double free. *)
 
@@ -36,17 +46,8 @@ val transfer : t -> allocation -> to_:Domain_id.t -> unit
 (** Zero-copy ownership move across the boundary: constant cost,
     no data movement. *)
 
-val copy_to : t -> allocation -> to_:Domain_id.t -> allocation
-(** Deep copy into a fresh allocation owned by [to_], charging
-    per-byte copy cost plus cache traffic on source and destination.
-    Used only by the copying-SFI baseline. *)
-
 val live_bytes : t -> Domain_id.t -> int
-val live_allocations : t -> Domain_id.t -> int
 
-val free_all_owned_by : t -> Domain_id.t -> int
-(** Free every live allocation of a domain; returns the count. This is
-    the "deallocate all memory and resources owned by the domain" step
-    of recovery. *)
+val live_allocations : t -> Domain_id.t -> int
 
 val total_live_bytes : t -> int

@@ -50,7 +50,6 @@ let create ?clock ?telemetry () =
 
 let clock t = t.clock
 let heap t = t.heap
-let telemetry t = t.telemetry
 
 (* Subscribers run in registration order; a subscriber that raises
    would tear the management plane, so they are expected not to. *)
@@ -83,11 +82,6 @@ let create_domain t ~name ?policy ?recovery () =
   Pdomain.set_on_fail d (Some (fun d -> notify t (Domain_failed d)));
   Log.info (fun m -> m "created domain %a (%s)" Domain_id.pp (Pdomain.id d) name);
   d
-
-let domains t = t.domains
-
-let find t id =
-  List.find_opt (fun d -> Domain_id.equal (Pdomain.id d) id) t.domains
 
 let recover_body t d =
     (match Pdomain.state d with
@@ -141,10 +135,6 @@ let destroy t d =
     t.domains_destroyed <- t.domains_destroyed + 1;
     notify t (Domain_destroyed d);
     Log.info (fun m -> m "destroyed domain %a" Domain_id.pp (Pdomain.id d))
-
-let cpu_report t =
-  List.map (fun d -> (d, Pdomain.cycles_consumed d, Pdomain.entry_count d)) t.domains
-  |> List.sort (fun (_, a, _) (_, b, _) -> Int64.compare b a)
 
 let stats t =
   {

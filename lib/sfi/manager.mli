@@ -29,8 +29,6 @@ val create :
     [sfi.recovery_cycles] histogram. *)
 
 val clock : t -> Cycles.Clock.t
-val heap : t -> Heap.t
-val telemetry : t -> Telemetry.Registry.t option
 
 val create_domain :
   t ->
@@ -39,9 +37,6 @@ val create_domain :
   ?recovery:(Pdomain.t -> unit) ->
   unit ->
   Pdomain.t
-
-val domains : t -> Pdomain.t list
-val find : t -> Domain_id.t -> Pdomain.t option
 
 (** {2 Supervisor-visible lifecycle hooks}
 
@@ -68,10 +63,6 @@ val recover : t -> Pdomain.t -> (unit, string) result
     or its recovery function itself panics — in which case the domain
     stays [Failed]. *)
 
-val destroy : t -> Pdomain.t -> unit
-(** Clear the table, free the heap, and mark the domain [Destroyed].
-    Idempotent. *)
-
 type stats = {
   domains_created : int;
   domains_destroyed : int;
@@ -79,9 +70,15 @@ type stats = {
   slots_revoked_by_recovery : int;
 }
 
-val stats : t -> stats
+(** {1 For tests}
 
-val cpu_report : t -> (Pdomain.t * int64 * int) list
-(** Per-domain CPU accounting: (domain, cycles consumed inside it,
-    completed entries), sorted by cycles descending — what a real
-    manager would expose for billing/scheduling decisions. *)
+    The shared heap, explicit destruction and lifetime counters the
+    isolation tests read. *)
+
+val heap : t -> Heap.t
+
+val destroy : t -> Pdomain.t -> unit
+(** Clear the table, free the heap, and mark the domain [Destroyed].
+    Idempotent. *)
+
+val stats : t -> stats

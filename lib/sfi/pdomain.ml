@@ -57,7 +57,6 @@ let policy t = t.policy
 let set_policy t p = t.policy <- p
 let table t = t.table
 let clock t = t.clock
-let heap t = t.heap
 let recovery t = t.recovery
 let set_recovery t r = t.recovery <- r
 let state_addr t = t.state_addr

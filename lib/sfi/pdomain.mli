@@ -47,10 +47,8 @@ val id : t -> Domain_id.t
 val name : t -> string
 val state : t -> state
 val policy : t -> Policy.t
-val set_policy : t -> Policy.t -> unit
 val table : t -> Ref_table.t
 val clock : t -> Cycles.Clock.t
-val heap : t -> Heap.t
 val recovery : t -> (t -> unit) option
 val set_recovery : t -> (t -> unit) option -> unit
 
@@ -78,9 +76,6 @@ val execute : t -> (unit -> 'a) -> ('a, Sfi_error.t) result
     panics (marking the domain [Failed]). This is [Domain::execute] of
     the §3 listing. *)
 
-val alloc : t -> bytes:int -> Heap.allocation
-(** Allocate from the shared heap, owned by this domain. *)
-
 (** {2 Used by the manager — not part of the client API} *)
 
 val set_on_fail : t -> (t -> unit) option -> unit
@@ -93,3 +88,13 @@ val set_on_fail : t -> (t -> unit) option -> unit
 val mark_failed : t -> string -> unit
 val mark_destroyed : t -> unit
 val reset_after_recovery : t -> unit
+
+(** {1 For tests}
+
+    Caller policies and domain-owned allocation, which the isolation
+    tests drive. *)
+
+val set_policy : t -> Policy.t -> unit
+
+val alloc : t -> bytes:int -> Heap.allocation
+(** Allocate from the shared heap, owned by this domain. *)

@@ -1,6 +1,5 @@
 type t = { name : string; allows : caller:Domain_id.t -> slot:int -> bool }
 
-let name t = t.name
 let allows t = t.allows
 
 let allow_all = { name = "allow-all"; allows = (fun ~caller:_ ~slot:_ -> true) }

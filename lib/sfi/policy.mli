@@ -9,11 +9,13 @@
 
 type t
 
-val name : t -> string
-
 val allows : t -> caller:Domain_id.t -> slot:int -> bool
 
 val allow_all : t
+
+(** {1 For tests}
+
+    An allow-list policy for the caller-check tests. *)
 
 val allow_callers : Domain_id.t list -> t
 (** Only the listed callers may invoke; the kernel is always allowed. *)

@@ -19,7 +19,6 @@ let create ~clock ~owner =
     generation = 0;
   }
 
-let owner t = t.owner
 
 let register t ?label value =
   let rc = Linear.Rc.create ?label value in

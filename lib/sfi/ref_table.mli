@@ -18,8 +18,6 @@ type slot_id = int
 
 val create : clock:Cycles.Clock.t -> owner:Domain_id.t -> t
 
-val owner : t -> Domain_id.t
-
 val register : t -> ?label:string -> 'a -> slot_id * 'a Linear.Rc.weak * int
 (** Park a strong reference to the object in the table. Returns the
     slot id, the weak pointer to hand to the rref, and the slot's
@@ -31,6 +29,10 @@ val revoke : t -> slot_id -> bool
 
 val clear : t -> int
 (** Revoke every live slot; returns how many. Used by recovery. *)
+
+(** {1 For tests}
+
+    The slot count and generation the revocation tests read. *)
 
 val size : t -> int
 (** Live slots. *)

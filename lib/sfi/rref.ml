@@ -9,8 +9,6 @@ let create target ?label obj =
   let slot, weak, slot_addr = Ref_table.register (Pdomain.table target) ?label obj in
   { weak; slot; slot_addr; target }
 
-let target t = t.target
-let slot t = t.slot
 
 (* The fixed part of the remote-invocation sequence, up to and including
    the weak upgrade. Returns the upgraded strong reference. *)
@@ -71,11 +69,6 @@ let invoke_move t own m =
   match enter t with
   | Error e -> Error e
   | Ok strong -> dispatch t strong (fun obj -> m obj arg)
-
-let invoke_borrowed t own m =
-  match enter t with
-  | Error e -> Error e
-  | Ok strong -> Linear.Own.borrow own (fun arg -> dispatch t strong (fun obj -> m obj arg))
 
 type 'a pinned = { p_strong : 'a Linear.Rc.t; p_target : Pdomain.t }
 

@@ -28,9 +28,6 @@ val create : Pdomain.t -> ?label:string -> 'a -> 'a t
     [RRef::new] of the §3 listing (typically run via
     [Pdomain.execute]). *)
 
-val target : 'a t -> Pdomain.t
-val slot : 'a t -> Ref_table.slot_id
-
 val invoke : 'a t -> ('a -> 'b) -> ('b, Sfi_error.t) result
 (** [invoke r m] calls method [m] on the remote object. The closure's
     result transfers ownership back to the caller per Rust semantics.
@@ -46,12 +43,6 @@ val invoke_move :
     caller provably cannot observe the argument afterwards even if the
     call fails — matching "all other arguments change their ownership
     permanently". *)
-
-val invoke_borrowed :
-  'a t -> 'arg Linear.Own.t -> ('a -> 'arg -> 'b) -> ('b, Sfi_error.t) result
-(** Passes the argument as a scoped borrow: "borrowed references are
-    accessible to the target PD for the duration of the call". The
-    caller's handle remains live afterwards. *)
 
 (** {2 Pinning (ablation)}
 
@@ -79,6 +70,10 @@ val revoke : 'a t -> bool
 (** Remove the proxy from the target's table. Subsequent invokes return
     [Error Revoked]. Already-pinned callers are unaffected until they
     unpin. *)
+
+(** {1 For tests}
+
+    Revocation state, read by the revocation tests. *)
 
 val is_revoked : 'a t -> bool
 (** Non-invasive probe (does not charge the clock). *)

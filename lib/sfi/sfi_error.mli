@@ -20,5 +20,11 @@ type t =
           not attempted. *)
 
 val to_string : t -> string
+
+(** {1 For tests}
+
+    The printer and equality of the tests' [Alcotest] testable. *)
+
 val pp : Format.formatter -> t -> unit
+
 val equal : t -> t -> bool

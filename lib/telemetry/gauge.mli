@@ -6,6 +6,11 @@ type t
 val make : charge:(unit -> unit) -> unit -> t
 val set : t -> int -> unit
 val add : t -> int -> unit
-val sub : t -> int -> unit
 val value : t -> int
 val reset : t -> unit
+
+(** {1 For tests}
+
+    A decrement, which the gauge tests drive. *)
+
+val sub : t -> int -> unit

@@ -26,10 +26,6 @@ val percentile : t -> float -> int
     convention. 0 on an empty histogram; raises on p outside
     [0, 100]. *)
 
-val bucket_counts : t -> int array
-(** Snapshot of raw bucket occupancy (for tests: the bucket total must
-    equal {!count} — a torn bucket would break that invariant). *)
-
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] adds [src]'s raw state (buckets, count, sum,
     min, max) into [into], leaving [src] untouched. The merge is exact
@@ -39,10 +35,19 @@ val merge_into : into:t -> t -> unit
     histograms (the per-shard telemetry reduction relies on this).
     Charges nothing. *)
 
+val reset : t -> unit
+
+(** {1 For tests}
+
+    Bucket layout and counts, which the histogram tests check the
+    log-linear indexing by. *)
+
+val bucket_counts : t -> int array
+(** Snapshot of raw bucket occupancy (for tests: the bucket total must
+    equal {!count} — a torn bucket would break that invariant). *)
+
 val index : int -> int
 (** Bucket index of a value (exposed for tests). *)
 
 val bounds : int -> int * int
 (** Inclusive value range covered by a bucket index. *)
-
-val reset : t -> unit

@@ -42,19 +42,13 @@ val metrics : t -> (string * metric) list
 val reset : t -> unit
 (** Zero every metric in place; handles stay valid. *)
 
-val merge_into : into:t -> t -> unit
-(** Add every metric of the source registry into [into]
-    (find-or-create by name): counters and gauges add their values,
-    histograms merge bucket-wise ({!Histogram.merge_into}, exact).
-    Associative and commutative up to rendered output — merging
-    per-shard registries yields byte-identical
-    {!Render.to_string} output regardless of how recording was
-    partitioned across them. Raises [Invalid_argument] if a name is
-    registered with different kinds in the two registries. *)
-
 val merge : t list -> t
 (** Fresh uncharged registry holding the merge of the list — the
     deterministic reduction step of the sharded engine. *)
+
+(** {1 For tests}
+
+    A sum over matching counters, the cross-check tests' reference. *)
 
 val sum_matching : t -> prefix:string -> suffix:string -> int
 (** Sum of every counter whose name matches [prefix*suffix] — e.g.

@@ -4,4 +4,8 @@
     experiment. *)
 
 val to_string : ?title:string -> Registry.t -> string
+(** The table under a [-- title --] line (default ["telemetry"]).
+    {!print} forwards its [title] here. For tests: [?title], which the
+    golden cross-check sets on the string form. *)
+
 val print : ?title:string -> Registry.t -> unit

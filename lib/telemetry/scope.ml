@@ -7,8 +7,6 @@ let v registry prefix =
   if prefix = "" then invalid_arg "Scope.v: empty prefix";
   { registry; prefix }
 
-let registry t = t.registry
-let prefix t = t.prefix
 let name t leaf = t.prefix ^ "." ^ leaf
 let sub t segment = { t with prefix = name t segment }
 let counter t leaf = Registry.counter t.registry (name t leaf)

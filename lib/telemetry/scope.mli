@@ -8,10 +8,14 @@ type t
 val v : Registry.t -> string -> t
 (** Raises [Invalid_argument] on an empty prefix. *)
 
-val registry : t -> Registry.t
-val prefix : t -> string
-val name : t -> string -> string
-val sub : t -> string -> t
 val counter : t -> string -> Counter.t
 val gauge : t -> string -> Gauge.t
 val histogram : t -> string -> Histogram.t
+
+(** {1 For tests}
+
+    Name composition, which the scope tests pin. *)
+
+val name : t -> string -> string
+
+val sub : t -> string -> t

@@ -4,7 +4,6 @@ type t = {
 }
 
 let create ~clock hist = { clock; hist }
-let histogram t = t.hist
 
 let with_ t f =
   let start = Cycles.Clock.now t.clock in

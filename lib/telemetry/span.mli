@@ -11,7 +11,6 @@
 type t
 
 val create : clock:Cycles.Clock.t -> Histogram.t -> t
-val histogram : t -> Histogram.t
 
 val with_ : t -> (unit -> 'a) -> 'a
 (** Run the thunk inside the span; the elapsed virtual cycles are

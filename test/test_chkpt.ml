@@ -381,7 +381,7 @@ let test_mutex_combinator_under_concurrent_writers () =
   Alcotest.(check bool) "no torn snapshots" true !consistent
 
 (* ------------------------------------------------------------------ *)
-(* Arc checkpointing & parallel forests                                *)
+(* Arc checkpointing                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_arc_single_worker_dedup () =
@@ -404,53 +404,6 @@ let test_arc_naive_duplicates () =
   let desc = Checkpointable.(list (arc int)) in
   let _, stats = Checkpointable.checkpoint ~strategy:Checkpointable.Naive desc handles in
   Alcotest.(check int) "three copies" 3 stats.Checkpointable.rc_copies
-
-let test_parallel_forest_preserves_cross_slice_sharing () =
-  (* 64 roots; all even roots share cell X, all odd share cell Y. The
-     forest is split across 4 workers; sharing must survive the
-     slicing. *)
-  let x = Linear.Arc.create (ref 1) and y = Linear.Arc.create (ref 2) in
-  let roots =
-    Array.init 64 (fun i -> Linear.Arc.clone (if i mod 2 = 0 then x else y))
-  in
-  let desc = Checkpointable.(arc (mref int)) in
-  let copies, stats = Parallel.checkpoint_forest ~workers:4 desc roots in
-  Alcotest.(check int) "64 roots out" 64 (Array.length copies);
-  Alcotest.(check int) "exactly two distinct copies" 2 stats.Checkpointable.rc_copies;
-  Alcotest.(check int) "62 dedup hits" 62 stats.Checkpointable.rc_dedup_hits;
-  (* All even copies alias each other, across worker slices. *)
-  for i = 2 to 63 do
-    Alcotest.(check bool) "cross-slice sharing" true
-      (Linear.Arc.ptr_eq copies.(i) copies.(i mod 2))
-  done;
-  (* And the copies are fresh cells. *)
-  Alcotest.(check bool) "fresh" false (Linear.Arc.ptr_eq copies.(0) x)
-
-let test_parallel_forest_empty_and_single () =
-  let desc = Checkpointable.(arc int) in
-  let copies, stats = Parallel.checkpoint_forest desc [||] in
-  Alcotest.(check int) "empty forest" 0 (Array.length copies);
-  Alcotest.(check int) "no work" 0 stats.Checkpointable.nodes;
-  let one = [| Linear.Arc.create 9 |] in
-  let copies, stats = Parallel.checkpoint_forest ~workers:8 desc one in
-  Alcotest.(check int) "single root" 1 (Array.length copies);
-  Alcotest.(check int) "one copy" 1 stats.Checkpointable.rc_copies;
-  Alcotest.(check int) "value" 9 (Linear.Arc.get copies.(0))
-
-let prop_parallel_matches_sequential =
-  (* Whatever the sharing pattern and worker count, the parallel
-     checkpoint makes exactly as many copies as there are distinct
-     cells — same as a sequential checkpoint would. *)
-  QCheck.Test.make ~name:"parallel copies = distinct cells" ~count:40
-    QCheck.(pair (int_range 1 6) (list_of_size Gen.(int_range 1 48) (int_range 0 7)))
-    (fun (workers, picks) ->
-      let cells = Array.init 8 (fun i -> Linear.Arc.create i) in
-      let roots = Array.of_list (List.map (fun i -> Linear.Arc.clone cells.(i)) picks) in
-      let distinct = List.length (List.sort_uniq compare picks) in
-      let desc = Checkpointable.(arc int) in
-      let _copies, stats = Parallel.checkpoint_forest ~workers desc roots in
-      stats.Checkpointable.rc_copies = distinct
-      && stats.Checkpointable.rc_encounters = Array.length roots)
 
 (* ------------------------------------------------------------------ *)
 (* Weak edges ("external pointers")                                    *)
@@ -618,9 +571,5 @@ let () =
         [
           Alcotest.test_case "arc single-worker dedup" `Quick test_arc_single_worker_dedup;
           Alcotest.test_case "arc naive duplicates" `Quick test_arc_naive_duplicates;
-          Alcotest.test_case "parallel cross-slice sharing" `Quick
-            test_parallel_forest_preserves_cross_slice_sharing;
-          Alcotest.test_case "parallel edge cases" `Quick test_parallel_forest_empty_and_single;
-          qt prop_parallel_matches_sequential;
         ] );
     ]

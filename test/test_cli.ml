@@ -4,7 +4,7 @@
 
 module R = Experiments.Registry
 
-let repro = Filename.concat (Sys.getcwd ()) "../bin/repro.exe"
+let repro = Data.path "../bin/repro.exe"
 
 (* [(exit code, stdout, stderr)] of [repro args], run in [cwd]. *)
 let run ?(cwd = ".") args =
@@ -72,7 +72,7 @@ let test_table_well_formed () =
         Alcotest.failf "%s: shard counts must lie in 1..%d" e.id d.queues;
       Option.iter
         (fun g ->
-          if not (Sys.file_exists (Filename.concat ".." g)) then
+          if not (Sys.file_exists (Data.path (Filename.concat ".." g))) then
             Alcotest.failf "%s: golden %s is missing" e.id g)
         d.golden;
       List.iter (fun re -> ignore (Str.regexp re)) (d.require @ d.forbid))
@@ -86,7 +86,7 @@ let test_check_goldens () =
   Sys.mkdir (Filename.concat dir "test") 0o755;
   Sys.mkdir golden 0o755;
   let copy ?(edit = Fun.id) name =
-    let text = In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all in
+    let text = In_channel.with_open_bin (Data.path (Filename.concat "golden" name)) In_channel.input_all in
     Out_channel.with_open_bin (Filename.concat golden name) (fun oc ->
         output_string oc (edit text))
   in

@@ -224,14 +224,14 @@ let prop_stats_percentile_bounds =
 (* ------------------------------------------------------------------ *)
 
 let test_cache_cold_then_hot () =
-  let c = Cache.create () in
+  let c = Cache.create Cache.default_config in
   Alcotest.(check string) "cold miss" "DRAM" (Cache.level_to_string (Cache.access c 0x10000));
   Alcotest.(check string) "now hot" "L1" (Cache.level_to_string (Cache.access c 0x10000));
   (* Same line, different byte. *)
   Alcotest.(check string) "same line hot" "L1" (Cache.level_to_string (Cache.access c 0x10030))
 
 let test_cache_l1_eviction_falls_to_l2 () =
-  let c = Cache.create () in
+  let c = Cache.create Cache.default_config in
   let cfg = Cache.default_config in
   let line = cfg.line_bytes in
   (* Touch one target line, then blow L1 (same set) with conflicting lines. *)
@@ -247,13 +247,13 @@ let test_cache_l1_eviction_falls_to_l2 () =
   Alcotest.(check string) "fell to L2" "L2" (Cache.level_to_string (Cache.access c target))
 
 let test_cache_flush () =
-  let c = Cache.create () in
+  let c = Cache.create Cache.default_config in
   ignore (Cache.access c 0x42000);
   Cache.flush c;
   Alcotest.(check string) "flushed" "DRAM" (Cache.level_to_string (Cache.access c 0x42000))
 
 let test_cache_counters () =
-  let c = Cache.create () in
+  let c = Cache.create Cache.default_config in
   ignore (Cache.access c 0x1000);
   ignore (Cache.access c 0x1000);
   ignore (Cache.access c 0x2000);
@@ -267,7 +267,7 @@ let test_cache_counters () =
 (* [repeat_hit] replays the previous access, so it has nothing to
    replay on a fresh cache or right after a flush. *)
 let test_cache_repeat_hit_needs_access () =
-  let c = Cache.create () in
+  let c = Cache.create Cache.default_config in
   let raises what =
     Alcotest.check_raises what (Invalid_argument "Cache.repeat_hit: no preceding access")
       (fun () -> Cache.repeat_hit c 1)
@@ -283,7 +283,7 @@ let test_cache_repeat_hit_needs_access () =
 let test_cache_create_rejects_geometry () =
   List.iter
     (fun (what, (config : Cache.config)) ->
-      match Cache.create ~config () with
+      match Cache.create config with
       | _ -> Alcotest.failf "%s: accepted" what
       | exception Invalid_argument _ -> ())
     [
@@ -291,7 +291,7 @@ let test_cache_create_rejects_geometry () =
       ("0-way L1", { Cache.default_config with l1_ways = 0 });
       ("0-set L2", { Cache.default_config with l2_sets = 0 });
     ];
-  ignore (Cache.create ~config:{ Cache.default_config with l2_ways = 16 } ())
+  ignore (Cache.create { Cache.default_config with l2_ways = 16 })
 
 let test_cache_working_set_hit_rates () =
   (* A working set that fits L1 should yield pure L1 hits on the second
@@ -302,14 +302,14 @@ let test_cache_working_set_hit_rates () =
     done
   in
   (* 16 KiB = 256 lines: fits 32 KiB L1. *)
-  let c = Cache.create () in
+  let c = Cache.create Cache.default_config in
   pass c 0x100000 256;
   Cache.reset_counters c;
   pass c 0x100000 256;
   let k = Cache.counters c in
   Alcotest.(check int) "all L1" 256 k.l1_hits;
   (* 128 KiB = 2048 lines: exceeds L1, fits 256 KiB L2. *)
-  let c = Cache.create () in
+  let c = Cache.create Cache.default_config in
   pass c 0x100000 2048;
   Cache.reset_counters c;
   pass c 0x100000 2048;
@@ -322,7 +322,7 @@ let prop_cache_deterministic =
     QCheck.(list_of_size Gen.(int_range 1 200) (int_range 0 1_000_000))
     (fun addrs ->
       let run () =
-        let c = Cache.create () in
+        let c = Cache.create Cache.default_config in
         List.map (fun a -> Cache.access c a) addrs
       in
       run () = run ())
@@ -384,7 +384,7 @@ let prop_cache_matches_oracle name (config : Cache.config) ~count =
       ~shrink:QCheck.Shrink.list
   in
   QCheck.Test.make ~name:("cache = textbook oracle (" ^ name ^ ")") ~count arb (fun ops ->
-      let c = Cache.create ~config () and o = Cache_oracle.create config in
+      let c = Cache.create config and o = Cache_oracle.create config in
       let m = Cost_model.default in
       let lb = config.line_bytes in
       let prev = ref 0 in
@@ -512,7 +512,7 @@ let test_clock_bulk_touches () =
    call would show in every minor-words bound of test_fusion. *)
 let test_clock_touches_allocate_nothing () =
   let clk = Clock.create () in
-  let c = Cache.create () in
+  let c = Cache.create Cache.default_config in
   let base = Clock.alloc_addr clk ~bytes:(1 lsl 20) in
   let calls = 1000 in
   let round i =

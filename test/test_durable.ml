@@ -657,7 +657,7 @@ let fuzz_store =
   lazy
     (let fdir = fresh_dir () in
      at_exit (fun () -> if Sys.file_exists fdir then rm_rf fdir);
-     copy_tree "corpus" fdir;
+     copy_tree (Data.path "corpus") fdir;
      let graph = Experiments.Recover.corpus_graph in
      let d = Durable.open_store ~graph ~dir:fdir () in
      ignore (Durable.save d ~tag:"flowtab" ~chunks:[| "fuzz-a"; "fuzz-bb"; "fuzz-ccc" |]);

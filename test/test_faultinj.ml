@@ -10,29 +10,43 @@ let qt = QCheck_alcotest.to_alcotest
 (* Plans                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A whole storm: every queue's schedule, derived as {!Netstack.Shard}
+   derives them. *)
+let plan ~seed ~rate ~rounds ~stages ~queues =
+  List.init queues (fun queue -> Faultinj.Plan.for_queue ~seed ~rate ~rounds ~stages ~queue ())
+
+(* Every [(queue, round, fault)] of a storm, by queue, round and draw
+   order: the replay log a determinism check diffs. *)
+let events ~rounds p =
+  List.concat
+    (List.mapi
+       (fun q qp ->
+         List.concat_map
+           (fun round -> List.map (fun f -> (q, round, f)) (Faultinj.Plan.faults_at qp ~round))
+           (List.init rounds (fun i -> i + 1)))
+       p)
+
+let total p = List.fold_left (fun acc qp -> acc + Faultinj.Plan.queue_total qp) 0 p
+
 let test_plan_replayable () =
-  let gen seed =
-    Faultinj.Plan.generate ~seed ~rate:0.1 ~rounds:200 ~stages:3 ~queues:4 ()
-  in
+  let gen seed = plan ~seed ~rate:0.1 ~rounds:200 ~stages:3 ~queues:4 in
   let p1 = gen 42L and p2 = gen 42L and p3 = gen 43L in
   Alcotest.(check bool) "same seed, same events" true
-    (Faultinj.Plan.events p1 = Faultinj.Plan.events p2);
+    (events ~rounds:200 p1 = events ~rounds:200 p2);
   Alcotest.(check bool) "different seed, different events" false
-    (Faultinj.Plan.events p1 = Faultinj.Plan.events p3);
-  Alcotest.(check bool) "storm is non-empty" true (Faultinj.Plan.total p1 > 0)
+    (events ~rounds:200 p1 = events ~rounds:200 p3);
+  Alcotest.(check bool) "storm is non-empty" true (total p1 > 0)
 
 let test_plan_queue_independent () =
   (* A queue's schedule must be a function of (seed, queue) alone: the
      4-queue and 8-queue storms agree on their shared queues, which is
      exactly why regrouping queues over shards cannot move a fault. *)
-  let gen queues =
-    Faultinj.Plan.generate ~seed:7L ~rate:0.15 ~rounds:120 ~stages:3 ~queues ()
-  in
+  let gen queues = plan ~seed:7L ~rate:0.15 ~rounds:120 ~stages:3 ~queues in
   let small = gen 4 and big = gen 8 in
   for q = 0 to 3 do
     let faults p =
       List.concat_map
-        (fun round -> Faultinj.Plan.faults_at (Faultinj.Plan.queue p q) ~round)
+        (fun round -> Faultinj.Plan.faults_at (List.nth p q) ~round)
         (List.init 120 (fun i -> i + 1))
     in
     Alcotest.(check bool)
@@ -42,13 +56,13 @@ let test_plan_queue_independent () =
   done
 
 let test_plan_rate_zero_and_bounds () =
-  let p = Faultinj.Plan.generate ~seed:1L ~rate:0. ~rounds:50 ~stages:2 ~queues:2 () in
-  Alcotest.(check int) "rate 0 = calm storm" 0 (Faultinj.Plan.total p);
+  let p = plan ~seed:1L ~rate:0. ~rounds:50 ~stages:2 ~queues:2 in
+  Alcotest.(check int) "rate 0 = calm storm" 0 (total p);
   Alcotest.check_raises "rate > 1 rejected"
     (Invalid_argument "Plan.for_queue: rate must be in [0, 1]") (fun () ->
-      ignore (Faultinj.Plan.generate ~seed:1L ~rate:1.5 ~rounds:10 ~stages:2 ~queues:1 ()));
+      ignore (plan ~seed:1L ~rate:1.5 ~rounds:10 ~stages:2 ~queues:1));
   (* Every drawn stage index must be in range. *)
-  let p = Faultinj.Plan.generate ~seed:3L ~rate:0.3 ~rounds:200 ~stages:3 ~queues:2 () in
+  let p = plan ~seed:3L ~rate:0.3 ~rounds:200 ~stages:3 ~queues:2 in
   List.iter
     (fun (_, _, f) ->
       match f with
@@ -59,7 +73,7 @@ let test_plan_rate_zero_and_bounds () =
       | Faultinj.Plan.Channel_full -> ()
       | Faultinj.Plan.Mempool_exhaust { buffers } ->
         Alcotest.(check bool) "steals at least one buffer" true (buffers >= 1))
-    (Faultinj.Plan.events p)
+    (events ~rounds:200 p)
 
 (* ------------------------------------------------------------------ *)
 (* Restart policies: the clock-agnostic decision kernel                *)

@@ -90,7 +90,7 @@ let access_env () =
   let engine = Engine.create ~clock ~pool () in
   let craft flow ttl =
     let p = Mempool.alloc_exn pool in
-    Packet.craft_tcp p ~flow ~payload_bytes:18 ~ttl;
+    Packet.craft p ~flow ~payload_bytes:18 ~ttl;
     p
   in
   (clock, engine, craft)

@@ -511,7 +511,7 @@ let test_sectype_repair_inserts_copy () =
   | Ok () -> ()
   | Error vs ->
     Alcotest.failf "repaired program must type-check: %s"
-      (String.concat "; " (List.map Sectype.violation_to_string vs)));
+      (String.concat "; " (List.map (fun (v : Sectype.violation) -> v.reason) vs)));
   (* The paper's overhead claim: the type-based version pays allocation
      + copy where Rust moves. *)
   let o = Interp.run repaired in
@@ -543,7 +543,7 @@ let test_sectype_accepts_well_typed () =
   in
   match Sectype.check p with
   | Ok () -> ()
-  | Error vs -> Alcotest.failf "should type: %s" (String.concat ";" (List.map Sectype.violation_to_string vs))
+  | Error vs -> Alcotest.failf "should type: %s" (String.concat ";" (List.map (fun (v : Sectype.violation) -> v.reason) vs))
 
 (* ------------------------------------------------------------------ *)
 (* Alias analysis unit tests                                           *)

@@ -219,18 +219,6 @@ let test_arc_concurrent_clone_drop () =
   Alcotest.(check int) "count restored" 1 (Arc.strong_count a);
   Arc.drop a
 
-let test_arc_claim_scratch_once () =
-  let a = Arc.create "n" in
-  let claims = Atomic.make 0 in
-  let worker () =
-    if Arc.try_claim_scratch a ~expected:0 ~desired:1 then
-      ignore (Atomic.fetch_and_add claims 1)
-  in
-  let ds = List.init 8 (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join ds;
-  Alcotest.(check int) "exactly one winner" 1 (Atomic.get claims);
-  Alcotest.(check int) "scratch set" 1 (Arc.scratch a)
-
 (* ------------------------------------------------------------------ *)
 (* Mutex_cell                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -380,7 +368,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_arc_basics;
           Alcotest.test_case "weak lifecycle" `Quick test_arc_weak_upgrade_lifecycle;
           Alcotest.test_case "concurrent clone/drop" `Quick test_arc_concurrent_clone_drop;
-          Alcotest.test_case "claim scratch once" `Quick test_arc_claim_scratch_once;
         ] );
       ( "mutex_cell",
         [

@@ -67,7 +67,7 @@ let prop_cache_inclusion =
   QCheck.Test.make ~name:"immediate re-access always hits L1" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 300) (int_range 0 5_000_000))
     (fun addrs ->
-      let c = Cycles.Cache.create () in
+      let c = Cycles.Cache.create Cycles.Cache.default_config in
       List.for_all
         (fun addr ->
           ignore (Cycles.Cache.access c addr);
@@ -82,7 +82,7 @@ let prop_cache_capacity_monotone =
     (fun (n1, n2) ->
       let small = min n1 n2 and large = max n1 n2 in
       let dram n =
-        let c = Cycles.Cache.create () in
+        let c = Cycles.Cache.create Cycles.Cache.default_config in
         for i = 0 to n - 1 do
           ignore (Cycles.Cache.access c (i * 64))
         done;

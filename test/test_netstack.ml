@@ -42,7 +42,7 @@ let test_flow_equal () =
 
 let test_packet_craft_parse_udp () =
   let p = fresh_packet () in
-  Packet.craft_udp p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
+  Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
   Alcotest.(check int) "frame length" 60 p.Packet.len;
   Alcotest.(check int) "ethertype" 0x0800 (Packet.ethertype p);
   Alcotest.(check bool) "5-tuple round-trips" true (Flow.equal udp_flow (Packet.flow_of p));
@@ -53,27 +53,21 @@ let test_packet_craft_parse_udp () =
 
 let test_packet_craft_parse_tcp () =
   let p = fresh_packet () in
-  Packet.craft_tcp p ~flow:tcp_flow ~payload_bytes:100 ~ttl:32;
+  Packet.craft p ~flow:tcp_flow ~payload_bytes:100 ~ttl:32;
   Alcotest.(check bool) "tcp 5-tuple round-trips" true (Flow.equal tcp_flow (Packet.flow_of p));
   Alcotest.(check bool) "checksum valid" true (Packet.ipv4_checksum_ok p);
   Alcotest.(check int) "payload length" 100 (Packet.payload_length p)
 
-let test_packet_craft_protocol_mismatch () =
-  let p = fresh_packet () in
-  Alcotest.check_raises "udp crafter rejects tcp flow"
-    (Invalid_argument "Packet.craft_udp: flow protocol is TCP") (fun () ->
-      Packet.craft_udp p ~flow:tcp_flow ~payload_bytes:0 ~ttl:64)
-
 let test_packet_ttl_update_keeps_checksum () =
   let p = fresh_packet () in
-  Packet.craft_udp p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
+  Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
   Packet.set_ttl p 63;
   Alcotest.(check int) "ttl updated" 63 (Packet.ttl p);
   Alcotest.(check bool) "incremental checksum still valid" true (Packet.ipv4_checksum_ok p)
 
 let test_packet_dst_rewrite_keeps_checksum () =
   let p = fresh_packet () in
-  Packet.craft_udp p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
+  Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
   Packet.set_dst_ip_int p 0x0A010005;
   Alcotest.(check int) "dst rewritten" 0x0A010005 (Packet.dst_ip_int p);
   Alcotest.(check bool) "checksum fixed" true (Packet.ipv4_checksum_ok p);
@@ -82,7 +76,7 @@ let test_packet_dst_rewrite_keeps_checksum () =
 
 let test_packet_truncated_raises () =
   let p = fresh_packet () in
-  Packet.craft_udp p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
+  Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
   p.Packet.len <- 20;
   (match Packet.flow_of p with
   | exception Invalid_argument _ -> ()
@@ -94,7 +88,7 @@ let test_packet_truncated_raises () =
 let test_packet_buffer_too_small () =
   let p = fresh_packet ~bytes:32 () in
   Alcotest.check_raises "too small" (Invalid_argument "Packet.craft: buffer too small")
-    (fun () -> Packet.craft_udp p ~flow:udp_flow ~payload_bytes:100 ~ttl:64)
+    (fun () -> Packet.craft p ~flow:udp_flow ~payload_bytes:100 ~ttl:64)
 
 let prop_packet_checksum_roundtrip =
   QCheck.Test.make ~name:"crafted packets always have valid checksums" ~count:200
@@ -102,7 +96,7 @@ let prop_packet_checksum_roundtrip =
     (fun (payload, ttl, port) ->
       let p = fresh_packet () in
       let flow = { udp_flow with Flow.src_port = port } in
-      Packet.craft_udp p ~flow ~payload_bytes:payload ~ttl;
+      Packet.craft p ~flow ~payload_bytes:payload ~ttl;
       Packet.ipv4_checksum_ok p
       && Packet.ttl p = ttl
       && Flow.equal flow (Packet.flow_of p))
@@ -120,9 +114,7 @@ let craft_of_quad (payload_bytes, ttl, (src_ip, src_port), is_tcp) =
   let flow =
     Flow.make ~src_ip ~dst_ip:0xC0A80001l ~src_port ~dst_port:80 ~protocol
   in
-  (match protocol with
-  | Flow.Udp -> Packet.craft_udp p ~flow ~payload_bytes ~ttl
-  | Flow.Tcp -> Packet.craft_tcp p ~flow ~payload_bytes ~ttl);
+  Packet.craft p ~flow ~payload_bytes ~ttl;
   p
 
 let prop_incremental_checksum_ttl =
@@ -701,7 +693,7 @@ let test_pipeline_isolated_overhead_band () =
 
 let test_gre_encap_decap_roundtrip () =
   let p = fresh_packet () in
-  Packet.craft_udp p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
+  Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
   let original = Packet.to_string p in
   let inner_len = p.Packet.len in
   Packet.encap_gre p ~outer_src:0x0A0000FE ~outer_dst:0x0A010003;
@@ -717,14 +709,14 @@ let test_gre_encap_decap_roundtrip () =
 
 let test_gre_decap_rejects_plain () =
   let p = fresh_packet () in
-  Packet.craft_udp p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
+  Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
   Alcotest.(check bool) "plain packet is not GRE" false (Packet.is_gre p);
   Alcotest.check_raises "decap of plain" (Invalid_argument "Packet.decap_gre: not a GRE packet")
     (fun () -> Packet.decap_gre p)
 
 let test_gre_encap_buffer_limit () =
   let p = fresh_packet ~bytes:80 () in
-  Packet.craft_udp p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
+  Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
   Alcotest.check_raises "no room" (Invalid_argument "Packet.encap_gre: buffer too small")
     (fun () -> Packet.encap_gre p ~outer_src:1 ~outer_dst:2)
 
@@ -756,7 +748,7 @@ let prop_gre_roundtrip =
     (fun (payload, ttl, port) ->
       let p = fresh_packet () in
       let flow = { udp_flow with Flow.src_port = port } in
-      Packet.craft_udp p ~flow ~payload_bytes:payload ~ttl;
+      Packet.craft p ~flow ~payload_bytes:payload ~ttl;
       let before = Packet.to_string p in
       Packet.encap_gre p ~outer_src:1 ~outer_dst:2;
       Packet.decap_gre p;
@@ -768,7 +760,7 @@ let prop_gre_roundtrip =
 
 let test_packet_src_rewrite_keeps_checksum () =
   let p = fresh_packet () in
-  Packet.craft_udp p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
+  Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
   Packet.set_src_ip_int p 0xC6336401;
   Packet.set_src_port p 23456;
   Alcotest.(check int) "src rewritten" 0xC6336401 (Packet.src_ip_int p);
@@ -1025,7 +1017,6 @@ let () =
         [
           Alcotest.test_case "craft/parse UDP" `Quick test_packet_craft_parse_udp;
           Alcotest.test_case "craft/parse TCP" `Quick test_packet_craft_parse_tcp;
-          Alcotest.test_case "protocol mismatch" `Quick test_packet_craft_protocol_mismatch;
           Alcotest.test_case "TTL incremental checksum" `Quick test_packet_ttl_update_keeps_checksum;
           Alcotest.test_case "dst rewrite checksum" `Quick test_packet_dst_rewrite_keeps_checksum;
           Alcotest.test_case "truncated raises" `Quick test_packet_truncated_raises;

@@ -10,10 +10,7 @@ open Netstack
 
 let fresh_packet ?(bytes = 2048) () = Packet.of_bytes ~addr:0x100000 (Bytes.create bytes)
 
-let craft p (flow : Flow.t) ~payload_bytes ~ttl =
-  match flow.Flow.protocol with
-  | Flow.Udp -> Packet.craft_udp p ~flow ~payload_bytes ~ttl
-  | Flow.Tcp -> Packet.craft_tcp p ~flow ~payload_bytes ~ttl
+let craft p flow ~payload_bytes ~ttl = Packet.craft p ~flow ~payload_bytes ~ttl
 
 let gen_flow =
   QCheck.Gen.(
@@ -512,7 +509,7 @@ let prop_sidecar_compaction =
 (* --- Rx against a twin generator -------------------------------------- *)
 
 (* Every frame {!Nic.rx_batch} hands out must be the bytes
-   [craft_udp]/[craft_tcp] produce for the flow a twin generator (same
+   {!Packet.craft} produces for the flow a twin generator (same
    seed) draws, whether the NIC crafted it or replayed its template
    slot, and the header plane it seeded must agree with those bytes.
    Populations: one flow, fewer flows than template slots, and more

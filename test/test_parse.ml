@@ -217,7 +217,7 @@ let prop_roundtrip_random =
 
 (* The shipped sample programs must keep their documented verdicts. *)
 let test_sample_programs () =
-  let dir = "../examples/programs" in
+  let dir = Data.path "../examples/programs" in
   let read name = In_channel.with_open_text (Filename.concat dir name) In_channel.input_all in
   let verdict name =
     match Parse.program (read name) with
@@ -267,7 +267,7 @@ let mir_sources =
          Sys.readdir dir |> Array.to_list |> List.sort compare
          |> List.filter (fun f -> Filename.check_suffix f ".mir")
          |> List.map (fun f -> mir_source (Filename.concat dir f)))
-       [ "corpus-ifc"; "../examples/programs" ]
+       [ Data.path "corpus-ifc"; Data.path "../examples/programs" ]
     |> Array.of_list)
 
 let same_result src =
@@ -618,7 +618,7 @@ let test_memo_swapped_words () =
    parse of the 500-function corpus allocates, per source line. The AST
    itself accounts for most of them. *)
 let test_parse_allocation () =
-  let text = read_file "corpus-ifc/gen_500x10.mir" in
+  let text = read_file (Data.path "corpus-ifc/gen_500x10.mir") in
   let lines = List.length (String.split_on_char '\n' text) - 1 in
   ignore (Parse.program text);
   Parse.forget ();
@@ -634,7 +634,7 @@ let test_parse_allocation () =
    the other 499 bodies. A cold parse allocates ~13 words per line; this
    one ~0.6. *)
 let test_reparse_allocation () =
-  let text = read_file "corpus-ifc/gen_500x10.mir" in
+  let text = read_file (Data.path "corpus-ifc/gen_500x10.mir") in
   let lines = List.length (String.split_on_char '\n' text) - 1 in
   let at pat from =
     let rec go i = if String.sub text i (String.length pat) = pat then i else go (i + 1) in
