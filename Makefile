@@ -1,4 +1,4 @@
-.PHONY: all build test test-verbose qcheck-soak bench stats determinism corpus corpus-ifc examples clean loc
+.PHONY: all build test test-verbose qcheck-soak stats determinism corpus corpus-ifc examples clean loc
 
 all: build test
 
@@ -26,11 +26,6 @@ qcheck-soak:
 	  fi; \
 	done; \
 	echo "qcheck-soak: $(N) seeds passed"
-
-# Advisory wall-clock printout: the Bechamel microbenchmarks
-# (host-dependent, no gate; layerbench/ is the measured benchmark).
-bench:
-	dune exec bench/wallclock.exe
 
 stats:
 	dune exec bin/repro.exe -- stats fig2 recovery rollback
@@ -66,4 +61,4 @@ clean:
 	dune clean
 
 loc:
-	@find lib test bench bin examples -name '*.ml' -o -name '*.mli' | xargs wc -l | tail -1
+	@find lib test bin examples -name '*.ml' -o -name '*.mli' | xargs wc -l | tail -1

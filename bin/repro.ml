@@ -286,9 +286,15 @@ let () =
     "Reproduce the evaluation of 'System Programming in Rust: Beyond Safety' (HotOS '17)"
   in
   let info = Cmd.info "repro" ~version:"1.0.0" ~doc in
+  (* An experiment that cannot run (say, recover's corpus is missing)
+     raises [Failure]: a one-line error and exit 1, not a backtrace. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          ([ list_cmd; run_cmd; stats_cmd; check_cmd ]
-          @ List.map experiment_cmd R.all
-          @ [ verify_cmd ])))
+    (try
+       Cmd.eval ~catch:false
+         (Cmd.group info
+            ([ list_cmd; run_cmd; stats_cmd; check_cmd ]
+            @ List.map experiment_cmd R.all
+            @ [ verify_cmd ]))
+     with Failure m ->
+       prerr_endline ("repro: " ^ m);
+       1)

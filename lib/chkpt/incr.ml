@@ -2,13 +2,11 @@ type 'a tracker = {
   value : 'a;
   sync : unit -> Checkpointable.stats;
   restore : unit -> Checkpointable.stats;
-  synced : unit -> bool;
 }
 
 let value t = t.value
 let sync t = t.sync ()
 let restore t = t.restore ()
-let synced t = t.synced ()
 
 let stats ~nodes ~dirty ~reused : Checkpointable.stats =
   {
@@ -264,10 +262,4 @@ let iarr_of_chunks chunks =
           in
           decode 0
 
-let iarr_tracker a =
-  {
-    value = a;
-    sync = iarr_sync a;
-    restore = iarr_restore a;
-    synced = (fun () -> a.origin <> Unset);
-  }
+let iarr_tracker a = { value = a; sync = iarr_sync a; restore = iarr_restore a }

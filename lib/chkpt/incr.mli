@@ -12,8 +12,7 @@
 
     A ['a tracker] is the handle to such a structure: {!Trie.tracker}
     builds one for the firewall trie, {!iarr_tracker} for a flat array
-    with chunked dirty bits (the storm flowtab). {!Store.create_incr}
-    wraps a tracker in the ordinary snapshot/rollback interface. *)
+    with chunked dirty bits (the storm flowtab). *)
 
 type 'a tracker = {
   value : 'a;  (** The live structure; mutate it only through its own API. *)
@@ -23,17 +22,13 @@ type 'a tracker = {
   restore : unit -> Checkpointable.stats;
       (** Roll the live structure back to the last sync, touching only
           regions mutated since. Raises [Invalid_argument] while there
-          is no snapshot ([synced] is false). *)
-  synced : unit -> bool;
-      (** There is a snapshot to restore to: at least one sync has
-          happened, or ({!iarr_of_chunks}) the structure was decoded
-          from one. *)
+          is no snapshot: before the first sync, unless
+          ({!iarr_of_chunks}) the structure was decoded from one. *)
 }
 
 val value : 'a tracker -> 'a
 val sync : 'a tracker -> Checkpointable.stats
 val restore : 'a tracker -> Checkpointable.stats
-val synced : 'a tracker -> bool
 
 (** {2 Tracked flat int array}
 

@@ -1,4 +1,4 @@
-(* Pre-resolved [chkpt.*] handles shared by Store and Replay. Each
+(* Pre-resolved [chkpt.*] handles shared by Replay and Flowtab. Each
    descriptor node is a boxed word in the copy, so 8 bytes/node is the
    natural first-order size estimate for a snapshot. *)
 

@@ -1,5 +1,5 @@
-(** Pre-resolved [chkpt.*] metric handles, shared by {!Store} and
-    {!Replay}: snapshot/rollback counts, descriptor nodes traversed,
+(** Pre-resolved [chkpt.*] metric handles, shared by {!Replay} and
+    the flow table ([Netstack.Flowtab]): snapshot/rollback counts, descriptor nodes traversed,
     Rc copies and dedup hits, an approximate copied-byte count
     (8 bytes per node), inputs replayed on recovery, and the
     incremental-engine split — [chkpt.dirty_nodes] / [chkpt.reused_nodes]

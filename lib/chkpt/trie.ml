@@ -516,7 +516,6 @@ let tracker t =
     Incr.value = t;
     sync = (fun () -> sync_incr t sh);
     restore = (fun () -> restore_incr t sh);
-    synced = (fun () -> sh.sh_root <> None);
   }
 
 (* --- Descriptor ----------------------------------------------------- *)

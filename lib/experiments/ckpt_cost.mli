@@ -28,6 +28,6 @@ val run : ?sizes:(int * int) list -> unit -> row list
 val make_database :
   rng:Cycles.Rng.t -> rules:int -> alias_factor:int -> Chkpt.Trie.t
 (** Build a random /24-prefix database with the given sharing (also
-    used by the wall-clock benches). *)
+    used by [examples/firewall_checkpoint.ml]). *)
 
 val print : row list -> unit

@@ -70,21 +70,14 @@ let mutate t prefs alts ~k ~round =
     Chkpt.Trie.insert t ~prefix:p ~len:24 ~rule
   done
 
-let time_ns f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  (Unix.gettimeofday () -. t0) *. 1e9
-
 (* Average ns per full-traversal checkpoint of the same database — the
    baseline every incremental row is compared against. *)
 let full_baseline_ns ~iters =
   let t, _ = build () in
   let total = ref 0. in
   for _ = 1 to iters do
-    total :=
-      !total
-      +. time_ns (fun () ->
-             ignore (Chkpt.Checkpointable.checkpoint Chkpt.Trie.desc t))
+    let _, s = Table.time (fun () -> Chkpt.Checkpointable.checkpoint Chkpt.Trie.desc t) in
+    total := !total +. (s *. 1e9)
   done;
   !total /. float_of_int (max 1 iters)
 
@@ -110,7 +103,9 @@ let run_variant ~iters ~full_ns ~dirty_pct =
   let sync_ns = ref 0. in
   for round = 2 to iters + 1 do
     mutate t prefs alts ~k ~round;
-    sync_ns := !sync_ns +. time_ns (fun () -> last := Chkpt.Incr.sync tracker);
+    let stats, s = Table.time (fun () -> Chkpt.Incr.sync tracker) in
+    last := stats;
+    sync_ns := !sync_ns +. (s *. 1e9);
     Chkpt.Tele.record_incr tele !last
   done;
   let incr_ns = !sync_ns /. float_of_int (max 1 iters) in
@@ -149,27 +144,6 @@ let run_variant ~iters ~full_ns ~dirty_pct =
     incr_ns;
     speedup = (if incr_ns > 0. then full_ns /. incr_ns else 0.);
   }
-
-(* Wall-clock bench hook (bench/wallclock.exe's bechamel rows): one call is
-   one mutate-then-sync round against a private tracked database, with
-   the same dirty set every round so the measured work is steady-state
-   O(dirty). *)
-let bench_incr ~dirty_pct =
-  let t, prefs = build () in
-  let tracker = Chkpt.Trie.tracker t in
-  let k = Array.length prefs * dirty_pct / 100 in
-  let alts =
-    Array.init (max k 1) (fun i ->
-        Chkpt.Trie.make_rule ~id:(rules_n + i)
-          ~description:(Printf.sprintf "alt-%d" i)
-          Chkpt.Trie.Allow)
-  in
-  ignore (Chkpt.Incr.sync tracker);
-  let round = ref 1 in
-  fun () ->
-    mutate t prefs alts ~k ~round:!round;
-    incr round;
-    ignore (Chkpt.Incr.sync tracker)
 
 let run ?(iters = 30) ?(full_iters = 12) () =
   let full_ns = full_baseline_ns ~iters:full_iters in

@@ -29,12 +29,6 @@ val run : ?iters:int -> ?full_iters:int -> unit -> float * row list
 val print : float * row list -> unit
 (** Full table including wall-clock columns. *)
 
-val bench_incr : dirty_pct:int -> unit -> unit
-(** Wall-clock bench hook: builds a private tracked database once and
-    returns a thunk performing one steady-state mutate-then-sync round
-    (the dirty set is identical every round, so each call costs
-    O(dirty)). Used by the bechamel suite in bench/wallclock.exe. *)
-
 val print_stats : row list -> unit
 (** Deterministic columns only — byte-stable across runs and machines;
     diffed against [test/golden/ckpt_incr_stats.txt] in CI. *)

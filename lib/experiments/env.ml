@@ -10,13 +10,13 @@ type t = {
 let pool_capacity = 4096
 let payload_bytes = 18
 
-let make ?(seed = 2017L) ?(flows = 1024) ?model ?(telemetry = Telemetry.Registry.global) () =
+let make ?(flows = 1024) ?model ?(telemetry = Telemetry.Registry.global) () =
   let clock =
     match model with None -> Cycles.Clock.create () | Some m -> Cycles.Clock.create ~model:m ()
   in
   let pool = Netstack.Mempool.create ~clock ~capacity:pool_capacity () in
   let engine = Netstack.Engine.create ~clock ~pool ~telemetry () in
-  let rng = Cycles.Rng.create seed in
+  let rng = Cycles.Rng.create 2017L in
   let traffic = Netstack.Traffic.create ~rng ~payload_bytes (Netstack.Traffic.Uniform { flows }) in
   let nic = Netstack.Nic.create ~engine ~traffic () in
   let manager = Sfi.Manager.create ~clock ~telemetry () in

@@ -16,13 +16,12 @@ type t = {
 }
 
 val make :
-  ?seed:int64 ->
   ?flows:int ->
   ?model:Cycles.Cost_model.t ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   t
-(** Defaults: seed 2017, 1024 uniform flows. The pool always holds
+(** Seed 2017; default 1024 uniform flows. The pool always holds
     4096 buffers and every payload is 18 bytes (64-byte frames — the
     Figure-2 workload).
     [telemetry] (default {!Telemetry.Registry.global}) is handed to

@@ -179,11 +179,6 @@ let wall_env ~plan ~seed ~pool_capacity =
   let nic = Netstack.Nic.create ~engine ~traffic () in
   (clock, engine, nic)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
 (* The rx loop alone (craft + free): what the harness costs without
    any pipeline, measured so the pipeline-only rate can be reported
    with the generator subtracted — both variants pay the identical
@@ -200,7 +195,7 @@ let run_generator ~plan ~seed ~batch_size ~warmup ~batches =
     !received
   in
   ignore (serve warmup);
-  let packets, wall = time (fun () -> serve batches) in
+  let packets, wall = Table.time (fun () -> serve batches) in
   (packets, wall)
 
 let run_wall_variant ~plan ~seed ~capacity ~batch_size ~warmup ~batches ~rule_pad ~cached =
@@ -230,7 +225,7 @@ let run_wall_variant ~plan ~seed ~capacity ~batch_size ~warmup ~batches ~rule_pa
   in
   ignore (serve warmup);
   sent := 0;
-  let packets, wall = time (fun () -> serve batches) in
+  let packets, wall = Table.time (fun () -> serve batches) in
   let hit_rate =
     match fc with
     | None -> 0.

@@ -14,15 +14,6 @@
     serve/drop ledgers must agree exactly) and a wall-clock one
     (sustained Mpps with the traffic-generator cost backed out). *)
 
-val wall_rule_pad : int
-(** 760: the wall-clock section's pad, for a 768-rule table. *)
-
-val rule_db : clock:Cycles.Clock.t -> ?rule_pad:int -> unit -> Netstack.Ruledb.t
-(** The E17 rule table: [rule_pad] (default 120) accept rules that no
-    client of 10.0.0.0/16 matches, so every packet scans past them,
-    then 8 rules dropping source-port slices of 1024 ports from 2000
-    every 6000. *)
-
 (** {2 Deterministic section} *)
 
 val default_stats_queues : int
@@ -78,8 +69,19 @@ val print : result -> unit
 (** {1 For tests}
 
     A reduced deterministic run (the shard-invariance test in
-    [test/test_flowcache.ml]) and the per-queue chain whose allocation
-    [test/test_fusion.ml] bounds. *)
+    [test/test_flowcache.ml]), the per-queue chain whose allocation
+    [test/test_fusion.ml] bounds, and the rule table
+    [test/test_ruledb.ml] checks {!Netstack.Ruledb.classify} against
+    its oracle on. *)
+
+val wall_rule_pad : int
+(** 760: the wall-clock section's pad, for a 768-rule table. *)
+
+val rule_db : clock:Cycles.Clock.t -> ?rule_pad:int -> unit -> Netstack.Ruledb.t
+(** The E17 rule table: [rule_pad] (default 120) accept rules that no
+    client of 10.0.0.0/16 matches, so every packet scans past them,
+    then 8 rules dropping source-port slices of 1024 ports from 2000
+    every 6000. *)
 
 val run_stats :
   ?queues:int ->

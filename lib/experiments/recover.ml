@@ -9,11 +9,6 @@ let default_fault_seed = 4242L
 let default_corpus = "test/corpus"
 let flowtab_stage_index = 2
 
-let time_ms f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, (Unix.gettimeofday () -. t0) *. 1e3)
-
 (* Store directories live under a fresh private root in the system temp
    dir; nothing below ever prints a path, so the deterministic sections
    stay byte-identical across hosts and runs. *)
@@ -188,7 +183,9 @@ let print_stats s =
 let run_corpus () =
   let dir = default_corpus in
   if not (Sys.file_exists dir && Sys.is_directory dir) then
-    Printf.printf "corpus: directory %s not found\n" dir
+    failwith
+      (Printf.sprintf "corpus directory %s not found (run from the repository root)"
+         dir)
   else begin
     let reg = Telemetry.Registry.create () in
     let d = Chkpt.Durable.open_store ~telemetry:reg ~graph:corpus_graph ~dir () in
@@ -284,8 +281,8 @@ let run_wall ?(buckets = 1 lsl 20) ?(total = 42_000_000) ?(persist_every = 4_000
   let replayed = total / persist_every * persist_every in
   ignore (Chkpt.Incr.restore tracker);
   let expected = digest_chunks (Chkpt.Incr.iarr_to_chunks tab) in
-  let recovered, recover_ms =
-    time_ms (fun () ->
+  let recovered, recover_s =
+    Table.time (fun () ->
         let d = Chkpt.Durable.open_store ~graph:graph_version ~dir () in
         match Chkpt.Durable.recover d with
         | Some rv, _ -> (
@@ -299,9 +296,10 @@ let run_wall ?(buckets = 1 lsl 20) ?(total = 42_000_000) ?(persist_every = 4_000
     | Some t -> String.equal (digest_chunks (Chkpt.Incr.iarr_to_chunks t)) expected
     | None -> false
   in
-  let _, rebuild_ms =
-    time_ms (fun () -> run_storm ~dir:(Filename.concat root "rebuild") ~upto:replayed)
+  let _, rebuild_s =
+    Table.time (fun () -> run_storm ~dir:(Filename.concat root "rebuild") ~upto:replayed)
   in
+  let recover_ms = recover_s *. 1e3 and rebuild_ms = rebuild_s *. 1e3 in
   {
     w_buckets = buckets;
     w_replayed = replayed;

@@ -61,7 +61,8 @@ val print_stats : stats -> unit
 
 val run_corpus : unit -> unit
 (** Print the deterministic rejection of every corpus file (and the
-    corpus reject-counter telemetry). *)
+    corpus reject-counter telemetry). The corpus is [test/corpus] under
+    the working directory; raises [Failure] if it is not there. *)
 
 type wall = {
   w_buckets : int;

@@ -4,11 +4,6 @@ let default_edits = 5
 let default_iters = 3
 let default_seed = 17L
 
-let time_ms f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, (Unix.gettimeofday () -. t0) *. 1e3)
-
 (* Bust Summary's per-instance memo: a fresh record is a fresh
    instance, so a Compositional verify on it really rebuilds every
    summary — the honest cold baseline. *)
@@ -175,16 +170,16 @@ let run_wall ?(funcs = default_funcs) ?(edits = default_edits)
   for i = 1 to iters do
     let edited_p, _ = Ifc.Gen.edit ~seed:(Int64.add seed (Int64.of_int (7000 + i))) ~edits spec !p in
     p := edited_p;
-    let warm, ms =
-      time_ms (fun () -> ok "warm reverify" (Ifc.Verifier.reverify cache edited_p))
+    let warm, s =
+      Table.time (fun () -> ok "warm reverify" (Ifc.Verifier.reverify cache edited_p))
     in
-    warm_ms := min !warm_ms ms;
-    let cold, ms =
-      time_ms (fun () ->
+    warm_ms := min !warm_ms (s *. 1e3);
+    let cold, s =
+      Table.time (fun () ->
           ok "cold compositional"
             (Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional (fresh_instance edited_p)))
     in
-    cold_ms := min !cold_ms ms;
+    cold_ms := min !cold_ms (s *. 1e3);
     equal := !equal && String.equal (report_body (fst warm)) (report_body cold)
   done;
   {
@@ -207,38 +202,3 @@ let print_wall w =
     (if w.w_equal then "identical" else "DIVERGED");
   Printf.printf "  speedup: %.1fx (target: >= 10x) %s\n" w.w_speedup
     (if w.w_speedup >= 10. then "[ok]" else "[MISS]")
-
-(* --- Bench rows (bench/wallclock.exe) ----------------------------------- *)
-
-(* Steady-state per-run closures for the Bechamel rows: [cold] pays
-   construction + fingerprinting from an empty cache every run; [hit]
-   re-fingerprints an unchanged program against a warm cache (pure
-   cache-validation + main pass); [warm] edits 1% of bodies before
-   every reverify, the E21 workload. *)
-let bench_cold () =
-  let program = Ifc.Gen.generate Ifc.Gen.default in
-  let reg = Telemetry.Registry.create () in
-  fun () ->
-    ignore
-      (ok "bench cold" (Ifc.Summary_cache.reverify (Ifc.Summary_cache.create ~telemetry:reg ()) program))
-
-let bench_hit () =
-  let program = Ifc.Gen.generate Ifc.Gen.default in
-  let reg = Telemetry.Registry.create () in
-  let cache = Ifc.Summary_cache.create ~telemetry:reg () in
-  ignore (ok "bench hit warmup" (Ifc.Summary_cache.reverify cache program));
-  fun () -> ignore (ok "bench hit" (Ifc.Summary_cache.reverify cache program))
-
-let bench_warm ?(edits = default_edits) () =
-  let spec = Ifc.Gen.default in
-  let program = Ifc.Gen.generate spec in
-  let reg = Telemetry.Registry.create () in
-  let cache = Ifc.Summary_cache.create ~telemetry:reg () in
-  ignore (ok "bench warm warmup" (Ifc.Summary_cache.reverify cache program));
-  let p = ref program in
-  let k = ref 0 in
-  fun () ->
-    incr k;
-    let edited_p, _ = Ifc.Gen.edit ~seed:(Int64.of_int !k) ~edits spec !p in
-    p := edited_p;
-    ignore (ok "bench warm" (Ifc.Summary_cache.reverify cache edited_p))

@@ -57,12 +57,3 @@ val run_wall :
   ?funcs:int -> ?edits:int -> ?iters:int -> unit -> wall
 
 val print_wall : wall -> unit
-
-(** Per-run closures for the Bechamel rows ([ifc summary cold] /
-    [ifc summary hit] / [ifc summary warm-1pct] of
-    bench/wallclock.exe). Each returns the staged thunk after doing
-    its one-time setup. *)
-
-val bench_cold : unit -> unit -> unit
-val bench_hit : unit -> unit -> unit
-val bench_warm : ?edits:int -> unit -> unit -> unit

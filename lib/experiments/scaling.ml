@@ -31,9 +31,8 @@ let run_one ?(queues = default_queues) ?(rounds = default_rounds) ~mode ~shards 
       ~stages:default_stages ()
   in
   let engine = Netstack.Shard.create spec in
-  let t0 = Unix.gettimeofday () in
-  let result = Netstack.Shard.run engine in
-  (Unix.gettimeofday () -. t0, result)
+  let result, s = Table.time (fun () -> Netstack.Shard.run engine) in
+  (s, result)
 
 let shards_list () =
   (* As in E12: never oversubscribe the host, or the numbers measure

@@ -1,3 +1,8 @@
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Unix.gettimeofday () -. t0)
+
 let fi = string_of_int
 let ff ?(decimals = 1) f = Printf.sprintf "%.*f" decimals f
 let fb b = if b then "yes" else "no"

@@ -1,4 +1,8 @@
-(** Minimal aligned-column table printing for experiment reports. *)
+(** Minimal aligned-column table printing for experiment reports, and
+    the stopwatch behind their wall-clock columns. *)
+
+val time : (unit -> 'a) -> 'a * float
+(** [time f] is [f ()] and the wall-clock seconds it took. *)
 
 val print : header:string list -> string list list -> unit
 (** Right-aligns numeric-looking cells, left-aligns the rest, pads to

@@ -86,11 +86,6 @@ val program : string -> (Ast.program, error) result
     written again, so parses on several domains are safe: each reads
     one published memo, and the last to succeed publishes its own. *)
 
-val forget : unit -> unit
-(** Empty the memo, so that the next {!program} parses cold. For tests,
-    measurements and untrusted text; up to a collision of the hash
-    lanes, the result of {!program} never depends on it. *)
-
 val to_source : Ast.program -> string
 (** Render a program in the concrete syntax, into one buffer;
     [program (to_source p)] reparses to an equal program up to
@@ -101,7 +96,13 @@ val error_to_string : error -> string
 
 (** {1 For tests}
 
-    The label grammar alone, which [test/test_parse.ml] pins. *)
+    The cold parse that [test/test_parse.ml] diffs the memo against,
+    and the label grammar alone, which it pins. *)
+
+val forget : unit -> unit
+(** Empty the memo, so that the next {!program} parses cold. For tests,
+    measurements and untrusted text; up to a collision of the hash
+    lanes, the result of {!program} never depends on it. *)
 
 val label : string -> (Label.t, string) result
 (** Parse just a label (["public"], ["{secret}"], ["{a,b}"]). *)

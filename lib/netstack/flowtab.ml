@@ -1,20 +1,24 @@
 type t = {
   tab : Chkpt.Incr.iarr;
-  store : Chkpt.Incr.iarr Chkpt.Store.t;
+  tracker : Chkpt.Incr.iarr Chkpt.Incr.tracker;
+  tele : Chkpt.Tele.t;
   durable : Chkpt.Durable.t option;
   tag : string;
   mask : int;
   snapshot_every : int;
   mutable batches : int;
   mutable persists : int;
+  mutable rollbacks : int;
   mutable gen : int option; (* newest durable generation; Some => lineage primed *)
 }
+
+let snapshot t = Chkpt.Tele.record_snapshot t.tele (Chkpt.Incr.sync t.tracker)
 
 let persist t =
   (* Dirty chunks must be read before the snapshot syncs them away; the
      payloads persisted are the ones the sync just encoded. *)
   let dirty = Chkpt.Incr.iarr_dirty_list t.tab in
-  ignore (Chkpt.Store.snapshot t.store);
+  snapshot t;
   match t.durable with
   | None -> ()
   | Some d ->
@@ -35,19 +39,20 @@ let build ?(snapshot_every = 8) ?durable ?(tag = "flowtab") ~gen ~snapshot_now
   if n land (n - 1) <> 0 || n = 0 then
     invalid_arg "Flowtab: bucket count must be a power of two";
   if snapshot_every <= 0 then invalid_arg "Flowtab: snapshot_every must be positive";
-  let store =
-    Chkpt.Store.create_incr ~telemetry:ctx.Shard.qc_registry (Chkpt.Incr.iarr_tracker tab)
-  in
+  let tracker = Chkpt.Incr.iarr_tracker tab in
+  let tele = Chkpt.Tele.v ctx.Shard.qc_registry in
   let t =
     {
       tab;
-      store;
+      tracker;
+      tele;
       durable;
       tag;
       mask = n - 1;
       snapshot_every;
       batches = 0;
       persists = 0;
+      rollbacks = 0;
       gen;
     }
   in
@@ -80,7 +85,7 @@ let recover ?snapshot_every ?(tag = "flowtab") ~durable ctx =
           build ?snapshot_every ~durable ~tag ~gen:(Some r.Chkpt.Durable.r_generation)
             ~snapshot_now:false ctx tab
         in
-        ignore (Chkpt.Store.snapshot t.store);
+        snapshot t;
         Ok (t, r))
 
 let stage t =
@@ -98,8 +103,12 @@ let stage t =
       if t.batches mod t.snapshot_every = 0 then persist t;
       batch)
 
-let rollback t = ignore (Chkpt.Store.rollback t.store)
-let rollbacks t = Chkpt.Store.rollbacks t.store
+let rollback t =
+  let stats = Chkpt.Incr.restore t.tracker in
+  t.rollbacks <- t.rollbacks + 1;
+  Chkpt.Tele.record_rollback t.tele stats
+
+let rollbacks t = t.rollbacks
 let persists t = t.persists
 let generation t = t.gen
 

@@ -25,17 +25,13 @@ val create :
 
 val backend_count : t -> int
 
-val lookup : t -> Flow.t -> int
+val lookup_keyed : t -> Flow.t -> key:Flow.Key.t -> int
 (** Steer a flow: connection table first, then the consistent-hash
     table (recording the decision for flow affinity). Returns the
-    backend index. *)
-
-val lookup_keyed : t -> Flow.t -> key:Flow.Key.t -> int
-(** [lookup] with the flow's packed key supplied by the caller (the
-    batch's flow memo is seeded with it at NIC rx), so the steady-state data
-    path re-hashes nothing. The virtual-cycle charges are identical to
-    [lookup]'s — the cost model still prices the hash the hardware
-    performs. [key] must equal [Flow.Key.of_flow flow]. *)
+    backend index. The caller supplies the flow's packed key (the
+    batch's flow memo is seeded with it at NIC rx), so the steady-state
+    data path re-hashes nothing; the cost model still prices the hash
+    the hardware performs. [key] must equal [Flow.Key.of_flow flow]. *)
 
 val connection_count : t -> int
 
@@ -46,9 +42,13 @@ val on_change : t -> (unit -> unit) -> unit
 
 (** {1 For tests}
 
-    Table inspection, and the backend-set edits that are the only code
-    firing {!on_change}, the hook the flowcache invalidation model
-    depends on. *)
+    Table inspection, the keyless lookup that the affinity test steers
+    with, and the backend-set edits that are the only code firing
+    {!on_change}, the hook the flowcache invalidation model depends
+    on. *)
+
+val lookup : t -> Flow.t -> int
+(** {!lookup_keyed} with the key computed here. *)
 
 val table_size : t -> int
 

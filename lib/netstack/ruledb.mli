@@ -57,17 +57,20 @@ val remove : t -> int -> unit
 
 val rule_count : t -> int
 
-val classify : t -> Flow.t -> action
-(** First match, charging the clock per rule examined plus the
-    rule-table memory traffic. Allocates nothing. *)
-
 val stage : t -> Stage.t
 (** Pipeline stage ["ruledb"]: classifies each packet from the batch's
     tuple columns and frees the ones the database drops. *)
 
 (** {1 For tests}
 
-    The default verdict, which the oracle tests edit and read back. *)
+    One flow's verdict, which [test/test_ruledb.ml] diffs against the
+    per-rule scan of [test/ruledb_oracle.ml], and the default verdict,
+    which the oracle tests edit and read back. *)
+
+val classify : t -> Flow.t -> action
+(** First match, charging the clock per rule examined plus the
+    rule-table memory traffic, exactly as {!stage} does per packet.
+    Allocates nothing. *)
 
 val set_default : t -> action -> unit
 (** Fires {!on_mutate}. *)

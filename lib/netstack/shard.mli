@@ -53,7 +53,7 @@ type fault_spec = {
           faults overflow. *)
   f_on_restart : (queue:int -> stage:int -> unit) option;
       (** Runs just before a restarted stage's domain is recovered —
-          the checkpoint-restore hook ({!Chkpt.Store.rollback}). *)
+          the checkpoint-restore hook ({!Flowtab.rollback}). *)
 }
 
 val default_faults :

@@ -77,8 +77,7 @@ let plan ?(payload_bytes = 18) ?(protocol = Flow.Udp) pattern =
 
 let of_plan ~rng plan = { rng; plan }
 
-let create ~rng ?payload_bytes ?protocol pattern =
-  of_plan ~rng (plan ?payload_bytes ?protocol pattern)
+let create ~rng ?payload_bytes pattern = of_plan ~rng (plan ?payload_bytes pattern)
 
 let payload_bytes t = t.plan.pl_payload_bytes
 let plan_population p =

@@ -34,13 +34,9 @@ val plan : ?payload_bytes:int -> ?protocol:Flow.protocol -> pattern -> plan
 
 val of_plan : rng:Cycles.Rng.t -> plan -> t
 
-val create :
-  rng:Cycles.Rng.t ->
-  ?payload_bytes:int ->
-  ?protocol:Flow.protocol ->
-  pattern ->
-  t
-(** [create ~rng ... pattern] is [of_plan ~rng (plan ... pattern)]. *)
+val create : rng:Cycles.Rng.t -> ?payload_bytes:int -> pattern -> t
+(** [create ~rng ?payload_bytes pattern] is
+    [of_plan ~rng (plan ?payload_bytes pattern)]. *)
 
 val next_flow : t -> Flow.t
 (** Draw the flow of the next packet. *)

@@ -282,8 +282,7 @@ let test_store_rollback_twice_from_same_snapshot () =
   ignore (Store.rollback store);
   Alcotest.(check int) "snapshot survives repeated rollbacks" 0
     (Trie.total_hits (Store.get store));
-  Alcotest.(check int) "depth still 1" 1 (Store.depth store);
-  Alcotest.(check int) "two rollbacks counted" 2 (Store.rollbacks store)
+  Alcotest.(check int) "depth still 1" 1 (Store.depth store)
 
 let test_store_commit_and_empty_errors () =
   let store = Store.create Checkpointable.int 0 in

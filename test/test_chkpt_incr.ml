@@ -1,7 +1,7 @@
 (* Tests for the incremental checkpoint engine: generation-stamped
    dirty tracking on the trie, shadow-snapshot sync, byte-identical
-   restore, the chunk-tracked flat array, the incremental Store
-   backing, and the supervisor restore path. *)
+   restore, the chunk-tracked flat array, the flow table's checkpoint
+   lifecycle, and the supervisor restore path. *)
 
 open Chkpt
 
@@ -192,26 +192,41 @@ let test_restore_before_sync_rejected () =
     (Invalid_argument "Trie: restore before first incremental sync") (fun () ->
       ignore (Incr.restore tracker))
 
+let counter registry name =
+  match Telemetry.Registry.find registry name with
+  | Some (Telemetry.Registry.Counter c) -> Telemetry.Counter.value c
+  | _ -> Alcotest.fail (name ^ " missing")
+
+(* The flow table's checkpoint lifecycle: its tracker syncs and
+   restores the dirty chunks, and [Flowtab] counts and records each
+   snapshot and rollback. *)
 let test_store_incr_lifecycle () =
   let ia = Incr.iarr ~chunk:4 (Array.make 16 0) in
-  let store = Store.create_incr (Incr.iarr_tracker ia) in
-  Alcotest.(check int) "no snapshot yet" 0 (Store.depth store);
-  Alcotest.check_raises "rollback before snapshot"
-    (Invalid_argument "Store.rollback: no snapshot") (fun () ->
-      ignore (Store.rollback store));
-  Incr.iarr_set (Store.get store) 3 7;
-  ignore (Store.snapshot store);
-  Alcotest.(check int) "one shadow snapshot" 1 (Store.depth store);
-  Incr.iarr_set (Store.get store) 3 99;
-  Incr.iarr_set (Store.get store) 12 5;
-  ignore (Store.rollback store);
+  let tracker = Incr.iarr_tracker ia in
+  Alcotest.check_raises "restore before sync"
+    (Invalid_argument "Incr.iarr: restore before first sync") (fun () ->
+      ignore (Incr.restore tracker));
+  Incr.iarr_set (Incr.value tracker) 3 7;
+  ignore (Incr.sync tracker);
+  Incr.iarr_set ia 3 99;
+  Incr.iarr_set ia 12 5;
+  ignore (Incr.restore tracker);
   Alcotest.(check int) "slot 3 restored" 7 (Incr.iarr_get ia 3);
   Alcotest.(check int) "slot 12 restored" 0 (Incr.iarr_get ia 12);
-  Alcotest.(check int) "snapshots counted" 1 (Store.snapshots_taken store);
-  Alcotest.(check int) "rollbacks counted" 1 (Store.rollbacks store);
-  Alcotest.check_raises "commit rejected"
-    (Invalid_argument "Store.commit: incremental store keeps one shadow snapshot")
-    (fun () -> Store.commit store)
+  let registry = Telemetry.Registry.create () in
+  let ctx =
+    {
+      Netstack.Shard.qc_queue = 0;
+      qc_clock = Cycles.Clock.create ();
+      qc_registry = registry;
+      qc_flowcache = None;
+    }
+  in
+  let ft = Netstack.Flowtab.create ~buckets:16 ~chunk:4 ctx in
+  Alcotest.(check int) "baseline snapshot recorded" 1 (counter registry "chkpt.snapshots");
+  Netstack.Flowtab.rollback ft;
+  Alcotest.(check int) "rollbacks counted" 1 (Netstack.Flowtab.rollbacks ft);
+  Alcotest.(check int) "rollback recorded" 1 (counter registry "chkpt.rollbacks")
 
 let test_tele_record_incr () =
   let registry = Telemetry.Registry.create () in
@@ -225,13 +240,8 @@ let test_tele_record_incr () =
     | _ -> Alcotest.fail "dirty_ratio_pct gauge missing"
   in
   Alcotest.(check int) "ratio gauge" 10 gauge;
-  let counter name =
-    match Telemetry.Registry.find registry name with
-    | Some (Telemetry.Registry.Counter c) -> Telemetry.Counter.value c
-    | _ -> Alcotest.fail (name ^ " missing")
-  in
-  Alcotest.(check int) "dirty counter" 20 (counter "chkpt.dirty_nodes");
-  Alcotest.(check int) "reused counter" 180 (counter "chkpt.reused_nodes")
+  Alcotest.(check int) "dirty counter" 20 (counter registry "chkpt.dirty_nodes");
+  Alcotest.(check int) "reused counter" 180 (counter registry "chkpt.reused_nodes")
 
 (* The supervisor path: a storm with rollback-on-restart enabled must
    actually restore (restores > 0), conserve every crafted packet, and

@@ -61,6 +61,17 @@ let test_bad_requests () =
   expect_error [ "recovery"; "--stats-only" ]
     "repro recovery: no deterministic surface (--stats-only)"
 
+(* recover reads test/corpus from the working directory; started
+   anywhere else it must fail, not print a corpus block that differs
+   from its golden and exit 0. *)
+let test_recover_needs_corpus () =
+  let dir = Filename.temp_dir "repro-recover" "" in
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  let code, _, err = run ~cwd:dir [ "recover"; "--stats-only" ] in
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check string) "stderr"
+    "repro: corpus directory test/corpus not found (run from the repository root)\n" err
+
 let test_table_well_formed () =
   Alcotest.(check int) "experiments with a deterministic surface" 10 (List.length det_entries);
   List.iter
@@ -117,6 +128,8 @@ let () =
           Alcotest.test_case "unknown ids exit 1 (run, stats, check)" `Quick test_unknown_ids;
           Alcotest.test_case "shard counts outside 1..queues exit 1" `Quick test_bad_shards;
           Alcotest.test_case "bad cell and flag combinations exit 1" `Quick test_bad_requests;
+          Alcotest.test_case "recover without its corpus exits 1" `Quick
+            test_recover_needs_corpus;
         ] );
       ( "table",
         [

@@ -549,8 +549,9 @@ let prop_rx_matches_craft =
         | Zipf flows -> Traffic.Zipf { flows; exponent = 1.1 }
       in
       let traffic () =
-        Traffic.create ~rng:(Cycles.Rng.create (Int64.of_int seed)) ~payload_bytes ~protocol
-          pattern
+        Traffic.of_plan
+          ~rng:(Cycles.Rng.create (Int64.of_int seed))
+          (Traffic.plan ~payload_bytes ~protocol pattern)
       in
       let clock = Cycles.Clock.create () in
       let pool = Mempool.create ~clock ~capacity:64 () in

@@ -7,8 +7,9 @@
 Run from anywhere inside the repository. BASE and HEAD are git
 revisions (a commit, a branch, or the hash `git stash create` prints
 for uncommitted work). Each is exported with `git archive` into its own
-tree under --workdir, so both sides build from their committed sources
-and the repository itself is left untouched. For every workload the
+tree under --workdir (replacing the trees of an earlier run there), so
+both sides build from their committed sources and the repository
+itself is left untouched. For every workload the
 script runs one short discarded warm-up per side (it builds the
 benchmark), then N pairs of `python3 layerbench/run.py --trace 0` runs
 of BENCHMARK.json's run_seconds each, alternating which side goes
@@ -37,6 +38,7 @@ a loss, else 0.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,8 +52,10 @@ def sh(args, **kw):
 
 
 def export(root, rev, dest):
-    """The tree of [rev], exported into a fresh directory [dest]."""
+    """The tree of [rev], exported into [dest], replacing what an earlier
+    run into the same --workdir left there."""
     commit = sh(["git", "-C", root, "rev-parse", "--verify", rev + "^{commit}"]).strip()
+    shutil.rmtree(dest, ignore_errors=True)
     os.makedirs(dest)
     archive = subprocess.Popen(["git", "-C", root, "archive", commit], stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)

@@ -6,7 +6,7 @@
 Run from anywhere inside the repository. For every `val` in
 lib/*/*.mli, and for every optional parameter (`?name:`) of one, it
 looks for a caller in lib/ (leaving out the module's own .ml), bin/,
-examples/, layerbench/, tools/ and bench/. A use is `Module.name`
+examples/, layerbench/ and tools/. A use is `Module.name`
 (also through a `module X = ...Module` alias), or a bare `name` in a
 file that opens the module (`open`, `let open`, `Module.( ... )`). An
 optional parameter is set where a file that calls the function
@@ -30,7 +30,7 @@ import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CALLER_DIRS = ["lib", "bin", "examples", "layerbench", "tools", "bench"]
+CALLER_DIRS = ["lib", "bin", "examples", "layerbench", "tools"]
 FOR_TESTS = "{1 For tests}"
 IDENT = r"[a-z_][A-Za-z0-9_']*"
 
