@@ -4,11 +4,6 @@ let default_edits = 5
 let default_iters = 3
 let default_seed = 17L
 
-(* Bust Summary's per-instance memo: a fresh record is a fresh
-   instance, so a Compositional verify on it really rebuilds every
-   summary — the honest cold baseline. *)
-let fresh_instance (p : Ifc.Ast.program) = { p with Ifc.Ast.main = p.Ifc.Ast.main }
-
 let ok what = function
   | Ok v -> v
   | Error e -> failwith (Printf.sprintf "Reverify: %s: %s" what e)
@@ -68,11 +63,10 @@ let run_stats ?(funcs = default_funcs) ?(edits = default_edits)
     let warm_report, warm_stats =
       ok "warm reverify" (Ifc.Verifier.reverify cache edited_p)
     in
-    (* From-scratch run on the same edited program (fresh instance, so
-       the per-instance memo cannot help it). *)
+    (* From-scratch run on the same edited program. *)
     let cold_r =
       ok "cold compositional"
-        (Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional (fresh_instance edited_p))
+        (Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional edited_p)
     in
     rounds :=
       {
@@ -177,7 +171,7 @@ let run_wall ?(funcs = default_funcs) ?(edits = default_edits)
     let cold, s =
       Table.time (fun () ->
           ok "cold compositional"
-            (Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional (fresh_instance edited_p)))
+            (Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional edited_p))
     in
     cold_ms := min !cold_ms (s *. 1e3);
     equal := !equal && String.equal (report_body (fst warm)) (report_body cold)

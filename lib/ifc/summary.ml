@@ -310,32 +310,19 @@ let summarize_one ~program ~summaries (f : Ast.func) =
   let sm = summarize_func ctx f in
   (sm, ctx.transfers)
 
-(* One summary pass per program {e instance}: [Verifier.verify
-   ~strategy:Compositional] used to rebuild every summary on every
-   call, so benching it measured construction, not application. The
-   memo is a single slot keyed on physical equality — ASTs are
-   immutable, so [p == p'] implies the summaries (and their transfer
-   cost) are identical. *)
-type built = { summaries : (string, t) Hashtbl.t; build_transfers : int }
-
-let built_memo : (Ast.program * built) option ref = ref None
-
-let built_for (program : Ast.program) =
-  match !built_memo with
-  | Some (p, b) when p == program -> b
-  | _ ->
-    let ctx = make_ctx program in
-    summarize_into ctx;
-    let b = { summaries = ctx.summaries; build_transfers = ctx.transfers } in
-    built_memo := Some (program, b);
-    b
+(* One summary pass over the whole program: the context carries the
+   summaries and the transfers their construction cost. *)
+let build (program : Ast.program) =
+  let ctx = make_ctx program in
+  summarize_into ctx;
+  ctx
 
 let summarize (program : Ast.program) =
   match program.dialect with
   | Aliased -> Error "summaries require the safe dialect (aliasing breaks confinement)"
   | Safe ->
-    let b = built_for program in
-    Ok (List.filter_map (fun (f : Ast.func) -> Hashtbl.find_opt b.summaries f.fname)
+    let built = build program in
+    Ok (List.filter_map (fun (f : Ast.func) -> Hashtbl.find_opt built.summaries f.fname)
           (dependency_order program))
 
 (* ------------------------------------------------------------------ *)
@@ -396,9 +383,7 @@ let analyze_compositional (program : Ast.program) =
   match program.dialect with
   | Aliased -> Error "compositional analysis requires the safe dialect"
   | Safe ->
-    let b = built_for program in
-    let r = check_main ~memo:(main_memo ()) ~program ~summaries:b.summaries in
-    (* [transfers] counts construction + the main pass, exactly as it
-       did before the memo existed — a memo hit only skips redoing the
-       construction work, not accounting for it. *)
-    Ok { r with Abstract.transfers = b.build_transfers + r.Abstract.transfers }
+    let built = build program in
+    let r = check_main ~memo:(main_memo ()) ~program ~summaries:built.summaries in
+    (* [transfers] counts construction + the main pass. *)
+    Ok { r with Abstract.transfers = built.transfers + r.Abstract.transfers }

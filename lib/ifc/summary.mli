@@ -95,9 +95,5 @@ val analyze_compositional : Ast.program -> (Abstract.report, string) result
     report's [transfers] includes both summary construction and the
     main-body pass — directly comparable with
     [Abstract.analyze Exact_ownership], which inlines every call.
-
-    Summary construction is memoized per program {e instance}
-    (physical equality): repeated verification of the same program
-    value pays for construction once and re-runs only the main pass,
-    while reporting the same transfer count either way. The main pass
-    runs through an empty {!main_memo}. *)
+    Every call builds every summary afresh, and the main pass runs
+    through an empty {!main_memo}. *)

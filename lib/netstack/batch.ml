@@ -10,9 +10,9 @@ type t = {
      each packet's L3/L4 header. [hp_state.(i)] is 0 when slot [i] has
      no plane (never seeded, or invalidated by a byte-level rewrite);
      otherwise it carries [hp_valid], the per-column dirty bits of
-     {!Packet} ([dirty_ttl] ...) and [hp_memo]. Column stages read and
-     write these unboxed ints; wire bytes are only touched again at
-     {!materialize}. *)
+     {!Packet} ([dirty_ttl], [dirty_dst_ip]) and [hp_memo]. Column
+     stages read and write these unboxed ints; wire bytes are only
+     touched again at {!materialize}. *)
   hp_state : int array;
   hp_src_ip : int array;
   hp_dst_ip : int array;
@@ -24,8 +24,9 @@ type t = {
   hp_csum : int array;
   (* Flow memo: the packed key and the {!Flow.t} record of the slot's
      tuple columns, meaningful only while [hp_memo] is set. Derived
-     from the columns, never a second source of truth: every tuple
-     column writer clears the bit, and dropping the plane drops it. *)
+     from the columns, never a second source of truth: the one tuple
+     column writer ({!set_col_dst_ip}) clears the bit, and dropping the
+     plane drops it. *)
   keys : int array;
   flows : Flow.t array;
   (* Conservative count of slots whose plane carries dirty bits: bumped
@@ -36,9 +37,9 @@ type t = {
   mutable hp_dirty_n : int;
 }
 
-let hp_valid = 32
+let hp_valid = 4
 let hp_dirty_mask = hp_valid - 1
-let hp_memo = 64
+let hp_memo = 8
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Batch.create: capacity must be positive";
@@ -209,11 +210,6 @@ let col_src_ip t i =
   ensure_hdr "col_src_ip" t i;
   t.hp_src_ip.(i)
 
-let set_col_src_ip t i v =
-  ensure_hdr "set_col_src_ip" t i;
-  t.hp_src_ip.(i) <- v land 0xFFFFFFFF;
-  mark_dirty t i ~drop:hp_memo Packet.dirty_src_ip
-
 let col_dst_ip t i =
   ensure_hdr "col_dst_ip" t i;
   t.hp_dst_ip.(i)
@@ -227,23 +223,9 @@ let col_src_port t i =
   ensure_hdr "col_src_port" t i;
   port_col "col_src_port" t.hp_src_port.(i)
 
-let set_col_src_port t i v =
-  ensure_hdr "set_col_src_port" t i;
-  ignore (port_col "set_col_src_port" t.hp_src_port.(i));
-  if v < 0 || v > 0xffff then invalid_arg "Batch.set_col_src_port";
-  t.hp_src_port.(i) <- v;
-  mark_dirty t i ~drop:hp_memo Packet.dirty_src_port
-
 let col_dst_port t i =
   ensure_hdr "col_dst_port" t i;
   port_col "col_dst_port" t.hp_dst_port.(i)
-
-let set_col_dst_port t i v =
-  ensure_hdr "set_col_dst_port" t i;
-  ignore (port_col "set_col_dst_port" t.hp_dst_port.(i));
-  if v < 0 || v > 0xffff then invalid_arg "Batch.set_col_dst_port";
-  t.hp_dst_port.(i) <- v;
-  mark_dirty t i ~drop:hp_memo Packet.dirty_dst_port
 
 let col_proto t i =
   ensure_hdr "col_proto" t i;
@@ -256,8 +238,7 @@ let materialize_slot t i =
     let p = get t i in
     t.hp_csum.(i) <-
       Packet.apply_hdr p ~dirty:(st land hp_dirty_mask) ~ttl:t.hp_ttl.(i)
-        ~src_ip:t.hp_src_ip.(i) ~dst_ip:t.hp_dst_ip.(i)
-        ~src_port:t.hp_src_port.(i) ~dst_port:t.hp_dst_port.(i);
+        ~dst_ip:t.hp_dst_ip.(i);
     (* The bytes now match the columns the memo (if set) derives from. *)
     t.hp_state.(i) <- st land lnot hp_dirty_mask
   end

@@ -36,9 +36,8 @@ val iteri : (int -> Packet.t -> unit) -> t -> unit
     The plane is the one source of truth for a slot's header. Its
     flow memo — the materialised {!Flow.t} and the packed
     {!Flow.Key.t} of the tuple columns — is derived from it: set by
-    {!seed_hdr} or on first {!flow}/{!flow_key}, cleared by every
-    tuple-column writer ([set_col_src_ip], [set_col_dst_ip],
-    [set_col_src_port], [set_col_dst_port]), kept by {!set_col_ttl}
+    {!seed_hdr} or on first {!flow}/{!flow_key}, cleared by the one
+    tuple-column writer ({!set_col_dst_ip}), kept by {!set_col_ttl}
     and {!materialize}, and dropped with the whole plane by
     {!invalidate_hdr}, {!push} and compaction's tail reset. Because
     only the plane's own write path touches the memo, that write path
@@ -88,12 +87,11 @@ val col_dst_port : t -> int -> int
 val col_proto : t -> int -> int
 
 val set_col_ttl : t -> int -> int -> unit
-val set_col_src_ip : t -> int -> int -> unit
 val set_col_dst_ip : t -> int -> int -> unit
-val set_col_src_port : t -> int -> int -> unit
-(** Column writers: record the new value and its dirty bit; wire bytes
-    are untouched until {!materialize}. Setters validate ranges like
-    the corresponding {!Packet} setters. *)
+(** Column writers for the two fields a stage rewrites (TTL decrement,
+    Maglev's destination): record the new value and its dirty bit;
+    wire bytes are untouched until {!materialize}. [set_col_ttl]
+    validates its range like {!Packet.set_ttl}. *)
 
 val materialize : t -> unit
 (** Write every dirty column back to wire bytes — one pass, one
@@ -128,8 +126,7 @@ val packets : t -> Packet.t list
     Hooks of the column oracle tests ([test/test_packet_fast.ml],
     [test/test_soa.ml], [test/test_flowcache.ml]): the plane's state
     bits, the consistency audit and the fault it must catch, one slot's
-    writeback, a writer for a column no stage rewrites, and the
-    batch's packets read back. *)
+    writeback, and the batch's packets read back. *)
 
 val fold : ('a -> Packet.t -> 'a) -> 'a -> t -> 'a
 
@@ -154,7 +151,3 @@ val poke_col_for_test :
 val take_all : t -> Packet.t list
 (** Empty the batch, returning its packets. Materializes any deferred
     column writes first — the bytes handed out are canonical. *)
-
-val set_col_dst_port : t -> int -> int -> unit
-(** The column writer for the destination port, which no stage
-    rewrites. *)

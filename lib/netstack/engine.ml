@@ -65,7 +65,7 @@ let tag_check_range t addr ~bytes =
     w := upto
   done
 
-let touch t (p : Packet.t) ~off ~bytes =
+let touch_packet t (p : Packet.t) ~off ~bytes =
   let addr = p.addr + off in
   (match t.mode with
   | Untagged -> ()
@@ -74,8 +74,5 @@ let touch t (p : Packet.t) ~off ~bytes =
        per 32-bit word loaded/stored. *)
     tag_check_range t addr ~bytes);
   Cycles.Clock.touch t.clock addr ~bytes
-
-let touch_packet = touch
-let touch_packet_write = touch
 
 let tag_checks t = !(t.tag_checks)

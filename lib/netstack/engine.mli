@@ -14,8 +14,8 @@
       Every packet access additionally hashes the address and touches
       the tag-metadata table, then branches on the result.
 
-    Stages must route all packet-memory traffic through
-    {!touch_packet} / {!touch_packet_write} so that mode accounting is
+    Stages must route all packet-memory traffic, reads and writes
+    alike, through {!touch_packet} so that mode accounting is
     uniform. *)
 
 type mode = Untagged | Tagged
@@ -45,11 +45,9 @@ val with_mode : t -> mode -> t
     pipelines (or other shards) are using. *)
 
 val touch_packet : t -> Packet.t -> off:int -> bytes:int -> unit
-(** Charge a read of [bytes] bytes at offset [off] of the packet
-    buffer; in [Tagged] mode also charge the ownership-tag check. *)
-
-val touch_packet_write : t -> Packet.t -> off:int -> bytes:int -> unit
-(** Writes additionally update the tag line in [Tagged] mode. *)
+(** Charge an access (read or write, priced alike) to [bytes] bytes at
+    offset [off] of the packet buffer; in [Tagged] mode also charge
+    one ownership-tag check per 32-bit word. *)
 
 (** {1 For tests}
 

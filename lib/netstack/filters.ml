@@ -18,7 +18,7 @@ let ttl_decrement =
       else begin
         Batch.set_col_ttl batch i (ttl - 1);
         (* Covers the TTL and checksum words. *)
-        Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 8) ~bytes:4;
+        Engine.touch_packet engine p ~off:(Packet.eth_header_bytes + 8) ~bytes:4;
         true
       end)
 
@@ -48,7 +48,7 @@ let maglev mg =
       let backend = Maglev.lookup_keyed mg flow ~key:(Batch.flow_key batch i) in
       (* Rewrite the destination to the chosen backend. *)
       Batch.set_col_dst_ip batch i (backend_ip_int backend);
-      Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 16) ~bytes:4)
+      Engine.touch_packet engine p ~off:(Packet.eth_header_bytes + 16) ~bytes:4)
 
 let maglev_gre mg ~vip =
   Stage.filter ~name:"maglev-gre"
@@ -63,7 +63,7 @@ let maglev_gre mg ~vip =
         (* The outer header is now the packet's 5-tuple source. *)
         Batch.invalidate_hdr batch i;
         (* The shift + new outer header touch the whole frame. *)
-        Engine.touch_packet_write engine p ~off:0 ~bytes:p.Packet.len;
+        Engine.touch_packet engine p ~off:0 ~bytes:p.Packet.len;
         Cycles.Clock.charge (Engine.clock engine) (Copy Packet.gre_overhead_bytes);
         true
       | exception Invalid_argument _ -> false)
@@ -76,7 +76,7 @@ let gre_decap =
         Packet.decap_gre p;
         (* The inner packet's tuple is live again. *)
         Batch.invalidate_hdr batch i;
-        Engine.touch_packet_write engine p ~off:0 ~bytes:p.Packet.len;
+        Engine.touch_packet engine p ~off:0 ~bytes:p.Packet.len;
         true
       end
       else false)

@@ -77,7 +77,7 @@ module Key = struct
 
   (* A 97-bit 5-tuple cannot be packed injectively into one immediate
      int, and no hot-path consumer needs it to be: RSS buckets, the
-     Maglev table index and the heavy-hitter/NAT hash probes all key on
+     Maglev table index and the heavy-hitter hash probes all key on
      [hash]. The packed key therefore *is* the 62-bit FNV of the tuple,
      always non-negative. *)
   let pack ~src_ip ~dst_ip ~src_port ~dst_port ~proto =

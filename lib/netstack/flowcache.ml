@@ -239,7 +239,7 @@ let access t ~engine ~key (p : Packet.t) =
           end;
           Slab.blit_string e.e_out 0 p.buf 0 out_plen;
           p.len <- new_len;
-          Engine.touch_packet_write engine p ~off:0 ~bytes:out_plen;
+          Engine.touch_packet engine p ~off:0 ~bytes:out_plen;
           t.hits <- t.hits + 1;
           t.served_fast <- t.served_fast + 1;
           tele_incr t (fun tl -> tl.ft_hits);

@@ -18,17 +18,16 @@
     patch}: the payload tail is shifted by the memoised length delta
     and the memoised output prefix is blitted over the front. For a
     stage chain that is a deterministic function of the input bytes and
-    of per-flow-stable state (NAT mappings, Maglev affinity), the
-    replayed packet is byte-identical to what the chain would have
-    produced.
+    of per-flow-stable state (Maglev affinity), the replayed packet is
+    byte-identical to what the chain would have produced.
 
     Chain-state mutations that break per-flow stability (rule-DB
-    edits, backend churn, NAT table mutations, stage
+    edits, backend churn, stage
     revocation/restart/degradation) must call {!invalidate}: a single
     O(1) epoch bump that lazily retires every entry. {!Pipeline}
     fires it on its own lifecycle events; owners of stage state
     register it through their mutation hooks ([Ruledb.on_mutate],
-    [Maglev.on_change], [Nat.on_mutate]).
+    [Maglev.on_change]).
 
     Lifecycle is capacity-bounded LRU with a hard virtual-cycle TTL;
     every transition is counted both in plain {!stats} and, when a
@@ -62,8 +61,7 @@ type outcome =
 val access : t -> engine:Engine.t -> key:Flow.Key.t -> Packet.t -> outcome
 (** One fast-path lookup: probe, epoch/TTL check, guard compare, and on
     a serve hit the in-place prefix-patch replay. Memory traffic is
-    charged through [engine] ({!Engine.touch_packet} /
-    {!Engine.touch_packet_write}), so a Tagged pipeline's replay pays
+    charged through [engine] ({!Engine.touch_packet}), so a Tagged pipeline's replay pays
     its per-dereference tag validation exactly like a stage would. *)
 
 val guard_of : t -> Packet.t -> string

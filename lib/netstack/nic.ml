@@ -109,9 +109,9 @@ let rx_seed_packet t batch slot (flow : Flow.t) =
      header+payload write by the driver model), and the driver
      initialised the mbuf metadata that lives in the buffer's tail
      (rte_mbuf is two cache lines). *)
-  Engine.touch_packet_write t.engine p ~off:0 ~bytes:p.len;
+  Engine.touch_packet t.engine p ~off:0 ~bytes:p.len;
   let pool = Engine.pool t.engine in
-  Engine.touch_packet_write t.engine p ~off:(Mempool.buf_bytes pool - 128) ~bytes:128;
+  Engine.touch_packet t.engine p ~off:(Mempool.buf_bytes pool - 128) ~bytes:128;
   let line = Cycles.Rng.int t.driver_rng (driver_state_bytes / 64) in
   Cycles.Clock.touch (Engine.clock t.engine)
     (t.driver_state_addr + (line * 64))

@@ -209,8 +209,8 @@ let set_ttl t v =
   update_checksum_word t ~old_word ~new_word:(get_u16 t.buf (ip_off + 8))
 
 (* Unboxed 32-bit address accessors: the values are immediate ints on
-   the whole data path (Maglev backend steering, NAT rewrites). The
-   deprecated boxed [int32] wrappers are gone. *)
+   the whole data path (Maglev backend steering). The deprecated boxed
+   [int32] wrappers are gone. *)
 
 let dst_ip_int t =
   check_ipv4 t;
@@ -227,34 +227,15 @@ let src_ip_int t =
   check_ipv4 t;
   get_u32_int t.buf (ip_off + 12)
 
-let set_src_ip_int t v =
-  check_ipv4 t;
-  let old_hi = get_u16 t.buf (ip_off + 12) and old_lo = get_u16 t.buf (ip_off + 14) in
-  set_u32_int t.buf (ip_off + 12) v;
-  update_checksum_word t ~old_word:old_hi ~new_word:(get_u16 t.buf (ip_off + 12));
-  update_checksum_word t ~old_word:old_lo ~new_word:(get_u16 t.buf (ip_off + 14))
-
 let src_port t =
   ignore (protocol t);
   if t.len < l4_off + 4 then invalid_arg "Packet: truncated L4 header";
   get_u16 t.buf l4_off
 
-let set_src_port t v =
-  ignore (protocol t);
-  if t.len < l4_off + 4 then invalid_arg "Packet: truncated L4 header";
-  if v < 0 || v > 0xffff then invalid_arg "Packet.set_src_port";
-  set_u16 t.buf l4_off v
-
 let dst_port t =
   ignore (protocol t);
   if t.len < l4_off + 4 then invalid_arg "Packet: truncated L4 header";
   get_u16 t.buf (l4_off + 2)
-
-let set_dst_port t v =
-  ignore (protocol t);
-  if t.len < l4_off + 4 then invalid_arg "Packet: truncated L4 header";
-  if v < 0 || v > 0xffff then invalid_arg "Packet.set_dst_port";
-  set_u16 t.buf (l4_off + 2) v
 
 let l4_header_bytes t =
   match protocol t with Flow.Tcp -> tcp_header_bytes | Flow.Udp -> udp_header_bytes
@@ -274,13 +255,11 @@ let read_payload_byte t i =
 
 (* --- Deferred header writeback (SoA column plane) -------------------- *)
 
-(* Per-column dirty bits, shared with the {!Batch} header plane. *)
+(* Per-column dirty bits, shared with the {!Batch} header plane. Both
+   columns a stage rewrites (TTL, destination IP) are IPv4 header
+   words under the checksum. *)
 let dirty_ttl = 1
-let dirty_src_ip = 2
-let dirty_dst_ip = 4
-let dirty_src_port = 8
-let dirty_dst_port = 16
-let dirty_ip_words = dirty_ttl lor dirty_src_ip lor dirty_dst_ip
+let dirty_dst_ip = 2
 
 (* One-pass materialization of deferred column writes: each dirty IPv4
    header word is written once and its RFC 1624 delta ([~old + new])
@@ -289,12 +268,11 @@ let dirty_ip_words = dirty_ttl lor dirty_src_ip lor dirty_dst_ip
    {!update_checksum_word} calls in any order: every fold chain over
    the same deltas computes [(total - 1) mod 0xffff + 1] (or 0 when the
    total is literally zero), so the store-per-stage path and this
-   accumulate-then-store path agree on every byte. Port writes are
-   plain L4 stores — the IPv4 checksum does not cover them, matching
-   {!set_src_port}/{!set_dst_port}. Returns the checksum word now
-   stored in the header, so the caller can refresh its own cached copy
-   without a second read. *)
-let apply_hdr t ~dirty ~ttl ~src_ip ~dst_ip ~src_port ~dst_port =
+   accumulate-then-store path agree on every byte. With no dirty bit
+   the delta is zero and the fold stores the checksum word unchanged.
+   Returns the checksum word now stored in the header, so the caller
+   can refresh its own cached copy without a second read. *)
+let apply_hdr t ~dirty ~ttl ~dst_ip =
   check_ipv4 t;
   let b = t.buf in
   let delta = ref 0 in
@@ -303,16 +281,6 @@ let apply_hdr t ~dirty ~ttl ~src_ip ~dst_ip ~src_port ~dst_port =
     let new_word = ((ttl land 0xff) lsl 8) lor (old_word land 0xff) in
     set_u16 b (ip_off + 8) new_word;
     delta := !delta + (lnot old_word land 0xffff) + new_word
-  end;
-  if dirty land dirty_src_ip <> 0 then begin
-    let old_hi = get_u16 b (ip_off + 12) and old_lo = get_u16 b (ip_off + 14) in
-    set_u32_int b (ip_off + 12) src_ip;
-    delta :=
-      !delta
-      + (lnot old_hi land 0xffff)
-      + ((src_ip lsr 16) land 0xffff)
-      + (lnot old_lo land 0xffff)
-      + (src_ip land 0xffff)
   end;
   if dirty land dirty_dst_ip <> 0 then begin
     let old_hi = get_u16 b (ip_off + 16) and old_lo = get_u16 b (ip_off + 18) in
@@ -324,26 +292,15 @@ let apply_hdr t ~dirty ~ttl ~src_ip ~dst_ip ~src_port ~dst_port =
       + (lnot old_lo land 0xffff)
       + (dst_ip land 0xffff)
   end;
-  let csum =
-    if dirty land dirty_ip_words <> 0 then begin
-      (* delta <= 5 words * 2 * 0xffff, so with the checksum complement
-         added the raw sum stays below 0xB0000: two folds clear it. *)
-      let csum = get_u16 b (ip_off + 10) in
-      let sum = (lnot csum land 0xffff) + !delta in
-      let sum = (sum land 0xffff) + (sum lsr 16) in
-      let sum = (sum land 0xffff) + (sum lsr 16) in
-      let csum' = lnot sum land 0xffff in
-      set_u16 b (ip_off + 10) csum';
-      csum'
-    end
-    else get_u16 b (ip_off + 10)
-  in
-  if dirty land (dirty_src_port lor dirty_dst_port) <> 0 then begin
-    if t.len < l4_off + 4 then invalid_arg "Packet.apply_hdr: truncated L4 header";
-    if dirty land dirty_src_port <> 0 then set_u16 b l4_off src_port;
-    if dirty land dirty_dst_port <> 0 then set_u16 b (l4_off + 2) dst_port
-  end;
-  csum
+  (* delta <= 3 words * 2 * 0xffff, so with the checksum complement
+     added the raw sum stays below 0x70000: two folds clear it. *)
+  let csum = get_u16 b (ip_off + 10) in
+  let sum = (lnot csum land 0xffff) + !delta in
+  let sum = (sum land 0xffff) + (sum lsr 16) in
+  let sum = (sum land 0xffff) + (sum lsr 16) in
+  let csum' = lnot sum land 0xffff in
+  set_u16 b (ip_off + 10) csum';
+  csum'
 
 (* --- GRE encapsulation ----------------------------------------------- *)
 

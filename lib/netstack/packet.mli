@@ -54,8 +54,8 @@ val ttl : t -> int
 (** {3 Unboxed address accessors}
 
     IPv4 addresses travel as raw unsigned 32-bit values in immediate
-    [int]s — Maglev steering, NAT rewrites and checksum installs never
-    box an [Int32]. (The historical [int32] wrappers are gone; see the
+    [int]s — Maglev steering and checksum installs never box an
+    [Int32]. (The historical [int32] wrappers are gone; see the
     README migration notes.) Setters fix the checksum incrementally. *)
 
 val dst_ip_int : t -> int
@@ -94,22 +94,11 @@ val stored_checksum : t -> int
     bits select which of the field arguments are live. *)
 
 val dirty_ttl : int
-val dirty_src_ip : int
 val dirty_dst_ip : int
-val dirty_src_port : int
-val dirty_dst_port : int
 
-val apply_hdr :
-  t ->
-  dirty:int ->
-  ttl:int ->
-  src_ip:int ->
-  dst_ip:int ->
-  src_port:int ->
-  dst_port:int ->
-  int
-(** Returns the checksum word now stored in the header (recomputed if
-    any IP word was dirty, unchanged otherwise), so the caller can
+val apply_hdr : t -> dirty:int -> ttl:int -> dst_ip:int -> int
+(** Returns the checksum word now stored in the header (refolded over
+    the dirty words, unchanged when none is dirty), so the caller can
     refresh a cached copy without re-reading the bytes. *)
 
 (** {2 GRE encapsulation}
@@ -149,9 +138,3 @@ val set_ttl : t -> int -> unit
 (** Updates the checksum incrementally (RFC 1624). *)
 
 val set_dst_ip_int : t -> int -> unit
-
-val set_src_ip_int : t -> int -> unit
-
-val set_dst_port : t -> int -> unit
-
-val set_src_port : t -> int -> unit

@@ -281,7 +281,7 @@ let copy_batch engine batch =
       Slab.blit src.Packet.buf 0 dst.Packet.buf 0 src.Packet.len;
       dst.Packet.len <- src.Packet.len;
       Engine.touch_packet engine src ~off:0 ~bytes:src.Packet.len;
-      Engine.touch_packet_write engine dst ~off:0 ~bytes:src.Packet.len;
+      Engine.touch_packet engine dst ~off:0 ~bytes:src.Packet.len;
       Cycles.Clock.charge clock (Copy src.Packet.len);
       Mempool.free pool src;
       Batch.blit_slot batch i fresh j

@@ -73,7 +73,7 @@ val create :
     serves stale verdicts. Chain-{e state} staleness is wired by
     construction: the cache's invalidation is subscribed through every
     hook the stage descriptors declare ({!Stage.hooks}), so a stage
-    built over a rule DB, NAT or backend table only has to declare the
+    built over a rule DB or backend table only has to declare the
     owner's mutation hook — a descriptor that omits its hooks is the
     staleness bug the equivalence suite's negative controls catch.
     Raises

@@ -243,7 +243,7 @@ let make_queue_env spec registry q_id =
   let nic = Nic.create ~engine ~traffic () in
   (* The flow cache is built before the stage constructors run so they
      can register its invalidation on their state's mutation hooks
-     ([Ruledb.on_mutate], [Maglev.on_change], [Nat.on_mutate]). *)
+     ([Ruledb.on_mutate], [Maglev.on_change]). *)
   let fcache =
     Option.map
       (fun c ->

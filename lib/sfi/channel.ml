@@ -92,8 +92,6 @@ let send_exn t own =
     Panic.panic msg
   | (Ok () | Error (Closed | Wrong_domain _)) as r -> r
 
-let send_or_fail = send_exn
-
 let recv t =
   Cycles.Clock.charge t.clock Tls_lookup;
   match endpoint_check t.receiver with

@@ -18,7 +18,7 @@ type 'a t
 type error =
   | Full           (** Bounded capacity reached; caller keeps nothing —
                        the message is dropped with the send (the usual
-                       lossy NIC-queue semantics); use {!send_or_fail}
+                       lossy NIC-queue semantics); use {!send_exn}
                        to treat this as a bug instead. *)
   | Closed
   | Wrong_domain of Domain_id.t
@@ -61,9 +61,6 @@ val capacity : 'a t -> int
     zero-copy transfer, close and drop semantics. *)
 
 val error_to_string : error -> string
-
-val send_or_fail : 'a t -> 'a Linear.Own.t -> (unit, error) result
-(** Deprecated alias of {!send_exn}. *)
 
 val recv : 'a t -> ('a Linear.Own.t option, error) result
 (** [Ok None] when empty. Must be called from the receiver domain (or

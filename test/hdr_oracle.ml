@@ -19,7 +19,7 @@ let ttl_decrement_bytes =
       else begin
         Packet.set_ttl p (ttl - 1);
         Batch.invalidate_hdr batch i;
-        Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 8) ~bytes:4;
+        Engine.touch_packet engine p ~off:(Packet.eth_header_bytes + 8) ~bytes:4;
         true
       end)
 
@@ -36,22 +36,4 @@ let maglev_bytes mg =
       let backend = Maglev.lookup_keyed mg flow ~key:(Batch.flow_key batch i) in
       Packet.set_dst_ip_int p (backend_ip_int backend);
       Batch.invalidate_hdr batch i;
-      Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 16) ~bytes:4)
-
-(* [Nat.drops] is the NAT's own counter and stays private to it: an
-   exhausted pool drops the packet here too, but only [Nat.stage]
-   counts it. No suite that uses the oracle exhausts its port range. *)
-let stage_bytes nat =
-  Stage.filter ~name:"snat"
-    ~hooks:[ Nat.on_mutate nat ]
-    (fun engine batch i p ->
-      Engine.touch_packet engine p ~off:Packet.eth_header_bytes
-        ~bytes:(Packet.ipv4_header_bytes + 4);
-      match Nat.translate nat (Batch.flow batch i) with
-      | None -> false
-      | Some (ip, port) ->
-        Packet.set_src_ip_int p ip;
-        Packet.set_src_port p port;
-        Batch.invalidate_hdr batch i;
-        Engine.touch_packet_write engine p ~off:(Packet.eth_header_bytes + 12) ~bytes:8;
-        true)
+      Engine.touch_packet engine p ~off:(Packet.eth_header_bytes + 16) ~bytes:4)

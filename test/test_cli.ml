@@ -1,26 +1,27 @@
 (* The `repro` command line: its error paths, the experiment table it
-   is built from, and `repro check` itself. The binary is run as a
-   child process, the way a user or CI runs it. *)
+   is built from, and `repro check` itself; and the examples. Each
+   binary is run as a child process, the way a user or CI runs it. *)
 
 module R = Experiments.Registry
 
 let repro = Data.path "../bin/repro.exe"
 
-(* [(exit code, stdout, stderr)] of [repro args], run in [cwd]. *)
-let run ?(cwd = ".") args =
+(* [(exit code, stdout, stderr)] of [prog args] ([repro] unless
+   given), run in [cwd]. *)
+let run ?(prog = repro) ?(cwd = ".") args =
   let here = Sys.getcwd () in
   Sys.chdir cwd;
   let out, inp, err =
     Fun.protect
       ~finally:(fun () -> Sys.chdir here)
-      (fun () -> Unix.open_process_args_full repro (Array.of_list (repro :: args)) [||])
+      (fun () -> Unix.open_process_args_full prog (Array.of_list (prog :: args)) [||])
   in
   close_out inp;
   let o = In_channel.input_all out and e = In_channel.input_all err in
   let code =
     match Unix.close_process_full (out, inp, err) with
     | Unix.WEXITED c -> c
-    | _ -> Alcotest.failf "repro %s was killed" (String.concat " " args)
+    | _ -> Alcotest.failf "%s %s was killed" prog (String.concat " " args)
   in
   (code, o, e)
 
@@ -120,6 +121,18 @@ let test_check_goldens () =
     [ "FAIL  reverify/stats: golden test/golden/reverify_stats.txt" ]
     fails
 
+(* Every example runs to completion: they drive the public API end to
+   end (nf_isolation runs the Maglev NF), and nothing else runs them. *)
+let examples = [ "quickstart"; "nf_isolation"; "secure_store"; "firewall_checkpoint"; "session_rpc" ]
+
+let test_examples_exit_0 () =
+  List.iter
+    (fun name ->
+      let prog = Data.path (Printf.sprintf "../examples/%s.exe" name) in
+      let code, out, err = run ~prog [] in
+      Alcotest.(check int) (Printf.sprintf "exit code of %s:\n%s%s" name out err) 0 code)
+    examples
+
 let () =
   Alcotest.run "cli"
     [
@@ -137,4 +150,5 @@ let () =
             test_table_well_formed;
           Alcotest.test_case "check fails on a changed golden line" `Quick test_check_goldens;
         ] );
+      ("examples", [ Alcotest.test_case "every example exits 0" `Quick test_examples_exit_0 ]);
     ]

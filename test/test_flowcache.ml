@@ -8,8 +8,8 @@
    - the Zipf workload generator (deterministic across equal seeds,
      plan-shareable, empirical tail matching the configured exponent);
    - slow/fast equivalence: a cached and an uncached engine drive the
-     same seeded traffic through the same NAT + rule-DB + Maglev/GRE
-     chain while rule edits, backend flips, NAT expiries and
+     same seeded traffic through the same rule-DB + TTL + Maglev/GRE
+     chain while rule edits, backend flips, affinity flushes and
      revocations land mid-trace, and every transmitted packet must be
      byte-identical. The checker *returns* divergences rather than
      asserting, so the deliberately-broken-hook tests can require that
@@ -245,16 +245,15 @@ let test_zipf_shard_count_invariant () =
 let backends = Array.init 8 (fun i -> Printf.sprintf "backend-%d" i)
 let vip = 0xC0A80001
 
-type hooks = { h_rule : bool; h_maglev : bool; h_nat : bool }
+type hooks = { h_rule : bool; h_maglev : bool }
 
-let all_hooks = { h_rule = true; h_maglev = true; h_nat = true }
+let all_hooks = { h_rule = true; h_maglev = true }
 
 type side = {
   sd_pool : Mempool.t;
   sd_nic : Nic.t;
   sd_db : Ruledb.t;
   sd_mg : Maglev.t;
-  sd_nat : Nat.t;
   sd_fc : Flowcache.t option;
   sd_pipe : Pipeline.t;
 }
@@ -269,7 +268,6 @@ let make_side ~isolated ~cached ~hooks ~flows ~capacity ~seed () =
   let nic = Nic.create ~engine ~traffic:(Traffic.of_plan ~rng:(Cycles.Rng.create seed) plan) () in
   let db = Ruledb.create ~clock () in
   let mg = Maglev.create ~clock ~backends () in
-  let nat = Nat.create ~clock ~external_ip:0xC6336401 () in
   let fc =
     if cached then Some (Flowcache.create ~clock ~capacity ~ttl_cycles:(Int64.shift_left 1L 62) ())
     else None
@@ -284,14 +282,13 @@ let make_side ~isolated ~cached ~hooks ~flows ~capacity ~seed () =
       sever hooks.h_rule (Ruledb.stage db);
       Filters.checksum_verify;
       Filters.ttl_decrement;
-      sever hooks.h_nat (Nat.stage nat);
       sever hooks.h_maglev (Filters.maglev_gre mg ~vip);
     ]
   in
   let mode =
     if isolated then Pipeline.Isolated (Sfi.Manager.create ~clock ()) else Pipeline.Direct
   in
-  { sd_pool = pool; sd_nic = nic; sd_db = db; sd_mg = mg; sd_nat = nat; sd_fc = fc;
+  { sd_pool = pool; sd_nic = nic; sd_db = db; sd_mg = mg; sd_fc = fc;
     sd_pipe = Pipeline.create ~engine ~mode ?flowcache:fc stages }
 
 (* The chain-state mutations the invalidation hooks must cover. *)
@@ -302,8 +299,6 @@ type mutation =
   | Backend_shrink
   | Backend_restore
   | Maglev_flush
-  | Nat_remove of int
-  | Nat_flush
 
 let mutation_name = function
   | Rule_add_drop p -> Printf.sprintf "rule-add-drop:%d" p
@@ -312,10 +307,8 @@ let mutation_name = function
   | Backend_shrink -> "backend-shrink"
   | Backend_restore -> "backend-restore"
   | Maglev_flush -> "maglev-flush"
-  | Nat_remove i -> Printf.sprintf "nat-remove:%d" i
-  | Nat_flush -> "nat-flush"
 
-let apply_mutation ~flows side m =
+let apply_mutation side m =
   match m with
   | Rule_add_drop lo ->
     Ruledb.add side.sd_db (Ruledb.rule ~src_port:(lo, lo + 499) Ruledb.Drop)
@@ -330,10 +323,6 @@ let apply_mutation ~flows side m =
   | Backend_shrink -> ignore (Maglev.set_backends side.sd_mg (Array.sub backends 0 5))
   | Backend_restore -> ignore (Maglev.set_backends side.sd_mg backends)
   | Maglev_flush -> ignore (Maglev.flush_connections side.sd_mg)
-  | Nat_remove i ->
-    let plan = Traffic.plan (Traffic.Zipf { flows; exponent = 1.2 }) in
-    ignore (Nat.remove side.sd_nat (Traffic.plan_flow_of_index plan (i mod flows)))
-  | Nat_flush -> ignore (Nat.flush side.sd_nat)
 
 (* One batch through one side: the transmitted packets' exact bytes
    (in order), or the pipeline error. On error the pipeline has
@@ -382,8 +371,8 @@ let run_equivalence ?(isolated = false) ?(hooks = all_hooks) ?(flows = 12) ?(cap
       done;
       match ev.ev_mutation with
       | Some m ->
-        apply_mutation ~flows fast m;
-        apply_mutation ~flows slow m
+        apply_mutation fast m;
+        apply_mutation slow m
       | None -> ())
     script;
   (* The ledgers must agree too — a cached drop masquerading as a
@@ -421,8 +410,6 @@ let test_each_mutation_equivalent () =
       Backend_shrink;
       Backend_restore;
       Maglev_flush;
-      Nat_remove 0;
-      Nat_flush;
     ]
 
 (* Random interleavings of batches and chain mutations; equivalence
@@ -437,8 +424,6 @@ let arb_script =
         QCheck.Gen.return Backend_shrink;
         QCheck.Gen.return Backend_restore;
         QCheck.Gen.return Maglev_flush;
-        QCheck.Gen.map (fun i -> Nat_remove i) (QCheck.Gen.int_range 0 11);
-        QCheck.Gen.return Nat_flush;
       ]
   in
   let event_gen =
@@ -501,8 +486,9 @@ let test_equivalence_revocation_mid_trace () =
     (Flowcache.epoch (Option.get fast.sd_fc) > e0);
   ignore (both (fun s -> Pipeline.recover_stage s.sd_pipe 2));
   for _ = 1 to 5 do check "after recovery" done;
-  (* Graceful degradation: skipping the NAT stage re-routes traffic;
-     the skip transition must invalidate or stale rewrites survive. *)
+  (* Graceful degradation: skipping the Maglev/GRE stage stops the
+     tunnelling; the skip transition must invalidate or stale
+     encapsulations survive. *)
   let e1 = Flowcache.epoch (Option.get fast.sd_fc) in
   ignore (both (fun s -> Pipeline.set_stage_skipped s.sd_pipe 3 true));
   Alcotest.(check bool) "skip transition invalidated the cache" true
@@ -531,12 +517,6 @@ let test_broken_maglev_hook_caught () =
   match run_equivalence ~hooks:{ all_hooks with h_maglev = false } ~script () with
   | Some _, _ -> ()
   | None, _ -> Alcotest.fail "severed maglev hook went undetected"
-
-let test_broken_nat_hook_caught () =
-  let script = [ ev 6; ev 0 ~m:(Nat_remove 0); ev 6 ] in
-  match run_equivalence ~hooks:{ all_hooks with h_nat = false } ~script () with
-  | Some _, _ -> ()
-  | None, _ -> Alcotest.fail "severed NAT hook went undetected"
 
 (* ------------------------------------------------------------------ *)
 (* Header-plane hygiene (Batch.hdr_consistent audit)                   *)
@@ -569,7 +549,6 @@ let test_stages_keep_plane_consistent () =
   let db = Ruledb.create ~clock () in
   Ruledb.add db (Ruledb.rule ~src_port:(2000, 20_000) Ruledb.Accept);
   let mg = Maglev.create ~clock ~backends () in
-  let nat = Nat.create ~clock ~external_ip:0xC6336401 () in
   (* Every header-reading or -mutating stage in the catalog that leaves
      the packet parseable (GRE encap ends 5-tuple parsing by design, so
      maglev_gre is exercised through the equivalence suite instead),
@@ -584,10 +563,8 @@ let test_stages_keep_plane_consistent () =
       Filters.firewall ~name:"fw" (fun f -> f.Flow.src_port land 1 = 0);
       Filters.ttl_decrement;
       Filters.maglev mg;
-      Nat.stage nat;
       Hdr_oracle.ttl_decrement_bytes;
       Hdr_oracle.maglev_bytes mg;
-      Hdr_oracle.stage_bytes nat;
     ]
   in
   List.iter
@@ -621,7 +598,6 @@ let test_mutating_stages_keep_sidecar_consistent () =
   let db = Ruledb.create ~clock () in
   Ruledb.add db (Ruledb.rule ~src_port:(2000, 20_000) Ruledb.Accept);
   let mg = Maglev.create ~clock ~backends () in
-  let nat = Nat.create ~clock ~external_ip:0xC6336401 () in
   (* Every header-mutating stage in the catalog that leaves the packet
      parseable (GRE encap ends 5-tuple parsing by design, so maglev_gre
      is exercised through the equivalence suite instead). The rx path
@@ -631,11 +607,9 @@ let test_mutating_stages_keep_sidecar_consistent () =
       Ruledb.stage db;
       Filters.checksum_verify;
       Filters.ttl_decrement;
-      Nat.stage nat;
       Filters.maglev mg;
       Filters.firewall ~name:"fw" (fun f -> f.Flow.src_port land 1 = 0);
       Hdr_oracle.ttl_decrement_bytes;
-      Hdr_oracle.stage_bytes nat;
       Hdr_oracle.maglev_bytes mg;
     ]
   in
@@ -654,11 +628,11 @@ let test_forgetful_stage_caught_by_audit () =
   (* The regression the audit exists for: rewrite a 5-tuple byte and
      "forget" Batch.invalidate_hdr. *)
   let forgetful =
-    Stage.opaque ~name:"bad-snat" (fun _engine b ->
+    Stage.opaque ~name:"bad-dnat" (fun _engine b ->
         Batch.iteri
           (fun i p ->
             ignore (Batch.flow b i);
-            Packet.set_src_port p (Packet.src_port p + 1))
+            Packet.set_dst_ip_int p (Packet.dst_ip_int p lxor 1))
           b;
         b)
   in
@@ -747,7 +721,6 @@ let () =
           Alcotest.test_case "severed rule-DB hook is caught" `Quick test_broken_rule_hook_caught;
           Alcotest.test_case "severed maglev hook is caught" `Quick
             test_broken_maglev_hook_caught;
-          Alcotest.test_case "severed NAT hook is caught" `Quick test_broken_nat_hook_caught;
         ] );
       ( "sidecar-audit",
         [

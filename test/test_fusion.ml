@@ -24,9 +24,9 @@ let vip = 0xC0A80001
 (* ------------------------------------------------------------------ *)
 
 (* Stage *specs*, not stages: each side builds its own stateful
-   instances (rule DB, NAT, Maglev) against its own clock. [Gre] ends
+   instances (rule DB, Maglev) against its own clock. [Gre] ends
    5-tuple parsing, so it may only appear as the chain's tail. *)
-type spec = Csum | Ttl | Firewall | Payload | Rules | Nat_rw | Noop_opaque | Gre
+type spec = Csum | Ttl | Firewall | Payload | Rules | Maglev_rw | Noop_opaque | Gre
 
 let spec_name = function
   | Csum -> "csum"
@@ -34,7 +34,7 @@ let spec_name = function
   | Firewall -> "firewall"
   | Payload -> "payload-scan"
   | Rules -> "ruledb"
-  | Nat_rw -> "nat"
+  | Maglev_rw -> "maglev"
   | Noop_opaque -> "opaque-noop"
   | Gre -> "maglev-gre"
 
@@ -48,13 +48,13 @@ let build_stage ~clock = function
     Ruledb.add db (Ruledb.rule ~src_port:(2000, 40_000) Ruledb.Accept);
     Ruledb.add db (Ruledb.rule ~src_port:(45_000, 50_000) Ruledb.Drop);
     Ruledb.stage db
-  | Nat_rw -> Nat.stage (Nat.create ~clock ~external_ip:0xC6336401 ())
+  | Maglev_rw -> Filters.maglev (Maglev.create ~clock ~backends ())
   | Noop_opaque -> Stage.opaque ~name:"opaque-noop" (fun _engine b -> b)
   | Gre -> Filters.maglev_gre (Maglev.create ~clock ~backends ()) ~vip
 
 let arb_chain =
   let open QCheck.Gen in
-  let base = oneofl [ Csum; Ttl; Firewall; Payload; Rules; Nat_rw; Noop_opaque ] in
+  let base = oneofl [ Csum; Ttl; Firewall; Payload; Rules; Maglev_rw; Noop_opaque ] in
   let gen =
     list_size (int_range 1 6) base >>= fun prefix ->
     bool >>= fun gre -> return (if gre then prefix @ [ Gre ] else prefix)

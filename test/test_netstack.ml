@@ -70,9 +70,7 @@ let test_packet_dst_rewrite_keeps_checksum () =
   Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
   Packet.set_dst_ip_int p 0x0A010005;
   Alcotest.(check int) "dst rewritten" 0x0A010005 (Packet.dst_ip_int p);
-  Alcotest.(check bool) "checksum fixed" true (Packet.ipv4_checksum_ok p);
-  Packet.set_dst_port p 8080;
-  Alcotest.(check int) "dst port" 8080 (Packet.dst_port p)
+  Alcotest.(check bool) "checksum fixed" true (Packet.ipv4_checksum_ok p)
 
 let test_packet_truncated_raises () =
   let p = fresh_packet () in
@@ -131,33 +129,30 @@ let prop_incremental_checksum_ttl =
       done;
       !ok)
 
-let prop_incremental_checksum_snat =
-  QCheck.Test.make ~name:"RFC1624 SNAT rewrite == RFC1071 recompute" ~count:300
-    QCheck.(pair arb_crafted_packet (pair int32 (int_range 0 65535)))
-    (fun (quad, (new_ip, new_port)) ->
+let prop_incremental_checksum_dst =
+  QCheck.Test.make ~name:"RFC1624 dst rewrite == RFC1071 recompute" ~count:300
+    QCheck.(pair arb_crafted_packet int32)
+    (fun (quad, new_ip) ->
+      (* Maglev's rewrite: the destination address, both of its words
+         under the IPv4 header checksum. *)
       let p = craft_of_quad quad in
-      (* A NAT rewrite: source address (IP header, checksummed) then
-         source port (L4 header, not part of the IPv4 sum). *)
       let new_ip = Int32.to_int new_ip land 0xFFFFFFFF in
-      Packet.set_src_ip_int p new_ip;
-      let ok_ip = Packet.ipv4_checksum_ok p && Packet.src_ip_int p = new_ip in
-      Packet.set_src_port p new_port;
-      ok_ip && Packet.ipv4_checksum_ok p && Packet.src_port p = new_port)
+      Packet.set_dst_ip_int p new_ip;
+      Packet.ipv4_checksum_ok p && Packet.dst_ip_int p = new_ip)
 
 let prop_incremental_checksum_chain =
   QCheck.Test.make ~name:"chained incremental updates stay exact" ~count:200
     QCheck.(
       pair arb_crafted_packet
-        (list_of_size Gen.(int_range 1 12) (pair (int_range 0 3) (int_range 0 65535))))
+        (list_of_size Gen.(int_range 1 12) (pair (int_range 0 2) (int_range 0 65535))))
     (fun (quad, ops) ->
       let p = craft_of_quad quad in
       List.for_all
         (fun (op, v) ->
           (match op with
           | 0 -> Packet.set_ttl p (v land 0xFF)
-          | 1 -> Packet.set_src_ip_int p v
-          | 2 -> Packet.set_dst_ip_int p (v * 31 land 0xFFFFFFFF)
-          | _ -> Packet.set_src_port p v);
+          | 1 -> Packet.set_dst_ip_int p (v lsl 16)
+          | _ -> Packet.set_dst_ip_int p (v * 31 land 0xFFFFFFFF));
           Packet.ipv4_checksum_ok p)
         ops)
 
@@ -755,113 +750,6 @@ let prop_gre_roundtrip =
       String.equal before (Packet.to_string p))
 
 (* ------------------------------------------------------------------ *)
-(* NAT                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_packet_src_rewrite_keeps_checksum () =
-  let p = fresh_packet () in
-  Packet.craft p ~flow:udp_flow ~payload_bytes:18 ~ttl:64;
-  Packet.set_src_ip_int p 0xC6336401;
-  Packet.set_src_port p 23456;
-  Alcotest.(check int) "src rewritten" 0xC6336401 (Packet.src_ip_int p);
-  Alcotest.(check int) "src port" 23456 (Packet.src_port p);
-  Alcotest.(check bool) "checksum fixed" true (Packet.ipv4_checksum_ok p)
-
-let external_ip = 0xC6336464 (* 198.51.100.100 *)
-
-let test_nat_flow_stable_mapping () =
-  let clock = Cycles.Clock.create () in
-  let nat = Nat.create ~clock ~external_ip () in
-  let m1 = Nat.translate nat udp_flow in
-  let m2 = Nat.translate nat udp_flow in
-  Alcotest.(check bool) "same flow, same mapping" true (m1 = m2 && m1 <> None);
-  let other = Nat.translate nat tcp_flow in
-  Alcotest.(check bool) "distinct flows, distinct ports" true (other <> m1 && other <> None);
-  Alcotest.(check int) "two mappings" 2 (Nat.active_mappings nat);
-  (* Reverse path. *)
-  match m1 with
-  | Some (_, port) -> (
-    match Nat.translate_back nat ~port with
-    | Some f -> Alcotest.(check bool) "reverse maps back" true (Flow.equal f udp_flow)
-    | None -> Alcotest.fail "reverse lookup")
-  | None -> Alcotest.fail "mapping"
-
-let test_nat_port_exhaustion () =
-  let clock = Cycles.Clock.create () in
-  let nat = Nat.create ~clock ~external_ip ~first_port:20000 ~last_port:20003 () in
-  Alcotest.(check int) "4 ports" 4 (Nat.ports_available nat);
-  for i = 0 to 3 do
-    let flow = { udp_flow with Flow.src_port = 1000 + i } in
-    Alcotest.(check bool) "allocates" true (Nat.translate nat flow <> None)
-  done;
-  let extra = { udp_flow with Flow.src_port = 9999 } in
-  Alcotest.(check bool) "pool exhausted" true (Nat.translate nat extra = None);
-  Alcotest.(check int) "none left" 0 (Nat.ports_available nat)
-
-let test_nat_stage_rewrites_batch () =
-  let engine = make_env () in
-  let clock = Engine.clock engine in
-  let nat = Nat.create ~clock ~external_ip () in
-  let _nic, batch = make_loaded_batch engine 8 in
-  let batch = Stage.process (Nat.stage nat) engine batch in
-  Alcotest.(check int) "all forwarded" 8 (Batch.length batch);
-  Batch.iter
-    (fun p ->
-      Alcotest.(check int) "src rewritten to external ip" external_ip (Packet.src_ip_int p);
-      Alcotest.(check bool) "checksum still valid" true (Packet.ipv4_checksum_ok p);
-      Alcotest.(check bool) "port from range" true
-        (Packet.src_port p >= 10000 && Packet.src_port p <= 60000))
-    batch;
-  Alcotest.(check int) "no drops" 0 (Nat.drops nat)
-
-let test_nat_stage_drops_on_exhaustion () =
-  let engine = make_env () in
-  let clock = Engine.clock engine in
-  let nat = Nat.create ~clock ~external_ip ~first_port:30000 ~last_port:30003 () in
-  let _nic, batch = make_loaded_batch engine 16 in
-  let before = Mempool.in_use (Engine.pool engine) in
-  let distinct_flows =
-    let seen = Hashtbl.create 16 in
-    Batch.iter (fun p -> Hashtbl.replace seen (Packet.flow_of p) ()) batch;
-    Hashtbl.length seen
-  in
-  let batch = Stage.process (Nat.stage nat) engine batch in
-  (* With only 4 external ports, at most 4 distinct flows survive;
-     every other packet is dropped and its buffer released. *)
-  let dropped = 16 - Batch.length batch in
-  Alcotest.(check int) "drops counted" dropped (Nat.drops nat);
-  Alcotest.(check bool) "some drops occurred" true (distinct_flows <= 4 || dropped > 0);
-  Alcotest.(check int) "at most 4 mappings" (min 4 distinct_flows) (Nat.active_mappings nat);
-  Alcotest.(check int) "dropped buffers freed" (before - dropped)
-    (Mempool.in_use (Engine.pool engine))
-
-let test_nat_validation () =
-  let clock = Cycles.Clock.create () in
-  Alcotest.check_raises "empty range" (Invalid_argument "Nat.create: empty port range")
-    (fun () -> ignore (Nat.create ~clock ~external_ip ~first_port:100 ~last_port:50 ()));
-  Alcotest.check_raises "bad port" (Invalid_argument "Nat.create: port out of range")
-    (fun () -> ignore (Nat.create ~clock ~external_ip ~first_port:0 ~last_port:10 ()))
-
-let prop_nat_mappings_injective =
-  (* Distinct flows never share an external port, and re-translating
-     any flow is stable. *)
-  QCheck.Test.make ~name:"nat mappings are injective and stable" ~count:50
-    QCheck.(list_of_size Gen.(int_range 1 60) (int_range 1 200))
-    (fun ports ->
-      let clock = Cycles.Clock.create () in
-      let nat = Nat.create ~clock ~external_ip () in
-      let flows =
-        List.sort_uniq compare (List.map (fun sp -> { udp_flow with Flow.src_port = sp }) ports)
-      in
-      let mapped = List.map (fun f -> (f, Nat.translate nat f)) flows in
-      let ports_assigned = List.filter_map (fun (_, m) -> Option.map snd m) mapped in
-      let injective =
-        List.length (List.sort_uniq compare ports_assigned) = List.length ports_assigned
-      in
-      let stable = List.for_all (fun (f, m) -> Nat.translate nat f = m) mapped in
-      injective && stable)
-
-(* ------------------------------------------------------------------ *)
 (* Heavy hitters (Space-Saving)                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -941,8 +829,9 @@ let prop_hh_space_saving_guarantees =
 (* ------------------------------------------------------------------ *)
 
 let test_full_nf_chain_isolated () =
-  (* firewall -> SNAT -> flow stats -> maglev+GRE, each in its own
-     protection domain; end-to-end invariants across the whole chain. *)
+  (* firewall -> TTL decrement -> flow stats -> maglev+GRE, each in its
+     own protection domain; end-to-end invariants across the whole
+     chain. *)
   let clock = Cycles.Clock.create () in
   let pool = Mempool.create ~clock ~capacity:1024 () in
   let engine = Engine.create ~clock ~pool () in
@@ -950,7 +839,6 @@ let test_full_nf_chain_isolated () =
   let traffic = Traffic.create ~rng (Traffic.Zipf { flows = 64; exponent = 1.1 }) in
   let nic = Nic.create ~engine ~traffic () in
   let mgr = Sfi.Manager.create ~clock () in
-  let nat = Nat.create ~clock ~external_ip:0xC6336401 () in
   let hh = Heavy_hitters.create ~capacity:16 in
   let mg = Maglev.create ~clock ~backends:[| "a"; "b"; "c" |] ~table_size:4099 () in
   let vip = 0xC0A80001 in
@@ -960,7 +848,7 @@ let test_full_nf_chain_isolated () =
       (List.map Stage.barrier
          [
            Filters.firewall ~name:"fw" (fun f -> f.Flow.dst_port = 80);
-           Nat.stage nat;
+           Filters.ttl_decrement;
            Heavy_hitters.stage hh;
            Filters.maglev_gre mg ~vip;
          ])
@@ -973,14 +861,16 @@ let test_full_nf_chain_isolated () =
       Batch.iter
         (fun p ->
           Alcotest.(check bool) "tunnelled" true (Packet.is_gre p);
-          Alcotest.(check int) "outer src is the VIP" vip (Packet.src_ip_int p))
+          Alcotest.(check int) "outer src is the VIP" vip (Packet.src_ip_int p);
+          Packet.decap_gre p;
+          Alcotest.(check int) "inner ttl decremented" 63 (Packet.ttl p);
+          Alcotest.(check bool) "inner checksum valid" true (Packet.ipv4_checksum_ok p))
         out;
       forwarded := !forwarded + Nic.tx_batch nic out
     | Error e -> Alcotest.failf "pipeline failed: %s" (Sfi.Sfi_error.to_string e)
   done;
   Alcotest.(check int) "all port-80 traffic forwarded" 800 !forwarded;
   Alcotest.(check int) "no buffer leaks" 0 (Mempool.in_use pool);
-  Alcotest.(check bool) "nat built mappings" true (Nat.active_mappings nat > 0);
   Alcotest.(check int) "telemetry saw every forwarded packet" 800 (Heavy_hitters.observed hh);
   (* Per-stage accounting is coherent. *)
   let reports = Pipeline.stage_reports pipe in
@@ -1023,7 +913,7 @@ let () =
           Alcotest.test_case "buffer too small" `Quick test_packet_buffer_too_small;
           qt prop_packet_checksum_roundtrip;
           qt prop_incremental_checksum_ttl;
-          qt prop_incremental_checksum_snat;
+          qt prop_incremental_checksum_dst;
           qt prop_incremental_checksum_chain;
         ] );
       ( "mempool",
@@ -1096,15 +986,5 @@ let () =
           Alcotest.test_case "eviction inherits min" `Quick test_hh_eviction_inherits_min;
           Alcotest.test_case "stage counts packets" `Quick test_hh_stage_counts_packets;
           qt prop_hh_space_saving_guarantees;
-        ] );
-      ( "nat",
-        [
-          Alcotest.test_case "src rewrite keeps checksum" `Quick test_packet_src_rewrite_keeps_checksum;
-          Alcotest.test_case "flow-stable mapping" `Quick test_nat_flow_stable_mapping;
-          Alcotest.test_case "port exhaustion" `Quick test_nat_port_exhaustion;
-          Alcotest.test_case "stage rewrites batch" `Quick test_nat_stage_rewrites_batch;
-          Alcotest.test_case "stage drops on exhaustion" `Quick test_nat_stage_drops_on_exhaustion;
-          Alcotest.test_case "validation" `Quick test_nat_validation;
-          qt prop_nat_mappings_injective;
         ] );
     ]

@@ -260,8 +260,8 @@ let prop_slab_bytes_oracle =
 
 let prop_checksum_unrolled =
   QCheck.Test.make ~name:"unrolled RFC1071 == loop reference, through rewrites" ~count:300
-    QCheck.(pair arb_crafted (pair int32 (int_range 0 65535)))
-    (fun ((f, (payload_bytes, ttl)), (new_dst, new_port)) ->
+    QCheck.(pair arb_crafted int32)
+    (fun ((f, (payload_bytes, ttl)), new_dst) ->
       let p = fresh_packet () in
       craft p f ~payload_bytes ~ttl;
       let stored () = u16_ref p (Packet.eth_header_bytes + 10) in
@@ -270,7 +270,6 @@ let prop_checksum_unrolled =
          reference must still agree. *)
       Packet.set_dst_ip_int p (Int32.to_int new_dst land 0xFFFFFFFF);
       let ok1 = stored () = checksum_ref p in
-      Packet.set_src_port p new_port;
       if ttl > 1 then Packet.set_ttl p (ttl - 1);
       ok0 && ok1 && stored () = checksum_ref p && Packet.ipv4_checksum_ok p)
 
@@ -297,12 +296,8 @@ let prop_payload_pattern =
 
 type memo_op =
   | Set_ttl of int * int
-  | Set_src_ip of int * int
   | Set_dst_ip of int * int
-  | Set_src_port of int * int
-  | Set_dst_port of int * int
   | Bytes_dst of int * int
-  | Bytes_src of int * int * int
   | Encap of int
   | Decap of int
   | Materialize
@@ -311,12 +306,8 @@ type memo_op =
 
 let pp_memo_op = function
   | Set_ttl (i, v) -> Printf.sprintf "set_ttl %d %d" i v
-  | Set_src_ip (i, v) -> Printf.sprintf "set_src_ip %d %x" i v
   | Set_dst_ip (i, v) -> Printf.sprintf "set_dst_ip %d %x" i v
-  | Set_src_port (i, v) -> Printf.sprintf "set_src_port %d %d" i v
-  | Set_dst_port (i, v) -> Printf.sprintf "set_dst_port %d %d" i v
   | Bytes_dst (i, v) -> Printf.sprintf "bytes_dst %d %x" i v
-  | Bytes_src (i, v, port) -> Printf.sprintf "bytes_src %d %x %d" i v port
   | Encap i -> Printf.sprintf "encap %d" i
   | Decap i -> Printf.sprintf "decap %d" i
   | Materialize -> "materialize"
@@ -326,16 +317,11 @@ let pp_memo_op = function
 let gen_memo_op =
   QCheck.Gen.(
     let slot = int_range 0 7 and ip = map (fun v -> Int32.to_int v land 0xFFFFFFFF) ui32 in
-    let port = int_range 0 65535 in
     frequency
       [
         (2, map2 (fun i v -> Set_ttl (i, v)) slot (int_range 0 255));
-        (2, map2 (fun i v -> Set_src_ip (i, v)) slot ip);
         (2, map2 (fun i v -> Set_dst_ip (i, v)) slot ip);
-        (2, map2 (fun i v -> Set_src_port (i, v)) slot port);
-        (2, map2 (fun i v -> Set_dst_port (i, v)) slot port);
         (1, map2 (fun i v -> Bytes_dst (i, v)) slot ip);
-        (1, map3 (fun i v p -> Bytes_src (i, v, p)) slot ip port);
         (1, map (fun i -> Encap i) slot);
         (1, map (fun i -> Decap i) slot);
         (1, return Materialize);
@@ -393,18 +379,10 @@ let apply_memo_op b other op =
         f (Batch.get b i);
         Batch.invalidate_hdr b i)
   in
-  let col f = try f () with Invalid_argument _ -> () in
   match op with
   | Set_ttl (i, v) -> on i (fun i -> Batch.set_col_ttl b i v)
-  | Set_src_ip (i, v) -> on i (fun i -> Batch.set_col_src_ip b i v)
   | Set_dst_ip (i, v) -> on i (fun i -> Batch.set_col_dst_ip b i v)
-  | Set_src_port (i, v) -> on i (fun i -> col (fun () -> Batch.set_col_src_port b i v))
-  | Set_dst_port (i, v) -> on i (fun i -> col (fun () -> Batch.set_col_dst_port b i v))
   | Bytes_dst (i, v) -> bytes i (fun p -> Packet.set_dst_ip_int p v)
-  | Bytes_src (i, v, port) ->
-    bytes i (fun p ->
-        Packet.set_src_ip_int p v;
-        if not (Packet.is_gre p) then Packet.set_src_port p port)
   | Encap i ->
     bytes i (fun p ->
         if not (Packet.is_gre p) then Packet.encap_gre p ~outer_src:0xC0A80001 ~outer_dst:0x0A010005)
@@ -436,14 +414,15 @@ let prop_flow_memo_differential =
         ops)
 
 (* The memo replaces the old flow-key sidecar; these two fixed
-   scenarios keep the sidecar's original guarantees under their
-   original names: a seeded memo survives no rewrite, column or byte,
-   and compaction carries it with its packet. *)
+   scenarios keep the sidecar's original guarantees: a seeded memo
+   survives no 5-tuple rewrite, column or byte, outlives a TTL rewrite
+   only while it still matches the bytes, and compaction carries it
+   with its packet. *)
 let prop_sidecar_rewrites =
-  QCheck.Test.make ~name:"sidecar stays consistent through NAT/maglev/GRE rewrites"
+  QCheck.Test.make ~name:"sidecar stays consistent through TTL/maglev/GRE rewrites"
     ~count:200
-    QCheck.(pair arb_crafted (pair int32 (int_range 0 65535)))
-    (fun ((f, (payload_bytes, ttl)), (new_ip, new_port)) ->
+    QCheck.(pair arb_crafted int32)
+    (fun ((f, (payload_bytes, ttl)), new_ip) ->
       let new_ip = Int32.to_int new_ip land 0xFFFFFFFF in
       let p = fresh_packet () in
       craft p f ~payload_bytes ~ttl;
@@ -460,14 +439,14 @@ let prop_sidecar_rewrites =
       Packet.set_dst_ip_int p (new_ip lxor 1);
       Batch.invalidate_hdr b 0;
       let after_dst = (not (Batch.hdr_valid b 0)) && batch_agrees b in
-      (* NAT-style src rewrite, column then byte twin. *)
-      Batch.set_col_src_ip b 0 new_ip;
-      Batch.set_col_src_port b 0 new_port;
-      let col_nat = batch_agrees b && (Batch.flow b 0).Flow.src_port = new_port in
-      Packet.set_src_ip_int p (new_ip lxor 2);
-      Packet.set_src_port p (new_port lxor 1);
+      (* TTL rewrite, column then byte twin: the memo survives the
+         column write (TTL is not in the 5-tuple) and still agrees. *)
+      ignore (Batch.flow b 0);
+      Batch.set_col_ttl b 0 (ttl - 1);
+      let col_ttl = batch_agrees b && Packet.ttl p = ttl - 1 && Packet.ipv4_checksum_ok p in
+      Packet.set_ttl p (ttl / 2);
       Batch.invalidate_hdr b 0;
-      let after_nat = batch_agrees b in
+      let after_ttl = batch_agrees b && Batch.col_ttl b 0 = ttl / 2 in
       (* GRE encap makes the 5-tuple unparsable (protocol 47), so the
          stage must leave the slot plane-less; decap restores the inner
          tuple and the memo must re-derive exactly it. *)
@@ -477,7 +456,7 @@ let prop_sidecar_rewrites =
       let after_encap = (not (Batch.hdr_valid b 0)) && Packet.is_gre p in
       Packet.decap_gre p;
       Batch.invalidate_hdr b 0;
-      seeded && col_dst && after_dst && col_nat && after_nat && after_encap && batch_agrees b
+      seeded && col_dst && after_dst && col_ttl && after_ttl && after_encap && batch_agrees b
       && Flow.equal (Batch.flow b 0) inner)
 
 let prop_sidecar_compaction =
@@ -495,10 +474,10 @@ let prop_sidecar_compaction =
             if (i + salt) mod 3 = 0 then false
             else begin
               (match (i + salt) mod 4 with
-               | 1 -> Batch.set_col_src_port b i ((salt + i) land 0xFFFF)
+               | 1 -> Batch.set_col_dst_ip b i ((salt + i) lsl 8)
                | 2 ->
                  Batch.materialize_slot b i;
-                 Packet.set_dst_port p ((salt lxor i) land 0xFFFF);
+                 Packet.set_dst_ip_int p ((salt lxor i) lsl 12);
                  Batch.invalidate_hdr b i
                | _ -> ());
               true

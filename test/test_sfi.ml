@@ -474,13 +474,13 @@ let test_channel_capacity_and_close () =
   | _ -> Alcotest.fail "pending message lost");
   Alcotest.(check int) "length" 1 (Sfi.Channel.length chan)
 
-let test_channel_send_or_fail_panics () =
+let test_channel_send_exn_panics () =
   let mgr = Sfi.Manager.create () in
   let _p, _c, chan = make_channel ~capacity:1 mgr in
-  (match Sfi.Channel.send_or_fail chan (Linear.Own.create 1) with
+  (match Sfi.Channel.send_exn chan (Linear.Own.create 1) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "first send fits");
-  match Sfi.Channel.send_or_fail chan (Linear.Own.create 2) with
+  match Sfi.Channel.send_exn chan (Linear.Own.create 2) with
   | exception Sfi.Panic.Panic _ -> ()
   | _ -> Alcotest.fail "overflow must panic"
 
@@ -546,7 +546,7 @@ let () =
           Alcotest.test_case "zero-copy transfer" `Quick test_channel_zero_copy_transfer;
           Alcotest.test_case "direction enforced" `Quick test_channel_direction_enforced;
           Alcotest.test_case "capacity and close" `Quick test_channel_capacity_and_close;
-          Alcotest.test_case "send_or_fail panics" `Quick test_channel_send_or_fail_panics;
+          Alcotest.test_case "send_exn panics" `Quick test_channel_send_exn_panics;
           Alcotest.test_case "empty recv" `Quick test_channel_empty_recv;
         ] );
     ]

@@ -25,7 +25,6 @@ let backends = Array.init 8 (fun i -> Printf.sprintf "backend-%d" i)
 type spec =
   | Ttl          (* twin: ttl_decrement vs Hdr_oracle.ttl_decrement_bytes *)
   | Maglev_rw    (* twin: maglev vs Hdr_oracle.maglev_bytes *)
-  | Nat_rw       (* twin: Nat.stage vs Hdr_oracle.stage_bytes *)
   | Firewall     (* Cols reader, same stage both sides *)
   | Rules        (* Cols reader, same stage both sides *)
   | Stats        (* Cols reader, same stage both sides *)
@@ -35,7 +34,6 @@ type spec =
 let spec_name = function
   | Ttl -> "ttl"
   | Maglev_rw -> "maglev"
-  | Nat_rw -> "nat"
   | Firewall -> "firewall"
   | Rules -> "ruledb"
   | Stats -> "flow-stats"
@@ -61,9 +59,6 @@ let build_stage ~clock ~soa ~sink = function
   | Maglev_rw ->
     let mg = Maglev.create ~clock ~backends () in
     if soa then Filters.maglev mg else Hdr_oracle.maglev_bytes mg
-  | Nat_rw ->
-    let nat = Nat.create ~clock ~external_ip:0xC6336401 () in
-    if soa then Nat.stage nat else Hdr_oracle.stage_bytes nat
   | Firewall -> Filters.firewall ~name:"fw-even" (fun f -> f.Flow.src_port land 1 = 0)
   | Rules ->
     let db = Ruledb.create ~clock () in
@@ -97,7 +92,7 @@ let arb_case specs =
 let arb_chain =
   let open QCheck.Gen in
   let any =
-    oneofl [ Ttl; Maglev_rw; Nat_rw; Firewall; Rules; Stats; Csum; Snapshot ]
+    oneofl [ Ttl; Maglev_rw; Firewall; Rules; Stats; Csum; Snapshot ]
   in
   arb_case (list_size (int_range 1 6) any)
 
@@ -106,7 +101,7 @@ let arb_chain =
    byte reader. *)
 let arb_barrier_chain =
   let open QCheck.Gen in
-  let rw = oneofl [ Ttl; Maglev_rw; Nat_rw ] in
+  let rw = oneofl [ Ttl; Maglev_rw ] in
   let barrier = oneofl [ Csum; Snapshot ] in
   let filler = oneofl [ Firewall; Rules; Stats; Ttl; Maglev_rw ] in
   arb_case

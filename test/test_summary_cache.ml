@@ -34,12 +34,8 @@ let report_body (r : Ifc.Verifier.report) =
   Format.asprintf "%a" Ifc.Verifier.pp_report
     { r with Ifc.Verifier.strategy = Ifc.Verifier.Compositional; transfers = 0 }
 
-(* Bust Summary's per-instance memo so the cold baseline really is a
-   from-scratch run. *)
-let fresh_instance (p : Ifc.Ast.program) = { p with Ifc.Ast.main = p.Ifc.Ast.main }
-
 let cold_report p =
-  match Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional (fresh_instance p) with
+  match Ifc.Verifier.verify ~strategy:Ifc.Verifier.Compositional p with
   | Ok r -> Ok r
   | Error e -> Error e
 
@@ -387,7 +383,7 @@ let finding_strings (r : Ifc.Abstract.report) = List.map Ifc.Abstract.finding_to
    cache's entries are, so the memo's calls can hit. *)
 let check_main_pass ~memo ~stable p (cold : Ifc.Verifier.report) =
   let summaries = Hashtbl.create 64 in
-  (match Ifc.Summary.summarize (fresh_instance p) with
+  (match Ifc.Summary.summarize p with
   | Ok sums ->
     List.iter
       (fun (sm : Ifc.Summary.t) ->
