@@ -11,9 +11,9 @@ module R = Experiments.Registry
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
 (* The one id resolver behind run, stats and check: every named id
-   must exist; naming none selects [default]. *)
-let resolve ?(default = R.all) = function
-  | [] -> default
+   must exist; naming none selects them all. *)
+let resolve = function
+  | [] -> R.all
   | ids -> (
     match List.filter (fun id -> R.find id = None) ids with
     | [] -> List.filter_map R.find ids
@@ -24,7 +24,10 @@ let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let quick =
-  let doc = "Reduced trial counts and sweep sizes (for quick runs / CI)." in
+  let doc =
+    "Shorter sweeps for the sharded and wall-clock experiments (E14-E17, E19, E21); every \
+     other experiment has one configuration and ignores it."
+  in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
 let list_cmd =
@@ -102,11 +105,11 @@ let experiment_cmd (e : R.entry) =
   in
   (* Bad requests are clean CLI errors, not engine exceptions. *)
   let run quick stats_only shards cell =
-    match (stats_only, e.det) with
-    | false, _ when shards = None && cell = None -> e.run ~quick
-    | false, _ -> fail "repro %s: --shards and --cell need --stats-only" e.id
-    | true, None -> fail "repro %s: no deterministic surface (--stats-only)" e.id
-    | true, Some d ->
+    match stats_only with
+    | false when shards = None && cell = None -> e.run ~quick
+    | false -> fail "repro %s: --shards and --cell need --stats-only" e.id
+    | true ->
+      let d = e.det in
       let shards = Option.value shards ~default:[ 1 ] in
       List.iter
         (fun n ->
@@ -147,10 +150,10 @@ let grep re out =
 
 let check_cmd =
   let doc =
-    "Run every determinism check of the named experiments (all that have a deterministic \
-     surface when none is named), from the repository root: each cell at each of its shard \
-     counts, diffed against the first; a replay; the golden; the lines that must or must not \
-     appear. Every run is a child process. Exits 1 if any step fails."
+    "Run every determinism check of the named experiments (all of them when none is named), \
+     from the repository root: each cell at each of its shard counts, diffed against the \
+     first; a replay; the golden; the lines that must or must not appear. Every run is a \
+     child process. Exits 1 if any step fails."
   in
   let steps = ref 0 and failed = ref 0 in
   let step label problem =
@@ -204,12 +207,7 @@ let check_cmd =
         d.forbid
   in
   let run ids =
-    resolve ~default:(List.filter (fun (e : R.entry) -> e.det <> None) R.all) ids
-    |> List.map (fun (e : R.entry) ->
-           match e.det with
-           | Some d -> (e, d)
-           | None -> fail "repro check: %s has no deterministic surface" e.id)
-    |> List.iter (fun (e, (d : R.det)) -> List.iteri (check_cell e d) d.cells);
+    List.iter (fun (e : R.entry) -> List.iteri (check_cell e e.det) e.det.cells) (resolve ids);
     Printf.printf "check: %d step(s), %d failed\n" !steps !failed;
     if !failed > 0 then exit 1
   in

@@ -83,7 +83,7 @@ let () =
 
   print_endline "\nstrategy comparison on a 500-rule database (alias factor 2):";
   let rng = Cycles.Rng.create 11L in
-  let big = Experiments.Ckpt_cost.make_database ~rng ~rules:500 ~alias_factor:2 in
+  let big, _ = Experiments.Ckpt_cost.make_database ~rng ~rules:500 ~alias_factor:2 in
   List.iter
     (fun (name, strategy) ->
       let copy, s = Chkpt.Checkpointable.checkpoint ~strategy Chkpt.Trie.desc big in

@@ -200,6 +200,22 @@ let iarr_synced_chunks a =
   if a.origin = Unset then invalid_arg "Incr.iarr_synced_chunks: no snapshot";
   Array.append [| iarr_meta_bytes a |] a.shadow
 
+let iarr_persist t durable ~tag ~delta =
+  (* The dirty chunks must be read before the sync clears them; the
+     payloads saved are the ones the sync just encoded. *)
+  let dirty = iarr_dirty_list t.value in
+  let stats = sync t in
+  let image = iarr_synced_chunks t.value in
+  let gen =
+    if delta then
+      Durable.save_delta durable ~tag ~dirty:(List.map (fun c -> (c + 1, image.(c + 1))) dirty)
+    else Durable.save durable ~tag ~chunks:image
+  in
+  (stats, gen)
+
+let iarr_digest a =
+  Digest.to_hex (Digest.string (String.concat "" (Array.to_list (iarr_to_chunks a))))
+
 let iarr_of_chunks chunks =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if Array.length chunks = 0 then fail "iarr: no meta chunk"

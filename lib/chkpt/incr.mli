@@ -36,7 +36,7 @@ val restore : 'a tracker -> Checkpointable.stats
     is the per-chunk wire payload (see the codec below) as of the last
     sync: sync encodes only the dirty chunks into it, restore decodes
     only those back. The one snapshot serves both rollback and the
-    durable store ({!iarr_synced_chunks}). This is the storm
+    durable store ({!iarr_persist}). This is the storm
     experiment's flow table. *)
 
 type iarr
@@ -79,13 +79,18 @@ val iarr_chunk_bytes : iarr -> int -> string
 val iarr_to_chunks : iarr -> string array
 (** Full wire image of the live array: [[| meta; chunk 0; ... |]]. *)
 
-val iarr_synced_chunks : iarr -> string array
-(** Full wire image of the snapshot: [[| meta; chunk 0; ... |]] with
-    every payload the shadow's own string, so persisting it after a
-    sync encodes nothing twice; for a delta, take slots [c + 1] of the
-    chunks {!iarr_dirty_list} named before the sync. Equals
-    {!iarr_to_chunks} right after a sync. Raises [Invalid_argument]
-    when there is no snapshot yet. *)
+val iarr_persist :
+  iarr tracker -> Durable.t -> tag:string -> delta:bool -> Checkpointable.stats * int
+(** Sync the tracker, then persist the snapshot under [tag]: a full
+    {!Durable.save} of {!iarr_synced_chunks}, or with [delta] a
+    {!Durable.save_delta} of the slots [c + 1] of the chunks written
+    since the last sync (their ids captured before it). [delta] needs
+    a checkpoint already saved or recovered through [durable]. Returns
+    the sync's stats and the generation written. *)
+
+val iarr_digest : iarr -> string
+(** Hex digest of {!iarr_to_chunks}: the equality oracle between a
+    recovered table and the state it was persisted from. *)
 
 val iarr_of_chunks : string array -> (iarr, string) result
 (** Strict structural decode of a full wire image. It validates the
@@ -114,3 +119,9 @@ val iarr_of_chunks : string array -> (iarr, string) result
     decoded or recovered table against. *)
 
 val iarr_chunks : iarr -> int
+
+val iarr_synced_chunks : iarr -> string array
+(** Full wire image of the snapshot: [[| meta; chunk 0; ... |]] with
+    every payload the shadow's own string, so {!iarr_persist} encodes
+    nothing twice. Equals {!iarr_to_chunks} right after a sync. Raises
+    [Invalid_argument] when there is no snapshot yet. *)

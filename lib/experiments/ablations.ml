@@ -18,7 +18,8 @@ type result = {
 }
 
 (* A1: full invoke vs pinned invoke on a hot counter service. *)
-let pin_ablation ~trials =
+let pin_ablation () =
+  let trials = 1000 in
   let mgr = Sfi.Manager.create () in
   let clock = Sfi.Manager.clock mgr in
   let d = Sfi.Manager.create_domain mgr ~name:"svc" () in
@@ -52,20 +53,14 @@ let pin_ablation ~trials =
 (* A2: re-run the Figure-2 batch-1 measurement with one micro-cost
    zeroed at a time, on E1's per-boundary chain. *)
 let overhead_with model =
-  let env = Env.make ~model () in
   let stages = Netstack.Filters.null_chain Fig2.pipeline_length in
   let direct =
-    let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode:Netstack.Pipeline.Direct stages in
-    Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch:1 ~warmup:20 ~trials:100)
+    let env = Env.make ~model () in
+    Env.mean_batch_cycles env Netstack.Pipeline.Direct stages ~batch:1
   in
-  let env2 = Env.make ~model () in
   let isolated =
-    let pipe =
-      Netstack.Pipeline.create ~engine:env2.Env.engine
-        ~mode:(Netstack.Pipeline.Isolated env2.Env.manager)
-        stages
-    in
-    Cycles.Stats.mean (Env.measure_pipeline env2 pipe ~batch:1 ~warmup:20 ~trials:100)
+    let env = Env.make ~model () in
+    Env.mean_batch_cycles env (Netstack.Pipeline.Isolated env.Env.manager) stages ~batch:1
   in
   (isolated -. direct) /. float_of_int Fig2.pipeline_length
 
@@ -86,29 +81,14 @@ let attribution_ablation () =
       { zeroed; overhead_per_call; delta_vs_full = full -. overhead_per_call })
     variants
 
-(* A3: recovery total vs modelled unwind cost. *)
+(* A3: recovery total vs modelled unwind cost, on E3's crash loop. *)
 let unwind_ablation () =
   List.map
     (fun unwind ->
       let model = { Cycles.Cost_model.default with unwind } in
-      let env = Env.make ~model () in
-      let pipe =
-        Netstack.Pipeline.create ~engine:env.Env.engine
-          ~mode:(Netstack.Pipeline.Isolated env.Env.manager)
-          [ Netstack.Filters.fault_injector ~panic_after:1 ]
-      in
       let stats = Cycles.Stats.create () in
-      for _ = 1 to 200 do
-        let b = Netstack.Nic.rx_batch env.Env.nic 32 in
-        let _, c1 = Cycles.Clock.measure env.Env.clock (fun () -> Netstack.Pipeline.run pipe b) in
-        let _, c2 =
-          Cycles.Clock.measure env.Env.clock (fun () ->
-              match Netstack.Pipeline.recover_stage pipe 0 with
-              | Ok () -> ()
-              | Error msg -> failwith msg)
-        in
-        Cycles.Stats.add stats (Int64.to_float (Int64.add c1 c2))
-      done;
+      Recovery.crash_loop (Env.make ~model ()) ~trials:200 (fun c1 c2 ->
+          Cycles.Stats.add stats (Int64.to_float (Int64.add c1 c2)));
       { unwind_cost = unwind; recovery_total = Cycles.Stats.mean stats })
     [ 0; 1400; 2800; 5600 ]
 
@@ -117,7 +97,8 @@ let unwind_ablation () =
    model as everything else; the default (uncharged) registry is free
    by construction — which is why wiring telemetry into the Figure-2
    runs does not move their numbers. *)
-let telemetry_overhead ?(events = 10_000) () =
+let telemetry_overhead () =
+  let events = 10_000 in
   let clock = Cycles.Clock.create () in
   let reg = Telemetry.Registry.create ~clock ~charge:true () in
   let counter = Telemetry.Registry.counter reg "ablation.counter" in
@@ -157,9 +138,9 @@ let telemetry_overhead ?(events = 10_000) () =
     };
   ]
 
-let run ?(trials = 1000) () =
+let run () =
   {
-    pin = pin_ablation ~trials;
+    pin = pin_ablation ();
     attribution = attribution_ablation ();
     unwind = unwind_ablation ();
     telemetry = telemetry_overhead ();

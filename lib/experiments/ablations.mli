@@ -39,14 +39,14 @@ type result = {
   telemetry : tele_row list;
 }
 
-val run : ?trials:int -> unit -> result
+val run : unit -> result
 val print : result -> unit
 
 (** {1 For tests}
 
     A4 alone, whose per-event costs [test/test_telemetry.ml] pins. *)
 
-val telemetry_overhead : ?events:int -> unit -> tele_row list
-(** A4 alone (default 10_000 events per operation): charged rows cost
+val telemetry_overhead : unit -> tele_row list
+(** A4 alone (10_000 events per operation): charged rows cost
     a small bounded number of cycles per event; the uncharged row
     costs exactly zero virtual cycles. *)

@@ -13,6 +13,7 @@ type row = {
 let make_database ~rng ~rules ~alias_factor =
   let t = Chkpt.Trie.create () in
   let used = Hashtbl.create (rules * alias_factor) in
+  let leaves = ref [] in
   let fresh_prefix () =
     (* Distinct random /24 prefixes. *)
     let rec draw () =
@@ -29,21 +30,21 @@ let make_database ~rng ~rules ~alias_factor =
     let action = if id mod 3 = 0 then Chkpt.Trie.Deny else Chkpt.Trie.Allow in
     let rule = Chkpt.Trie.make_rule ~id ~description:(Printf.sprintf "rule-%d" id) action in
     for _ = 1 to alias_factor do
-      Chkpt.Trie.insert t ~prefix:(fresh_prefix ()) ~len:24 ~rule
+      let p = fresh_prefix () in
+      Chkpt.Trie.insert t ~prefix:p ~len:24 ~rule;
+      leaves := (p, Linear.Rc.clone rule) :: !leaves
     done;
     Linear.Rc.drop rule
   done;
-  t
+  (t, Array.of_list (List.rev !leaves))
 
-let default_sizes = [ (100, 2); (100, 4); (500, 2); (500, 4); (2000, 2); (2000, 4) ]
-
-let run ?(sizes = default_sizes) () =
+let run () =
   List.map
     (fun (rules, alias_factor) ->
       (* Fresh, identically-seeded database per strategy so the stats
          are directly comparable. *)
       let checkpoint strategy =
-        let db = make_database ~rng:(Cycles.Rng.create 99L) ~rules ~alias_factor in
+        let db, _ = make_database ~rng:(Cycles.Rng.create 99L) ~rules ~alias_factor in
         let _copy, stats = Chkpt.Checkpointable.checkpoint ~strategy Chkpt.Trie.desc db in
         (db, stats)
       in
@@ -63,7 +64,7 @@ let run ?(sizes = default_sizes) () =
           float_of_int naive.Chkpt.Checkpointable.rc_copies
           /. float_of_int (max 1 flag.Chkpt.Checkpointable.rc_copies);
       })
-    sizes
+    [ (100, 2); (100, 4); (500, 2); (500, 4); (2000, 2); (2000, 4) ]
 
 let print rows =
   print_endline "E9: checkpoint work vs database size and sharing";

@@ -19,15 +19,18 @@ type row = {
   naive_overcopy : float;      (** naive_copies / dedup_copies. *)
 }
 
-val default_sizes : (int * int) list
-
-val run : ?sizes:(int * int) list -> unit -> row list
-(** [sizes] = (rules, alias_factor) pairs; defaults sweep 100..2000
-    rules at alias factors 2 and 4. *)
+val run : unit -> row list
+(** (rules, alias factor) pairs sweeping 100..2000 rules at alias
+    factors 2 and 4. *)
 
 val make_database :
-  rng:Cycles.Rng.t -> rules:int -> alias_factor:int -> Chkpt.Trie.t
-(** Build a random /24-prefix database with the given sharing (also
-    used by [examples/firewall_checkpoint.ml]). *)
+  rng:Cycles.Rng.t ->
+  rules:int ->
+  alias_factor:int ->
+  Chkpt.Trie.t * (int32 * Chkpt.Trie.shared_rule) array
+(** Build a random /24-prefix database with the given sharing, and
+    its leaves in insertion order: each prefix with a handle on its
+    rule. Also used by E16 ({!Ckpt_incr}) and
+    [examples/firewall_checkpoint.ml]. *)
 
 val print : row list -> unit

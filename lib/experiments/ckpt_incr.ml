@@ -26,37 +26,10 @@ let alias_factor = 2
 let seed = 7L
 let dirty_pcts = [ 0; 1; 10; 50; 100 ]
 
-(* The fig3 database, with the insertion order recorded so mutation
-   rounds can deterministically re-target existing leaves. *)
+(* E9's database at the fig3 size; its leaves come back in insertion
+   order, so mutation rounds can deterministically re-target them. *)
 let build () =
-  let rng = Cycles.Rng.create seed in
-  let t = Chkpt.Trie.create () in
-  let used = Hashtbl.create (rules_n * alias_factor) in
-  let prefs = ref [] in
-  let fresh_prefix () =
-    let rec draw () =
-      let p = Cycles.Rng.int rng (1 lsl 24) in
-      if Hashtbl.mem used p then draw ()
-      else begin
-        Hashtbl.add used p ();
-        Int32.shift_left (Int32.of_int p) 8
-      end
-    in
-    draw ()
-  in
-  for id = 0 to rules_n - 1 do
-    let action = if id mod 3 = 0 then Chkpt.Trie.Deny else Chkpt.Trie.Allow in
-    let rule =
-      Chkpt.Trie.make_rule ~id ~description:(Printf.sprintf "rule-%d" id) action
-    in
-    for _ = 1 to alias_factor do
-      let p = fresh_prefix () in
-      Chkpt.Trie.insert t ~prefix:p ~len:24 ~rule;
-      prefs := (p, Linear.Rc.clone rule) :: !prefs
-    done;
-    Linear.Rc.drop rule
-  done;
-  (t, Array.of_list (List.rev !prefs))
+  Ckpt_cost.make_database ~rng:(Cycles.Rng.create seed) ~rules:rules_n ~alias_factor
 
 (* One mutation round: swap the first [k] leaves between their original
    rule and a per-leaf alternate. The dirty set is the same every

@@ -29,17 +29,18 @@ let run_batch t pipe batch =
   | Ok out ->
     ignore (Netstack.Nic.tx_batch t.nic out);
     cycles
-  | Error e -> failwith ("Env.measure_pipeline: " ^ Sfi.Sfi_error.to_string e)
+  | Error e -> failwith ("Env.mean_batch_cycles: " ^ Sfi.Sfi_error.to_string e)
 
-let measure_pipeline t pipe ~batch ~warmup ~trials =
-  for _ = 1 to warmup do
+let mean_batch_cycles t mode stages ~batch =
+  let pipe = Netstack.Pipeline.create ~engine:t.engine ~mode stages in
+  for _ = 1 to 20 do
     ignore (run_batch t pipe batch)
   done;
   let stats = Cycles.Stats.create () in
-  for _ = 1 to trials do
+  for _ = 1 to 100 do
     Cycles.Stats.add stats (Int64.to_float (run_batch t pipe batch))
   done;
-  stats
+  Cycles.Stats.mean stats
 
 let maglev_backends = Array.init 8 (fun i -> Printf.sprintf "backend-%d" i)
 

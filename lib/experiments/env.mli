@@ -29,11 +29,13 @@ val make :
     [netstack.*] / [sfi.*] metrics; pass a fresh registry to keep an
     experiment's numbers isolated. *)
 
-val measure_pipeline :
-  t -> Netstack.Pipeline.t -> batch:int -> warmup:int -> trials:int -> Cycles.Stats.t
-(** Mean cycles per [Pipeline.run] call (rx/tx excluded from the
-    measurement but executed, so their cache side effects are felt —
-    as on real hardware). Raises [Failure] if any batch errors. *)
+val mean_batch_cycles :
+  t -> Netstack.Pipeline.mode -> Netstack.Stage.t list -> batch:int -> float
+(** Build a pipeline of [stages] in [mode] on [t]'s engine, run 20
+    warm-up batches of [batch] packets, then return the mean cycles of
+    100 [Pipeline.run] calls (rx/tx excluded from the measurement but
+    executed, so their cache side effects are felt — as on real
+    hardware). Raises [Failure] if any batch errors. *)
 
 val maglev_backends : string array
 (** The 8 synthetic backends every Maglev experiment uses. *)

@@ -14,37 +14,26 @@ let pipeline_length = 5
    stage, so the five null kernels must not fuse into one domain. *)
 let null_stages = Netstack.Filters.null_chain pipeline_length
 
-let measure_mode ?telemetry ~batch ~warmup ~trials mode_of_env =
-  (* Fresh, identically-seeded environment per mode so the two runs see
-     the same traffic and the same cold caches. *)
-  let env = Env.make ?telemetry () in
-  let pipe =
-    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:(mode_of_env env) null_stages
-  in
-  Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch ~warmup ~trials)
-
-let measure_maglev ?telemetry ~batch ~warmup ~trials () =
-  let env = Env.make ?telemetry () in
-  let _mg, stages = Env.maglev_nf env in
-  let pipe = Netstack.Pipeline.create ~engine:env.Env.engine ~mode:Netstack.Pipeline.Direct stages in
-  Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch ~warmup ~trials)
-
-let default_batches = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]
-
-let run ?(batches = default_batches) ?(warmup = 20) ?(trials = 100) ?telemetry () =
+let run ?telemetry () =
   List.map
     (fun batch ->
+      (* A fresh, identically-seeded environment per mode, so every
+         run sees the same traffic and the same cold caches. *)
       let direct_cycles =
-        measure_mode ?telemetry ~batch ~warmup ~trials (fun _ -> Netstack.Pipeline.Direct)
+        let env = Env.make ?telemetry () in
+        Env.mean_batch_cycles env Netstack.Pipeline.Direct null_stages ~batch
       in
       let isolated_cycles =
-        measure_mode ?telemetry ~batch ~warmup ~trials (fun env ->
-            Netstack.Pipeline.Isolated env.Env.manager)
+        let env = Env.make ?telemetry () in
+        Env.mean_batch_cycles env (Netstack.Pipeline.Isolated env.Env.manager) null_stages ~batch
       in
       let overhead_per_call =
         (isolated_cycles -. direct_cycles) /. float_of_int pipeline_length
       in
-      let maglev_cycles = measure_maglev ?telemetry ~batch ~warmup ~trials () in
+      let maglev_cycles =
+        let env = Env.make ?telemetry () in
+        Env.mean_batch_cycles env Netstack.Pipeline.Direct (snd (Env.maglev_nf env)) ~batch
+      in
       {
         batch;
         direct_cycles;
@@ -54,7 +43,7 @@ let run ?(batches = default_batches) ?(warmup = 20) ?(trials = 100) ?telemetry (
         overhead_vs_maglev = overhead_per_call /. maglev_cycles;
         l3_equivalents = overhead_per_call /. float_of_int Cycles.Cost_model.default.l3_latency;
       })
-    batches
+    [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]
 
 let print rows =
   print_endline "E1 / Figure 2: remote-invocation overhead vs Maglev batch cost";

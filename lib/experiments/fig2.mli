@@ -22,20 +22,11 @@ type row = {
 val pipeline_length : int
 (** 5, as in the paper. *)
 
-val default_batches : int list
-(** 1, 2, 4, ..., 256. *)
-
-val run :
-  ?batches:int list ->
-  ?warmup:int ->
-  ?trials:int ->
-  ?telemetry:Telemetry.Registry.t ->
-  unit ->
-  row list
-(** Default batches: 1,2,4,...,256; warmup 20; trials 100.
-    [telemetry] (default the global registry, via {!Env.make}) receives
-    the [sfi.*] / [netstack.*] metrics of every mode's run — the
-    cross-check tests feed a fresh registry here and assert exact
-    counts. For tests: [?warmup] and [?telemetry]. *)
+val run : ?telemetry:Telemetry.Registry.t -> unit -> row list
+(** Batches 1, 2, 4, ..., 256; per mode and batch, 20 warm-up and 100
+    measured batches. [telemetry] (default the global registry, via
+    {!Env.make}) receives the [sfi.*] / [netstack.*] metrics of every
+    mode's run — the cross-check tests feed a fresh registry here and
+    assert exact counts. For tests: [?telemetry]. *)
 
 val print : row list -> unit

@@ -13,7 +13,7 @@ let verify strategy program =
   | Ok r -> r
   | Error e -> failwith ("Ifc_scaling: " ^ e)
 
-let run ?(client_counts = [ 2; 4; 8; 16; 32 ]) () =
+let run () =
   let requests_per_client = 6 in
   List.map
     (fun clients ->
@@ -31,7 +31,7 @@ let run ?(client_counts = [ 2; 4; 8; 16; 32 ]) () =
         andersen_iterations = andersen.Ifc.Verifier.alias_iterations;
         all_verified = verified exact && verified comp && verified andersen;
       })
-    client_counts
+    [ 2; 4; 8; 16; 32 ]
 
 let print rows =
   print_endline "E7: verification cost scaling on the secure store (transfer applications)";

@@ -19,7 +19,7 @@ type row = {
   all_verified : bool;         (** Every strategy agrees the clean store is safe. *)
 }
 
-val run : ?client_counts:int list -> unit -> row list
-(** Defaults: clients 2,4,8,16,32; 6 requests per client. *)
+val run : unit -> row list
+(** Clients 2, 4, 8, 16, 32; 6 requests per client. *)
 
 val print : row list -> unit

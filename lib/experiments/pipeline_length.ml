@@ -5,22 +5,19 @@ type row = {
   overhead_per_call : float;
 }
 
-let measure ~length ~batch ~warmup ~trials mode_of_env =
-  let env = Env.make () in
-  (* Overhead-per-call scaling needs one crossing per stage. *)
-  let pipe =
-    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:(mode_of_env env)
-      (Netstack.Filters.null_chain length)
-  in
-  Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch ~warmup ~trials)
-
-let run ?(lengths = [ 1; 2; 4; 8; 16 ]) ?(warmup = 20) ?(trials = 100) () =
+let run () =
   let batch = 32 in
   List.map
     (fun length ->
-      let direct_cycles = measure ~length ~batch ~warmup ~trials (fun _ -> Netstack.Pipeline.Direct) in
+      (* Overhead-per-call scaling needs one crossing per stage. *)
+      let stages = Netstack.Filters.null_chain length in
+      let direct_cycles =
+        let env = Env.make () in
+        Env.mean_batch_cycles env Netstack.Pipeline.Direct stages ~batch
+      in
       let isolated_cycles =
-        measure ~length ~batch ~warmup ~trials (fun env -> Netstack.Pipeline.Isolated env.Env.manager)
+        let env = Env.make () in
+        Env.mean_batch_cycles env (Netstack.Pipeline.Isolated env.Env.manager) stages ~batch
       in
       {
         length;
@@ -28,7 +25,7 @@ let run ?(lengths = [ 1; 2; 4; 8; 16 ]) ?(warmup = 20) ?(trials = 100) () =
         isolated_cycles;
         overhead_per_call = (isolated_cycles -. direct_cycles) /. float_of_int length;
       })
-    lengths
+    [ 1; 2; 4; 8; 16 ]
 
 let max_deviation rows =
   let mean =

@@ -12,9 +12,8 @@ type row = {
   overhead_per_call : float;
 }
 
-val run : ?lengths:int list -> ?warmup:int -> ?trials:int -> unit -> row list
-(** Defaults: lengths 1,2,4,8,16; batch 32. For tests: [?lengths] and
-    [?warmup], which the smoke test shrinks. *)
+val run : unit -> row list
+(** Lengths 1, 2, 4, 8, 16; batch 32. *)
 
 val print : row list -> unit
 

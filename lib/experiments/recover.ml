@@ -239,9 +239,6 @@ let apply_packet tab mask scratch k =
   let bucket = (h lxor !sum) land mask in
   Chkpt.Incr.iarr_set tab bucket (Chkpt.Incr.iarr_get tab bucket + 1)
 
-let digest_chunks chunks =
-  Digest.to_hex (Digest.string (String.concat "" (Array.to_list chunks)))
-
 let run_wall ?(buckets = 1 lsl 20) ?(total = 42_000_000) ?(persist_every = 4_000_000) () =
   let chunk = max 1 (buckets / 64) in
   let mask = buckets - 1 in
@@ -252,18 +249,8 @@ let run_wall ?(buckets = 1 lsl 20) ?(total = 42_000_000) ?(persist_every = 4_000
     let tab = Chkpt.Incr.iarr ~chunk (Array.make buckets 0) in
     let tracker = Chkpt.Incr.iarr_tracker tab in
     let persists = ref 0 in
-    let gen = ref None in
     let persist () =
-      let dirty = Chkpt.Incr.iarr_dirty_list tab in
-      ignore (Chkpt.Incr.sync tracker);
-      let image = Chkpt.Incr.iarr_synced_chunks tab in
-      (gen :=
-         match !gen with
-         | None -> Some (Chkpt.Durable.save d ~tag:wall_tag ~chunks:image)
-         | Some _ ->
-           Some
-             (Chkpt.Durable.save_delta d ~tag:wall_tag
-                ~dirty:(List.map (fun c -> (c + 1, image.(c + 1))) dirty)));
+      ignore (Chkpt.Incr.iarr_persist tracker d ~tag:wall_tag ~delta:(!persists > 0));
       incr persists
     in
     persist ();
@@ -280,7 +267,7 @@ let run_wall ?(buckets = 1 lsl 20) ?(total = 42_000_000) ?(persist_every = 4_000
      yields the state recovery must reproduce. *)
   let replayed = total / persist_every * persist_every in
   ignore (Chkpt.Incr.restore tracker);
-  let expected = digest_chunks (Chkpt.Incr.iarr_to_chunks tab) in
+  let expected = Chkpt.Incr.iarr_digest tab in
   let recovered, recover_s =
     Table.time (fun () ->
         let d = Chkpt.Durable.open_store ~graph:graph_version ~dir () in
@@ -293,7 +280,7 @@ let run_wall ?(buckets = 1 lsl 20) ?(total = 42_000_000) ?(persist_every = 4_000
   in
   let digest_match =
     match recovered with
-    | Some t -> String.equal (digest_chunks (Chkpt.Incr.iarr_to_chunks t)) expected
+    | Some t -> String.equal (Chkpt.Incr.iarr_digest t) expected
     | None -> false
   in
   let _, rebuild_s =

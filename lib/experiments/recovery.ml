@@ -5,31 +5,35 @@ type result = {
   total_mean : float;
 }
 
-let run ?(trials = 1000) ?(batch = 32) ?telemetry () =
-  let env = Env.make ?telemetry () in
+let crash_loop env ~trials record =
   (* A crash-looping null filter: panics on every batch from the first. *)
   let pipe =
     Netstack.Pipeline.create ~engine:env.Env.engine
       ~mode:(Netstack.Pipeline.Isolated env.Env.manager)
       [ Netstack.Filters.fault_injector ~panic_after:1 ]
   in
-  let catch_cycles = Cycles.Stats.create () in
-  let recover_cycles = Cycles.Stats.create () in
   for _ = 1 to trials do
-    let b = Netstack.Nic.rx_batch env.Env.nic batch in
+    let b = Netstack.Nic.rx_batch env.Env.nic 32 in
     let result, c_catch =
       Cycles.Clock.measure env.Env.clock (fun () -> Netstack.Pipeline.run pipe b)
     in
     (match result with
     | Error (Sfi.Sfi_error.Domain_failed _) -> ()
-    | Ok _ | Error _ -> failwith "Recovery.run: expected the filter to panic");
+    | Ok _ | Error _ -> failwith "Recovery: expected the filter to panic");
     let r, c_recover =
       Cycles.Clock.measure env.Env.clock (fun () -> Netstack.Pipeline.recover_stage pipe 0)
     in
-    (match r with Ok () -> () | Error msg -> failwith ("Recovery.run: " ^ msg));
-    Cycles.Stats.add catch_cycles (Int64.to_float c_catch);
-    Cycles.Stats.add recover_cycles (Int64.to_float c_recover)
-  done;
+    (match r with Ok () -> () | Error msg -> failwith ("Recovery: " ^ msg));
+    record c_catch c_recover
+  done
+
+let run ?telemetry () =
+  let trials = 1000 in
+  let catch_cycles = Cycles.Stats.create () in
+  let recover_cycles = Cycles.Stats.create () in
+  crash_loop (Env.make ?telemetry ()) ~trials (fun c_catch c_recover ->
+      Cycles.Stats.add catch_cycles (Int64.to_float c_catch);
+      Cycles.Stats.add recover_cycles (Int64.to_float c_recover));
   {
     trials;
     catch_cycles;

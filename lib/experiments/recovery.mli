@@ -16,10 +16,18 @@ type result = {
   total_mean : float;                (** Mean of (catch + recover). *)
 }
 
-val run : ?trials:int -> ?batch:int -> ?telemetry:Telemetry.Registry.t -> unit -> result
-(** Default: 1000 trials, batch 32. [telemetry] (default global)
+val run : ?telemetry:Telemetry.Registry.t -> unit -> result
+(** 1000 trials of a 32-packet batch. [telemetry] (default global)
     receives one [sfi.recovery_cycles] histogram entry and one
     [sfi.fault-injector.{panics,recoveries}] tick per trial. For tests:
-    [?batch] and [?telemetry], which the cross-check tests set. *)
+    [?telemetry], which the cross-check test sets. *)
+
+val crash_loop : Env.t -> trials:int -> (int64 -> int64 -> unit) -> unit
+(** The measurement behind {!run}: [trials] rounds, each pushing a
+    32-packet batch into an isolated pipeline of one null filter that
+    panics on every batch, then recovering the filter; [record catch
+    recover] receives each round's two cycle counts. Raises [Failure]
+    if a batch does not panic or a recovery fails. A3
+    ({!Ablations}) reruns it under other unwind costs. *)
 
 val print : result -> unit

@@ -12,7 +12,7 @@ type entry = {
   id : string;
   description : string;
   run : quick:bool -> unit;
-  det : det option;
+  det : det;
 }
 
 (* --- Deterministic surfaces ([repro <id> --stats-only], [repro check]) --- *)
@@ -53,14 +53,6 @@ let ckpt_incr_stats ~shards:_ =
 
 let flowcache_stats ~shards = Megaflow.print_stats_pair (Megaflow.run_stats_pair ~shards ())
 
-(* The virtual-clock-only experiments, at their library defaults: the
-   golden is exactly the full run's output. *)
-let fig2_stats ~shards:_ = Fig2.print (Fig2.run ())
-let pipeline_length_stats ~shards:_ = Pipeline_length.print (Pipeline_length.run ())
-let ablations_stats ~shards:_ = Ablations.print (Ablations.run ())
-
-let fusion_stats ~shards:_ = Fusion_ablation.print_stats (Fusion_ablation.run_stats ())
-
 let recover_stats ~shards =
   Recover.print_stats (Recover.run_stats ~shards ());
   print_newline ();
@@ -70,99 +62,45 @@ let reverify_stats ~shards:_ = Reverify.print_stats (Reverify.run_stats ())
 
 let det ?golden ?(queues = 4) ?(shards = [ 1; 2; 4 ]) ?(replay = false) ?(require = [])
     ?(forbid = []) cells =
-  Some { cells; queues; golden; shards; replay; require; forbid }
+  { cells; queues; golden; shards; replay; require; forbid }
 
-let golden name = "test/golden/" ^ name ^ "_stats.txt"
+(* An entry's golden is named after its id. *)
+let golden id =
+  "test/golden/" ^ String.map (function '-' -> '_' | c -> c) id ^ "_stats.txt"
 
-(* Every printed identity line must hold. *)
-let identities = [ "identical=false\\|identical .*=false" ]
+(* A virtual-clock-only experiment has one configuration: [repro <id>],
+   [--quick] and [--stats-only] all print [print ()], which is exactly
+   its golden. *)
+let virtual_clock id description print =
+  {
+    id;
+    description;
+    det = det ~queues:1 ~shards:[ 1 ] ~golden:(golden id) [ ("stats", fun ~shards:_ -> print ()) ];
+    run = (fun ~quick:_ -> print ());
+  }
 
 let all =
   [
-    {
-      id = "fig2";
-      description = "E1/E10: Figure 2 - isolation overhead vs Maglev, by batch size";
-      det = det ~queues:1 ~shards:[ 1 ] ~golden:(golden "fig2") [ ("stats", fig2_stats) ];
-      run =
-        (fun ~quick ->
-          let trials = if quick then 30 else 100 in
-          let batches = if quick then [ 1; 16; 256 ] else Fig2.default_batches in
-          Fig2.print (Fig2.run ~batches ~trials ()));
-    };
-    {
-      id = "pipeline-length";
-      description = "E2: overhead independence of pipeline length";
-      det =
-        det ~queues:1 ~shards:[ 1 ] ~golden:(golden "pipeline_length")
-          [ ("stats", pipeline_length_stats) ];
-      run =
-        (fun ~quick ->
-          let trials = if quick then 30 else 100 in
-          Pipeline_length.print (Pipeline_length.run ~trials ()));
-    };
-    {
-      id = "recovery";
-      description = "E3: fault-recovery cost (paper: 4389 cycles)";
-      det = None;
-      run =
-        (fun ~quick ->
-          let trials = if quick then 100 else 1000 in
-          Recovery.print (Recovery.run ~trials ()));
-    };
-    {
-      id = "sfi-baselines";
-      description = "E4: copying / tagged-heap / linear SFI comparison";
-      det = None;
-      run =
-        (fun ~quick ->
-          let trials = if quick then 30 else 100 in
-          Sfi_baselines.print (Sfi_baselines.run ~trials ()));
-    };
-    {
-      id = "ifc-matrix";
-      description = "E5: Buffer-listing detection matrix (lines 16/17)";
-      det = None;
-      run = (fun ~quick:_ -> Ifc_matrix.print (Ifc_matrix.run ()));
-    };
-    {
-      id = "ifc-store";
-      description = "E6: secure-store verification + sectype copy cost";
-      det = None;
-      run = (fun ~quick:_ -> Ifc_store.print (Ifc_store.run ()));
-    };
-    {
-      id = "ifc-scaling";
-      description = "E7: verification cost scaling / compositional summaries";
-      det = None;
-      run =
-        (fun ~quick ->
-          let client_counts = if quick then [ 2; 8 ] else [ 2; 4; 8; 16; 32 ] in
-          Ifc_scaling.print (Ifc_scaling.run ~client_counts ()));
-    };
-    {
-      id = "fig3";
-      description = "E8: Figure 3 - checkpointing the firewall rule DB";
-      det = None;
-      run = (fun ~quick:_ -> Fig3.print (Fig3.run ()));
-    };
-    {
-      id = "ckpt-cost";
-      description = "E9: checkpoint work vs DB size and sharing";
-      det = None;
-      run =
-        (fun ~quick ->
-          let sizes = if quick then [ (100, 2); (100, 4) ] else Ckpt_cost.default_sizes in
-          Ckpt_cost.print (Ckpt_cost.run ~sizes ()));
-    };
-    {
-      id = "rollback";
-      description = "E13 (extension): middlebox rollback-recovery (ckpt + replay)";
-      det = None;
-      run =
-        (fun ~quick ->
-          let inputs = if quick then 517 else 2021 in
-          Rollback.print (Rollback.run ~inputs ()));
-    };
+    virtual_clock "fig2" "E1/E10: Figure 2 - isolation overhead vs Maglev, by batch size"
+      (fun () -> Fig2.print (Fig2.run ()));
+    virtual_clock "pipeline-length" "E2: overhead independence of pipeline length" (fun () ->
+        Pipeline_length.print (Pipeline_length.run ()));
+    virtual_clock "recovery" "E3: fault-recovery cost (paper: 4389 cycles)" (fun () ->
+        Recovery.print (Recovery.run ()));
+    virtual_clock "sfi-baselines" "E4: copying / tagged-heap / linear SFI comparison" (fun () ->
+        Sfi_baselines.print (Sfi_baselines.run ()));
+    virtual_clock "ifc-matrix" "E5: Buffer-listing detection matrix (lines 16/17)" (fun () ->
+        Ifc_matrix.print (Ifc_matrix.run ()));
+    virtual_clock "ifc-store" "E6: secure-store verification + sectype copy cost" (fun () ->
+        Ifc_store.print (Ifc_store.run ()));
+    virtual_clock "ifc-scaling" "E7: verification cost scaling / compositional summaries"
+      (fun () -> Ifc_scaling.print (Ifc_scaling.run ()));
+    virtual_clock "fig3" "E8: Figure 3 - checkpointing the firewall rule DB" (fun () ->
+        Fig3.print (Fig3.run ()));
+    virtual_clock "ckpt-cost" "E9: checkpoint work vs DB size and sharing" (fun () ->
+        Ckpt_cost.print (Ckpt_cost.run ()));
+    virtual_clock "rollback" "E13 (extension): middlebox rollback-recovery (ckpt + replay)"
+      (fun () -> Rollback.print (Rollback.run ()));
     {
       id = "scale";
       description = "E14 (extension): sharded engine - scaling vs shard count, fixed queues";
@@ -193,7 +131,7 @@ let all =
       id = "ckpt-incr";
       description = "E16 (extension): incremental dirty-tracking checkpoints";
       det =
-        det ~queues:1 ~shards:[ 1 ] ~golden:(golden "ckpt_incr") [ ("stats", ckpt_incr_stats) ];
+        det ~queues:1 ~shards:[ 1 ] ~golden:(golden "ckpt-incr") [ ("stats", ckpt_incr_stats) ];
       run =
         (fun ~quick ->
           let iters = if quick then 8 else 30 in
@@ -209,14 +147,12 @@ let all =
           [ ("stats", flowcache_stats) ];
       run = (fun ~quick -> Megaflow.print (Megaflow.run ~quick ()));
     };
-    {
-      id = "fusion";
-      description = "E18 (extension): kernel fusion ablation (Isolated crossings)";
-      det =
-        det ~queues:1 ~shards:[ 1 ] ~golden:(golden "fusion") ~forbid:identities
-          [ ("stats", fusion_stats) ];
-      run = (fun ~quick:_ -> fusion_stats ~shards:1);
-    };
+    (let e =
+       virtual_clock "fusion" "E18 (extension): kernel fusion ablation (Isolated crossings)"
+         (fun () -> Fusion_ablation.print_stats (Fusion_ablation.run_stats ()))
+     in
+     (* Every identity line it prints must hold. *)
+     { e with det = { e.det with forbid = [ "identical=false\\|identical .*=false" ] } });
     {
       id = "recover";
       description = "E19 (extension): durable crash-restart recovery vs full rebuild";
@@ -252,15 +188,8 @@ let all =
           print_newline ();
           Reverify.print_wall (Reverify.run_wall ~funcs ~edits ()));
     };
-    {
-      id = "ablations";
-      description = "A1-A3: design-choice ablations";
-      det = det ~queues:1 ~shards:[ 1 ] ~golden:(golden "ablations") [ ("stats", ablations_stats) ];
-      run =
-        (fun ~quick ->
-          let trials = if quick then 100 else 1000 in
-          Ablations.print (Ablations.run ~trials ()));
-    };
+    virtual_clock "ablations" "A1-A3: design-choice ablations" (fun () ->
+        Ablations.print (Ablations.run ()));
   ]
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all

@@ -27,9 +27,12 @@ type entry = {
   id : string;           (** e.g. ["fig2"]. *)
   description : string;
   run : quick:bool -> unit;
-      (** Execute and print. [quick:true] trades trial counts /
-          sweep sizes for speed (for CI and interactive use). *)
-  det : det option;  (** The deterministic surface, if any. *)
+      (** Execute and print. [quick:true] trades sweep sizes for
+          speed in the sharded and wall-clock experiments (E14–E17,
+          E19, E21); the others have one configuration, and their run
+          prints exactly their first cell at one shard, with or
+          without it. *)
+  det : det;  (** The deterministic surface. *)
 }
 
 val all : entry list

@@ -7,8 +7,8 @@ type row = {
   recovered_exact : bool;
 }
 
-let run ?(intervals = [ 1; 8; 64; 256 ]) ?(inputs = 2021) () =
-  let seed = 5L and telemetry = Telemetry.Registry.global in
+let run () =
+  let seed = 5L and inputs = 2021 and telemetry = Telemetry.Registry.global in
   List.map
     (fun interval ->
       let rng = Cycles.Rng.create seed in
@@ -43,7 +43,7 @@ let run ?(intervals = [ 1; 8; 64; 256 ]) ?(inputs = 2021) () =
         recovered_exact =
           Netstack.Heavy_hitters.equal truth (Chkpt.Replay.state protected_nf);
       })
-    intervals
+    [ 1; 8; 64; 256 ]
 
 let print rows =
   print_endline

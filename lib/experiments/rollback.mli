@@ -20,15 +20,10 @@ type row = {
   recovered_exact : bool;
 }
 
-val run :
-  ?intervals:int list ->
-  ?inputs:int ->
-  unit ->
-  row list
-(** Defaults: intervals 1, 8, 64, 256; 2021 inputs (deliberately not a
-    multiple of the intervals, so the crash lands mid-interval and the
-    log is non-trivial). The global registry accumulates the [chkpt.*]
-    counters across all intervals. For tests: [?intervals], which the
-    smoke test shrinks. *)
+val run : unit -> row list
+(** Intervals 1, 8, 64, 256; 2021 inputs (deliberately not a multiple
+    of the intervals, so the crash lands mid-interval and the log is
+    non-trivial). The global registry accumulates the [chkpt.*]
+    counters across all intervals. *)
 
 val print : row list -> unit

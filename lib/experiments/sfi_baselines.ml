@@ -13,18 +13,15 @@ let modes =
     ("tagged (shared heap + checks)", fun _ -> Netstack.Pipeline.Tagged);
   ]
 
-let measure ~batch ~warmup ~trials mode_of_env =
-  let env = Env.make () in
-  let _mg, stages = Env.maglev_nf env in
-  let pipe =
-    Netstack.Pipeline.create ~engine:env.Env.engine ~mode:(mode_of_env env) stages
-  in
-  Cycles.Stats.mean (Env.measure_pipeline env pipe ~batch ~warmup ~trials)
-
-let run ?(warmup = 20) ?(trials = 100) () =
+let run () =
   let batch = 32 in
   let raw =
-    List.map (fun (name, mode) -> (name, measure ~batch ~warmup ~trials mode)) modes
+    List.map
+      (fun (name, mode) ->
+        let env = Env.make () in
+        let _mg, stages = Env.maglev_nf env in
+        (name, Env.mean_batch_cycles env (mode env) stages ~batch))
+      modes
   in
   let direct = match raw with (_, d) :: _ -> d | [] -> assert false in
   List.map

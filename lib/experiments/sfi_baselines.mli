@@ -13,8 +13,8 @@ type row = {
   overhead_vs_direct : float;  (** (mode − direct) / direct. *)
 }
 
-val run : ?warmup:int -> ?trials:int -> unit -> row list
+val run : unit -> row list
 (** Rows in order: direct, isolated (linear SFI), copying, tagged.
-    Batch 32. For tests: [?warmup], which the smoke test shrinks. *)
+    Batch 32. *)
 
 val print : row list -> unit

@@ -227,6 +227,16 @@ let rec step ctx pc env (s : Ast.stmt) =
 
 and block ctx pc env stmts = List.fold_left (step ctx pc) env stmts
 
+(* The first declaration under each name, as {!Ast.validate} resolves
+   calls. *)
+let func_table (program : Ast.program) =
+  let by_name = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Ast.func) ->
+      if not (Hashtbl.mem by_name f.fname) then Hashtbl.add by_name f.fname f)
+    program.funcs;
+  by_name
+
 (* Topological order of the (acyclic) call graph: callees first. *)
 let dependency_order (program : Ast.program) =
   let rec callees acc stmts =
@@ -241,11 +251,7 @@ let dependency_order (program : Ast.program) =
           acc)
       acc stmts
   in
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Ast.func) ->
-      if not (Hashtbl.mem by_name f.fname) then Hashtbl.add by_name f.fname f)
-    program.funcs;
+  let by_name = func_table program in
   let visited = Hashtbl.create 64 in
   let order = ref [] in
   let rec visit fname =
@@ -329,19 +335,14 @@ let summarize (program : Ast.program) =
 (* Verification of main using summaries at call sites.                 *)
 (* ------------------------------------------------------------------ *)
 
-let check_main ~memo ~(program : Ast.program) ~summaries =
+let check_main ~memo ~(program : Ast.program) ~find_func ~summaries =
   (* The first declaration of a name wins, as in {!Ast.find_channel}. *)
-  let first_decl key value xs =
-    let t = Hashtbl.create 64 in
-    List.iter (fun x -> if not (Hashtbl.mem t (key x)) then Hashtbl.add t (key x) (value x)) xs;
-    t
-  in
-  let bounds =
-    first_decl
-      (fun (c : Ast.channel) -> c.cname)
-      (fun c -> (c.bound, Abstract.Leaky_output c.cname))
-      program.channels
-  in
+  let bounds = Hashtbl.create 64 in
+  List.iter
+    (fun (c : Ast.channel) ->
+      if not (Hashtbl.mem bounds c.cname) then
+        Hashtbl.add bounds c.cname (c.bound, Abstract.Leaky_output c.cname))
+    program.channels;
   let same_bounds =
     List.equal
       (fun (c : Ast.channel) (d : Ast.channel) -> String.equal c.cname d.cname && Label.equal c.bound d.bound)
@@ -364,9 +365,11 @@ let check_main ~memo ~(program : Ast.program) ~summaries =
   memo.calls <- m.next;
   (* Sites are function-relative; a failing check is reported at its
      absolute line, rebased through the current program's headers. *)
-  let bases = first_decl (fun (f : Ast.func) -> f.fname) (fun f -> f.line) program.funcs in
   let finding { site = { fn; rel }; subject; label; bound; what } =
-    let line = if fn = "" then rel else rel + Option.value ~default:0 (Hashtbl.find_opt bases fn) in
+    let line =
+      if fn = "" then rel
+      else rel + match find_func fn with Some (f : Ast.func) -> f.line | None -> 0
+    in
     { Abstract.line; subject; label; bound; what }
   in
   (* Assertion failures, then output failures, each in emission order. *)
@@ -384,6 +387,10 @@ let analyze_compositional (program : Ast.program) =
   | Aliased -> Error "compositional analysis requires the safe dialect"
   | Safe ->
     let built = build program in
-    let r = check_main ~memo:(main_memo ()) ~program ~summaries:built.summaries in
+    let r =
+      check_main ~memo:(main_memo ()) ~program
+        ~find_func:(Hashtbl.find_opt (func_table program))
+        ~summaries:built.summaries
+    in
     (* [transfers] counts construction + the main pass. *)
     Ok { r with Abstract.transfers = built.transfers + r.Abstract.transfers }

@@ -60,12 +60,19 @@ val main_memo : unit -> main_memo
     call. *)
 
 val check_main :
-  memo:main_memo -> program:Ast.program -> summaries:(string, t) Hashtbl.t -> Abstract.report
+  memo:main_memo ->
+  program:Ast.program ->
+  find_func:(string -> Ast.func option) ->
+  summaries:(string, t) Hashtbl.t ->
+  Abstract.report
 (** The main-body pass alone: runs [main] symbolically against the
     given summary table and ground-checks every output and assertion
     against the channel bounds as it is emitted, its callees' included.
     A failing check's site is rebased to an absolute line against
-    [program]'s functions, so findings point into the current text.
+    [find_func name], which must return the first function of
+    [program] declared under [name] (as in
+    {!Ast.validate_incremental}: the caller supplies the table it
+    already holds), so findings point into the current text.
     The report's [transfers] covers only this pass. Channel bounds are
     read here and {e only} here — which is why {!Summary_cache} can
     leave them out of its fingerprints.

@@ -304,13 +304,12 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
     let decls_changed =
       match t.decls_fp with Some d -> d <> decls_fp | None -> true
     in
+    let find_func name =
+      match Hashtbl.find_opt slots name with Some s -> Some s.f | None -> None
+    in
     let validation =
       if decls_changed then Ast.validate program
-      else
-        Ast.validate_incremental program
-          ~find_func:(fun name ->
-            match Hashtbl.find_opt slots name with Some s -> Some s.f | None -> None)
-          ~dirty:(List.rev !body_dirty)
+      else Ast.validate_incremental program ~find_func ~dirty:(List.rev !body_dirty)
     in
     (match validation with
     | Error es -> Error (format_validation_errors es)
@@ -334,7 +333,7 @@ let reverify ?(sever_callee_fps = false) t (program : Ast.program) =
         (fun s ->
           match s.Ast.op with Ast.Call { func; _ } -> ensure_summary func | _ -> ())
         program.main;
-      let main_r = Summary.check_main ~memo:t.main_memo ~program ~summaries in
+      let main_r = Summary.check_main ~memo:t.main_memo ~program ~find_func ~summaries in
       let total_transfers = !transfers + main_r.Abstract.transfers in
       let own_disc =
         (* With no entry owning a violation there is nothing to

@@ -15,21 +15,11 @@ type t = {
 let snapshot t = Chkpt.Tele.record_snapshot t.tele (Chkpt.Incr.sync t.tracker)
 
 let persist t =
-  (* Dirty chunks must be read before the snapshot syncs them away; the
-     payloads persisted are the ones the sync just encoded. *)
-  let dirty = Chkpt.Incr.iarr_dirty_list t.tab in
-  snapshot t;
   match t.durable with
-  | None -> ()
+  | None -> snapshot t
   | Some d ->
-    let image = Chkpt.Incr.iarr_synced_chunks t.tab in
-    let gen =
-      match t.gen with
-      | None -> Chkpt.Durable.save d ~tag:t.tag ~chunks:image
-      | Some _ ->
-        Chkpt.Durable.save_delta d ~tag:t.tag
-          ~dirty:(List.map (fun c -> (c + 1, image.(c + 1))) dirty)
-    in
+    let stats, gen = Chkpt.Incr.iarr_persist t.tracker d ~tag:t.tag ~delta:(t.gen <> None) in
+    Chkpt.Tele.record_snapshot t.tele stats;
     t.persists <- t.persists + 1;
     t.gen <- Some gen
 
@@ -112,9 +102,7 @@ let rollbacks t = t.rollbacks
 let persists t = t.persists
 let generation t = t.gen
 
-let digest t =
-  let chunks = Chkpt.Incr.iarr_to_chunks t.tab in
-  Digest.to_hex (Digest.string (String.concat "" (Array.to_list chunks)))
+let digest t = Chkpt.Incr.iarr_digest t.tab
 
 let get t i = Chkpt.Incr.iarr_get t.tab i
 let buckets t = t.mask + 1

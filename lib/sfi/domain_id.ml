@@ -8,4 +8,3 @@ let fresh () = Atomic.fetch_and_add counter 1 + 1
 
 let equal = Int.equal
 let to_string t = if t = 0 then "kernel" else Printf.sprintf "pd%d" t
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -12,5 +12,4 @@ val fresh : unit -> t
 (** Next unused id. Process-global, thread-safe. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

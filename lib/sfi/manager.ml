@@ -1,7 +1,3 @@
-let src = Logs.Src.create "sfi.manager" ~doc:"SFI domain manager lifecycle events"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type stats = {
   domains_created : int;
   domains_destroyed : int;
@@ -80,36 +76,27 @@ let create_domain t ~name ?policy ?recovery () =
      [mark_failed] — reaches the manager's subscribers, which is what a
      supervisor needs to drive restart policies without polling. *)
   Pdomain.set_on_fail d (Some (fun d -> notify t (Domain_failed d)));
-  Log.info (fun m -> m "created domain %a (%s)" Domain_id.pp (Pdomain.id d) name);
   d
 
 let recover_body t d =
-    (match Pdomain.state d with
-    | Failed msg ->
-      Log.warn (fun m -> m "recovering %a after panic: %s" Domain_id.pp (Pdomain.id d) msg)
-    | Running | Destroyed ->
-      Log.info (fun m -> m "proactive recovery of %a" Domain_id.pp (Pdomain.id d)));
-    (* 1. Clear the reference table: every outstanding rref is revoked. *)
-    let revoked = Ref_table.clear (Pdomain.table d) in
-    t.slots_revoked <- t.slots_revoked + revoked;
-    (* 2. Release all memory the domain owned. *)
-    let freed = Heap.free_all_owned_by t.heap (Pdomain.id d) in
-    Log.debug (fun m ->
-        m "%a: revoked %d slot(s), freed %d allocation(s)" Domain_id.pp (Pdomain.id d) revoked
-          freed);
-    (* 3. Fresh descriptor state (the "create a new one" of §3: same
-       identity, new generation). *)
-    Cycles.Clock.charge t.clock Alloc;
-    Cycles.Clock.touch t.clock (Pdomain.state_addr d) ~bytes:64;
-    Pdomain.reset_after_recovery d;
-    t.recoveries <- t.recoveries + 1;
-    (* 4. User-provided re-initialisation, inside the fresh domain. *)
-    (match Pdomain.recovery d with
-    | None -> Ok ()
-    | Some init ->
-      (match Pdomain.execute d (fun () -> init d) with
-      | Ok () -> Ok ()
-      | Error e -> Error (Sfi_error.to_string e)))
+  (* 1. Clear the reference table: every outstanding rref is revoked. *)
+  let revoked = Ref_table.clear (Pdomain.table d) in
+  t.slots_revoked <- t.slots_revoked + revoked;
+  (* 2. Release all memory the domain owned. *)
+  ignore (Heap.free_all_owned_by t.heap (Pdomain.id d));
+  (* 3. Fresh descriptor state (the "create a new one" of §3: same
+     identity, new generation). *)
+  Cycles.Clock.charge t.clock Alloc;
+  Cycles.Clock.touch t.clock (Pdomain.state_addr d) ~bytes:64;
+  Pdomain.reset_after_recovery d;
+  t.recoveries <- t.recoveries + 1;
+  (* 4. User-provided re-initialisation, inside the fresh domain. *)
+  (match Pdomain.recovery d with
+  | None -> Ok ()
+  | Some init ->
+    (match Pdomain.execute d (fun () -> init d) with
+    | Ok () -> Ok ()
+    | Error e -> Error (Sfi_error.to_string e)))
 
 let recover t d =
   match Pdomain.state d with
@@ -133,8 +120,7 @@ let destroy t d =
     ignore (Heap.free_all_owned_by t.heap (Pdomain.id d));
     Pdomain.mark_destroyed d;
     t.domains_destroyed <- t.domains_destroyed + 1;
-    notify t (Domain_destroyed d);
-    Log.info (fun m -> m "destroyed domain %a" Domain_id.pp (Pdomain.id d))
+    notify t (Domain_destroyed d)
 
 let stats t =
   {

@@ -32,15 +32,14 @@ let expect_error args stderr =
   Alcotest.(check string) ("stdout of repro " ^ cmd) "" out;
   Alcotest.(check string) ("stderr of repro " ^ cmd) (stderr ^ "\n") err
 
-let det_entries = List.filter_map (fun (e : R.entry) -> Option.map (fun d -> (e, d)) e.det) R.all
+let det_entries = List.map (fun (e : R.entry) -> (e, e.det)) R.all
 
 let test_unknown_ids () =
   (* run, stats and check share one resolver. *)
   List.iter
     (fun cmd -> expect_error [ cmd; "bogus-id" ] "unknown experiment(s): bogus-id")
     [ "run"; "stats"; "check" ];
-  expect_error [ "stats"; "fig2"; "nope"; "bogus-id" ] "unknown experiment(s): nope, bogus-id";
-  expect_error [ "check"; "recovery" ] "repro check: recovery has no deterministic surface"
+  expect_error [ "stats"; "fig2"; "nope"; "bogus-id" ] "unknown experiment(s): nope, bogus-id"
 
 let test_bad_shards () =
   List.iter
@@ -58,9 +57,7 @@ let test_bad_requests () =
   expect_error
     [ "scale"; "--stats-only"; "--cell"; "bogus" ]
     "repro scale: unknown cell bogus (cells: direct, isolated)";
-  expect_error [ "scale"; "--shards"; "2" ] "repro scale: --shards and --cell need --stats-only";
-  expect_error [ "recovery"; "--stats-only" ]
-    "repro recovery: no deterministic surface (--stats-only)"
+  expect_error [ "scale"; "--shards"; "2" ] "repro scale: --shards and --cell need --stats-only"
 
 (* recover reads test/corpus from the working directory; started
    anywhere else it must fail, not print a corpus block that differs
@@ -74,7 +71,7 @@ let test_recover_needs_corpus () =
     "repro: corpus directory test/corpus not found (run from the repository root)\n" err
 
 let test_table_well_formed () =
-  Alcotest.(check int) "experiments with a deterministic surface" 10 (List.length det_entries);
+  Alcotest.(check int) "experiments with a deterministic surface" 18 (List.length det_entries);
   List.iter
     (fun ((e : R.entry), (d : R.det)) ->
       let names = List.map fst d.cells in
@@ -90,8 +87,37 @@ let test_table_well_formed () =
       List.iter (fun re -> ignore (Str.regexp re)) (d.require @ d.forbid))
     det_entries
 
+(* The experiments that print only virtual-clock output have one
+   configuration: the full run and [--quick] both print the golden
+   ([repro check] diffs [--stats-only] against it). *)
+let virtual_clock_ids =
+  [
+    "fig2"; "pipeline-length"; "recovery"; "sfi-baselines"; "ifc-matrix"; "ifc-store";
+    "ifc-scaling"; "fig3"; "ckpt-cost"; "rollback"; "fusion"; "ablations";
+  ]
+
+let test_one_configuration () =
+  List.iter
+    (fun id ->
+      let golden =
+        match R.find id with
+        | Some { det = { golden = Some g; _ }; _ } -> g
+        | _ -> Alcotest.failf "%s: no golden" id
+      in
+      let expected =
+        In_channel.with_open_bin (Data.path (Filename.concat ".." golden)) In_channel.input_all
+      in
+      List.iter
+        (fun args ->
+          let code, out, err = run (id :: args) in
+          let cmd = String.concat " " ("repro" :: id :: args) in
+          Alcotest.(check int) (Printf.sprintf "exit code of %s:\n%s" cmd err) 0 code;
+          Alcotest.(check string) (cmd ^ " = " ^ golden) expected out)
+        [ []; [ "--quick" ] ])
+    virtual_clock_ids
+
 (* [repro check] against a scratch copy of the goldens: clean copies
-   pass, one changed golden line fails the golden step (and only it). *)
+   pass, a changed golden line fails that golden's step (and only it). *)
 let test_check_goldens () =
   let dir = Filename.temp_dir "repro-check" "" in
   let golden = Filename.concat dir "test/golden" in
@@ -106,19 +132,24 @@ let test_check_goldens () =
       List.iter (fun f -> Sys.remove (Filename.concat golden f)) (Array.to_list (Sys.readdir golden));
       List.iter Sys.rmdir [ golden; Filename.concat dir "test"; dir ])
   @@ fun () ->
-  copy "ckpt_incr_stats.txt";
-  copy "reverify_stats.txt";
-  let code, out, _ = run ~cwd:dir [ "check"; "ckpt-incr"; "reverify" ] in
+  let ids = [ "check"; "ckpt-incr"; "reverify"; "recovery" ] in
+  List.iter copy [ "ckpt_incr_stats.txt"; "reverify_stats.txt"; "recovery_stats.txt" ];
+  let code, out, _ = run ~cwd:dir ids in
   Alcotest.(check int) ("clean goldens pass:\n" ^ out) 0 code;
-  copy "reverify_stats.txt" ~edit:(fun t -> "planted line\n" ^ t);
-  let code, out, _ = run ~cwd:dir [ "check"; "ckpt-incr"; "reverify" ] in
+  List.iter
+    (copy ~edit:(fun t -> "planted line\n" ^ t))
+    [ "reverify_stats.txt"; "recovery_stats.txt" ];
+  let code, out, _ = run ~cwd:dir ids in
   Alcotest.(check int) "a changed golden line fails" 1 code;
   let fails =
     List.filter (String.starts_with ~prefix:"FAIL") (String.split_on_char '\n' out)
   in
   Alcotest.(check (list string))
     "failed steps"
-    [ "FAIL  reverify/stats: golden test/golden/reverify_stats.txt" ]
+    [
+      "FAIL  reverify/stats: golden test/golden/reverify_stats.txt";
+      "FAIL  recovery/stats: golden test/golden/recovery_stats.txt";
+    ]
     fails
 
 (* Every example runs to completion: they drive the public API end to
@@ -149,6 +180,8 @@ let () =
           Alcotest.test_case "deterministic surfaces are well-formed" `Quick
             test_table_well_formed;
           Alcotest.test_case "check fails on a changed golden line" `Quick test_check_goldens;
+          Alcotest.test_case "virtual-clock experiments print their golden, --quick or not"
+            `Quick test_one_configuration;
         ] );
       ("examples", [ Alcotest.test_case "every example exits 0" `Quick test_examples_exit_0 ]);
     ]

@@ -5,42 +5,46 @@
 
 open Experiments
 
+let fig2_at rows batch =
+  match List.find_opt (fun r -> r.Fig2.batch = batch) rows with
+  | Some r -> r
+  | None -> Alcotest.failf "no fig2 row at batch %d" batch
+
 let test_fig2_shape () =
-  let rows = Fig2.run ~batches:[ 1; 32; 256 ] ~warmup:10 ~trials:30 () in
-  match rows with
-  | [ b1; b32; b256 ] ->
-    (* ~90 cycles per protected call at batch 1. *)
-    Alcotest.(check bool)
-      (Printf.sprintf "batch-1 overhead %.0f in [60,130]" b1.Fig2.overhead_per_call)
-      true
-      (b1.Fig2.overhead_per_call >= 60. && b1.Fig2.overhead_per_call <= 130.);
-    (* Overhead grows with batch size (cache pressure), mildly. *)
-    Alcotest.(check bool) "grows with batch" true
-      (b256.Fig2.overhead_per_call >= b1.Fig2.overhead_per_call);
-    Alcotest.(check bool) "grows < 2x" true
-      (b256.Fig2.overhead_per_call <= 2. *. b1.Fig2.overhead_per_call);
-    (* "Roughly the cost of 2 or 3 L3 cache accesses". *)
-    Alcotest.(check bool)
-      (Printf.sprintf "%.2f L3 equivalents in [1.5, 3.5]" b1.Fig2.l3_equivalents)
-      true
-      (b1.Fig2.l3_equivalents >= 1.5 && b1.Fig2.l3_equivalents <= 3.5);
-    (* Negligible vs Maglev for large batches; not negligible at 1. *)
-    Alcotest.(check bool) "under 1% at 256" true (b256.Fig2.overhead_vs_maglev < 0.01);
-    Alcotest.(check bool) "under 2% at 32" true (b32.Fig2.overhead_vs_maglev < 0.02);
-    Alcotest.(check bool) "material at batch 1" true (b1.Fig2.overhead_vs_maglev > 0.05);
-    (* Maglev batch cost grows with batch size. *)
-    Alcotest.(check bool) "maglev cost grows" true
-      (b256.Fig2.maglev_cycles > 10. *. b1.Fig2.maglev_cycles)
-  | _ -> Alcotest.fail "expected 3 rows"
+  let rows = Fig2.run () in
+  Alcotest.(check int) "9 rows" 9 (List.length rows);
+  let b1 = fig2_at rows 1 and b32 = fig2_at rows 32 and b256 = fig2_at rows 256 in
+  (* ~90 cycles per protected call at batch 1. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "batch-1 overhead %.0f in [60,130]" b1.Fig2.overhead_per_call)
+    true
+    (b1.Fig2.overhead_per_call >= 60. && b1.Fig2.overhead_per_call <= 130.);
+  (* Overhead grows with batch size (cache pressure), mildly. *)
+  Alcotest.(check bool) "grows with batch" true
+    (b256.Fig2.overhead_per_call >= b1.Fig2.overhead_per_call);
+  Alcotest.(check bool) "grows < 2x" true
+    (b256.Fig2.overhead_per_call <= 2. *. b1.Fig2.overhead_per_call);
+  (* "Roughly the cost of 2 or 3 L3 cache accesses". *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f L3 equivalents in [1.5, 3.5]" b1.Fig2.l3_equivalents)
+    true
+    (b1.Fig2.l3_equivalents >= 1.5 && b1.Fig2.l3_equivalents <= 3.5);
+  (* Negligible vs Maglev for large batches; not negligible at 1. *)
+  Alcotest.(check bool) "under 1% at 256" true (b256.Fig2.overhead_vs_maglev < 0.01);
+  Alcotest.(check bool) "under 2% at 32" true (b32.Fig2.overhead_vs_maglev < 0.02);
+  Alcotest.(check bool) "material at batch 1" true (b1.Fig2.overhead_vs_maglev > 0.05);
+  (* Maglev batch cost grows with batch size. *)
+  Alcotest.(check bool) "maglev cost grows" true
+    (b256.Fig2.maglev_cycles > 10. *. b1.Fig2.maglev_cycles)
 
 let test_pipeline_length_independence () =
-  let rows = Pipeline_length.run ~lengths:[ 1; 4; 16 ] ~trials:30 () in
-  Alcotest.(check int) "3 rows" 3 (List.length rows);
+  let rows = Pipeline_length.run () in
+  Alcotest.(check int) "5 rows" 5 (List.length rows);
   let dev = Pipeline_length.max_deviation rows in
   Alcotest.(check bool) (Printf.sprintf "deviation %.3f < 0.10" dev) true (dev < 0.10)
 
 let test_recovery_shape () =
-  let r = Recovery.run ~trials:100 () in
+  let r = Recovery.run () in
   (* Same order of magnitude as the paper's 4389 cycles. *)
   Alcotest.(check bool)
     (Printf.sprintf "total %.0f in [2000, 9000]" r.Recovery.total_mean)
@@ -51,7 +55,7 @@ let test_recovery_shape () =
     (Cycles.Stats.mean r.Recovery.catch_cycles > Cycles.Stats.mean r.Recovery.recover_cycles)
 
 let test_sfi_baselines_shape () =
-  match Sfi_baselines.run ~trials:30 () with
+  match Sfi_baselines.run () with
   | [ direct; isolated; copying; tagged ] ->
     Alcotest.(check (float 0.)) "direct is the baseline" 0. direct.Sfi_baselines.overhead_vs_direct;
     (* Linear SFI: negligible overhead. *)
@@ -130,7 +134,7 @@ let test_ifc_store_shape () =
   | _ -> Alcotest.fail "expected 2 copy rows"
 
 let test_ifc_scaling_shape () =
-  let rows = Ifc_scaling.run ~client_counts:[ 4; 16 ] () in
+  let rows = Ifc_scaling.run () in
   List.iter
     (fun r ->
       Alcotest.(check bool)
@@ -142,17 +146,21 @@ let test_ifc_scaling_shape () =
         (r.Ifc_scaling.andersen_transfers > r.Ifc_scaling.exact_transfers))
     rows;
   (* Compositional advantage widens with program size. *)
-  match rows with
-  | [ small; large ] ->
-    let ratio r =
-      float_of_int r.Ifc_scaling.exact_transfers
-      /. float_of_int r.Ifc_scaling.compositional_transfers
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "advantage grows (%.2f -> %.2f)" (ratio small) (ratio large))
-      true
-      (ratio large >= ratio small)
-  | _ -> Alcotest.fail "expected 2 rows"
+  let ratio r =
+    float_of_int r.Ifc_scaling.exact_transfers
+    /. float_of_int r.Ifc_scaling.compositional_transfers
+  in
+  let rec widens = function
+    | small :: (large :: _ as rest) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "advantage grows (%.2f -> %.2f)" (ratio small) (ratio large))
+        true
+        (ratio large >= ratio small);
+      widens rest
+    | _ -> ()
+  in
+  Alcotest.(check int) "5 rows" 5 (List.length rows);
+  widens rows
 
 let test_fig3_shape () =
   match Fig3.run () with
@@ -172,7 +180,7 @@ let test_fig3_shape () =
   | _ -> Alcotest.fail "expected 3 rows"
 
 let test_ckpt_cost_shape () =
-  let rows = Ckpt_cost.run ~sizes:[ (100, 2); (100, 4) ] () in
+  let rows = Ckpt_cost.run () in
   List.iter
     (fun r ->
       Alcotest.(check int) "dedup copies = rules" r.Ckpt_cost.rules r.Ckpt_cost.dedup_copies;
@@ -186,20 +194,23 @@ let test_ckpt_cost_shape () =
     rows
 
 let test_rollback_shape () =
-  let rows = Rollback.run ~intervals:[ 1; 64 ] ~inputs:517 () in
-  match rows with
-  | [ tight; loose ] ->
-    Alcotest.(check bool) "every recovery exact" true
-      (tight.Rollback.recovered_exact && loose.Rollback.recovered_exact);
-    Alcotest.(check bool) "steady-state cost falls with interval" true
-      (loose.Rollback.ckpt_nodes_per_input < tight.Rollback.ckpt_nodes_per_input);
-    Alcotest.(check bool) "replay grows with interval" true
-      (loose.Rollback.replayed_on_crash > tight.Rollback.replayed_on_crash);
-    Alcotest.(check int) "interval 1 never replays" 0 tight.Rollback.replayed_on_crash
-  | _ -> Alcotest.fail "expected 2 rows"
+  let rows = Rollback.run () in
+  let at interval =
+    match List.find_opt (fun r -> r.Rollback.interval = interval) rows with
+    | Some r -> r
+    | None -> Alcotest.failf "no rollback row at interval %d" interval
+  in
+  let tight = at 1 and loose = at 64 in
+  Alcotest.(check bool) "every recovery exact" true
+    (List.for_all (fun r -> r.Rollback.recovered_exact) rows);
+  Alcotest.(check bool) "steady-state cost falls with interval" true
+    (loose.Rollback.ckpt_nodes_per_input < tight.Rollback.ckpt_nodes_per_input);
+  Alcotest.(check bool) "replay grows with interval" true
+    (loose.Rollback.replayed_on_crash > tight.Rollback.replayed_on_crash);
+  Alcotest.(check int) "interval 1 never replays" 0 tight.Rollback.replayed_on_crash
 
 let test_ablations_shape () =
-  let r = Ablations.run ~trials:100 () in
+  let r = Ablations.run () in
   (match r.Ablations.pin with
   | [ full; pinned ] ->
     Alcotest.(check bool) "pinning is cheaper" true
@@ -232,12 +243,8 @@ let test_ablations_shape () =
    crossings' share: TLS lookup 12, atomic upgrade 40, indirect call
    18 cycles. *)
 let test_ablation_matches_fig2 () =
-  let e1 =
-    match Fig2.run ~batches:[ 1 ] () with
-    | [ r ] -> r.Fig2.overhead_per_call
-    | _ -> Alcotest.fail "expected one fig2 row"
-  in
-  let a2 = (Ablations.run ~trials:100 ()).Ablations.attribution in
+  let e1 = (fig2_at (Fig2.run ()) 1).Fig2.overhead_per_call in
+  let a2 = (Ablations.run ()).Ablations.attribution in
   let row name =
     match List.find_opt (fun a -> a.Ablations.zeroed = name) a2 with
     | Some a -> a

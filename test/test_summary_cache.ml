@@ -392,8 +392,11 @@ let check_main_pass ~memo ~stable p (cold : Ifc.Verifier.report) =
         Hashtbl.replace summaries sm.fname sm)
       sums
   | Error e -> QCheck.Test.fail_reportf "summarize failed: %s" e);
-  let warm = Ifc.Summary.check_main ~memo ~program:p ~summaries in
-  let fresh = Ifc.Summary.check_main ~memo:(Ifc.Summary.main_memo ()) ~program:p ~summaries in
+  let find_func = Ifc.Ast.find_func p in
+  let warm = Ifc.Summary.check_main ~memo ~program:p ~find_func ~summaries in
+  let fresh =
+    Ifc.Summary.check_main ~memo:(Ifc.Summary.main_memo ()) ~program:p ~find_func ~summaries
+  in
   if warm.transfers <> fresh.transfers then
     QCheck.Test.fail_reportf "main pass: %d transfers through the memo, %d without" warm.transfers
       fresh.transfers;

@@ -250,32 +250,34 @@ let test_render_empty () =
 (* Cross-checks against the experiments                                *)
 (* ------------------------------------------------------------------ *)
 
-(* E1 / fig2 at batch 32: the pipeline arithmetic must tie out against
-   the telemetry exactly. Three identically-seeded environments run
-   per batch size (direct, isolated, maglev), b = warmup + trials
-   batches each. *)
+(* E1 / fig2: the pipeline arithmetic must tie out against the
+   telemetry exactly. Three identically-seeded environments run per
+   batch size (direct, isolated, maglev), b = 20 warm-up + 100
+   measured batches each; [n] batch sizes, [p] packets per batch
+   summed over them. *)
 let test_fig2_cross_check () =
   let reg = fresh () in
-  let warmup = 5 and trials = 10 and batch = 32 in
-  let b = warmup + trials in
-  let rows = Experiments.Fig2.run ~batches:[ batch ] ~warmup ~trials ~telemetry:reg () in
-  Alcotest.(check int) "one row" 1 (List.length rows);
+  let b = 20 + 100 in
+  let rows = Experiments.Fig2.run ~telemetry:reg () in
+  Alcotest.(check int) "nine rows" 9 (List.length rows);
+  let n = List.length rows in
+  let p = List.fold_left (fun acc (r : Experiments.Fig2.row) -> acc + r.batch) 0 rows in
   (* Only the isolated env dispatches through rrefs: 5 null stages x b
-     batches. *)
-  Alcotest.(check int) "sfi.null.invocations = 5b"
-    (5 * b)
+     batches per size. *)
+  Alcotest.(check int) "sfi.null.invocations = 5bn"
+    (5 * b * n)
     (Counter.value (Registry.counter reg "sfi.null.invocations"));
-  (* All three envs feed b batches of 32 packets to their pipelines. *)
-  Alcotest.(check int) "packets_in = 3*b*32"
-    (3 * b * batch)
+  (* All three envs feed b batches of each size to their pipelines. *)
+  Alcotest.(check int) "packets_in = 3bp"
+    (3 * b * p)
     (Counter.value (Registry.counter reg "netstack.pipeline.packets_in"));
-  Alcotest.(check int) "nic rx = 3*b*32"
-    (3 * b * batch)
+  Alcotest.(check int) "nic rx = 3bp"
+    (3 * b * p)
     (Counter.value (Registry.counter reg "netstack.nic.rx_packets"));
   (* The null stage runs 5x per batch in the direct env and 5x in the
      isolated env; the maglev env has no null stage. *)
-  Alcotest.(check int) "null processed = 10*b*32"
-    (10 * b * batch)
+  Alcotest.(check int) "null processed = 10bp"
+    (10 * b * p)
     (Counter.value (Registry.counter reg "netstack.stage.null.processed"));
   (* Crafted packets have valid checksums and ttl 64; nothing drops. *)
   Alcotest.(check int) "no stage drops" 0
@@ -283,15 +285,15 @@ let test_fig2_cross_check () =
   Alcotest.(check int) "no failed batches" 0
     (Counter.value (Registry.counter reg "netstack.pipeline.failed_batches"));
   (* One batch-latency sample per processed batch across the 3 envs. *)
-  Alcotest.(check int) "batch_cycles samples = 3b"
-    (3 * b)
+  Alcotest.(check int) "batch_cycles samples = 3bn"
+    (3 * b * n)
     (Histogram.count (Registry.histogram reg "netstack.pipeline.batch_cycles"))
 
 (* E3: every trial panics the filter once and recovers it once. *)
 let test_recovery_cross_check () =
   let reg = fresh () in
-  let trials = 50 in
-  let r = Experiments.Recovery.run ~trials ~batch:8 ~telemetry:reg () in
+  let trials = 1000 in
+  let r = Experiments.Recovery.run ~telemetry:reg () in
   Alcotest.(check int) "result trials" trials r.Experiments.Recovery.trials;
   Alcotest.(check int) "recovery span count = trials" trials
     (Histogram.count (Registry.histogram reg "sfi.recovery_cycles"));
@@ -308,7 +310,7 @@ let test_recovery_cross_check () =
 let test_render_deterministic () =
   let run () =
     let reg = fresh () in
-    ignore (Experiments.Fig2.run ~batches:[ 8 ] ~warmup:2 ~trials:5 ~telemetry:reg ());
+    ignore (Experiments.Fig2.run ~telemetry:reg ());
     Render.to_string ~title:"fig2" reg
   in
   let a = run () and b = run () in
@@ -364,7 +366,7 @@ let test_multicore_no_lost_events () =
 (* ------------------------------------------------------------------ *)
 
 let test_telemetry_overhead_bounded () =
-  let rows = Experiments.Ablations.telemetry_overhead ~events:1_000 () in
+  let rows = Experiments.Ablations.telemetry_overhead () in
   Alcotest.(check int) "four rows" 4 (List.length rows);
   List.iter
     (fun (r : Experiments.Ablations.tele_row) ->
