@@ -31,10 +31,10 @@ stats:
 	dune exec bin/repro.exe -- stats fig2 recovery rollback
 
 # Every experiment's determinism claims, derived from the experiment
-# table (Experiments.Registry): each cell replayed and diffed across
-# its shard counts, the committed golden, and the lines that must or
-# must not appear. CI runs the same command.
-#   make determinism               # every experiment with such a surface
+# table (Experiments.Registry): its deterministic printer replayed and
+# diffed across its shard counts, the committed golden, and the lines
+# that must or must not appear. CI and test_cli run the same command.
+#   make determinism               # all 18 experiments
 #   make determinism TARGET=scale  # one (or several, space-separated)
 determinism:
 	dune exec bin/repro.exe -- check $(TARGET)

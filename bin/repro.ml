@@ -1,9 +1,10 @@
 (* The `repro` command-line tool: run any of the paper's experiments by
    id. `repro list` enumerates them; `repro run fig2 fig3` reproduces
-   Figure 2 and Figure 3; `repro run --quick` runs everything fast;
-   `repro <id> --stats-only` prints an experiment's deterministic
-   output; `repro check` runs every determinism check. All of it is
-   derived from the one table in Experiments.Registry. *)
+   Figure 2 and Figure 3; `repro <id>` prints one experiment's golden
+   and then its wall-clock section, if it has one; `repro <id>
+   --stats-only` prints the golden part alone; `repro check` runs every
+   determinism check. All of it is derived from the one table in
+   Experiments.Registry. *)
 
 open Cmdliner
 module R = Experiments.Registry
@@ -23,12 +24,11 @@ let ids =
   let doc = "Experiment ids (see $(b,repro list)); all when omitted." in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
-let quick =
-  let doc =
-    "Shorter sweeps for the sharded and wall-clock experiments (E14-E17, E19, E21); every \
-     other experiment has one configuration and ignores it."
-  in
-  Arg.(value & flag & info [ "quick" ] ~doc)
+(* An experiment's one configuration: its deterministic printer at one
+   shard (the golden), then its wall-clock section. *)
+let run_entry (e : R.entry) =
+  e.det.print ~shards:1;
+  Option.iter (fun wall -> print_newline (); wall ()) e.wall
 
 let list_cmd =
   let doc = "List the available experiments (one per paper table/figure)." in
@@ -39,28 +39,28 @@ let list_cmd =
 
 let run_cmd =
   let doc = "Run experiments (all of them when none is named)." in
-  let run quick ids =
+  let run ids =
     List.iter
       (fun (e : R.entry) ->
         Printf.printf "==== %s: %s ====\n" e.id e.description;
         (* Each experiment gets a clean slate in the global registry,
            so the table below is attributable to it alone. *)
         Telemetry.Registry.reset Telemetry.Registry.global;
-        e.run ~quick;
+        run_entry e;
         print_newline ();
         Telemetry.Render.print ~title:(e.id ^ " telemetry") Telemetry.Registry.global;
         print_newline ())
       (resolve ids)
   in
-  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ quick $ ids)
+  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ ids)
 
 let stats_cmd =
   let doc =
-    "Run experiments quickly and print only their telemetry tables — the registry snapshot \
-     (counters, gauges, histogram quantiles) each experiment records."
+    "Run experiments' deterministic printers and print only their telemetry tables — the \
+     registry snapshot (counters, gauges, histogram quantiles) each experiment records."
   in
-  (* Run each experiment quickly with its own tables silenced — only
-     the telemetry snapshot is wanted here. *)
+  (* Run each deterministic printer with its own tables silenced —
+     only the telemetry snapshot is wanted here. *)
   let silently f =
     let devnull = open_out (if Sys.win32 then "NUL" else "/dev/null") in
     let saved = Unix.dup Unix.stdout in
@@ -78,7 +78,7 @@ let stats_cmd =
     List.iter
       (fun (e : R.entry) ->
         Telemetry.Registry.reset Telemetry.Registry.global;
-        silently (fun () -> e.run ~quick:true);
+        silently (fun () -> e.det.print ~shards:1);
         Telemetry.Render.print ~title:(e.id ^ " telemetry") Telemetry.Registry.global;
         print_newline ())
       (resolve ids)
@@ -99,16 +99,12 @@ let experiment_cmd (e : R.entry) =
     let doc = "With $(b,--stats-only): the shard (domain) counts to run in turn (default 1)." in
     Arg.(value & opt (some (list int)) None & info [ "shards" ] ~docv:"N,N,..." ~doc)
   in
-  let cell =
-    let doc = "With $(b,--stats-only): the cell to print (default: the entry's first)." in
-    Arg.(value & opt (some string) None & info [ "cell" ] ~docv:"CELL" ~doc)
-  in
   (* Bad requests are clean CLI errors, not engine exceptions. *)
-  let run quick stats_only shards cell =
-    match stats_only with
-    | false when shards = None && cell = None -> e.run ~quick
-    | false -> fail "repro %s: --shards and --cell need --stats-only" e.id
-    | true ->
+  let run stats_only shards =
+    match (stats_only, shards) with
+    | false, None -> run_entry e
+    | false, Some _ -> fail "repro %s: --shards needs --stats-only" e.id
+    | true, shards ->
       let d = e.det in
       let shards = Option.value shards ~default:[ 1 ] in
       List.iter
@@ -117,18 +113,9 @@ let experiment_cmd (e : R.entry) =
             fail "repro %s: invalid shard count %d (need 1 <= shards <= queues = %d)" e.id n
               d.queues)
         shards;
-      let print =
-        match cell with
-        | None -> snd (List.hd d.cells)
-        | Some c -> (
-          try List.assoc c d.cells
-          with Not_found ->
-            fail "repro %s: unknown cell %s (cells: %s)" e.id c
-              (String.concat ", " (List.map fst d.cells)))
-      in
-      List.iter (fun n -> print ~shards:n) shards
+      List.iter (fun n -> d.print ~shards:n) shards
   in
-  Cmd.v (Cmd.info e.id ~doc:e.description) Term.(const run $ quick $ stats_only $ shards $ cell)
+  Cmd.v (Cmd.info e.id ~doc:e.description) Term.(const run $ stats_only $ shards)
 
 (* --- repro check -------------------------------------------------------- *)
 
@@ -151,9 +138,9 @@ let grep re out =
 let check_cmd =
   let doc =
     "Run every determinism check of the named experiments (all of them when none is named), \
-     from the repository root: each cell at each of its shard counts, diffed against the \
-     first; a replay; the golden; the lines that must or must not appear. Every run is a \
-     child process. Exits 1 if any step fails."
+     from the repository root: the deterministic printer at each of its shard counts, \
+     diffed against the first; a replay; the golden; the lines that must or must not \
+     appear. Every run is a child process. Exits 1 if any step fails."
   in
   let steps = ref 0 and failed = ref 0 in
   let step label problem =
@@ -165,18 +152,18 @@ let check_cmd =
       Printf.printf "FAIL  %s\n    %s\n%!" label p
   in
   (* One [--stats-only] run in a child process, so runs share no state. *)
-  let capture (e : R.entry) cell n =
+  let capture (e : R.entry) n =
     let exe = Sys.executable_name in
-    let args = [| exe; e.id; "--stats-only"; "--cell"; cell; "--shards"; string_of_int n |] in
+    let args = [| exe; e.id; "--stats-only"; "--shards"; string_of_int n |] in
     let ic = Unix.open_process_args_in exe args in
     let out = In_channel.input_all ic in
     if Unix.close_process_in ic = Unix.WEXITED 0 then Ok out
     else Error (String.concat " " (Array.to_list args) ^ " failed")
   in
-  let check_cell (e : R.entry) (d : R.det) i (cell, _) =
-    let name = e.id ^ "/" ^ cell and n0 = List.hd d.shards in
-    let step label = step (name ^ ": " ^ label) in
-    match capture e cell n0 with
+  let check_entry (e : R.entry) =
+    let d = e.det and n0 = List.hd e.det.shards in
+    let step label = step (e.id ^ ": " ^ label) in
+    match capture e n0 with
     | Error msg -> step "run" (Some msg)
     | Ok base ->
       let same label expected got =
@@ -185,16 +172,13 @@ let check_cmd =
           | Ok x, Ok y -> first_diff x y
           | Error m, _ | _, Error m -> Some m)
       in
-      if d.replay then same "replay" (Ok base) (capture e cell n0);
+      if d.replay then same "replay" (Ok base) (capture e n0);
       List.iter
-        (fun n -> same (Printf.sprintf "%d shards = %d" n n0) (Ok base) (capture e cell n))
+        (fun n -> same (Printf.sprintf "%d shards = %d" n n0) (Ok base) (capture e n))
         (List.tl d.shards);
-      if i = 0 then
-        Option.iter
-          (fun g ->
-            let read () = In_channel.with_open_bin g In_channel.input_all in
-            same ("golden " ^ g) (try Ok (read ()) with Sys_error m -> Error m) (Ok base))
-          d.golden;
+      let g = R.golden e.id in
+      let read () = In_channel.with_open_bin g In_channel.input_all in
+      same ("golden " ^ g) (try Ok (read ()) with Sys_error m -> Error m) (Ok base);
       List.iter
         (fun re ->
           step ("some line matches /" ^ re ^ "/")
@@ -207,7 +191,7 @@ let check_cmd =
         d.forbid
   in
   let run ids =
-    List.iter (fun (e : R.entry) -> List.iteri (check_cell e e.det) e.det.cells) (resolve ids);
+    List.iter check_entry (resolve ids);
     Printf.printf "check: %d step(s), %d failed\n" !steps !failed;
     if !failed > 0 then exit 1
   in

@@ -55,7 +55,8 @@ type det_result = {
   d_fused : det_run;
 }
 
-let run_stats ?(rounds = default_rounds) () =
+let run_stats () =
+  let rounds = default_rounds in
   let batch_size = default_batch_size in
   {
     d_rounds = rounds;

@@ -11,8 +11,8 @@
 
 type det_result
 
-val run_stats : ?rounds:int -> unit -> det_result
-(** Defaults: 200 rounds of 32 packets, each arm in a fresh
+val run_stats : unit -> det_result
+(** 200 rounds of 32 packets, each arm in a fresh
     environment. *)
 
 val print_stats : det_result -> unit

@@ -17,9 +17,7 @@
 let vip = 0xC0A80001
 let backends = Array.init 8 (fun i -> Printf.sprintf "backend-%d" i)
 
-let default_flows = 1_000_000
 let exponent = 1.2
-let default_capacity = 131_072
 let default_rule_pad = 120
 let default_rule_drops = 8
 
@@ -127,10 +125,10 @@ type stats_pair = {
   sp_uncached : Netstack.Shard.result;
 }
 
-let run_stats_pair ?queues ?rounds ~shards () =
+let run_stats_pair ~shards =
   {
-    sp_cached = run_stats ?queues ?rounds ~cached:true ~shards ();
-    sp_uncached = run_stats ?queues ?rounds ~cached:false ~shards ();
+    sp_cached = run_stats ~cached:true ~shards ();
+    sp_uncached = run_stats ~cached:false ~shards ();
   }
 
 let ledger_match p =
@@ -244,8 +242,9 @@ let run_wall_variant ~plan ~seed ~capacity ~batch_size ~warmup ~batches ~rule_pa
     wv_hit_rate = hit_rate;
   }
 
-let run_wall ?(flows = default_flows) ?(capacity = default_capacity) ?(batch_size = 64)
-    ?(warmup = 1_000) ?(batches = 12_000) ?(rule_pad = wall_rule_pad) ?(seed = 2017L) () =
+let run_wall () =
+  let flows = 1_000_000 and capacity = 131_072 and batch_size = 64 in
+  let warmup = 1_000 and batches = 12_000 and rule_pad = wall_rule_pad and seed = 2017L in
   let plan = Netstack.Traffic.plan (Netstack.Traffic.Zipf { flows; exponent }) in
   let gen_packets, gen_wall = run_generator ~plan ~seed ~batch_size ~warmup ~batches in
   let gen_mpps = float_of_int gen_packets /. gen_wall /. 1e6 in
@@ -314,26 +313,3 @@ let print_wall w =
     \  backs it out). Target: >= 5x pipeline speedup at >= 90%% hit rate — %s\n"
     w.w_gen_mpps
     (if w.w_pipe_speedup >= 5.0 && w.w_cached.wv_hit_rate >= 0.9 then "met" else "MISSED")
-
-(* --- Combined entry point (repro registry) ----------------------------- *)
-
-type result = {
-  stats : stats_pair;
-  wall : wall_result;
-}
-
-let run ~quick () =
-  let stats =
-    if quick then run_stats_pair ~rounds:150 ~shards:1 ()
-    else run_stats_pair ~shards:1 ()
-  in
-  let wall =
-    if quick then run_wall ~flows:200_000 ~capacity:65_536 ~warmup:300 ~batches:2_500 ()
-    else run_wall ()
-  in
-  { stats; wall }
-
-let print r =
-  print_stats_pair r.stats;
-  print_newline ();
-  print_wall r.wall

@@ -23,12 +23,7 @@ type stats_pair = {
   sp_uncached : Netstack.Shard.result;
 }
 
-val run_stats_pair :
-  ?queues:int ->
-  ?rounds:int ->
-  shards:int ->
-  unit ->
-  stats_pair
+val run_stats_pair : shards:int -> stats_pair
 
 val print_stats_pair : stats_pair -> unit
 
@@ -56,15 +51,12 @@ type wall_result = {
   w_pipe_speedup : float; (** Pipeline-only Mpps ratio — the headline. *)
 }
 
-(** {2 Combined entry point} *)
+val run_wall : unit -> wall_result
+(** A single queue over a million-flow Zipf mix (s = 1.2), 131 072
+    cache entries, batch 64, 768 rules: 1000 warm-up batches, then
+    12 000 timed batches per variant. *)
 
-type result = {
-  stats : stats_pair;
-  wall : wall_result;
-}
-
-val run : quick:bool -> unit -> result
-val print : result -> unit
+val print_wall : wall_result -> unit
 
 (** {1 For tests}
 

@@ -50,10 +50,10 @@ type stats = {
 
 let queue_dir root q = Filename.concat root (Printf.sprintf "q%d" q)
 
-let run_stats ?(queues = default_queues) ?(rounds = default_rounds) ?(shards = 1) () =
+let run_stats ~shards =
   let root = fresh_temp_root () in
   Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
-  let tabs = Array.make queues None in
+  let tabs = Array.make default_queues None in
   let stages (ctx : Netstack.Shard.queue_ctx) =
     let durable =
       Chkpt.Durable.open_store ~telemetry:ctx.Netstack.Shard.qc_registry
@@ -77,8 +77,9 @@ let run_stats ?(queues = default_queues) ?(rounds = default_rounds) ?(shards = 1
       ~policy:Faultinj.Restart.Immediate ()
   in
   let spec =
-    Netstack.Shard.default_spec ~shards ~queues ~rounds ~batch_size:default_batch_size ~seed:default_seed
-      ~faults ~mode:Netstack.Shard.Isolated ~stages ()
+    Netstack.Shard.default_spec ~shards ~queues:default_queues ~rounds:default_rounds
+      ~batch_size:default_batch_size ~seed:default_seed ~faults
+      ~mode:Netstack.Shard.Isolated ~stages ()
   in
   let r = Netstack.Shard.run (Netstack.Shard.create spec) in
   let restores =
@@ -105,7 +106,7 @@ let run_stats ?(queues = default_queues) ?(rounds = default_rounds) ?(shards = 1
   let clock = Cycles.Clock.create () in
   let sup =
     Faultinj.Supervisor.create ~telemetry:reg ~clock ~policy:Faultinj.Restart.Immediate
-      ~names:(Array.init queues (Printf.sprintf "q%d"))
+      ~names:(Array.init default_queues (Printf.sprintf "q%d"))
       ~restart:(fun _ -> Ok ())
       ()
   in
@@ -239,7 +240,8 @@ let apply_packet tab mask scratch k =
   let bucket = (h lxor !sum) land mask in
   Chkpt.Incr.iarr_set tab bucket (Chkpt.Incr.iarr_get tab bucket + 1)
 
-let run_wall ?(buckets = 1 lsl 20) ?(total = 42_000_000) ?(persist_every = 4_000_000) () =
+let run_wall () =
+  let buckets = 1 lsl 20 and total = 42_000_000 and persist_every = 4_000_000 in
   let chunk = max 1 (buckets / 64) in
   let mask = buckets - 1 in
   let root = fresh_temp_root () in

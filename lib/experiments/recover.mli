@@ -29,7 +29,6 @@ val corpus_graph : int
     block expects); the wrong-graph corpus file carries any other. *)
 
 val default_queues : int
-val default_rounds : int
 
 type queue_recovery = {
   q_queue : int;
@@ -47,13 +46,9 @@ type stats = {
           [sfi.q<i>.cold_restores], the recovery stores' [chkpt.*]. *)
 }
 
-val run_stats :
-  ?queues:int ->
-  ?rounds:int ->
-  ?shards:int ->
-  unit ->
-  stats
-(** Storm + crash + cold-start recovery, against stores under a fresh
+val run_stats : shards:int -> stats
+(** Storm (4 queues, 240 rounds) + crash + cold-start recovery over
+    [shards] domains, against stores under a fresh
     temporary directory (removed before returning; no path appears in
     any output). *)
 
@@ -74,5 +69,7 @@ type wall = {
   w_digest_match : bool;
 }
 
-val run_wall : ?buckets:int -> ?total:int -> ?persist_every:int -> unit -> wall
+val run_wall : unit -> wall
+(** A 2^20-bucket table, 42M packets, a durable checkpoint every 4M. *)
+
 val print_wall : wall -> unit

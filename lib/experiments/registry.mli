@@ -5,35 +5,34 @@
     from the [det] surfaces below. *)
 
 type det = {
-  cells : (string * (shards:int -> unit)) list;
-      (** The [--stats-only] printers by [--cell] name. Each prints
-          only deterministic output — no wall clock, no shard count —
-          so runs diff byte-for-byte. The first cell is the default. *)
+  print : shards:int -> unit;
+      (** The deterministic printer ([repro <id> --stats-only]). It
+          prints no wall clock and no shard count, so runs diff
+          byte-for-byte; at one shard it prints exactly the golden. *)
   queues : int;
-      (** RSS queues the printers spread over shards: the largest
+      (** RSS queues the printer spreads over shards: the largest
           valid shard count (1 when there is no shard axis). *)
-  golden : string option;
-      (** Committed output of the first cell at one shard, relative to
-          the repository root. *)
   shards : int list;
       (** Shard counts [check] runs; each must equal the first. *)
   replay : bool;  (** [check] also runs the first shard count twice. *)
   require : string list;
-      (** [Str] regexps that some output line of every cell must match. *)
+      (** [Str] regexps that some output line must match. *)
   forbid : string list;  (** [Str] regexps no output line may match. *)
 }
 
 type entry = {
   id : string;           (** e.g. ["fig2"]. *)
   description : string;
-  run : quick:bool -> unit;
-      (** Execute and print. [quick:true] trades sweep sizes for
-          speed in the sharded and wall-clock experiments (E14–E17,
-          E19, E21); the others have one configuration, and their run
-          prints exactly their first cell at one shard, with or
-          without it. *)
-  det : det;  (** The deterministic surface. *)
+  det : det;
+  wall : (unit -> unit) option;
+      (** The wall-clock section that [repro <id>] prints after the
+          golden: E14, E16, E17, E19 and E21 only. *)
 }
 
 val all : entry list
 val find : string -> entry option
+
+val golden : string -> string
+(** [golden id]: the committed output of [id]'s printer at one shard,
+    relative to the repository root
+    ([test/golden/<id>_stats.txt], dashes as underscores). *)

@@ -1,8 +1,12 @@
-let default_funcs = 500
+let funcs = 500
 let depth = 10
-let default_edits = 5
-let default_iters = 3
-let default_seed = 17L
+let edits = 5
+let seed = 17L
+
+(* Edit rounds: reported one by one in the deterministic section,
+   best-of in the wall-clock one. *)
+let stats_rounds = 3
+let wall_rounds = 5
 
 let ok what = function
   | Ok v -> v
@@ -45,9 +49,7 @@ type stats = {
 
 let speedup cold warm = if warm > 0 then float_of_int cold /. float_of_int warm else infinity
 
-let run_stats ?(funcs = default_funcs) ?(edits = default_edits)
-    ?(iters = default_iters) () =
-  let seed = default_seed in
+let run_stats () =
   let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth; seed } in
   let program = Ifc.Gen.generate spec in
   let reg = Telemetry.Registry.create () in
@@ -55,7 +57,7 @@ let run_stats ?(funcs = default_funcs) ?(edits = default_edits)
   let cold_report, cold_stats = ok "cold reverify" (Ifc.Verifier.reverify cache program) in
   let rounds = ref [] in
   let p = ref program in
-  for i = 1 to iters do
+  for i = 1 to stats_rounds do
     let edit_seed = Int64.add seed (Int64.of_int (1000 * i)) in
     let edited_p, edited = Ifc.Gen.edit ~seed:edit_seed ~edits spec !p in
     p := edited_p;
@@ -149,9 +151,7 @@ type wall = {
   w_equal : bool;
 }
 
-let run_wall ?(funcs = default_funcs) ?(edits = default_edits)
-    ?(iters = 5) () =
-  let seed = default_seed in
+let run_wall () =
   let spec = { Ifc.Gen.default with Ifc.Gen.funcs; depth; seed } in
   let program = Ifc.Gen.generate spec in
   let reg = Telemetry.Registry.create () in
@@ -161,7 +161,7 @@ let run_wall ?(funcs = default_funcs) ?(edits = default_edits)
   let warm_ms = ref infinity in
   let equal = ref true in
   let p = ref program in
-  for i = 1 to iters do
+  for i = 1 to wall_rounds do
     let edited_p, _ = Ifc.Gen.edit ~seed:(Int64.add seed (Int64.of_int (7000 + i))) ~edits spec !p in
     p := edited_p;
     let warm, s =

@@ -12,9 +12,6 @@
     against cold whole-program compositional analysis with a >= 10x
     target. *)
 
-val default_funcs : int
-val default_iters : int
-
 type round = {
   r_round : int;
   r_edited : int;
@@ -37,10 +34,9 @@ type stats = {
   s_telemetry : Telemetry.Registry.t;
 }
 
-val run_stats :
-  ?funcs:int -> ?edits:int -> ?iters:int -> unit -> stats
-(** Deterministic in its arguments; the printed block golden-diffs
-    byte-for-byte ([test/golden/reverify_stats.txt]). *)
+val run_stats : unit -> stats
+(** A 500-function program, 5 bodies edited in each of 3 rounds.
+    Deterministic; the printed block is [test/golden/reverify_stats.txt]. *)
 
 val print_stats : stats -> unit
 
@@ -53,7 +49,7 @@ type wall = {
   w_equal : bool;
 }
 
-val run_wall :
-  ?funcs:int -> ?edits:int -> ?iters:int -> unit -> wall
+val run_wall : unit -> wall
+(** The same program; best of 5 edit rounds. *)
 
 val print_wall : wall -> unit

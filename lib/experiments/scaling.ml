@@ -24,26 +24,30 @@ let default_stages (_ : Netstack.Shard.queue_ctx) =
 let digest_of registry =
   String.sub (Digest.to_hex (Digest.string (Telemetry.Render.to_string registry))) 0 12
 
-let run_one ?(queues = default_queues) ?(rounds = default_rounds) ~mode ~shards () =
-  let spec =
-    Netstack.Shard.default_spec ~shards ~queues ~rounds ~batch_size:default_batch_size
-      ~seed:default_seed ~mode
-      ~stages:default_stages ()
-  in
-  let engine = Netstack.Shard.create spec in
-  let result, s = Table.time (fun () -> Netstack.Shard.run engine) in
-  (s, result)
+let engine ~mode ~shards =
+  Netstack.Shard.create
+    (Netstack.Shard.default_spec ~shards ~queues:default_queues ~rounds:default_rounds
+       ~batch_size:default_batch_size ~seed:default_seed ~mode ~stages:default_stages ())
+
+(* No shard count and no wall clock: the bytes must not depend on
+   [shards]. *)
+let print_stats ~shards =
+  List.iter
+    (fun mode ->
+      let r = Netstack.Shard.run (engine ~mode ~shards) in
+      Telemetry.Render.print
+        ~title:(Printf.sprintf "scale telemetry (%s)" (Netstack.Shard.mode_name mode))
+        r.Netstack.Shard.r_telemetry;
+      print_newline ())
+    Netstack.Shard.[ Direct; Isolated ]
 
 let shards_list () =
-  (* As in E12: never oversubscribe the host, or the numbers measure
-     the scheduler rather than the architecture. *)
+  (* Never oversubscribe the host, or the numbers measure the
+     scheduler rather than the architecture. *)
   let rdc = Domain.recommended_domain_count () in
   List.sort_uniq compare (List.filter (fun s -> s <= rdc) [ 1; 2; 4; 8 ])
 
-let default_modes = Netstack.Shard.[ Direct; Isolated; Copying; Tagged ]
-
-let run ?(modes = default_modes) ?(queues = default_queues)
-    ?(rounds = default_rounds) () =
+let run () =
   let shards_list = shards_list () in
   List.concat_map
     (fun mode ->
@@ -51,7 +55,8 @@ let run ?(modes = default_modes) ?(queues = default_queues)
       let base_digest = ref None in
       List.map
         (fun shards ->
-          let wall_s, r = run_one ~queues ~rounds ~mode ~shards () in
+          let e = engine ~mode ~shards in
+          let r, wall_s = Table.time (fun () -> Netstack.Shard.run e) in
           let digest = digest_of r.Netstack.Shard.r_telemetry in
           let speedup =
             match !base_wall with
@@ -79,7 +84,7 @@ let run ?(modes = default_modes) ?(queues = default_queues)
             deterministic;
           })
         shards_list)
-    modes
+    Netstack.Shard.[ Direct; Isolated; Copying; Tagged ]
 
 let print rows =
   Printf.printf

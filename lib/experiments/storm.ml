@@ -1,15 +1,15 @@
 type row = {
   policy : Faultinj.Restart.policy;
   crafted : int;
-  served : int;
-  degraded : int;
+  served : int;       (* transmitted by a fully healthy pipeline *)
+  degraded : int;     (* transmitted while routing around a dead stage *)
   dropped : int;
-  injected : int;
-  restarts : int;
-  restores : int;
-  p99_recovery : int;
-  availability : float;
-  digest : string;
+  injected : int;     (* faults the plan scheduled *)
+  restarts : int;     (* successful supervisor restarts *)
+  restores : int;     (* checkpoint rollbacks performed on restart *)
+  p99_recovery : int; (* p99 of sfi.recovery_cycles, virtual cycles *)
+  availability : float;  (* (served + degraded) / crafted *)
+  digest : string;    (* md5 of the rendered merged telemetry *)
 }
 
 let default_queues = 8
@@ -55,7 +55,7 @@ let digest_of registry =
 
 let run_one ?(queues = default_queues) ?(rounds = default_rounds)
     ?(batch_size = default_batch_size) ?(rate = default_rate)
-    ?(fault_seed = default_fault_seed) ?(shards = 1) ~policy () =
+    ?(fault_seed = default_fault_seed) ~shards ~policy () =
   let seed = default_seed in
   let stores = Array.make queues None in
   let on_restart ~queue ~stage =
@@ -103,14 +103,7 @@ let row_of ~policy (r : Netstack.Shard.result) ~restores =
     digest = digest_of r.Netstack.Shard.r_telemetry;
   }
 
-let run ?queues ?rounds ?shards () =
-  List.map
-    (fun policy ->
-      let r, restores = run_one ?queues ?rounds ?shards ~policy () in
-      row_of ~policy r ~restores)
-    default_policies
-
-let print rows =
+let print_table rows =
   print_endline
     "E15 (extension): seeded fault storm vs restart policy (isolated pipelines,\n\
     \  supervisor-gated service; every count below is deterministic and\n\
@@ -146,3 +139,15 @@ let print rows =
     \  availability with restart churn, backoff and the breaker trade batches for\n\
     \  fewer restarts, degrade routes around dead stages and serves the rest\n"
     (Table.fb conserved)
+
+let print ~shards =
+  let runs = List.map (fun policy -> (policy, run_one ~shards ~policy ())) default_policies in
+  print_table (List.map (fun (policy, (r, restores)) -> row_of ~policy r ~restores) runs);
+  print_newline ();
+  List.iter
+    (fun (policy, (r, _)) ->
+      Telemetry.Render.print
+        ~title:(Printf.sprintf "storm telemetry (%s)" (Faultinj.Restart.policy_name policy))
+        r.Netstack.Shard.r_telemetry;
+      print_newline ())
+    runs

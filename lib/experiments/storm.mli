@@ -9,19 +9,19 @@
     pure function of the seeds — the storm is a determinism claim, not
     a stress test — and shard-count invariant. *)
 
-type row = {
-  policy : Faultinj.Restart.policy;
-  crafted : int;
-  served : int;       (** Transmitted by a fully healthy pipeline. *)
-  degraded : int;     (** Transmitted while routing around a dead stage. *)
-  dropped : int;
-  injected : int;     (** Faults the plan scheduled. *)
-  restarts : int;     (** Successful supervisor restarts. *)
-  restores : int;     (** Checkpoint rollbacks performed on restart. *)
-  p99_recovery : int; (** p99 of [sfi.recovery_cycles], virtual cycles. *)
-  availability : float;  (** (served + degraded) / crafted. *)
-  digest : string;    (** md5 of the rendered merged telemetry. *)
-}
+val default_queues : int
+
+val print : shards:int -> unit
+(** Runs the storm once per policy over [shards] domains and prints
+    the policy table (conservation ledger, restarts, restores, p99
+    recovery cycles, availability, telemetry md5), then each policy's
+    merged telemetry. The same bytes for every shard count; at one
+    shard they are [test/golden/storm_stats.txt]. *)
+
+(** {1 For tests}
+
+    The policies and the single-storm run that [test/test_faultinj.ml]
+    and [test/test_chkpt_incr.ml] drive at reduced sizes. *)
 
 val default_policies : Faultinj.Restart.policy list
 (** Immediate; Backoff 300..4800 cycles; Breaker (3 failures / 20k
@@ -31,28 +31,16 @@ val default_policies : Faultinj.Restart.policy list
     against restart churn (each failed restart attempt charges ~4.2k
     cycles of recovery work, so three strikes span ~8.5k cycles). *)
 
-val default_queues : int
-val default_rounds : int
-
 val run_one :
   ?queues:int ->
   ?rounds:int ->
   ?batch_size:int ->
   ?rate:float ->
   ?fault_seed:int64 ->
-  ?shards:int ->
+  shards:int ->
   policy:Faultinj.Restart.policy ->
   unit ->
   Netstack.Shard.result * int
 (** One storm under one policy; also returns the total checkpoint
-    restores. For tests: [?batch_size], [?rate] and [?fault_seed], which
-    the conservation property draws and the restore test shrinks. *)
-
-val run :
-  ?queues:int ->
-  ?rounds:int ->
-  ?shards:int ->
-  unit ->
-  row list
-
-val print : row list -> unit
+    restores. The conservation property draws [?rate] and
+    [?fault_seed]; the tests shrink the rest. *)

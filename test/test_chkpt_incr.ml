@@ -251,7 +251,7 @@ let test_storm_restore_path () =
   let policy = List.hd Experiments.Storm.default_policies in
   let r, restores =
     Experiments.Storm.run_one ~queues:4 ~rounds:60 ~batch_size:8 ~rate:0.08
-      ~fault_seed:99L ~policy ()
+      ~fault_seed:99L ~shards:1 ~policy ()
   in
   Alcotest.(check bool) "restores happened" true (restores > 0);
   Alcotest.(check int) "packet conservation" r.Netstack.Shard.r_crafted

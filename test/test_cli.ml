@@ -54,10 +54,7 @@ let test_bad_shards () =
     det_entries
 
 let test_bad_requests () =
-  expect_error
-    [ "scale"; "--stats-only"; "--cell"; "bogus" ]
-    "repro scale: unknown cell bogus (cells: direct, isolated)";
-  expect_error [ "scale"; "--shards"; "2" ] "repro scale: --shards and --cell need --stats-only"
+  expect_error [ "scale"; "--shards"; "2" ] "repro scale: --shards needs --stats-only"
 
 (* recover reads test/corpus from the working directory; started
    anywhere else it must fail, not print a corpus block that differs
@@ -70,51 +67,44 @@ let test_recover_needs_corpus () =
   Alcotest.(check string) "stderr"
     "repro: corpus directory test/corpus not found (run from the repository root)\n" err
 
+let golden_text id =
+  In_channel.with_open_bin (Data.path (Filename.concat ".." (R.golden id))) In_channel.input_all
+
 let test_table_well_formed () =
   Alcotest.(check int) "experiments with a deterministic surface" 18 (List.length det_entries);
   List.iter
     (fun ((e : R.entry), (d : R.det)) ->
-      let names = List.map fst d.cells in
-      if names = [] || List.length (List.sort_uniq compare names) <> List.length names then
-        Alcotest.failf "%s: cells must be non-empty and distinct" e.id;
       if d.shards = [] || List.exists (fun n -> n < 1 || n > d.queues) d.shards then
         Alcotest.failf "%s: shard counts must lie in 1..%d" e.id d.queues;
-      Option.iter
-        (fun g ->
-          if not (Sys.file_exists (Data.path (Filename.concat ".." g))) then
-            Alcotest.failf "%s: golden %s is missing" e.id g)
-        d.golden;
+      if not (Sys.file_exists (Data.path (Filename.concat ".." (R.golden e.id)))) then
+        Alcotest.failf "%s: golden %s is missing" e.id (R.golden e.id);
       List.iter (fun re -> ignore (Str.regexp re)) (d.require @ d.forbid))
     det_entries
 
-(* The experiments that print only virtual-clock output have one
-   configuration: the full run and [--quick] both print the golden
-   ([repro check] diffs [--stats-only] against it). *)
-let virtual_clock_ids =
-  [
-    "fig2"; "pipeline-length"; "recovery"; "sfi-baselines"; "ifc-matrix"; "ifc-store";
-    "ifc-scaling"; "fig3"; "ckpt-cost"; "rollback"; "fusion"; "ablations";
-  ]
-
+(* Every experiment has one configuration: [repro <id>] prints its
+   golden ([repro check] diffs [--stats-only] against it), then its
+   wall-clock section if it has one. *)
 let test_one_configuration () =
+  let repro_out id =
+    let code, out, err = run [ id ] in
+    Alcotest.(check int) (Printf.sprintf "exit code of repro %s:\n%s" id err) 0 code;
+    out
+  in
+  let virtual_clock = List.filter (fun (e : R.entry) -> e.wall = None) R.all in
+  Alcotest.(check int) "experiments without a wall-clock section" 13
+    (List.length virtual_clock);
   List.iter
-    (fun id ->
-      let golden =
-        match R.find id with
-        | Some { det = { golden = Some g; _ }; _ } -> g
-        | _ -> Alcotest.failf "%s: no golden" id
-      in
-      let expected =
-        In_channel.with_open_bin (Data.path (Filename.concat ".." golden)) In_channel.input_all
-      in
-      List.iter
-        (fun args ->
-          let code, out, err = run (id :: args) in
-          let cmd = String.concat " " ("repro" :: id :: args) in
-          Alcotest.(check int) (Printf.sprintf "exit code of %s:\n%s" cmd err) 0 code;
-          Alcotest.(check string) (cmd ^ " = " ^ golden) expected out)
-        [ []; [ "--quick" ] ])
-    virtual_clock_ids
+    (fun (e : R.entry) ->
+      Alcotest.(check string) ("repro " ^ e.id ^ " = " ^ R.golden e.id) (golden_text e.id)
+        (repro_out e.id))
+    virtual_clock;
+  let golden = golden_text "reverify" and out = repro_out "reverify" in
+  let n = String.length golden in
+  Alcotest.(check string) "repro reverify begins with its golden" golden
+    (String.sub out 0 (min n (String.length out)));
+  Alcotest.(check bool) "then a wall-clock section" true
+    (String.starts_with ~prefix:"\nwall-clock reverification"
+       (String.sub out n (String.length out - n)))
 
 (* [repro check] against a scratch copy of the goldens: clean copies
    pass, a changed golden line fails that golden's step (and only it). *)
@@ -147,10 +137,17 @@ let test_check_goldens () =
   Alcotest.(check (list string))
     "failed steps"
     [
-      "FAIL  reverify/stats: golden test/golden/reverify_stats.txt";
-      "FAIL  recovery/stats: golden test/golden/recovery_stats.txt";
+      "FAIL  reverify: golden test/golden/reverify_stats.txt";
+      "FAIL  recovery: golden test/golden/recovery_stats.txt";
     ]
     fails
+
+(* The full [repro check], from a directory laid out like the
+   repository root (test/dune stages golden/ and corpus/ next to the
+   test binaries): every golden, shard count, replay and grep line. *)
+let test_check_all () =
+  let code, out, err = run ~cwd:(Data.path "..") [ "check" ] in
+  Alcotest.(check int) (Printf.sprintf "exit code of repro check:\n%s%s" out err) 0 code
 
 (* Every example runs to completion: they drive the public API end to
    end (nf_isolation runs the Maglev NF), and nothing else runs them. *)
@@ -180,8 +177,9 @@ let () =
           Alcotest.test_case "deterministic surfaces are well-formed" `Quick
             test_table_well_formed;
           Alcotest.test_case "check fails on a changed golden line" `Quick test_check_goldens;
-          Alcotest.test_case "virtual-clock experiments print their golden, --quick or not"
+          Alcotest.test_case "virtual-clock experiments print their golden, reverify begins with it"
             `Quick test_one_configuration;
+          Alcotest.test_case "every determinism check passes" `Quick test_check_all;
         ] );
       ("examples", [ Alcotest.test_case "every example exits 0" `Quick test_examples_exit_0 ]);
     ]
