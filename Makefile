@@ -1,4 +1,4 @@
-.PHONY: all build test test-verbose qcheck-soak stats determinism corpus corpus-ifc examples clean loc
+.PHONY: all build test test-verbose qcheck-soak determinism corpus corpus-ifc examples clean loc
 
 all: build test
 
@@ -26,9 +26,6 @@ qcheck-soak:
 	  fi; \
 	done; \
 	echo "qcheck-soak: $(N) seeds passed"
-
-stats:
-	dune exec bin/repro.exe -- stats fig2 recovery rollback
 
 # Every experiment's determinism claims, derived from the experiment
 # table (Experiments.Registry): its deterministic printer replayed and

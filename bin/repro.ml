@@ -11,7 +11,7 @@ module R = Experiments.Registry
 
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
-(* The one id resolver behind run, stats and check: every named id
+(* The one id resolver behind run and check: every named id
    must exist; naming none selects them all. *)
 let resolve = function
   | [] -> R.all
@@ -40,50 +40,14 @@ let list_cmd =
 let run_cmd =
   let doc = "Run experiments (all of them when none is named)." in
   let run ids =
-    List.iter
-      (fun (e : R.entry) ->
+    List.iteri
+      (fun i (e : R.entry) ->
+        if i > 0 then print_newline ();
         Printf.printf "==== %s: %s ====\n" e.id e.description;
-        (* Each experiment gets a clean slate in the global registry,
-           so the table below is attributable to it alone. *)
-        Telemetry.Registry.reset Telemetry.Registry.global;
-        run_entry e;
-        print_newline ();
-        Telemetry.Render.print ~title:(e.id ^ " telemetry") Telemetry.Registry.global;
-        print_newline ())
+        run_entry e)
       (resolve ids)
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ ids)
-
-let stats_cmd =
-  let doc =
-    "Run experiments' deterministic printers and print only their telemetry tables — the \
-     registry snapshot (counters, gauges, histogram quantiles) each experiment records."
-  in
-  (* Run each deterministic printer with its own tables silenced —
-     only the telemetry snapshot is wanted here. *)
-  let silently f =
-    let devnull = open_out (if Sys.win32 then "NUL" else "/dev/null") in
-    let saved = Unix.dup Unix.stdout in
-    flush stdout;
-    Unix.dup2 (Unix.descr_of_out_channel devnull) Unix.stdout;
-    Fun.protect
-      ~finally:(fun () ->
-        flush stdout;
-        Unix.dup2 saved Unix.stdout;
-        Unix.close saved;
-        close_out devnull)
-      f
-  in
-  let run ids =
-    List.iter
-      (fun (e : R.entry) ->
-        Telemetry.Registry.reset Telemetry.Registry.global;
-        silently (fun () -> e.det.print ~shards:1);
-        Telemetry.Render.print ~title:(e.id ^ " telemetry") Telemetry.Registry.global;
-        print_newline ())
-      (resolve ids)
-  in
-  Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ ids)
 
 (* --- One subcommand per registry entry ---------------------------------- *)
 
@@ -274,7 +238,7 @@ let () =
     (try
        Cmd.eval ~catch:false
          (Cmd.group info
-            ([ list_cmd; run_cmd; stats_cmd; check_cmd ]
+            ([ list_cmd; run_cmd; check_cmd ]
             @ List.map experiment_cmd R.all
             @ [ verify_cmd ]))
      with Failure m ->

@@ -39,7 +39,7 @@ let nf_stages env trigger =
   ([ faulty_firewall; Netstack.Filters.ttl_decrement; Netstack.Filters.maglev maglev ], maglev)
 
 let () =
-  let env = Experiments.Env.make ~flows:256 () in
+  let env = Experiments.Env.make ~flows:256 ~telemetry:(Telemetry.Registry.create ()) () in
   let trigger = ref false in
   let stages, maglev = nf_stages env trigger in
   let pipe =
@@ -89,7 +89,7 @@ let () =
   (* Steady-state price of protection, on this exact NF (its fault
      trigger left unset). *)
   let steady mode_of_env =
-    let env = Experiments.Env.make ~flows:256 () in
+    let env = Experiments.Env.make ~flows:256 ~telemetry:(Telemetry.Registry.create ()) () in
     let stages, _ = nf_stages env (ref false) in
     Experiments.Env.mean_batch_cycles env (mode_of_env env) stages ~batch:batch_size
   in

@@ -52,19 +52,19 @@ let pin_ablation () =
 
 (* A2: re-run the Figure-2 batch-1 measurement with one micro-cost
    zeroed at a time, on E1's per-boundary chain. *)
-let overhead_with model =
+let overhead_with ~telemetry model =
   let stages = Netstack.Filters.null_chain Fig2.pipeline_length in
   let direct =
-    let env = Env.make ~model () in
+    let env = Env.make ~model ~telemetry () in
     Env.mean_batch_cycles env Netstack.Pipeline.Direct stages ~batch:1
   in
   let isolated =
-    let env = Env.make ~model () in
+    let env = Env.make ~model ~telemetry () in
     Env.mean_batch_cycles env (Netstack.Pipeline.Isolated env.Env.manager) stages ~batch:1
   in
   (isolated -. direct) /. float_of_int Fig2.pipeline_length
 
-let attribution_ablation () =
+let attribution_ablation ~telemetry =
   let base = Cycles.Cost_model.default in
   let variants =
     [
@@ -74,20 +74,20 @@ let attribution_ablation () =
       ("indirect_call", { base with indirect_call = 0 });
     ]
   in
-  let full = overhead_with base in
+  let full = overhead_with ~telemetry base in
   List.map
     (fun (zeroed, model) ->
-      let overhead_per_call = overhead_with model in
+      let overhead_per_call = overhead_with ~telemetry model in
       { zeroed; overhead_per_call; delta_vs_full = full -. overhead_per_call })
     variants
 
 (* A3: recovery total vs modelled unwind cost, on E3's crash loop. *)
-let unwind_ablation () =
+let unwind_ablation ~telemetry =
   List.map
     (fun unwind ->
       let model = { Cycles.Cost_model.default with unwind } in
       let stats = Cycles.Stats.create () in
-      Recovery.crash_loop (Env.make ~model ()) ~trials:200 (fun c1 c2 ->
+      Recovery.crash_loop (Env.make ~model ~telemetry ()) ~trials:200 (fun c1 c2 ->
           Cycles.Stats.add stats (Int64.to_float (Int64.add c1 c2)));
       { unwind_cost = unwind; recovery_total = Cycles.Stats.mean stats })
     [ 0; 1400; 2800; 5600 ]
@@ -138,11 +138,11 @@ let telemetry_overhead () =
     };
   ]
 
-let run () =
+let run ~telemetry =
   {
     pin = pin_ablation ();
-    attribution = attribution_ablation ();
-    unwind = unwind_ablation ();
+    attribution = attribution_ablation ~telemetry;
+    unwind = unwind_ablation ~telemetry;
     telemetry = telemetry_overhead ();
   }
 

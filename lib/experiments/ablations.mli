@@ -39,7 +39,10 @@ type result = {
   telemetry : tele_row list;
 }
 
-val run : unit -> result
+val run : telemetry:Telemetry.Registry.t -> result
+(** A2's and A3's environments record into [telemetry]; A1's manager
+    and A4's registries are their own. *)
+
 val print : result -> unit
 
 (** {1 For tests}

@@ -10,7 +10,7 @@ type t = {
 let pool_capacity = 4096
 let payload_bytes = 18
 
-let make ?(flows = 1024) ?model ?(telemetry = Telemetry.Registry.global) () =
+let make ?(flows = 1024) ?model ~telemetry () =
   let clock =
     match model with None -> Cycles.Clock.create () | Some m -> Cycles.Clock.create ~model:m ()
   in

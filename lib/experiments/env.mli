@@ -18,16 +18,14 @@ type t = {
 val make :
   ?flows:int ->
   ?model:Cycles.Cost_model.t ->
-  ?telemetry:Telemetry.Registry.t ->
+  telemetry:Telemetry.Registry.t ->
   unit ->
   t
 (** Seed 2017; default 1024 uniform flows. The pool always holds
     4096 buffers and every payload is 18 bytes (64-byte frames — the
     Figure-2 workload).
-    [telemetry] (default {!Telemetry.Registry.global}) is handed to
-    the engine and the SFI manager, so every environment records the
-    [netstack.*] / [sfi.*] metrics; pass a fresh registry to keep an
-    experiment's numbers isolated. *)
+    [telemetry] is handed to the engine and the SFI manager, so every
+    environment records the [netstack.*] / [sfi.*] metrics there. *)
 
 val mean_batch_cycles :
   t -> Netstack.Pipeline.mode -> Netstack.Stage.t list -> batch:int -> float

@@ -14,24 +14,24 @@ let pipeline_length = 5
    stage, so the five null kernels must not fuse into one domain. *)
 let null_stages = Netstack.Filters.null_chain pipeline_length
 
-let run ?telemetry () =
+let run ~telemetry =
   List.map
     (fun batch ->
       (* A fresh, identically-seeded environment per mode, so every
          run sees the same traffic and the same cold caches. *)
       let direct_cycles =
-        let env = Env.make ?telemetry () in
+        let env = Env.make ~telemetry () in
         Env.mean_batch_cycles env Netstack.Pipeline.Direct null_stages ~batch
       in
       let isolated_cycles =
-        let env = Env.make ?telemetry () in
+        let env = Env.make ~telemetry () in
         Env.mean_batch_cycles env (Netstack.Pipeline.Isolated env.Env.manager) null_stages ~batch
       in
       let overhead_per_call =
         (isolated_cycles -. direct_cycles) /. float_of_int pipeline_length
       in
       let maglev_cycles =
-        let env = Env.make ?telemetry () in
+        let env = Env.make ~telemetry () in
         Env.mean_batch_cycles env Netstack.Pipeline.Direct (snd (Env.maglev_nf env)) ~batch
       in
       {

@@ -22,11 +22,9 @@ type row = {
 val pipeline_length : int
 (** 5, as in the paper. *)
 
-val run : ?telemetry:Telemetry.Registry.t -> unit -> row list
+val run : telemetry:Telemetry.Registry.t -> row list
 (** Batches 1, 2, 4, ..., 256; per mode and batch, 20 warm-up and 100
-    measured batches. [telemetry] (default the global registry, via
-    {!Env.make}) receives the [sfi.*] / [netstack.*] metrics of every
-    mode's run — the cross-check tests feed a fresh registry here and
-    assert exact counts. For tests: [?telemetry]. *)
+    measured batches. [telemetry] receives the [sfi.*] / [netstack.*]
+    metrics of every mode's run (via {!Env.make}). *)
 
 val print : row list -> unit

@@ -18,8 +18,8 @@ type det_run = {
   dr_reports : Netstack.Pipeline.stage_report list;
 }
 
-let run_det ~rounds ~batch_size ~barriers =
-  let env = Env.make () in
+let run_det ~telemetry ~rounds ~batch_size ~barriers =
+  let env = Env.make ~telemetry () in
   let _mg, stages = Env.maglev_nf env in
   let stages = if barriers then List.map Netstack.Stage.barrier stages else stages in
   let pipe =
@@ -55,14 +55,14 @@ type det_result = {
   d_fused : det_run;
 }
 
-let run_stats () =
+let run_stats ~telemetry =
   let rounds = default_rounds in
   let batch_size = default_batch_size in
   {
     d_rounds = rounds;
     d_batch_size = batch_size;
-    d_unfused = run_det ~rounds ~batch_size ~barriers:true;
-    d_fused = run_det ~rounds ~batch_size ~barriers:false;
+    d_unfused = run_det ~telemetry ~rounds ~batch_size ~barriers:true;
+    d_fused = run_det ~telemetry ~rounds ~batch_size ~barriers:false;
   }
 
 let same_outputs a b = a.dr_crafted = b.dr_crafted && a.dr_tx = b.dr_tx

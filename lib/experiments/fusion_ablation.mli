@@ -11,9 +11,9 @@
 
 type det_result
 
-val run_stats : unit -> det_result
-(** 200 rounds of 32 packets, each arm in a fresh
-    environment. *)
+val run_stats : telemetry:Telemetry.Registry.t -> det_result
+(** 200 rounds of 32 packets, each arm in a fresh environment; both
+    arms record into [telemetry]. *)
 
 val print_stats : det_result -> unit
 (** Virtual counters only — byte-identical across runs and hosts; the

@@ -5,18 +5,18 @@ type row = {
   overhead_per_call : float;
 }
 
-let run () =
+let run ~telemetry =
   let batch = 32 in
   List.map
     (fun length ->
       (* Overhead-per-call scaling needs one crossing per stage. *)
       let stages = Netstack.Filters.null_chain length in
       let direct_cycles =
-        let env = Env.make () in
+        let env = Env.make ~telemetry () in
         Env.mean_batch_cycles env Netstack.Pipeline.Direct stages ~batch
       in
       let isolated_cycles =
-        let env = Env.make () in
+        let env = Env.make ~telemetry () in
         Env.mean_batch_cycles env (Netstack.Pipeline.Isolated env.Env.manager) stages ~batch
       in
       {

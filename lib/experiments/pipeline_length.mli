@@ -12,8 +12,9 @@ type row = {
   overhead_per_call : float;
 }
 
-val run : unit -> row list
-(** Lengths 1, 2, 4, 8, 16; batch 32. *)
+val run : telemetry:Telemetry.Registry.t -> row list
+(** Lengths 1, 2, 4, 8, 16; batch 32. Every run records into
+    [telemetry]. *)
 
 val print : row list -> unit
 

@@ -27,11 +27,11 @@ let crash_loop env ~trials record =
     record c_catch c_recover
   done
 
-let run ?telemetry () =
+let run ~telemetry =
   let trials = 1000 in
   let catch_cycles = Cycles.Stats.create () in
   let recover_cycles = Cycles.Stats.create () in
-  crash_loop (Env.make ?telemetry ()) ~trials (fun c_catch c_recover ->
+  crash_loop (Env.make ~telemetry ()) ~trials (fun c_catch c_recover ->
       Cycles.Stats.add catch_cycles (Int64.to_float c_catch);
       Cycles.Stats.add recover_cycles (Int64.to_float c_recover));
   {

@@ -16,11 +16,10 @@ type result = {
   total_mean : float;                (** Mean of (catch + recover). *)
 }
 
-val run : ?telemetry:Telemetry.Registry.t -> unit -> result
-(** 1000 trials of a 32-packet batch. [telemetry] (default global)
-    receives one [sfi.recovery_cycles] histogram entry and one
-    [sfi.fault-injector.{panics,recoveries}] tick per trial. For tests:
-    [?telemetry], which the cross-check test sets. *)
+val run : telemetry:Telemetry.Registry.t -> result
+(** 1000 trials of a 32-packet batch. [telemetry] receives one
+    [sfi.recovery_cycles] histogram entry and one
+    [sfi.fault-injector.{panics,recoveries}] tick per trial. *)
 
 val crash_loop : Env.t -> trials:int -> (int64 -> int64 -> unit) -> unit
 (** The measurement behind {!run}: [trials] rounds, each pushing a

@@ -21,32 +21,40 @@ let det ?(queues = 4) ?(shards = [ 1; 2; 4 ]) ?(replay = false) ?(require = [])
     ?(forbid = []) print =
   { print; queues; shards; replay; require; forbid }
 
-(* A virtual-clock-only experiment: one shard, no wall section. *)
+(* A virtual-clock-only experiment: one shard, no wall section. Each
+   run records into a registry of its own, whose table ends the
+   golden. *)
 let virtual_clock id description print =
-  { id; description; det = det ~queues:1 ~shards:[ 1 ] (fun ~shards:_ -> print ()); wall = None }
+  let print ~shards:_ =
+    let telemetry = Telemetry.Registry.create () in
+    print telemetry;
+    print_newline ();
+    Telemetry.Render.print ~title:(id ^ " telemetry") telemetry
+  in
+  { id; description; det = det ~queues:1 ~shards:[ 1 ] print; wall = None }
 
 let all =
   [
     virtual_clock "fig2" "E1/E10: Figure 2 - isolation overhead vs Maglev, by batch size"
-      (fun () -> Fig2.print (Fig2.run ()));
-    virtual_clock "pipeline-length" "E2: overhead independence of pipeline length" (fun () ->
-        Pipeline_length.print (Pipeline_length.run ()));
-    virtual_clock "recovery" "E3: fault-recovery cost (paper: 4389 cycles)" (fun () ->
-        Recovery.print (Recovery.run ()));
-    virtual_clock "sfi-baselines" "E4: copying / tagged-heap / linear SFI comparison" (fun () ->
-        Sfi_baselines.print (Sfi_baselines.run ()));
-    virtual_clock "ifc-matrix" "E5: Buffer-listing detection matrix (lines 16/17)" (fun () ->
+      (fun telemetry -> Fig2.print (Fig2.run ~telemetry));
+    virtual_clock "pipeline-length" "E2: overhead independence of pipeline length" (fun telemetry ->
+        Pipeline_length.print (Pipeline_length.run ~telemetry));
+    virtual_clock "recovery" "E3: fault-recovery cost (paper: 4389 cycles)" (fun telemetry ->
+        Recovery.print (Recovery.run ~telemetry));
+    virtual_clock "sfi-baselines" "E4: copying / tagged-heap / linear SFI comparison"
+      (fun telemetry -> Sfi_baselines.print (Sfi_baselines.run ~telemetry));
+    virtual_clock "ifc-matrix" "E5: Buffer-listing detection matrix (lines 16/17)" (fun _ ->
         Ifc_matrix.print (Ifc_matrix.run ()));
-    virtual_clock "ifc-store" "E6: secure-store verification + sectype copy cost" (fun () ->
+    virtual_clock "ifc-store" "E6: secure-store verification + sectype copy cost" (fun _ ->
         Ifc_store.print (Ifc_store.run ()));
     virtual_clock "ifc-scaling" "E7: verification cost scaling / compositional summaries"
-      (fun () -> Ifc_scaling.print (Ifc_scaling.run ()));
-    virtual_clock "fig3" "E8: Figure 3 - checkpointing the firewall rule DB" (fun () ->
+      (fun _ -> Ifc_scaling.print (Ifc_scaling.run ()));
+    virtual_clock "fig3" "E8: Figure 3 - checkpointing the firewall rule DB" (fun _ ->
         Fig3.print (Fig3.run ()));
-    virtual_clock "ckpt-cost" "E9: checkpoint work vs DB size and sharing" (fun () ->
+    virtual_clock "ckpt-cost" "E9: checkpoint work vs DB size and sharing" (fun _ ->
         Ckpt_cost.print (Ckpt_cost.run ()));
     virtual_clock "rollback" "E13 (extension): middlebox rollback-recovery (ckpt + replay)"
-      (fun () -> Rollback.print (Rollback.run ()));
+      (fun telemetry -> Rollback.print (Rollback.run ~telemetry));
     {
       id = "scale";
       description = "E14 (extension): sharded engine - scaling vs shard count, fixed queues";
@@ -78,7 +86,7 @@ let all =
     };
     (let e =
        virtual_clock "fusion" "E18 (extension): kernel fusion ablation (Isolated crossings)"
-         (fun () -> Fusion_ablation.print_stats (Fusion_ablation.run_stats ()))
+         (fun telemetry -> Fusion_ablation.print_stats (Fusion_ablation.run_stats ~telemetry))
      in
      (* Every identity line it prints must hold. *)
      { e with det = { e.det with forbid = [ "identical=false\\|identical .*=false" ] } });
@@ -100,8 +108,8 @@ let all =
           (fun ~shards:_ -> Reverify.print_stats (Reverify.run_stats ()));
       wall = Some (fun () -> Reverify.print_wall (Reverify.run_wall ()));
     };
-    virtual_clock "ablations" "A1-A3: design-choice ablations" (fun () ->
-        Ablations.print (Ablations.run ()));
+    virtual_clock "ablations" "A1-A3: design-choice ablations" (fun telemetry ->
+        Ablations.print (Ablations.run ~telemetry));
   ]
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all

@@ -8,7 +8,9 @@ type det = {
   print : shards:int -> unit;
       (** The deterministic printer ([repro <id> --stats-only]). It
           prints no wall clock and no shard count, so runs diff
-          byte-for-byte; at one shard it prints exactly the golden. *)
+          byte-for-byte; at one shard it prints exactly the golden.
+          The telemetry it prints is this run's alone: every run
+          records into registries it creates itself. *)
   queues : int;
       (** RSS queues the printer spreads over shards: the largest
           valid shard count (1 when there is no shard axis). *)

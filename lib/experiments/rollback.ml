@@ -7,8 +7,8 @@ type row = {
   recovered_exact : bool;
 }
 
-let run () =
-  let seed = 5L and inputs = 2021 and telemetry = Telemetry.Registry.global in
+let run ~telemetry =
+  let seed = 5L and inputs = 2021 in
   List.map
     (fun interval ->
       let rng = Cycles.Rng.create seed in

@@ -20,10 +20,10 @@ type row = {
   recovered_exact : bool;
 }
 
-val run : unit -> row list
+val run : telemetry:Telemetry.Registry.t -> row list
 (** Intervals 1, 8, 64, 256; 2021 inputs (deliberately not a multiple
     of the intervals, so the crash lands mid-interval and the log is
-    non-trivial). The global registry accumulates the [chkpt.*]
-    counters across all intervals. *)
+    non-trivial). [telemetry] accumulates the [chkpt.*] counters
+    across all intervals. *)
 
 val print : row list -> unit

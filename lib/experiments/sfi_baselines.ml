@@ -13,12 +13,12 @@ let modes =
     ("tagged (shared heap + checks)", fun _ -> Netstack.Pipeline.Tagged);
   ]
 
-let run () =
+let run ~telemetry =
   let batch = 32 in
   let raw =
     List.map
       (fun (name, mode) ->
-        let env = Env.make () in
+        let env = Env.make ~telemetry () in
         let _mg, stages = Env.maglev_nf env in
         (name, Env.mean_batch_cycles env (mode env) stages ~batch))
       modes

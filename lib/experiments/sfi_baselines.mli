@@ -13,8 +13,8 @@ type row = {
   overhead_vs_direct : float;  (** (mode − direct) / direct. *)
 }
 
-val run : unit -> row list
+val run : telemetry:Telemetry.Registry.t -> row list
 (** Rows in order: direct, isolated (linear SFI), copying, tagged.
-    Batch 32. *)
+    Batch 32. Every mode's run records into [telemetry]. *)
 
 val print : row list -> unit

@@ -33,7 +33,7 @@ type t = {
 
 type stats = { hits : int; misses : int; recomputed : int; rehashed : int; transfers : int }
 
-let create ?(telemetry = Telemetry.Registry.global) () =
+let create ~telemetry () =
   let c leaf = Telemetry.Registry.counter telemetry ("ifc.summary." ^ leaf) in
   {
     entries = Hashtbl.create 64;

@@ -60,7 +60,7 @@
     equal argument syms and pc, from the handle's memo of the last
     pass.
 
-    Hit/miss/recompute counts are recorded on the registry's
+    Hit/miss/recompute counts are recorded on the [create] registry's
     [ifc.summary.hits] / [ifc.summary.misses] /
     [ifc.summary.recomputed] counters and returned per call. *)
 
@@ -79,9 +79,8 @@ type stats = {
                          + the main pass. *)
 }
 
-val create : ?telemetry:Telemetry.Registry.t -> unit -> t
-(** Counters are minted on [telemetry] (default
-    {!Telemetry.Registry.global}). *)
+val create : telemetry:Telemetry.Registry.t -> unit -> t
+(** The [ifc.summary.*] counters are minted on [telemetry]. *)
 
 val reverify :
   ?sever_callee_fps:bool ->

@@ -55,9 +55,11 @@ let verify ?strategy (program : Ast.program) =
           | Ok r -> Ok (r, 0, 0)
           | Error e -> Error e)
         | Incremental -> (
-          (* A one-shot cold run: every function misses. The win
-             needs a persistent handle — see [reverify]. *)
-          match Summary_cache.reverify (Summary_cache.create ()) program with
+          (* A one-shot cold run: every function misses, and its
+             counters go to a registry nobody reads. The win needs a
+             persistent handle — see [reverify]. *)
+          let cache = Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
+          match Summary_cache.reverify cache program with
           | Ok (r, _, _) -> Ok (r, 0, 0)
           | Error e -> Error e)
       in

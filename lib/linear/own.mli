@@ -9,10 +9,11 @@
 
     Borrows ({!borrow}, {!borrow_mut}) give scoped access without
     breaking the binding and enforce Rust's exclusion rule: any number
-    of shared borrows, or one mutable borrow, never both. A value
-    cannot be moved while borrowed, which is what makes it safe for
-    the SFI layer to hand a borrowed argument to another protection
-    domain "for the duration of the call" (§3). *)
+    of shared borrows, or one mutable borrow, never both, and a value
+    cannot be moved while borrowed. This is the §2 model, which
+    [test/test_linear.ml] pins; no protection-domain boundary takes a
+    borrow. The SFI layer moves an argument across a boundary instead
+    ([Sfi.Rref.invoke_move] consumes the handle before dispatch). *)
 
 type 'a t
 

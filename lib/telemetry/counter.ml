@@ -12,4 +12,3 @@ let add t n =
 
 let incr t = add t 1
 let value t = Atomic.get t.v
-let reset t = Atomic.set t.v 0

@@ -18,6 +18,3 @@ val add : t -> int -> unit
     go up (gauges are the type that moves both ways). *)
 
 val value : t -> int
-
-val reset : t -> unit
-(** Zero in place. Outstanding handles remain valid. *)

@@ -15,4 +15,3 @@ let add t n =
 
 let sub t n = add t (-n)
 let value t = Atomic.get t.v
-let reset t = Atomic.set t.v 0

@@ -7,7 +7,6 @@ val make : charge:(unit -> unit) -> unit -> t
 val set : t -> int -> unit
 val add : t -> int -> unit
 val value : t -> int
-val reset : t -> unit
 
 (** {1 For tests}
 

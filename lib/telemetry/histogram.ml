@@ -125,10 +125,3 @@ let merge_into ~into src =
     atomic_min into.mn (Atomic.get src.mn);
     atomic_max into.mx (Atomic.get src.mx)
   end
-
-let reset t =
-  Array.iter (fun b -> Atomic.set b 0) t.buckets;
-  Atomic.set t.count 0;
-  Atomic.set t.sum 0;
-  Atomic.set t.mn max_int;
-  Atomic.set t.mx 0

@@ -35,8 +35,6 @@ val merge_into : into:t -> t -> unit
     histograms (the per-shard telemetry reduction relies on this).
     Charges nothing. *)
 
-val reset : t -> unit
-
 (** {1 For tests}
 
     Bucket layout and counts, which the histogram tests check the

@@ -13,8 +13,6 @@ type t = {
 let create ?clock ?(charge = false) () =
   { lock = Mutex.create (); tbl = Hashtbl.create 64; clock; charged = charge }
 
-let global = create ()
-
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -79,16 +77,6 @@ let find t name = with_lock t (fun () -> Hashtbl.find_opt t.tbl name)
 let metrics t =
   with_lock t (fun () -> Hashtbl.fold (fun name m acc -> (name, m) :: acc) t.tbl [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t =
-  with_lock t (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | Counter c -> Counter.reset c
-          | Gauge g -> Gauge.reset g
-          | Histogram h -> Histogram.reset h)
-        t.tbl)
 
 (* Metrics are visited in sorted name order and find-or-created in the
    destination, so merging a list of registries in any grouping yields

@@ -20,12 +20,6 @@ type t
 
 val create : ?clock:Cycles.Clock.t -> ?charge:bool -> unit -> t
 
-val global : t
-(** The process-wide registry: what [Env.make] wires through every
-    experiment by default and what [repro stats] renders. Tests that
-    assert exact counts should create their own registry (or
-    {!reset} this one first). *)
-
 val counter : t -> string -> Counter.t
 (** Find-or-create. Raises [Invalid_argument] if the name is already
     registered as a different metric kind. *)
@@ -38,9 +32,6 @@ val find : t -> string -> metric option
 val metrics : t -> (string * metric) list
 (** All registered metrics, sorted by name (the deterministic
     rendering order). *)
-
-val reset : t -> unit
-(** Zero every metric in place; handles stay valid. *)
 
 val merge : t list -> t
 (** Fresh uncharged registry holding the merge of the list — the

@@ -1,7 +1,7 @@
-(** The [repro stats] text table: one aligned row per metric, sorted
-    by name, with fixed formats and no wall-clock anywhere — the
-    output is byte-identical across runs of the same deterministic
-    experiment. *)
+(** The telemetry text table every experiment's golden ends with:
+    one aligned row per metric, sorted by name, with fixed formats and
+    no wall-clock anywhere — the output is byte-identical across runs
+    of the same deterministic experiment. *)
 
 val to_string : ?title:string -> Registry.t -> string
 (** The table under a [-- title --] line (default ["telemetry"]).

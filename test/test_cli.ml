@@ -35,11 +35,11 @@ let expect_error args stderr =
 let det_entries = List.map (fun (e : R.entry) -> (e, e.det)) R.all
 
 let test_unknown_ids () =
-  (* run, stats and check share one resolver. *)
+  (* run and check share one resolver. *)
   List.iter
     (fun cmd -> expect_error [ cmd; "bogus-id" ] "unknown experiment(s): bogus-id")
-    [ "run"; "stats"; "check" ];
-  expect_error [ "stats"; "fig2"; "nope"; "bogus-id" ] "unknown experiment(s): nope, bogus-id"
+    [ "run"; "check" ];
+  expect_error [ "run"; "fig2"; "nope"; "bogus-id" ] "unknown experiment(s): nope, bogus-id"
 
 let test_bad_shards () =
   List.iter
@@ -106,6 +106,20 @@ let test_one_configuration () =
     (String.starts_with ~prefix:"\nwall-clock reverification"
        (String.sub out n (String.length out - n)))
 
+(* Each experiment's telemetry is its own run's: after fig2 in the
+   same process, ifc-store (which records nothing) still prints exactly
+   its golden, with no leftover rows of fig2's. *)
+let test_run_isolates_telemetry () =
+  let code, out, err = run [ "run"; "fig2"; "ifc-store" ] in
+  Alcotest.(check int) ("exit code of repro run fig2 ifc-store:\n" ^ err) 0 code;
+  let start =
+    match Str.search_forward (Str.regexp_string "\n==== ifc-store") out 0 with
+    | i -> String.index_from out (i + 1) '\n' + 1
+    | exception Not_found -> Alcotest.failf "no ifc-store header in:\n%s" out
+  in
+  Alcotest.(check string) "ifc-store section = its golden" (golden_text "ifc-store")
+    (String.sub out start (String.length out - start))
+
 (* [repro check] against a scratch copy of the goldens: clean copies
    pass, a changed golden line fails that golden's step (and only it). *)
 let test_check_goldens () =
@@ -166,7 +180,7 @@ let () =
     [
       ( "errors",
         [
-          Alcotest.test_case "unknown ids exit 1 (run, stats, check)" `Quick test_unknown_ids;
+          Alcotest.test_case "unknown ids exit 1 (run, check)" `Quick test_unknown_ids;
           Alcotest.test_case "shard counts outside 1..queues exit 1" `Quick test_bad_shards;
           Alcotest.test_case "bad cell and flag combinations exit 1" `Quick test_bad_requests;
           Alcotest.test_case "recover without its corpus exits 1" `Quick
@@ -180,6 +194,8 @@ let () =
           Alcotest.test_case "virtual-clock experiments print their golden, reverify begins with it"
             `Quick test_one_configuration;
           Alcotest.test_case "every determinism check passes" `Quick test_check_all;
+          Alcotest.test_case "run gives each experiment its own telemetry" `Quick
+            test_run_isolates_telemetry;
         ] );
       ("examples", [ Alcotest.test_case "every example exits 0" `Quick test_examples_exit_0 ]);
     ]

@@ -578,7 +578,7 @@ let test_flowtab_persist_image () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
   @@ fun () ->
-  let env = Experiments.Env.make () in
+  let env = Experiments.Env.make ~telemetry:(Telemetry.Registry.create ()) () in
   let ctx () = flowtab_ctx (Telemetry.Registry.create ()) env.Experiments.Env.clock in
   let buckets = 256 and chunk = 16 in
   let d = Durable.open_store ~graph:3 ~dir () in
@@ -725,18 +725,6 @@ let gen_fuzz rand =
    go path k bytes [])
     rand
 
-exception Hang
-
-(* Runs [f], raising [Hang] if it takes more than [seconds]. *)
-let within seconds f =
-  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hang)) in
-  ignore (Unix.alarm seconds);
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Unix.alarm 0);
-      Sys.set_signal Sys.sigalrm old)
-    f
-
 (* A mutated manifest or pool chunk, written over the original in the
    scratch store: loading every manifest and recovering the store must
    each end, without an exception, in a typed reject or in exactly what
@@ -756,7 +744,7 @@ let prop_decoder_fuzz =
       Fun.protect
         ~finally:(fun () -> write_file file original)
         (fun () ->
-          within 10 (fun () ->
+          Deadline.within 10 (fun () ->
               let graph = Experiments.Recover.corpus_graph in
               let d = Durable.open_store ~graph ~dir:store.fdir () in
               let valid name got =
@@ -933,7 +921,9 @@ let prop_chunk_decoder_fuzz =
            (String.concat "; " steps))
        gen_chunk_fuzz)
     (fun (img, _) ->
-      match within 10 (fun () -> Result.map Incr.iarr_to_chunks (Incr.iarr_of_chunks img)) with
+      match
+        Deadline.within 10 (fun () -> Result.map Incr.iarr_to_chunks (Incr.iarr_of_chunks img))
+      with
       | Error _ -> true
       | Ok img' when img' = img -> true
       | Ok _ -> QCheck.Test.fail_report "accepted an image that re-encodes to other bytes")

@@ -5,13 +5,16 @@
 
 open Experiments
 
+(* Each run records into a registry of its own, as [repro] gives it. *)
+let fresh () = Telemetry.Registry.create ()
+
 let fig2_at rows batch =
   match List.find_opt (fun r -> r.Fig2.batch = batch) rows with
   | Some r -> r
   | None -> Alcotest.failf "no fig2 row at batch %d" batch
 
 let test_fig2_shape () =
-  let rows = Fig2.run () in
+  let rows = Fig2.run ~telemetry:(fresh ()) in
   Alcotest.(check int) "9 rows" 9 (List.length rows);
   let b1 = fig2_at rows 1 and b32 = fig2_at rows 32 and b256 = fig2_at rows 256 in
   (* ~90 cycles per protected call at batch 1. *)
@@ -38,13 +41,13 @@ let test_fig2_shape () =
     (b256.Fig2.maglev_cycles > 10. *. b1.Fig2.maglev_cycles)
 
 let test_pipeline_length_independence () =
-  let rows = Pipeline_length.run () in
+  let rows = Pipeline_length.run ~telemetry:(fresh ()) in
   Alcotest.(check int) "5 rows" 5 (List.length rows);
   let dev = Pipeline_length.max_deviation rows in
   Alcotest.(check bool) (Printf.sprintf "deviation %.3f < 0.10" dev) true (dev < 0.10)
 
 let test_recovery_shape () =
-  let r = Recovery.run () in
+  let r = Recovery.run ~telemetry:(fresh ()) in
   (* Same order of magnitude as the paper's 4389 cycles. *)
   Alcotest.(check bool)
     (Printf.sprintf "total %.0f in [2000, 9000]" r.Recovery.total_mean)
@@ -55,7 +58,7 @@ let test_recovery_shape () =
     (Cycles.Stats.mean r.Recovery.catch_cycles > Cycles.Stats.mean r.Recovery.recover_cycles)
 
 let test_sfi_baselines_shape () =
-  match Sfi_baselines.run () with
+  match Sfi_baselines.run ~telemetry:(fresh ()) with
   | [ direct; isolated; copying; tagged ] ->
     Alcotest.(check (float 0.)) "direct is the baseline" 0. direct.Sfi_baselines.overhead_vs_direct;
     (* Linear SFI: negligible overhead. *)
@@ -194,7 +197,7 @@ let test_ckpt_cost_shape () =
     rows
 
 let test_rollback_shape () =
-  let rows = Rollback.run () in
+  let rows = Rollback.run ~telemetry:(fresh ()) in
   let at interval =
     match List.find_opt (fun r -> r.Rollback.interval = interval) rows with
     | Some r -> r
@@ -210,7 +213,7 @@ let test_rollback_shape () =
   Alcotest.(check int) "interval 1 never replays" 0 tight.Rollback.replayed_on_crash
 
 let test_ablations_shape () =
-  let r = Ablations.run () in
+  let r = Ablations.run ~telemetry:(fresh ()) in
   (match r.Ablations.pin with
   | [ full; pinned ] ->
     Alcotest.(check bool) "pinning is cheaper" true
@@ -243,8 +246,8 @@ let test_ablations_shape () =
    crossings' share: TLS lookup 12, atomic upgrade 40, indirect call
    18 cycles. *)
 let test_ablation_matches_fig2 () =
-  let e1 = (fig2_at (Fig2.run ()) 1).Fig2.overhead_per_call in
-  let a2 = (Ablations.run ()).Ablations.attribution in
+  let e1 = (fig2_at (Fig2.run ~telemetry:(fresh ())) 1).Fig2.overhead_per_call in
+  let a2 = (Ablations.run ~telemetry:(fresh ())).Ablations.attribution in
   let row name =
     match List.find_opt (fun a -> a.Ablations.zeroed = name) a2 with
     | Some a -> a

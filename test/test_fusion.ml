@@ -404,7 +404,7 @@ let check_words ?(kind = "minor") what per_pkt bound =
    the preallocated NIC template slab: 1024 flows fit the template
    slots, so the warmed loop never misses one. *)
 let test_maglev_nf_minor_words () =
-  let env = Experiments.Env.make () in
+  let env = Experiments.Env.make ~telemetry:(Telemetry.Registry.create ()) () in
   let _mg, stages = Experiments.Env.maglev_nf env in
   let pipe = Pipeline.create ~engine:env.Experiments.Env.engine ~mode:Pipeline.Direct stages in
   check_words "maglev NF"
@@ -443,7 +443,7 @@ let test_megaflow_minor_words () =
    per payload, minor) read 20.130 minor and 20.131 in all (the
    difference is the counters' own tuple); bounded at 20.14. *)
 let test_flowtab_words () =
-  let env = Experiments.Env.make () in
+  let env = Experiments.Env.make ~telemetry:(Telemetry.Registry.create ()) () in
   let ctx =
     {
       Shard.qc_queue = 0;
@@ -473,7 +473,7 @@ let test_flowtab_words () =
    fresh frame string, its [String.init] closure and a [write_l4]
    closure: 21.58 words per packet. *)
 let test_rx_minor_words () =
-  let env = Experiments.Env.make ~flows:65_536 () in
+  let env = Experiments.Env.make ~flows:65_536 ~telemetry:(Telemetry.Registry.create ()) () in
   let nic = env.Experiments.Env.nic in
   let batch = Batch.create ~capacity:32 in
   let step () =

@@ -310,17 +310,23 @@ let mutate text =
       (2, return (before ^ tok ^ String.sub text (pos + k) (n - pos - k)));
     ]
 
-let gen_mutant =
+(* A window of at most 150 lines from the start of a top-level item of
+   a committed source keeps every case small and most of it well
+   formed. *)
+let gen_window =
   let open QCheck.Gen in
-  let rec edits k text = if k = 0 then return text else mutate text >>= edits (k - 1) in
   let* text, starts, items = oneofa (Lazy.force mir_sources) in
-  (* A window of at most 150 lines from the start of a top-level item
-     keeps every case small and most of it well formed. *)
   let* first = oneofa items in
   let* len = int_range 1 150 in
   let stop = if first + len >= Array.length starts then String.length text else starts.(first + len) in
+  return (String.sub text starts.(first) (stop - starts.(first)))
+
+let gen_mutant =
+  let open QCheck.Gen in
+  let rec edits k text = if k = 0 then return text else mutate text >>= edits (k - 1) in
+  let* window = gen_window in
   let* k = int_range 1 3 in
-  edits k (String.sub text starts.(first) (stop - starts.(first)))
+  edits k window
 
 let prop_matches_oracle =
   QCheck.Test.make ~name:"mutated sources parse exactly as the oracle does" ~count:10_000
@@ -651,6 +657,70 @@ let test_reparse_allocation () =
   let per_line = words /. float_of_int lines in
   if per_line > 1. then Alcotest.failf "%.2f minor words per line (at most 1)" per_line
 
+(* --- arbitrary bytes: an error or a source that round-trips ----------- *)
+
+(* Some bytes spliced into [text] at a random offset, over up to three
+   of its own. *)
+let splice_bytes text =
+  let open QCheck.Gen in
+  let n = String.length text in
+  let* pos = int_bound n and* k = int_bound 3 and* bytes = string_size ~gen:char (int_range 1 8) in
+  let k = min k (n - pos) in
+  return (String.sub text 0 pos ^ bytes ^ String.sub text (pos + k) (n - pos - k))
+
+(* A base window and the input: arbitrary bytes, or the window with
+   token, line and byte splices. The base is what the warm run parses
+   first. *)
+let gen_fuzz =
+  let open QCheck.Gen in
+  let* base = gen_window in
+  let rec splices k text =
+    if k = 0 then return text
+    else
+      frequency [ (2, mutate text); (1, mutate_line text); (1, splice_bytes text) ]
+      >>= splices (k - 1)
+  in
+  let* input =
+    frequency
+      [
+        (1, string_size ~gen:char (int_range 0 400));
+        (3, int_range 1 3 >>= fun k -> splices k base);
+      ]
+  in
+  return (base, input)
+
+(* [text] parses to an error or to an AST whose source reparses to an
+   AST with the same source; it must not raise. *)
+let error_or_round_trip text =
+  match Parse.program text with
+  | Error _ as r -> r
+  | Ok p as r ->
+    let src = Parse.to_source p in
+    (match Parse.program src with
+    | Ok q when String.equal (Parse.to_source q) src -> ()
+    | Ok q -> QCheck.Test.fail_reportf "%S\nreparses to another source:\n%S" src (Parse.to_source q)
+    | Error e -> QCheck.Test.fail_reportf "%S\ndoes not reparse: %s" src (Parse.error_to_string e));
+    r
+
+(* Each input parses with the memo empty, then with the memo warm from
+   its base window; both must hold, agree, and end within the deadline. *)
+let prop_fuzz =
+  QCheck.Test.make ~name:"arbitrary and spliced bytes: an error or a round-trip" ~count:5000
+    (QCheck.make
+       ~print:(fun (base, input) -> Printf.sprintf "base %S\ninput %S" base input)
+       gen_fuzz)
+    (fun (base, input) ->
+      Deadline.within 10 (fun () ->
+          Parse.forget ();
+          let cold = error_or_round_trip input in
+          Parse.forget ();
+          ignore (Parse.program base);
+          let warm = error_or_round_trip input in
+          if warm <> cold then
+            QCheck.Test.fail_reportf "warm parse differs from cold:\n%s\n--- vs ---\n%s"
+              (show_result warm) (show_result cold);
+          true))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "parse"
@@ -687,4 +757,5 @@ let () =
           Alcotest.test_case "two words of a body swapped" `Quick test_memo_swapped_words;
           Alcotest.test_case "allocation per line, one body edited" `Quick test_reparse_allocation;
         ] );
+      ("fuzz", [ qt ~rand:(rand ()) prop_fuzz ]);
     ]

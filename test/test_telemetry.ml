@@ -114,16 +114,6 @@ let test_histogram_negative_clamps () =
   Alcotest.(check int) "clamped to 0" 0 (Histogram.max h);
   Alcotest.(check int) "count 1" 1 (Histogram.count h)
 
-let test_histogram_reset () =
-  let reg = fresh () in
-  let h = Registry.histogram reg "r" in
-  Histogram.observe h 123;
-  Histogram.reset h;
-  Alcotest.(check int) "count 0" 0 (Histogram.count h);
-  Alcotest.(check int) "p50 0" 0 (Histogram.percentile h 50.);
-  Histogram.observe h 9;
-  Alcotest.(check int) "handle survives reset" 1 (Histogram.count h)
-
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -174,22 +164,6 @@ let test_registry_kind_mismatch () =
   Alcotest.check_raises "histogram over counter rejected"
     (Invalid_argument "Registry: x is registered as a counter, not a histogram") (fun () ->
       ignore (Registry.histogram reg "x"))
-
-let test_registry_reset_isolation () =
-  let reg = fresh () in
-  let c = Registry.counter reg "c" in
-  let h = Registry.histogram reg "h" in
-  Counter.add c 5;
-  Histogram.observe h 9;
-  Registry.reset reg;
-  Alcotest.(check int) "counter zeroed" 0 (Counter.value c);
-  Alcotest.(check int) "histogram zeroed" 0 (Histogram.count h);
-  (* Old handles keep recording into the same registry after reset. *)
-  Counter.incr c;
-  Alcotest.(check int) "handle still live" 1 (Counter.value c);
-  (* A second registry is unaffected by the first one's traffic. *)
-  let reg2 = fresh () in
-  Alcotest.(check int) "fresh registry isolated" 0 (Counter.value (Registry.counter reg2 "c"))
 
 let test_registry_metrics_sorted () =
   let reg = fresh () in
@@ -258,7 +232,7 @@ let test_render_empty () =
 let test_fig2_cross_check () =
   let reg = fresh () in
   let b = 20 + 100 in
-  let rows = Experiments.Fig2.run ~telemetry:reg () in
+  let rows = Experiments.Fig2.run ~telemetry:reg in
   Alcotest.(check int) "nine rows" 9 (List.length rows);
   let n = List.length rows in
   let p = List.fold_left (fun acc (r : Experiments.Fig2.row) -> acc + r.batch) 0 rows in
@@ -293,7 +267,7 @@ let test_fig2_cross_check () =
 let test_recovery_cross_check () =
   let reg = fresh () in
   let trials = 1000 in
-  let r = Experiments.Recovery.run ~telemetry:reg () in
+  let r = Experiments.Recovery.run ~telemetry:reg in
   Alcotest.(check int) "result trials" trials r.Experiments.Recovery.trials;
   Alcotest.(check int) "recovery span count = trials" trials
     (Histogram.count (Registry.histogram reg "sfi.recovery_cycles"));
@@ -306,11 +280,12 @@ let test_recovery_cross_check () =
   Alcotest.(check int) "failed batches = trials" trials
     (Counter.value (Registry.counter reg "netstack.pipeline.failed_batches"))
 
-(* Two identical runs must render byte-identical stats output. *)
+(* Two identical runs, each into a fresh registry, must render
+   byte-identical tables: neither registry sees the other's traffic. *)
 let test_render_deterministic () =
   let run () =
     let reg = fresh () in
-    ignore (Experiments.Fig2.run ~telemetry:reg ());
+    ignore (Experiments.Fig2.run ~telemetry:reg);
     Render.to_string ~title:"fig2" reg
   in
   let a = run () and b = run () in
@@ -406,7 +381,6 @@ let () =
             test_histogram_quantiles_vs_reference;
           Alcotest.test_case "bucket geometry" `Quick test_histogram_bucket_geometry;
           Alcotest.test_case "negative clamps" `Quick test_histogram_negative_clamps;
-          Alcotest.test_case "reset" `Quick test_histogram_reset;
         ] );
       ( "span",
         [
@@ -417,7 +391,6 @@ let () =
         [
           Alcotest.test_case "same handle" `Quick test_registry_same_handle;
           Alcotest.test_case "kind mismatch" `Quick test_registry_kind_mismatch;
-          Alcotest.test_case "reset isolation" `Quick test_registry_reset_isolation;
           Alcotest.test_case "metrics sorted" `Quick test_registry_metrics_sorted;
           Alcotest.test_case "sum matching" `Quick test_registry_sum_matching;
           Alcotest.test_case "scope naming" `Quick test_scope_naming;

@@ -21,7 +21,12 @@ parameter that only tests set is marked in its function's doc comment
 instead: "For tests: [?name]". An entry marked for tests that not even
 test/ uses is printed too: it is dead either way.
 
-Exit status: 1 if it printed anything, else 0.
+Last it prints the size of the test-only surface: the `val`s in
+"For tests" sections plus the "For tests: [?name]" markers. That
+count may not rise above the number in tools/exports_for_tests.txt;
+lower the number when the count falls.
+
+Exit status: 1 if it listed an entry or the count rose, else 0.
 """
 
 import glob
@@ -32,6 +37,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CALLER_DIRS = ["lib", "bin", "examples", "layerbench", "tools"]
 FOR_TESTS = "{1 For tests}"
+LIMIT = os.path.join(ROOT, "tools", "exports_for_tests.txt")
 IDENT = r"[a-z_][A-Za-z0-9_']*"
 
 
@@ -145,13 +151,14 @@ def entries(mli):
 def main():
     callers = [Source(p) for d in CALLER_DIRS for p in ml_files(d)]
     tests = [Source(p) for p in ml_files("test")]
-    listed = []
+    listed, for_tests_count = [], 0
     for mli in sorted(glob.glob(os.path.join(ROOT, "lib", "*", "*.mli"))):
         own = mli[:-1]
         mod = module_of(own)
         rel = os.path.relpath(mli, ROOT)
         others = [s for s in callers if s.path != own]
         for line, q, name, params, for_tests, marked in entries(mli):
+            for_tests_count += for_tests + len(marked)
             users = [s for s in others if s.uses(q, name)]
             tested = [s for s in tests if s.uses(q, name)]
             shown = "%s.%s" % (mod, name) if q == mod else "%s.%s.%s" % (mod, q, name)
@@ -174,7 +181,12 @@ def main():
         print("%s:%d: %s (%s)" % (rel, line, shown, why))
     if listed:
         print("%d exports without a non-test caller" % len(listed), file=sys.stderr)
-    return 1 if listed else 0
+    with open(LIMIT) as f:
+        limit = int(f.read())
+    print("test-only surface: %d (limit %d)" % (for_tests_count, limit))
+    if for_tests_count > limit:
+        print("the test-only surface grew above %s" % os.path.relpath(LIMIT, ROOT), file=sys.stderr)
+    return 1 if listed or for_tests_count > limit else 0
 
 
 if __name__ == "__main__":
