@@ -92,8 +92,8 @@ val checkpoint : ?strategy:strategy -> 'a t -> 'a -> 'a * stats
 
 (** {1 For tests}
 
-    §5's combinators for the other explicitly-shared types, the array
-    container, and the predicate [test/test_chkpt.ml] checks copy
+    model, oracle: §5's combinators for the other explicitly-shared
+    types, the array container, and the predicate [test/test_chkpt.ml] checks copy
     counts with. No experiment checkpoints these shapes; the tests pin
     each combinator's copy semantics. *)
 

@@ -88,7 +88,7 @@ val recover : t -> recovered option * (string * reject) list
 
 (** {1 For tests}
 
-    The single-manifest decoder, which [test/test_durable.ml] fuzzes
+    oracle: the single-manifest decoder, which [test/test_durable.ml] fuzzes
     and whose reject precedence it pins; {!recover} is the caller. *)
 
 val load : t -> basename:string -> (string * string array * int, reject) result

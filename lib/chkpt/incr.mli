@@ -115,7 +115,7 @@ val iarr_of_chunks : string array -> (iarr, string) result
 
 (** {1 For tests}
 
-    What [test/test_durable.ml] and [test/test_chkpt_incr.ml] check a
+    oracle: what [test/test_durable.ml] and [test/test_chkpt_incr.ml] check a
     decoded or recovered table against. *)
 
 val iarr_chunks : iarr -> int

@@ -50,6 +50,6 @@ val checkpoints_taken : (_, _) t -> int
 
 (** {1 For tests}
 
-    The log bound that [test/test_chkpt.ml] checks truncation by. *)
+    oracle: the log bound that [test/test_chkpt.ml] checks truncation by. *)
 
 val log_length : (_, _) t -> int

@@ -2,30 +2,23 @@ type 'a t = {
   desc : 'a Checkpointable.t;
   strategy : Checkpointable.strategy;
   mutable live : 'a;
-  mutable stack : 'a list;
+  mutable snap : 'a option;
 }
 
 let create ?(strategy = Checkpointable.Rc_flag) desc live =
-  { desc; strategy; live; stack = [] }
+  { desc; strategy; live; snap = None }
 
 let get t = t.live
 
 let snapshot t =
   let copy, stats = Checkpointable.checkpoint ~strategy:t.strategy t.desc t.live in
-  t.stack <- copy :: t.stack;
+  t.snap <- Some copy;
   stats
 
 let rollback t =
-  match t.stack with
-  | [] -> invalid_arg "Store.rollback: no snapshot"
-  | snap :: _ ->
+  match t.snap with
+  | None -> invalid_arg "Store.rollback: no snapshot"
+  | Some snap ->
     let copy, stats = Checkpointable.checkpoint ~strategy:t.strategy t.desc snap in
     t.live <- copy;
     stats
-
-let commit t =
-  match t.stack with
-  | [] -> invalid_arg "Store.commit: no snapshot"
-  | _ :: rest -> t.stack <- rest
-
-let depth t = List.length t.stack

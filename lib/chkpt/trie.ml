@@ -92,33 +92,6 @@ let insert t ~prefix ~len ~rule =
   in
   go t.root 0
 
-let remove t ~prefix ~len =
-  if len < 0 || len > 32 then invalid_arg "Trie.remove: prefix length out of range";
-  let tracked = t.tracked in
-  (* Returns (removed, keep_node): prune branches left empty. *)
-  let rec go node i =
-    if tracked then stamp t node;
-    if i = len then begin
-      match node.rule with
-      | None -> (false, node.zero <> None || node.one <> None)
-      | Some h ->
-        Linear.Rc.drop h;
-        node.rule <- None;
-        (true, node.zero <> None || node.one <> None)
-    end
-    else begin
-      let next = if bit prefix i = 0 then node.zero else node.one in
-      match next with
-      | None -> (false, true)
-      | Some n ->
-        let removed, keep = go n (i + 1) in
-        if not keep then
-          if bit prefix i = 0 then node.zero <- None else node.one <- None;
-        (removed, node.rule <> None || node.zero <> None || node.one <> None)
-    end
-  in
-  fst (go t.root 0)
-
 let lookup_gen ~bump t ip =
   let rec go node i best =
     let best = match node.rule with Some _ -> node.rule | None -> best in

@@ -62,7 +62,7 @@ val render : t -> string
 (** {2 Incremental tracking}
 
     The trie is uniquely owned, so every structural mutation passes
-    through {!insert}/{!remove}: stamping the walked root path with a
+    through {!insert}: stamping the walked root path with a
     generation is a {e complete} dirty record (DESIGN.md §11). Hit
     bumps from {!lookup} dirty only the rule {e cell}, which the sync
     reconciles in place — a steady-state lookup-heavy trie stays
@@ -82,12 +82,9 @@ val desc : t Checkpointable.t
 
 (** {1 For tests}
 
-    A removal (an edit the property tests mix in), a lookup that
-    stamps nothing, and the stamp count the dirty-tracking tests read. *)
-
-val remove : t -> prefix:int32 -> len:int -> bool
-(** Unmap the prefix (dropping the leaf's rule handle and pruning
-    now-empty branches); [false] if no rule was mapped there. *)
+    oracle: a lookup that stamps nothing, so a probe does not perturb
+    the state under test, and the stamp count the dirty-tracking
+    property bounds [dirty_nodes] by. *)
 
 val lookup_quiet : t -> int32 -> rule option
 (** {!lookup} without mutating [hits]. *)

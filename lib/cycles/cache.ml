@@ -1,11 +1,5 @@
 type level = L1 | L2 | L3 | Dram
 
-let level_to_string = function
-  | L1 -> "L1"
-  | L2 -> "L2"
-  | L3 -> "L3"
-  | Dram -> "DRAM"
-
 
 type config = {
   line_bytes : int;

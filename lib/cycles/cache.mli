@@ -73,11 +73,9 @@ val counters : t -> counters
 
 (** {1 For tests}
 
-    What [test/test_cycles.ml] drives the simulator with, access by
+    oracle: what [test/test_cycles.ml] drives the simulator with, access by
     access against the textbook oracle in [test/cache_oracle.ml], and
     the state it compares set by set. *)
-
-val level_to_string : level -> string
 
 val line_bytes : t -> int
 (** The configured cache-line size. *)

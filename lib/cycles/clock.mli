@@ -70,7 +70,7 @@ val measure : t -> (unit -> 'a) -> 'a * int64
 
 (** {1 For tests}
 
-    The model and per-access level that [test/test_cycles.ml] checks
+    oracle: the model and per-access level that [test/test_cycles.ml] checks
     the clock's charges against. *)
 
 val model : t -> Cost_model.t

@@ -27,8 +27,6 @@ let[@inline] next t =
 
 let next_int64 t = next t
 
-let split t = create (next_int64 t)
-
 let int t bound =
   assert (bound > 0);
   (* The low 62 bits, so the value is always a nonnegative OCaml int. *)
@@ -43,8 +41,6 @@ let float t bound =
   (* Top 53 bits, scaled to [0, 1). *)
   let top53 = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int top53 /. 9007199254740992.0 *. bound
-
-let bool t = Int64.to_int (next t) land 1 = 1
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -8,7 +8,7 @@
     The implementation is SplitMix64 (Steele et al., OOPSLA'14): tiny,
     fast, and statistically solid for simulation purposes. It runs on
     native [int64] arithmetic over an unboxed 8-byte state, so
-    {!int}, {!float} and {!bool} allocate nothing per draw. *)
+    {!int} and {!float} allocate nothing per draw. *)
 
 type t
 (** A mutable generator. Generators are cheap; create one per
@@ -30,15 +30,8 @@ val shuffle : t -> 'a array -> unit
 
 (** {1 For tests}
 
-    The raw stream, a derived generator and a coin, each diffed by
-    [test/test_cycles.ml] against a reference SplitMix64. *)
-
-val split : t -> t
-(** [split t] derives an independent generator from [t], advancing [t]
-    by one draw. Use to give sub-components their own streams. *)
+    oracle: the raw stream, which [test/test_cycles.ml] diffs against a
+    reference SplitMix64. *)
 
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
-
-val bool : t -> bool
-(** Fair coin. *)

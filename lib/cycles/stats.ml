@@ -3,14 +3,9 @@ type t = {
   mutable len : int;
   mutable sorted : bool;
   mutable sum : float;
-  mutable sumsq : float;
-  mutable mn : float;
-  mutable mx : float;
 }
 
-let create () =
-  { samples = Array.make 16 0.; len = 0; sorted = true; sum = 0.; sumsq = 0.;
-    mn = infinity; mx = neg_infinity }
+let create () = { samples = Array.make 16 0.; len = 0; sorted = true; sum = 0. }
 
 let add t x =
   if t.len = Array.length t.samples then begin
@@ -21,24 +16,9 @@ let add t x =
   t.samples.(t.len) <- x;
   t.len <- t.len + 1;
   t.sorted <- false;
-  t.sum <- t.sum +. x;
-  t.sumsq <- t.sumsq +. (x *. x);
-  if x < t.mn then t.mn <- x;
-  if x > t.mx then t.mx <- x
+  t.sum <- t.sum +. x
 
-let count t = t.len
 let mean t = if t.len = 0 then 0. else t.sum /. float_of_int t.len
-
-let stddev t =
-  if t.len < 2 then 0.
-  else
-    let n = float_of_int t.len in
-    let m = t.sum /. n in
-    let var = (t.sumsq -. (n *. m *. m)) /. (n -. 1.) in
-    if var <= 0. then 0. else sqrt var
-
-let min t = t.mn
-let max t = t.mx
 
 let ensure_sorted t =
   if not t.sorted then begin
@@ -53,13 +33,5 @@ let percentile t p =
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
   ensure_sorted t;
   let rank = int_of_float (ceil (p /. 100. *. float_of_int t.len)) in
-  let idx = Stdlib.max 0 (Stdlib.min (t.len - 1) (rank - 1)) in
+  let idx = max 0 (min (t.len - 1) (rank - 1)) in
   t.samples.(idx)
-
-let median t = percentile t 50.
-
-let summary t =
-  if t.len = 0 then "(no samples)"
-  else
-    Printf.sprintf "%.1f ± %.1f [min %.1f, p50 %.1f, p99 %.1f, max %.1f] (n=%d)"
-      (mean t) (stddev t) (min t) (median t) (percentile t 99.) (max t) t.len

@@ -44,12 +44,3 @@ val run : telemetry:Telemetry.Registry.t -> result
     and A4's registries are their own. *)
 
 val print : result -> unit
-
-(** {1 For tests}
-
-    A4 alone, whose per-event costs [test/test_telemetry.ml] pins. *)
-
-val telemetry_overhead : unit -> tele_row list
-(** A4 alone (10_000 events per operation): charged rows cost
-    a small bounded number of cycles per event; the uncharged row
-    costs exactly zero virtual cycles. *)

@@ -60,7 +60,7 @@ val print_wall : wall_result -> unit
 
 (** {1 For tests}
 
-    A reduced deterministic run (the shard-invariance test in
+    model: a reduced deterministic run (the shard-invariance test in
     [test/test_flowcache.ml]), the per-queue chain whose allocation
     [test/test_fusion.ml] bounds, and the rule table
     [test/test_ruledb.ml] checks {!Netstack.Ruledb.classify} against

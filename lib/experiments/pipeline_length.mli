@@ -20,7 +20,7 @@ val print : row list -> unit
 
 (** {1 For tests}
 
-    The figure [test/test_experiments.ml] bounds. *)
+    model: the figure [test/test_experiments.ml] bounds. *)
 
 val max_deviation : row list -> float
 (** Largest relative deviation of any row's overhead from the mean —

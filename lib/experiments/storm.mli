@@ -20,7 +20,7 @@ val print : shards:int -> unit
 
 (** {1 For tests}
 
-    The policies and the single-storm run that [test/test_faultinj.ml]
+    model: the policies and the single-storm run that [test/test_faultinj.ml]
     and [test/test_chkpt_incr.ml] drive at reduced sizes. *)
 
 val default_policies : Faultinj.Restart.policy list

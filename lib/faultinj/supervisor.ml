@@ -99,7 +99,7 @@ let supervise t mgr ~index_of =
   Sfi.Manager.subscribe mgr (function
     | Sfi.Manager.Domain_failed d -> (
       match index_of d with Some i -> note_failure t i | None -> ())
-    | Sfi.Manager.Domain_recovered _ | Sfi.Manager.Domain_destroyed _ -> ())
+    | Sfi.Manager.Domain_recovered _ -> ())
 
 let try_restart t i u =
   match t.restart_fn i with

@@ -93,6 +93,6 @@ val stats : t -> stats
 
 (** {1 For tests}
 
-    The unit state the degrade and cold-start tests read back. *)
+    oracle: the unit state the degrade and cold-start tests read back. *)
 
 val is_skipped : t -> int -> bool

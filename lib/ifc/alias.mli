@@ -33,6 +33,6 @@ val namespaced : fname:string -> string -> string
 
 (** {1 For tests}
 
-    The pairwise query the points-to tests check the analysis by. *)
+    oracle: the pairwise query the points-to tests check the analysis by. *)
 
 val may_alias : result -> string -> string -> bool

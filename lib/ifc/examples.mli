@@ -54,7 +54,7 @@ val bug_line : clients:int -> int
 
 (** {1 For tests}
 
-    The terminal channel and client categories the IFC tests build
+    model: the terminal channel and client categories the IFC tests build
     their own programs and expectations from. *)
 
 val terminal : Ast.channel

@@ -53,6 +53,6 @@ val transitive_callers : Ast.program -> string list -> string list
 
 (** {1 For tests}
 
-    The generated names the edit properties pick functions by. *)
+    hook: the generated names the edit properties pick functions by. *)
 
 val func_name : int -> string

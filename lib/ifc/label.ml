@@ -10,10 +10,8 @@ let join = S.union
 let leq = S.subset
 let equal = S.equal
 let is_public = S.is_empty
-let categories = S.elements
 let cardinal = S.cardinal
 let fold = S.fold
-let mem = S.mem
 
 let to_string t =
   if S.is_empty t then "public" else "{" ^ String.concat "," (S.elements t) ^ "}"

@@ -36,12 +36,3 @@ val to_string : t -> string
 (** ["public"] or ["{a,b}"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** {1 For tests}
-
-    What the tests read a label's categories back with. *)
-
-val categories : t -> string list
-(** Sorted. *)
-
-val mem : string -> t -> bool

@@ -96,7 +96,7 @@ val error_to_string : error -> string
 
 (** {1 For tests}
 
-    The cold parse that [test/test_parse.ml] diffs the memo against,
+    oracle: the cold parse that [test/test_parse.ml] diffs the memo against,
     and the label grammar alone, which it pins. *)
 
 val forget : unit -> unit

@@ -115,7 +115,7 @@ val reverify :
 
 (** {1 For tests}
 
-    The entry count and reset that [test/test_summary_cache.ml] pins the
+    oracle: the entry count and reset that [test/test_summary_cache.ml] pins the
     cache's pruning and the cold path with. *)
 
 val size : t -> int

@@ -45,7 +45,9 @@ type report = {
 val strategy_name : strategy -> string
 
 val verify : ?strategy:strategy -> Ast.program -> (report, string) result
-(** [Error] on validation failure or a dialect/strategy mismatch. *)
+(** [strategy] defaults to [Exact] for Safe programs and [Andersen] for
+    Aliased ones. [Error] on validation failure or a dialect/strategy
+    mismatch. *)
 
 val reverify :
   Summary_cache.t -> Ast.program -> (report * Summary_cache.stats, string) result
@@ -58,11 +60,3 @@ val reverify :
     shrinks on warm runs. *)
 
 val pp_report : Format.formatter -> report -> unit
-
-(** {1 For tests}
-
-    The strategy {!verify} picks when none is given, which
-    [test/test_ifc.ml] pins per dialect. *)
-
-val default_strategy : Ast.program -> strategy
-(** [Exact] for Safe programs, [Andersen] for Aliased ones. *)

@@ -18,7 +18,7 @@ val id : 'a t -> int
 
 (** {1 For tests}
 
-    The rest of [std::sync::Arc]'s surface. Nothing in the system
+    model: the rest of [std::sync::Arc]'s surface. Nothing in the system
     drops, counts or downgrades an Arc; [test/test_linear.ml] pins the
     atomic counts and the upgrade CAS under concurrent domains. *)
 

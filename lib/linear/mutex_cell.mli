@@ -24,7 +24,7 @@ val with_lock : 'a t -> ('a -> 'a * 'b) -> 'b
 
 (** {1 For tests}
 
-    Lock-scoped access besides {!with_lock}, which
+    model: lock-scoped access besides {!with_lock}, which
     [test/test_linear.ml] and [test/test_chkpt.ml] drive concurrent
     writers with. *)
 

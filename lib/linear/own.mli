@@ -29,7 +29,7 @@ val borrow : 'a t -> ('a -> 'b) -> 'b
 
 (** {1 For tests}
 
-    The rest of the single-ownership discipline. The system only
+    model: the rest of the single-ownership discipline. The system only
     creates, borrows and consumes owned values; [test/test_linear.ml]
     pins moves, mutable borrows and their exclusion as the model of
     Rust's rules (§2). *)

@@ -57,7 +57,7 @@ val set_scratch : 'a t -> int -> unit
 
 (** {1 For tests}
 
-    The weak-count and failing upgrade the weak-edge tests read. *)
+    oracle: the weak-count and failing upgrade the weak-edge tests read. *)
 
 val weak_count : 'a t -> int
 

@@ -63,7 +63,7 @@ val close : stop t -> unit
 
 (** {1 For tests}
 
-    Endpoint liveness, which the protocol tests read after a close. *)
+    model: endpoint liveness, which the protocol tests read after a close. *)
 
 val is_live : 'p t -> bool
 (** Diagnostics: has this endpoint value been consumed yet? *)

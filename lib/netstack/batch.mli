@@ -123,7 +123,7 @@ val packets : t -> Packet.t list
 
 (** {1 For tests}
 
-    Hooks of the column oracle tests ([test/test_packet_fast.ml],
+    oracle, hook: hooks of the column oracle tests ([test/test_packet_fast.ml],
     [test/test_soa.ml], [test/test_flowcache.ml]): the plane's state
     bits, the consistency audit and the fault it must catch, one slot's
     writeback, and the batch's packets read back. *)

@@ -51,7 +51,7 @@ val touch_packet : t -> Packet.t -> off:int -> bytes:int -> unit
 
 (** {1 For tests}
 
-    The access mode and tag-check count the tagged-heap tests read. *)
+    oracle: the access mode and tag-check count the tagged-heap tests read. *)
 
 val mode : t -> mode
 (** The access mode is fixed at {!create} time — engines are

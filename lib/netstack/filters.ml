@@ -68,19 +68,6 @@ let maglev_gre mg ~vip =
         true
       | exception Invalid_argument _ -> false)
 
-let gre_decap =
-  Stage.filter ~name:"gre-decap" (fun engine batch i p ->
-      Engine.touch_packet engine p ~off:Packet.eth_header_bytes
-        ~bytes:Packet.ipv4_header_bytes;
-      if Packet.is_gre p then begin
-        Packet.decap_gre p;
-        (* The inner packet's tuple is live again. *)
-        Batch.invalidate_hdr batch i;
-        Engine.touch_packet engine p ~off:0 ~bytes:p.Packet.len;
-        true
-      end
-      else false)
-
 let firewall ~name verdict =
   Stage.filter ~name ~access:Stage.Cols (fun engine batch i p ->
       Engine.touch_packet engine p ~off:Packet.eth_header_bytes

@@ -1,14 +1,14 @@
 (** The network functions used by the evaluation.
 
-    [null] is Figure 2's measurement probe ("forward batches of packets
-    without doing any work on them"); [maglev] is the realistic
+    {!null_chain} is Figure 2's measurement probe ("forward batches of
+    packets without doing any work on them"); [maglev] is the realistic
     comparison NF; the rest populate the examples and the wider test
     surface (TTL/hop processing, checksum verification, firewalling,
     DPI-style payload scans, and deterministic fault injection for the
     recovery experiment). *)
 
 val null_chain : int -> Stage.t list
-(** [n] {!null} stages, each a {!Stage.barrier}: Figure 2's
+(** [n] do-nothing stages, each a {!Stage.barrier}: Figure 2's
     per-boundary probe, one protection-domain crossing per stage under
     [Isolated]. *)
 
@@ -54,16 +54,8 @@ val triggered_fault : trigger:bool ref -> Stage.t
 
 (** {1 For tests}
 
-    Stages only the tests put in chains: a do-nothing stage, the GRE
-    decapsulation that undoes {!maglev_gre}, and a payload-touching
-    stage for byte-reading chains. *)
-
-val null : Stage.t
-(** Forwards the batch untouched. *)
-
-val gre_decap : Stage.t
-(** Backend-side: strip the GRE tunnel header (dropping non-GRE
-    packets). *)
+    model: the DPI scan DESIGN.md lists among the filters; the fusion
+    tests put it in chains as the stage that reads payload bytes. *)
 
 val payload_scan : Stage.t
 (** Per packet: touch and sum every payload byte (DPI-style work,

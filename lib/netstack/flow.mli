@@ -55,7 +55,8 @@ val protocol_number : protocol -> int
 
 (** {1 For tests}
 
-    The printers the property tests label their cases with. *)
+    oracle: the printers with which the property tests report a case
+    their oracle rejects. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -101,7 +101,7 @@ val stats : t -> stats
 
 (** {1 For tests}
 
-    The cache state the model-based tests check against their
+    oracle: the cache state the model-based tests check against their
     reference model. *)
 
 val epoch : t -> int

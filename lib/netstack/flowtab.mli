@@ -77,7 +77,7 @@ val digest : t -> string
 
 (** {1 For tests}
 
-    The table state [test/test_durable.ml] checks a recovered table
+    oracle: the table state [test/test_durable.ml] checks a recovered table
     against. *)
 
 val generation : t -> int option

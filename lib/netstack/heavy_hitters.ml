@@ -23,33 +23,21 @@ let find_min t =
       | _ -> Some (flow, e))
     t.entries None
 
-let observe ?(count = 1) t flow =
-  if count <= 0 then invalid_arg "Heavy_hitters.observe: count must be positive";
-  t.observed <- t.observed + count;
+let observe t flow =
+  t.observed <- t.observed + 1;
   match Hashtbl.find_opt t.entries flow with
-  | Some e -> e.count <- e.count + count
+  | Some e -> e.count <- e.count + 1
   | None ->
     if Hashtbl.length t.entries < t.capacity then
-      Hashtbl.replace t.entries flow { count; error = 0 }
+      Hashtbl.replace t.entries flow { count = 1; error = 0 }
     else begin
       (* Space-Saving eviction: the newcomer inherits the minimum. *)
       match find_min t with
       | None -> assert false
       | Some (victim, e) ->
         Hashtbl.remove t.entries victim;
-        Hashtbl.replace t.entries flow { count = e.count + count; error = e.count }
+        Hashtbl.replace t.entries flow { count = e.count + 1; error = e.count }
     end
-
-let estimate t flow =
-  Option.map (fun e -> (e.count, e.error)) (Hashtbl.find_opt t.entries flow)
-
-let top t k =
-  Hashtbl.fold (fun flow e acc -> (flow, e.count, e.error) :: acc) t.entries []
-  |> List.sort (fun (_, a, _) (_, b, _) -> compare b a)
-  |> List.filteri (fun i _ -> i < k)
-
-let observed t = t.observed
-let tracked t = Hashtbl.length t.entries
 
 let desc : t Chkpt.Checkpointable.t =
   let open Chkpt.Checkpointable in
@@ -75,10 +63,3 @@ let equal a b =
          | Some e' -> e.count = e'.count && e.error = e'.error
          | None -> false)
        a.entries true
-
-let stage t =
-  Stage.rewrite ~name:"flow-stats" ~access:Stage.Cols (fun engine batch i p ->
-      Engine.touch_packet engine p ~off:Packet.eth_header_bytes
-        ~bytes:(Packet.ipv4_header_bytes + 4);
-      Cycles.Clock.charge (Engine.clock engine) (Alu 6);
-      observe t (Batch.flow batch i))

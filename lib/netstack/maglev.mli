@@ -42,10 +42,10 @@ val on_change : t -> (unit -> unit) -> unit
 
 (** {1 For tests}
 
-    Table inspection, the keyless lookup that the affinity test steers
-    with, and the backend-set edits that are the only code firing
-    {!on_change}, the hook the flowcache invalidation model depends
-    on. *)
+    model, hook: table inspection and the keyless lookup behind the
+    tests of Maglev's balance, disruption and affinity claims, and the
+    backend-set edits that are the only code firing {!on_change}, the
+    hook the flowcache invalidation model depends on. *)
 
 val lookup : t -> Flow.t -> int
 (** {!lookup_keyed} with the key computed here. *)

@@ -57,11 +57,6 @@ let alloc t =
     Some { Packet.buf = t.buffers.(slot); len = 0; addr = addr_of_slot t slot; slot }
   end
 
-let alloc_exn t =
-  match alloc t with
-  | Some p -> p
-  | None -> invalid_arg "Mempool.alloc_exn: pool exhausted"
-
 (* Allocate straight into a batch: charge-identical to [alloc] (one
    free-list touch, one Alloc) but with no [Some] box per packet — the
    per-packet allocation the rx hot path used to pay. *)

@@ -69,8 +69,7 @@ val assert_no_leaks : t -> unit
 
 (** {1 For tests}
 
-    The pool state the leak tests read, and a raising allocation. *)
+    oracle: the free count, which the leak tests check against
+    {!in_use} and the pool's capacity. *)
 
 val available : t -> int
-
-val alloc_exn : t -> Packet.t

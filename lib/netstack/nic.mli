@@ -44,7 +44,7 @@ val tx_packets : t -> int
 
 (** {1 For tests}
 
-    Rx into a caller-owned batch, whose allocation [test/test_fusion.ml]
+    oracle: rx into a caller-owned batch, whose allocation [test/test_fusion.ml]
     bounds. *)
 
 val rx_batch_into : t -> Batch.t -> int -> unit

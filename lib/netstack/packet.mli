@@ -117,15 +117,13 @@ val encap_gre : t -> outer_src:int -> outer_dst:int -> unit
 
 val is_gre : t -> bool
 
-val decap_gre : t -> unit
-(** Strip the outer IPv4+GRE header, restoring the inner packet.
-    Raises [Invalid_argument] if the packet is not GRE. *)
-
 (** {1 For tests}
 
-    Free-standing packets and the byte-level field access that are the
-    bytes side of the header oracle ([test/hdr_oracle.ml]); the stages
-    write headers through {!Batch}'s columns and {!apply_hdr}. *)
+    oracle: free-standing packets and the byte-level field access that
+    are the bytes side of the header oracle ([test/hdr_oracle.ml]) —
+    the stages write headers through {!Batch}'s columns and
+    {!apply_hdr} — and the decapsulation that inverts {!encap_gre} in
+    the GRE round-trip property. *)
 
 val of_bytes : ?addr:int -> Bytes.t -> t
 (** A free-standing packet with [len = 0] over a copy of the bytes
@@ -138,3 +136,7 @@ val set_ttl : t -> int -> unit
 (** Updates the checksum incrementally (RFC 1624). *)
 
 val set_dst_ip_int : t -> int -> unit
+
+val decap_gre : t -> unit
+(** Strip the outer IPv4+GRE header, restoring the inner packet.
+    Raises [Invalid_argument] if the packet is not GRE. *)

@@ -653,7 +653,7 @@ let failed_stage t =
       else
         match Sfi.Pdomain.state iso.cells.(c).domain with
         | Sfi.Pdomain.Failed _ -> Some iso.cells.(c).ic_group.g_base
-        | Sfi.Pdomain.Running | Sfi.Pdomain.Destroyed -> scan (c + 1)
+        | Sfi.Pdomain.Running -> scan (c + 1)
     in
     scan 0
 

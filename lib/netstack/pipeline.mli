@@ -152,7 +152,7 @@ val stage_reports : t -> stage_report list
 
 (** {1 For tests}
 
-    Counts the fusion tests check the plan and degradation by. *)
+    oracle: counts the fusion tests check the plan and degradation by. *)
 
 val length : t -> int
 

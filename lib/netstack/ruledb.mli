@@ -63,7 +63,7 @@ val stage : t -> Stage.t
 
 (** {1 For tests}
 
-    One flow's verdict, which [test/test_ruledb.ml] diffs against the
+    oracle: one flow's verdict, which [test/test_ruledb.ml] diffs against the
     per-rule scan of [test/ruledb_oracle.ml], and the default verdict,
     which the oracle tests edit and read back. *)
 

@@ -43,7 +43,8 @@ val sub_string : buf -> int -> int -> string
 
 (** {1 For tests}
 
-    Byte access the slab and rx oracle tests read and corrupt frames with. *)
+    oracle, hook: byte access the slab and rx oracle tests read and
+    corrupt frames with. *)
 
 val get : buf -> int -> char
 

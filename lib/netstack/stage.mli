@@ -102,7 +102,7 @@ val barrier : t -> t
 
 (** {1 For tests}
 
-    Replacing a stage's hooks: [with_hooks []] severs it from cache
+    hook: replacing a stage's hooks: [with_hooks []] severs it from cache
     invalidation, the negative control of the flowcache tests. *)
 
 val with_hooks : hook list -> t -> t

@@ -52,7 +52,7 @@ val population : t -> int
 
 (** {1 For tests}
 
-    The plan's flow of a draw index and its Zipf weights, which the
+    oracle: the plan's flow of a draw index and its Zipf weights, which the
     flowcache distribution tests check draws against. *)
 
 val plan_flow_of_index : plan -> int -> Flow.t

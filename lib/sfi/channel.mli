@@ -2,12 +2,13 @@
 
     §3: "after passing an object reference to a function {e or
     channel}, the caller loses access to the object". A channel is a
-    directed, bounded queue between a sender and a receiver domain:
+    directed, bounded queue from a sender to a receiver domain:
     {!send} consumes the caller's {!Linear.Own.t} (the zero-copy
-    ownership transfer — no bytes move) and {!recv} re-materialises an
-    owned handle on the other side. Direction is enforced against the
-    thread-local current domain, so a compromised domain cannot inject
-    into or drain a channel it is not an endpoint of.
+    ownership transfer — no bytes move). Direction is enforced against
+    the thread-local current domain, so a compromised domain cannot
+    inject into a channel it is not the sender of. The system only
+    fills channels (the storm's [Channel_full] fault), so there is no
+    receive side.
 
     Sending charges the virtual clock for the queue bookkeeping only —
     constant cost, independent of payload size, which is the entire
@@ -20,10 +21,8 @@ type error =
                        the message is dropped with the send (the usual
                        lossy NIC-queue semantics); use {!send_exn}
                        to treat this as a bug instead. *)
-  | Closed
   | Wrong_domain of Domain_id.t
-      (** The calling domain is not the endpoint this operation
-          requires. *)
+      (** The calling domain is not the sender. *)
 
 val create :
   clock:Cycles.Clock.t ->
@@ -33,12 +32,14 @@ val create :
   ?label:string ->
   unit ->
   'a t
+(** [receiver] names the domain the channel is directed to; nothing
+    receives in this model, so only the sender is checked. *)
 
 val send : 'a t -> 'a Linear.Own.t -> (unit, error) result
 (** Consumes the handle unconditionally (ownership transfers even into
-    a failed send — as with {!Rref.invoke_move}); on [Full]/[Closed]
-    the value is dropped. Must be called from the sender domain (or
-    the kernel). *)
+    a failed send — as with {!Rref.invoke_move}); on [Full] the value
+    is dropped. Must be called from the sender domain (or the
+    kernel). *)
 
 val send_exn : 'a t -> 'a Linear.Own.t -> (unit, error) result
 (** Like {!send} but panics on [Full] — for pipelines where drops are
@@ -52,26 +53,7 @@ val send_exn : 'a t -> 'a Linear.Own.t -> (unit, error) result
     surfacing as a generic engine error. *)
 
 val length : 'a t -> int
+(** Messages accepted so far: nothing drains a channel, so once this
+    reaches {!capacity} every send fails with [Full]. *)
+
 val capacity : 'a t -> int
-
-(** {1 For tests}
-
-    The receive side and the counters: the system only fills channels
-    (the storm's [Channel_full] fault); [test/test_sfi.ml] pins the
-    zero-copy transfer, close and drop semantics. *)
-
-val error_to_string : error -> string
-
-val recv : 'a t -> ('a Linear.Own.t option, error) result
-(** [Ok None] when empty. Must be called from the receiver domain (or
-    the kernel). *)
-
-val close : 'a t -> unit
-(** Idempotent; subsequent sends fail, pending messages remain
-    receivable. *)
-
-val sent : 'a t -> int
-
-val received : 'a t -> int
-
-val dropped : 'a t -> int

@@ -7,4 +7,3 @@ let counter = Atomic.make 0
 let fresh () = Atomic.fetch_and_add counter 1 + 1
 
 let equal = Int.equal
-let to_string t = if t = 0 then "kernel" else Printf.sprintf "pd%d" t

@@ -12,4 +12,3 @@ val fresh : unit -> t
 (** Next unused id. Process-global, thread-safe. *)
 
 val equal : t -> t -> bool
-val to_string : t -> string

@@ -1,15 +1,16 @@
 (** The domain manager — the SFI "management plane" of §3.
 
-    Owns the experiment-wide virtual clock and shared heap, tracks
-    every protection domain, and implements the fault-recovery
-    sequence: after a panic has been caught at the domain boundary
-    (stack already unwound, caller already got its error code),
-    {!recover} (1) clears the failed domain's reference table, which
-    atomically revokes every outstanding rref and (2) releases all heap
-    memory the domain owned, then (3) re-initialises the domain from
-    clean state by running its user-provided recovery function — which
-    typically re-populates the table, "making the failure transparent
-    to clients of the domain". *)
+    Owns the experiment-wide virtual clock, creates the protection
+    domains, and implements the fault-recovery sequence: after a panic
+    has been caught at the domain boundary (stack already unwound,
+    caller already got its error code), {!recover} (1) clears the
+    failed domain's reference table, which atomically revokes every
+    outstanding rref and drops the table's strong references, so what
+    the domain exported is left to the garbage collector, then (2)
+    re-initialises the domain from clean state by running its
+    user-provided recovery function — which typically re-populates the
+    table, "making the failure transparent to clients of the
+    domain". *)
 
 type t
 
@@ -45,13 +46,11 @@ val create_domain :
     [Domain_failed] fires for every caught panic — whether it unwound
     to the {!Pdomain.execute} boundary or was attributed out-of-band
     (e.g. a {!Channel.send_exn} overflow charged to the sending
-    domain); [Domain_recovered] fires after a successful {!recover};
-    [Domain_destroyed] after {!destroy}. *)
+    domain); [Domain_recovered] fires after a successful {!recover}. *)
 
 type event =
   | Domain_failed of Pdomain.t
   | Domain_recovered of Pdomain.t
-  | Domain_destroyed of Pdomain.t
 
 val subscribe : t -> (event -> unit) -> unit
 (** Subscribers are called synchronously, in registration order, from
@@ -59,26 +58,5 @@ val subscribe : t -> (event -> unit) -> unit
 
 val recover : t -> Pdomain.t -> (unit, string) result
 (** Recover a [Failed] domain (also accepts a [Running] domain, for
-    proactive recycling). Returns [Error _] if the domain is destroyed
-    or its recovery function itself panics — in which case the domain
-    stays [Failed]. *)
-
-type stats = {
-  domains_created : int;
-  domains_destroyed : int;
-  recoveries : int;
-  slots_revoked_by_recovery : int;
-}
-
-(** {1 For tests}
-
-    The shared heap, explicit destruction and lifetime counters the
-    isolation tests read. *)
-
-val heap : t -> Heap.t
-
-val destroy : t -> Pdomain.t -> unit
-(** Clear the table, free the heap, and mark the domain [Destroyed].
-    Idempotent. *)
-
-val stats : t -> stats
+    proactive recycling). Returns [Error _] if its recovery function
+    itself panics — in which case the domain stays [Failed]. *)

@@ -1,7 +1,6 @@
 type state =
   | Running
   | Failed of string
-  | Destroyed
 
 (* Pre-resolved telemetry handles, minted by the manager under
    [sfi.<name>.*]; recording is a single atomic op on the hot path. *)
@@ -16,7 +15,6 @@ type t = {
   id : Domain_id.t;
   name : string;
   clock : Cycles.Clock.t;
-  heap : Heap.t;
   table : Ref_table.t;
   state_addr : int;
   mutable state : state;
@@ -30,13 +28,12 @@ type t = {
   tele : tele option;
 }
 
-let create ~clock ~heap ~name ?(policy = Policy.allow_all) ?recovery ?tele () =
+let create ~clock ~name ?(policy = Policy.allow_all) ?recovery ?tele () =
   let id = Domain_id.fresh () in
   {
     id;
     name;
     clock;
-    heap;
     table = Ref_table.create ~clock ~owner:id;
     state_addr = Cycles.Clock.alloc_addr clock ~bytes:64;
     state = Running;
@@ -78,7 +75,7 @@ let record_panic t =
 
 let execute t f =
   match t.state with
-  | Failed _ | Destroyed -> Error Sfi_error.Domain_unavailable
+  | Failed _ -> Error Sfi_error.Domain_unavailable
   | Running ->
     (* Entry: read + update the thread-local current-domain slot and the
        domain descriptor. *)
@@ -102,17 +99,10 @@ let execute t f =
       record_panic t;
       Error (Sfi_error.Domain_failed msg))
 
-let alloc t ~bytes =
-  match t.state with
-  | Running -> Heap.alloc t.heap ~owner:t.id ~bytes
-  | Failed _ | Destroyed -> invalid_arg "Pdomain.alloc: domain unavailable"
-
 let mark_failed t msg =
   t.state <- Failed msg;
   t.panic_count <- t.panic_count + 1;
   record_panic t
-
-let mark_destroyed t = t.state <- Destroyed
 
 let reset_after_recovery t =
   t.state <- Running;

@@ -1,20 +1,18 @@
 (** Protection domains.
 
-    A PD bundles an identity, a reference table, an access policy, a
-    heap-ownership account and a fault state. Code "runs inside" a
+    A PD bundles an identity, a reference table, an access policy and
+    a fault state. Code "runs inside" a
     domain when the thread-local current-domain slot ({!Tls}) names it;
     {!execute} is the only entry point, and it converts escaping panics
     into [Error (Domain_failed _)] after unwinding — never letting them
     cross the isolation boundary.
 
     A failed domain refuses further entries until {!Manager.recover}
-    has cleared its table, released its heap and re-run its recovery
-    function. *)
+    has cleared its table and re-run its recovery function. *)
 
 type state =
   | Running
   | Failed of string  (** A panic escaped; payload is the panic message. *)
-  | Destroyed
 
 type t
 
@@ -30,7 +28,6 @@ type tele = {
 
 val create :
   clock:Cycles.Clock.t ->
-  heap:Heap.t ->
   name:string ->
   ?policy:Policy.t ->
   ?recovery:(t -> unit) ->
@@ -86,15 +83,12 @@ val set_on_fail : t -> (t -> unit) option -> unit
     to [Failed] and its panic counters were bumped. *)
 
 val mark_failed : t -> string -> unit
-val mark_destroyed : t -> unit
 val reset_after_recovery : t -> unit
 
 (** {1 For tests}
 
-    Caller policies and domain-owned allocation, which the isolation
-    tests drive. *)
+    model: the access-control policies DESIGN.md lists for [sfi/];
+    the isolation tests install one and check that {!Rref.invoke}
+    refuses a caller it does not name. *)
 
 val set_policy : t -> Policy.t -> unit
-
-val alloc : t -> bytes:int -> Heap.allocation
-(** Allocate from the shared heap, owned by this domain. *)

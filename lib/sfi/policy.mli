@@ -15,7 +15,8 @@ val allow_all : t
 
 (** {1 For tests}
 
-    An allow-list policy for the caller-check tests. *)
+    model: an allow-list access-control policy, which the caller-check
+    tests install. *)
 
 val allow_callers : Domain_id.t list -> t
 (** Only the listed callers may invoke; the kernel is always allowed. *)

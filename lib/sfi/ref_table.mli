@@ -32,7 +32,7 @@ val clear : t -> int
 
 (** {1 For tests}
 
-    The slot count and generation the revocation tests read. *)
+    oracle: the slot count and generation the revocation tests read. *)
 
 val size : t -> int
 (** Live slots. *)

@@ -21,7 +21,7 @@ let enter t =
   Cycles.Clock.touch clock (Pdomain.state_addr t.target) ~bytes:8;
   Cycles.Clock.charge clock Branch_hit;
   match Pdomain.state t.target with
-  | Failed _ | Destroyed -> Error Sfi_error.Domain_unavailable
+  | Failed _ -> Error Sfi_error.Domain_unavailable
   | Running ->
     (* 3. Access control. *)
     Cycles.Clock.charge clock Branch_hit;

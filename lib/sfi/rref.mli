@@ -73,7 +73,7 @@ val revoke : 'a t -> bool
 
 (** {1 For tests}
 
-    Revocation state, read by the revocation tests. *)
+    oracle: revocation state, read by the revocation tests. *)
 
 val is_revoked : 'a t -> bool
 (** Non-invasive probe (does not charge the clock). *)

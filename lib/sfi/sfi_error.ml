@@ -9,12 +9,3 @@ let to_string = function
   | Access_denied -> "access denied by domain policy"
   | Domain_failed msg -> Printf.sprintf "domain failed: %s" msg
   | Domain_unavailable -> "target domain unavailable"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-let equal a b =
-  match (a, b) with
-  | Revoked, Revoked | Access_denied, Access_denied | Domain_unavailable, Domain_unavailable ->
-    true
-  | Domain_failed x, Domain_failed y -> String.equal x y
-  | (Revoked | Access_denied | Domain_failed _ | Domain_unavailable), _ -> false

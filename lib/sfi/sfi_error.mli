@@ -16,15 +16,7 @@ type t =
           payload; the target domain is now in the [Failed] state and
           must be recovered before further use. *)
   | Domain_unavailable
-      (** The target domain is [Failed] or destroyed, so the call was
-          not attempted. *)
+      (** The target domain is [Failed], so the call was not
+          attempted. *)
 
 val to_string : t -> string
-
-(** {1 For tests}
-
-    The printer and equality of the tests' [Alcotest] testable. *)
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

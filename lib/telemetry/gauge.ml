@@ -13,5 +13,4 @@ let add t n =
   t.charge ();
   ignore (Atomic.fetch_and_add t.v n)
 
-let sub t n = add t (-n)
 let value t = Atomic.get t.v

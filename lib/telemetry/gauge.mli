@@ -7,9 +7,3 @@ val make : charge:(unit -> unit) -> unit -> t
 val set : t -> int -> unit
 val add : t -> int -> unit
 val value : t -> int
-
-(** {1 For tests}
-
-    A decrement, which the gauge tests drive. *)
-
-val sub : t -> int -> unit

@@ -37,7 +37,7 @@ val merge_into : into:t -> t -> unit
 
 (** {1 For tests}
 
-    Bucket layout and counts, which the histogram tests check the
+    oracle: bucket layout and counts, which the histogram tests check the
     log-linear indexing by. *)
 
 val bucket_counts : t -> int array

@@ -39,7 +39,7 @@ val merge : t list -> t
 
 (** {1 For tests}
 
-    A sum over matching counters, the cross-check tests' reference. *)
+    oracle: a sum over matching counters, the cross-check tests' reference. *)
 
 val sum_matching : t -> prefix:string -> suffix:string -> int
 (** Sum of every counter whose name matches [prefix*suffix] — e.g.

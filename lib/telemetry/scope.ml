@@ -8,7 +8,6 @@ let v registry prefix =
   { registry; prefix }
 
 let name t leaf = t.prefix ^ "." ^ leaf
-let sub t segment = { t with prefix = name t segment }
 let counter t leaf = Registry.counter t.registry (name t leaf)
 let gauge t leaf = Registry.gauge t.registry (name t leaf)
 let histogram t leaf = Registry.histogram t.registry (name t leaf)

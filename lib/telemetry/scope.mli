@@ -11,11 +11,3 @@ val v : Registry.t -> string -> t
 val counter : t -> string -> Counter.t
 val gauge : t -> string -> Gauge.t
 val histogram : t -> string -> Histogram.t
-
-(** {1 For tests}
-
-    Name composition, which the scope tests pin. *)
-
-val name : t -> string -> string
-
-val sub : t -> string -> t

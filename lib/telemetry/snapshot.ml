@@ -39,5 +39,3 @@ let capture registry =
       in
       (name, v))
     (Registry.metrics registry)
-
-let find t name = List.assoc_opt name t

@@ -23,9 +23,3 @@ type t = (string * value) list
 (** Sorted by metric name. *)
 
 val capture : Registry.t -> t
-
-(** {1 For tests}
-
-    Lookup by name, which the snapshot tests read values with. *)
-
-val find : t -> string -> value option

@@ -628,11 +628,6 @@ let test_flowtab_persist_image () =
 (* Decoder fuzzing over the committed corpus                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Pinned unless QCHECK_SEED names another seed (make qcheck-soak). *)
-let rand () =
-  let env = Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt in
-  Random.State.make [| Option.value env ~default:20171017 |]
-
 let rec copy_tree src dst =
   if Sys.is_directory src then begin
     Sys.mkdir dst 0o755;
@@ -929,7 +924,7 @@ let prop_chunk_decoder_fuzz =
       | Ok _ -> QCheck.Test.fail_report "accepted an image that re-encodes to other bytes")
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = Seed.to_alcotest in
   Alcotest.run "durable"
     [
       ( "codec",
@@ -958,8 +953,8 @@ let () =
             test_manifest_count_bounded;
           Alcotest.test_case "iarr counts past the end allocate nothing" `Quick
             test_chunk_counts_bounded;
-          qt ~rand:(rand ()) prop_decoder_fuzz;
-          qt ~rand:(rand ()) prop_chunk_decoder_fuzz;
+          qt prop_decoder_fuzz;
+          qt prop_chunk_decoder_fuzz;
         ] );
       ( "store",
         [

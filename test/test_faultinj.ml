@@ -4,7 +4,7 @@
    supervisor driving a real manager-backed restart function, and the
    storm experiment's conservation + determinism claims. *)
 
-let qt = QCheck_alcotest.to_alcotest
+let qt = Seed.to_alcotest
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                               *)

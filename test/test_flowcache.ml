@@ -17,7 +17,7 @@
 
 open Netstack
 
-let qt = QCheck_alcotest.to_alcotest
+let qt = Seed.to_alcotest
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle: LRU + TTL + epoch against a reference model              *)
@@ -89,7 +89,7 @@ let access_env () =
   let pool = Mempool.create ~clock ~capacity:16 () in
   let engine = Engine.create ~clock ~pool () in
   let craft flow ttl =
-    let p = Mempool.alloc_exn pool in
+    let p = Option.get (Mempool.alloc pool) in
     Packet.craft p ~flow ~payload_bytes:18 ~ttl;
     p
   in

@@ -15,7 +15,7 @@
 
 open Netstack
 
-let qt = QCheck_alcotest.to_alcotest
+let qt = Seed.to_alcotest
 let backends = Array.init 8 (fun i -> Printf.sprintf "backend-%d" i)
 let vip = 0xC0A80001
 

@@ -181,7 +181,7 @@ let test_interp_leak_program_leaks () =
   let leak = List.hd o.Interp.leaks in
   Alcotest.(check int) "at line 16" 16 leak.Interp.eline;
   Alcotest.(check bool) "secret escaped" true
-    (Label.mem "secret" (Interp.event_taint leak))
+    (Label.leq Label.secret (Interp.event_taint leak))
 
 let test_interp_aliased_exploit_really_leaks () =
   (* The crux of §4: the conventional-language exploit discloses the
@@ -293,7 +293,7 @@ let test_exact_flags_line16 () =
   match r.Verifier.findings with
   | [ f ] ->
     Alcotest.(check int) "line 16" 16 f.Abstract.line;
-    Alcotest.(check bool) "secret involved" true (Label.mem "secret" f.Abstract.label)
+    Alcotest.(check bool) "secret involved" true (Label.leq Label.secret f.Abstract.label)
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_exact_verifies_benign () =
@@ -369,9 +369,9 @@ let test_exact_tracks_implicit_flows () =
 
 let test_default_strategies () =
   Alcotest.(check string) "safe -> exact" "exact-ownership"
-    (Verifier.strategy_name (Verifier.default_strategy Examples.buffer_leak_safe));
+    (Verifier.strategy_name (verify_ok Examples.buffer_leak_safe).Verifier.strategy);
   Alcotest.(check string) "aliased -> andersen" "andersen-points-to"
-    (Verifier.strategy_name (Verifier.default_strategy Examples.buffer_exploit_aliased))
+    (Verifier.strategy_name (verify_ok Examples.buffer_exploit_aliased).Verifier.strategy)
 
 let test_strategy_dialect_mismatch () =
   match Verifier.verify ~strategy:Verifier.Exact Examples.buffer_exploit_aliased with
@@ -394,7 +394,7 @@ let test_store_bug_found () =
   | [ f ] ->
     Alcotest.(check int) "at the seeded line" (Examples.bug_line ~clients) f.Abstract.line;
     Alcotest.(check bool) "privileged category leaked" true
-      (Label.mem (Examples.client_category 0) f.Abstract.label)
+      (Label.leq (Label.singleton (Examples.client_category 0)) f.Abstract.label)
   | fs -> Alcotest.failf "expected exactly the seeded bug, got %d findings" (List.length fs)
 
 let test_store_bug_found_compositionally () =
@@ -574,7 +574,7 @@ let test_alias_through_calls () =
              (Alias.points_to r (Alias.namespaced ~fname:"id" "p")))))
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = Seed.to_alcotest in
   Alcotest.run "ifc"
     [
       ( "label",

@@ -338,7 +338,7 @@ let test_session_is_live () =
   Session.close b
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = Seed.to_alcotest in
   Alcotest.run "linear"
     [
       ( "own",

@@ -366,18 +366,8 @@ let prop_noninterference =
         in
         observe 0 = observe 1 && observe 0 = observe 7)
 
-let test_stats_summary_format () =
-  let s = Cycles.Stats.create () in
-  Alcotest.(check string) "empty" "(no samples)" (Cycles.Stats.summary s);
-  List.iter (Cycles.Stats.add s) [ 1.; 2.; 3. ];
-  let out = Cycles.Stats.summary s in
-  Alcotest.(check bool) "mentions mean and n" true
-    (String.length out > 0
-    && String.sub out 0 3 = "2.0"
-    && String.length out > 10)
-
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = Seed.to_alcotest in
   Alcotest.run "models"
     [
       ( "reference models",
@@ -391,6 +381,5 @@ let () =
           qt prop_packet_parser_total;
           qt prop_replay_fidelity;
           qt prop_noninterference;
-          Alcotest.test_case "stats summary format" `Quick test_stats_summary_format;
         ] );
     ]

@@ -19,6 +19,12 @@ let tcp_flow =
 
 let fresh_packet ?(bytes = 2048) () = Packet.of_bytes ~addr:0x100000 (Bytes.create bytes)
 
+(* A buffer from a pool the test sized large enough. *)
+let take pool = Option.get (Mempool.alloc pool)
+
+(* A do-nothing column stage, for chains that need a neighbour. *)
+let null = Stage.rewrite ~name:"null" ~access:Stage.Cols (fun _ _ _ _ -> ())
+
 (* ------------------------------------------------------------------ *)
 (* Flow                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -164,8 +170,8 @@ let test_mempool_alloc_free () =
   let clock = Cycles.Clock.create () in
   let pool = Mempool.create ~clock ~capacity:4 () in
   Alcotest.(check int) "all available" 4 (Mempool.available pool);
-  let p1 = Mempool.alloc_exn pool in
-  let p2 = Mempool.alloc_exn pool in
+  let p1 = take pool in
+  let p2 = take pool in
   Alcotest.(check int) "two in use" 2 (Mempool.in_use pool);
   Alcotest.(check bool) "distinct addresses" true (p1.Packet.addr <> p2.Packet.addr);
   Alcotest.(check bool) "allocated" true (Mempool.is_allocated pool p1);
@@ -184,7 +190,7 @@ let test_mempool_exhaustion () =
 let test_mempool_double_free () =
   let clock = Cycles.Clock.create () in
   let pool = Mempool.create ~clock ~capacity:2 () in
-  let p = Mempool.alloc_exn pool in
+  let p = take pool in
   Mempool.free pool p;
   Alcotest.check_raises "double free" (Invalid_argument "Mempool.free: double free")
     (fun () -> Mempool.free pool p)
@@ -200,20 +206,20 @@ let test_mempool_foreign_packet () =
 let test_mempool_lifo_reuse () =
   let clock = Cycles.Clock.create () in
   let pool = Mempool.create ~clock ~capacity:8 () in
-  let p = Mempool.alloc_exn pool in
+  let p = take pool in
   let addr = p.Packet.addr in
   Mempool.free pool p;
-  let q = Mempool.alloc_exn pool in
+  let q = take pool in
   Alcotest.(check bool) "LIFO returns the hot buffer" true (addr = q.Packet.addr)
 
 let test_mempool_mark_reclaim () =
   let clock = Cycles.Clock.create () in
   let pool = Mempool.create ~clock ~capacity:8 () in
-  let a = Mempool.alloc_exn pool in
-  let b = Mempool.alloc_exn pool in
+  let a = take pool in
+  let b = take pool in
   let mark = Mempool.mark pool in
-  let c = Mempool.alloc_exn pool in
-  let d = Mempool.alloc_exn pool in
+  let c = take pool in
+  let d = take pool in
   Alcotest.(check int) "two reclaimed" 2 (Mempool.reclaim_since pool mark);
   Alcotest.(check bool) "pre-mark survives" true
     (Mempool.is_allocated pool a && Mempool.is_allocated pool b);
@@ -222,7 +228,7 @@ let test_mempool_mark_reclaim () =
   Alcotest.(check int) "idempotent" 0 (Mempool.reclaim_since pool mark);
   (* Serials are monotonic, so the watermark sweeps anything allocated
      at-or-after it — including reused slots. *)
-  let e = Mempool.alloc_exn pool in
+  let e = take pool in
   Alcotest.(check int) "reused slot swept by old mark" 1 (Mempool.reclaim_since pool mark);
   Alcotest.(check bool) "e freed" false (Mempool.is_allocated pool e)
 
@@ -230,7 +236,7 @@ let test_mempool_assert_no_leaks () =
   let clock = Cycles.Clock.create () in
   let pool = Mempool.create ~clock ~capacity:4 () in
   Mempool.assert_no_leaks pool;
-  let p = Mempool.alloc_exn pool in
+  let p = take pool in
   (match Mempool.assert_no_leaks pool with
   | () -> Alcotest.fail "leak not detected"
   | exception Failure msg ->
@@ -466,7 +472,7 @@ let test_filter_payload_scan_charges () =
 
 let run_simple_pipeline mode engine =
   let _nic, batch = make_loaded_batch engine 16 in
-  let pipe = Pipeline.create ~engine ~mode [ Filters.null; Filters.ttl_decrement; Filters.null ] in
+  let pipe = Pipeline.create ~engine ~mode [ null; Filters.ttl_decrement; null ] in
   match Pipeline.run pipe batch with
   | Ok out -> (pipe, out)
   | Error e -> Alcotest.failf "pipeline failed: %s" (Sfi.Sfi_error.to_string e)
@@ -506,7 +512,7 @@ let test_pipeline_isolation_contains_fault () =
   let mgr = Sfi.Manager.create () in
   let pipe =
     Pipeline.create ~engine ~mode:(Pipeline.Isolated mgr)
-      [ Filters.null; Filters.fault_injector ~panic_after:2; Filters.null ]
+      [ null; Filters.fault_injector ~panic_after:2; null ]
   in
   let _nic, b1 = make_loaded_batch engine 8 in
   (match Pipeline.run pipe b1 with
@@ -547,7 +553,7 @@ let test_pipeline_isolation_contains_fault () =
   let trigger = ref false in
   let pipe =
     Pipeline.create ~engine ~mode:(Pipeline.Isolated (Sfi.Manager.create ()))
-      [ Filters.ttl_decrement; Filters.triggered_fault ~trigger; Filters.null ]
+      [ Filters.ttl_decrement; Filters.triggered_fault ~trigger; null ]
   in
   let nic = make_nic engine in
   let schedule = [ 2; 3; 7; 11 ] in
@@ -581,11 +587,11 @@ let test_pipeline_panic_reclaims_stage_allocations () =
   let greedy =
     Stage.opaque ~name:"greedy" (fun eng _b ->
         for _ = 1 to 3 do
-          ignore (Mempool.alloc_exn (Engine.pool eng))
+          ignore (take (Engine.pool eng))
         done;
         Sfi.Panic.panic "greedy: crashed holding buffers")
   in
-  let pipe = Pipeline.create ~engine ~mode:(Pipeline.Isolated mgr) [ Filters.null; greedy ] in
+  let pipe = Pipeline.create ~engine ~mode:(Pipeline.Isolated mgr) [ null; greedy ] in
   let _nic, b = make_loaded_batch engine 8 in
   Alcotest.(check int) "batch in flight" 8 (Mempool.in_use (Engine.pool engine));
   (match Pipeline.run pipe b with
@@ -716,8 +722,8 @@ let test_gre_encap_buffer_limit () =
     (fun () -> Packet.encap_gre p ~outer_src:1 ~outer_dst:2)
 
 let test_maglev_gre_pipeline () =
-  (* LB encapsulates; the backend stage decapsulates; the original
-     5-tuple survives the tunnel. *)
+  (* LB encapsulates; the backend decapsulates; the original 5-tuple
+     survives the tunnel. *)
   let engine = make_env () in
   let clock = Engine.clock engine in
   let mg = Maglev.create ~clock ~backends () in
@@ -731,8 +737,7 @@ let test_maglev_gre_pipeline () =
       Alcotest.(check bool) "tunnelled" true (Packet.is_gre p);
       Alcotest.(check int) "from the VIP" vip (Packet.src_ip_int p))
     batch;
-  let batch = Stage.process Filters.gre_decap engine batch in
-  Alcotest.(check int) "all decapsulated" 8 (Batch.length batch);
+  Batch.iter Packet.decap_gre batch;
   let flows_after = Batch.fold (fun acc p -> Packet.flow_of p :: acc) [] batch in
   Alcotest.(check bool) "inner flows preserved" true
     (List.for_all2 Flow.equal flows_before flows_after)
@@ -757,81 +762,29 @@ let flow_n i =
   Flow.make ~src_ip:(Int32.of_int (0x0A000000 lor i)) ~dst_ip:0xC0A80001l ~src_port:(1000 + i)
     ~dst_port:80 ~protocol:Flow.Udp
 
-let test_hh_exact_when_capacity_suffices () =
-  let hh = Heavy_hitters.create ~capacity:8 in
-  for i = 0 to 3 do
-    for _ = 1 to i + 1 do
-      Heavy_hitters.observe hh (flow_n i)
-    done
-  done;
-  Alcotest.(check int) "observed" 10 (Heavy_hitters.observed hh);
-  Alcotest.(check int) "tracked" 4 (Heavy_hitters.tracked hh);
-  for i = 0 to 3 do
-    match Heavy_hitters.estimate hh (flow_n i) with
-    | Some (count, 0) -> Alcotest.(check int) "exact count" (i + 1) count
-    | _ -> Alcotest.fail "exact counting expected below capacity"
-  done;
-  match Heavy_hitters.top hh 1 with
-  | [ (f, 4, 0) ] -> Alcotest.(check bool) "top is flow 3" true (Flow.equal f (flow_n 3))
-  | _ -> Alcotest.fail "top-1"
-
-let test_hh_eviction_inherits_min () =
+(* E13 restores the sketch from a checkpoint: the copy must equal the
+   original and own its counters, so later observations of either side
+   do not reach the other. *)
+let test_hh_checkpoint_copies_counters () =
   let hh = Heavy_hitters.create ~capacity:2 in
-  Heavy_hitters.observe ~count:5 hh (flow_n 0);
-  Heavy_hitters.observe ~count:2 hh (flow_n 1);
-  (* Newcomer evicts flow 1 (min = 2) and inherits its count. *)
-  Heavy_hitters.observe hh (flow_n 2);
-  Alcotest.(check (option (pair int int))) "newcomer inherits" (Some (3, 2))
-    (Heavy_hitters.estimate hh (flow_n 2));
-  Alcotest.(check (option (pair int int))) "victim gone" None
-    (Heavy_hitters.estimate hh (flow_n 1))
-
-let test_hh_stage_counts_packets () =
-  let engine = make_env () in
-  let hh = Heavy_hitters.create ~capacity:64 in
-  let _nic, batch = make_loaded_batch engine 16 in
-  let _ = Stage.process (Heavy_hitters.stage hh) engine batch in
-  Alcotest.(check int) "all packets observed" 16 (Heavy_hitters.observed hh)
-
-let prop_hh_space_saving_guarantees =
-  QCheck.Test.make ~name:"space-saving bounds and recall hold" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 400) (int_range 0 19))
-    (fun stream ->
-      let capacity = 6 in
-      let hh = Heavy_hitters.create ~capacity in
-      let truth = Hashtbl.create 20 in
-      List.iter
-        (fun i ->
-          Heavy_hitters.observe hh (flow_n i);
-          Hashtbl.replace truth i (1 + Option.value ~default:0 (Hashtbl.find_opt truth i)))
-        stream;
-      let n = List.length stream in
-      let bounds_ok =
-        Hashtbl.fold
-          (fun i freq acc ->
-            acc
-            &&
-            match Heavy_hitters.estimate hh (flow_n i) with
-            | Some (count, error) -> count >= freq && count - error <= freq
-            | None -> true)
-          truth true
-      in
-      let recall_ok =
-        Hashtbl.fold
-          (fun i freq acc ->
-            acc && (freq * capacity <= n || Heavy_hitters.estimate hh (flow_n i) <> None))
-          truth true
-      in
-      bounds_ok && recall_ok)
+  List.iter (fun i -> Heavy_hitters.observe hh (flow_n i)) [ 0; 0; 1; 2 ];
+  let copy, _ = Chkpt.Checkpointable.checkpoint Heavy_hitters.desc hh in
+  Alcotest.(check bool) "copy equals the original" true (Heavy_hitters.equal hh copy);
+  Heavy_hitters.observe hh (flow_n 0);
+  Alcotest.(check bool) "the copy did not see the new observation" false
+    (Heavy_hitters.equal hh copy);
+  Heavy_hitters.observe copy (flow_n 0);
+  Alcotest.(check bool) "the same observation makes them equal again" true
+    (Heavy_hitters.equal hh copy)
 
 (* ------------------------------------------------------------------ *)
 (* Full-NF integration                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_full_nf_chain_isolated () =
-  (* firewall -> TTL decrement -> flow stats -> maglev+GRE, each in its
-     own protection domain; end-to-end invariants across the whole
-     chain. *)
+  (* firewall -> TTL decrement -> checksum verify -> maglev+GRE, each
+     in its own protection domain; end-to-end invariants across the
+     whole chain. *)
   let clock = Cycles.Clock.create () in
   let pool = Mempool.create ~clock ~capacity:1024 () in
   let engine = Engine.create ~clock ~pool () in
@@ -839,7 +792,6 @@ let test_full_nf_chain_isolated () =
   let traffic = Traffic.create ~rng (Traffic.Zipf { flows = 64; exponent = 1.1 }) in
   let nic = Nic.create ~engine ~traffic () in
   let mgr = Sfi.Manager.create ~clock () in
-  let hh = Heavy_hitters.create ~capacity:16 in
   let mg = Maglev.create ~clock ~backends:[| "a"; "b"; "c" |] ~table_size:4099 () in
   let vip = 0xC0A80001 in
   (* Per-stage accounting is under test: keep one domain per stage. *)
@@ -849,7 +801,7 @@ let test_full_nf_chain_isolated () =
          [
            Filters.firewall ~name:"fw" (fun f -> f.Flow.dst_port = 80);
            Filters.ttl_decrement;
-           Heavy_hitters.stage hh;
+           Filters.checksum_verify;
            Filters.maglev_gre mg ~vip;
          ])
   in
@@ -871,7 +823,6 @@ let test_full_nf_chain_isolated () =
   done;
   Alcotest.(check int) "all port-80 traffic forwarded" 800 !forwarded;
   Alcotest.(check int) "no buffer leaks" 0 (Mempool.in_use pool);
-  Alcotest.(check int) "telemetry saw every forwarded packet" 800 (Heavy_hitters.observed hh);
   (* Per-stage accounting is coherent. *)
   let reports = Pipeline.stage_reports pipe in
   Alcotest.(check int) "four stages" 4 (List.length reports);
@@ -894,7 +845,7 @@ let test_full_nf_chain_isolated () =
   | [] -> Alcotest.fail "reports"
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = Seed.to_alcotest in
   Alcotest.run "netstack"
     [
       ( "flow",
@@ -982,9 +933,7 @@ let () =
         [ Alcotest.test_case "full NF chain, isolated" `Quick test_full_nf_chain_isolated ] );
       ( "heavy-hitters",
         [
-          Alcotest.test_case "exact below capacity" `Quick test_hh_exact_when_capacity_suffices;
-          Alcotest.test_case "eviction inherits min" `Quick test_hh_eviction_inherits_min;
-          Alcotest.test_case "stage counts packets" `Quick test_hh_stage_counts_packets;
-          qt prop_hh_space_saving_guarantees;
+          Alcotest.test_case "checkpoint copies counters" `Quick
+            test_hh_checkpoint_copies_counters;
         ] );
     ]

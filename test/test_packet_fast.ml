@@ -552,13 +552,8 @@ let prop_rx_matches_craft =
       done;
       !ok)
 
-(* Pinned unless QCHECK_SEED names another seed (make qcheck-soak). *)
-let rand () =
-  let env = Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt in
-  Random.State.make [| Option.value env ~default:20171017 |]
-
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Seed.to_alcotest
     [
       prop_fnv_matches_int64;
       prop_key_pack_matches_hash;
@@ -570,6 +565,6 @@ let suite =
       prop_sidecar_rewrites;
       prop_sidecar_compaction;
     ]
-  @ [ QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_rx_matches_craft ]
+  @ [ Seed.to_alcotest prop_rx_matches_craft ]
 
 let () = Alcotest.run "packet_fast" [ ("equivalence", suite) ]

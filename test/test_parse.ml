@@ -155,7 +155,7 @@ let test_parse_label_values () =
   | Ok l -> Alcotest.(check bool) "public" true (Label.is_public l)
   | Error m -> Alcotest.fail m);
   (match Parse.label "{a, b}" with
-  | Ok l -> Alcotest.(check (list string)) "categories" [ "a"; "b" ] (Label.categories l)
+  | Ok l -> Alcotest.(check bool) "categories" true (Label.equal l (Label.of_list [ "a"; "b" ]))
   | Error m -> Alcotest.fail m);
   match Parse.label "nonsense{" with
   | Error _ -> ()
@@ -334,11 +334,6 @@ let prop_matches_oracle =
     same_result
 
 (* --- the incremental parser against a cold parse and the oracle ------- *)
-
-(* Pinned unless QCHECK_SEED names another seed (make qcheck-soak). *)
-let rand () =
-  let env = Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt in
-  Random.State.make [| Option.value env ~default:20171017 |]
 
 let show_result = function
   | Ok p -> Format.asprintf "%a" Ast.pp_program p
@@ -722,7 +717,7 @@ let prop_fuzz =
           true))
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = Seed.to_alcotest in
   Alcotest.run "parse"
     [
       ( "parser",
@@ -745,8 +740,8 @@ let () =
         ] );
       ( "memo",
         [
-          qt ~rand:(rand ()) prop_edit_rounds;
-          qt ~rand:(rand ()) prop_mutant_chains;
+          qt prop_edit_rounds;
+          qt prop_mutant_chains;
           Alcotest.test_case "functions permuted" `Quick test_memo_permuted;
           Alcotest.test_case "a body renamed" `Quick test_memo_renamed;
           Alcotest.test_case "two functions with one name" `Quick test_memo_duplicate_name;
@@ -757,5 +752,5 @@ let () =
           Alcotest.test_case "two words of a body swapped" `Quick test_memo_swapped_words;
           Alcotest.test_case "allocation per line, one body edited" `Quick test_reparse_allocation;
         ] );
-      ("fuzz", [ qt ~rand:(rand ()) prop_fuzz ]);
+      ("fuzz", [ qt prop_fuzz ]);
     ]

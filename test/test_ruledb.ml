@@ -203,15 +203,10 @@ let test_classify_allocates_nothing () =
         Alcotest.failf "%s: classify allocated %.0f minor words over %d calls" what words calls)
     [ ("miss every rule", flow 1000, Ruledb.Accept); ("drop rule", flow 2500, Ruledb.Drop) ]
 
-(* Pinned unless QCHECK_SEED names another seed (make qcheck-soak). *)
-let rand () =
-  let env = Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt in
-  Random.State.make [| Option.value env ~default:20171017 |]
-
 let () =
   Alcotest.run "ruledb"
     [
-      ("oracle", [ QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_matches_oracle ]);
+      ("oracle", [ Seed.to_alcotest prop_matches_oracle ]);
       ( "allocation",
         [
           Alcotest.test_case "classify on the 768-rule table allocates 0 minor words" `Quick

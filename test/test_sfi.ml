@@ -1,7 +1,8 @@
 (* Tests for the SFI library: domains, rrefs, reference tables,
    policies, panics and recovery — §3 of the paper. *)
 
-let sfi_error = Alcotest.testable Sfi.Sfi_error.pp Sfi.Sfi_error.equal
+let sfi_error =
+  Alcotest.testable (fun ppf e -> Format.pp_print_string ppf (Sfi.Sfi_error.to_string e)) ( = )
 
 let ok_int = Alcotest.(result int sfi_error)
 
@@ -29,13 +30,13 @@ let test_execute_nested_domains () =
     Sfi.Pdomain.execute outer (fun () ->
         let r =
           Sfi.Pdomain.execute inner (fun () ->
-              Sfi.Domain_id.to_string (Sfi.Tls.current ()))
+              Sfi.Domain_id.equal (Sfi.Tls.current ()) (Sfi.Pdomain.id inner))
         in
         (r, Sfi.Domain_id.equal (Sfi.Tls.current ()) (Sfi.Pdomain.id outer)))
   in
   match result with
-  | Ok (Ok inner_name, restored) ->
-    Alcotest.(check string) "inner saw itself" (Sfi.Domain_id.to_string (Sfi.Pdomain.id inner)) inner_name;
+  | Ok (Ok inner_saw_itself, restored) ->
+    Alcotest.(check bool) "inner saw itself" true inner_saw_itself;
     Alcotest.(check bool) "outer restored" true restored
   | _ -> Alcotest.fail "nested execution failed"
 
@@ -106,11 +107,9 @@ let test_rref_invoke_switches_domain () =
   let mgr = Sfi.Manager.create () in
   let d, rref = make_counter_domain mgr "svc" in
   let seen =
-    Sfi.Rref.invoke rref (fun _ -> Sfi.Domain_id.to_string (Sfi.Tls.current ()))
+    Sfi.Rref.invoke rref (fun _ -> Sfi.Domain_id.equal (Sfi.Tls.current ()) (Sfi.Pdomain.id d))
   in
-  Alcotest.(check (result string sfi_error)) "runs inside target"
-    (Ok (Sfi.Domain_id.to_string (Sfi.Pdomain.id d)))
-    seen
+  Alcotest.(check (result bool sfi_error)) "runs inside target" (Ok true) seen
 
 let test_rref_revocation () =
   let mgr = Sfi.Manager.create () in
@@ -214,83 +213,23 @@ let test_ref_table_upgraded_strong_survives_revoke () =
     Alcotest.(check bool) "dead after call ends" true (Linear.Rc.upgrade w = None)
 
 (* ------------------------------------------------------------------ *)
-(* Heap accounting                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_alloc_transfer_free () =
-  let mgr = Sfi.Manager.create () in
-  let heap = Sfi.Manager.heap mgr in
-  let a = Sfi.Manager.create_domain mgr ~name:"a" () in
-  let b = Sfi.Manager.create_domain mgr ~name:"b" () in
-  let alloc = Sfi.Pdomain.alloc a ~bytes:1500 in
-  Alcotest.(check int) "a owns 1500" 1500 (Sfi.Heap.live_bytes heap (Sfi.Pdomain.id a));
-  Sfi.Heap.transfer heap alloc ~to_:(Sfi.Pdomain.id b);
-  Alcotest.(check int) "a owns 0" 0 (Sfi.Heap.live_bytes heap (Sfi.Pdomain.id a));
-  Alcotest.(check int) "b owns 1500" 1500 (Sfi.Heap.live_bytes heap (Sfi.Pdomain.id b));
-  Sfi.Heap.free heap alloc;
-  Alcotest.(check int) "freed" 0 (Sfi.Heap.total_live_bytes heap);
-  Alcotest.check_raises "double free" (Invalid_argument "Heap.free: double free") (fun () ->
-      Sfi.Heap.free heap alloc)
-
-let test_heap_transfer_is_cheaper_than_copy () =
-  let mgr = Sfi.Manager.create () in
-  let heap = Sfi.Manager.heap mgr in
-  let clock = Sfi.Manager.clock mgr in
-  let a = Sfi.Manager.create_domain mgr ~name:"a" () in
-  let b = Sfi.Manager.create_domain mgr ~name:"b" () in
-  let alloc1 = Sfi.Pdomain.alloc a ~bytes:4096 in
-  let alloc2 = Sfi.Pdomain.alloc a ~bytes:4096 in
-  let (), move_cost =
-    Cycles.Clock.measure clock (fun () ->
-        Sfi.Heap.transfer heap alloc1 ~to_:(Sfi.Pdomain.id b))
-  in
-  (* A copy into [b]: a fresh allocation there, the source read, and
-     the per-byte copy charge. *)
-  let _copy, copy_cost =
-    Cycles.Clock.measure clock (fun () ->
-        ignore (Sfi.Pdomain.alloc b ~bytes:4096);
-        Cycles.Clock.touch clock alloc2.Sfi.Heap.addr ~bytes:4096;
-        Cycles.Clock.charge clock (Copy 4096))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "move (%Ld) << copy (%Ld)" move_cost copy_cost)
-    true
-    Int64.(compare (mul move_cost 10L) copy_cost < 0)
-
-let test_heap_free_all_owned_by () =
-  let mgr = Sfi.Manager.create () in
-  let heap = Sfi.Manager.heap mgr in
-  let a = Sfi.Manager.create_domain mgr ~name:"a" () in
-  for _ = 1 to 5 do
-    ignore (Sfi.Pdomain.alloc a ~bytes:100)
-  done;
-  Alcotest.(check int) "five live" 5 (Sfi.Heap.live_allocations heap (Sfi.Pdomain.id a));
-  let n = Sfi.Heap.free_all_owned_by heap (Sfi.Pdomain.id a) in
-  Alcotest.(check int) "all freed" 5 n;
-  Alcotest.(check int) "none live" 0 (Sfi.Heap.live_allocations heap (Sfi.Pdomain.id a))
-
-(* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_recovery_cycle () =
   (* Full §3 story: service exports an rref; a panic kills the domain;
-     recovery clears the table, frees memory, re-initialises; a fresh
+     recovery clears the table and re-initialises; a fresh
      rref (re-published by the recovery function) works; the stale rref
      stays dead. *)
   let mgr = Sfi.Manager.create () in
-  let heap = Sfi.Manager.heap mgr in
   let fresh_rref = ref None in
   let recovery d =
-    ignore (Sfi.Pdomain.alloc d ~bytes:256);
     fresh_rref := Some (Sfi.Rref.create d ~label:"counter'" (ref 100))
   in
   let d = Sfi.Manager.create_domain mgr ~name:"svc" ~recovery () in
   let stale =
     match
-      Sfi.Pdomain.execute d (fun () ->
-          ignore (Sfi.Pdomain.alloc d ~bytes:512);
-          Sfi.Rref.create d ~label:"counter" (ref 0))
+      Sfi.Pdomain.execute d (fun () -> Sfi.Rref.create d ~label:"counter" (ref 0))
     with
     | Ok r -> r
     | Error _ -> Alcotest.fail "setup"
@@ -299,32 +238,15 @@ let test_recovery_cycle () =
   (match Sfi.Rref.invoke stale (fun _ -> Sfi.Panic.panic "injected") with
   | Error (Sfi.Sfi_error.Domain_failed _) -> ()
   | _ -> Alcotest.fail "panic expected");
-  Alcotest.(check int) "memory still accounted" 512
-    (Sfi.Heap.live_bytes heap (Sfi.Pdomain.id d));
   (* Recover. *)
   Alcotest.(check (result unit string)) "recover ok" (Ok ()) (Sfi.Manager.recover mgr d);
   Alcotest.(check int) "generation bumped" 1 (Sfi.Pdomain.generation d);
-  Alcotest.(check int) "old memory freed, recovery's 256 live" 256
-    (Sfi.Heap.live_bytes heap (Sfi.Pdomain.id d));
   (* Stale rref is dead; fresh one works. *)
   Alcotest.check ok_int "stale revoked" (Error Sfi.Sfi_error.Revoked)
     (Sfi.Rref.invoke stale (fun c -> !c));
-  (match !fresh_rref with
+  match !fresh_rref with
   | Some r -> Alcotest.check ok_int "fresh works" (Ok 100) (Sfi.Rref.invoke r (fun c -> !c))
-  | None -> Alcotest.fail "recovery did not publish");
-  let stats = Sfi.Manager.stats mgr in
-  Alcotest.(check int) "one recovery" 1 stats.recoveries
-
-let test_recovery_of_destroyed_fails () =
-  let mgr = Sfi.Manager.create () in
-  let d = Sfi.Manager.create_domain mgr ~name:"gone" () in
-  Sfi.Manager.destroy mgr d;
-  (match Sfi.Manager.recover mgr d with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "recovering a destroyed domain must fail");
-  Alcotest.check ok_int "destroyed domain refuses entry"
-    (Error Sfi.Sfi_error.Domain_unavailable)
-    (Sfi.Pdomain.execute d (fun () -> 0))
+  | None -> Alcotest.fail "recovery did not publish"
 
 let test_recovery_function_panic () =
   let mgr = Sfi.Manager.create () in
@@ -337,14 +259,6 @@ let test_recovery_function_panic () =
   match Sfi.Pdomain.state d with
   | Sfi.Pdomain.Failed _ -> ()
   | _ -> Alcotest.fail "domain should be Failed after bad recovery"
-
-let test_destroy_idempotent () =
-  let mgr = Sfi.Manager.create () in
-  let d = Sfi.Manager.create_domain mgr ~name:"d" () in
-  Sfi.Manager.destroy mgr d;
-  Sfi.Manager.destroy mgr d;
-  let stats = Sfi.Manager.stats mgr in
-  Alcotest.(check int) "counted once" 1 stats.domains_destroyed
 
 (* ------------------------------------------------------------------ *)
 (* Costs                                                               *)
@@ -418,7 +332,7 @@ let make_channel ?(capacity = 4) mgr =
 
 let test_channel_zero_copy_transfer () =
   let mgr = Sfi.Manager.create () in
-  let producer, consumer, chan = make_channel mgr in
+  let producer, _consumer, chan = make_channel mgr in
   let payload = Linear.Own.create ~label:"pkt" [ 1; 2; 3 ] in
   (* Send from inside the producer domain; the handle is consumed. *)
   let sent =
@@ -428,17 +342,11 @@ let test_channel_zero_copy_transfer () =
   | Ok (Ok ()) -> ()
   | _ -> Alcotest.fail "send should succeed");
   Alcotest.(check bool) "caller lost access" false (Linear.Own.is_live payload);
-  (* Receive inside the consumer domain: a fresh owned handle. *)
-  (match Sfi.Pdomain.execute consumer (fun () -> Sfi.Channel.recv chan) with
-  | Ok (Ok (Some own)) ->
-    Alcotest.(check (list int)) "value crossed untouched" [ 1; 2; 3 ] (Linear.Own.consume own)
-  | _ -> Alcotest.fail "recv should deliver");
-  Alcotest.(check int) "stats" 1 (Sfi.Channel.sent chan);
-  Alcotest.(check int) "stats" 1 (Sfi.Channel.received chan)
+  Alcotest.(check int) "queued" 1 (Sfi.Channel.length chan)
 
 let test_channel_direction_enforced () =
   let mgr = Sfi.Manager.create () in
-  let producer, consumer, chan = make_channel mgr in
+  let _producer, consumer, chan = make_channel mgr in
   (* The consumer may not send... *)
   (match
      Sfi.Pdomain.execute consumer (fun () ->
@@ -446,16 +354,12 @@ let test_channel_direction_enforced () =
    with
   | Ok (Error (Sfi.Channel.Wrong_domain _)) -> ()
   | _ -> Alcotest.fail "consumer must not send");
-  (* ... and the producer may not receive. *)
-  (match Sfi.Pdomain.execute producer (fun () -> Sfi.Channel.recv chan) with
-  | Ok (Error (Sfi.Channel.Wrong_domain _)) -> ()
-  | _ -> Alcotest.fail "producer must not recv");
-  (* The kernel (tests run there) may do both. *)
-  (match Sfi.Channel.send chan (Linear.Own.create 9) with
+  (* ... but the kernel (tests run there) may. *)
+  match Sfi.Channel.send chan (Linear.Own.create 9) with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "kernel send: %s" (Sfi.Channel.error_to_string e))
+  | Error _ -> Alcotest.fail "kernel send"
 
-let test_channel_capacity_and_close () =
+let test_channel_capacity () =
   let mgr = Sfi.Manager.create () in
   let _p, _c, chan = make_channel ~capacity:2 mgr in
   (match Sfi.Channel.send chan (Linear.Own.create 1) with Ok () -> () | Error _ -> Alcotest.fail "1");
@@ -463,16 +367,7 @@ let test_channel_capacity_and_close () =
   (match Sfi.Channel.send chan (Linear.Own.create 3) with
   | Error Sfi.Channel.Full -> ()
   | _ -> Alcotest.fail "third send must hit capacity");
-  Alcotest.(check int) "one drop" 1 (Sfi.Channel.dropped chan);
-  Sfi.Channel.close chan;
-  (match Sfi.Channel.send chan (Linear.Own.create 4) with
-  | Error Sfi.Channel.Closed -> ()
-  | _ -> Alcotest.fail "send after close");
-  (* Pending messages survive the close. *)
-  (match Sfi.Channel.recv chan with
-  | Ok (Some own) -> Alcotest.(check int) "fifo" 1 (Linear.Own.consume own)
-  | _ -> Alcotest.fail "pending message lost");
-  Alcotest.(check int) "length" 1 (Sfi.Channel.length chan)
+  Alcotest.(check int) "the dropped message is not queued" 2 (Sfi.Channel.length chan)
 
 let test_channel_send_exn_panics () =
   let mgr = Sfi.Manager.create () in
@@ -484,15 +379,8 @@ let test_channel_send_exn_panics () =
   | exception Sfi.Panic.Panic _ -> ()
   | _ -> Alcotest.fail "overflow must panic"
 
-let test_channel_empty_recv () =
-  let mgr = Sfi.Manager.create () in
-  let _p, _c, chan = make_channel mgr in
-  match Sfi.Channel.recv chan with
-  | Ok None -> ()
-  | _ -> Alcotest.fail "empty channel yields None"
-
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = Seed.to_alcotest in
   Alcotest.run "sfi"
     [
       ( "execute",
@@ -521,18 +409,10 @@ let () =
           Alcotest.test_case "in-flight strong survives revoke" `Quick
             test_ref_table_upgraded_strong_survives_revoke;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "alloc/transfer/free" `Quick test_heap_alloc_transfer_free;
-          Alcotest.test_case "transfer cheaper than copy" `Quick test_heap_transfer_is_cheaper_than_copy;
-          Alcotest.test_case "free_all_owned_by" `Quick test_heap_free_all_owned_by;
-        ] );
       ( "recovery",
         [
           Alcotest.test_case "full recovery cycle" `Quick test_recovery_cycle;
-          Alcotest.test_case "destroyed cannot recover" `Quick test_recovery_of_destroyed_fails;
           Alcotest.test_case "recovery fn panic" `Quick test_recovery_function_panic;
-          Alcotest.test_case "destroy idempotent" `Quick test_destroy_idempotent;
         ] );
       ( "costs",
         [
@@ -545,8 +425,7 @@ let () =
         [
           Alcotest.test_case "zero-copy transfer" `Quick test_channel_zero_copy_transfer;
           Alcotest.test_case "direction enforced" `Quick test_channel_direction_enforced;
-          Alcotest.test_case "capacity and close" `Quick test_channel_capacity_and_close;
+          Alcotest.test_case "capacity" `Quick test_channel_capacity;
           Alcotest.test_case "send_exn panics" `Quick test_channel_send_exn_panics;
-          Alcotest.test_case "empty recv" `Quick test_channel_empty_recv;
         ] );
     ]

@@ -5,7 +5,7 @@
 
 open Netstack
 
-let qt = QCheck_alcotest.to_alcotest
+let qt = Seed.to_alcotest
 
 (* ------------------------------------------------------------------ *)
 (* RSS                                                                 *)

@@ -12,7 +12,7 @@
 
 open Netstack
 
-let qt = QCheck_alcotest.to_alcotest
+let qt = Seed.to_alcotest
 let backends = Array.init 8 (fun i -> Printf.sprintf "backend-%d" i)
 
 (* ------------------------------------------------------------------ *)
@@ -27,7 +27,6 @@ type spec =
   | Maglev_rw    (* twin: maglev vs Hdr_oracle.maglev_bytes *)
   | Firewall     (* Cols reader, same stage both sides *)
   | Rules        (* Cols reader, same stage both sides *)
-  | Stats        (* Cols reader, same stage both sides *)
   | Csum         (* Bytes barrier: RFC 1071 fold over wire bytes *)
   | Snapshot     (* Opaque barrier: reads every frame's bytes *)
 
@@ -36,7 +35,6 @@ let spec_name = function
   | Maglev_rw -> "maglev"
   | Firewall -> "firewall"
   | Rules -> "ruledb"
-  | Stats -> "flow-stats"
   | Csum -> "csum"
   | Snapshot -> "snapshot"
 
@@ -65,7 +63,6 @@ let build_stage ~clock ~soa ~sink = function
     Ruledb.add db (Ruledb.rule ~src_port:(2000, 40_000) Ruledb.Accept);
     Ruledb.add db (Ruledb.rule ~src_port:(45_000, 50_000) Ruledb.Drop);
     Ruledb.stage db
-  | Stats -> Heavy_hitters.stage (Heavy_hitters.create ~capacity:64)
   | Csum -> Filters.checksum_verify
   | Snapshot -> snapshot_stage sink
 
@@ -92,7 +89,7 @@ let arb_case specs =
 let arb_chain =
   let open QCheck.Gen in
   let any =
-    oneofl [ Ttl; Maglev_rw; Firewall; Rules; Stats; Csum; Snapshot ]
+    oneofl [ Ttl; Maglev_rw; Firewall; Rules; Csum; Snapshot ]
   in
   arb_case (list_size (int_range 1 6) any)
 
@@ -103,7 +100,7 @@ let arb_barrier_chain =
   let open QCheck.Gen in
   let rw = oneofl [ Ttl; Maglev_rw ] in
   let barrier = oneofl [ Csum; Snapshot ] in
-  let filler = oneofl [ Firewall; Rules; Stats; Ttl; Maglev_rw ] in
+  let filler = oneofl [ Firewall; Rules; Ttl; Maglev_rw ] in
   arb_case
     ( rw >>= fun a ->
       barrier >>= fun b ->

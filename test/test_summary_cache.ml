@@ -21,7 +21,7 @@
      stale when only its callee's behaviour changed — demonstrating
      the term is load-bearing, not decorative. *)
 
-let qt = QCheck_alcotest.to_alcotest
+let qt = Seed.to_alcotest
 
 let ok what = function
   | Ok v -> v

@@ -15,8 +15,12 @@ read.
 
 It prints every entry without such a caller, unless the entry sits in
 a `(** {1 For tests} *)` section of its .mli (up to the next `{1 ...}`
-heading). Those sections hold what a test uses as a reference, and
-the only code that fires a hook the library registers. An optional
+heading). Such a section's doc names why it stays before anything
+else: `oracle:` (a reference a test diffs against), `hook:` (the only
+code that fires a hook the library registers, or lets a test step
+in) or `model:` (the model of a claim DESIGN.md or EXPERIMENTS.md
+names); several may be combined, as in `oracle, hook:`. A section
+that names none is printed too. An optional
 parameter that only tests set is marked in its function's doc comment
 instead: "For tests: [?name]". An entry marked for tests that not even
 test/ uses is printed too: it is dead either way.
@@ -26,7 +30,8 @@ Last it prints the size of the test-only surface: the `val`s in
 count may not rise above the number in tools/exports_for_tests.txt;
 lower the number when the count falls.
 
-Exit status: 1 if it listed an entry or the count rose, else 0.
+Exit status: 1 if it listed an entry or a section without its reason,
+or the count rose, else 0.
 """
 
 import glob
@@ -39,6 +44,7 @@ CALLER_DIRS = ["lib", "bin", "examples", "layerbench", "tools"]
 FOR_TESTS = "{1 For tests}"
 LIMIT = os.path.join(ROOT, "tools", "exports_for_tests.txt")
 IDENT = r"[a-z_][A-Za-z0-9_']*"
+REASON = r"(oracle|hook|model)(\s*,\s*(oracle|hook|model))*:"
 
 
 def strip(src):
@@ -148,6 +154,18 @@ def entries(mli):
     return out
 
 
+def unreasoned(mli):
+    """Lines of [mli]'s "For tests" headings whose doc does not begin
+    with its reason."""
+    with open(mli) as f:
+        src = f.read()
+    out = []
+    for m in re.finditer(re.escape("(** " + FOR_TESTS) + r"(.*?)\*\)", src, re.S):
+        if not re.match(REASON, m.group(1).strip()):
+            out.append(src.count("\n", 0, m.start()) + 1)
+    return out
+
+
 def main():
     callers = [Source(p) for d in CALLER_DIRS for p in ml_files(d)]
     tests = [Source(p) for p in ml_files("test")]
@@ -157,6 +175,8 @@ def main():
         mod = module_of(own)
         rel = os.path.relpath(mli, ROOT)
         others = [s for s in callers if s.path != own]
+        for line in unreasoned(mli):
+            listed.append((rel, line, FOR_TESTS, "names no oracle:, hook: or model: reason"))
         for line, q, name, params, for_tests, marked in entries(mli):
             for_tests_count += for_tests + len(marked)
             users = [s for s in others if s.uses(q, name)]
@@ -180,7 +200,7 @@ def main():
     for rel, line, shown, why in listed:
         print("%s:%d: %s (%s)" % (rel, line, shown, why))
     if listed:
-        print("%d exports without a non-test caller" % len(listed), file=sys.stderr)
+        print("%d entries listed" % len(listed), file=sys.stderr)
     with open(LIMIT) as f:
         limit = int(f.read())
     print("test-only surface: %d (limit %d)" % (for_tests_count, limit))
