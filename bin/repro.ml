@@ -176,7 +176,6 @@ let verify_cmd =
         [
           ("exact", Ifc.Verifier.Exact);
           ("compositional", Ifc.Verifier.Compositional);
-          ("incremental", Ifc.Verifier.Incremental);
           ("naive", Ifc.Verifier.Naive_no_alias);
           ("andersen", Ifc.Verifier.Andersen);
         ]
@@ -185,7 +184,7 @@ let verify_cmd =
       value
       & opt (some strategy_conv) None
       & info [ "strategy"; "s" ] ~docv:"STRATEGY"
-          ~doc:"Analysis strategy: exact, compositional, incremental, naive, or andersen.")
+          ~doc:"Analysis strategy: exact, compositional, naive, or andersen.")
   in
   let execute =
     Arg.(

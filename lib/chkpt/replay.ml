@@ -1,18 +1,18 @@
+(* The live state and its snapshot are a [Store.t]: a checkpoint is
+   [Store.snapshot], a crash is [Store.rollback] (a copy of the
+   snapshot, which stays pristine for further crashes) plus the log. *)
 type ('state, 'input) t = {
-  desc : 'state Checkpointable.t;
+  store : 'state Store.t;
   apply : 'state -> 'input -> unit;
   interval : int;
   tele : Tele.t option;
-  mutable live : 'state;
-  mutable snapshot : 'state;
   mutable log : 'input list;      (* newest first *)
   mutable since_snapshot : int;
   mutable checkpoints_taken : int;
 }
 
 let take_snapshot t =
-  let copy, stats = Checkpointable.checkpoint t.desc t.live in
-  t.snapshot <- copy;
+  let stats = Store.snapshot t.store in
   t.log <- [];
   t.since_snapshot <- 0;
   t.checkpoints_taken <- t.checkpoints_taken + 1;
@@ -23,12 +23,10 @@ let create ~desc ~apply ~interval ?telemetry state =
   if interval <= 0 then invalid_arg "Replay.create: interval must be positive";
   let t =
     {
-      desc;
+      store = Store.create desc state;
       apply;
       interval;
       tele = Option.map Tele.v telemetry;
-      live = state;
-      snapshot = state (* replaced immediately below *);
       log = [];
       since_snapshot = 0;
       checkpoints_taken = 0;
@@ -37,10 +35,10 @@ let create ~desc ~apply ~interval ?telemetry state =
   ignore (take_snapshot t);
   t
 
-let state t = t.live
+let state t = Store.get t.store
 
 let feed t input =
-  t.apply t.live input;
+  t.apply (state t) input;
   t.log <- input :: t.log;
   t.since_snapshot <- t.since_snapshot + 1;
   if t.since_snapshot >= t.interval then Some (take_snapshot t) else None
@@ -49,13 +47,9 @@ type recovery = { replayed : int; checkpoint_age : int }
 
 let crash_and_recover t =
   let checkpoint_age = t.since_snapshot in
-  (* The live state is gone; rebuild from the (preserved) snapshot. A
-     copy is installed so the snapshot itself stays pristine for
-     further crashes. *)
-  let fresh, stats = Checkpointable.checkpoint t.desc t.snapshot in
-  t.live <- fresh;
+  let stats = Store.rollback t.store in
   let inputs = List.rev t.log in
-  List.iter (t.apply t.live) inputs;
+  List.iter (t.apply (state t)) inputs;
   let replayed = List.length inputs in
   Option.iter
     (fun tl ->

@@ -23,8 +23,9 @@ val create :
   ?telemetry:Telemetry.Registry.t ->
   'state ->
   ('state, 'input) t
-(** [interval] must be positive. A checkpoint of the initial state is
-    taken immediately (recovery is always possible). [telemetry]
+(** [interval] must be positive. The live state and its checkpoint
+    are held in a {!Store}; a checkpoint of the initial state is taken
+    immediately (recovery is always possible). [telemetry]
     records checkpoints as [chkpt.snapshots], recoveries as
     [chkpt.rollbacks], and replayed inputs as [chkpt.replayed]. *)
 

@@ -10,11 +10,8 @@
 
 type 'a t
 
-val create :
-  ?strategy:Checkpointable.strategy ->
-  'a Checkpointable.t ->
-  'a ->
-  'a t
+val create : 'a Checkpointable.t -> 'a -> 'a t
+(** Checkpoints with {!Checkpointable.checkpoint}'s default strategy. *)
 
 val get : 'a t -> 'a
 (** The live value. Mutate it freely through its own interface. *)

@@ -1,13 +1,7 @@
 let graph_version = 19
 let corpus_graph = 7
 let default_queues = 4
-let default_rounds = 240
-let default_batch_size = 16
-let default_seed = 2017L
-let default_rate = 0.08
-let default_fault_seed = 4242L
 let default_corpus = "test/corpus"
-let flowtab_stage_index = 2
 
 (* Store directories live under a fresh private root in the system temp
    dir; nothing below ever prints a path, so the deterministic sections
@@ -53,39 +47,18 @@ let queue_dir root q = Filename.concat root (Printf.sprintf "q%d" q)
 let run_stats ~shards =
   let root = fresh_temp_root () in
   Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
-  let tabs = Array.make default_queues None in
-  let stages (ctx : Netstack.Shard.queue_ctx) =
+  let flowtab (ctx : Netstack.Shard.queue_ctx) =
     let durable =
       Chkpt.Durable.open_store ~telemetry:ctx.Netstack.Shard.qc_registry
         ~graph:graph_version
         ~dir:(queue_dir root ctx.Netstack.Shard.qc_queue)
         ()
     in
-    let ft = Netstack.Flowtab.create ~durable ctx in
-    tabs.(ctx.Netstack.Shard.qc_queue) <- Some ft;
-    [
-      Netstack.Filters.checksum_verify; Netstack.Filters.ttl_decrement;
-      Netstack.Flowtab.stage ft;
-    ]
+    Netstack.Flowtab.create ~durable ctx
   in
-  let on_restart ~queue ~stage =
-    if stage = flowtab_stage_index then
-      match tabs.(queue) with Some ft -> Netstack.Flowtab.rollback ft | None -> ()
-  in
-  let faults =
-    Netstack.Shard.default_faults ~rate:default_rate ~seed:default_fault_seed ~on_restart
-      ~policy:Faultinj.Restart.Immediate ()
-  in
-  let spec =
-    Netstack.Shard.default_spec ~shards ~queues:default_queues ~rounds:default_rounds
-      ~batch_size:default_batch_size ~seed:default_seed ~faults
-      ~mode:Netstack.Shard.Isolated ~stages ()
-  in
-  let r = Netstack.Shard.run (Netstack.Shard.create spec) in
-  let restores =
-    Array.fold_left
-      (fun acc t -> match t with Some ft -> acc + Netstack.Flowtab.rollbacks ft | None -> acc)
-      0 tabs
+  let r, restores, tabs =
+    Storm.run_one ~queues:default_queues ~rounds:240 ~shards
+      ~policy:Faultinj.Restart.Immediate ~flowtab ()
   in
   (* "Crash": everything since the last persist is lost. Rewinding the
      live tables to their last snapshot — which shares its cadence with
@@ -93,11 +66,9 @@ let run_stats ~shards =
      reproduce, without reading disk. *)
   let expected =
     Array.map
-      (function
-        | Some ft ->
-          Netstack.Flowtab.rollback ft;
-          Some (Netstack.Flowtab.digest ft, Netstack.Flowtab.persists ft)
-        | None -> None)
+      (fun ft ->
+        Netstack.Flowtab.rollback ft;
+        (Netstack.Flowtab.digest ft, Netstack.Flowtab.persists ft))
       tabs
   in
   (* Cold start: one supervisor unit per queue, each restored from its
@@ -127,11 +98,7 @@ let run_stats ~shards =
         match Netstack.Flowtab.recover ~durable ctx with
         | Error m -> Error m
         | Ok (ft, rv) ->
-          let digest_ok =
-            match expected.(i) with
-            | Some (digest, _) -> String.equal (Netstack.Flowtab.digest ft) digest
-            | None -> false
-          in
+          let digest_ok = String.equal (Netstack.Flowtab.digest ft) (fst expected.(i)) in
           Ok
             (Printf.sprintf "recovered gen=%d tag=%s digest=%s" rv.Chkpt.Durable.r_generation
                rv.Chkpt.Durable.r_tag
@@ -139,12 +106,7 @@ let run_stats ~shards =
   in
   let units =
     List.map
-      (fun (i, outcome) ->
-        {
-          q_queue = i;
-          q_outcome = outcome;
-          q_persists = (match expected.(i) with Some (_, p) -> p | None -> 0);
-        })
+      (fun (i, outcome) -> { q_queue = i; q_outcome = outcome; q_persists = snd expected.(i) })
       outcomes
   in
   {

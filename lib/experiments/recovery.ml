@@ -48,7 +48,7 @@ let print r =
     [
       [ "catch (unwind + error return)"; Table.ff (Cycles.Stats.mean r.catch_cycles);
         Table.ff (Cycles.Stats.percentile r.catch_cycles 99.) ];
-      [ "recover (clear + free + re-init)"; Table.ff (Cycles.Stats.mean r.recover_cycles);
+      [ "recover (clear + re-init)"; Table.ff (Cycles.Stats.mean r.recover_cycles);
         Table.ff (Cycles.Stats.percentile r.recover_cycles 99.) ];
       [ "total"; Table.ff r.total_mean; "" ];
     ];

@@ -34,48 +34,39 @@ let default_policies =
 
 let flowtab_stage_index = 2
 
-(* The stateful third stage: a 256-bucket per-queue flow table wrapped
-   in a checkpoint store, snapshotted every 8 batches. The store is
-   incremental (chunk-tracked array): steady-state snapshots copy only
-   the chunks written since the last one, and a supervised restart
-   rolls back by restoring only the chunks dirtied since — the
-   O(dirty) checkpoint-restore path E15 exercises. The stage itself now
-   lives in {!Netstack.Flowtab} (E19 reuses it with a durable store
-   attached); the storm keeps the in-memory-only configuration. *)
-let storm_stages ~stores (ctx : Netstack.Shard.queue_ctx) =
-  let ft = Netstack.Flowtab.create ctx in
-  stores.(ctx.Netstack.Shard.qc_queue) <- Some ft;
-  [
-    Netstack.Filters.checksum_verify; Netstack.Filters.ttl_decrement;
-    Netstack.Flowtab.stage ft;
-  ]
-
 let digest_of registry =
   String.sub (Digest.to_hex (Digest.string (Telemetry.Render.to_string registry))) 0 12
 
+(* The stateful third stage is a per-queue {!Netstack.Flowtab}: a
+   bucket array in an incremental checkpoint store, snapshotted every 8
+   batches, whose supervised restart rolls back only the chunks dirtied
+   since. E15 builds it in memory only; E19 attaches a durable store. *)
 let run_one ?(queues = default_queues) ?(rounds = default_rounds)
     ?(batch_size = default_batch_size) ?(rate = default_rate)
-    ?(fault_seed = default_fault_seed) ~shards ~policy () =
-  let seed = default_seed in
-  let stores = Array.make queues None in
+    ?(fault_seed = default_fault_seed) ~shards ~policy ~flowtab () =
+  let tabs = Array.make queues None in
+  let stages (ctx : Netstack.Shard.queue_ctx) =
+    let ft = flowtab ctx in
+    tabs.(ctx.Netstack.Shard.qc_queue) <- Some ft;
+    [
+      Netstack.Filters.checksum_verify; Netstack.Filters.ttl_decrement;
+      Netstack.Flowtab.stage ft;
+    ]
+  in
   let on_restart ~queue ~stage =
-    if stage = flowtab_stage_index then
-      match stores.(queue) with Some s -> Netstack.Flowtab.rollback s | None -> ()
+    if stage = flowtab_stage_index then Option.iter Netstack.Flowtab.rollback tabs.(queue)
   in
   let faults =
-    Netstack.Shard.default_faults ~rate ~seed:fault_seed ~on_restart ~policy ()
+    { Netstack.Shard.f_rate = rate; f_seed = fault_seed; f_policy = policy;
+      f_on_restart = on_restart }
   in
   let spec =
-    Netstack.Shard.default_spec ~shards ~queues ~rounds ~batch_size ~seed ~faults
-      ~mode:Netstack.Shard.Isolated ~stages:(storm_stages ~stores) ()
+    Netstack.Shard.default_spec ~shards ~queues ~rounds ~batch_size ~seed:default_seed
+      ~faults ~mode:Netstack.Shard.Isolated ~stages ()
   in
   let r = Netstack.Shard.run (Netstack.Shard.create spec) in
-  let restores =
-    Array.fold_left
-      (fun acc s -> match s with Some s -> acc + Netstack.Flowtab.rollbacks s | None -> acc)
-      0 stores
-  in
-  (r, restores)
+  let tabs = Array.map Option.get tabs in
+  (r, Array.fold_left (fun acc ft -> acc + Netstack.Flowtab.rollbacks ft) 0 tabs, tabs)
 
 let row_of ~policy (r : Netstack.Shard.result) ~restores =
   let p99_recovery =
@@ -141,11 +132,15 @@ let print_table rows =
     (Table.fb conserved)
 
 let print ~shards =
-  let runs = List.map (fun policy -> (policy, run_one ~shards ~policy ())) default_policies in
-  print_table (List.map (fun (policy, (r, restores)) -> row_of ~policy r ~restores) runs);
+  let runs =
+    List.map
+      (fun policy -> (policy, run_one ~shards ~policy ~flowtab:Netstack.Flowtab.create ()))
+      default_policies
+  in
+  print_table (List.map (fun (policy, (r, restores, _)) -> row_of ~policy r ~restores) runs);
   print_newline ();
   List.iter
-    (fun (policy, (r, _)) ->
+    (fun (policy, (r, _, _)) ->
       Telemetry.Render.print
         ~title:(Printf.sprintf "storm telemetry (%s)" (Faultinj.Restart.policy_name policy))
         r.Netstack.Shard.r_telemetry;

@@ -2,7 +2,7 @@
 
     Runs the sharded isolated engine under a seeded {!Faultinj.Plan}
     (stage panics, panicking recovery functions, mid-batch rref
-    revocations, control-channel overflows, mempool pressure), once per
+    revocations, channel overflows, mempool pressure), once per
     restart policy, and reports the packet-conservation ledger
     [crafted = served + degraded + dropped] together with restart,
     checkpoint-restore and recovery-latency figures. Every number is a
@@ -10,6 +10,26 @@
     a stress test — and shard-count invariant. *)
 
 val default_queues : int
+
+val run_one :
+  ?queues:int ->
+  ?rounds:int ->
+  ?batch_size:int ->
+  ?rate:float ->
+  ?fault_seed:int64 ->
+  shards:int ->
+  policy:Faultinj.Restart.policy ->
+  flowtab:(Netstack.Shard.queue_ctx -> Netstack.Flowtab.t) ->
+  unit ->
+  Netstack.Shard.result * int * Netstack.Flowtab.t array
+(** One storm under one policy over a checksum, TTL and flow-table
+    pipeline, with [flowtab] building each queue's table; also returns
+    the total checkpoint restores and the tables (ascending queue id).
+    Defaults: 8 queues, 400 rounds, batch 16, rate 0.08, fault seed
+    4242 — E15's storm; E19 runs it with 4 queues, 240 rounds and a
+    durable table. For tests: [?batch_size] [?rate] [?fault_seed] (the
+    conservation property draws the rate and the seed, and the tests
+    shrink the batch). *)
 
 val print : shards:int -> unit
 (** Runs the storm once per policy over [shards] domains and prints
@@ -20,8 +40,8 @@ val print : shards:int -> unit
 
 (** {1 For tests}
 
-    model: the policies and the single-storm run that [test/test_faultinj.ml]
-    and [test/test_chkpt_incr.ml] drive at reduced sizes. *)
+    model: the policies that [test/test_faultinj.ml] drives at reduced
+    sizes. *)
 
 val default_policies : Faultinj.Restart.policy list
 (** Immediate; Backoff 300..4800 cycles; Breaker (3 failures / 20k
@@ -30,17 +50,3 @@ val default_policies : Faultinj.Restart.policy list
     receive path only, ~300 cycles); the breaker window is sized
     against restart churn (each failed restart attempt charges ~4.2k
     cycles of recovery work, so three strikes span ~8.5k cycles). *)
-
-val run_one :
-  ?queues:int ->
-  ?rounds:int ->
-  ?batch_size:int ->
-  ?rate:float ->
-  ?fault_seed:int64 ->
-  shards:int ->
-  policy:Faultinj.Restart.policy ->
-  unit ->
-  Netstack.Shard.result * int
-(** One storm under one policy; also returns the total checkpoint
-    restores. The conservation property draws [?rate] and
-    [?fault_seed]; the tests shrink the rest. *)

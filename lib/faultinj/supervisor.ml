@@ -97,8 +97,7 @@ let note_failure t i =
 
 let supervise t mgr ~index_of =
   Sfi.Manager.subscribe mgr (function
-    | Sfi.Manager.Domain_failed d -> (
-      match index_of d with Some i -> note_failure t i | None -> ())
+    | Sfi.Manager.Domain_failed d -> note_failure t (index_of d)
     | Sfi.Manager.Domain_recovered _ -> ())
 
 let try_restart t i u =

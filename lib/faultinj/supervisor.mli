@@ -45,11 +45,10 @@ val create :
     policy gives unit [i] up (e.g. to skip the stage in the
     pipeline). *)
 
-val supervise : t -> Sfi.Manager.t -> index_of:(Sfi.Pdomain.t -> int option) -> unit
+val supervise : t -> Sfi.Manager.t -> index_of:(Sfi.Pdomain.t -> int) -> unit
 (** Subscribe to the manager's lifecycle events: every
-    [Domain_failed d] with [index_of d = Some i] becomes
-    [note_failure t i]. Domains mapping to [None] (unsupervised
-    housekeeping domains) are ignored. *)
+    [Domain_failed d] becomes [note_failure t (index_of d)]. Every
+    domain of the manager must back a unit. *)
 
 val note_failure : t -> int -> unit
 (** Unit [i] failed at the clock's current time. Ignored when the unit

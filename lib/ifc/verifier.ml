@@ -1,4 +1,4 @@
-type strategy = Exact | Compositional | Incremental | Naive_no_alias | Andersen
+type strategy = Exact | Compositional | Naive_no_alias | Andersen
 
 type verdict = Verified | Rejected
 
@@ -15,7 +15,6 @@ type report = {
 let strategy_name = function
   | Exact -> "exact-ownership"
   | Compositional -> "compositional-summaries"
-  | Incremental -> "incremental-summaries"
   | Naive_no_alias -> "naive-no-alias"
   | Andersen -> "andersen-points-to"
 
@@ -30,13 +29,13 @@ let verify ?strategy (program : Ast.program) =
   | Ok () -> (
     let strategy = Option.value ~default:(default_strategy program) strategy in
     match (strategy, program.dialect) with
-    | (Exact | Compositional | Incremental), Aliased ->
+    | (Exact | Compositional), Aliased ->
       Error
         (Printf.sprintf "strategy %s requires the safe dialect" (strategy_name strategy))
-    | (Exact | Compositional | Incremental | Naive_no_alias | Andersen), _ ->
+    | (Exact | Compositional | Naive_no_alias | Andersen), _ ->
       let ownership_errors =
         match strategy with
-        | Exact | Compositional | Incremental -> (
+        | Exact | Compositional -> (
           match Ownership.check program with Ok () -> [] | Error vs -> vs)
         | Naive_no_alias | Andersen -> []
       in
@@ -53,14 +52,6 @@ let verify ?strategy (program : Ast.program) =
         | Compositional -> (
           match Summary.analyze_compositional program with
           | Ok r -> Ok (r, 0, 0)
-          | Error e -> Error e)
-        | Incremental -> (
-          (* A one-shot cold run: every function misses, and its
-             counters go to a registry nobody reads. The win needs a
-             persistent handle — see [reverify]. *)
-          let cache = Summary_cache.create ~telemetry:(Telemetry.Registry.create ()) () in
-          match Summary_cache.reverify cache program with
-          | Ok (r, _, _) -> Ok (r, 0, 0)
           | Error e -> Error e)
       in
       (match analysis with
@@ -93,7 +84,7 @@ let reverify (cache : Summary_cache.t) (program : Ast.program) =
     in
     Ok
       ( {
-          strategy = Incremental;
+          strategy = Compositional;
           verdict;
           ownership_errors;
           findings = r.Abstract.findings;

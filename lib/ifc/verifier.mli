@@ -16,11 +16,6 @@ type strategy =
   | Compositional
       (** Same soundness, function summaries instead of inlining (§4's
           scalability improvement). Safe dialect only. *)
-  | Incremental
-      (** Compositional with a {!Summary_cache}: identical findings,
-          and with a persistent handle ({!reverify}) an edit only
-          recomputes its dirty cone. Via [verify] the cache is fresh,
-          i.e. a cold run. Safe dialect only. *)
   | Naive_no_alias
       (** Conventional language, alias step skipped: fast but unsound
           (misses the line-17 exploit). *)
@@ -51,12 +46,12 @@ val verify : ?strategy:strategy -> Ast.program -> (report, string) result
 
 val reverify :
   Summary_cache.t -> Ast.program -> (report * Summary_cache.stats, string) result
-(** Incremental verification against a persistent cache handle:
+(** Verification against a persistent cache handle:
     validates, runs the ownership check (always whole-program — it is
     linear and cheap), and reverifies flows reusing every summary
-    whose fingerprint still matches. The report (verdict, findings,
-    ownership errors) is identical to [verify ~strategy:Compositional]
-    on the same program; only [transfers] — work actually performed —
-    shrinks on warm runs. *)
+    whose fingerprint still matches. The report (strategy
+    [Compositional], verdict, findings, ownership errors) is identical
+    to [verify ~strategy:Compositional] on the same program; only
+    [transfers] — work actually performed — shrinks on warm runs. *)
 
 val pp_report : Format.formatter -> report -> unit

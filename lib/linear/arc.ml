@@ -1,7 +1,6 @@
 type 'a cell = {
   value : 'a;
   cell_id : int;
-  label : string;
   strong : int Atomic.t;
 }
 
@@ -10,14 +9,15 @@ type 'a weak = { wcell : 'a cell }
 
 let next_id = Atomic.make 0
 
-let create ?label value =
+let create value =
   let cell_id = Atomic.fetch_and_add next_id 1 + 1 in
-  let label = match label with Some l -> l | None -> Printf.sprintf "arc#%d" cell_id in
-  let cell = { value; cell_id; label; strong = Atomic.make 1 } in
-  { cell; valid = Atomic.make true }
+  { cell = { value; cell_id; strong = Atomic.make 1 }; valid = Atomic.make true }
+
+(* Violations name a cell by its id. *)
+let label c = Printf.sprintf "arc#%d" c.cell_id
 
 let check t =
-  if not (Atomic.get t.valid) then Lin_error.raise_violation (Use_after_drop t.cell.label)
+  if not (Atomic.get t.valid) then Lin_error.raise_violation (Use_after_drop (label t.cell))
 
 let clone t =
   check t;
@@ -26,12 +26,12 @@ let clone t =
 
 let get t =
   check t;
-  if Atomic.get t.cell.strong <= 0 then Lin_error.raise_violation (Use_after_drop t.cell.label);
+  if Atomic.get t.cell.strong <= 0 then Lin_error.raise_violation (Use_after_drop (label t.cell));
   t.cell.value
 
 let drop t =
   if not (Atomic.compare_and_set t.valid true false) then
-    Lin_error.raise_violation (Use_after_drop t.cell.label);
+    Lin_error.raise_violation (Use_after_drop (label t.cell));
   ignore (Atomic.fetch_and_add t.cell.strong (-1))
 
 let strong_count t =
@@ -56,12 +56,7 @@ let upgrade w =
 let upgrade_exn w =
   match upgrade w with
   | Some t -> t
-  | None -> Lin_error.raise_violation (Upgrade_failed w.wcell.label)
-
-let ptr_eq a b =
-  check a;
-  check b;
-  a.cell == b.cell
+  | None -> Lin_error.raise_violation (Upgrade_failed (label w.wcell))
 
 let id t =
   check t;

@@ -10,11 +10,13 @@
 type 'a t
 type 'a weak
 
-val create : ?label:string -> 'a -> 'a t
+val create : 'a -> 'a t
 val clone : 'a t -> 'a t
 val get : 'a t -> 'a
 
 val id : 'a t -> int
+(** The cell's id, unique per {!create}: two handles share a cell iff
+    their ids are equal ([Arc::ptr_eq]). *)
 
 (** {1 For tests}
 
@@ -32,5 +34,3 @@ val upgrade : 'a weak -> 'a t option
 (** Lock-free; returns [None] once the last strong handle is gone. *)
 
 val upgrade_exn : 'a weak -> 'a t
-
-val ptr_eq : 'a t -> 'a t -> bool

@@ -12,12 +12,12 @@ type t = {
 
 let tag_table_bytes = 1 lsl 20 (* 1 MiB of ownership tags *)
 
-let create ~clock ~pool ?telemetry ?(mode = Untagged) () =
+let create ~clock ~pool ?telemetry () =
   {
     clock;
     pool;
     telemetry;
-    mode;
+    mode = Untagged;
     tag_base = Cycles.Clock.alloc_addr clock ~bytes:tag_table_bytes;
     tag_span = tag_table_bytes;
     tag_checks = ref 0;

@@ -26,10 +26,10 @@ val create :
   clock:Cycles.Clock.t ->
   pool:Mempool.t ->
   ?telemetry:Telemetry.Registry.t ->
-  ?mode:mode ->
   unit ->
   t
-(** [telemetry] turns on the [netstack.*] metrics: the NIC and every
+(** An [Untagged] engine ({!with_mode} gives a [Tagged] view).
+    [telemetry] turns on the [netstack.*] metrics: the NIC and every
     pipeline built on this engine pre-resolve their counters and
     histograms from it at construction time. *)
 
@@ -54,7 +54,7 @@ val touch_packet : t -> Packet.t -> off:int -> bytes:int -> unit
     oracle: the access mode and tag-check count the tagged-heap tests read. *)
 
 val mode : t -> mode
-(** The access mode is fixed at {!create} time — engines are
+(** An engine's access mode never changes — engines are
     mode-immutable so sharded pipelines can never race on a mode
     flip. *)
 

@@ -249,8 +249,6 @@ let create ~engine ~mode ?flowcache stages =
     last_error = None;
   }
 
-let length t = t.n_stages
-
 let fused_groups t =
   match t.prepared with
   | P_calls stages -> Array.to_list (Array.map (fun (s : Stage.t) -> [ s.Stage.name ]) stages)

@@ -152,9 +152,7 @@ val stage_reports : t -> stage_report list
 
 (** {1 For tests}
 
-    oracle: counts the fusion tests check the plan and degradation by. *)
-
-val length : t -> int
+    oracle: the count the fusion tests check degradation by. *)
 
 val batches_degraded : t -> int
 (** Successful batches that bypassed at least one skipped stage. *)

@@ -17,18 +17,8 @@ type fault_spec = {
   f_rate : float;
   f_seed : int64;
   f_policy : Faultinj.Restart.policy;
-  f_chan_capacity : int;
-  f_on_restart : (queue:int -> stage:int -> unit) option;
+  f_on_restart : queue:int -> stage:int -> unit;
 }
-
-let default_faults ?(rate = 0.05) ?(seed = 4242L) ?on_restart ~policy () =
-  {
-    f_rate = rate;
-    f_seed = seed;
-    f_policy = policy;
-    f_chan_capacity = 4;
-    f_on_restart = on_restart;
-  }
 
 type cache_spec = {
   c_capacity : int;
@@ -42,7 +32,6 @@ type spec = {
   batch_size : int;
   seed : int64;
   flows : int;
-  payload_bytes : int;
   pool_capacity : int;
   mode : mode;
   stages : queue_ctx -> Stage.t list;
@@ -52,18 +41,13 @@ type spec = {
 }
 
 let default_spec ?(shards = 1) ?(queues = 8) ?(rounds = 300) ?(batch_size = 32)
-    ?(seed = 2017L) ?(flows = 1024) ?(pool_capacity = 512) ?faults
-    ?traffic ?cache ~mode ~stages () =
-  { shards; queues; rounds; batch_size; seed; flows; payload_bytes = 18; pool_capacity;
-    mode; stages; faults; traffic; cache }
+    ?(seed = 2017L) ?(flows = 1024) ?faults ?traffic ?cache ~mode ~stages () =
+  { shards; queues; rounds; batch_size; seed; flows; pool_capacity = 512; mode; stages;
+    faults; traffic; cache }
 
-(* One receive-queue replica. All *virtual* state — clock, pool,
-   engine, NIC, pipeline, SFI manager — is per queue, not per shard:
-   a queue's virtual-cycle trajectory is then a function of its packet
-   stream alone, so regrouping queues over a different number of
-   shards cannot change any recorded number. The shard owns the
-   telemetry registry its queues record into, and owns the queues'
-   execution. *)
+(* Minimum-size (64-byte) frames for the default uniform workload. *)
+let payload_bytes = 18
+
 (* Per-queue fault-injection state. The arming arrays are shared with
    the stage wrappers installed by [make_queue_env]; everything here is
    derived from [(f_seed, queue)] alone, never from the queue→shard
@@ -74,17 +58,24 @@ type faulty = {
   fy_rec_arm : int array;    (* pending injected recovery-fn panics *)
   fy_chan_arm : bool ref;    (* stage 0 sends on a full channel next *)
   fy_chan : unit Sfi.Channel.t;
-  fy_super : Faultinj.Supervisor.t;
   fy_injected : Telemetry.Counter.t;
   mutable fy_steal : Packet.t list;  (* buffers held hostage this round *)
 }
 
+(* One receive-queue replica. All *virtual* state — clock, pool,
+   engine, NIC, pipeline, SFI manager, supervisor — is per queue, not
+   per shard: a queue's virtual-cycle trajectory is then a function of
+   its packet stream alone, so regrouping queues over a different
+   number of shards cannot change any recorded number. The shard owns
+   the telemetry registry its queues record into, and owns the queues'
+   execution. *)
 type queue_env = {
   q_id : int;
   q_clock : Cycles.Clock.t;
   q_pool : Mempool.t;
   q_nic : Nic.t;
   q_pipe : Pipeline.t;
+  q_super : Faultinj.Supervisor.t;
   q_faulty : faulty option;
   mutable q_round : int;
   mutable q_batches : int;
@@ -159,19 +150,16 @@ let wrap_stages ~triggers ~chan_arm ~chan_cell stages =
           Stage.process stage eng b))
     stages
 
-let make_faulty spec ~registry ~clock ~mgr ~pipe ~stages ~triggers ~rec_arm ~chan_arm
-    ~chan_cell ~q_id fs =
-  let n_stages = List.length stages in
+let make_faulty spec ~registry ~clock ~pipe ~triggers ~rec_arm ~chan_arm ~chan_cell ~q_id fs =
   let plan =
-    Faultinj.Plan.for_queue ~seed:fs.f_seed ~rate:fs.f_rate
-      ~rounds:spec.rounds ~stages:n_stages ~queue:q_id ()
+    Faultinj.Plan.for_queue ~seed:fs.f_seed ~rate:fs.f_rate ~rounds:spec.rounds
+      ~stages:(Array.length triggers) ~queue:q_id ()
   in
-  (* The control channel stage 0 overflows into: a per-queue sink
-     domain receives, stage 0's domain sends. *)
-  let ctrl = Sfi.Manager.create_domain mgr ~name:(Printf.sprintf "q%d.ctrl" q_id) () in
+  (* The bounded channel stage 0's domain sends on; [Channel_full]
+     faults fill it so the armed send overflows. *)
   let chan =
-    Sfi.Channel.create ~clock ~sender:(Pipeline.stage_domain pipe 0) ~receiver:ctrl
-      ~capacity:fs.f_chan_capacity ~label:(Printf.sprintf "q%d.ctl" q_id) ()
+    Sfi.Channel.create ~clock ~sender:(Pipeline.stage_domain pipe 0) ~capacity:4
+      ~label:(Printf.sprintf "q%d.ctl" q_id) ()
   in
   chan_cell := Some chan;
   (* Injected recovery panics: the restart path itself is the faulty
@@ -189,38 +177,25 @@ let make_faulty spec ~registry ~clock ~mgr ~pipe ~stages ~triggers ~rec_arm ~cha
              end;
              match orig with Some f -> f dd | None -> ())))
     triggers;
-  let names =
-    Array.of_list
-      (List.map (fun (s : Stage.t) -> Printf.sprintf "q%d.%s" q_id s.Stage.name) stages)
-  in
-  let restart i =
-    (match fs.f_on_restart with Some f -> f ~queue:q_id ~stage:i | None -> ());
-    Pipeline.recover_stage pipe i
-  in
-  let super =
-    Faultinj.Supervisor.create ~telemetry:registry
-      ~on_degrade:(fun i -> Pipeline.set_stage_skipped pipe i true)
-      ~clock ~policy:fs.f_policy ~names ~restart ()
-  in
-  Faultinj.Supervisor.supervise super mgr ~index_of:(fun d ->
-      let id = Sfi.Pdomain.id d in
-      let rec find i =
-        if i >= n_stages then None
-        else if Sfi.Domain_id.equal (Sfi.Pdomain.id (Pipeline.stage_domain pipe i)) id then
-          Some i
-        else find (i + 1)
-      in
-      find 0);
   {
     fy_plan = plan;
     fy_triggers = triggers;
     fy_rec_arm = rec_arm;
     fy_chan_arm = chan_arm;
     fy_chan = chan;
-    fy_super = super;
     fy_injected = Telemetry.Registry.counter registry (Printf.sprintf "faultinj.q%d.injected" q_id);
     fy_steal = [];
   }
+
+(* The supervisor unit a domain stands for: the first stage it backs
+   (a fused group's one domain backs several). *)
+let unit_of pipe d =
+  let id = Sfi.Pdomain.id d in
+  let rec find i =
+    if Sfi.Domain_id.equal (Sfi.Pdomain.id (Pipeline.stage_domain pipe i)) id then i
+    else find (i + 1)
+  in
+  find 0
 
 let make_queue_env spec registry q_id =
   let clock = Cycles.Clock.create () in
@@ -236,14 +211,11 @@ let make_queue_env spec registry q_id =
   let traffic =
     match spec.traffic with
     | Some plan -> Traffic.of_plan ~rng plan
-    | None ->
-      Traffic.create ~rng ~payload_bytes:spec.payload_bytes
-        (Traffic.Uniform { flows = spec.flows })
+    | None -> Traffic.create ~rng ~payload_bytes (Traffic.Uniform { flows = spec.flows })
   in
   let nic = Nic.create ~engine ~traffic () in
-  (* The flow cache is built before the stage constructors run so they
-     can register its invalidation on their state's mutation hooks
-     ([Ruledb.on_mutate], [Maglev.on_change]). *)
+  (* [Pipeline.create] subscribes the cache's invalidation to the
+     stages' declared hooks; [qc_flowcache] only shows it to them. *)
   let fcache =
     Option.map
       (fun c ->
@@ -256,8 +228,8 @@ let make_queue_env spec registry q_id =
       { qc_queue = q_id; qc_clock = clock; qc_registry = registry; qc_flowcache = fcache }
   in
   let n_stages = List.length stages in
-  let triggers = Array.make (max 1 n_stages) false in
-  let rec_arm = Array.make (max 1 n_stages) 0 in
+  let triggers = Array.make n_stages false in
+  let rec_arm = Array.make n_stages 0 in
   let chan_arm = ref false in
   let chan_cell = ref None in
   let run_stages =
@@ -265,35 +237,49 @@ let make_queue_env spec registry q_id =
     | None -> stages
     | Some _ -> wrap_stages ~triggers ~chan_arm ~chan_cell stages
   in
-  let mgr =
+  let mgr, mode =
     match spec.mode with
-    | Isolated -> Some (Sfi.Manager.create ~clock ~telemetry:registry ())
-    | Direct | Copying | Tagged -> None
-  in
-  let mode =
-    match (spec.mode, mgr) with
-    | Direct, _ -> Pipeline.Direct
-    | Copying, _ -> Pipeline.Copying
-    | Tagged, _ -> Pipeline.Tagged
-    | Isolated, Some m -> Pipeline.Isolated m
-    | Isolated, None -> assert false
+    | Direct -> (None, Pipeline.Direct)
+    | Copying -> (None, Pipeline.Copying)
+    | Tagged -> (None, Pipeline.Tagged)
+    | Isolated ->
+      let m = Sfi.Manager.create ~clock ~telemetry:registry () in
+      (Some m, Pipeline.Isolated m)
   in
   let pipe = Pipeline.create ~engine ~mode ?flowcache:fcache run_stages in
   let faulty =
-    match (spec.faults, mgr) with
-    | None, _ -> None
-    | Some fs, Some mgr ->
-      Some
-        (make_faulty spec ~registry ~clock ~mgr ~pipe ~stages ~triggers ~rec_arm ~chan_arm
-           ~chan_cell ~q_id fs)
-    | Some _, None -> assert false (* ruled out by [create] *)
+    Option.map
+      (make_faulty spec ~registry ~clock ~pipe ~triggers ~rec_arm ~chan_arm ~chan_cell ~q_id)
+      spec.faults
   in
+  (* Every queue's service is gated by a supervisor. Without a fault
+     spec it restarts a failed stage at the next batch and mints no
+     metric. *)
+  let policy, telemetry, on_restart =
+    match spec.faults with
+    | Some fs -> (fs.f_policy, Some registry, fs.f_on_restart)
+    | None -> (Faultinj.Restart.Immediate, None, fun ~queue:_ ~stage:_ -> ())
+  in
+  let super =
+    Faultinj.Supervisor.create ?telemetry
+      ~on_degrade:(fun i -> Pipeline.set_stage_skipped pipe i true)
+      ~clock ~policy
+      ~names:
+        (Array.of_list
+           (List.map (fun (s : Stage.t) -> Printf.sprintf "q%d.%s" q_id s.Stage.name) stages))
+      ~restart:(fun i ->
+        on_restart ~queue:q_id ~stage:i;
+        Pipeline.recover_stage pipe i)
+      ()
+  in
+  Option.iter (fun mgr -> Faultinj.Supervisor.supervise super mgr ~index_of:(unit_of pipe)) mgr;
   {
     q_id;
     q_clock = clock;
     q_pool = pool;
     q_nic = nic;
     q_pipe = pipe;
+    q_super = super;
     q_faulty = faulty;
     q_round = 0;
     q_batches = 0;
@@ -312,13 +298,8 @@ let create spec =
   if spec.batch_size <= 0 then invalid_arg "Shard.create: batch_size must be positive";
   if spec.pool_capacity < 2 * spec.batch_size then
     invalid_arg "Shard.create: pool must hold at least two batches";
-  (match spec.faults with
-  | None -> ()
-  | Some fs ->
-    if spec.mode <> Isolated then
-      invalid_arg "Shard.create: fault injection requires Isolated mode";
-    if fs.f_chan_capacity <= 0 then
-      invalid_arg "Shard.create: fault channel capacity must be positive");
+  if spec.faults <> None && spec.mode <> Isolated then
+    invalid_arg "Shard.create: fault injection requires Isolated mode";
   (match spec.cache with
   | Some _ when spec.mode = Copying ->
     invalid_arg "Shard.create: flow cache is incompatible with Copying mode"
@@ -359,14 +340,14 @@ let apply_fault q fy = function
    hardware queue whose ring stayed empty. *)
 let run_queue_round t q =
   q.q_round <- q.q_round + 1;
-  (match q.q_faulty with
-  | Some fy ->
-    List.iter
-      (fun f ->
-        Telemetry.Counter.incr fy.fy_injected;
-        apply_fault q fy f)
-      (Faultinj.Plan.faults_at fy.fy_plan ~round:q.q_round)
-  | None -> ());
+  Option.iter
+    (fun fy ->
+      List.iter
+        (fun f ->
+          Telemetry.Counter.incr fy.fy_injected;
+          apply_fault q fy f)
+        (Faultinj.Plan.faults_at fy.fy_plan ~round:q.q_round))
+    q.q_faulty;
   let b =
     Nic.rx_batch_filtered q.q_nic t.spec.batch_size ~keep:(fun f ->
         Rss.queue t.rss f = q.q_id)
@@ -375,52 +356,34 @@ let run_queue_round t q =
   (if not (Batch.is_empty b) then begin
      q.q_batches <- q.q_batches + 1;
      q.q_crafted <- q.q_crafted + len;
-     match q.q_faulty with
-     | None -> (
+     (* The supervisor gates service: due restarts are attempted here,
+        and the batch is rejected while a stage is down. *)
+     match Faultinj.Supervisor.admit q.q_super with
+     | `Drop ->
+       Nic.drop_batch q.q_nic b;
+       q.q_dropped <- q.q_dropped + len
+     | `Serve skips -> (
        match Pipeline.run q.q_pipe b with
        | Ok out ->
          let tx = Nic.tx_batch q.q_nic out in
          q.q_packets_out <- q.q_packets_out + tx;
-         q.q_served <- q.q_served + tx;
-         q.q_dropped <- q.q_dropped + (len - tx)
+         (if skips = [] then q.q_served <- q.q_served + tx
+          else q.q_degraded <- q.q_degraded + tx);
+         q.q_dropped <- q.q_dropped + (len - tx);
+         Faultinj.Supervisor.report_success q.q_super
        | Error _ ->
+         (* The batch's buffers were reclaimed by the pipeline. *)
          q.q_failed <- q.q_failed + 1;
          q.q_dropped <- q.q_dropped + len;
-         (* The batch's buffers were reclaimed by the pipeline; restore
-            service so later rounds are served (availability
-            semantics). *)
-         (match Pipeline.failed_stage q.q_pipe with
-         | Some i -> (
-           match Pipeline.recover_stage q.q_pipe i with
-           | Ok () -> ()
-           | Error msg -> failwith ("Shard.run: recovery failed: " ^ msg))
+         (* The manager's Domain_failed hook already reported organic
+            panics (the supervisor ignores the duplicate); this
+            catches failures that leave the domain Running, e.g. an
+            injected rref revocation. *)
+         (match Pipeline.last_error_stage q.q_pipe with
+         | Some i ->
+           Faultinj.Supervisor.note_failure q.q_super
+             (unit_of q.q_pipe (Pipeline.stage_domain q.q_pipe i))
          | None -> ()))
-     | Some fy -> (
-       (* The supervisor gates service: due restarts are attempted
-          here, and the batch is rejected while a stage is down. *)
-       match Faultinj.Supervisor.admit fy.fy_super with
-       | `Drop ->
-         Nic.drop_batch q.q_nic b;
-         q.q_dropped <- q.q_dropped + len
-       | `Serve skips -> (
-         match Pipeline.run q.q_pipe b with
-         | Ok out ->
-           let tx = Nic.tx_batch q.q_nic out in
-           q.q_packets_out <- q.q_packets_out + tx;
-           (if skips = [] then q.q_served <- q.q_served + tx
-            else q.q_degraded <- q.q_degraded + tx);
-           q.q_dropped <- q.q_dropped + (len - tx);
-           Faultinj.Supervisor.report_success fy.fy_super
-         | Error _ ->
-           q.q_failed <- q.q_failed + 1;
-           q.q_dropped <- q.q_dropped + len;
-           (* The manager's Domain_failed hook already reported organic
-              panics (the supervisor ignores the duplicate); this
-              catches failures that leave the domain Running, e.g. an
-              injected rref revocation. *)
-           (match Pipeline.last_error_stage q.q_pipe with
-           | Some i -> Faultinj.Supervisor.note_failure fy.fy_super i
-           | None -> ())))
    end);
   (* Injected mempool pressure lasts exactly one round. *)
   match q.q_faulty with
@@ -430,10 +393,7 @@ let run_queue_round t q =
   | Some _ | None -> ()
 
 let run_shard t s =
-  let owned =
-    Array.to_list (Array.of_seq (Seq.filter (fun q -> shard_of_queue t.spec q = s)
-                                   (Seq.init t.spec.queues Fun.id)))
-  in
+  let owned = List.filter (fun q -> shard_of_queue t.spec q = s) (List.init t.spec.queues Fun.id) in
   for _ = 1 to t.spec.rounds do
     List.iter (fun q -> run_queue_round t t.queue_envs.(q)) owned
   done
@@ -479,11 +439,7 @@ let run t =
          t.queue_envs)
   in
   let sum f = List.fold_left (fun a q -> a + f q) 0 queue_stats in
-  let sum_faulty f =
-    Array.fold_left
-      (fun a q -> match q.q_faulty with Some fy -> a + f fy | None -> a)
-      0 t.queue_envs
-  in
+  let sum_queues f = Array.fold_left (fun a q -> a + f q) 0 t.queue_envs in
   {
     r_shards = t.spec.shards;
     r_queues = t.spec.queues;
@@ -494,8 +450,10 @@ let run t =
     r_served = sum (fun q -> q.qs_served);
     r_degraded = sum (fun q -> q.qs_degraded);
     r_dropped = sum (fun q -> q.qs_dropped);
-    r_injected = sum_faulty (fun fy -> Faultinj.Plan.queue_total fy.fy_plan);
-    r_restarts = sum_faulty (fun fy -> (Faultinj.Supervisor.stats fy.fy_super).restarts);
+    r_injected =
+      sum_queues (fun q ->
+          match q.q_faulty with Some fy -> Faultinj.Plan.queue_total fy.fy_plan | None -> 0);
+    r_restarts = sum_queues (fun q -> (Faultinj.Supervisor.stats q.q_super).restarts);
     r_queue_stats = queue_stats;
     r_telemetry = merged;
   }

@@ -36,9 +36,10 @@ type queue_ctx = {
   qc_clock : Cycles.Clock.t;           (** The queue's virtual clock. *)
   qc_registry : Telemetry.Registry.t;  (** The owning shard's registry. *)
   qc_flowcache : Flowcache.t option;
-      (** The queue's megaflow cache when the spec enables one — stage
-          constructors register {!Flowcache.invalidate} on their
-          state's mutation hooks here. *)
+      (** The queue's megaflow cache when the spec enables one. No
+          stage constructor needs it: {!Pipeline.create} subscribes
+          the cache's invalidation to every hook the stages declare
+          ({!Stage.hooks}). *)
 }
 (** What a stage constructor sees of the queue it is being built for —
     enough to key per-queue state (checkpoint stores, flow tables) and
@@ -48,23 +49,12 @@ type fault_spec = {
   f_rate : float;       (** Poisson fault rate per queue round, in [0, 1]. *)
   f_seed : int64;       (** Plan seed — independent of the traffic seed. *)
   f_policy : Faultinj.Restart.policy;  (** Same policy for every stage. *)
-  f_chan_capacity : int;
-      (** Capacity of the per-queue control channel [Channel_full]
-          faults overflow. *)
-  f_on_restart : (queue:int -> stage:int -> unit) option;
+  f_on_restart : queue:int -> stage:int -> unit;
       (** Runs just before a restarted stage's domain is recovered —
           the checkpoint-restore hook ({!Flowtab.rollback}). *)
 }
-
-val default_faults :
-  ?rate:float ->
-  ?seed:int64 ->
-  ?on_restart:(queue:int -> stage:int -> unit) ->
-  policy:Faultinj.Restart.policy ->
-  unit ->
-  fault_spec
-(** Defaults: rate 0.05, seed 4242; the control channel
-    holds 4 messages. *)
+(** A seeded fault storm. [Channel_full] faults overflow a 4-message
+    channel that stage 0's domain sends on. *)
 
 type cache_spec = {
   c_capacity : int;        (** Megaflow entries per queue. *)
@@ -77,8 +67,7 @@ type spec = {
   rounds : int;        (** Scheduling rounds. *)
   batch_size : int;    (** Global arrivals per round. *)
   seed : int64;        (** Traffic seed, shared by every queue replica. *)
-  flows : int;         (** Uniform flow population. *)
-  payload_bytes : int;
+  flows : int;         (** Uniform flow population (18-byte payloads). *)
   pool_capacity : int; (** Buffers in each queue's mempool. *)
   mode : mode;
   stages : queue_ctx -> Stage.t list;
@@ -86,13 +75,17 @@ type spec = {
           context. Must build fresh stage state each call — stages are
           never shared across queues (or domains). *)
   faults : fault_spec option;
-      (** When set ([Isolated] mode only), every queue runs a seeded
-          fault storm supervised by a {!Faultinj.Supervisor}: the
-          plan arms stage panics, injected recovery-fn panics, rref
-          revocations, control-channel overflows and mempool pressure,
-          and the policy decides how service resumes. Each queue's
-          schedule derives from [(f_seed, queue)] alone, so storms are
-          shard-count invariant like everything else here. *)
+      (** Every queue's service is gated by its own
+          {!Faultinj.Supervisor}. Without a fault spec it restarts a
+          failed stage at the queue's next batch ([Immediate]) and
+          mints no metric. When set ([Isolated] mode only), every
+          queue also runs a seeded fault storm: the plan arms stage
+          panics, injected recovery-fn panics, rref revocations,
+          channel overflows and mempool pressure, the spec's policy
+          decides how service resumes, and the supervisor records its
+          [sfi.q<i>.<stage>.*] metrics. Each queue's schedule derives
+          from [(f_seed, queue)] alone, so storms are shard-count
+          invariant like everything else here. *)
   traffic : Traffic.plan option;
       (** Overrides the default [Uniform { flows }] workload. The plan
           is immutable and shared by every queue replica — a
@@ -114,7 +107,6 @@ val default_spec :
   ?batch_size:int ->
   ?seed:int64 ->
   ?flows:int ->
-  ?pool_capacity:int ->
   ?faults:fault_spec ->
   ?traffic:Traffic.plan ->
   ?cache:cache_spec ->
@@ -123,8 +115,8 @@ val default_spec :
   unit ->
   spec
 (** Defaults: 1 shard, 8 queues, 300 rounds, batch 32, seed 2017,
-    1024 flows, 18-byte payloads, 512-buffer pools, no faults, uniform
-    traffic, no flow cache. *)
+    1024 flows, 512-buffer pools, no faults, uniform traffic, no flow
+    cache. *)
 
 type t
 
@@ -158,7 +150,7 @@ type result = {
   r_degraded : int;
   r_dropped : int;
   r_injected : int;     (** Faults the plans scheduled within [rounds]. *)
-  r_restarts : int;     (** Successful supervisor restarts. *)
+  r_restarts : int;     (** Successful restarts, every queue's supervisor. *)
   r_queue_stats : queue_stats list;  (** Ascending queue id. *)
   r_telemetry : Telemetry.Registry.t;
       (** The deterministic reduction of all shards' registries. *)
@@ -168,8 +160,8 @@ val run : t -> result
 (** Run the engine to completion: shard 0 on the calling domain, the
     rest on freshly spawned domains, each shard iterating its queues in
     ascending id order for [rounds] rounds. Contained stage panics
-    ([Isolated] mode) are recovered in place and counted in
-    [r_failed]/[qs_failed]. After the domains join, every queue pool is
+    ([Isolated] mode) are counted in [r_failed]/[qs_failed] and
+    restarted by the queue's supervisor. After the domains join, every queue pool is
     checked for buffer leaks ({!Mempool.assert_no_leaks} — a failure
     here is a bug in the panic reclaim path) and the per-shard
     registries are merged. Single-shot: a second call raises

@@ -16,7 +16,7 @@ type 'a t = {
 
 let counter = ref 0
 
-let create ~clock ~sender ~receiver:_ ~capacity ?label () =
+let create ~clock ~sender ~capacity ?label () =
   if capacity <= 0 then invalid_arg "Channel.create: capacity must be positive";
   incr counter;
   let label = match label with Some l -> l | None -> Printf.sprintf "chan#%d" !counter in

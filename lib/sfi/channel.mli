@@ -1,14 +1,13 @@
-(** Zero-copy cross-domain channels.
+(** Zero-copy, sender-checked channels.
 
     §3: "after passing an object reference to a function {e or
     channel}, the caller loses access to the object". A channel is a
-    directed, bounded queue from a sender to a receiver domain:
-    {!send} consumes the caller's {!Linear.Own.t} (the zero-copy
-    ownership transfer — no bytes move). Direction is enforced against
-    the thread-local current domain, so a compromised domain cannot
-    inject into a channel it is not the sender of. The system only
-    fills channels (the storm's [Channel_full] fault), so there is no
-    receive side.
+    bounded queue that one sender domain fills: {!send} consumes the
+    caller's {!Linear.Own.t} (the zero-copy ownership transfer — no
+    bytes move). The sender is checked against the thread-local
+    current domain, so a compromised domain cannot inject into a
+    channel it is not the sender of. The system only fills channels
+    (the storm's [Channel_full] fault), so there is no receive side.
 
     Sending charges the virtual clock for the queue bookkeeping only —
     constant cost, independent of payload size, which is the entire
@@ -27,13 +26,11 @@ type error =
 val create :
   clock:Cycles.Clock.t ->
   sender:Pdomain.t ->
-  receiver:Pdomain.t ->
   capacity:int ->
   ?label:string ->
   unit ->
   'a t
-(** [receiver] names the domain the channel is directed to; nothing
-    receives in this model, so only the sender is checked. *)
+(** Only [sender] (or the kernel) may send; nothing receives. *)
 
 val send : 'a t -> 'a Linear.Own.t -> (unit, error) result
 (** Consumes the handle unconditionally (ownership transfers even into

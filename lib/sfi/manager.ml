@@ -39,9 +39,9 @@ let domain_tele t ~name =
         tl_recoveries = Telemetry.Scope.counter scope "recoveries";
       }
 
-let create_domain t ~name ?policy ?recovery () =
+let create_domain t ~name ?recovery () =
   let d =
-    Pdomain.create ~clock:t.clock ~name ?policy ?recovery ?tele:(domain_tele t ~name) ()
+    Pdomain.create ~clock:t.clock ~name ?recovery ?tele:(domain_tele t ~name) ()
   in
   (* Every caught panic — at the execute boundary or attributed via
      [mark_failed] — reaches the manager's subscribers, which is what a

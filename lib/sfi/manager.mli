@@ -34,7 +34,6 @@ val clock : t -> Cycles.Clock.t
 val create_domain :
   t ->
   name:string ->
-  ?policy:Policy.t ->
   ?recovery:(Pdomain.t -> unit) ->
   unit ->
   Pdomain.t

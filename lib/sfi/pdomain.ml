@@ -28,7 +28,7 @@ type t = {
   tele : tele option;
 }
 
-let create ~clock ~name ?(policy = Policy.allow_all) ?recovery ?tele () =
+let create ~clock ~name ?recovery ?tele () =
   let id = Domain_id.fresh () in
   {
     id;
@@ -37,7 +37,7 @@ let create ~clock ~name ?(policy = Policy.allow_all) ?recovery ?tele () =
     table = Ref_table.create ~clock ~owner:id;
     state_addr = Cycles.Clock.alloc_addr clock ~bytes:64;
     state = Running;
-    policy;
+    policy = Policy.allow_all;
     recovery;
     generation = 0;
     panic_count = 0;

@@ -29,14 +29,14 @@ type tele = {
 val create :
   clock:Cycles.Clock.t ->
   name:string ->
-  ?policy:Policy.t ->
   ?recovery:(t -> unit) ->
   ?tele:tele ->
   unit ->
   t
 (** Normally called via {!Manager.create_domain}. [recovery] is the
     "user-provided recovery function to re-initialize the domain from
-    clean state"; it runs inside the fresh domain. *)
+    clean state"; it runs inside the fresh domain. The access policy
+    starts as {!Policy.allow_all} ({!set_policy} changes it). *)
 
 val tele : t -> tele option
 

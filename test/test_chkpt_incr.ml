@@ -248,9 +248,9 @@ let test_tele_record_incr () =
    here, determinism is test_faultinj's. *)
 let test_storm_restore_path () =
   let policy = List.hd Experiments.Storm.default_policies in
-  let r, restores =
+  let r, restores, _ =
     Experiments.Storm.run_one ~queues:4 ~rounds:60 ~batch_size:8 ~rate:0.08
-      ~fault_seed:99L ~shards:1 ~policy ()
+      ~fault_seed:99L ~shards:1 ~policy ~flowtab:Netstack.Flowtab.create ()
   in
   Alcotest.(check bool) "restores happened" true (restores > 0);
   Alcotest.(check int) "packet conservation" r.Netstack.Shard.r_crafted

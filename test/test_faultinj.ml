@@ -239,15 +239,18 @@ let test_supervisor_degrade_routes_around () =
 (* ------------------------------------------------------------------ *)
 
 let small_storm ?(shards = 1) ~policy ~rate ~fault_seed () =
-  Experiments.Storm.run_one ~queues:4 ~rounds:40 ~batch_size:8 ~rate ~fault_seed ~shards
-    ~policy ()
+  let r, _, _ =
+    Experiments.Storm.run_one ~queues:4 ~rounds:40 ~batch_size:8 ~rate ~fault_seed ~shards
+      ~policy ~flowtab:Netstack.Flowtab.create ()
+  in
+  r
 
 let prop_storm_conserves_packets =
   QCheck.Test.make ~name:"crafted = served + degraded + dropped" ~count:8
     QCheck.(triple (int_range 0 3) (int_range 0 30) (int_range 0 10_000))
     (fun (which, rate_pct, seed) ->
       let policy = List.nth Experiments.Storm.default_policies which in
-      let r, _ =
+      let r =
         small_storm ~policy
           ~rate:(float_of_int rate_pct /. 100.)
           ~fault_seed:(Int64.of_int seed) ()
@@ -259,7 +262,7 @@ let prop_storm_conserves_packets =
 let test_storm_replay_identical () =
   List.iter
     (fun policy ->
-      let run () = fst (small_storm ~policy ~rate:0.1 ~fault_seed:4242L ()) in
+      let run () = small_storm ~policy ~rate:0.1 ~fault_seed:4242L () in
       let a = run () and b = run () in
       Alcotest.(check string)
         (Faultinj.Restart.policy_name policy ^ " replays byte-identically")
@@ -270,7 +273,7 @@ let test_storm_replay_identical () =
 let test_storm_shard_invariant () =
   List.iter
     (fun policy ->
-      let run shards = fst (small_storm ~shards ~policy ~rate:0.1 ~fault_seed:4242L ()) in
+      let run shards = small_storm ~shards ~policy ~rate:0.1 ~fault_seed:4242L () in
       let r1 = run 1 and r2 = run 2 in
       Alcotest.(check string)
         (Faultinj.Restart.policy_name policy ^ " invariant under sharding")

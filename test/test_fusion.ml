@@ -232,7 +232,7 @@ let test_isolated_equivalence =
         if not (check_ledgers pair) then
           QCheck.Test.fail_reportf "isolated: NIC/pipeline ledgers diverged";
         let groups = List.length (Pipeline.fused_groups fused.s_pipe) in
-        let n_stages = Pipeline.length fused.s_pipe in
+        let n_stages = List.length specs in
         if List.length (Pipeline.stage_reports fused.s_pipe) <> groups then
           QCheck.Test.fail_reportf "isolated: expected one domain per fused group";
         if List.length (Pipeline.stage_reports unfused.s_pipe) <> n_stages then

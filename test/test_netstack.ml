@@ -7,7 +7,7 @@ open Netstack
 let make_env ?(pool_capacity = 512) ?(mode = Engine.Untagged) () =
   let clock = Cycles.Clock.create () in
   let pool = Mempool.create ~clock ~capacity:pool_capacity () in
-  Engine.create ~clock ~pool ~mode ()
+  Engine.with_mode (Engine.create ~clock ~pool ()) mode
 
 let udp_flow =
   Flow.make ~src_ip:0x0A000001l ~dst_ip:0xC0A80001l ~src_port:1234 ~dst_port:80

@@ -318,21 +318,20 @@ let test_cpu_accounting () =
     (Sfi.Pdomain.cycles_consumed idle < Sfi.Pdomain.cycles_consumed busy)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-domain channels                                               *)
+(* Channels                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let make_channel ?(capacity = 4) mgr =
   let producer = Sfi.Manager.create_domain mgr ~name:"producer" () in
-  let consumer = Sfi.Manager.create_domain mgr ~name:"consumer" () in
+  let other = Sfi.Manager.create_domain mgr ~name:"other" () in
   let chan =
-    Sfi.Channel.create ~clock:(Sfi.Manager.clock mgr) ~sender:producer ~receiver:consumer
-      ~capacity ()
+    Sfi.Channel.create ~clock:(Sfi.Manager.clock mgr) ~sender:producer ~capacity ()
   in
-  (producer, consumer, chan)
+  (producer, other, chan)
 
 let test_channel_zero_copy_transfer () =
   let mgr = Sfi.Manager.create () in
-  let producer, _consumer, chan = make_channel mgr in
+  let producer, _other, chan = make_channel mgr in
   let payload = Linear.Own.create ~label:"pkt" [ 1; 2; 3 ] in
   (* Send from inside the producer domain; the handle is consumed. *)
   let sent =
@@ -346,14 +345,14 @@ let test_channel_zero_copy_transfer () =
 
 let test_channel_direction_enforced () =
   let mgr = Sfi.Manager.create () in
-  let _producer, consumer, chan = make_channel mgr in
-  (* The consumer may not send... *)
+  let _producer, other, chan = make_channel mgr in
+  (* Another domain may not send... *)
   (match
-     Sfi.Pdomain.execute consumer (fun () ->
+     Sfi.Pdomain.execute other (fun () ->
          Sfi.Channel.send chan (Linear.Own.create 1))
    with
   | Ok (Error (Sfi.Channel.Wrong_domain _)) -> ()
-  | _ -> Alcotest.fail "consumer must not send");
+  | _ -> Alcotest.fail "another domain must not send");
   (* ... but the kernel (tests run there) may. *)
   match Sfi.Channel.send chan (Linear.Own.create 9) with
   | Ok () -> ()

@@ -48,8 +48,8 @@ let small_spec ?(mode = Shard.Direct) ?(shards = 1) ?stages () =
     | Some s -> s
     | None -> fun (_ : Shard.queue_ctx) -> [ Filters.checksum_verify; Filters.ttl_decrement ]
   in
-  Shard.default_spec ~shards ~queues:4 ~rounds:60 ~batch_size:16 ~flows:256
-    ~pool_capacity:64 ~mode ~stages ()
+  { (Shard.default_spec ~shards ~queues:4 ~rounds:60 ~batch_size:16 ~flows:256 ~mode ~stages ())
+    with Shard.pool_capacity = 64 }
 
 let render r = Telemetry.Render.to_string r.Shard.r_telemetry
 
@@ -140,8 +140,9 @@ let test_shard_preserves_flow_order () =
     ]
   in
   let spec =
-    Shard.default_spec ~shards:1 ~queues ~rounds ~batch_size ~seed ~flows
-      ~pool_capacity:64 ~mode:Shard.Direct ~stages ()
+    { (Shard.default_spec ~shards:1 ~queues ~rounds ~batch_size ~seed ~flows
+         ~mode:Shard.Direct ~stages ())
+      with Shard.pool_capacity = 64 }
   in
   ignore (Shard.run (Shard.create spec));
   (* Reference: the global arrival stream, filtered by the same RSS
@@ -174,13 +175,17 @@ let test_shard_preserves_flow_order () =
 let test_shard_isolated_faults_contained () =
   let stages (_ : Shard.queue_ctx) = [ Filters.fault_injector ~panic_after:2 ] in
   let spec =
-    Shard.default_spec ~shards:2 ~queues:2 ~rounds:8 ~batch_size:8 ~flows:64
-      ~pool_capacity:64 ~mode:Shard.Isolated ~stages ()
+    { (Shard.default_spec ~shards:2 ~queues:2 ~rounds:8 ~batch_size:8 ~flows:64
+         ~mode:Shard.Isolated ~stages ())
+      with Shard.pool_capacity = 64 }
   in
   (* Shard.run itself asserts no buffers leaked on the panic path. *)
   let r = Shard.run (Shard.create spec) in
   Alcotest.(check bool) "first batches got through" true (r.Shard.r_packets_out > 0);
   Alcotest.(check bool) "injector crashed" true (r.Shard.r_failed > 0);
+  (* Without a fault spec, each queue's supervisor still restarts the
+     crashed stage (policy Immediate). *)
+  Alcotest.(check bool) "supervisor restarted it" true (r.Shard.r_restarts > 0);
   (* The injector crash-loops after its first batch; recovery keeps
      service up, so every queue still attempts every round. *)
   List.iter

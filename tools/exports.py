@@ -9,9 +9,12 @@ looks for a caller in lib/ (leaving out the module's own .ml), bin/,
 examples/, layerbench/ and tools/. A use is `Module.name`
 (also through a `module X = ...Module` alias), or a bare `name` in a
 file that opens the module (`open`, `let open`, `Module.( ... )`). An
-optional parameter is set where a file that calls the function
-also says `~name` or `?name`. Comments and string literals are not
-read.
+optional parameter is set where a call of the function passes
+`~name` or `?name`: the scan runs from the use to the end of its
+application, the first `;`, `,`, `|`, `=`, infix operator, keyword
+such as `in` or `then`, or closing bracket at the use's own nesting
+depth; labels inside nested brackets belong to other calls. Comments
+and string literals are not read.
 
 It prints every entry without such a caller, unless the entry sits in
 a `(** {1 For tests} *)` section of its .mli (up to the next `{1 ...}`
@@ -45,6 +48,13 @@ FOR_TESTS = "{1 For tests}"
 LIMIT = os.path.join(ROOT, "tools", "exports_for_tests.txt")
 IDENT = r"[a-z_][A-Za-z0-9_']*"
 REASON = r"(oracle|hook|model)(\s*,\s*(oracle|hook|model))*:"
+# What ends an application at its own depth: a keyword, or a character
+# that starts a separator or an infix operator.
+END_WORDS = {
+    "and", "begin", "do", "done", "downto", "else", "end", "function", "fun", "if", "in",
+    "let", "match", "of", "then", "to", "try", "type", "val", "when", "with",
+}
+END_CHARS = set(";,|=<>@^+-*/&$%")
 
 
 def strip(src):
@@ -104,7 +114,6 @@ class Source:
         self.opened |= set(re.findall(r"\b([A-Z]\w*)\.\(", self.text))
         self.qualified = set(re.findall(r"\b([A-Z]\w*)\s*\.\s*(%s)" % IDENT, self.text))
         self.bare = set(re.findall(r"(?<![.~?\w'])(%s)" % IDENT, self.text))
-        self.labels = set(re.findall(r"[~?](%s)" % IDENT, self.text))
 
     def uses(self, mod, name):
         for q in [mod] + self.aliases.get(mod, []):
@@ -112,8 +121,41 @@ class Source:
                 return True
         return mod in self.opened and name in self.bare
 
-    def sets(self, param):
-        return param in self.labels
+    def sets(self, mod, name, param):
+        """Whether a call of [mod.name] passes [~param] or [?param]."""
+        quals = "|".join(re.escape(q) for q in [mod] + self.aliases.get(mod, []))
+        pattern = r"\b(?:%s)\s*\.\s*%s\b" % (quals, re.escape(name))
+        if mod in self.opened:
+            pattern += r"|(?<![.~?\w'])%s\b" % re.escape(name)
+        return any(param in call_labels(self.text, m.end())
+                   for m in re.finditer(pattern, self.text))
+
+
+def call_labels(text, i):
+    """The labels an application passes at its own depth, scanning from
+    just after the applied name at [text[i]]."""
+    labels, depth, n = set(), 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            if depth == 0:
+                break
+            depth -= 1
+        elif depth == 0:
+            if c in END_CHARS:
+                break
+            m = re.match(r"[~?](%s)|[A-Za-z_][\w']*" % IDENT, text[i:i + 64])
+            if m:
+                if m.group(1):
+                    labels.add(m.group(1))
+                elif m.group(0) in END_WORDS:
+                    break
+                i += m.end()
+                continue
+        i += 1
+    return labels
 
 
 def entries(mli):
@@ -190,9 +232,9 @@ def main():
                 listed.append((rel, line, shown, "test-only" if tested else "no caller"))
                 continue
             for p in params:
-                if any(s.sets(p) for s in users):
+                if any(s.sets(q, name, p) for s in users):
                     continue
-                t = any(s.sets(p) for s in tested)
+                t = any(s.sets(q, name, p) for s in tested)
                 if p in marked and t:
                     continue
                 why = "for tests, no caller" if p in marked else "test-only" if t else "no caller"
